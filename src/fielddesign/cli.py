@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .arrays import (
     DEFAULT_ORBIT_BUDGET,
-    EnumerationBudgetError,
     Shape,
     canonical_json,
     classify_array,
@@ -226,14 +225,8 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
            "arrays": arrays, "orbits": orbits}
     rows = [("shape", str(shape)), ("arrays", str(arrays)), ("orbits", str(orbits))]
     if args.list:
-        listing = []
-        try:
-            for orbit in enumerate_orbits(shape, budget=args.budget):
-                cls = classify_array(orbit.representative)
-                listing.append((orbit, cls))
-        except EnumerationBudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
+        listing = [(orbit, classify_array(orbit.representative))
+                   for orbit in enumerate_orbits(shape, budget=args.budget)]
         doc["listing"] = [
             {"array": o.representative.to_json(), "size": o.size,
              "classification": {
@@ -251,11 +244,7 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     shape, transposed = _shape_from_args(args)
     sigma = resolve_sigma(cfg.sigma)
-    try:
-        result = _solve_for(shape, sigma, args, cfg)
-    except (EnumerationBudgetError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    result = _solve_for(shape, sigma, args, cfg)
     doc = {"config": cfg.to_json(), "transposed": transposed}
     doc.update(result.to_json())
     rows = [("shape", str(shape)), ("regime", result.regime),
@@ -312,12 +301,8 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         raise _InputError(f"need n >= 1, got {args.n}")
     shape, _ = _shape_from_args(args)
     sigma = resolve_sigma(cfg.sigma)
-    try:
-        design, report = construct_exact(shape, args.n, sigma,
-                                         seed=cfg.seed, effort=args.effort)
-    except (EnumerationBudgetError, MemoryError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    design, report = construct_exact(shape, args.n, sigma,
+                                     seed=cfg.seed, effort=args.effort)
     doc = {"config": cfg.to_json(), "design": design.to_json(),
            "report": report.to_json()}
     rows = [("shape", str(shape)), ("n", str(design.n))]
@@ -422,12 +407,11 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return args.handler(cfg, args)
-    except _InputError as exc:
+    except (_InputError, ValueError, MemoryError, RuntimeError) as exc:
+        # anything but bad input is a limit (EnumerationBudgetError is a
+        # RuntimeError) or a failed computation, in any subcommand
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return EXIT_INPUT if isinstance(exc, _InputError) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from .model import (
     IDENTITY,
     CovarianceSpec,
     GeneralCov,
-    block_components,
     centering_projector,
+    component_table,
     info_matrix_exact,
     symmetric_pinv,
 )
@@ -381,10 +381,7 @@ def construct_exact(
     for rep in sorted(reps, key=lambda s: s.colex):
         pool_set.update(_orbit_sample(Orbit(rep, orbit_size(rep)), per_orbit, rng))
     pool = sorted(pool_set, key=lambda s: s.colex)
-    comp = {
-        s: tuple(np.asarray(m, dtype=float) for m in block_components(s, sigma))
-        for s in pool
-    }
+    comp = dict(zip(pool, component_table(pool, sigma)))
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     def rounded_start() -> list[BlockArray]:

@@ -13,24 +13,36 @@ and the per-block information components C_ij = Ti' Btilde Tj (i, j in
 matrix for treatment contrasts is the Schur complement
 C = C00 - C01 C11^+ C10 accumulated over blocks.
 
-Scalar reductions c_ij = tr(B_t C_ij) drive the optimality theory; they
-admit closed forms in the counting statistics of the array, computed here
-exactly over the rationals, with an independent matrix-product path as
-cross-check (and as the only path for a general Sigma).
+Scalar reductions c_ij = tr(B_t C_ij) drive the optimality theory.  With
+O the plot-by-treatment one-hot, E = O O' the same-treatment indicator
+over plot pairs and M the neighbor matrix, Btilde 1 = 0 gives
+
+    c00 = <K, E>,  c01 = <K M, E>,  c11 = <M K M, E> - 1'M K M 1 / t,
+    (C00, C01, C11) = (O'K O, O'K M O, O'M K M O)
+
+for K = Btilde.  One pair kernel evaluates both over an (N, p) label
+matrix for every covariance: in int64 on K = pI - J for the identity and
+type-H family, with the scale applied once (exactly when rational), and
+in float on K = Btilde for a dense Sigma.  The paper's closed forms in the
+counting statistics (c_coeffs_closed, closed_numerators_batch) stay as
+the independent check of that kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .arrays import BlockArray, CountStatistics, Shape, count_statistics
 
 EIG_CUTOFF = 1e-10
+# rows per kernel pass: the pair indicator of a chunk stays a few MB
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -156,16 +168,18 @@ def btilde_fraction(sigma: CovarianceSpec, p: int) -> np.ndarray:
     return out
 
 
-def _shift(n: int) -> np.ndarray:
-    return np.eye(n, k=-1, dtype=np.int64)
+def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:
+    """A plot-indexed (p, k) matrix read at the neighbor in the row above,
+    the row below, the left and the right column (zero off the grid)."""
+    a, b = shape.a, shape.b
+    pad = np.pad(x.reshape(b, a, -1), ((1, 1), (1, 1), (0, 0)))
+    return [pad[1 + dj:1 + dj + b, 1 + di:1 + di + a].reshape(x.shape)
+            for dj, di in ((0, -1), (0, 1), (-1, 0), (1, 0))]
 
 
 def neighbor_matrix(shape: Shape) -> np.ndarray:
     """p x p 0/1 matrix marking orthogonally adjacent plots (colex order)."""
-    a, b = shape.a, shape.b
-    ka = _shift(a) + _shift(a).T
-    kb = _shift(b) + _shift(b).T
-    return np.kron(np.eye(b, dtype=np.int64), ka) + np.kron(kb, np.eye(a, dtype=np.int64))
+    return sum(_neighbor_shifts(np.eye(shape.p, dtype=np.int64), shape))
 
 
 @dataclass(frozen=True)
@@ -183,21 +197,18 @@ class IncidenceSet:
         return self.t1 + self.t2 + self.t3 + self.t4
 
 
+def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
+    """(N, p) int64 colex labels of same-shape arrays."""
+    return np.array([s.colex for s in pool], dtype=np.int64)
+
+
+def _onehot(labels: np.ndarray, t: int, dtype) -> np.ndarray:
+    return (labels[:, :, None] == np.arange(1, t + 1)).astype(dtype)
+
+
 def incidence_matrices(s: BlockArray) -> IncidenceSet:
-    shape = s.shape
-    p, t = shape.p, shape.t
-    t0 = np.zeros((p, t), dtype=np.int64)
-    t0[np.arange(p), np.array(s.colex) - 1] = 1
-    ia = np.eye(shape.a, dtype=np.int64)
-    ib = np.eye(shape.b, dtype=np.int64)
-    ka, kb = _shift(shape.a), _shift(shape.b)
-    return IncidenceSet(
-        t0=t0,
-        t1=np.kron(ib, ka) @ t0,
-        t2=np.kron(ib, ka.T) @ t0,
-        t3=np.kron(kb, ia) @ t0,
-        t4=np.kron(kb.T, ia) @ t0,
-    )
+    t0 = _onehot(label_matrix([s]), s.shape.t, np.int64)[0]
+    return IncidenceSet(t0, *_neighbor_shifts(t0, s.shape))
 
 
 @dataclass(frozen=True)
@@ -211,11 +222,6 @@ class CoefficientTriple:
 
     def astuple(self):
         return (self.c00, self.c01, self.c11)
-
-    def scaled(self, factor) -> "CoefficientTriple":
-        return CoefficientTriple(
-            self.c00 * factor, self.c01 * factor, self.c11 * factor, self.source
-        )
 
 
 def c11_base(shape: Shape) -> Fraction:
@@ -241,41 +247,14 @@ def c_coeffs_closed(s: BlockArray, stats: CountStatistics | None = None) -> Coef
 
 
 def c_coeffs_trace(s: BlockArray, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
-    """Coefficients by explicit matrix products; exact over the rationals
-    for the identity-kernel family, floating point otherwise."""
-    shape = s.shape
-    p, t = shape.p, shape.t
-    inc = incidence_matrices(s)
-    f = inc.f
+    """Exact coefficients of one array by the pair kernel; identity and
+    rational type-H covariance only (use triple_table for a dense Sigma)."""
     scale = rational_scale(sigma)
-    if scale is not None:
-        # p * Btilde = p I - J exactly; keep everything in integers
-        u0 = inc.t0.sum(axis=0)
-        u1 = f.sum(axis=0)
-        g00 = p * (inc.t0.T @ inc.t0) - np.outer(u0, u0)
-        g01 = p * (inc.t0.T @ f) - np.outer(u0, u1)
-        g11 = p * (f.T @ f) - np.outer(u1, u1)
-        c00 = Fraction(int(np.trace(g00)), p)
-        c01 = Fraction(int(np.trace(g01)), p)
-        c11 = Fraction(int(t * np.trace(g11) - g11.sum()), p * t)
-        return CoefficientTriple(c00 * scale, c01 * scale, c11 * scale, source="trace")
-    bt = btilde(sigma, p)
-    t0 = inc.t0.astype(float)
-    ff = f.astype(float)
-    c00m = t0.T @ bt @ t0
-    c01m = t0.T @ bt @ ff
-    c11m = ff.T @ bt @ ff
-    c00 = float(np.trace(c00m) - c00m.sum() / t)
-    c01 = float(np.trace(c01m) - c01m.sum() / t)
-    c11 = float(np.trace(c11m) - c11m.sum() / t)
-    return CoefficientTriple(c00, c01, c11, source="trace")
-
-
-def _colex_masks(shape: Shape):
-    a, b = shape.a, shape.b
-    k = np.arange(shape.p)
-    i, j = k % a, k // a
-    return i, j
+    if scale is None:
+        raise ValueError("exact triples need identity or rational type-H covariance")
+    nums = trace_numerators_batch(label_matrix([s]), s.shape)
+    units = exact_units(s.shape, scale)
+    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)), source="trace")
 
 
 def closed_numerators_batch(labels: np.ndarray, shape: Shape):
@@ -287,8 +266,8 @@ def closed_numerators_batch(labels: np.ndarray, shape: Shape):
     a, b, t, p = shape.a, shape.b, shape.t, shape.p
     lab = np.asarray(labels, dtype=np.int64)
     n = lab.shape[0]
-    onehot = (lab[:, :, None] == np.arange(1, t + 1)[None, None, :]).astype(np.int64)
-    i, j = _colex_masks(shape)
+    onehot = _onehot(lab, t, np.int64)
+    i, j = np.arange(p) % a, np.arange(p) // a
     subgrids = (j <= b - 2, j >= 1, i <= a - 2, i >= 1)
     f0 = onehot.sum(axis=1)
     fsub = [onehot[:, m, :].sum(axis=1) for m in subgrids]
@@ -323,24 +302,79 @@ def closed_numerators_batch(labels: np.ndarray, shape: Shape):
     return n00, n01, n11
 
 
-def trace_numerators_batch(labels: np.ndarray, shape: Shape):
-    """Vectorized matrix-product path; same scaled-integer contract as
-    closed_numerators_batch but built from incidence algebra."""
-    t, p = shape.t, shape.p
-    lab = np.asarray(labels, dtype=np.int64)
-    onehot = (lab[:, :, None] == np.arange(1, t + 1)[None, None, :]).astype(np.int64)
+def exact_units(shape: Shape, scale: Fraction) -> np.ndarray:
+    """Exact value of one unit of the integer numerators of (c00, c01, c11)."""
+    return np.array([scale / shape.p] * 2 + [scale / (shape.p * shape.t)], dtype=object)
+
+
+@dataclass(frozen=True)
+class _PairKernel:
+    """The stack (K, K M, M K M) of one shape and covariance.
+
+    On the identity family K = pI - J in int64 and Btilde = scale K / p;
+    for a dense Sigma K = Btilde in float and scale is None.  unit is the
+    float value of one count of K.
+    """
+
+    shape: Shape
+    stack: np.ndarray
+    scale: Fraction | float | None
+    unit: float
+
+    def triples(self, labels: np.ndarray) -> np.ndarray:
+        """(N, 3) rows <X, E> for X in the stack, less the c11 constant: the
+        numerators over (p, p, p t) before the scale for an integer kernel,
+        the coefficients themselves for a float one."""
+        i, j = np.triu_indices(self.shape.p, 1)
+        # E is symmetric with a unit diagonal: only the pairs i < j vary
+        pair_w = (self.stack + self.stack.transpose(0, 2, 1))[:, i, j].T
+        diag = np.trace(self.stack, axis1=1, axis2=2)
+        out = np.empty((len(labels), 3), dtype=self.stack.dtype)
+        for lo in range(0, len(labels), CHUNK_ROWS):
+            lab = labels[lo:lo + CHUNK_ROWS]
+            same = (lab[:, i] == lab[:, j]).astype(pair_w.dtype)
+            out[lo:lo + CHUNK_ROWS] = same @ pair_w + diag
+        corner, t = self.stack[2].sum(), self.shape.t
+        if self.scale is None:
+            out[:, 2] -= corner / t
+        else:
+            out[:, 2] = t * out[:, 2] - corner
+        return out
+
+    def components(self, labels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Per-row (C00, C01, C11) = O'X O before the scale, as chunks
+        (rows, (n, 3, t, t))."""
+        for lo in range(0, len(labels), CHUNK_ROWS):
+            o = _onehot(labels[lo:lo + CHUNK_ROWS], self.shape.t, self.stack.dtype)
+            xo = self.stack @ o[:, None]  # (n, 3, p, t)
+            yield slice(lo, lo + len(o)), np.swapaxes(o, 1, 2)[:, None] @ xo
+
+    def component_sum(self, labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(3, t, t) weighted sum of the rows' components."""
+        return sum(np.tensordot(weights[rows], comp, axes=1)
+                   for rows, comp in self.components(labels))
+
+
+def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
+    p = shape.p
     m = neighbor_matrix(shape)
-    fmat = np.einsum("pq,nqt->npt", m, onehot)
-    bnum = p * np.eye(p, dtype=np.int64) - np.ones((p, p), dtype=np.int64)
-    bo = np.einsum("pq,nqt->npt", bnum, onehot)
-    bf = np.einsum("pq,nqt->npt", bnum, fmat)
-    n00 = np.einsum("npt,npt->n", onehot, bo)
-    n01 = np.einsum("npt,npt->n", onehot, bf)
-    tr11 = np.einsum("npt,npt->n", fmat, bf)
-    nu = m.sum(axis=1)
-    corner = int(nu @ bnum @ nu)
-    n11 = t * tr11 - corner
-    return n00, n01, n11
+    scale = rational_scale(sigma)
+    if exact and scale is None:
+        raise ValueError("exact path needs Identity or rational type-H covariance")
+    if is_contrast_identity(sigma):
+        k = p * np.eye(p, dtype=np.int64) - 1
+        scale = 1.0 / float(sigma.x) if scale is None else scale
+        unit = float(scale) / p
+    else:
+        k, unit = btilde(sigma, p), 1.0
+    return _PairKernel(shape, np.stack([k, k @ m, m @ k @ m]), scale, unit)
+
+
+def trace_numerators_batch(labels: np.ndarray, shape: Shape):
+    """Pair-kernel path over an (N, p) label matrix; same integer contract
+    as closed_numerators_batch (numerators over p, p and p*t)."""
+    nums = _pair_kernel(shape, IDENTITY).triples(np.asarray(labels, dtype=np.int64))
+    return nums[:, 0], nums[:, 1], nums[:, 2]
 
 
 def triple_table(
@@ -350,46 +384,25 @@ def triple_table(
     if not pool:
         return np.zeros((0, 3))
     shape = pool[0].shape
-    p, t = shape.p, shape.t
-    scale = rational_scale(sigma)
-    if scale is not None or isinstance(sigma, TypeH):
-        lab = np.array([s.colex for s in pool], dtype=np.int64)
-        n00, n01, n11 = closed_numerators_batch(lab, shape)
-        fac = float(scale) if scale is not None else 1.0 / float(sigma.x)
-        out = np.empty((len(pool), 3))
-        out[:, 0] = n00 * (fac / p)
-        out[:, 1] = n01 * (fac / p)
-        out[:, 2] = n11 * (fac / (p * t))
+    kern = _pair_kernel(shape, sigma)
+    out = kern.triples(label_matrix(pool))
+    if kern.scale is None:
         return out
-    out = np.empty((len(pool), 3))
-    for k, s in enumerate(pool):
-        c = c_coeffs_trace(s, sigma)
-        out[k] = (c.c00, c.c01, c.c11)
-    return out
+    fac, p = float(kern.scale), shape.p
+    return out * np.array([fac / p, fac / p, fac / (p * shape.t)])
+
+
+def component_table(
+    pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY
+) -> np.ndarray:
+    """(N, 3, t, t) float components (C00, C01, C11) of each pool array."""
+    kern = _pair_kernel(pool[0].shape, sigma)
+    return np.concatenate([c for _, c in kern.components(label_matrix(pool))]) * kern.unit
 
 
 def block_components(s: BlockArray, sigma: CovarianceSpec = IDENTITY, exact: bool = False):
     """Per-block information components (C00, C01, C11), each t x t."""
-    shape = s.shape
-    p = shape.p
-    inc = incidence_matrices(s)
-    f = inc.f
-    if exact:
-        scale = rational_scale(sigma)
-        if scale is None:
-            raise ValueError("exact components need Identity or rational type-H")
-        u0 = inc.t0.sum(axis=0)
-        u1 = f.sum(axis=0)
-        g00 = p * (inc.t0.T @ inc.t0) - np.outer(u0, u0)
-        g01 = p * (inc.t0.T @ f) - np.outer(u0, u1)
-        g11 = p * (f.T @ f) - np.outer(u1, u1)
-        fac = scale * Fraction(1, p)
-        conv = np.vectorize(lambda v: Fraction(int(v)) * fac, otypes=[object])
-        return conv(g00), conv(g01), conv(g11)
-    bt = btilde(sigma, p)
-    t0 = inc.t0.astype(float)
-    ff = f.astype(float)
-    return t0.T @ bt @ t0, t0.T @ bt @ ff, ff.T @ bt @ ff
+    return accumulate_components([(s, 1)], sigma, exact=exact)
 
 
 def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
@@ -450,10 +463,29 @@ def fraction_pinv(c: np.ndarray) -> np.ndarray:
     return v @ inv @ v.T
 
 
-def _schur(c00, c01, c11, exact: bool):
+def schur_complement(c00, c01, c11, exact: bool = False):
+    """Information matrix C00 - C01 C11^+ C10 of accumulated components."""
     if exact:
         return c00 - c01 @ fraction_pinv(c11) @ c01.T
     return c00 - c01 @ symmetric_pinv(c11) @ c01.T
+
+
+def exact_weighted_sum(
+    weights: Sequence[Fraction | int],
+    group_sum: Callable[[np.ndarray], np.ndarray],
+    factor,
+) -> np.ndarray:
+    """factor * sum_k w_k x_k in exact Fractions, where group_sum(rows) is
+    the int64 sum of x_k over an index array.  Rows sharing a weight (every
+    atom of one orbit does) are summed in one call, and the groups combined
+    in Python integers over the weights' common denominator."""
+    groups: dict[Fraction, list[int]] = {}
+    for k, w in enumerate(weights):
+        groups.setdefault(Fraction(w), []).append(k)
+    den = math.lcm(*(w.denominator for w in groups))
+    total = sum(group_sum(np.array(rows)).astype(object) * (w * den).numerator
+                for w, rows in groups.items())
+    return total * (factor / den)
 
 
 def accumulate_components(
@@ -461,39 +493,35 @@ def accumulate_components(
     sigma: CovarianceSpec = IDENTITY,
     exact: bool = False,
 ):
-    """Weighted sums of (C00, C01, C11) over (array, weight) pairs."""
-    acc = None
-    for s, w in weighted_blocks:
-        c00, c01, c11 = block_components(s, sigma, exact=exact)
-        if acc is None:
-            zero = Fraction(0) if exact else 0.0
-            tt = c00.shape[0]
-            if exact:
-                acc = [np.full((tt, tt), zero, dtype=object) for _ in range(3)]
-            else:
-                acc = [np.zeros((tt, tt)) for _ in range(3)]
-        if exact:
-            w = Fraction(w)
-        acc[0] = acc[0] + w * c00
-        acc[1] = acc[1] + w * c01
-        acc[2] = acc[2] + w * c11
-    if acc is None:
+    """Weighted sums of (C00, C01, C11) over (array, weight) pairs; exact
+    sums are Fractions, converted once per entry (see exact_weighted_sum)."""
+    pairs = list(weighted_blocks)
+    if not pairs:
         raise ValueError("no blocks given")
-    return acc[0], acc[1], acc[2]
+    shape = pairs[0][0].shape
+    kern = _pair_kernel(shape, sigma, exact)
+    lab = label_matrix([s for s, _ in pairs])
+    if exact:
+        out = exact_weighted_sum(
+            [w for _, w in pairs],
+            lambda rows: kern.component_sum(lab[rows], np.ones(len(rows), dtype=np.int64)),
+            kern.scale / shape.p)
+    else:
+        weights = np.array([float(w) for _, w in pairs])
+        out = kern.component_sum(lab, weights) * kern.unit
+    return out[0], out[1], out[2]
 
 
 def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Information matrix of an exact design (blocks accumulated, then Schur)."""
-    c00, c01, c11 = accumulate_components(
-        ((s, 1) for s in design.blocks), sigma, exact=exact
-    )
-    return _schur(c00, c01, c11, exact)
+    comps = accumulate_components([(s, 1) for s in design.blocks], sigma, exact=exact)
+    return schur_complement(*comps, exact=exact)
 
 
 def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Per-block-average information matrix of an approximate measure."""
-    c00, c01, c11 = accumulate_components(measure.atoms.items(), sigma, exact=exact)
-    return _schur(c00, c01, c11, exact)
+    comps = accumulate_components(measure.atoms.items(), sigma, exact=exact)
+    return schur_complement(*comps, exact=exact)
 
 
 def centering_projector(t: int, exact: bool = False) -> np.ndarray:

@@ -37,16 +37,17 @@ from .model import (
     CoefficientTriple,
     CovarianceSpec,
     GeneralCov,
+    accumulate_components,
     c11_base,
-    c_coeffs_closed,
-    c_coeffs_trace,
     centering_projector,
-    closed_numerators_batch,
-    info_matrix_measure,
+    exact_units,
+    exact_weighted_sum,
+    label_matrix,
     rational_scale,
+    schur_complement,
+    trace_numerators_batch,
     triple_table,
 )
-from .model import accumulate_components
 
 GAP_TOL = 1e-9
 MATERIALIZE_LIMIT = 20_000
@@ -57,14 +58,14 @@ def _is_rational(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _atom_triple(s: BlockArray, sigma: CovarianceSpec, exact: bool) -> CoefficientTriple:
+def _triple_rows(arrays: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool):
+    """(N, 3) coefficient rows of same-shape arrays and the value of one
+    unit in each column: int64 numerators with exact units, or floats."""
     if exact:
-        scale = rational_scale(sigma)
-        if scale is None:
-            raise ValueError("exact triples need identity or rational type-H covariance")
-        return c_coeffs_closed(s).scaled(scale)
-    c = c_coeffs_trace(s, sigma)
-    return CoefficientTriple(float(c.c00), float(c.c01), float(c.c11), c.source)
+        shape = arrays[0].shape
+        nums = trace_numerators_batch(label_matrix(arrays), shape)
+        return np.column_stack(nums), exact_units(shape, rational_scale(sigma))
+    return triple_table(arrays, sigma), np.ones(3)
 
 
 class Measure:
@@ -144,14 +145,13 @@ class Measure:
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
     """Weighted sum of per-array coefficient triples."""
     exact = xi.is_exact() and rational_scale(sigma) is not None
-    c00 = c01 = c11 = Fraction(0) if exact else 0.0
-    for s, w in xi.atoms.items():
-        c = _atom_triple(s, sigma, exact)
-        w = w if exact else float(w)
-        c00 += w * c.c00
-        c01 += w * c.c01
-        c11 += w * c.c11
-    return CoefficientTriple(c00, c01, c11, source="aggregate")
+    rows, units = _triple_rows(list(xi.atoms), sigma, exact)
+    weights = list(xi.atoms.values())
+    if exact:
+        c = exact_weighted_sum(weights, lambda k: rows[k].sum(axis=0), units)
+    else:
+        c = [float(v) for v in np.array(weights, dtype=float) @ rows]
+    return CoefficientTriple(*c, source="aggregate")
 
 
 def q_eval(c, x):
@@ -191,12 +191,11 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     if not pool:
         raise ValueError("empty pool")
     shape = pool[0].shape
-    scale = rational_scale(sigma)
-    if scale is not None and _is_rational(x):
+    if rational_scale(sigma) is not None and _is_rational(x):
         xf = Fraction(x)
         u, v = xf.numerator, xf.denominator
-        lab = np.array([s.colex for s in pool], dtype=np.int64)
-        n00, n01, n11 = closed_numerators_batch(lab, shape)
+        rows, units = _triple_rows(pool, sigma, exact=True)
+        n00, n01, n11 = rows.T
         t = shape.t
         if abs(v) <= 10_000 and abs(u) <= 30_000:
             score = n00 * (t * v * v) + n01 * (2 * t * u * v) + n11 * (u * u)
@@ -209,7 +208,7 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
             k = min(near, key=lambda i: (
                 -(int(n00[i]) * t * v * v + int(n01[i]) * 2 * t * u * v
                   + int(n11[i]) * u * u), i))
-        return q_eval(c_coeffs_closed(pool[k]).scaled(scale), xf), pool[k]
+        return q_eval(rows[k].astype(object) * units, xf), pool[k]
     table = triple_table(pool, sigma)
     xf = float(x)
     q = table[:, 0] + 2.0 * table[:, 1] * xf + table[:, 2] * xf * xf
@@ -228,11 +227,15 @@ def support_set(
     """Pool arrays whose quadratic meets y* at x* within tolerance."""
     if not pool:
         raise ValueError("empty pool")
-    table = triple_table(pool, sigma)
+    keep = _touching(triple_table(pool, sigma), x_star, y_star, tol)
+    return [s for s, k in zip(pool, keep) if k]
+
+
+def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
+    """Mask of the table rows whose quadratic meets y* at x* within tol."""
     xf, yf = float(x_star), float(y_star)
     q = table[:, 0] + 2.0 * table[:, 1] * xf + table[:, 2] * xf * xf
-    keep = np.abs(q - yf) <= tol * max(1.0, abs(yf))
-    return [s for s, k in zip(pool, keep) if k]
+    return np.abs(q - yf) <= tol * max(1.0, abs(yf))
 
 
 # ---------------------------------------------------------------------------
@@ -663,13 +666,10 @@ def solve_sbs_proportions(
     if not orbits:
         raise ValueError("no orbits given")
     exact = _is_rational(x_star) and rational_scale(sigma) is not None
-    g = []
-    for o in orbits:
-        c = _atom_triple(o.representative, sigma, exact)
-        if exact:
-            g.append(c.c01 + Fraction(x_star) * c.c11)
-        else:
-            g.append(float(c.c01) + float(x_star) * float(c.c11))
+    rows, units = _triple_rows([o.representative for o in orbits], sigma, exact)
+    x = Fraction(x_star) if exact else float(x_star)
+    g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
+         else float(n01 + x * n11) for _, n01, n11 in rows]
     n = len(orbits)
     zero = Fraction(0) if exact else 0.0
     weights = [zero] * n
@@ -743,34 +743,23 @@ def verify_measure(
         and _is_rational(x_star)
         and _is_rational(y_star)
     )
-    c00, c01, c11 = accumulate_components(xi.atoms.items(), sigma, exact=exact)
+    c00, c01, c11 = comps = accumulate_components(xi.atoms.items(), sigma, exact=exact)
     bt = centering_projector(t, exact=exact)
+    num = Fraction if exact else float
+    x, y = num(x_star), num(y_star)
     # conditions hold on treatment contrasts; project out the constant
     # direction the raw neighbor blocks may carry
-    if exact:
-        target = bt * (Fraction(y_star) / (t - 1))
-        balance = _max_abs(bt @ (c00 + Fraction(x_star) * c01) @ bt - target, True)
-        slope = _max_abs(bt @ (c01.T + Fraction(x_star) * c11) @ bt, True)
-    else:
-        xf, yf = float(x_star), float(y_star)
-        c00 = np.asarray(c00, dtype=float)
-        c01 = np.asarray(c01, dtype=float)
-        c11 = np.asarray(c11, dtype=float)
-        btf = np.asarray(bt, dtype=float)
-        target = btf * (yf / (t - 1))
-        balance = _max_abs(btf @ (c00 + xf * c01) @ btf - target, False)
-        slope = _max_abs(btf @ (c01.T + xf * c11) @ btf, False)
-    support_mass = Fraction(0) if exact else 0.0
-    for s, w in xi.atoms.items():
-        c = _atom_triple(s, sigma, exact)
-        dev = q_eval(c, x_star) - y_star
-        if abs(dev) > tol * max(1, abs(y_star)):
-            support_mass += w
-    info = info_matrix_measure(xi, sigma, exact=exact)
-    if exact:
-        info_res = _max_abs(info - target, True)
-    else:
-        info_res = _max_abs(np.asarray(info, dtype=float) - target, False)
+    target = bt * (y / (t - 1))
+    balance = _max_abs(bt @ (c00 + x * c01) @ bt - target, exact)
+    slope = _max_abs(bt @ (c01.T + x * c11) @ bt, exact)
+    # support: atoms of one orbit share a triple, so test each distinct row once
+    rows, units = _triple_rows(list(xi.atoms), sigma, exact)
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
+                    > tol * max(1, abs(y_star)) for c in distinct])[inverse.reshape(-1)]
+    support_mass = sum((w for w, o in zip(xi.atoms.values(), off) if o),
+                       Fraction(0) if exact else 0.0)
+    info_res = _max_abs(schur_complement(*comps, exact=exact) - target, exact)
     ok = balance <= tol and slope <= tol and support_mass <= tol
     return VerificationReport(
         balance_residual=balance,
@@ -1006,7 +995,7 @@ def solve_exchange(
         y_star=float(qs),
         regime="computational",
         q_support=QSupport.explicit(
-            tuple(support_set(shape, xt, qs, pool, tol, sigma))
+            tuple(pool[k] for k in np.flatnonzero(_touching(table, xt, qs, tol)))
         ),
         measure=measure,
         orbit_weights=orbit_pairs,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,25 @@ def test_missing_subcommand_is_input_error(capsys):
 
 def test_unknown_flag_is_input_error(capsys):
     assert main(["solve", "--a", "2", "--b", "3", "--t", "2", "--wat"]) == 1
+
+
+def test_budget_overrun_is_compute_error_without_traceback(capsys, tmp_path):
+    # a 3x4 grid with 12 treatments has far more orbits than the full-pool
+    # limit; the budget check refuses before enumerating anything
+    design = write_design(tmp_path, "d.json", 3, 4, 12,
+                          [[[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]])
+    sigma = tmp_path / "ar12.json"
+    sigma.write_text(json.dumps(
+        {"matrix": [[0.5 ** abs(i - j) for j in range(12)] for i in range(12)]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fielddesign.cli", "verify", design,
+         "--sigma", str(sigma), "--pool", "full"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+    code, _, err = run(capsys, "efficiency", design, "--sigma", str(sigma),
+                       "--pool", "full")
+    assert code == 2 and err.startswith("error:")
