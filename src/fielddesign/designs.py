@@ -18,13 +18,14 @@ import numpy as np
 
 from .arrays import BlockArray, Orbit, Shape, orbit_members, orbit_size
 from .model import (
+    CHUNK_ROWS,
     IDENTITY,
     CovarianceSpec,
     GeneralCov,
     centering_projector,
     component_table,
     info_matrix_exact,
-    symmetric_pinv,
+    schur_complement,
 )
 from .optimality import (
     GAP_TOL,
@@ -38,6 +39,10 @@ from .optimality import (
 )
 
 NULL_EIG_CUT = 1e-8
+
+
+class NullDirectionError(RuntimeError):
+    """An information matrix without the numerically-zero eigenvalue of 1_t."""
 
 
 @dataclass(frozen=True)
@@ -142,10 +147,11 @@ def efficiencies(
     """Evaluate a design under the A, D, E and T criteria.
 
     The information matrix has 1_t in its null space; the eigenvalue of
-    smallest magnitude is discarded (it must be numerically zero) and
-    the four criteria are computed from the remaining t - 1, normalized
-    by n * y_star.  A second near-zero eigenvalue means some treatment
-    contrast is not estimable and all efficiencies are reported as 0.
+    smallest magnitude is discarded (it must be numerically zero, else
+    NullDirectionError) and the four criteria are computed from the
+    remaining t - 1, normalized by n * y_star.  A second near-zero
+    eigenvalue means some treatment contrast is not estimable and all
+    efficiencies are reported as 0.
     """
     y = _resolve_y_star(d.shape, sigma, y_star)
     t = d.shape.t
@@ -153,7 +159,9 @@ def efficiencies(
     lam = np.linalg.eigvalsh(c)
     k = int(np.argmin(np.abs(lam)))
     cut = NULL_EIG_CUT * max(float(np.trace(c)), 1.0)
-    assert abs(lam[k]) <= cut, "no numerically-zero eigenvalue for the 1_t direction"
+    if abs(lam[k]) > cut:
+        raise NullDirectionError("no numerically-zero eigenvalue for the 1_t direction "
+                                 f"(smallest {abs(lam[k]):.3g}, cutoff {cut:.3g})")
     lam_used = np.delete(lam, k)
     if (lam_used <= cut).any():
         return EfficiencyReport(
@@ -300,42 +308,30 @@ def _largest_remainder(quotas: Sequence[Fraction | float], n: int) -> list[int]:
     return floors
 
 
-class _SwapState:
-    # running component sums so one-block swaps are cheap to score
-    def __init__(self, blocks: list[BlockArray], comp: dict, target: np.ndarray):
-        self.blocks = blocks
-        self.comp = comp
-        self.target = target
-        t = target.shape[0]
-        self.s00 = np.zeros((t, t))
-        self.s01 = np.zeros((t, t))
-        self.s11 = np.zeros((t, t))
-        for s in blocks:
-            c00, c01, c11 = comp[s]
-            self.s00 += c00
-            self.s01 += c01
-            self.s11 += c11
+def _residuals(sums: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Frobenius distance from target of the information matrix of each
+    (C00, C01, C11) sum in a (k, 3, t, t) stack."""
+    diff = schur_complement(sums[:, 0], sums[:, 1], sums[:, 2]) - target
+    # one dot product per row, as np.linalg.norm forms it, so each value
+    # equals that of the 2-D computation bit for bit
+    flat = diff.reshape(len(sums), 1, -1)
+    return np.sqrt(flat @ np.swapaxes(flat, 1, 2)).reshape(-1)
 
-    def residual(self, delta=None) -> float:
-        s00, s01, s11 = self.s00, self.s01, self.s11
-        if delta is not None:
-            old, new = delta
-            o = self.comp[old]
-            w = self.comp[new]
-            s00 = s00 - o[0] + w[0]
-            s01 = s01 - o[1] + w[1]
-            s11 = s11 - o[2] + w[2]
-        info = s00 - s01 @ symmetric_pinv(s11) @ s01.T
-        return float(np.linalg.norm(info - self.target))
 
-    def apply(self, i: int, new: BlockArray):
-        old = self.blocks[i]
-        o = self.comp[old]
-        w = self.comp[new]
-        self.s00 += w[0] - o[0]
-        self.s01 += w[1] - o[1]
-        self.s11 += w[2] - o[2]
-        self.blocks[i] = new
+def _swap_residuals(base: np.ndarray, stack: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """_residuals of base + stack[k] for every candidate k, CHUNK_ROWS at a time."""
+    return np.concatenate([_residuals(base + stack[lo:lo + CHUNK_ROWS], target)
+                           for lo in range(0, len(stack), CHUNK_ROWS)])
+
+
+def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
+    """The index and value a pool-order scan keeps: each value that beats the
+    best so far (at first, current) by more than 1e-12 replaces it."""
+    best, best_val = None, current
+    for k in np.flatnonzero(vals < current - 1e-12):  # the only ones that can pass
+        if vals[k] < best_val - 1e-12:
+            best, best_val = int(k), float(vals[k])
+    return best, best_val
 
 
 def construct_exact(
@@ -350,7 +346,9 @@ def construct_exact(
     Starts from a largest-remainder apportionment of n over the optimal
     measure's support, then greedily replaces single blocks with other
     support arrays whenever that shrinks the distance between the design
-    information matrix and its optimal completely-symmetric target.
+    information matrix and its optimal completely-symmetric target.  Each
+    slot scores every pool candidate in one stacked eigendecomposition
+    (_swap_residuals) and takes the pick of a pool-order scan (_scan).
     `effort` counts restarts (the first start is the rounded measure,
     later ones are seeded random draws); deterministic given the seed.
     """
@@ -381,50 +379,40 @@ def construct_exact(
     for rep in sorted(reps, key=lambda s: s.colex):
         pool_set.update(_orbit_sample(Orbit(rep, orbit_size(rep)), per_orbit, rng))
     pool = sorted(pool_set, key=lambda s: s.colex)
-    comp = dict(zip(pool, component_table(pool, sigma)))
+    index = {s: k for k, s in enumerate(pool)}
+    stack = component_table(pool, sigma)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
-    def rounded_start() -> list[BlockArray]:
-        counts = _largest_remainder([Fraction(w) * n if isinstance(w, (int, Fraction))
-                                     else float(w) * n for _, w in pairs], n)
-        blocks: list[BlockArray] = []
-        for group, c in zip(members, counts):
-            for j in range(c):
-                blocks.append(group[j % len(group)])
-        return blocks
+    counts = _largest_remainder([Fraction(w) * n if isinstance(w, (int, Fraction))
+                                 else float(w) * n for _, w in pairs], n)
+    rounded = [index[group[j % len(group)]]
+               for group, c in zip(members, counts) for j in range(c)]
 
-    def random_start() -> list[BlockArray]:
-        picks = rng.integers(0, len(pool), size=n)
-        return [pool[int(k)] for k in picks]
-
-    best_blocks: list[BlockArray] | None = None
+    best_idx: list[int] | None = None
     best_res = np.inf
     for attempt in range(effort):
-        blocks = rounded_start() if attempt == 0 else random_start()
-        state = _SwapState(blocks, comp, target)
-        current = state.residual()
+        idx = rounded if attempt == 0 else rng.integers(0, len(pool), size=n).tolist()
+        total = sum(stack[idx])  # from zero in slot order: ties break on the last bit
+        current = float(_residuals(total[None], target)[0])
         improved = True
         while improved and current > 1e-12:
             improved = False
             for i in range(n):
-                old = state.blocks[i]
-                best_cand, best_val = None, current
-                for cand in pool:
-                    if cand == old:
-                        continue
-                    val = state.residual(delta=(old, cand))
-                    if val < best_val - 1e-12:
-                        best_cand, best_val = cand, val
+                old = idx[i]
+                vals = _swap_residuals(total - stack[old], stack, target)
+                vals[old] = np.inf
+                best_cand, best_val = _scan(vals, current)
                 if best_cand is not None:
-                    state.apply(i, best_cand)
+                    total += stack[best_cand] - stack[old]
+                    idx[i] = best_cand
                     current = best_val
                     improved = True
         if current < best_res:
             best_res = current
-            best_blocks = list(state.blocks)
+            best_idx = list(idx)
         if best_res <= 1e-12:
             break
 
-    design = ExactDesign(shape, tuple(best_blocks))
+    design = ExactDesign(shape, tuple(pool[k] for k in best_idx))
     report = efficiencies(design, sigma, y_star=y)
     return design, report

@@ -199,7 +199,8 @@ class IncidenceSet:
 
 def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
     """(N, p) int64 colex labels of same-shape arrays."""
-    return np.array([s.colex for s in pool], dtype=np.int64)
+    grids = np.array([s.rows for s in pool], dtype=np.int64)
+    return grids.transpose(0, 2, 1).reshape(len(pool), -1)
 
 
 def _onehot(labels: np.ndarray, t: int, dtype) -> np.ndarray:
@@ -378,14 +379,16 @@ def trace_numerators_batch(labels: np.ndarray, shape: Shape):
 
 
 def triple_table(
-    pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY
+    pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY,
+    labels: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(N, 3) float table of coefficients for a pool of same-shape arrays."""
+    """(N, 3) float table of coefficients for a pool of same-shape arrays;
+    labels, if given, is the pool's label_matrix."""
     if not pool:
         return np.zeros((0, 3))
     shape = pool[0].shape
     kern = _pair_kernel(shape, sigma)
-    out = kern.triples(label_matrix(pool))
+    out = kern.triples(label_matrix(pool) if labels is None else labels)
     if kern.scale is None:
         return out
     fac, p = float(kern.scale), shape.p
@@ -406,14 +409,14 @@ def block_components(s: BlockArray, sigma: CovarianceSpec = IDENTITY, exact: boo
 
 
 def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition,
-    zeroing eigenvalues below cutoff * max|eigenvalue|."""
+    """Moore-Penrose inverse of each symmetric matrix of a (..., t, t) stack via
+    eigendecomposition, zeroing eigenvalues below cutoff * its max|eigenvalue|."""
     w, v = np.linalg.eigh(np.asarray(mat, dtype=float))
-    top = np.abs(w).max() if w.size else 0.0
-    keep = np.abs(w) > cutoff * max(top, 1e-300)
+    top = np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    keep = np.abs(w) > cutoff * np.maximum(top, 1e-300)
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
-    return (v * inv) @ v.T
+    return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _fraction_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -464,10 +467,11 @@ def fraction_pinv(c: np.ndarray) -> np.ndarray:
 
 
 def schur_complement(c00, c01, c11, exact: bool = False):
-    """Information matrix C00 - C01 C11^+ C10 of accumulated components."""
+    """Information matrix C00 - C01 C11^+ C10 of accumulated components;
+    float components may be (..., t, t) stacks."""
     if exact:
         return c00 - c01 @ fraction_pinv(c11) @ c01.T
-    return c00 - c01 @ symmetric_pinv(c11) @ c01.T
+    return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
 
 
 def exact_weighted_sum(
@@ -492,15 +496,17 @@ def accumulate_components(
     weighted_blocks: Iterable[tuple[BlockArray, object]],
     sigma: CovarianceSpec = IDENTITY,
     exact: bool = False,
+    labels: np.ndarray | None = None,
 ):
     """Weighted sums of (C00, C01, C11) over (array, weight) pairs; exact
-    sums are Fractions, converted once per entry (see exact_weighted_sum)."""
+    sums are Fractions, converted once per entry (see exact_weighted_sum).
+    labels, if given, is the label_matrix of the arrays."""
     pairs = list(weighted_blocks)
     if not pairs:
         raise ValueError("no blocks given")
     shape = pairs[0][0].shape
     kern = _pair_kernel(shape, sigma, exact)
-    lab = label_matrix([s for s, _ in pairs])
+    lab = label_matrix([s for s, _ in pairs]) if labels is None else labels
     if exact:
         out = exact_weighted_sum(
             [w for _, w in pairs],

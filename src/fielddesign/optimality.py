@@ -58,14 +58,17 @@ def _is_rational(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _triple_rows(arrays: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool):
+def _triple_rows(arrays: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool,
+                 labels: np.ndarray | None = None):
     """(N, 3) coefficient rows of same-shape arrays and the value of one
-    unit in each column: int64 numerators with exact units, or floats."""
+    unit in each column: int64 numerators with exact units, or floats.
+    labels, if given, is the arrays' label_matrix."""
     if exact:
         shape = arrays[0].shape
-        nums = trace_numerators_batch(label_matrix(arrays), shape)
+        lab = label_matrix(arrays) if labels is None else labels
+        nums = trace_numerators_batch(lab, shape)
         return np.column_stack(nums), exact_units(shape, rational_scale(sigma))
-    return triple_table(arrays, sigma), np.ones(3)
+    return triple_table(arrays, sigma, labels=labels), np.ones(3)
 
 
 class Measure:
@@ -743,7 +746,8 @@ def verify_measure(
         and _is_rational(x_star)
         and _is_rational(y_star)
     )
-    c00, c01, c11 = comps = accumulate_components(xi.atoms.items(), sigma, exact=exact)
+    lab = label_matrix(list(xi.atoms))
+    c00, c01, c11 = comps = accumulate_components(xi.items(), sigma, exact, labels=lab)
     bt = centering_projector(t, exact=exact)
     num = Fraction if exact else float
     x, y = num(x_star), num(y_star)
@@ -753,7 +757,7 @@ def verify_measure(
     balance = _max_abs(bt @ (c00 + x * c01) @ bt - target, exact)
     slope = _max_abs(bt @ (c01.T + x * c11) @ bt, exact)
     # support: atoms of one orbit share a triple, so test each distinct row once
-    rows, units = _triple_rows(list(xi.atoms), sigma, exact)
+    rows, units = _triple_rows(list(xi.atoms), sigma, exact, labels=lab)
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
                     > tol * max(1, abs(y_star)) for c in distinct])[inverse.reshape(-1)]

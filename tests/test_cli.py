@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fielddesign import designs
 from fielddesign.cli import main
 
 from .conftest import LANGTON_SQUARE, OPTIMAL_BLOCKS_232
@@ -248,3 +250,11 @@ def test_budget_overrun_is_compute_error_without_traceback(capsys, tmp_path):
     code, _, err = run(capsys, "efficiency", design, "--sigma", str(sigma),
                        "--pool", "full")
     assert code == 2 and err.startswith("error:")
+
+
+def test_missing_null_direction_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(designs, "info_matrix_exact", lambda d, sigma: np.eye(d.shape.t))
+    path = write_design(tmp_path, "d.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
+    code, out, err = run(capsys, "efficiency", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no numerically-zero eigenvalue") and "Traceback" not in err

@@ -7,9 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fielddesign.arrays import Orbit, Shape, canonical_form, canonical_json, orbit_size
+from fielddesign import designs
+from fielddesign.arrays import (
+    Orbit,
+    Shape,
+    canonical_form,
+    canonical_json,
+    normalize_shape,
+    orbit_size,
+)
 from fielddesign.designs import (
     ExactDesign,
+    NullDirectionError,
     construct_exact,
     efficiencies,
     expand_symmetric,
@@ -17,8 +26,16 @@ from fielddesign.designs import (
     min_n_symmetric,
     pseudo_symmetric_efficiency,
 )
-from fielddesign.model import TypeH
-from fielddesign.optimality import Measure, solve_closed_form
+from fielddesign.model import (
+    EIG_CUTOFF,
+    IDENTITY,
+    GeneralCov,
+    TypeH,
+    centering_projector,
+    component_table,
+    symmetric_pinv,
+)
+from fielddesign.optimality import Measure, full_pool, solve_closed_form
 
 from .conftest import (
     CLUSTERED_ROWS_232,
@@ -190,3 +207,88 @@ def test_construct_rejects_bad_n():
 def test_construct_type_h_matches_identity_design_quality():
     d, rep = construct_exact(Shape(2, 3, 2), 4, TypeH(Fraction(2)), seed=1)
     assert rep.eff_A > 1 - 1e-9  # same optimum, rescaled bound
+
+
+def test_missing_null_direction_is_a_typed_error(monkeypatch, optimal_design_232):
+    # a full-rank information matrix has no 1_t null direction
+    monkeypatch.setattr(designs, "info_matrix_exact", lambda d, sigma: np.eye(d.shape.t))
+    with pytest.raises(NullDirectionError, match="1_t direction"):
+        efficiencies(optimal_design_232, y_star=1.0)
+
+
+def _scalar_swap_residuals(base, stack, target):
+    # the reference: one 2-D pseudo-inverse and one norm per candidate
+    out = []
+    for comp in stack:
+        c00, c01, c11 = base + comp
+        info = c00 - c01 @ symmetric_pinv(c11) @ c01.T
+        out.append(float(np.linalg.norm(info - target)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("shape, sigma", [
+    (Shape(2, 3, 3), IDENTITY),
+    (Shape(2, 3, 4), TypeH(Fraction(3, 2))),
+    (Shape(2, 3, 3), GeneralCov.from_matrix(0.5 ** np.abs(np.subtract.outer(range(6), range(6))))),
+])
+def test_batched_swap_scores_equal_scalar_loop(monkeypatch, shape, sigma):
+    pool = full_pool(shape)
+    stack = component_table(pool, sigma)
+    t = shape.t
+    target = centering_projector(t) * 2.5
+    rng = np.random.default_rng(3)
+    # n = 1: the slot's base is zero, so S11 is one block's C11, rank
+    # deficient whenever the candidate leaves a treatment out
+    c11 = stack[:, 2]
+    w = np.linalg.eigvalsh(c11)
+    assert (np.abs(w) <= EIG_CUTOFF * np.abs(w).max(axis=-1, keepdims=True)).any()
+    monkeypatch.setattr(designs, "CHUNK_ROWS", 7)  # several chunks and a ragged tail
+    for n in (1, 2, 5):
+        idx = rng.integers(0, len(pool), size=n)
+        total = sum(stack[idx])
+        for old in idx[:2]:
+            base = total - stack[old]
+            got = designs._swap_residuals(base, stack, target)
+            assert np.array_equal(got, _scalar_swap_residuals(base, stack, target))
+
+
+def test_swap_scan_keeps_earlier_near_ties():
+    vals = np.array([5.0, 4.0, 4.0 - 5e-13, 3.0 + 1e-13, 3.0, 9.0])
+    # 4.0 - 5e-13 and 3.0 do not beat the pick before them by more than 1e-12
+    assert designs._scan(vals, 5.0) == (3, 3.0 + 1e-13)
+    assert designs._scan(vals, 3.0 + 5e-13) == (None, 3.0 + 5e-13)
+
+
+# construct_exact's blocks for two seeds, recorded from the per-candidate
+# scorer: a change to swap scoring must not move them
+GOLDEN_428_N14_SEED7 = [
+    [[5, 6, 8, 4], [5, 7, 3, 2]], [[7, 5, 1, 6], [7, 2, 8, 4]], [[4, 7, 6, 8], [5, 3, 1, 2]],
+    [[5, 7, 2, 8], [6, 4, 3, 1]], [[5, 6, 8, 4], [5, 7, 3, 2]], [[8, 5, 4, 2], [7, 1, 3, 6]],
+    [[3, 6, 4, 1], [8, 2, 5, 7]], [[6, 5, 3, 1], [6, 2, 8, 4]], [[1, 3, 6, 8], [2, 7, 4, 5]],
+    [[7, 6, 3, 5], [7, 1, 4, 2]], [[1, 5, 3, 4], [1, 8, 7, 4]], [[4, 5, 6, 3], [1, 8, 2, 3]],
+    [[1, 7, 8, 3], [1, 2, 6, 3]], [[2, 1, 4, 8], [2, 6, 7, 8]],
+]
+GOLDEN_334_N20_SEED0 = [
+    [[1, 4, 4], [2, 1, 2], [3, 3, 3]], [[4, 4, 2], [3, 2, 1], [3, 1, 4]],
+    [[4, 3, 3], [4, 1, 2], [4, 1, 2]], [[3, 1, 1], [3, 4, 2], [3, 4, 2]],
+    [[1, 4, 4], [1, 3, 2], [1, 3, 2]], [[1, 4, 4], [1, 3, 2], [1, 3, 2]],
+    [[3, 1, 1], [3, 2, 2], [4, 4, 3]], [[1, 1, 4], [3, 2, 2], [3, 4, 4]],
+    [[4, 3, 2], [1, 4, 2], [1, 4, 3]], [[1, 2, 2], [1, 4, 2], [4, 3, 3]],
+    [[2, 3, 3], [2, 4, 1], [2, 4, 1]], [[2, 4, 4], [2, 3, 1], [2, 3, 1]],
+    [[4, 4, 1], [3, 1, 3], [2, 2, 3]], [[1, 1, 4], [2, 3, 3], [2, 4, 4]],
+    [[1, 1, 3], [2, 4, 4], [3, 2, 3]], [[1, 2, 4], [3, 1, 2], [4, 3, 1]],
+    [[1, 3, 2], [4, 1, 3], [2, 4, 1]], [[1, 3, 4], [1, 4, 2], [2, 1, 3]],
+    [[2, 4, 3], [1, 2, 4], [3, 1, 2]], [[2, 3, 4], [1, 2, 3], [4, 1, 2]],
+]
+
+
+@pytest.mark.parametrize("abt, n, seed, blocks, effs", [
+    ((4, 2, 8), 14, 7, GOLDEN_428_N14_SEED7, (0.983768, 0.98404, 0.949731, 0.984313)),
+    ((3, 3, 4), 20, 0, GOLDEN_334_N20_SEED0, (0.99969, 0.99969, 0.999543, 0.99969)),
+])
+def test_construct_golden_blocks(abt, n, seed, blocks, effs):
+    shape, _ = normalize_shape(*abt)
+    design, rep = construct_exact(shape, n, seed=seed)
+    assert design.to_json()["blocks"] == blocks
+    doc = rep.to_json()
+    assert (doc["eff_A"], doc["eff_D"], doc["eff_E"], doc["eff_T"]) == effs

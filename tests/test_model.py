@@ -22,6 +22,7 @@ from fielddesign.model import (
     incidence_matrices,
     info_matrix_exact,
     info_matrix_measure,
+    label_matrix,
     sigma_from_json,
     sigma_matrix,
     symmetric_pinv,
@@ -194,6 +195,35 @@ def test_fraction_pinv_agrees_with_float():
         got = fraction_pinv(exact)
         want = symmetric_pinv(np.array(exact, dtype=float))
         assert np.allclose(np.array(got, dtype=float), want, atol=1e-9)
+
+
+def test_stacked_symmetric_pinv_equals_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    t = 5
+    mats = []
+    for rank in (5, 4, 2, 0):
+        f = rng.normal(size=(t, rank))
+        mats.append(f @ f.T)
+    mats.append(np.diag([3.0, 1e-12, 2.0, 0.0, 5.0]))  # cutoff keeps 3 of 5
+    mats.append(1e-12 * mats[0])  # below the others' cutoffs, not its own
+    stack = np.array(mats)
+    got = symmetric_pinv(stack)
+    assert got.shape == stack.shape
+    for g, m in zip(got, stack):
+        assert np.array_equal(g, symmetric_pinv(m))
+    # a (2, k, t, t) stack inverts each matrix on its own as well
+    assert np.array_equal(symmetric_pinv(np.array([stack, stack[::-1]]))[1], got[::-1])
+
+
+def test_label_matrix_is_colex_order():
+    rng = np.random.default_rng(2)
+    for a, b, t in ((2, 3, 4), (3, 4, 3), (2, 2, 3)):
+        shape = Shape(a, b, t)
+        pool = [BlockArray.from_colex(shape, rng.integers(1, t + 1, size=a * b).tolist())
+                for _ in range(7)]
+        lab = label_matrix(pool)
+        assert lab.dtype == np.int64
+        assert lab.tolist() == [list(s.colex) for s in pool]
 
 
 def test_centering_projector_forms():
