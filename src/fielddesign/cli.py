@@ -170,8 +170,8 @@ def _solve_for(shape: Shape, sigma, args, cfg: RunConfig) -> SolveResult:
     """Dispatch: closed form when the kernel is the centering projector."""
     if isinstance(sigma, GeneralCov) or getattr(args, "force_computational", False):
         pool = resolve_pool(cfg.pool, shape, cfg.seed)
-        return solve_exchange(shape, sigma, pool=pool, seed=cfg.seed,
-                              tol=cfg.tol, max_iter=args.max_iter)
+        return solve_exchange(shape, sigma, pool=pool, tol=cfg.tol,
+                              max_iter=args.max_iter)
     return solve_closed_form(shape, sigma)
 
 

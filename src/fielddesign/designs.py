@@ -358,7 +358,7 @@ def construct_exact(
         raise ValueError("effort must be at least 1")
     rng = np.random.default_rng(seed)
     if isinstance(sigma, GeneralCov):
-        result = solve_exchange(shape, sigma, default_pool(shape), seed=seed)
+        result = solve_exchange(shape, sigma, default_pool(shape))
     else:
         result = solve_closed_form(shape, sigma)
     y = float(result.y_star)

@@ -5,7 +5,7 @@ envelope r(x) = max_s q_s(x) has a unique minimum (x*, y*) that caps the
 criterion value of every measure, and a measure is universally optimal
 exactly when its own aggregated quadratic touches that minimum.  This
 module provides the closed-form (x*, y*, support) solution for identity
-and type-H covariance, an exchange algorithm for everything else, the
+and type-H covariance, an envelope solver for everything else, the
 one-constraint proportion solve for symmetric weights, and the matrix
 verification of a candidate measure.
 """
@@ -19,7 +19,6 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .arrays import (
     BlockArray,
@@ -212,9 +211,7 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
                 -(int(n00[i]) * t * v * v + int(n01[i]) * 2 * t * u * v
                   + int(n11[i]) * u * u), i))
         return q_eval(rows[k].astype(object) * units, xf), pool[k]
-    table = triple_table(pool, sigma)
-    xf = float(x)
-    q = table[:, 0] + 2.0 * table[:, 1] * xf + table[:, 2] * xf * xf
+    q = _scores(triple_table(pool, sigma), float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
 
@@ -234,11 +231,14 @@ def support_set(
     return [s for s, k in zip(pool, keep) if k]
 
 
+def _scores(table: np.ndarray, x: float) -> np.ndarray:
+    return table[:, 0] + 2.0 * table[:, 1] * x + table[:, 2] * x * x
+
+
 def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
     """Mask of the table rows whose quadratic meets y* at x* within tol."""
-    xf, yf = float(x_star), float(y_star)
-    q = table[:, 0] + 2.0 * table[:, 1] * xf + table[:, 2] * xf * xf
-    return np.abs(q - yf) <= tol * max(1.0, abs(yf))
+    yf = float(y_star)
+    return np.abs(_scores(table, float(x_star)) - yf) <= tol * max(1.0, abs(yf))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +652,7 @@ def solve_closed_form(
 
 
 # ---------------------------------------------------------------------------
-# proportion solve, verification, exchange
+# proportion solve, verification, envelope solve
 
 
 def solve_sbs_proportions(
@@ -831,11 +831,13 @@ def default_pool(shape: Shape) -> list[BlockArray]:
     return support_pool(shape)
 
 
-def _q_star_float(c00: float, c01: float, c11: float):
-    if c11 <= 1e-300:
-        return c00, 0.0
-    x = -c01 / c11
-    return c00 - c01 * c01 / c11, x
+def _active_slopes(table: np.ndarray, x: float):
+    """Rows tied with the envelope at x up to rounding, in pool order,
+    and their slopes c01 + x c11."""
+    q = _scores(table, x)
+    m = float(q.max())
+    act = np.flatnonzero(q >= m - 1e-14 * max(1.0, abs(m)))
+    return act, table[act, 1] + x * table[act, 2]
 
 
 def _nearest_crossing(clo, chi, xt: float) -> float:
@@ -856,74 +858,95 @@ def _nearest_crossing(clo, chi, xt: float) -> float:
     return r1 if abs(r1 - xt) <= abs(r2 - xt) else r2
 
 
-def _basic_mixture(table: np.ndarray, scores: np.ndarray, xt: float, gap: float):
-    # finishing move: a one- or two-atom mixture over the arrays at
-    # least as good as the current peak.  A zero-slope atom is its own
-    # vertex; otherwise jump to the exact crossing of the two extreme
-    # slopes and weight them to zero the mixture slope there, which puts
-    # the mixture vertex on the crossing.
-    m = float(scores.max())
-    band = gap * (1.0 + 1e-9) + 1e-15
-    act = np.flatnonzero(scores >= m - band)
-    g = table[act, 1] + xt * table[act, 2]
+def _peak(w: np.ndarray, table: np.ndarray, x: float):
+    """(q*, x~, gap) of the mixture w: a flat mixture (c11 = 0, hence
+    c01 = 0) peaks everywhere, so it is read at x."""
+    c00, c01, c11 = w @ table
+    if c11 > 0:
+        x = -c01 / c11
+        c00 -= c01 * c01 / c11
+    return float(c00), float(x), float(_scores(table, x).max() - c00)
+
+
+def _basic_mixture(table: np.ndarray, x: float) -> np.ndarray | None:
+    # one- or two-atom mixture over the envelope's active band at x.  A
+    # zero-slope row is its own vertex; otherwise the two extreme slopes
+    # are weighted to zero the mixture slope at their exact crossing,
+    # which puts the mixture vertex on the crossing.  Slopes within
+    # rounding of the extreme go to the earliest row.
+    act, g = _active_slopes(table, x)
     w = np.zeros(len(table))
-    scale = max(1.0, float(np.abs(g).max(initial=0.0)))
-    near0 = np.abs(g) <= 1e-13 * scale
+    cut = 1e-13 * max(1.0, float(np.abs(g).max()))
+    near0 = np.abs(g) <= cut
     if near0.any():
         w[act[int(np.argmax(near0))]] = 1.0
-    else:
-        lo, hi = int(np.argmin(g)), int(np.argmax(g))
-        if g[lo] > 0 or g[hi] < 0:
-            return None
-        cx = _nearest_crossing(table[act[lo]], table[act[hi]], xt)
-        glo = table[act[lo], 1] + cx * table[act[lo], 2]
-        ghi = table[act[hi], 1] + cx * table[act[hi], 2]
-        if glo > 0 or ghi < 0:
-            glo, ghi, cx = g[lo], g[hi], xt
-        span = ghi - glo
-        w[act[lo]] = ghi / span
-        w[act[hi]] = -glo / span
-    c = w @ table
-    qs, xt2 = _q_star_float(*c)
-    s2 = table[:, 0] + 2 * table[:, 1] * xt2 + table[:, 2] * xt2 * xt2
-    return w, qs, xt2, float(s2.max() - qs)
+        return w
+    lo, hi = int(np.argmax(g <= g.min() + cut)), int(np.argmax(g >= g.max() - cut))
+    if g[lo] > 0 or g[hi] < 0:
+        return None
+    cx = _nearest_crossing(table[act[lo]], table[act[hi]], x)
+    glo = table[act[lo], 1] + cx * table[act[lo], 2]
+    ghi = table[act[hi], 1] + cx * table[act[hi], 2]
+    if glo > 0 or ghi < 0:
+        glo, ghi = g[lo], g[hi]
+    span = ghi - glo
+    w[act[lo]] = ghi / span
+    w[act[hi]] = -glo / span
+    return w
 
 
-def _snap_candidate(table: np.ndarray, scores: np.ndarray, xt: float, gap: float):
-    # iterate the finishing move while it keeps improving
-    best = None
-    for _ in range(6):
-        cand = _basic_mixture(table, scores, xt, gap)
-        if cand is None:
-            break
-        if best is None or cand[3] < best[3]:
-            improved = best is None or cand[3] < 0.5 * best[3]
-            best = cand
-            if not improved:
-                break
-        else:
-            break
-        xt, gap = cand[2], max(cand[3], 1e-16)
-        scores = table[:, 0] + 2 * table[:, 1] * xt + table[:, 2] * xt * xt
-    return best
+def _side(table: np.ndarray, x: float) -> int:
+    """Sign of the envelope's subdifferential at x: +1 when every active
+    slope is positive (the minimiser lies left), -1 when every one is
+    negative, 0 when x is a minimiser."""
+    _, g = _active_slopes(table, x)
+    return 1 if g.min() > 0 else -1 if g.max() < 0 else 0
+
+
+def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
+    """Minimiser of r(x) = max_k q_k(x) and the bisection steps taken."""
+    s0 = _side(table, 0.0)
+    if s0 == 0:
+        return 0.0, 0
+    near, far = 0.0, -float(s0)
+    while (side := _side(table, far)) == s0:
+        near, far = far, 2.0 * far
+    if side == 0:
+        return far, 0
+    lo, hi = sorted((near, far))
+    for steps in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid, steps
+        side = _side(table, mid)
+        if side == 0:
+            return mid, steps + 1
+        lo, hi = (lo, mid) if side > 0 else (mid, hi)
+    return 0.5 * (lo + hi), max_iter
 
 
 def solve_exchange(
     shape: Shape,
     sigma: CovarianceSpec = IDENTITY,
     pool: Sequence[BlockArray] | None = None,
-    seed: int = 0,
     tol: float = GAP_TOL,
     max_iter: int = 500,
     init: Measure | None = None,
 ) -> SolveResult:
-    """Maximize the measure criterion over a pool by greedy exchange.
+    """Maximize the measure criterion over a pool by minimising the envelope.
 
-    Repeatedly mixes toward the array that most exceeds the current
-    measure's quadratic at its own peak, with an exact line search on
-    the mixing weight; periodically tries to finish with a basic
-    two-atom mixture over the active set.  Stops when the improvement
-    gap falls under tol (relative), or flags the result non-converged.
+    By minimax duality max_xi min_x sum_s xi_s q_s(x) = min_x r(x), with
+    r(x) = max_s q_s(x) convex and piecewise quadratic.  The minimiser
+    of r is bracketed from x = 0 by doubling steps and bisected on the
+    sign of the subdifferential, the slopes of the pool rows tied with
+    the envelope, until it contains 0 or the interval stops shrinking;
+    `iterations` counts the bisection steps, at most max_iter.  The
+    measure is a one- or two-atom mixture over the rows active at the
+    minimiser (_basic_mixture); ties go to the earliest pool array.  An
+    `init` measure whose own peak is already within tol of the envelope
+    is returned as is, with iterations 0.  `gap` is the envelope at the
+    measure's peak less the peak; the result is flagged converged when
+    gap <= tol (relative).
     """
     if pool is None:
         pool = default_pool(shape)
@@ -931,8 +954,9 @@ def solve_exchange(
     if not pool:
         raise ValueError("empty pool")
     table = triple_table(pool, sigma)
-    w = np.zeros(len(pool))
+    w = None
     if init is not None:
+        w = np.zeros(len(pool))
         index = {s: k for k, s in enumerate(pool)}
         for s, wt in init.atoms.items():
             k = index.get(s)
@@ -942,47 +966,15 @@ def solve_exchange(
                 raise ValueError("initial atom not represented in the pool")
             w[k] += float(wt)
         w /= w.sum()
-    else:
-        rng = np.random.default_rng(seed)
-        w[int(rng.integers(len(pool)))] = 1.0
-
-    converged = False
-    iterations = 0
-    qs, xt, gap = 0.0, 0.0, np.inf
-    for iterations in range(max_iter + 1):
-        c = w @ table
-        qs, xt = _q_star_float(*c)
-        scores = table[:, 0] + 2 * table[:, 1] * xt + table[:, 2] * xt * xt
-        k = int(np.argmax(scores))
-        gap = float(scores[k] - qs)
-        if gap <= tol * max(1.0, abs(qs)):
-            converged = True
-            break
-        if gap <= 0.5 * max(1.0, abs(qs)):
-            snap = _snap_candidate(table, scores, xt, gap)
-            if snap is not None:
-                w2, qs2, xt2, gap2 = snap
-                if gap2 <= tol * max(1.0, abs(qs2)):
-                    w, qs, xt, gap = w2, qs2, xt2, max(gap2, 0.0)
-                    converged = True
-                    break
-                if qs2 > qs:
-                    # adopted: a better basic mixture than the current iterate
-                    w = w2
-                    continue
-        ck = table[k]
-
-        def worse(alpha: float) -> float:
-            mix = (1.0 - alpha) * c + alpha * ck
-            return -_q_star_float(*mix)[0]
-
-        res = minimize_scalar(worse, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-14})
-        alpha = float(res.x)
-        if not 0.0 < alpha <= 1.0:
-            alpha = min(1.0, 2.0 / (iterations + 2.0))
-        w *= 1.0 - alpha
-        w[k] += alpha
+        qs, xt, gap = _peak(w, table, 0.0)
+        iterations = 0
+    if w is None or gap > tol * max(1.0, abs(qs)):
+        x, iterations = _envelope_argmin(table, max_iter)
+        w = _basic_mixture(table, x)
+        if w is None:  # bisection cut short by max_iter: best single row
+            w = np.zeros(len(pool))
+            w[_active_slopes(table, x)[0][0]] = 1.0
+        qs, xt, gap = _peak(w, table, x)
 
     keep = w > 1e-15
     w = np.where(keep, w, 0.0)
@@ -995,15 +987,15 @@ def solve_exchange(
     )
     return SolveResult(
         shape=shape,
-        x_star=float(xt),
-        y_star=float(qs),
+        x_star=xt,
+        y_star=qs,
         regime="computational",
         q_support=QSupport.explicit(
             tuple(pool[k] for k in np.flatnonzero(_touching(table, xt, qs, tol)))
         ),
         measure=measure,
         orbit_weights=orbit_pairs,
-        gap=max(float(gap), 0.0),
-        converged=converged,
+        gap=max(gap, 0.0),
+        converged=bool(gap <= tol * max(1.0, abs(qs))),
         iterations=iterations,
     )

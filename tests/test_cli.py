@@ -258,3 +258,16 @@ def test_missing_null_direction_exits_2(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "efficiency", path)
     assert code == 2 and out == ""
     assert err.startswith("error: no numerically-zero eigenvalue") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up cost: importing the CLI must not pull in scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fielddesign.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

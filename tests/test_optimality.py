@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fielddesign.optimality as optimality
 from fielddesign.arrays import (
     Orbit,
     Shape,
@@ -265,7 +269,7 @@ def test_equivalence_gap_positive_off_optimum():
 def test_exchange_matches_closed_form(abt):
     shape = Shape(*abt)
     want = solve_closed_form(shape)
-    got = solve_exchange(shape, seed=1)
+    got = solve_exchange(shape)
     assert got.converged
     assert got.gap <= 1e-9 * max(1.0, abs(float(got.y_star)))
     assert abs(float(got.y_star) - float(want.y_star)) < 1e-8
@@ -278,10 +282,20 @@ def test_exchange_fixed_point_at_optimum():
     assert again.iterations == 0 and float(again.gap) <= 1e-12
 
 
+def test_exchange_warm_start_returns_optimal_init():
+    shape = Shape(2, 3, 5)  # x* irrational, away from the bracket's start
+    res = solve_closed_form(shape)
+    again = solve_exchange(shape, init=res.measure)
+    assert again.iterations == 0 and again.converged
+    assert {o.representative: w for o, w in again.orbit_weights} == pytest.approx(
+        {o.representative: float(w) for o, w in res.orbit_weights}, rel=1e-12)
+    assert again.x_star == pytest.approx(res.x_star, rel=1e-12)
+
+
 def test_exchange_general_covariance_converges():
     shape = Shape(2, 3, 3)
     rho = [[0.3 ** abs(i - j) for j in range(6)] for i in range(6)]
-    res = solve_exchange(shape, GeneralCov.from_matrix(rho), seed=2)
+    res = solve_exchange(shape, GeneralCov.from_matrix(rho))
     assert res.converged and res.regime == "computational"
     # identity-kernel result is close but not equal under this kernel
     assert 0 < float(res.y_star) < 6
@@ -289,9 +303,117 @@ def test_exchange_general_covariance_converges():
 
 def test_exchange_type_h_rescales():
     shape = Shape(2, 3, 3)
-    base = solve_exchange(shape, seed=0)
-    scaled = solve_exchange(shape, TypeH(Fraction(2)), seed=0)
+    base = solve_exchange(shape)
+    scaled = solve_exchange(shape, TypeH(Fraction(2)))
     assert abs(float(scaled.y_star) - float(base.y_star) / 2) < 1e-8
+
+
+def _ar_kernel(p: int, rho: float) -> GeneralCov:
+    idx = np.arange(p)
+    return GeneralCov.from_matrix(rho ** np.abs(idx[:, None] - idx[None, :]))
+
+
+def _random_spd(p: int, seed: int) -> GeneralCov:
+    m = np.random.default_rng(seed).normal(size=(p, p))
+    s = m @ m.T / p + np.eye(p)
+    return GeneralCov.from_matrix((s + s.T) / 2)
+
+
+def test_exchange_from_every_point_measure():
+    # the 2x2 stripe arrays are flat (c01 = c11 = 0), so some starts and
+    # finishes have no vertex of their own
+    shape = Shape(2, 2, 4)
+    pool = full_pool(shape)
+    assert any(row[2] == 0 for row in optimality.triple_table(pool))
+    for s in pool:
+        res = solve_exchange(shape, init=Measure.point(s))
+        assert res.converged is True, s
+        assert float(res.gap) <= 1e-9, s
+        assert abs(float(res.y_star) - 2) <= 1e-9, s
+        json.dumps(res.to_json())
+
+
+@pytest.mark.parametrize("abt, steps", [((2, 3, 3), 0), ((2, 3, 5), 64)])
+def test_exchange_bisection_stops_at_zero_subgradient(abt, steps):
+    # at x* = 0 many balanced arrays tie with mixed slopes: the tied
+    # band's slopes straddle 0 there, so no bisection step is needed
+    res = solve_exchange(Shape(*abt))
+    assert res.converged and res.iterations <= steps
+    if steps == 0:
+        assert abs(res.x_star) <= 1e-15
+
+
+def test_exchange_max_iter_caps_bisection():
+    res = solve_exchange(Shape(2, 3, 3), _ar_kernel(6, 0.5), max_iter=5)
+    assert res.iterations == 5 and res.converged is False
+    assert sum(res.measure.atoms.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("rho, want", [
+    (0.2, 4.880737428143704),
+    (0.5, 8.362726113437533),
+    (0.8, 23.16413523338556),
+])
+def test_exchange_ar_optimum_pinned(rho, want):
+    res = solve_exchange(Shape(2, 3, 3), _ar_kernel(6, rho))
+    assert res.converged
+    assert abs(res.y_star - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("shape, sigma", [
+    (Shape(2, 3, 3), _ar_kernel(6, 0.5)),
+    (Shape(2, 3, 3), _ar_kernel(6, 0.8)),
+    (Shape(2, 4, 3), _random_spd(8, 2017)),
+], ids=["ar0.5-233", "ar0.8-233", "spd-243"])
+def test_exchange_ties_survive_last_bit_rounding(shape, sigma, monkeypatch):
+    # mirror-image orbits tie exactly under a reflection-symmetric kernel;
+    # which one enters the measure must not hang on the table's last bit.
+    # Trial 0 scales the whole table by 1 + 2^-52, the others move each
+    # row by a few units in the last place.
+    base = solve_exchange(shape, sigma)
+    exact = optimality.triple_table
+    for trial in range(8):
+        rng = np.random.default_rng(trial)
+
+        def bumped_table(*args, **kw):
+            t = exact(*args, **kw)
+            if trial == 0:
+                return t * (1 + 2.0 ** -52)
+            return t * (1 + rng.integers(-4, 5, size=(len(t), 1)) * 2.0 ** -53)
+
+        monkeypatch.setattr(optimality, "triple_table", bumped_table)
+        bumped = solve_exchange(shape, sigma)
+        assert bumped.converged
+        assert [o.representative for o, _ in bumped.orbit_weights] == \
+            [o.representative for o, _ in base.orbit_weights], trial
+        for (_, w0), (_, w1) in zip(base.orbit_weights, bumped.orbit_weights):
+            assert abs(w1 - w0) <= 1e-12
+
+
+TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(TYPE_H_SHAPES),
+       st.fractions(min_value=Fraction(1, 97), max_value=97, max_denominator=97))
+def test_type_h_scales_whole_solves(abt, x):
+    shape = Shape(*abt)
+    base = solve_closed_form(shape)
+    scaled = solve_closed_form(shape, TypeH(x))
+    assert scaled.x_star == base.x_star
+    assert scaled.orbit_weights == base.orbit_weights
+    if isinstance(base.y_star, Fraction):
+        assert scaled.y_star == base.y_star / x
+    else:  # irrational crossing: one float rounding of the scale
+        assert abs(scaled.y_star - base.y_star / x) <= 2.0 ** -52 * scaled.y_star
+
+    ex0, ex = solve_exchange(shape), solve_exchange(shape, TypeH(x))
+    assert ex.converged
+    assert abs(ex.y_star - ex0.y_star / x) <= 1e-12 * abs(ex.y_star)
+    assert abs(ex.x_star - ex0.x_star) <= 1e-12 * max(1.0, abs(ex0.x_star))
+    assert [o for o, _ in ex.orbit_weights] == [o for o, _ in ex0.orbit_weights]
+    for (_, w0), (_, w1) in zip(ex0.orbit_weights, ex.orbit_weights):
+        assert abs(w1 - w0) <= 1e-12
 
 
 def test_solver_result_json_shape():
