@@ -1,8 +1,8 @@
 """Optimal measures when the within-block covariance is not white.
 
 No closed form exists for a general positive definite kernel, so the
-computational solver bisects for the minimum of the upper envelope of a
-pool of orbit representatives' quadratics and mixes the arrays active
+computational solver bisects for the minimum of the upper envelope of the
+quadratics of every orbit of the shape and mixes the arrays active
 there.  An AR-style kernel shifts both the optimum and the support away
 from their identity-covariance values.
 """

@@ -212,50 +212,92 @@ def orbit_count(shape: Shape) -> int:
     return sum(row[1 : min(shape.t, shape.p) + 1])
 
 
-def _restricted_growth(p: int, tmax: int) -> Iterator[tuple[int, ...]]:
-    # sequences g with g[0]=1 and g[k] <= min(max(g[:k]) + 1, tmax);
-    # these are exactly the canonical colex label sequences
-    seq = [1] * p
-    maxes = [1] * p
-    while True:
-        yield tuple(seq)
-        k = p - 1
-        while k > 0 and seq[k] >= min(maxes[k - 1] + 1, tmax):
-            k -= 1
-        if k == 0:
-            return
-        seq[k] += 1
-        maxes[k] = max(maxes[k - 1], seq[k])
-        for j in range(k + 1, p):
-            seq[j] = 1
-            maxes[j] = maxes[k]
+def _check_budget(shape: Shape, budget: int) -> None:
+    count = orbit_count(shape)
+    if count > budget:
+        raise EnumerationBudgetError(shape, count, budget)
+
+
+def _growth_strings(p: int, tmax: int) -> np.ndarray:
+    # restricted-growth strings g (g[0] = 1, g[k] <= min(max(g[:k]) + 1,
+    # tmax)), exactly the canonical colex label sequences, by prefix
+    # expansion (Knuth, TAOCP 4A 7.2.1.5): the children 1..min(m + 1, tmax)
+    # of a prefix with largest label m sit next to each other, in
+    # increasing order, so every level stays in lexicographic order
+    out = np.ones((1, 1), dtype=np.int64)
+    top = np.ones(1, dtype=np.int64)
+    for _ in range(1, p):
+        kids = np.minimum(top + 1, tmax)
+        first = np.repeat(np.cumsum(kids) - kids, kids)
+        label = np.arange(len(first)) - first + 1
+        out = np.column_stack([np.repeat(out, kids, axis=0), label])
+        top = np.maximum(np.repeat(top, kids), label)
+    return out
 
 
 def enumerate_orbits(
     shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Iterator[Orbit]:
-    """Stream every orbit of the shape as (canonical representative, size).
+    """Every orbit of the shape as (canonical representative, size), in the
+    row order of enumerate_label_matrix.
 
     Refuses up front when the orbit count exceeds `budget`.
     """
-    count = orbit_count(shape)
-    if count > budget:
-        raise EnumerationBudgetError(shape, count, budget)
-    t = shape.t
-    for seq in _restricted_growth(shape.p, min(t, shape.p)):
-        rho = max(seq)
-        yield Orbit(BlockArray.from_colex(shape, seq), math.perm(t, rho))
+    _check_budget(shape, budget)
+    for seq in _growth_strings(shape.p, min(shape.t, shape.p)).tolist():
+        yield Orbit(BlockArray.from_colex(shape, seq), math.perm(shape.t, max(seq)))
 
 
 def enumerate_label_matrix(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> np.ndarray:
-    """All canonical colex label sequences as an (N, p) int array."""
-    count = orbit_count(shape)
-    if count > budget:
-        raise EnumerationBudgetError(shape, count, budget)
-    out = np.empty((count, shape.p), dtype=np.int64)
-    for k, seq in enumerate(_restricted_growth(shape.p, min(shape.t, shape.p))):
-        out[k] = seq
-    return out
+    """All canonical colex label sequences as an (N, p) int64 array, in
+    lexicographic order; refuses before allocating when N exceeds `budget`."""
+    _check_budget(shape, budget)
+    return _growth_strings(shape.p, min(shape.t, shape.p))
+
+
+def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
+    """(N, p) int64 colex labels of same-shape arrays."""
+    grids = np.array([s.rows for s in pool], dtype=np.int64)
+    return grids.transpose(0, 2, 1).reshape(len(pool), -1)
+
+
+def canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """canonical_form of every row of an (N, p) label matrix."""
+    hit = labels[:, None, :] == np.arange(1, labels.max() + 1)[:, None]
+    # each label's first plot (p when absent), ranked along the row
+    first = np.where(hit.any(axis=2), hit.argmax(axis=2), labels.shape[1])
+    rank = first.argsort(axis=1).argsort(axis=1) + 1
+    return np.take_along_axis(rank, labels - 1, axis=1)
+
+
+class LabelPool(Sequence[BlockArray]):
+    """A read-only pool of same-shape arrays held as an (N, p) int64 colex
+    label matrix; indexing or iterating builds each BlockArray from its row."""
+
+    __slots__ = ("shape", "labels")
+
+    def __init__(self, shape: Shape, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64).view()
+        if labels.ndim != 2 or labels.shape[1] != shape.p:
+            raise ValueError(f"labels must be an (N, {shape.p}) matrix")
+        labels.flags.writeable = False
+        self.shape = shape
+        self.labels = labels
+
+    @staticmethod
+    def of(pool: Sequence[BlockArray]) -> "LabelPool":
+        """The pool itself if it is a LabelPool, else its arrays' labels."""
+        if not len(pool):
+            raise ValueError("empty pool")
+        if isinstance(pool, LabelPool):
+            return pool
+        return LabelPool(pool[0].shape, label_matrix(pool))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k: int) -> BlockArray:
+        return BlockArray.from_colex(self.shape, self.labels[k].tolist())
 
 
 def all_arrays(shape: Shape) -> Iterator[BlockArray]:

@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = _Parser(add_help=False)
     solver.add_argument("--pool", default=None,
-                        help="full | q | random:N (computational path only)")
+                        help="full | q | random:N (computational path only); "
+                             "default: every orbit, exit 2 above the orbit budget")
     solver.add_argument("--force-computational", action="store_true")
     solver.add_argument("--max-iter", type=int, default=500)
 

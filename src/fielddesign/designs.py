@@ -31,7 +31,6 @@ from .optimality import (
     GAP_TOL,
     Measure,
     SolveResult,
-    default_pool,
     q_star,
     solve_closed_form,
     solve_exchange,
@@ -358,7 +357,7 @@ def construct_exact(
         raise ValueError("effort must be at least 1")
     rng = np.random.default_rng(seed)
     if isinstance(sigma, GeneralCov):
-        result = solve_exchange(shape, sigma, default_pool(shape))
+        result = solve_exchange(shape, sigma)
     else:
         result = solve_closed_form(shape, sigma)
     y = float(result.y_star)

@@ -38,7 +38,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arrays import BlockArray, CountStatistics, Shape, count_statistics
+from .arrays import (
+    BlockArray,
+    CountStatistics,
+    LabelPool,
+    Shape,
+    count_statistics,
+    label_matrix,
+)
 
 EIG_CUTOFF = 1e-10
 # rows per kernel pass: the pair indicator of a chunk stays a few MB
@@ -195,12 +202,6 @@ class IncidenceSet:
     @property
     def f(self) -> np.ndarray:
         return self.t1 + self.t2 + self.t3 + self.t4
-
-
-def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
-    """(N, p) int64 colex labels of same-shape arrays."""
-    grids = np.array([s.rows for s in pool], dtype=np.int64)
-    return grids.transpose(0, 2, 1).reshape(len(pool), -1)
 
 
 def _onehot(labels: np.ndarray, t: int, dtype) -> np.ndarray:
@@ -379,28 +380,28 @@ def trace_numerators_batch(labels: np.ndarray, shape: Shape):
 
 
 def triple_table(
-    pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY,
-    labels: np.ndarray | None = None,
+    pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY
 ) -> np.ndarray:
-    """(N, 3) float table of coefficients for a pool of same-shape arrays;
-    labels, if given, is the pool's label_matrix."""
-    if not pool:
+    """(N, 3) float table of coefficients for a pool of same-shape arrays
+    (a LabelPool, or any sequence of BlockArrays)."""
+    if not len(pool):
         return np.zeros((0, 3))
-    shape = pool[0].shape
-    kern = _pair_kernel(shape, sigma)
-    out = kern.triples(label_matrix(pool) if labels is None else labels)
+    pool = LabelPool.of(pool)
+    kern = _pair_kernel(pool.shape, sigma)
+    out = kern.triples(pool.labels)
     if kern.scale is None:
         return out
-    fac, p = float(kern.scale), shape.p
-    return out * np.array([fac / p, fac / p, fac / (p * shape.t)])
+    fac, p = float(kern.scale), pool.shape.p
+    return out * np.array([fac / p, fac / p, fac / (p * pool.shape.t)])
 
 
 def component_table(
     pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY
 ) -> np.ndarray:
     """(N, 3, t, t) float components (C00, C01, C11) of each pool array."""
-    kern = _pair_kernel(pool[0].shape, sigma)
-    return np.concatenate([c for _, c in kern.components(label_matrix(pool))]) * kern.unit
+    pool = LabelPool.of(pool)
+    kern = _pair_kernel(pool.shape, sigma)
+    return np.concatenate([c for _, c in kern.components(pool.labels)]) * kern.unit
 
 
 def block_components(s: BlockArray, sigma: CovarianceSpec = IDENTITY, exact: bool = False):

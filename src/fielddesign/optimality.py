@@ -21,13 +21,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .arrays import (
+    DEFAULT_ORBIT_BUDGET,
     BlockArray,
+    LabelPool,
     Orbit,
     Shape,
     canonical_form,
+    canonical_labels,
     classify_array,
-    enumerate_orbits,
-    orbit_count,
+    enumerate_label_matrix,
+    label_matrix,
     orbit_members,
     orbit_size,
 )
@@ -41,7 +44,6 @@ from .model import (
     centering_projector,
     exact_units,
     exact_weighted_sum,
-    label_matrix,
     rational_scale,
     schur_complement,
     trace_numerators_batch,
@@ -50,24 +52,22 @@ from .model import (
 
 GAP_TOL = 1e-9
 MATERIALIZE_LIMIT = 20_000
-FULL_POOL_LIMIT = 200_000
+# old name of the budget, still read by the benchmark worker (perfbench/)
+FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
 
 
 def _is_rational(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _triple_rows(arrays: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool,
-                 labels: np.ndarray | None = None):
-    """(N, 3) coefficient rows of same-shape arrays and the value of one
-    unit in each column: int64 numerators with exact units, or floats.
-    labels, if given, is the arrays' label_matrix."""
+def _triple_rows(pool: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool):
+    """(N, 3) coefficient rows of a pool and the value of one unit in each
+    column: int64 numerators with exact units, or floats."""
+    pool = LabelPool.of(pool)
     if exact:
-        shape = arrays[0].shape
-        lab = label_matrix(arrays) if labels is None else labels
-        nums = trace_numerators_batch(lab, shape)
-        return np.column_stack(nums), exact_units(shape, rational_scale(sigma))
-    return triple_table(arrays, sigma, labels=labels), np.ones(3)
+        nums = trace_numerators_batch(pool.labels, pool.shape)
+        return np.column_stack(nums), exact_units(pool.shape, rational_scale(sigma))
+    return triple_table(pool, sigma), np.ones(3)
 
 
 class Measure:
@@ -190,9 +190,8 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     Ties go to the earliest pool entry.  Exact integer scoring when x is
     rational and the covariance is identity or rational type-H.
     """
-    if not pool:
-        raise ValueError("empty pool")
-    shape = pool[0].shape
+    pool = LabelPool.of(pool)
+    shape = pool.shape
     if rational_scale(sigma) is not None and _is_rational(x):
         xf = Fraction(x)
         u, v = xf.numerator, xf.denominator
@@ -225,10 +224,9 @@ def support_set(
     sigma: CovarianceSpec = IDENTITY,
 ) -> list[BlockArray]:
     """Pool arrays whose quadratic meets y* at x* within tolerance."""
-    if not pool:
-        raise ValueError("empty pool")
+    pool = LabelPool.of(pool)
     keep = _touching(triple_table(pool, sigma), x_star, y_star, tol)
-    return [s for s, k in zip(pool, keep) if k]
+    return [pool[k] for k in np.flatnonzero(keep)]
 
 
 def _scores(table: np.ndarray, x: float) -> np.ndarray:
@@ -746,8 +744,9 @@ def verify_measure(
         and _is_rational(x_star)
         and _is_rational(y_star)
     )
-    lab = label_matrix(list(xi.atoms))
-    c00, c01, c11 = comps = accumulate_components(xi.items(), sigma, exact, labels=lab)
+    atoms = LabelPool.of(list(xi.atoms))
+    c00, c01, c11 = comps = accumulate_components(xi.items(), sigma, exact,
+                                                  labels=atoms.labels)
     bt = centering_projector(t, exact=exact)
     num = Fraction if exact else float
     x, y = num(x_star), num(y_star)
@@ -757,7 +756,7 @@ def verify_measure(
     balance = _max_abs(bt @ (c00 + x * c01) @ bt - target, exact)
     slope = _max_abs(bt @ (c01.T + x * c11) @ bt, exact)
     # support: atoms of one orbit share a triple, so test each distinct row once
-    rows, units = _triple_rows(list(xi.atoms), sigma, exact, labels=lab)
+    rows, units = _triple_rows(atoms, sigma, exact)
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
                     > tol * max(1, abs(y_star)) for c in distinct])[inverse.reshape(-1)]
@@ -784,12 +783,14 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
     return val - qs
 
 
-def full_pool(shape: Shape, budget: int = FULL_POOL_LIMIT) -> list[BlockArray]:
-    """Every orbit representative, in enumeration order."""
-    return [o.representative for o in enumerate_orbits(shape, budget=budget)]
+def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
+    """Every orbit's canonical representative, in enumeration order, as a
+    label matrix; raises EnumerationBudgetError, before allocating, when
+    the shape has more than `budget` orbits."""
+    return LabelPool(shape, enumerate_label_matrix(shape, budget=budget))
 
 
-def support_pool(shape: Shape, seed: int = 0, extra: int = 0) -> list[BlockArray]:
+def support_pool(shape: Shape, seed: int = 0, extra: int = 0) -> LabelPool:
     """Constructive pool covering the closed-form support classes."""
     if shape.t <= shape.p - 2:
         out = {balanced_no_adjacent(shape), balanced_clustered(shape)}
@@ -799,7 +800,7 @@ def support_pool(shape: Shape, seed: int = 0, extra: int = 0) -> list[BlockArray
             if len(out) >= want:
                 break
             out.add(random_balanced(shape, rng))
-        return sorted(out, key=lambda s: s.colex)
+        return LabelPool.of(sorted(out, key=lambda s: s.colex))
     pool = _fan_pool(shape)
     if extra:
         rng = np.random.default_rng(seed)
@@ -810,10 +811,10 @@ def support_pool(shape: Shape, seed: int = 0, extra: int = 0) -> list[BlockArray
             lab = rng.integers(1, shape.t + 1, size=shape.p)
             seen.add(canonical_form(BlockArray.from_colex(shape, lab.tolist())))
         pool = sorted(seen, key=lambda s: s.colex)
-    return pool
+    return LabelPool.of(pool)
 
 
-def random_pool(shape: Shape, count: int, seed: int = 0) -> list[BlockArray]:
+def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:
     """Canonicalized uniform random arrays, deduplicated."""
     rng = np.random.default_rng(seed)
     out: set[BlockArray] = set()
@@ -822,13 +823,15 @@ def random_pool(shape: Shape, count: int, seed: int = 0) -> list[BlockArray]:
             break
         lab = rng.integers(1, shape.t + 1, size=shape.p)
         out.add(canonical_form(BlockArray.from_colex(shape, lab.tolist())))
-    return sorted(out, key=lambda s: s.colex)
+    return LabelPool.of(sorted(out, key=lambda s: s.colex))
 
 
-def default_pool(shape: Shape) -> list[BlockArray]:
-    if orbit_count(shape) <= FULL_POOL_LIMIT:
-        return full_pool(shape)
-    return support_pool(shape)
+def default_pool(shape: Shape) -> LabelPool:
+    """The pool solve_exchange scans when given none: every orbit
+    (full_pool), for every covariance.  Above DEFAULT_ORBIT_BUDGET orbits it
+    raises EnumerationBudgetError; a restricted pool (support_pool,
+    random_pool) is used only when a caller passes one."""
+    return full_pool(shape)
 
 
 def _active_slopes(table: np.ndarray, x: float):
@@ -925,6 +928,22 @@ def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
     return 0.5 * (lo + hi), max_iter
 
 
+def _pool_rows(pool: LabelPool, atoms: Sequence[BlockArray]) -> np.ndarray:
+    """Pool row of each atom: the first row equal to it, else the first row
+    equal to its canonical form; ValueError when neither is in the pool."""
+    lab = label_matrix(atoms)
+    keys = np.concatenate([pool.labels, lab, canonical_labels(lab)])
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    n, m = len(pool), len(lab)
+    # leftmost match in a stable sort: the earliest equal row, pool rows first
+    first = order[np.searchsorted(keys[order], keys[n:])]
+    rows = np.where(first[:m] < n, first[:m], first[m:])
+    if (rows >= n).any():
+        raise ValueError("initial atom not represented in the pool")
+    return rows
+
+
 def solve_exchange(
     shape: Shape,
     sigma: CovarianceSpec = IDENTITY,
@@ -935,6 +954,13 @@ def solve_exchange(
 ) -> SolveResult:
     """Maximize the measure criterion over a pool by minimising the envelope.
 
+    The pool defaults to every orbit of the shape (default_pool), so the
+    optimum and its certificate cover all arrays; above DEFAULT_ORBIT_BUDGET
+    orbits that raises EnumerationBudgetError, and a restricted pool must
+    be passed explicitly.  A pool is scored as one label matrix (a
+    LabelPool; a plain sequence of arrays is converted once), and only the
+    measure atoms and support rows become BlockArrays.
+
     By minimax duality max_xi min_x sum_s xi_s q_s(x) = min_x r(x), with
     r(x) = max_s q_s(x) convex and piecewise quadratic.  The minimiser
     of r is bracketed from x = 0 by doubling steps and bisected on the
@@ -942,29 +968,20 @@ def solve_exchange(
     the envelope, until it contains 0 or the interval stops shrinking;
     `iterations` counts the bisection steps, at most max_iter.  The
     measure is a one- or two-atom mixture over the rows active at the
-    minimiser (_basic_mixture); ties go to the earliest pool array.  An
+    minimiser (_basic_mixture); ties go to the earliest pool row.  An
     `init` measure whose own peak is already within tol of the envelope
-    is returned as is, with iterations 0.  `gap` is the envelope at the
-    measure's peak less the peak; the result is flagged converged when
-    gap <= tol (relative).
+    is returned as is, with iterations 0; each of its atoms goes to the
+    first pool row of its orbit.  `gap` is the envelope at the measure's
+    peak less the peak; the result is flagged converged when gap <= tol
+    (relative).
     """
-    if pool is None:
-        pool = default_pool(shape)
-    pool = list(pool)
-    if not pool:
-        raise ValueError("empty pool")
+    pool = LabelPool.of(default_pool(shape) if pool is None else pool)
     table = triple_table(pool, sigma)
     w = None
     if init is not None:
         w = np.zeros(len(pool))
-        index = {s: k for k, s in enumerate(pool)}
-        for s, wt in init.atoms.items():
-            k = index.get(s)
-            if k is None:
-                k = index.get(canonical_form(s))
-            if k is None:
-                raise ValueError("initial atom not represented in the pool")
-            w[k] += float(wt)
+        np.add.at(w, _pool_rows(pool, list(init.atoms)),
+                  [float(wt) for wt in init.atoms.values()])
         w /= w.sum()
         qs, xt, gap = _peak(w, table, 0.0)
         iterations = 0

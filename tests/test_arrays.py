@@ -11,18 +11,22 @@ import pytest
 from fielddesign.arrays import (
     BlockArray,
     EnumerationBudgetError,
+    LabelPool,
     Shape,
     all_arrays,
     apply_permutation,
     canonical_form,
+    canonical_labels,
     classify_array,
     count_statistics,
+    enumerate_label_matrix,
     enumerate_orbits,
     normalize_shape,
     orbit_count,
     orbit_members,
     orbit_size,
 )
+from fielddesign.optimality import full_pool
 
 from .conftest import SBS_ROWS_2X3, array_of
 
@@ -130,6 +134,77 @@ def test_orbit_count_smallest_grid():
 def test_enumeration_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         list(enumerate_orbits(Shape(3, 4, 12), budget=10))
+
+
+def _restricted_growth(p: int, tmax: int):
+    # the sequential generator the vectorized enumerator replaced, kept
+    # here as its reference: g[0] = 1, g[k] <= min(max(g[:k]) + 1, tmax)
+    seq = [1] * p
+    maxes = [1] * p
+    while True:
+        yield tuple(seq)
+        k = p - 1
+        while k > 0 and seq[k] >= min(maxes[k - 1] + 1, tmax):
+            k -= 1
+        if k == 0:
+            return
+        seq[k] += 1
+        maxes[k] = max(maxes[k - 1], seq[k])
+        for j in range(k + 1, p):
+            seq[j] = 1
+            maxes[j] = maxes[k]
+
+
+# t < p, t = p, t > p, a = b = 2 and a 3x4 grid
+ENUMERATED_SHAPES = [(2, 3, 2), (3, 3, 3), (2, 4, 8), (2, 3, 9), (2, 2, 2),
+                     (2, 2, 3), (2, 2, 5), (3, 4, 3)]
+
+
+@pytest.mark.parametrize("abt", ENUMERATED_SHAPES)
+def test_label_matrix_enumeration_equals_sequential_generator(abt):
+    shape = Shape(*abt)
+    want = list(_restricted_growth(shape.p, min(shape.t, shape.p)))
+    lab = enumerate_label_matrix(shape)
+    assert lab.dtype == np.int64 and lab.shape == (orbit_count(shape), shape.p)
+    assert list(map(tuple, lab.tolist())) == want
+
+
+@pytest.mark.parametrize("abt", ENUMERATED_SHAPES[:6])
+def test_full_pool_and_orbits_follow_sequential_generator(abt):
+    shape = Shape(*abt)
+    want = [BlockArray.from_colex(shape, seq)
+            for seq in _restricted_growth(shape.p, min(shape.t, shape.p))]
+    assert list(full_pool(shape)) == want
+    orbits = list(enumerate_orbits(shape))
+    assert [o.representative for o in orbits] == want
+    assert [o.size for o in orbits] == [orbit_size(s) for s in want]
+
+
+def test_label_pool_is_a_read_only_sequence_of_arrays():
+    shape = Shape(2, 3, 3)
+    lab = enumerate_label_matrix(shape)
+    pool = LabelPool(shape, lab)
+    arrays = list(pool)
+    assert len(pool) == len(arrays) == len(lab)
+    assert pool[5] == arrays[5] == BlockArray.from_colex(shape, lab[5].tolist())
+    assert pool[-1] == arrays[-1] and arrays[7] in pool
+    assert LabelPool.of(pool) is pool
+    assert (LabelPool.of(arrays).labels == lab).all()
+    with pytest.raises(ValueError):
+        pool.labels[0, 0] = 2
+    lab[0, 0] = 2  # the caller's matrix stays writable
+    with pytest.raises(ValueError):
+        LabelPool.of([])
+    with pytest.raises(ValueError):
+        LabelPool(shape, lab[:, :4])
+
+
+def test_canonical_labels_equal_canonical_form():
+    shape = Shape(3, 3, 5)
+    lab = np.random.default_rng(4).integers(1, 6, size=(300, shape.p))
+    got = canonical_labels(lab)
+    want = [canonical_form(BlockArray.from_colex(shape, r)).colex for r in lab.tolist()]
+    assert list(map(tuple, got.tolist())) == want
 
 
 def test_count_statistics_reference_values():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -250,6 +251,42 @@ def test_budget_overrun_is_compute_error_without_traceback(capsys, tmp_path):
     code, _, err = run(capsys, "efficiency", design, "--sigma", str(sigma),
                        "--pool", "full")
     assert code == 2 and err.startswith("error:")
+
+
+def _ar_file(path: Path, p: int, rho: float = 0.5) -> str:
+    path.write_text(json.dumps(
+        {"matrix": [[rho ** abs(i - j) for j in range(p)] for i in range(p)]}))
+    return path.name
+
+
+def test_general_sigma_over_the_orbit_budget_exits_2(capsys, tmp_path, monkeypatch):
+    # (4,4,3) has 7.2 M orbits: no silent fall-back to a restricted pool
+    monkeypatch.chdir(tmp_path)
+    sigma = _ar_file(tmp_path / "ar16.json", 16)
+    code, out, err = run(capsys, "solve", "--a", "4", "--b", "4", "--t", "3",
+                         "--sigma", sigma)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
+
+
+# sha256 of stdout, recorded before pools became label matrices
+GOLDEN_STDOUT = {
+    "solve --a 2 --b 3 --t 3 --sigma ar05.json":
+        "6e77d92f5ff6d58400a9e5f3c773f0bf43c1cca99e9765b094756a8a3cdb8d5c",
+    "solve --a 3 --b 3 --t 4 --force-computational --pool full":
+        "37d4701648e8d151d30ebe786c65b7d03262689051d42c40c17eff520f6892bc",
+    "enumerate --a 2 --b 3 --t 3 --list":
+        "ca8d7b848d545900e743a414a4c94b970f3bfb6fc5d5bc4353b27c72efb086e6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_stdout_golden_bytes(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # the config echoes the relative --sigma path
+    _ar_file(tmp_path / "ar05.json", 6)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_missing_null_direction_exits_2(capsys, tmp_path, monkeypatch):

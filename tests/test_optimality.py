@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -11,18 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fielddesign.arrays as arrays
 import fielddesign.optimality as optimality
 from fielddesign.arrays import (
+    EnumerationBudgetError,
     Orbit,
     Shape,
     canonical_form,
     classify_array,
+    enumerate_label_matrix,
     enumerate_orbits,
     orbit_members,
     orbit_size,
 )
-from fielddesign.model import IDENTITY, GeneralCov, TypeH, c_coeffs_closed
+from fielddesign.model import IDENTITY, GeneralCov, TypeH, c_coeffs_closed, triple_table
 from fielddesign.optimality import (
+    LabelPool,
     Measure,
     class_representative,
     equivalence_gap,
@@ -32,6 +37,7 @@ from fielddesign.optimality import (
     q_eval,
     q_star,
     r_eval,
+    random_pool,
     solve_closed_form,
     solve_exchange,
     solve_sbs_proportions,
@@ -388,6 +394,75 @@ def test_exchange_ties_survive_last_bit_rounding(shape, sigma, monkeypatch):
             [o.representative for o, _ in base.orbit_weights], trial
         for (_, w0), (_, w1) in zip(base.orbit_weights, bumped.orbit_weights):
             assert abs(w1 - w0) <= 1e-12
+
+
+def _envelope_minimum(table: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> float:
+    # ternary search of the convex envelope max_k q_k(x) over [lo, hi]
+    def r(x):
+        return float((table[:, 0] + 2 * table[:, 1] * x + table[:, 2] * x * x).max())
+
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (lo, m2) if r(m1) <= r(m2) else (m1, hi)
+    return r((lo + hi) / 2)
+
+
+def test_exchange_default_pool_covers_every_orbit_above_200k():
+    # (2,6,4) has 700,075 orbits; a 64-array stand-in pool once gave
+    # y* = 18.0175 under AR(0.5), flagged converged, against 18.142857
+    shape = Shape(2, 6, 4)
+    lab = enumerate_label_matrix(shape)
+    assert len(lab) == 700_075
+    for rho in (0.5, 0.8):
+        sigma = _ar_kernel(shape.p, rho)
+        want = _envelope_minimum(triple_table(LabelPool(shape, lab), sigma))
+        res = solve_exchange(shape, sigma)
+        assert res.converged
+        assert abs(res.y_star - want) <= 1e-9 * want, rho
+
+
+def test_exchange_over_budget_raises_before_enumerating(monkeypatch):
+    # (4,4,3) has 7.2 M orbits, over DEFAULT_ORBIT_BUDGET
+    def never(*args):
+        raise AssertionError("enumerated past the budget check")
+
+    monkeypatch.setattr(arrays, "_growth_strings", never)
+    with pytest.raises(EnumerationBudgetError):
+        solve_exchange(Shape(4, 4, 3), _ar_kernel(16, 0.5))
+
+
+def test_exchange_init_atoms_find_their_pool_rows():
+    # an atom goes to the first row equal to it, else to the first row
+    # equal to its canonical form; a pool may hold non-canonical arrays
+    raw = array_of(2, 3, 3, [[2, 1, 3], [2, 3, 1]])
+    other = array_of(2, 3, 3, [[1, 1, 3], [2, 2, 3]])
+    pool = LabelPool.of([canonical_form(other), raw, canonical_form(other)])
+    relabeled = array_of(2, 3, 3, [[3, 3, 1], [2, 2, 1]])
+    assert optimality._pool_rows(pool, [raw, relabeled, other]).tolist() == [1, 0, 0]
+    with pytest.raises(ValueError, match="not represented"):
+        optimality._pool_rows(pool, [canonical_form(raw)])
+    shape = Shape(2, 3, 5)
+    q = support_pool(shape)
+    outside = next(s for s in full_pool(shape) if s not in set(q))
+    with pytest.raises(ValueError, match="not represented"):
+        solve_exchange(shape, pool=q, init=Measure.point(outside))
+
+
+def _digest(pool) -> str:
+    return hashlib.sha256(str([s.rows for s in pool]).encode()).hexdigest()
+
+
+def test_restricted_pools_keep_contents_and_order():
+    # digests of the arrays, in order, as the pools gave them before they
+    # became label matrices
+    assert _digest(support_pool(Shape(3, 3, 4), seed=1)) == \
+        "9b45ca672ad7d5f0277a8e8786e8714953c5b347054325d53c9211f51c958bb5"
+    assert _digest(support_pool(Shape(2, 4, 7), seed=5, extra=10)) == \
+        "5d4a7944f4a94a3c3e15c201b24948bdebc4fa5851a4d5d624a7766c6560f023"
+    assert _digest(random_pool(Shape(3, 3, 9), 40, seed=5)) == \
+        "1d6cfed817591f090e015c603080c238480190947e00e0d111a6fedb1532b2a1"
+    assert _digest(random_pool(Shape(2, 3, 5), 40, seed=1)) == \
+        "a5ebb0489a0197b98fc6d62939000bcb725d99ea88a859ede28682536f97fd96"
 
 
 TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
