@@ -218,21 +218,38 @@ def _check_budget(shape: Shape, budget: int) -> None:
         raise EnumerationBudgetError(shape, count, budget)
 
 
-def _growth_strings(p: int, tmax: int) -> np.ndarray:
+def _growth_levels(p: int, tmax: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     # restricted-growth strings g (g[0] = 1, g[k] <= min(max(g[:k]) + 1,
     # tmax)), exactly the canonical colex label sequences, by prefix
     # expansion (Knuth, TAOCP 4A 7.2.1.5): the children 1..min(m + 1, tmax)
     # of a prefix with largest label m sit next to each other, in
-    # increasing order, so every level stays in lexicographic order
-    out = np.ones((1, 1), dtype=np.int64)
+    # increasing order, so every level stays in lexicographic order.  Each
+    # level after the first is kept as its label column and the number of
+    # children of each row of the level before.
+    labels, kids_of = [], []
     top = np.ones(1, dtype=np.int64)
     for _ in range(1, p):
         kids = np.minimum(top + 1, tmax)
-        first = np.repeat(np.cumsum(kids) - kids, kids)
-        label = np.arange(len(first)) - first + 1
-        out = np.column_stack([np.repeat(out, kids, axis=0), label])
+        label = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids) + 1
         top = np.maximum(np.repeat(top, kids), label)
-    return out
+        labels.append(label.astype(np.min_scalar_type(tmax)))
+        kids_of.append(kids)
+    return labels, kids_of
+
+
+def _growth_strings(p: int, tmax: int) -> np.ndarray:
+    # the (N, p) matrix of _growth_levels, built column by column from the
+    # last level back (each row of a level repeats once per last-level row
+    # it leads to), then transposed into rows in one pass
+    labels, kids_of = _growth_levels(p, tmax)
+    cols = np.empty((p, len(labels[-1]) if labels else 1), dtype=np.min_scalar_type(tmax))
+    cols[0] = 1
+    reach = np.ones(cols.shape[1], dtype=np.int64)
+    for level in range(p - 1, 0, -1):
+        cols[level] = np.repeat(labels[level - 1], reach)
+        kids = kids_of[level - 1]
+        reach = np.add.reduceat(reach, np.cumsum(kids) - kids)
+    return np.ascontiguousarray(cols.T, dtype=np.int64)
 
 
 def enumerate_orbits(

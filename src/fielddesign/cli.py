@@ -299,6 +299,8 @@ def cmd_efficiency(cfg: RunConfig, args) -> int:
 def cmd_construct(cfg: RunConfig, args) -> int:
     if args.n < 1:
         raise _InputError(f"need n >= 1, got {args.n}")
+    if args.effort < 1:
+        raise _InputError(f"need effort >= 1, got {args.effort}")
     shape, _ = _shape_from_args(args)
     sigma = resolve_sigma(cfg.sigma)
     design, report = construct_exact(shape, args.n, sigma,

@@ -333,6 +333,104 @@ def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
     return best, best_val
 
 
+# _swap_bounds applies only when the base's C11 stays this well conditioned
+# with any candidate's C11 added, and lowers each bound by BOUND_SLACK of the
+# slot's scale; both keep rounding in either computation far below the slack.
+BOUND_MAX_COND = 1e3
+BOUND_SLACK = 1e-7
+# a slot works through its candidates in chunks of (2t, 2t) matrices holding
+# BOUND_ENTRIES entries (128 KiB of floats), which keeps every temporary small
+BOUND_ENTRIES = 1 << 14
+
+
+def _chunk_rows(t: int) -> int:
+    return max(1, BOUND_ENTRIES // (2 * t) ** 2)
+
+
+def _joint(stack: np.ndarray) -> np.ndarray:
+    """(k, 2t, 2t) matrices [[C00, C01], [C10, C11]] of a (k, 3, t, t) stack."""
+    k, _, t, _ = stack.shape
+    out = np.empty((k, 2 * t, 2 * t))
+    out[:, :t, :t] = stack[:, 0]
+    out[:, :t, t:] = stack[:, 1]
+    out[:, t:, :t] = np.swapaxes(stack[:, 1], 1, 2)
+    out[:, t:, t:] = stack[:, 2]
+    return out
+
+
+def _swap_bounds(base: np.ndarray, joint: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """Lower bounds on _swap_residuals(base, stack, target), given the
+    _joint(stack) matrices, or None when base's C11 is not well conditioned.
+
+    With X = B01 B11^-1 and h h' = B11^-1, G = [[I, -X], [0, h']] takes B to
+    [[C(B), 0], [0, I]] and keeps Schur complements, so with G S G' =
+    [[U, A], [A', K]], C(B + S) = C(B) + U - A (I + K)^-1 A'.  K >= 0 gives
+    I - K <= (I + K)^-1 <= I in Loewner order, so that last term lies within
+    R = A K A' / 2 of M = A A' - R; a symmetric D with -R <= D <= R has
+    |D| <= |R| in the Frobenius norm, hence
+    |C(B + S) - T| >= |C(B) + U - M - T| - |R|.
+    """
+    b00, b01, b11 = base
+    t = len(target)
+    w, v = np.linalg.eigh(b11)
+    top = w[-1] + np.trace(joint[:, t:, t:], axis1=1, axis2=2).max(initial=0.0)
+    if not w[0] * BOUND_MAX_COND > top:
+        return None
+    h = v / np.sqrt(w)
+    x = b01 @ h @ h.T
+    gt = np.zeros((2 * t, 2 * t))  # G'
+    gt[:t, :t] = np.eye(t)
+    gt[t:, :t] = -x.T
+    gt[t:, t:] = h
+    g = gt.T
+    shift = b00 - x @ b01.T - target  # C(B) - T
+    rows = _chunk_rows(t)
+    out = []
+    for lo in range(0, len(joint), rows):
+        part = joint[lo:lo + rows]
+        m = len(part)
+        gsg = g @ (part.reshape(-1, 2 * t) @ gt).reshape(m, 2 * t, 2 * t)
+        a = np.ascontiguousarray(gsg[:, :t, t:])
+        at = np.swapaxes(a, 1, 2)
+        r = (a @ gsg[:, t:, t:] @ at) / 2
+        dev = gsg[:, :t, :t] + shift - a @ at + r
+        out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev))
+                   - np.sqrt(np.einsum("kij,kij->k", r, r)))
+    scale = (np.linalg.norm(b00) + np.linalg.norm(target)
+             + np.sqrt(np.einsum("kij,kij->k", joint[:, :t, :t], joint[:, :t, :t]).max()))
+    return np.concatenate(out) - BOUND_SLACK * scale
+
+
+def _distinct_rows(stack: np.ndarray) -> np.ndarray:
+    """For each row of stack, the first row in order with the same bytes."""
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(row.tobytes(), k)
+                     for k, row in enumerate(stack.reshape(len(stack), -1))])
+
+
+def _slot_pick(base: np.ndarray, stack: np.ndarray, first: np.ndarray, joint: np.ndarray,
+               target: np.ndarray, current: float, old: int) -> tuple[int | None, float]:
+    """What _scan picks from _swap_residuals(base, stack, target) with
+    candidate old excluded.  first comes from _distinct_rows(stack) and joint
+    holds the _joint matrices of the rows that are their own first: each
+    distinct table is scored once, and only where _swap_bounds says it can
+    beat current, as a pruned candidate's exact value could not pass _scan."""
+    cand = np.flatnonzero(first == np.arange(len(first)))
+    bound = _swap_bounds(base, joint, target)
+    if bound is not None:
+        cand = cand[bound < current - 1e-12]
+        if not len(cand):
+            return None, current
+    vals = np.full(len(stack), np.inf)
+    rows = _chunk_rows(len(target))
+    for lo in range(0, len(cand), rows):
+        part = cand[lo:lo + rows]
+        vals[part] = _swap_residuals(base, stack[part], target)
+    vals = vals[first]
+    vals[old] = np.inf
+    return _scan(vals, current)
+
+
 def construct_exact(
     shape: Shape,
     n: int,
@@ -346,10 +444,15 @@ def construct_exact(
     measure's support, then greedily replaces single blocks with other
     support arrays whenever that shrinks the distance between the design
     information matrix and its optimal completely-symmetric target.  Each
-    slot scores every pool candidate in one stacked eigendecomposition
-    (_swap_residuals) and takes the pick of a pool-order scan (_scan).
-    `effort` counts restarts (the first start is the rounded measure,
-    later ones are seeded random draws); deterministic given the seed.
+    slot takes the pick of a pool-order scan (_scan) of exact residuals
+    (_swap_residuals), bound then verify: a Loewner lower bound
+    (_swap_bounds, batched matmuls only) drops every candidate that cannot
+    beat the current residual, each distinct component table is scored once,
+    and a slot whose block was scored without a swap since the last swap is
+    skipped.  None of this changes a pick, so the blocks and report are those
+    of scoring every candidate.  `effort` counts restarts (the first start is
+    the rounded measure, later ones are seeded random draws); deterministic
+    given the seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -387,25 +490,32 @@ def construct_exact(
     rounded = [index[group[j % len(group)]]
                for group, c in zip(members, counts) for j in range(c)]
 
+    first = _distinct_rows(stack)
+    joint = _joint(stack[first == np.arange(len(stack))])
     best_idx: list[int] | None = None
     best_res = np.inf
     for attempt in range(effort):
         idx = rounded if attempt == 0 else rng.integers(0, len(pool), size=n).tolist()
         total = sum(stack[idx])  # from zero in slot order: ties break on the last bit
         current = float(_residuals(total[None], target)[0])
+        idle: set[int] = set()  # pool indices scored without a swap since the last one
         improved = True
         while improved and current > 1e-12:
             improved = False
             for i in range(n):
                 old = idx[i]
-                vals = _swap_residuals(total - stack[old], stack, target)
-                vals[old] = np.inf
-                best_cand, best_val = _scan(vals, current)
-                if best_cand is not None:
+                if old in idle:  # same base as then, so the same outcome
+                    continue
+                best_cand, best_val = _slot_pick(total - stack[old], stack, first, joint,
+                                                 target, current, old)
+                if best_cand is None:
+                    idle.add(old)
+                else:
                     total += stack[best_cand] - stack[old]
                     idx[i] = best_cand
                     current = best_val
                     improved = True
+                    idle.clear()
         if current < best_res:
             best_res = current
             best_idx = list(idx)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ def test_label_matrix_enumeration_equals_sequential_generator(abt):
     lab = enumerate_label_matrix(shape)
     assert lab.dtype == np.int64 and lab.shape == (orbit_count(shape), shape.p)
     assert list(map(tuple, lab.tolist())) == want
+
+
+def test_label_matrix_peak_memory_stays_near_its_size():
+    # one label column per level, not a prefix matrix per level
+    shape = Shape(2, 5, 5)
+    tracemalloc.start()
+    try:
+        lab = enumerate_label_matrix(shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lab.shape == (orbit_count(shape), shape.p) and lab.flags.c_contiguous
+    assert peak <= 1.6 * lab.nbytes
 
 
 @pytest.mark.parametrize("abt", ENUMERATED_SHAPES[:6])

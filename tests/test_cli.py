@@ -146,6 +146,12 @@ def test_construct_rejects_zero_n(capsys):
     assert code == 1 and "n >= 1" in err
 
 
+def test_construct_rejects_zero_effort(capsys):
+    code, _, err = run(capsys, "construct", "--a", "2", "--b", "3", "--t", "3",
+                       "--n", "6", "--effort", "0")
+    assert code == 1 and "effort >= 1" in err
+
+
 def test_construct_same_seed_same_bytes(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

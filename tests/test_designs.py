@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fielddesign import designs
 from fielddesign.arrays import (
@@ -259,6 +261,73 @@ def test_swap_scan_keeps_earlier_near_ties():
     assert designs._scan(vals, 3.0 + 5e-13) == (None, 3.0 + 5e-13)
 
 
+def _random_spd(seed: int, p: int) -> np.ndarray:
+    q = np.random.default_rng(seed).standard_normal((p, p))
+    return q @ q.T + p * np.eye(p)
+
+
+BOUND_SHAPE = Shape(2, 3, 3)
+BOUND_SIGMAS = {
+    "identity": IDENTITY,
+    "type-h": TypeH(Fraction(3, 2)),
+    "ar": GeneralCov.from_matrix(0.5 ** np.abs(np.subtract.outer(range(6), range(6)))),
+    "spd": GeneralCov.from_matrix(_random_spd(11, 6)),
+}
+
+
+def _bound_case(sigma, n, seed, scale):
+    stack = component_table(full_pool(BOUND_SHAPE), BOUND_SIGMAS[sigma])
+    idx = np.random.default_rng(seed).integers(0, len(stack), size=n)
+    total = sum(stack[idx])
+    target = centering_projector(BOUND_SHAPE.t) * (scale * n)
+    return stack, idx, total, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BOUND_SIGMAS)), st.sampled_from([1, 2, 5, 14]),
+       st.integers(0, 2**32 - 1), st.floats(0.25, 8.0), st.floats(0.0, 1.0))
+def test_pruned_slot_picks_what_the_full_scan_picks(sigma, n, seed, scale, level):
+    stack, idx, total, target = _bound_case(sigma, n, seed, scale)
+    first = designs._distinct_rows(stack)
+    distinct = first == np.arange(len(stack))
+    joint = designs._joint(stack[distinct])
+    assert (stack[first] == stack).all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "CHUNK_ROWS", 7)  # several chunks and a ragged tail
+        mp.setattr(designs, "BOUND_ENTRIES", 7 * (2 * BOUND_SHAPE.t) ** 2)
+        current = float(designs._residuals(total[None], target)[0])
+        for old in idx[:2]:
+            base = total - stack[old]
+            exact = designs._swap_residuals(base, stack, target)
+            bound = designs._swap_bounds(base, joint, target)
+            w = np.linalg.eigvalsh(base[2])
+            if w[0] <= EIG_CUTOFF * max(abs(w[-1]), 1.0):  # singular B11: score everything
+                assert bound is None
+            if bound is not None:
+                assert (bound <= exact[distinct]).all()
+            # any threshold, not just the design's own residual
+            finite = exact[np.isfinite(exact)]
+            for cur in (current, float(np.quantile(finite, level))):
+                vals = exact.copy()
+                vals[old] = np.inf
+                want = designs._scan(vals, cur)
+                assert designs._slot_pick(base, stack, first, joint, target, cur, old) == want
+
+
+def test_slot_pick_scores_every_distinct_table_when_b11_is_singular(monkeypatch):
+    stack, idx, total, target = _bound_case("identity", 1, 5, 2.0)
+    first = designs._distinct_rows(stack)
+    joint = designs._joint(stack[first == np.arange(len(stack))])
+    base = total - stack[idx[0]]  # n = 1: the base is zero
+    assert designs._swap_bounds(base, joint, target) is None
+    scored = []
+    real = designs._swap_residuals
+    monkeypatch.setattr(designs, "_swap_residuals",
+                        lambda b, s, t: scored.append(len(s)) or real(b, s, t))
+    designs._slot_pick(base, stack, first, joint, target, np.inf, int(idx[0]))
+    assert scored == [len(joint)]
+
+
 # construct_exact's blocks for two seeds, recorded from the per-candidate
 # scorer: a change to swap scoring must not move them
 GOLDEN_428_N14_SEED7 = [
@@ -292,3 +361,49 @@ def test_construct_golden_blocks(abt, n, seed, blocks, effs):
     assert design.to_json()["blocks"] == blocks
     doc = rep.to_json()
     assert (doc["eff_A"], doc["eff_D"], doc["eff_E"], doc["eff_T"]) == effs
+
+
+# the remaining construct specs of the benchmark, blocks and full report,
+# recorded from the exhaustive scorer: pruned scoring must not move them
+GOLDEN_REPORTS = [
+    ((2, 3, 5), 20, IDENTITY, [
+        [[2, 1, 4], [2, 3, 4]], [[2, 1, 4], [2, 3, 4]], [[1, 3, 4], [2, 5, 4]],
+        [[1, 4, 2], [1, 5, 3]], [[1, 3, 2], [4, 5, 2]], [[4, 2, 5], [4, 1, 5]],
+        [[1, 4, 5], [3, 2, 5]], [[2, 4, 5], [3, 1, 5]], [[3, 5, 2], [3, 1, 4]],
+        [[2, 1, 4], [5, 3, 4]], [[5, 3, 1], [5, 4, 2]], [[3, 2, 1], [3, 4, 5]],
+        [[1, 5, 2], [1, 3, 4]], [[5, 3, 2], [5, 1, 2]], [[2, 4, 1], [5, 3, 1]],
+        [[3, 4, 1], [3, 2, 5]], [[3, 4, 2], [3, 5, 1]], [[3, 1, 5], [3, 2, 5]],
+        [[4, 1, 2], [4, 5, 3]], [[3, 5, 1], [4, 2, 1]],
+    ], {"eff_A": 0.991547, "eff_D": 0.991624, "eff_E": 0.974951, "eff_T": 0.991702,
+        "eigenvalues": [22.03182210617434, 22.323750944554995, 22.477599485626325,
+                        22.80823951096728],
+        "n": 20, "y_star": 4.519575369938438}),
+    ((2, 3, 3), 6, IDENTITY, [
+        [[1, 2, 3], [1, 2, 3]], [[1, 2, 3], [1, 3, 2]], [[2, 1, 3], [2, 1, 3]],
+        [[2, 3, 1], [2, 3, 1]], [[3, 1, 2], [3, 1, 2]], [[1, 3, 3], [2, 2, 1]],
+    ], {"eff_A": 0.99102, "eff_D": 0.991026, "eff_E": 0.9875, "eff_T": 0.991033,
+        "eigenvalues": [11.85, 11.934782608695652], "n": 6, "y_star": 4.0}),
+    ((2, 3, 4), 12, TypeH(Fraction(3, 2)), [
+        [[1, 3, 4], [2, 2, 4]], [[3, 2, 2], [4, 4, 1]], [[1, 1, 3], [2, 2, 4]],
+        [[1, 1, 2], [3, 4, 2]], [[3, 1, 4], [2, 1, 4]], [[4, 4, 3], [2, 1, 1]],
+        [[3, 3, 1], [2, 4, 1]], [[1, 3, 3], [4, 2, 2]], [[1, 1, 4], [2, 3, 3]],
+        [[1, 3, 3], [4, 2, 2]], [[1, 2, 4], [3, 3, 4]], [[3, 4, 1], [3, 4, 2]],
+    ], {"eff_A": 0.999564, "eff_D": 0.999564, "eff_E": 0.999236, "eff_T": 0.999564,
+        "eigenvalues": [11.546731769383292, 11.549685166587272, 11.555122340713899],
+        "n": 12, "y_star": 2.888888888888889}),
+    ((2, 3, 3), 6, BOUND_SIGMAS["ar"], [
+        [[3, 3, 3], [1, 1, 2]], [[1, 1, 1], [2, 2, 3]], [[1, 1, 3], [3, 2, 2]],
+        [[3, 3, 1], [1, 2, 2]], [[2, 2, 2], [3, 3, 1]], [[3, 3, 2], [2, 1, 1]],
+    ], {"eff_A": 0.991473, "eff_D": 0.991473, "eff_E": 0.991473, "eff_T": 0.991473,
+        "eigenvalues": [24.874258160237382, 24.874258160237385], "n": 6,
+        "y_star": 8.362726113437533}),
+]
+
+
+@pytest.mark.parametrize("abt, n, sigma, blocks, report", GOLDEN_REPORTS,
+                         ids=["235-n20", "233-n6", "234-n12-type-h", "233-n6-ar"])
+def test_construct_golden_reports(abt, n, sigma, blocks, report):
+    shape, _ = normalize_shape(*abt)
+    design, rep = construct_exact(shape, n, sigma, seed=0)
+    assert design.to_json()["blocks"] == blocks
+    assert rep.to_json() == report
