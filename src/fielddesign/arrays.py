@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -75,6 +75,12 @@ def normalize_shape(a: int, b: int, t: int) -> tuple[Shape, bool]:
     return Shape(a, b, t), False
 
 
+def _integer_label(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"treatment label {v!r} is not an integer")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class BlockArray:
     """One treatment assignment on a grid, stored as row tuples."""
@@ -93,23 +99,21 @@ class BlockArray:
 
     @staticmethod
     def from_rows(shape: Shape, rows: Sequence[Sequence[int]]) -> "BlockArray":
-        return BlockArray(shape, tuple(tuple(int(v) for v in r) for r in rows))
+        """Rows of Python or numpy integers; any other label (a float, a
+        bool, a string) is a ValueError, never rounded or coerced."""
+        return BlockArray(shape, tuple(tuple(_integer_label(v) for v in r) for r in rows))
 
     @staticmethod
     def from_colex(shape: Shape, seq: Sequence[int]) -> "BlockArray":
         a, b = shape.a, shape.b
         if len(seq) != a * b:
             raise ValueError(f"need {a * b} entries, got {len(seq)}")
-        rows = tuple(
-            tuple(int(seq[j * a + i]) for j in range(b)) for i in range(a)
-        )
-        return BlockArray(shape, rows)
+        return BlockArray(shape, tuple(tuple(map(int, seq[i::a])) for i in range(a)))
 
     @property
     def colex(self) -> tuple[int, ...]:
         """Entries in plot order (column-major scan)."""
-        a, b = self.shape.a, self.shape.b
-        return tuple(self.rows[i][j] for j in range(b) for i in range(a))
+        return tuple(v for col in zip(*self.rows) for v in col)
 
     def grid(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
@@ -149,13 +153,7 @@ class Orbit:
 
 def canonical_form(s: BlockArray) -> BlockArray:
     """First-occurrence relabeling along the colex scan."""
-    relabel: dict[int, int] = {}
-    seq = []
-    for v in s.colex:
-        if v not in relabel:
-            relabel[v] = len(relabel) + 1
-        seq.append(relabel[v])
-    return BlockArray.from_colex(s.shape, seq)
+    return BlockArray.from_colex(s.shape, canonical_labels(np.array([s.colex]))[0].tolist())
 
 
 def apply_permutation(s: BlockArray, sigma: Mapping[int, int]) -> BlockArray:
@@ -178,21 +176,25 @@ def orbit_size(s: BlockArray) -> int:
     return math.perm(s.shape.t, distinct_treatments(s))
 
 
-def orbit_members(s: BlockArray) -> Iterator[BlockArray]:
-    """All distinct relabelings of s, in a deterministic order.
+def orbit_labels(ranks: np.ndarray, t: int, images=None) -> np.ndarray:
+    """Relabelings of one array as an (N, p) label matrix.  ranks[k] is the
+    first-appearance rank (0-based) of plot k's label, so a canonical
+    representative's ranks are its labels less one; row i gives rank r the
+    label images[i][r].  By default images holds every injection of the
+    ranks into 1..t in itertools.permutations order: the whole orbit."""
+    if images is None:
+        rho = int(ranks.max()) + 1
+        images = np.fromiter(chain.from_iterable(permutations(range(1, t + 1), rho)),
+                             dtype=np.int64, count=math.perm(t, rho) * rho).reshape(-1, rho)
+    return np.asarray(images, dtype=np.int64)[:, ranks]
 
-    Iterates injections of the distinct labels (in first-appearance order)
-    into 1..t; each injection yields a different array.
-    """
-    labels: list[int] = []
-    for v in s.colex:
-        if v not in labels:
-            labels.append(v)
-    t = s.shape.t
-    base = s.colex
-    for image in permutations(range(1, t + 1), len(labels)):
-        sigma = dict(zip(labels, image))
-        yield BlockArray.from_colex(s.shape, [sigma[v] for v in base])
+
+def orbit_members(s: BlockArray) -> Iterator[BlockArray]:
+    """All distinct relabelings of s, one per injection of its distinct
+    labels (in first-appearance order) into 1..t, in permutations order."""
+    ranks = canonical_labels(np.array([s.colex]))[0] - 1
+    for row in orbit_labels(ranks, s.shape.t).tolist():
+        yield BlockArray.from_colex(s.shape, row)
 
 
 def _stirling2_row(p: int) -> list[int]:
@@ -279,12 +281,25 @@ def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """canonical_form of every row of an (N, p) label matrix."""
-    hit = labels[:, None, :] == np.arange(1, labels.max() + 1)[:, None]
-    # each label's first plot (p when absent), ranked along the row
-    first = np.where(hit.any(axis=2), hit.argmax(axis=2), labels.shape[1])
-    rank = first.argsort(axis=1).argsort(axis=1) + 1
-    return np.take_along_axis(rank, labels - 1, axis=1)
+    """First-occurrence relabeling of every row of an (N, p) label matrix."""
+    # the first plot carrying each plot's label; counting those first plots
+    # along the row numbers the labels in order of first appearance
+    p = labels.shape[1]
+    first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)
+    rank = (first == np.arange(p)).cumsum(axis=1)
+    return rank[np.arange(len(labels))[:, None], first]
+
+
+def canonical_pool(shape: Shape, rows, k: int | None = None) -> LabelPool:
+    """The distinct canonical forms of the label rows, as a pool in colex
+    order; with k, only the first k of them to appear in row order."""
+    canon = canonical_labels(np.asarray(rows, dtype=np.int64))
+    order = np.lexsort(canon.T[::-1])  # colex order, equal rows in row order
+    canon = canon[order]
+    new = np.ones(len(canon), dtype=bool)
+    new[1:] = (canon[1:] != canon[:-1]).any(axis=1)
+    # order[new] holds the row where each distinct form first appears
+    return LabelPool(shape, canon[new][np.sort(np.argsort(order[new])[:k])])
 
 
 class LabelPool(Sequence[BlockArray]):

@@ -16,7 +16,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arrays import BlockArray, Orbit, Shape, orbit_members, orbit_size
+from .arrays import (
+    BlockArray,
+    LabelPool,
+    Orbit,
+    Shape,
+    canonical_pool,
+    label_matrix,
+    orbit_labels,
+    orbit_members,
+)
 from .model import (
     CHUNK_ROWS,
     IDENTITY,
@@ -28,9 +37,7 @@ from .model import (
     schur_complement,
 )
 from .optimality import (
-    GAP_TOL,
     Measure,
-    SolveResult,
     q_star,
     solve_closed_form,
     solve_exchange,
@@ -132,10 +139,10 @@ class EfficiencyReport:
 
 def _resolve_y_star(shape: Shape, sigma: CovarianceSpec, y_star):
     if y_star is not None:
-        return float(y_star)
+        return y_star
     if isinstance(sigma, GeneralCov):
         raise ValueError("y_star is required under general covariance")
-    return float(solve_closed_form(shape, sigma).y_star)
+    return solve_closed_form(shape, sigma).y_star
 
 
 def efficiencies(
@@ -152,7 +159,7 @@ def efficiencies(
     eigenvalue means some treatment contrast is not estimable and all
     efficiencies are reported as 0.
     """
-    y = _resolve_y_star(d.shape, sigma, y_star)
+    y = float(_resolve_y_star(d.shape, sigma, y_star))
     t = d.shape.t
     c = np.asarray(info_matrix_exact(d, sigma), dtype=float)
     lam = np.linalg.eigvalsh(c)
@@ -191,10 +198,7 @@ def pseudo_symmetric_efficiency(xi: Measure, sigma: CovarianceSpec = IDENTITY,
     information matrix is completely symmetric with all four criteria
     equal to q*/y*.
     """
-    if y_star is None:
-        if isinstance(sigma, GeneralCov):
-            raise ValueError("y_star is required under general covariance")
-        y_star = solve_closed_form(xi.shape, sigma).y_star
+    y_star = _resolve_y_star(xi.shape, sigma, y_star)
     qs, _ = q_star(xi, sigma)
     if isinstance(qs, Fraction) and isinstance(y_star, Fraction):
         return qs / y_star
@@ -275,24 +279,22 @@ def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDe
 # heuristic construction for arbitrary n
 
 
-def _orbit_sample(orbit: Orbit, cap: int, rng: np.random.Generator) -> list[BlockArray]:
-    if orbit.size <= cap:
-        return list(orbit_members(orbit.representative))
-    rep = orbit.representative
-    labels: list[int] = []
-    for v in rep.colex:
-        if v not in labels:
-            labels.append(v)
-    t = rep.shape.t
-    base = rep.colex
-    out = {rep}
+def _orbit_sample(ranks: np.ndarray, t: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Label rows, in colex order, of the orbit whose canonical representative
+    is ranks + 1: all of it when it has at most cap members, else the
+    representative and the distinct relabelings among up to 50 * cap
+    draws of rng.permutation(t), one per draw, stopping at cap rows."""
+    rho = int(ranks.max()) + 1
+    if math.perm(t, rho) <= cap:
+        return orbit_labels(ranks, t)
+    # distinct injections give distinct arrays; the representative's is 1..rho
+    seen = {tuple(range(1, rho + 1))}
     for _ in range(50 * cap):
-        if len(out) >= cap:
+        if len(seen) >= cap:
             break
-        image = rng.permutation(t)[: len(labels)] + 1
-        relabel = dict(zip(labels, (int(v) for v in image)))
-        out.add(BlockArray.from_colex(rep.shape, [relabel[v] for v in base]))
-    return sorted(out, key=lambda s: s.colex)
+        seen.add(tuple((rng.permutation(t)[:rho] + 1).tolist()))
+    # sorted injections give the rows in colex order: both follow the ranks
+    return orbit_labels(ranks, t, sorted(seen))
 
 
 def _largest_remainder(quotas: Sequence[Fraction | float], n: int) -> list[int]:
@@ -470,25 +472,26 @@ def construct_exact(
     if not pairs:
         raise ValueError("solver returned no support to draw candidates from")
     cap = max(2 * n, 64)
-    members = [_orbit_sample(o, cap, rng) for o, _ in pairs]
+    reps = label_matrix([o.representative for o, _ in pairs])
+    members = [_orbit_sample(rep - 1, t, cap, rng) for rep in reps]
     # swap candidates: every support-class placement, not just the
     # orbits the weights touch; exact designs mix relabelings freely
-    reps = {o.representative for o, _ in pairs}
     if not isinstance(sigma, GeneralCov):
-        reps.update(support_pool(shape))
+        reps = np.concatenate([reps, support_pool(shape).labels])
+    reps = canonical_pool(shape, reps).labels
     per_orbit = max(4, -(-4 * max(n, 64) // len(reps)))
-    pool_set = {s for group in members for s in group}
-    for rep in sorted(reps, key=lambda s: s.colex):
-        pool_set.update(_orbit_sample(Orbit(rep, orbit_size(rep)), per_orbit, rng))
-    pool = sorted(pool_set, key=lambda s: s.colex)
-    index = {s: k for k, s in enumerate(pool)}
+    rows = np.concatenate(members + [_orbit_sample(rep - 1, t, per_orbit, rng) for rep in reps])
+    # the pool in colex order; where[k] is the pool index of rows[k]
+    labels, where = np.unique(rows, axis=0, return_inverse=True)
+    pool = LabelPool(shape, labels)
     stack = component_table(pool, sigma)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     counts = _largest_remainder([Fraction(w) * n if isinstance(w, (int, Fraction))
                                  else float(w) * n for _, w in pairs], n)
-    rounded = [index[group[j % len(group)]]
-               for group, c in zip(members, counts) for j in range(c)]
+    sizes = [len(group) for group in members]
+    groups = np.split(where.reshape(-1)[:sum(sizes)], np.cumsum(sizes)[:-1])
+    rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
 
     first = _distinct_rows(stack)
     joint = _joint(stack[first == np.arange(len(stack))])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .arrays import (
     Shape,
     canonical_form,
     canonical_labels,
+    canonical_pool,
     classify_array,
     enumerate_label_matrix,
     label_matrix,
@@ -408,9 +409,23 @@ def _corner_double_pairs(shape: Shape) -> list[tuple[tuple[int, int], tuple[int,
     return out
 
 
+def _filled(shape: Shape, pairs) -> list[int]:
+    """Colex labels giving the k-th pair of cells label k and every other
+    plot the next unused label, in colex order."""
+    seq = [0] * shape.p
+    for label, pair in enumerate(pairs, start=1):
+        for (i, j) in pair:
+            k = shape.plot_index(i, j)
+            if seq[k]:
+                raise ValueError("double placements collide")
+            seq[k] = label
+    free = iter(range(len(pairs) + 1, shape.p + 1))
+    return [v or next(free) for v in seq]
+
+
 def class_representative(shape: Shape, doubles: int) -> BlockArray:
     """Canonical array with `doubles` corner doubles and distinct fillers."""
-    a, b, p = shape.a, shape.b, shape.p
+    a, b = shape.a, shape.b
     if a == 2:
         pairs = _corner_double_pairs(shape)[:doubles]
     else:
@@ -421,49 +436,10 @@ def class_representative(shape: Shape, doubles: int) -> BlockArray:
             ((1, b), (1, b - 1)),
             ((a, b), (a - 1, b)),
         ][:doubles]
-    grid = [[0] * b for _ in range(a)]
-    label = 0
-    for cell1, cell2 in pairs:
-        label += 1
-        for (i, j) in (cell1, cell2):
-            if grid[i - 1][j - 1]:
-                raise ValueError("double placements collide")
-            grid[i - 1][j - 1] = label
-    for j in range(b):
-        for i in range(a):
-            if grid[i][j] == 0:
-                label += 1
-                grid[i][j] = label
-    if label > shape.t:
-        raise ValueError(f"class needs {label} treatments, shape has {shape.t}")
-    return canonical_form(BlockArray.from_rows(shape, grid))
-
-
-def _fan_pool(shape: Shape) -> list[BlockArray]:
-    imin = max(0, shape.p - shape.t)
-    top = 2 if shape.a == 2 else 4
-    pairs = _corner_double_pairs(shape)
-    seen: set[BlockArray] = set()
-    for i in range(imin, top + 1):
-        if i == 0:
-            seen.add(class_representative(shape, 0))
-            continue
-        for chosen in combinations(pairs, i):
-            cells = [c for pair in chosen for c in pair]
-            if len(set(cells)) != 2 * i:
-                continue
-            grid = [[0] * shape.b for _ in range(shape.a)]
-            for label, (c1, c2) in enumerate(chosen, start=1):
-                grid[c1[0] - 1][c1[1] - 1] = label
-                grid[c2[0] - 1][c2[1] - 1] = label
-            nxt = i
-            for j in range(shape.b):
-                for r in range(shape.a):
-                    if grid[r][j] == 0:
-                        nxt += 1
-                        grid[r][j] = nxt
-            seen.add(canonical_form(BlockArray.from_rows(shape, grid)))
-    return sorted(seen, key=lambda s: s.colex)
+    seq = _filled(shape, pairs)
+    if max(seq) > shape.t:
+        raise ValueError(f"class needs {max(seq)} treatments, shape has {shape.t}")
+    return canonical_form(BlockArray.from_colex(shape, seq))
 
 
 def balanced_no_adjacent(shape: Shape) -> BlockArray:
@@ -504,45 +480,35 @@ def balanced_no_adjacent(shape: Shape) -> BlockArray:
     return canonical_form(BlockArray.from_colex(shape, seq))
 
 
+def _balanced_bag(shape: Shape) -> np.ndarray:
+    """Labels 1..t in order, each p // t times and the first p % t once more."""
+    lo, rem = divmod(shape.p, shape.t)
+    labels = np.arange(1, shape.t + 1)
+    return np.repeat(labels, lo + (labels <= rem))
+
+
 def balanced_clustered(shape: Shape) -> BlockArray:
     """Balanced array laid down in snake-order runs (adjacent repeats)."""
-    a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    lo, rem = divmod(p, t)
-    sizes = [lo + 1] * rem + [lo] * (t - rem)
-    order = []
-    for j in range(b):
-        rows = range(a) if j % 2 == 0 else range(a - 1, -1, -1)
-        order.extend((i, j) for i in rows)
-    grid = [[0] * b for _ in range(a)]
-    pos = 0
-    for label, size in enumerate(sizes, start=1):
-        for _ in range(size):
-            i, j = order[pos]
-            grid[i][j] = label
-            pos += 1
-    return canonical_form(BlockArray.from_rows(shape, grid))
-
-
-def random_balanced(shape: Shape, rng: np.random.Generator) -> BlockArray:
-    lo, rem = divmod(shape.p, shape.t)
-    bag = []
-    for m in range(1, shape.t + 1):
-        bag.extend([m] * (lo + (1 if m <= rem else 0)))
-    rng.shuffle(bag)
-    return canonical_form(BlockArray.from_colex(shape, bag))
+    a = shape.a
+    snake = [j * a + (i if j % 2 == 0 else a - 1 - i) for j in range(shape.b) for i in range(a)]
+    seq = np.empty(shape.p, dtype=np.int64)
+    seq[snake] = _balanced_bag(shape)
+    return canonical_form(BlockArray.from_colex(shape, seq.tolist()))
 
 
 def _balanced_measure(shape: Shape, seed: int = 0):
     """Orbit weights for a balanced mixture whose slope vanishes at 0."""
     candidates = [balanced_no_adjacent(shape), balanced_clustered(shape)]
     rng = np.random.default_rng(seed)
+    bag = _balanced_bag(shape)
     for _ in range(200):
         uniq = sorted(set(candidates), key=lambda s: s.colex)
         orbits = [Orbit(s, orbit_size(s)) for s in uniq]
         try:
             weights, _ = solve_sbs_proportions(orbits, Fraction(0))
         except ValueError:
-            candidates.append(random_balanced(shape, rng))
+            candidates.append(canonical_form(BlockArray.from_colex(
+                shape, rng.permutation(bag).tolist())))
             continue
         return [(o, w) for o, w in zip(orbits, weights) if w > 0]
     raise RuntimeError(f"could not balance slopes at x=0 for {shape}")
@@ -563,7 +529,6 @@ def _regime_tag(shape: Shape) -> str:
 def solve_closed_form(
     shape: Shape,
     sigma: CovarianceSpec = IDENTITY,
-    materialize_limit: int = MATERIALIZE_LIMIT,
 ) -> SolveResult:
     """Closed-form minimax point, support, and an optimal measure.
 
@@ -634,7 +599,7 @@ def solve_closed_form(
     total = sum(o.size for o, _ in orbit_pairs)
     measure = (
         Measure.from_orbit_weights(shape, orbit_pairs)
-        if total <= materialize_limit
+        if total <= MATERIALIZE_LIMIT
         else None
     )
     return SolveResult(
@@ -790,48 +755,49 @@ def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
     return LabelPool(shape, enumerate_label_matrix(shape, budget=budget))
 
 
-def support_pool(shape: Shape, seed: int = 0, extra: int = 0) -> LabelPool:
-    """Constructive pool covering the closed-form support classes."""
+def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
+                head=()) -> LabelPool:
+    """The first `count` distinct canonical forms among the head rows and
+    then up to `draws` rows of draw(rng), as a pool in colex order.  Rows
+    are drawn `count` at a time, and only the forms found so far (fewer
+    than `count`, so all of them stay) go on to the next batch; the
+    generator is local, so rows drawn past the count change nothing."""
+    rng = np.random.default_rng(seed)
+    rows, made = list(head), 0
+    while True:
+        batch = min(count, draws - made)
+        pool = canonical_pool(shape, [*rows, *(draw(rng) for _ in range(batch))], count)
+        made += batch
+        if len(pool) >= count or made == draws:
+            return pool
+        rows = list(pool.labels)
+
+
+def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
+    """Constructive pool covering the closed-form support classes, in colex
+    order.  For t <= p - 2 it holds the first 64 distinct balanced orbits
+    among the two structured balanced arrays and 1,280 random ones;
+    otherwise every placement of the feasible corner-double classes."""
     if shape.t <= shape.p - 2:
-        out = {balanced_no_adjacent(shape), balanced_clustered(shape)}
-        rng = np.random.default_rng(seed)
-        want = max(extra, 64)
-        for _ in range(20 * want):
-            if len(out) >= want:
-                break
-            out.add(random_balanced(shape, rng))
-        return LabelPool.of(sorted(out, key=lambda s: s.colex))
-    pool = _fan_pool(shape)
-    if extra:
-        rng = np.random.default_rng(seed)
-        seen = set(pool)
-        for _ in range(20 * extra):
-            if len(seen) >= len(pool) + extra:
-                break
-            lab = rng.integers(1, shape.t + 1, size=shape.p)
-            seen.add(canonical_form(BlockArray.from_colex(shape, lab.tolist())))
-        pool = sorted(seen, key=lambda s: s.colex)
-    return LabelPool.of(pool)
+        head = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
+        bag = _balanced_bag(shape)
+        return _drawn_pool(shape, 64, 20 * 64, lambda rng: rng.permutation(bag), seed, head)
+    pairs = _corner_double_pairs(shape)
+    top = 2 if shape.a == 2 else 4
+    return canonical_pool(shape, [
+        _filled(shape, chosen)
+        for i in range(max(0, shape.p - shape.t), top + 1)
+        for chosen in combinations(pairs, i)
+        if len({cell for pair in chosen for cell in pair}) == 2 * i])
 
 
 def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:
-    """Canonicalized uniform random arrays, deduplicated."""
-    rng = np.random.default_rng(seed)
-    out: set[BlockArray] = set()
-    for _ in range(30 * count):
-        if len(out) >= count:
-            break
-        lab = rng.integers(1, shape.t + 1, size=shape.p)
-        out.add(canonical_form(BlockArray.from_colex(shape, lab.tolist())))
-    return LabelPool.of(sorted(out, key=lambda s: s.colex))
-
-
-def default_pool(shape: Shape) -> LabelPool:
-    """The pool solve_exchange scans when given none: every orbit
-    (full_pool), for every covariance.  Above DEFAULT_ORBIT_BUDGET orbits it
-    raises EnumerationBudgetError; a restricted pool (support_pool,
-    random_pool) is used only when a caller passes one."""
-    return full_pool(shape)
+    """The first `count` distinct orbits among 30 * count uniform random
+    arrays, as canonical forms in colex order."""
+    if count < 1:
+        raise ValueError("a random pool needs at least one array")
+    return _drawn_pool(shape, count, 30 * count,
+                       lambda rng: rng.integers(1, shape.t + 1, size=shape.p), seed)
 
 
 def _active_slopes(table: np.ndarray, x: float):
@@ -954,7 +920,7 @@ def solve_exchange(
 ) -> SolveResult:
     """Maximize the measure criterion over a pool by minimising the envelope.
 
-    The pool defaults to every orbit of the shape (default_pool), so the
+    The pool defaults to every orbit of the shape (full_pool), so the
     optimum and its certificate cover all arrays; above DEFAULT_ORBIT_BUDGET
     orbits that raises EnumerationBudgetError, and a restricted pool must
     be passed explicitly.  A pool is scored as one label matrix (a
@@ -975,7 +941,7 @@ def solve_exchange(
     peak less the peak; the result is flagged converged when gap <= tol
     (relative).
     """
-    pool = LabelPool.of(default_pool(shape) if pool is None else pool)
+    pool = LabelPool.of(full_pool(shape) if pool is None else pool)
     table = triple_table(pool, sigma)
     w = None
     if init is not None:

@@ -18,6 +18,7 @@ from fielddesign.arrays import (
     apply_permutation,
     canonical_form,
     canonical_labels,
+    canonical_pool,
     classify_array,
     count_statistics,
     enumerate_label_matrix,
@@ -72,6 +73,10 @@ def test_array_rejects_bad_grids():
         BlockArray.from_rows(shape, [[1, 1, 1]])
     with pytest.raises(ValueError):
         BlockArray.from_rows(shape, [[1, 1, 3], [1, 1, 1]])
+    for label in (1.0, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            BlockArray.from_rows(shape, [[1, 1, 2], [1, 2, label]])
+    assert BlockArray.from_rows(shape, [[1, 1, 2], [1, 2, np.int8(2)]]).rows[1] == (1, 2, 2)
 
 
 def test_transpose_flips_grid():
@@ -213,12 +218,48 @@ def test_label_pool_is_a_read_only_sequence_of_arrays():
         LabelPool(shape, lab[:, :4])
 
 
+def _sequential_canonical_form(seq) -> tuple[int, ...]:
+    # the one-array-at-a-time relabeling canonical_labels replaced, kept
+    # here as its reference: labels numbered by first appearance
+    relabel: dict[int, int] = {}
+    return tuple(relabel.setdefault(v, len(relabel) + 1) for v in seq)
+
+
 def test_canonical_labels_equal_canonical_form():
     shape = Shape(3, 3, 5)
     lab = np.random.default_rng(4).integers(1, 6, size=(300, shape.p))
     got = canonical_labels(lab)
-    want = [canonical_form(BlockArray.from_colex(shape, r)).colex for r in lab.tolist()]
+    want = [_sequential_canonical_form(r) for r in lab.tolist()]
     assert list(map(tuple, got.tolist())) == want
+    assert [canonical_form(BlockArray.from_colex(shape, r)).colex
+            for r in lab.tolist()] == want
+
+
+def test_canonical_pool_keeps_the_first_distinct_forms_in_colex_order():
+    shape = Shape(2, 3, 3)
+    rows = np.random.default_rng(8).integers(1, 4, size=(200, shape.p))
+    distinct = list(dict.fromkeys(_sequential_canonical_form(r) for r in rows.tolist()))
+    for k in (None, 1, 7, len(distinct), len(distinct) + 5):
+        got = canonical_pool(shape, rows, k).labels
+        assert list(map(tuple, got.tolist())) == sorted(distinct[:k])
+
+
+@pytest.mark.parametrize("abt, seq", [
+    ((2, 3, 5), (3, 3, 5, 1, 5, 3)),      # three labels of five, none canonical
+    ((2, 2, 4), (4, 2, 2, 4)),            # two labels, the larger first
+    ((3, 3, 6), (2, 2, 2, 2, 2, 2, 2, 2, 2)),  # one label
+    ((2, 3, 4), (1, 2, 1, 3, 2, 3)),      # already canonical
+])
+def test_orbit_members_follow_injection_order(abt, seq):
+    # the reference: each injection of the distinct labels, in order of
+    # first appearance, into 1..t, applied through a dict
+    shape = Shape(*abt)
+    s = BlockArray.from_colex(shape, seq)
+    labels = list(dict.fromkeys(seq))
+    want = [tuple(dict(zip(labels, image))[v] for v in seq)
+            for image in itertools.permutations(range(1, shape.t + 1), len(labels))]
+    assert [m.colex for m in orbit_members(s)] == want
+    assert len(want) == orbit_size(s)
 
 
 def test_count_statistics_reference_values():

@@ -119,6 +119,16 @@ def test_verify_shape_flag_mismatch(capsys, tmp_path):
     assert code == 1 and "shape" in err
 
 
+@pytest.mark.parametrize("label", [1.9, True, 2.0, "1"])
+def test_non_integer_labels_are_input_errors(capsys, tmp_path, label):
+    # labels once went through int(): 1.9 was scored as 1, true as 1
+    blocks = [[[label, 1, 2], [1, 2, 2]], *OPTIMAL_BLOCKS_232[1:]]
+    path = write_design(tmp_path, "d.json", 2, 3, 2, blocks)
+    code, out, err = run(capsys, "efficiency", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_efficiency_of_optimal_design(capsys, tmp_path):
     path = write_design(tmp_path, "d.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
     code, out, _ = run(capsys, "efficiency", path)

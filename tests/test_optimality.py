@@ -457,12 +457,19 @@ def test_restricted_pools_keep_contents_and_order():
     # became label matrices
     assert _digest(support_pool(Shape(3, 3, 4), seed=1)) == \
         "9b45ca672ad7d5f0277a8e8786e8714953c5b347054325d53c9211f51c958bb5"
-    assert _digest(support_pool(Shape(2, 4, 7), seed=5, extra=10)) == \
-        "5d4a7944f4a94a3c3e15c201b24948bdebc4fa5851a4d5d624a7766c6560f023"
     assert _digest(random_pool(Shape(3, 3, 9), 40, seed=5)) == \
         "1d6cfed817591f090e015c603080c238480190947e00e0d111a6fedb1532b2a1"
     assert _digest(random_pool(Shape(2, 3, 5), 40, seed=1)) == \
         "a5ebb0489a0197b98fc6d62939000bcb725d99ea88a859ede28682536f97fd96"
+    # the corner-double branch for a = 2 and for a >= 3, and the balanced
+    # branch on a shape whose 15 balanced orbits never fill the 64 wanted,
+    # so every one of its 1,280 draws is made
+    assert _digest(support_pool(Shape(2, 4, 7))) == \
+        "37e098a7217918f1b5b865b8084410891e6298a553e55b68d88bf0d3d7792cfe"
+    assert _digest(support_pool(Shape(3, 3, 8))) == \
+        "2a934969eaddab1c1b706142ebce64027bcad520c562ac449851d0e2953bd97b"
+    assert _digest(support_pool(Shape(2, 3, 3))) == \
+        "878786afc4cf3412cfb1d7541de629f787e8e12d41669fa9b07580a5142ee455"
 
 
 TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
