@@ -27,8 +27,7 @@ def main() -> None:
 
     for rho in (0.2, 0.5, 0.8):
         res = solve_exchange(shape, ar_kernel(shape.p, rho))
-        atoms = sorted(res.measure.atoms.items(),
-                       key=lambda kv: -float(kv[1]))
+        atoms = sorted(res.measure.items(), key=lambda kv: -float(kv[1]))
         head = ", ".join(f"{s} @ {float(w):.3f}" for s, w in atoms[:3])
         print(f"rho={rho}: y*={res.y_star:.6f} gap={float(res.gap):.1e} "
               f"iters={res.iterations}\n    support: {head}")

@@ -75,9 +75,9 @@ def normalize_shape(a: int, b: int, t: int) -> tuple[Shape, bool]:
     return Shape(a, b, t), False
 
 
-def _integer_label(v) -> int:
+def _integer(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"treatment label {v!r} is not an integer")
+        raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
 
 
@@ -101,7 +101,8 @@ class BlockArray:
     def from_rows(shape: Shape, rows: Sequence[Sequence[int]]) -> "BlockArray":
         """Rows of Python or numpy integers; any other label (a float, a
         bool, a string) is a ValueError, never rounded or coerced."""
-        return BlockArray(shape, tuple(tuple(_integer_label(v) for v in r) for r in rows))
+        return BlockArray(shape, tuple(tuple(_integer(v, "treatment label") for v in r)
+                                       for r in rows))
 
     @staticmethod
     def from_colex(shape: Shape, seq: Sequence[int]) -> "BlockArray":
@@ -132,7 +133,7 @@ class BlockArray:
 
     @staticmethod
     def from_json(obj: Mapping) -> "BlockArray":
-        shape = Shape(int(obj["a"]), int(obj["b"]), int(obj["t"]))
+        shape = Shape(*(_integer(obj[k], f"{k} =") for k in "abt"))
         return BlockArray.from_rows(shape, obj["rows"])
 
     def __str__(self) -> str:
@@ -167,13 +168,10 @@ def apply_permutation(s: BlockArray, sigma: Mapping[int, int]) -> BlockArray:
     )
 
 
-def distinct_treatments(s: BlockArray) -> int:
-    return len(set(s.colex))
-
-
 def orbit_size(s: BlockArray) -> int:
-    """Number of distinct arrays obtainable from s by relabeling: t!/(t-rho)!."""
-    return math.perm(s.shape.t, distinct_treatments(s))
+    """Number of distinct arrays obtainable from s by relabeling: t!/(t-rho)!,
+    with rho the number of distinct treatments in s."""
+    return math.perm(s.shape.t, len(set(s.colex)))
 
 
 def orbit_labels(ranks: np.ndarray, t: int, images=None) -> np.ndarray:
@@ -437,8 +435,7 @@ class ArrayClassification:
     with exactly i significant treatments and p - 2i treatments appearing
     exactly once (0 <= i <= 4); q1_strict / q2_strict additionally require
     every significant treatment to be strict.  balanced marks arrays whose
-    replication counts over all t treatments differ by at most one, and
-    in_m marks membership in any of the q_index classes.
+    replication counts over all t treatments differ by at most one.
     """
 
     significant: tuple[tuple[int, bool], ...]
@@ -447,10 +444,6 @@ class ArrayClassification:
     q1_strict: bool
     q2_strict: bool
     balanced: bool
-    in_m: bool
-
-    def in_q(self, i: int) -> bool:
-        return self.q_index == i
 
 
 def _positions(s: BlockArray) -> dict[int, list[tuple[int, int]]]:
@@ -519,7 +512,6 @@ def classify_array(s: BlockArray) -> ArrayClassification:
         q1_strict=q1_strict,
         q2_strict=q2_strict,
         balanced=balanced,
-        in_m=q_index is not None,
     )
 
 

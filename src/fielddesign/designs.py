@@ -21,6 +21,7 @@ from .arrays import (
     LabelPool,
     Orbit,
     Shape,
+    _integer,
     canonical_pool,
     label_matrix,
     orbit_labels,
@@ -80,9 +81,9 @@ class ExactDesign:
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExactDesign":
-        a, b, t = int(obj["a"]), int(obj["b"]), int(obj["t"])
+        a, b, t = (_integer(obj[k], f"{k} =") for k in "abt")
         rows_list = obj["blocks"]
-        if "n" in obj and int(obj["n"]) != len(rows_list):
+        if "n" in obj and _integer(obj["n"], "n =") != len(rows_list):
             raise ValueError(
                 f"declared n={obj['n']} but {len(rows_list)} blocks given")
         if a > b:
@@ -99,11 +100,9 @@ class ExactDesign:
 
 
 def measure_of_design(d: ExactDesign) -> Measure:
-    """Empirical measure with exact weights n_s / n."""
-    counts: dict[BlockArray, int] = {}
-    for s in d.blocks:
-        counts[s] = counts.get(s, 0) + 1
-    return Measure(d.shape, {s: Fraction(c, d.n) for s, c in counts.items()})
+    """Empirical measure with exact weights n_s / n, its atoms in order of
+    first appearance among the blocks."""
+    return Measure.from_labels(d.shape, label_matrix(d.blocks), [Fraction(1, d.n)] * d.n)
 
 
 @dataclass

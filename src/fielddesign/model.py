@@ -30,11 +30,10 @@ the independent check of that kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -160,19 +159,6 @@ def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
     inv = np.linalg.inv(sigma_matrix(sigma, p))
     u = inv.sum(axis=1)
     return inv - np.outer(u, u) / u.sum()
-
-
-def btilde_fraction(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    """Exact rational Btilde; only the identity-kernel family supports it."""
-    scale = rational_scale(sigma)
-    if scale is None:
-        raise ValueError("exact path needs Identity or rational type-H covariance")
-    out = np.empty((p, p), dtype=object)
-    off = -scale * Fraction(1, p)
-    out[:] = off
-    for i in range(p):
-        out[i, i] = scale - scale * Fraction(1, p)
-    return out
 
 
 def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:
@@ -406,7 +392,7 @@ def component_table(
 
 def block_components(s: BlockArray, sigma: CovarianceSpec = IDENTITY, exact: bool = False):
     """Per-block information components (C00, C01, C11), each t x t."""
-    return accumulate_components([(s, 1)], sigma, exact=exact)
+    return accumulate_components(s.shape, label_matrix([s]), [1], sigma, exact)
 
 
 def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
@@ -476,59 +462,49 @@ def schur_complement(c00, c01, c11, exact: bool = False):
 
 
 def exact_weighted_sum(
-    weights: Sequence[Fraction | int],
+    numerators: Sequence[int],
     group_sum: Callable[[np.ndarray], np.ndarray],
     factor,
 ) -> np.ndarray:
-    """factor * sum_k w_k x_k in exact Fractions, where group_sum(rows) is
-    the int64 sum of x_k over an index array.  Rows sharing a weight (every
-    atom of one orbit does) are summed in one call, and the groups combined
-    in Python integers over the weights' common denominator."""
-    groups: dict[Fraction, list[int]] = {}
-    for k, w in enumerate(weights):
-        groups.setdefault(Fraction(w), []).append(k)
-    den = math.lcm(*(w.denominator for w in groups))
-    total = sum(group_sum(np.array(rows)).astype(object) * (w * den).numerator
-                for w, rows in groups.items())
-    return total * (factor / den)
+    """factor * sum_k n_k x_k for integer n_k of any size, where
+    group_sum(rows) is the int64 sum of x_k over an index array.  Rows
+    sharing a numerator (every atom of one orbit does) are summed in one
+    call, and the groups combined in Python integers."""
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(numerators):
+        groups.setdefault(int(n), []).append(k)
+    return sum(group_sum(np.array(rows)).astype(object) * n
+               for n, rows in groups.items()) * factor
 
 
-def accumulate_components(
-    weighted_blocks: Iterable[tuple[BlockArray, object]],
-    sigma: CovarianceSpec = IDENTITY,
-    exact: bool = False,
-    labels: np.ndarray | None = None,
-):
-    """Weighted sums of (C00, C01, C11) over (array, weight) pairs; exact
-    sums are Fractions, converted once per entry (see exact_weighted_sum).
-    labels, if given, is the label_matrix of the arrays."""
-    pairs = list(weighted_blocks)
-    if not pairs:
+def accumulate_components(shape: Shape, labels: np.ndarray, weights: Sequence,
+                          sigma: CovarianceSpec = IDENTITY, exact: bool = False):
+    """Weighted sums of (C00, C01, C11) over the rows of an (N, p) label
+    matrix.  Exact sums take integer weights and give Fractions, converted
+    once per entry (see exact_weighted_sum); float sums take float weights."""
+    if not len(labels):
         raise ValueError("no blocks given")
-    shape = pairs[0][0].shape
     kern = _pair_kernel(shape, sigma, exact)
-    lab = label_matrix([s for s, _ in pairs]) if labels is None else labels
     if exact:
         out = exact_weighted_sum(
-            [w for _, w in pairs],
-            lambda rows: kern.component_sum(lab[rows], np.ones(len(rows), dtype=np.int64)),
+            weights,
+            lambda rows: kern.component_sum(labels[rows], np.ones(len(rows), dtype=np.int64)),
             kern.scale / shape.p)
     else:
-        weights = np.array([float(w) for _, w in pairs])
-        out = kern.component_sum(lab, weights) * kern.unit
+        out = kern.component_sum(labels, np.asarray(weights, dtype=float)) * kern.unit
     return out[0], out[1], out[2]
 
 
 def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Information matrix of an exact design (blocks accumulated, then Schur)."""
-    comps = accumulate_components([(s, 1) for s in design.blocks], sigma, exact=exact)
+    comps = accumulate_components(design.shape, label_matrix(design.blocks), [1] * design.n,
+                                  sigma, exact)
     return schur_complement(*comps, exact=exact)
 
 
 def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Per-block-average information matrix of an approximate measure."""
-    comps = accumulate_components(measure.atoms.items(), sigma, exact=exact)
-    return schur_complement(*comps, exact=exact)
+    return schur_complement(*measure.components(sigma, exact), exact=exact)
 
 
 def centering_projector(t: int, exact: bool = False) -> np.ndarray:

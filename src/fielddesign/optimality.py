@@ -32,7 +32,7 @@ from .arrays import (
     classify_array,
     enumerate_label_matrix,
     label_matrix,
-    orbit_members,
+    orbit_labels,
     orbit_size,
 )
 from .model import (
@@ -61,99 +61,141 @@ def _is_rational(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _triple_rows(pool: Sequence[BlockArray], sigma: CovarianceSpec, exact: bool):
-    """(N, 3) coefficient rows of a pool and the value of one unit in each
-    column: int64 numerators with exact units, or floats."""
-    pool = LabelPool.of(pool)
+def _triple_rows(shape: Shape, labels: np.ndarray, sigma: CovarianceSpec, exact: bool):
+    """(N, 3) coefficient rows of a label matrix and the value of one unit in
+    each column: int64 numerators with exact units, or floats."""
     if exact:
-        nums = trace_numerators_batch(pool.labels, pool.shape)
-        return np.column_stack(nums), exact_units(pool.shape, rational_scale(sigma))
-    return triple_table(pool, sigma), np.ones(3)
+        nums = trace_numerators_batch(labels, shape)
+        return np.column_stack(nums), exact_units(shape, rational_scale(sigma))
+    return triple_table(LabelPool(shape, labels), sigma), np.ones(3)
 
 
 class Measure:
     """Probability weights over block arrays of one shape.
 
-    Weights given as int or Fraction stay exact; any float atom switches
-    the whole measure to floating point.
+    The atoms are the rows of `labels`, a read-only (N, p) int64 colex label
+    matrix of distinct rows.  Weights given as int or Fraction stay exact:
+    `weights` holds their Python-int numerators over `denominator`, the
+    least common denominator.  Any float weight switches the whole measure
+    to floating point: `weights` is then one read-only float64 vector and
+    `denominator` is None.
     """
 
-    __slots__ = ("shape", "atoms")
+    __slots__ = ("shape", "labels", "weights", "denominator")
 
     def __init__(self, shape: Shape, atoms: Mapping[BlockArray, object]):
-        clean: dict[BlockArray, object] = {}
-        exact = True
-        for s, w in atoms.items():
-            if s.shape != shape:
-                raise ValueError("atom shape differs from the measure shape")
-            if _is_rational(w):
-                w = Fraction(w)
-            else:
-                w = float(w)
-                exact = False
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            if w == 0:
-                continue
-            clean[s] = clean.get(s, Fraction(0) if _is_rational(w) else 0.0) + w
-        if not clean:
+        if any(s.shape != shape for s in atoms):
+            raise ValueError("atom shape differs from the measure shape")
+        labels = label_matrix(list(atoms)) if atoms else np.empty((0, shape.p))
+        self._fill(shape, labels, list(atoms.values()))
+
+    @staticmethod
+    def from_labels(shape: Shape, labels: np.ndarray, weights: Sequence) -> "Measure":
+        """Measure with weights[k] on row k of an (N, p) label matrix.  Equal
+        rows merge, at the place where the first of them stands, and rows of
+        weight zero drop out."""
+        xi = Measure.__new__(Measure)
+        xi._fill(shape, labels, list(weights))
+        return xi
+
+    def _fill(self, shape: Shape, labels, weights: list) -> None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (len(weights), shape.p):
+            raise ValueError(f"need one weight per row of an (N, {shape.p}) label matrix")
+        exact = all(_is_rational(w) for w in weights)
+        weights = [Fraction(w) if exact else float(w) for w in weights]
+        if any(w < 0 for w in weights):
+            raise ValueError("weights must be nonnegative")
+        keep = [k for k, w in enumerate(weights) if w != 0]
+        if not keep:
             raise ValueError("a measure needs at least one atom of positive weight")
-        total = sum(clean.values())
-        if exact:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(total)}, expected 1")
+        weights = [weights[k] for k in keep]
+        index: dict[tuple, int] = {}  # the distinct rows, in order of first appearance
+        slot = [index.setdefault(tuple(r), len(index)) for r in labels[keep].tolist()]
         self.shape = shape
-        self.atoms = clean
+        self.labels = np.array(list(index), dtype=np.int64).reshape(len(index), shape.p)
+        self.labels.flags.writeable = False
+        if exact:
+            den = math.lcm(*(w.denominator for w in weights))
+            nums = [0] * len(index)
+            for j, w in zip(slot, weights):
+                nums[j] += w.numerator * (den // w.denominator)
+            if sum(nums) != den:
+                raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
+            g = math.gcd(den, *nums)  # merged rows may leave a common factor
+            self.weights, self.denominator = tuple(n // g for n in nums), den // g
+        else:
+            vec = np.zeros(len(index))
+            np.add.at(vec, slot, weights)
+            total = sum(vec.tolist())
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"weights sum to {total}, expected 1")
+            vec.flags.writeable = False
+            self.weights, self.denominator = vec, None
 
     @staticmethod
     def point(s: BlockArray) -> "Measure":
         return Measure(s.shape, {s: Fraction(1)})
 
     @staticmethod
-    def from_orbit_weights(
-        shape: Shape,
-        pairs: Iterable[tuple[Orbit, object]],
-        limit: int | None = None,
-    ) -> "Measure":
-        """Spread each orbit weight uniformly over all its member arrays."""
+    def from_orbit_weights(shape: Shape, pairs: Iterable[tuple[Orbit, object]]) -> "Measure":
+        """Spread each orbit weight uniformly over all its member arrays:
+        the atoms run orbit by orbit, each in orbit_labels order."""
         pairs = list(pairs)
-        total = sum(o.size for o, _ in pairs)
-        if limit is not None and total > limit:
-            raise ValueError(f"orbit expansion needs {total} atoms, limit is {limit}")
-        atoms: dict[BlockArray, object] = {}
-        for orbit, w in pairs:
-            share = (Fraction(w) if _is_rational(w) else float(w)) / orbit.size
-            for member in orbit_members(orbit.representative):
-                atoms[member] = atoms.get(member, 0) + share
-        return Measure(shape, atoms)
+        ranks = canonical_labels(label_matrix([o.representative for o, _ in pairs])) - 1
+        blocks = [orbit_labels(r, shape.t) for r in ranks]
+        shares = [(Fraction(w) if _is_rational(w) else float(w)) / o.size for o, w in pairs]
+        return Measure.from_labels(shape, np.concatenate(blocks),
+                                   [w for w, b in zip(shares, blocks) for _ in range(len(b))])
 
     def is_exact(self) -> bool:
-        return all(isinstance(w, Fraction) for w in self.atoms.values())
+        return self.denominator is not None
 
-    def items(self):
-        return self.atoms.items()
+    def float_weights(self) -> np.ndarray:
+        """The weights as one float64 vector, each exact one rounded once."""
+        if self.denominator is None:
+            return self.weights
+        return np.array([n / self.denominator for n in self.weights])
+
+    def _weight_list(self) -> list:
+        if self.denominator is None:
+            return self.weights.tolist()
+        return [Fraction(n, self.denominator) for n in self.weights]
+
+    def items(self) -> list[tuple[BlockArray, Fraction | float]]:
+        """(array, weight) pairs in atom order, the arrays built on each call."""
+        return [(BlockArray.from_colex(self.shape, row), w)
+                for row, w in zip(self.labels.tolist(), self._weight_list())]
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.labels)
+
+    def components(self, sigma: CovarianceSpec = IDENTITY, exact: bool = False):
+        """Weighted sums of the atoms' (C00, C01, C11); Fractions when exact."""
+        if exact and self.denominator is None:
+            raise ValueError("exact sums need a measure with exact weights")
+        comps = accumulate_components(self.shape, self.labels,
+                                      self.weights if exact else self.float_weights(), sigma, exact)
+        return tuple(c / self.denominator for c in comps) if exact else comps
 
     def to_json(self) -> list:
-        out = []
-        for s, w in sorted(self.atoms.items(), key=lambda kv: kv[0].colex):
-            out.append({"array": s.to_json(), "weight": _number_json(w)})
-        return out
+        """Atoms in colex order, arrays in BlockArray.to_json form."""
+        a, b, t = self.shape.a, self.shape.b, self.shape.t
+        grids = self.labels.reshape(-1, b, a).transpose(0, 2, 1).tolist()
+        weights = self._weight_list()
+        return [{"array": {"a": a, "b": b, "t": t, "rows": grids[k]},
+                 "weight": _number_json(weights[k])}
+                for k in np.lexsort(self.labels.T[::-1]).tolist()]
 
 
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
     """Weighted sum of per-array coefficient triples."""
     exact = xi.is_exact() and rational_scale(sigma) is not None
-    rows, units = _triple_rows(list(xi.atoms), sigma, exact)
-    weights = list(xi.atoms.values())
+    rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
     if exact:
-        c = exact_weighted_sum(weights, lambda k: rows[k].sum(axis=0), units)
+        c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0), units / xi.denominator)
     else:
-        c = [float(v) for v in np.array(weights, dtype=float) @ rows]
+        c = [float(v) for v in xi.float_weights() @ rows]
     return CoefficientTriple(*c, source="aggregate")
 
 
@@ -196,7 +238,7 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     if rational_scale(sigma) is not None and _is_rational(x):
         xf = Fraction(x)
         u, v = xf.numerator, xf.denominator
-        rows, units = _triple_rows(pool, sigma, exact=True)
+        rows, units = _triple_rows(shape, pool.labels, sigma, exact=True)
         n00, n01, n11 = rows.T
         t = shape.t
         if abs(v) <= 10_000 and abs(u) <= 30_000:
@@ -214,20 +256,6 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     q = _scores(triple_table(pool, sigma), float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
-
-
-def support_set(
-    shape: Shape,
-    x_star,
-    y_star,
-    pool: Sequence[BlockArray],
-    tol: float = GAP_TOL,
-    sigma: CovarianceSpec = IDENTITY,
-) -> list[BlockArray]:
-    """Pool arrays whose quadratic meets y* at x* within tolerance."""
-    pool = LabelPool.of(pool)
-    keep = _touching(triple_table(pool, sigma), x_star, y_star, tol)
-    return [pool[k] for k in np.flatnonzero(keep)]
 
 
 def _scores(table: np.ndarray, x: float) -> np.ndarray:
@@ -632,7 +660,8 @@ def solve_sbs_proportions(
     if not orbits:
         raise ValueError("no orbits given")
     exact = _is_rational(x_star) and rational_scale(sigma) is not None
-    rows, units = _triple_rows([o.representative for o in orbits], sigma, exact)
+    reps = LabelPool.of([o.representative for o in orbits])
+    rows, units = _triple_rows(reps.shape, reps.labels, sigma, exact)
     x = Fraction(x_star) if exact else float(x_star)
     g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
          else float(n01 + x * n11) for _, n01, n11 in rows]
@@ -709,9 +738,7 @@ def verify_measure(
         and _is_rational(x_star)
         and _is_rational(y_star)
     )
-    atoms = LabelPool.of(list(xi.atoms))
-    c00, c01, c11 = comps = accumulate_components(xi.items(), sigma, exact,
-                                                  labels=atoms.labels)
+    c00, c01, c11 = comps = xi.components(sigma, exact)
     bt = centering_projector(t, exact=exact)
     num = Fraction if exact else float
     x, y = num(x_star), num(y_star)
@@ -721,12 +748,14 @@ def verify_measure(
     balance = _max_abs(bt @ (c00 + x * c01) @ bt - target, exact)
     slope = _max_abs(bt @ (c01.T + x * c11) @ bt, exact)
     # support: atoms of one orbit share a triple, so test each distinct row once
-    rows, units = _triple_rows(atoms, sigma, exact)
+    rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
                     > tol * max(1, abs(y_star)) for c in distinct])[inverse.reshape(-1)]
-    support_mass = sum((w for w, o in zip(xi.atoms.values(), off) if o),
-                       Fraction(0) if exact else 0.0)
+    if exact:
+        support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
+    else:  # left to right in atom order, not np.sum's pairwise order
+        support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     info_res = _max_abs(schur_complement(*comps, exact=exact) - target, exact)
     ok = balance <= tol and slope <= tol and support_mass <= tol
     return VerificationReport(
@@ -894,10 +923,10 @@ def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
     return 0.5 * (lo + hi), max_iter
 
 
-def _pool_rows(pool: LabelPool, atoms: Sequence[BlockArray]) -> np.ndarray:
-    """Pool row of each atom: the first row equal to it, else the first row
-    equal to its canonical form; ValueError when neither is in the pool."""
-    lab = label_matrix(atoms)
+def _pool_rows(pool: LabelPool, lab: np.ndarray) -> np.ndarray:
+    """Pool row of each row of a label matrix: the first row equal to it,
+    else the first row equal to its canonical form; ValueError when neither
+    is in the pool."""
     keys = np.concatenate([pool.labels, lab, canonical_labels(lab)])
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
@@ -925,7 +954,7 @@ def solve_exchange(
     orbits that raises EnumerationBudgetError, and a restricted pool must
     be passed explicitly.  A pool is scored as one label matrix (a
     LabelPool; a plain sequence of arrays is converted once), and only the
-    measure atoms and support rows become BlockArrays.
+    support rows and the orbit representatives become BlockArrays.
 
     By minimax duality max_xi min_x sum_s xi_s q_s(x) = min_x r(x), with
     r(x) = max_s q_s(x) convex and piecewise quadratic.  The minimiser
@@ -946,8 +975,7 @@ def solve_exchange(
     w = None
     if init is not None:
         w = np.zeros(len(pool))
-        np.add.at(w, _pool_rows(pool, list(init.atoms)),
-                  [float(wt) for wt in init.atoms.values()])
+        np.add.at(w, _pool_rows(pool, init.labels), init.float_weights())
         w /= w.sum()
         qs, xt, gap = _peak(w, table, 0.0)
         iterations = 0
@@ -962,11 +990,11 @@ def solve_exchange(
     keep = w > 1e-15
     w = np.where(keep, w, 0.0)
     w /= w.sum()
-    atoms = {pool[k]: float(w[k]) for k in np.flatnonzero(keep)}
-    measure = Measure(shape, atoms)
+    keep = np.flatnonzero(keep)
+    measure = Measure.from_labels(shape, pool.labels[keep], w[keep])
     orbit_pairs = tuple(
         (Orbit(s, orbit_size(s)), wt) for s, wt in sorted(
-            atoms.items(), key=lambda kv: kv[0].colex)
+            measure.items(), key=lambda kv: kv[0].colex)
     )
     return SolveResult(
         shape=shape,

@@ -129,6 +129,18 @@ def test_non_integer_labels_are_input_errors(capsys, tmp_path, label):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fields", [
+    {"b": 3.9, "t": 2.5, "n": 4.6}, {"t": 2.0}, {"n": "4"}, {"a": True, "b": 3}])
+def test_non_integer_shape_fields_are_input_errors(capsys, tmp_path, fields):
+    # a, b, t and n once went through int(): b=3.9 was read as 3, true as 1
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(
+        {"a": 2, "b": 3, "t": 2, "n": 4, "blocks": OPTIMAL_BLOCKS_232, **fields}))
+    code, out, err = run(capsys, "efficiency", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_efficiency_of_optimal_design(capsys, tmp_path):
     path = write_design(tmp_path, "d.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
     code, out, _ = run(capsys, "efficiency", path)
@@ -285,24 +297,32 @@ def test_general_sigma_over_the_orbit_budget_exits_2(capsys, tmp_path, monkeypat
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
 
 
-# sha256 of stdout, recorded before pools became label matrices
+# exit code and sha256 of stdout, each recorded before the code it runs
+# through was restructured: the first three before pools became label
+# matrices, the rest before measures did
 GOLDEN_STDOUT = {
     "solve --a 2 --b 3 --t 3 --sigma ar05.json":
-        "6e77d92f5ff6d58400a9e5f3c773f0bf43c1cca99e9765b094756a8a3cdb8d5c",
+        (0, "6e77d92f5ff6d58400a9e5f3c773f0bf43c1cca99e9765b094756a8a3cdb8d5c"),
     "solve --a 3 --b 3 --t 4 --force-computational --pool full":
-        "37d4701648e8d151d30ebe786c65b7d03262689051d42c40c17eff520f6892bc",
+        (0, "37d4701648e8d151d30ebe786c65b7d03262689051d42c40c17eff520f6892bc"),
     "enumerate --a 2 --b 3 --t 3 --list":
-        "ca8d7b848d545900e743a414a4c94b970f3bfb6fc5d5bc4353b27c72efb086e6",
+        (0, "ca8d7b848d545900e743a414a4c94b970f3bfb6fc5d5bc4353b27c72efb086e6"),
+    "solve --a 2 --b 3 --t 5":
+        (0, "3afd8c1afa8b40f9b4b84c841f74d77a3067ebc205a9de86b8d64cd8f45b51e0"),
+    "solve --a 2 --b 3 --t 4 --sigma type-h:3/2":
+        (0, "7c2b009a66a9308a55ec905abc58f4ecde1c43b909040663ef525b96478e5d7a"),
+    "verify d232.json --sigma ar05.json":
+        (3, "40731ae22fa5497cec6712fd632e9032204695f675f6b7bb2cc3343afb03d79e"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_stdout_golden_bytes(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.chdir(tmp_path)  # the config echoes the relative --sigma path
+    monkeypatch.chdir(tmp_path)  # the config echoes the relative file paths
     _ar_file(tmp_path / "ar05.json", 6)
+    write_design(tmp_path, "d232.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
     code, out, _ = run(capsys, *command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[command]
 
 
 def test_missing_null_direction_exits_2(capsys, tmp_path, monkeypatch):

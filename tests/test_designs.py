@@ -75,9 +75,12 @@ def test_tall_design_rows_are_transposed():
 def test_measure_of_design_counts_blocks():
     d = design_of(2, 3, 2, OPTIMAL_BLOCKS_232)
     xi = measure_of_design(d)
-    repeated = array_of(2, 3, 2, OPTIMAL_BLOCKS_232[0])
-    assert xi.atoms[repeated] == Fraction(1, 2)
-    assert sum(xi.atoms.values()) == 1 and len(xi) == 3
+    blocks = [array_of(2, 3, 2, rows) for rows in OPTIMAL_BLOCKS_232]
+    weights = dict(xi.items())
+    # atoms in order of first appearance, the repeated block counted twice
+    assert list(weights) == [blocks[0], blocks[2], blocks[3]]
+    assert list(weights.values()) == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    assert xi.weights == (2, 1, 1) and xi.denominator == 4 and len(xi) == 3
 
 
 def test_optimal_design_efficiencies_are_one(optimal_design_232):

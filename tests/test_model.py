@@ -13,7 +13,6 @@ from fielddesign.model import (
     GeneralCov,
     TypeH,
     btilde,
-    btilde_fraction,
     c11_base,
     c_coeffs_closed,
     c_coeffs_trace,
@@ -67,13 +66,6 @@ def test_btilde_general_annihilates_constants():
     assert np.allclose(bt @ np.ones(p), 0, atol=1e-12)
     assert np.allclose(bt, bt.T)
     assert np.linalg.eigvalsh(bt)[0] > -1e-12
-
-
-def test_btilde_fraction_matches_float():
-    p = 6
-    exact = btilde_fraction(TypeH(Fraction(1, 3)), p)
-    assert np.allclose(np.array(exact, dtype=float),
-                       btilde(TypeH(Fraction(1, 3)), p))
 
 
 def test_general_cov_validation():

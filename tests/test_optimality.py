@@ -22,10 +22,21 @@ from fielddesign.arrays import (
     classify_array,
     enumerate_label_matrix,
     enumerate_orbits,
+    label_matrix,
     orbit_members,
     orbit_size,
 )
-from fielddesign.model import IDENTITY, GeneralCov, TypeH, c_coeffs_closed, triple_table
+from fielddesign.model import (
+    IDENTITY,
+    GeneralCov,
+    TypeH,
+    block_components,
+    c_coeffs_closed,
+    centering_projector,
+    info_matrix_measure,
+    schur_complement,
+    triple_table,
+)
 from fielddesign.optimality import (
     LabelPool,
     Measure,
@@ -42,7 +53,6 @@ from fielddesign.optimality import (
     solve_exchange,
     solve_sbs_proportions,
     support_pool,
-    support_set,
     verify_measure,
 )
 
@@ -140,10 +150,28 @@ def test_measure_weight_validation():
     Measure(s.shape, {s: Fraction(1)})  # fine
 
 
-def test_measure_orbit_expansion_limit():
-    res = solve_closed_form(Shape(2, 3, 5))
-    with pytest.raises(ValueError):
-        Measure.from_orbit_weights(Shape(2, 3, 5), res.orbit_weights, limit=3)
+def test_measure_from_labels_merges_rows_at_first_appearance():
+    shape = Shape(2, 3, 2)
+    rows = [[1, 1, 2, 2, 1, 2], [1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 1, 2], [2, 2, 2, 2, 2, 1]]
+    xi = Measure.from_labels(shape, rows, [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0])
+    assert xi.labels.tolist() == rows[:2] and not xi.labels.flags.writeable
+    assert xi.weights == (1, 1) and xi.denominator == 2 and xi.is_exact()
+    # one float weight makes the whole measure float, summed in row order
+    xi = Measure.from_labels(shape, rows[:3], [0.25, Fraction(1, 2), 0.25])
+    assert xi.denominator is None and xi.weights.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="one weight per row"):
+        Measure.from_labels(shape, rows, [1])
+    with pytest.raises(ValueError, match="expected exactly 1"):
+        Measure.from_labels(shape, rows[:2], [Fraction(1, 2), Fraction(1, 3)])
+
+
+def test_orbit_measure_atoms_run_orbit_by_orbit():
+    res = solve_closed_form(Shape(2, 3, 4))
+    xi = res.measure
+    members = [m for o, _ in res.orbit_weights for m in orbit_members(o.representative)]
+    assert [s for s, _ in xi.items()] == members
+    assert [w for _, w in xi.items()] == [
+        w / o.size for o, w in res.orbit_weights for _ in range(o.size)]
 
 
 def test_single_orbit_peak_value():
@@ -185,15 +213,6 @@ def test_r_eval_at_optimum_equals_y_star():
         res = solve_closed_form(shape)
         val, _ = r_eval(res.x_star, full_pool(shape))
         assert abs(float(val) - float(res.y_star)) < 1e-9
-
-
-def test_support_set_matches_descriptor_filter():
-    shape = Shape(2, 3, 5)
-    res = solve_closed_form(shape)
-    pool = full_pool(shape)
-    brute = support_set(shape, res.x_star, res.y_star, pool)
-    by_classes = [s for s in pool if res.q_support.contains(s)]
-    assert brute == by_classes and len(brute) > 0
 
 
 def test_proportions_known_mixture():
@@ -255,6 +274,32 @@ def test_verify_rejects_unbalanced_measure():
     report = verify_measure(xi, IDENTITY, res.x_star, res.y_star)
     assert not report.optimal and report.verdict == "not optimal"
     assert float(report.slope_residual) > 1e-3
+
+
+def test_exact_measure_past_int64_denominators():
+    # weights over two large primes: their common denominator and the third
+    # numerator pass 2**63, so none of the exact sums may narrow to int64
+    shape = Shape(2, 3, 3)
+    blocks = [array_of(2, 3, 3, rows) for rows in (
+        [[1, 2, 3], [1, 2, 3]], [[1, 1, 1], [2, 2, 3]], [[1, 2, 3], [2, 3, 1]])]
+    big, small = 2 ** 61 - 1, 2 ** 31 - 1
+    weights = [Fraction(1, big), Fraction(1, small), 1 - Fraction(1, big) - Fraction(1, small)]
+    assert weights[2].denominator > 2 ** 63 and weights[2].numerator > 2 ** 63
+    xi = Measure(shape, dict(zip(blocks, weights)))
+    want_c = [sum(w * c for w, c in zip(weights, col)) for col in zip(
+        *(c_coeffs_closed(s).astuple() for s in blocks))]
+    assert list(measure_triple(xi).astuple()) == want_c
+    want = [sum(w * c for w, c in zip(weights, comps)) for comps in zip(
+        *(block_components(s, exact=True) for s in blocks))]
+    info = info_matrix_measure(xi, exact=True)
+    assert (info == schur_complement(*want, exact=True)).all()
+    res = solve_closed_form(shape)
+    off = [abs(q_eval(c_coeffs_closed(s), res.x_star) - res.y_star) > 1e-9 * res.y_star
+           for s in blocks]
+    report = verify_measure(xi, IDENTITY, res.x_star, res.y_star)
+    assert report.support_mass == sum(w for w, o in zip(weights, off) if o) > 0
+    target = centering_projector(3, exact=True) * (res.y_star / 2)
+    assert report.info_residual == max(abs(v) for v in (info - target).reshape(-1))
 
 
 def test_equivalence_gap_zero_at_optimum():
@@ -352,7 +397,7 @@ def test_exchange_bisection_stops_at_zero_subgradient(abt, steps):
 def test_exchange_max_iter_caps_bisection():
     res = solve_exchange(Shape(2, 3, 3), _ar_kernel(6, 0.5), max_iter=5)
     assert res.iterations == 5 and res.converged is False
-    assert sum(res.measure.atoms.values()) == pytest.approx(1.0)
+    assert sum(w for _, w in res.measure.items()) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("rho, want", [
@@ -438,9 +483,10 @@ def test_exchange_init_atoms_find_their_pool_rows():
     other = array_of(2, 3, 3, [[1, 1, 3], [2, 2, 3]])
     pool = LabelPool.of([canonical_form(other), raw, canonical_form(other)])
     relabeled = array_of(2, 3, 3, [[3, 3, 1], [2, 2, 1]])
-    assert optimality._pool_rows(pool, [raw, relabeled, other]).tolist() == [1, 0, 0]
+    rows = optimality._pool_rows(pool, label_matrix([raw, relabeled, other]))
+    assert rows.tolist() == [1, 0, 0]
     with pytest.raises(ValueError, match="not represented"):
-        optimality._pool_rows(pool, [canonical_form(raw)])
+        optimality._pool_rows(pool, label_matrix([canonical_form(raw)]))
     shape = Shape(2, 3, 5)
     q = support_pool(shape)
     outside = next(s for s in full_pool(shape) if s not in set(q))
