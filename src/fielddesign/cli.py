@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,35 +49,6 @@ EXIT_NOT_OPTIMAL = 3
 
 class _InputError(Exception):
     """Anything wrong with flags or input files."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; enough to reproduce the run exactly."""
-
-    command: str
-    a: int | None = None
-    b: int | None = None
-    t: int | None = None
-    n: int | None = None
-    sigma: str = "identity"
-    pool: str | None = None
-    tol: float = GAP_TOL
-    seed: int = 0
-    effort: int | None = None
-    design: str | None = None
-    out: str | None = None
-    fmt: str = "json"
-
-    def to_json(self) -> dict:
-        # seed and tol are always present, the rest only when set
-        out = {"command": self.command, "seed": self.seed, "tol": self.tol,
-               "sigma": self.sigma, "format": self.fmt}
-        for key in ("a", "b", "t", "n", "pool", "effort", "design", "out"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 def resolve_sigma(source: str):
@@ -166,11 +137,11 @@ def _check_shape_flags(args, shape: Shape):
             f"design file has shape {shape}, flags say {expected}")
 
 
-def _solve_for(shape: Shape, sigma, args, cfg: RunConfig) -> SolveResult:
+def _solve_for(shape: Shape, sigma, args) -> SolveResult:
     """Dispatch: closed form when the kernel is the centering projector."""
-    if isinstance(sigma, GeneralCov) or getattr(args, "force_computational", False):
-        pool = resolve_pool(cfg.pool, shape, cfg.seed)
-        return solve_exchange(shape, sigma, pool=pool, tol=cfg.tol,
+    if isinstance(sigma, GeneralCov) or args.force_computational:
+        pool = resolve_pool(args.pool, shape, args.seed)
+        return solve_exchange(shape, sigma, pool=pool, tol=args.tol,
                               max_iter=args.max_iter)
     return solve_closed_form(shape, sigma)
 
@@ -190,14 +161,23 @@ def _table(rows) -> str:
     return "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in rows)
 
 
-def _config_rows(cfg: RunConfig):
-    return [("seed", str(cfg.seed)), ("tol", f"{cfg.tol:g}")]
+def _config(args) -> dict:
+    """The resolved invocation, enough to reproduce the run: seed and tol
+    always, the other flags only when set."""
+    out = {"command": args.command, "seed": args.seed, "tol": args.tol,
+           "sigma": args.sigma, "format": args.fmt}
+    for key in ("a", "b", "t", "n", "pool", "effort", "design", "out"):
+        value = getattr(args, key, None)
+        if value is not None:
+            out[key] = value
+    return out
 
 
-def _emit(cfg: RunConfig, doc: dict, rows) -> None:
-    text = _table(rows + _config_rows(cfg)) if cfg.fmt == "table" else canonical_json(doc)
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _emit(args, doc: dict, rows) -> None:
+    config_rows = [("seed", str(args.seed)), ("tol", f"{args.tol:g}")]
+    text = _table(rows + config_rows) if args.fmt == "table" else canonical_json(doc)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -217,11 +197,11 @@ def _class_label(cls) -> str:
 
 # -- subcommands -------------------------------------------------------
 
-def cmd_enumerate(cfg: RunConfig, args) -> int:
+def cmd_enumerate(args) -> int:
     shape, _ = _shape_from_args(args)
     arrays = shape.t ** shape.p
     orbits = orbit_count(shape)
-    doc = {"config": cfg.to_json(), "a": shape.a, "b": shape.b, "t": shape.t,
+    doc = {"config": _config(args), "a": shape.a, "b": shape.b, "t": shape.t,
            "arrays": arrays, "orbits": orbits}
     rows = [("shape", str(shape)), ("arrays", str(arrays)), ("orbits", str(orbits))]
     if args.list:
@@ -237,32 +217,32 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
         ]
         rows += [(str(o.representative), f"size {o.size}  {_class_label(cls)}")
                  for o, cls in listing]
-    _emit(cfg, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
+def cmd_solve(args) -> int:
     shape, transposed = _shape_from_args(args)
-    sigma = resolve_sigma(cfg.sigma)
-    result = _solve_for(shape, sigma, args, cfg)
-    doc = {"config": cfg.to_json(), "transposed": transposed}
+    sigma = resolve_sigma(args.sigma)
+    result = _solve_for(shape, sigma, args)
+    doc = {"config": _config(args), "transposed": transposed}
     doc.update(result.to_json())
     rows = [("shape", str(shape)), ("regime", result.regime),
             ("x_star", result.x_star), ("y_star", result.y_star),
             ("gap", result.gap), ("support", result.q_support.describe()),
             ("converged", str(result.converged))]
-    _emit(cfg, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK if result.converged else EXIT_COMPUTE
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     design = load_design(args.design)
     _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(cfg.sigma)
-    solved = _solve_for(design.shape, sigma, args, cfg)
+    sigma = resolve_sigma(args.sigma)
+    solved = _solve_for(design.shape, sigma, args)
     xi = measure_of_design(design)
-    report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=cfg.tol)
-    doc = {"config": cfg.to_json(),
+    report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=args.tol)
+    doc = {"config": _config(args),
            "x_star": solved.to_json()["x_star"],
            "y_star": solved.to_json()["y_star"],
            "n": design.n,
@@ -274,17 +254,17 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             ("support_mass", float(report.support_mass)),
             ("info_residual", float(report.info_residual)),
             ("verdict", report.verdict)]
-    _emit(cfg, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK if report.optimal else EXIT_NOT_OPTIMAL
 
 
-def cmd_efficiency(cfg: RunConfig, args) -> int:
+def cmd_efficiency(args) -> int:
     design = load_design(args.design)
     _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(cfg.sigma)
-    solved = _solve_for(design.shape, sigma, args, cfg)
+    sigma = resolve_sigma(args.sigma)
+    solved = _solve_for(design.shape, sigma, args)
     report = efficiencies(design, sigma, y_star=float(solved.y_star))
-    doc = {"config": cfg.to_json(), "y_star_source": solved.regime}
+    doc = {"config": _config(args), "y_star_source": solved.regime}
     doc.update(report.to_json())
     rows = [("shape", str(design.shape)), ("n", str(design.n)),
             ("y_star", report.y_star),
@@ -292,26 +272,26 @@ def cmd_efficiency(cfg: RunConfig, args) -> int:
             ("eff_E", report.eff_E), ("eff_T", report.eff_T)]
     if report.diagnostic:
         rows.append(("diagnostic", report.diagnostic))
-    _emit(cfg, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig, args) -> int:
+def cmd_construct(args) -> int:
     if args.n < 1:
         raise _InputError(f"need n >= 1, got {args.n}")
     if args.effort < 1:
         raise _InputError(f"need effort >= 1, got {args.effort}")
     shape, _ = _shape_from_args(args)
-    sigma = resolve_sigma(cfg.sigma)
+    sigma = resolve_sigma(args.sigma)
     design, report = construct_exact(shape, args.n, sigma,
-                                     seed=cfg.seed, effort=args.effort)
-    doc = {"config": cfg.to_json(), "design": design.to_json(),
+                                     seed=args.seed, effort=args.effort)
+    doc = {"config": _config(args), "design": design.to_json(),
            "report": report.to_json()}
     rows = [("shape", str(shape)), ("n", str(design.n))]
     rows += [(f"block {k + 1}", str(blk)) for k, blk in enumerate(design.blocks)]
     rows += [("eff_A", report.eff_A), ("eff_D", report.eff_D),
              ("eff_E", report.eff_E), ("eff_T", report.eff_T)]
-    _emit(cfg, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
@@ -325,11 +305,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _nonnegative(convert):
+    """An argparse type: the flag converted, refusing NaN, infinity and
+    negative values."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"need a finite {convert.__name__} >= 0, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--sigma", default="identity",
                         help="identity | type-h:X | path to JSON/CSV covariance")
-    common.add_argument("--tol", type=float, default=GAP_TOL)
+    common.add_argument("--tol", type=_nonnegative(float), default=GAP_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--format", dest="fmt", choices=("json", "table"),
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full | q | random:N (computational path only); "
                              "default: every orbit, exit 2 above the orbit budget")
     solver.add_argument("--force-computational", action="store_true")
-    solver.add_argument("--max-iter", type=int, default=500)
+    solver.add_argument("--max-iter", type=_nonnegative(int), default=500)
 
     parser = _Parser(prog="fielddesign",
                      description="Optimal designs under two-dimensional interference")
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     shaped(p, required=False)
     p.set_defaults(handler=cmd_efficiency)
 
-    p = sub.add_parser("construct", parents=[common, solver],
+    p = sub.add_parser("construct", parents=[common],
                        help="build an n-block design")
     shaped(p)
     p.add_argument("--n", type=int, required=True)
@@ -383,24 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        t=getattr(args, "t", None),
-        n=getattr(args, "n", None),
-        sigma=args.sigma,
-        pool=getattr(args, "pool", None),
-        tol=args.tol,
-        seed=args.seed,
-        effort=getattr(args, "effort", None),
-        design=getattr(args, "design", None),
-        out=args.out,
-        fmt=args.fmt,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -408,8 +385,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        cfg = _config_from_args(args)
-        return args.handler(cfg, args)
+        return args.handler(args)
     except (_InputError, ValueError, MemoryError, RuntimeError) as exc:
         # anything but bad input is a limit (EnumerationBudgetError is a
         # RuntimeError) or a failed computation, in any subcommand

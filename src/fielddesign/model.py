@@ -406,59 +406,22 @@ def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
     return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _fraction_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    aug = np.concatenate([a.copy(), rhs.copy()], axis=1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r, col] != 0), None)
-        if piv is None:
-            raise np.linalg.LinAlgError("singular rational matrix")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:]
-
-
-def fraction_pinv(c: np.ndarray) -> np.ndarray:
-    """Exact Moore-Penrose inverse of a symmetric rational matrix.
-
-    Uses a rational basis V of the column space: pinv = V (V' C V)^-1 V'.
-    """
-    n = c.shape[0]
-    # column-space basis by Gaussian elimination on a working copy
-    work = c.astype(object).copy()
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if work[r, col] != 0), None)
-        if piv is None:
-            continue
-        work[[row, piv]] = work[[piv, row]]
-        work[row] = work[row] / work[row, col]
-        for r in range(n):
-            if r != row and work[r, col] != 0:
-                work[r] = work[r] - work[r, col] * work[row]
-        pivots.append(col)
-        row += 1
-    if not pivots:
-        return np.full((n, n), Fraction(0), dtype=object)
-    v = c[:, pivots]
-    core = v.T @ c @ v
-    inv = _fraction_solve(core, np.array(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(len(pivots))]
-         for i in range(len(pivots))], dtype=object))
-    return v @ inv @ v.T
-
-
 def schur_complement(c00, c01, c11, exact: bool = False):
     """Information matrix C00 - C01 C11^+ C10 of accumulated components;
-    float components may be (..., t, t) stacks."""
-    if exact:
-        return c00 - c01 @ fraction_pinv(c11) @ c01.T
-    return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
+    float components may be (..., t, t) stacks.
+
+    The exact branch eliminates the C11 block of [[C11, C10], [C01, C00]]
+    with diagonal pivots.  It needs that joint matrix positive semidefinite,
+    as every sum of components with nonnegative weights is: a zero pivot
+    then has a zero row and is skipped, and the trailing block is exact."""
+    if not exact:
+        return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
+    t = len(c11)
+    joint = np.block([[c11, c01.T], [c01, c00]])
+    for k in range(t):
+        if joint[k, k] != 0:
+            joint[k + 1:, k + 1:] -= np.outer(joint[k + 1:, k] / joint[k, k], joint[k, k + 1:])
+    return joint[t:, t:]
 
 
 def exact_weighted_sum(

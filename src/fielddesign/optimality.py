@@ -230,28 +230,20 @@ def q_star(xi: Measure, sigma: CovarianceSpec = IDENTITY):
 def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     """Envelope value max_s q_s(x) over the pool, with its witness array.
 
-    Ties go to the earliest pool entry.  Exact integer scoring when x is
-    rational and the covariance is identity or rational type-H.
+    Ties go to the earliest pool entry.  When x is rational and the
+    covariance is identity or rational type-H, a float shortlist is settled
+    exactly in Python integers.
     """
     pool = LabelPool.of(pool)
     shape = pool.shape
     if rational_scale(sigma) is not None and _is_rational(x):
         xf = Fraction(x)
-        u, v = xf.numerator, xf.denominator
+        u, v, t = xf.numerator, xf.denominator, shape.t
         rows, units = _triple_rows(shape, pool.labels, sigma, exact=True)
-        n00, n01, n11 = rows.T
-        t = shape.t
-        if abs(v) <= 10_000 and abs(u) <= 30_000:
-            score = n00 * (t * v * v) + n01 * (2 * t * u * v) + n11 * (u * u)
-            k = int(np.argmax(score))
-        else:
-            # huge fraction: shortlist by float, settle exactly
-            q = n00 / shape.p + 2 * (n01 / shape.p) * float(xf) \
-                + (n11 / (shape.p * t)) * float(xf) ** 2
-            near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
-            k = min(near, key=lambda i: (
-                -(int(n00[i]) * t * v * v + int(n01[i]) * 2 * t * u * v
-                  + int(n11[i]) * u * u), i))
+        q = _scores(rows / [shape.p, shape.p, shape.p * t], float(xf))
+        near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
+        weights = np.array([t * v * v, 2 * t * u * v, u * u], dtype=object)
+        k = near[int(np.argmax(rows[near].astype(object) @ weights))]
         return q_eval(rows[k].astype(object) * units, xf), pool[k]
     q = _scores(triple_table(pool, sigma), float(x))
     k = int(np.argmax(q))

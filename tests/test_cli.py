@@ -174,6 +174,30 @@ def test_construct_rejects_zero_effort(capsys):
     assert code == 1 and "effort >= 1" in err
 
 
+@pytest.mark.parametrize("flag", [["--pool", "random:3"], ["--force-computational"],
+                                  ["--max-iter", "5"]])
+def test_construct_rejects_solver_flags(capsys, flag):
+    code, out, err = run(capsys, "construct", "--a", "2", "--b", "3", "--t", "3",
+                         "--n", "6", *flag)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: " + flag[0] in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--force-computational", "--tol", "nan"],
+    ["--tol", "-0.5"],
+    ["--tol", "inf"],
+    ["--sigma", "ar05.json", "--max-iter", "-3"],
+])
+def test_bad_tol_and_max_iter_are_input_errors(capsys, tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    _ar_file(tmp_path / "ar05.json", 6)
+    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "3", *flags)
+    assert code == 1 and out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and flags[-2] in errors[0]
+
+
 def test_construct_same_seed_same_bytes(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -313,6 +337,12 @@ GOLDEN_STDOUT = {
         (0, "7c2b009a66a9308a55ec905abc58f4ecde1c43b909040663ef525b96478e5d7a"),
     "verify d232.json --sigma ar05.json":
         (3, "40731ae22fa5497cec6712fd632e9032204695f675f6b7bb2cc3343afb03d79e"),
+    "verify d232.json":
+        (0, "0b7ea230698f999cdb58e143fe5de32902e8b5fc7044b16105f52f6dfbed28b3"),
+    "efficiency d232.json":
+        (0, "766a45a88731df497e694e9b72ac3c9bb0c8caeb6d7da6dfdde86a5dfd6f425c"),
+    "construct --a 2 --b 3 --t 3 --n 6":
+        (0, "04bd035464b2b2924ef92098a018206514283d13186f13d351767b95bca27d01"),
 }
 
 

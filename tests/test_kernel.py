@@ -15,6 +15,7 @@ from fielddesign.model import (
     TypeH,
     block_components,
     closed_numerators_batch,
+    info_matrix_measure,
     trace_numerators_batch,
     triple_table,
 )
@@ -129,6 +130,22 @@ def test_triples_invariant_under_transposition(case):
     cov = GeneralCov.from_matrix(sigma)
     cov_t = GeneralCov.from_matrix(sigma[np.ix_(moved, moved)])
     assert _close(triple_table(flipped, cov_t), triple_table(pool, cov))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+       st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 7)]))
+def test_exact_information_matrix_is_symmetric_with_zero_row_sums(case, nums, x):
+    shape, lab, _ = case
+    nums = nums[:len(lab)]
+    xi = Measure.from_labels(shape, lab, [Fraction(n, sum(nums)) for n in nums])
+    sigma = TypeH(x)
+    got = info_matrix_measure(xi, sigma, exact=True)
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert (got == got.T).all()
+    assert all(sum(row) == 0 for row in got)
+    want = info_matrix_measure(xi, sigma)
+    assert np.abs(np.array(got, dtype=float) - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 def test_grouped_exact_accumulation_matches_per_block_sum():

@@ -17,11 +17,11 @@ from fielddesign.model import (
     c_coeffs_closed,
     c_coeffs_trace,
     centering_projector,
-    fraction_pinv,
     incidence_matrices,
     info_matrix_exact,
     info_matrix_measure,
     label_matrix,
+    schur_complement,
     sigma_from_json,
     sigma_matrix,
     symmetric_pinv,
@@ -173,19 +173,22 @@ def test_exact_measure_info_is_rational():
     assert c[0, 0] + c[0, 1] == 0
 
 
-def test_fraction_pinv_agrees_with_float():
+def test_exact_schur_complement_agrees_with_float():
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        m = rng.integers(-3, 4, size=(3, 3))
-        sym = m + m.T
-        proj = np.eye(3) - np.full((3, 3), 1 / 3)
-        sym = proj @ sym @ proj  # contrast-space matrix, singular
-        exact = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                exact[i, j] = Fraction(sym[i, j]).limit_denominator(10 ** 6)
-        got = fraction_pinv(exact)
-        want = symmetric_pinv(np.array(exact, dtype=float))
+    t = 3
+    for k in range(10):
+        # joint [[C11, C10], [C01, C00]] = G'G is PSD; rank G < t makes C11 singular
+        g = rng.integers(-3, 4, size=(1 + k % (t - 1), 2 * t))
+        if k % 3 == 0:
+            g[:, k % t] = 0  # a zero row and column in C11
+        joint = g.T @ g
+        exact = np.vectorize(lambda v: Fraction(int(v), 1 + k), otypes=[object])(joint)
+        c11, c01, c00 = exact[:t, :t], exact[t:, :t], exact[t:, t:]
+        assert np.linalg.matrix_rank(np.array(c11, dtype=float)) < t
+        got = schur_complement(c00, c01, c11, exact=True)
+        assert all(isinstance(v, Fraction) for v in got.flat)
+        assert (got == got.T).all()
+        want = schur_complement(*(np.array(c, dtype=float) for c in (c00, c01, c11)))
         assert np.allclose(np.array(got, dtype=float), want, atol=1e-9)
 
 

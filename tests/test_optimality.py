@@ -207,6 +207,18 @@ def test_r_eval_exact_and_float_agree():
         assert abs(float(exact) - approx) < 1e-10
 
 
+def test_r_eval_exact_maximum_and_earliest_witness():
+    pool = full_pool(Shape(2, 3, 3))
+    for x in (Fraction(123456789, 987654321), Fraction(0)):
+        values = [q_eval(c_coeffs_closed(s), x) for s in pool]
+        top = max(values)
+        assert values.count(top) > 1  # tied rows: the earliest must win
+        for sigma, scale in ((IDENTITY, 1), (TypeH(Fraction(3, 2)), Fraction(2, 3))):
+            val, witness = r_eval(x, pool, sigma)
+            assert val == top * scale
+            assert witness == pool[values.index(top)]
+
+
 def test_r_eval_at_optimum_equals_y_star():
     for abt in ((2, 3, 2), (2, 3, 5), (3, 3, 8)):
         shape = Shape(*abt)
