@@ -11,6 +11,8 @@ each seed gives one pair of runs under the same conditions.  The snapshot
 holds each checkout's commit, the seeds, every JSON line run.py printed,
 and per workload and metric the median and quartiles of each checkout and
 the number of pairs that each later checkout won against the first.
+Each --traced WORKLOAD adds one `--trace 1` run per checkout, on the first
+seed, after the pairs, under "traced": the per-layer self times and counters.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "op_p50_s", "peak_rss_mb")  # lower is better
+ATTEMPTS = 240
+RETRY_PAUSE_S = 15.0
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -50,12 +55,23 @@ def describe(root: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """run.py's result line.  A run that exits non-zero is run again after
+    a pause, up to ATTEMPTS times in all: its import-time probe can end
+    before the speed sampler's first tick ("the speed sampler took no
+    probe").  The last stderr line of each failed attempt is kept under
+    "retries"."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    retries = []
+    for _ in range(ATTEMPTS):
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+        if proc.returncode == 0:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            return {**result, "retries": retries} if retries else result
+        retries.append((proc.stderr.strip().splitlines() or [""])[-1])
+        time.sleep(RETRY_PAUSE_S)
+    raise RuntimeError(f"{cmd} in {root} failed {ATTEMPTS} times: {retries}")
 
 
 def summarize(runs: list[dict], names: list[str], workloads: list[str]) -> tuple[dict, dict]:
@@ -96,6 +112,8 @@ def main() -> int:
     parser.add_argument("--seeds", required=True, help="e.g. 601-610 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--traced", action="append", default=[],
+                        help="a workload to run once more per checkout with --trace 1")
     args = parser.parse_args()
 
     roots = dict(spec.split("=", 1) for spec in args.root)
@@ -110,6 +128,12 @@ def main() -> int:
                 runs.append({"root": n, "workload": w, "seed": seed, "result": result})
                 print(json.dumps(runs[-1]), flush=True)
     summary, pairs = summarize(runs, names, args.workload)
+    traced = []
+    for w in args.traced:
+        for n in names:
+            result = run_once(Path(roots[n]), w, seeds[0], args.seconds, trace=1)
+            traced.append({"root": n, "workload": w, "seed": seeds[0], "result": result})
+            print(json.dumps(traced[-1]), flush=True)
     snapshot = {
         "roots": {n: describe(Path(p)) for n, p in roots.items()},
         "seeds": seeds,
@@ -118,6 +142,7 @@ def main() -> int:
         "runs": runs,
         "summary": summary,
         "pairs": pairs,
+        "traced": traced,
     }
     args.out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -298,6 +299,11 @@ def cmd_construct(args) -> int:
 # -- argument plumbing -------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-9 and -inf are values for the type check, not options
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with 2 on usage errors; 2 means computation failure here
     def error(self, message):
         self.print_usage(sys.stderr)

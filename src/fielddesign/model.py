@@ -22,14 +22,16 @@ over plot pairs and M the neighbor matrix, Btilde 1 = 0 gives
 
 for K = Btilde.  One pair kernel evaluates both over an (N, p) label
 matrix for every covariance: in int64 on K = pI - J for the identity and
-type-H family, with the scale applied once (exactly when rational), and
-in float on K = Btilde for a dense Sigma.  The paper's closed forms in the
-counting statistics (c_coeffs_closed, closed_numerators_batch) stay as
-the independent check of that kernel.
+type-H family, and in float on K = Btilde for a dense Sigma.  Exact sums
+are Python-int numerators over one known denominator, from counts of each
+weight's rows per (plot pair, label pair) cell, until the output.  The
+paper's closed forms in the counting statistics (c_coeffs_closed,
+closed_numerators_batch) stay as the independent check of that kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -337,10 +339,17 @@ class _PairKernel:
             xo = self.stack @ o[:, None]  # (n, 3, p, t)
             yield slice(lo, lo + len(o)), np.swapaxes(o, 1, 2)[:, None] @ xo
 
-    def component_sum(self, labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(3, t, t) weighted sum of the rows' components."""
-        return sum(np.tensordot(weights[rows], comp, axes=1)
-                   for rows, comp in self.components(labels))
+    def count_sum(self, labels: np.ndarray) -> np.ndarray:
+        """(3, t, t) int64 sum of the rows' O'X O: X contracted with the
+        number of rows placing labels (a, b) on plots (i, j), a bincount."""
+        p, t = self.shape.p, self.shape.t
+        pairs = np.arange(0, p * p * t * t, t * t).reshape(p, p)
+        counts = np.zeros(p * p * t * t, dtype=np.int64)
+        for lo in range(0, len(labels), CHUNK_ROWS):
+            lab = np.ascontiguousarray(labels[lo:lo + CHUNK_ROWS]) - 1
+            idx = (lab * t)[:, :, None] + lab[:, None, :] + pairs
+            counts += np.bincount(idx.ravel(), minlength=len(counts))
+        return (self.stack.reshape(3, p * p) @ counts.reshape(p * p, t * t)).reshape(3, t, t)
 
 
 def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
@@ -410,18 +419,23 @@ def schur_complement(c00, c01, c11, exact: bool = False):
     """Information matrix C00 - C01 C11^+ C10 of accumulated components;
     float components may be (..., t, t) stacks.
 
-    The exact branch eliminates the C11 block of [[C11, C10], [C01, C00]]
-    with diagonal pivots.  It needs that joint matrix positive semidefinite,
-    as every sum of components with nonnegative weights is: a zero pivot
-    then has a zero row and is skipped, and the trailing block is exact."""
+    The exact branch needs [[C11, C10], [C01, C00]] positive semidefinite,
+    as every sum of components with nonnegative weights is.  It clears one
+    denominator and eliminates C11 in integers (Bareiss: exact division by
+    the last pivot, zero pivots have zero rows and are skipped)."""
     if not exact:
         return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
+    den = math.lcm(*(v.denominator for c in (c00, c01, c11) for v in np.ravel(c)))
     t = len(c11)
-    joint = np.block([[c11, c01.T], [c01, c00]])
+    joint = np.vectorize(lambda v: int(v * den), otypes=[object])(
+        np.block([[c11, c01.T], [c01, c00]]))
+    pivot = 1
     for k in range(t):
         if joint[k, k] != 0:
-            joint[k + 1:, k + 1:] -= np.outer(joint[k + 1:, k] / joint[k, k], joint[k, k + 1:])
-    return joint[t:, t:]
+            joint[k + 1:, k + 1:] = (joint[k, k] * joint[k + 1:, k + 1:] - np.outer(
+                joint[k + 1:, k], joint[k, k + 1:])) // pivot
+            pivot = joint[k, k]
+    return joint[t:, t:] * Fraction(1, pivot * den)
 
 
 def exact_weighted_sum(
@@ -429,32 +443,42 @@ def exact_weighted_sum(
     group_sum: Callable[[np.ndarray], np.ndarray],
     factor,
 ) -> np.ndarray:
-    """factor * sum_k n_k x_k for integer n_k of any size, where
+    """factor * sum_k n_k x_k for integer n_k >= 0 of any size, where
     group_sum(rows) is the int64 sum of x_k over an index array.  Rows
     sharing a numerator (every atom of one orbit does) are summed in one
     call, and the groups combined in Python integers."""
-    groups: dict[int, list[int]] = {}
-    for k, n in enumerate(numerators):
-        groups.setdefault(int(n), []).append(k)
-    return sum(group_sum(np.array(rows)).astype(object) * n
-               for n, rows in groups.items()) * factor
+    nums = np.array(numerators, dtype=np.int64 if max(numerators) < 2**63 else object)
+    order = np.argsort(nums, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(nums[order]) != 0) + 1)
+    return sum(group_sum(rows).astype(object) * int(nums[rows[0]]) for rows in groups) * factor
+
+
+def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int],
+                         sigma: CovarianceSpec = IDENTITY):
+    """Exact sum of (C00, C01, C11) over the rows of an (N, p) label matrix
+    with integer weights[k] on row k: a (3, t, t) object array of Python
+    ints, and the positive int denominator they share."""
+    kern = _pair_kernel(shape, sigma, exact=True)
+    nums = exact_weighted_sum(weights, lambda rows: kern.count_sum(labels[rows]),
+                              kern.scale.numerator)
+    return nums, shape.p * kern.scale.denominator
 
 
 def accumulate_components(shape: Shape, labels: np.ndarray, weights: Sequence,
                           sigma: CovarianceSpec = IDENTITY, exact: bool = False):
     """Weighted sums of (C00, C01, C11) over the rows of an (N, p) label
-    matrix.  Exact sums take integer weights and give Fractions, converted
-    once per entry (see exact_weighted_sum); float sums take float weights."""
+    matrix.  Exact sums take integer weights and give Fractions, made once
+    per entry from component_numerators; float sums take float weights."""
     if not len(labels):
         raise ValueError("no blocks given")
-    kern = _pair_kernel(shape, sigma, exact)
     if exact:
-        out = exact_weighted_sum(
-            weights,
-            lambda rows: kern.component_sum(labels[rows], np.ones(len(rows), dtype=np.int64)),
-            kern.scale / shape.p)
+        nums, den = component_numerators(shape, labels, weights, sigma)
+        out = nums * Fraction(1, den)
     else:
-        out = kern.component_sum(labels, np.asarray(weights, dtype=float)) * kern.unit
+        kern = _pair_kernel(shape, sigma)
+        w = np.asarray(weights, dtype=float)
+        out = sum(np.tensordot(w[rows], comp, axes=1)
+                  for rows, comp in kern.components(labels)) * kern.unit
     return out[0], out[1], out[2]
 
 
@@ -470,11 +494,6 @@ def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool =
     return schur_complement(*measure.components(sigma, exact), exact=exact)
 
 
-def centering_projector(t: int, exact: bool = False) -> np.ndarray:
+def centering_projector(t: int) -> np.ndarray:
     """B_t = I - J/t, the projector onto treatment contrasts."""
-    if exact:
-        out = np.full((t, t), -Fraction(1, t), dtype=object)
-        for i in range(t):
-            out[i, i] = 1 - Fraction(1, t)
-        return out
     return np.eye(t) - np.full((t, t), 1.0 / t)

@@ -43,6 +43,7 @@ from .model import (
     accumulate_components,
     c11_base,
     centering_projector,
+    component_numerators,
     exact_units,
     exact_weighted_sum,
     rational_scale,
@@ -120,10 +121,7 @@ class Measure:
             nums = [0] * len(index)
             for j, w in zip(slot, weights):
                 nums[j] += w.numerator * (den // w.denominator)
-            if sum(nums) != den:
-                raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
-            g = math.gcd(den, *nums)  # merged rows may leave a common factor
-            self.weights, self.denominator = tuple(n // g for n in nums), den // g
+            self._set_exact(nums, den)
         else:
             vec = np.zeros(len(index))
             np.add.at(vec, slot, weights)
@@ -133,6 +131,12 @@ class Measure:
             vec.flags.writeable = False
             self.weights, self.denominator = vec, None
 
+    def _set_exact(self, nums: list[int], den: int) -> None:
+        if sum(nums) != den:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
+        g = math.gcd(den, *nums)  # merged rows may leave a common factor
+        self.weights, self.denominator = tuple(n // g for n in nums), den // g
+
     @staticmethod
     def point(s: BlockArray) -> "Measure":
         return Measure(s.shape, {s: Fraction(1)})
@@ -140,13 +144,26 @@ class Measure:
     @staticmethod
     def from_orbit_weights(shape: Shape, pairs: Iterable[tuple[Orbit, object]]) -> "Measure":
         """Spread each orbit weight uniformly over all its member arrays:
-        the atoms run orbit by orbit, each in orbit_labels order."""
+        the atoms run orbit by orbit, each in orbit_labels order.  Exact
+        weights make a measure on the canonical forms first (from_labels:
+        a repeated orbit merges at its first place of positive weight), and
+        its integer numerators are spread orbit by orbit."""
         pairs = list(pairs)
-        ranks = canonical_labels(label_matrix([o.representative for o, _ in pairs])) - 1
-        blocks = [orbit_labels(r, shape.t) for r in ranks]
-        shares = [(Fraction(w) if _is_rational(w) else float(w)) / o.size for o, w in pairs]
-        return Measure.from_labels(shape, np.concatenate(blocks),
-                                   [w for w, b in zip(shares, blocks) for _ in range(len(b))])
+        canon = canonical_labels(label_matrix([o.representative for o, _ in pairs]))
+        if not all(_is_rational(w) for _, w in pairs):
+            blocks = [orbit_labels(r - 1, shape.t) for r in canon]
+            shares = [(Fraction(w) if _is_rational(w) else float(w)) / o.size for o, w in pairs]
+            return Measure.from_labels(shape, np.concatenate(blocks),
+                                       [w for w, b in zip(shares, blocks) for _ in range(len(b))])
+        orbits = Measure.from_labels(shape, canon, [w for _, w in pairs])
+        blocks = [orbit_labels(r - 1, shape.t) for r in orbits.labels]
+        den = orbits.denominator * math.lcm(*map(len, blocks))
+        xi = Measure.__new__(Measure)
+        xi.shape, xi.labels = shape, np.concatenate(blocks)
+        xi.labels.flags.writeable = False
+        xi._set_exact([n * (den // orbits.denominator // len(b))
+                       for n, b in zip(orbits.weights, blocks) for _ in range(len(b))], den)
+        return xi
 
     def is_exact(self) -> bool:
         return self.denominator is not None
@@ -709,12 +726,6 @@ class VerificationReport:
         }
 
 
-def _max_abs(mat, exact: bool):
-    if exact:
-        return max(abs(v) for v in mat.reshape(-1))
-    return float(np.max(np.abs(np.asarray(mat, dtype=float))))
-
-
 def verify_measure(
     xi: Measure,
     sigma: CovarianceSpec,
@@ -722,7 +733,9 @@ def verify_measure(
     y_star,
     tol: float = GAP_TOL,
 ) -> VerificationReport:
-    """Check the optimality conditions of a measure at a claimed (x*, y*)."""
+    """Check the optimality conditions of a measure at a claimed (x*, y*).
+    An exact measure, rational (x*, y*) and identity or rational type-H
+    covariance are checked on integer numerators, each residual a Fraction."""
     t = xi.shape.t
     exact = (
         xi.is_exact()
@@ -730,15 +743,27 @@ def verify_measure(
         and _is_rational(x_star)
         and _is_rational(y_star)
     )
-    c00, c01, c11 = comps = xi.components(sigma, exact)
-    bt = centering_projector(t, exact=exact)
-    num = Fraction if exact else float
-    x, y = num(x_star), num(y_star)
-    # conditions hold on treatment contrasts; project out the constant
-    # direction the raw neighbor blocks may carry
-    target = bt * (y / (t - 1))
-    balance = _max_abs(bt @ (c00 + x * c01) @ bt - target, exact)
-    slope = _max_abs(bt @ (c01.T + x * c11) @ bt, exact)
+    if exact:
+        # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
+        # residual is the largest |entry| of a matrix over one integer
+        (n00, n01, n11), d = component_numerators(xi.shape, xi.labels, xi.weights, sigma)
+        d *= xi.denominator
+        (u, v), (m, e) = Fraction(x_star).as_integer_ratio(), Fraction(y_star).as_integer_ratio()
+        proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
+        balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
+            ((t - 1) * e * (proj @ (v * n00 + u * n01) @ proj) - t * v * d * m * proj, t * s * v * d),
+            (proj @ (v * n01.T + u * n11) @ proj, t * t * v * d),
+            (s * schur_complement(n00, n01, n11, exact=True) - d * m * proj, s * d)))
+    else:
+        c00, c01, c11 = comps = xi.components(sigma)
+        bt = centering_projector(t)
+        x, y = float(x_star), float(y_star)
+        # conditions hold on treatment contrasts; project out the constant
+        # direction the raw neighbor blocks may carry
+        target = bt * (y / (t - 1))
+        balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
+            bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
+            schur_complement(*comps) - target))
     # support: atoms of one orbit share a triple, so test each distinct row once
     rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
@@ -748,7 +773,6 @@ def verify_measure(
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
     else:  # left to right in atom order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
-    info_res = _max_abs(schur_complement(*comps, exact=exact) - target, exact)
     ok = balance <= tol and slope <= tol and support_mass <= tol
     return VerificationReport(
         balance_residual=balance,

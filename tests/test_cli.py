@@ -198,6 +198,14 @@ def test_bad_tol_and_max_iter_are_input_errors(capsys, tmp_path, monkeypatch, fl
     assert len(errors) == 1 and flags[-2] in errors[0]
 
 
+@pytest.mark.parametrize("value", ["-0.5", "-1e-9", "-inf"])
+def test_negative_tol_gets_the_range_message(capsys, value):
+    # argparse reads "-1e-9" and "-inf" as options unless told otherwise
+    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "3", "--tol", value)
+    assert code == 1 and out == ""
+    assert f"error: argument --tol: need a finite float >= 0, got {value!r}" in err
+
+
 def test_construct_same_seed_same_bytes(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,25 +1,33 @@
-"""Properties of the pair kernel against explicit per-array algebra."""
+"""Properties of the pair kernel and of the exact integer path against
+explicit per-array algebra and test-local Fraction references."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fielddesign.arrays import BlockArray, Shape, orbit_members
+from fielddesign.arrays import BlockArray, Orbit, Shape, orbit_members, orbit_size
+from fielddesign.designs import measure_of_design
 from fielddesign.model import (
     IDENTITY,
     GeneralCov,
     TypeH,
     block_components,
+    c_coeffs_closed,
     closed_numerators_batch,
     info_matrix_measure,
+    rational_scale,
+    schur_complement,
     trace_numerators_batch,
     triple_table,
 )
-from fielddesign.optimality import Measure
+from fielddesign.optimality import Measure, full_pool, solve_closed_form, verify_measure
+
+from .conftest import EFFICIENT_BLOCKS_428, OPTIMAL_BLOCKS_232, design_of
 
 REL = 1e-12
 
@@ -170,3 +178,185 @@ def test_grouped_exact_accumulation_matches_per_block_sum():
         for g, wnt in zip(got, want):
             assert all(isinstance(v, Fraction) for v in g.flat)
             assert (g == wnt).all()
+
+
+# ---------------------------------------------------------------------------
+# the exact integer path against the Fraction object-matrix algebra
+
+
+def _fraction_schur(c00, c01, c11):
+    """C00 - C01 C11^+ C10 by Fraction elimination of the C11 block of the
+    joint matrix, skipping zero pivots (the joint matrix is PSD)."""
+    t = len(c11)
+    joint = np.block([[c11, c01.T], [c01, c00]]).astype(object)
+    for k in range(t):
+        if joint[k, k] != 0:
+            joint[k + 1:, k + 1:] -= np.outer(joint[k + 1:, k] / joint[k, k], joint[k, k + 1:])
+    return joint[t:, t:]
+
+
+def _reference_report(xi: Measure, sigma, x: Fraction, y: Fraction, tol: float = 1e-9):
+    """verify_measure's four fields and verdict, by explicit per-atom
+    components O'K O, O'K F, F'K F (K = p I - J, F = M O) summed in
+    Fractions, Fraction matrix algebra and closed-form triples."""
+    shape, scale = xi.shape, rational_scale(sigma)
+    a, b, t, p = shape.a, shape.b, shape.t, shape.p
+    m = _neighbors(a, b).astype(np.int64)
+    k = p * np.eye(p, dtype=np.int64) - 1
+    comps = np.zeros((3, t, t), dtype=object)
+    for row, w in xi.items():
+        o = np.zeros((p, t), dtype=np.int64)
+        o[np.arange(p), np.asarray(row.colex) - 1] = 1
+        f = m @ o
+        comps = comps + np.array([o.T @ k @ o, o.T @ k @ f, f.T @ k @ f]).astype(object) * w
+    c00, c01, c11 = comps * (scale / p)
+    bt = np.array([[Fraction(int(i == j)) - Fraction(1, t) for j in range(t)] for i in range(t)])
+    target = bt * (y / (t - 1))
+
+    def peak(mat):
+        return max(abs(v) for v in mat.reshape(-1))
+
+    balance = peak(bt @ (c00 + x * c01) @ bt - target)
+    slope = peak(bt @ (c01.T + x * c11) @ bt)
+    info = peak(_fraction_schur(c00, c01, c11) - target)
+    mass = sum((w for s, w in xi.items()
+                if abs(scale * (c := c_coeffs_closed(s)).c00 + 2 * x * scale * c.c01
+                       + x * x * scale * c.c11 - y) > tol * max(1, abs(y))), Fraction(0))
+    return balance, slope, mass, info, balance <= tol and slope <= tol and mass <= tol
+
+
+def _check_against_reference(xi: Measure, sigma, x: Fraction, y: Fraction) -> str:
+    report = verify_measure(xi, sigma, x, y)
+    got = (report.balance_residual, report.slope_residual, report.support_mass,
+           report.info_residual)
+    *want, optimal = _reference_report(xi, sigma, x, y)
+    for g, w in zip(got, want):
+        assert type(g) is Fraction and g == w
+    assert report.optimal == optimal
+    return report.verdict
+
+
+SIGMAS = [IDENTITY, TypeH(Fraction(3, 2)), TypeH(Fraction(7, 3))]
+
+
+def _rational_optimum(shape: Shape, sigma):
+    res = solve_closed_form(shape, sigma)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**6)
+                 for v in (res.x_star, res.y_star))
+
+
+@st.composite
+def exact_measures(draw):
+    """A shape with p <= 9 and a measure on up to six label rows (repeats
+    allowed) with random integer weights over their sum, some of them 0."""
+    a = draw(st.integers(2, 3))
+    shape = Shape(a, draw(st.integers(a, 9 // a)), draw(st.integers(2, 5)))
+    rows = draw(st.lists(st.lists(st.integers(1, shape.t), min_size=shape.p, max_size=shape.p),
+                         min_size=1, max_size=6))
+    nums = draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows)))
+    nums[0] += not sum(nums)
+    return Measure.from_labels(shape, np.array(rows), [Fraction(n, sum(nums)) for n in nums])
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_measures(), st.sampled_from(SIGMAS),
+       st.sampled_from([(0, 0), (Fraction(1, 5), 0), (0, Fraction(1, 7))]))
+def test_integer_verifier_matches_fraction_algebra(xi, sigma, shift):
+    # at the optimum (x*, y*) of the shape, and with x* or y* moved
+    x, y = _rational_optimum(xi.shape, sigma)
+    _check_against_reference(xi, sigma, x + shift[0], y + shift[1])
+
+
+@pytest.mark.parametrize("a,b,t,blocks", [(2, 3, 2, OPTIMAL_BLOCKS_232),
+                                          (4, 2, 8, EFFICIENT_BLOCKS_428)])
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_integer_verifier_on_design_files(a, b, t, blocks, sigma):
+    xi = measure_of_design(design_of(a, b, t, blocks))
+    x, y = _rational_optimum(xi.shape, sigma)
+    verdicts = [_check_against_reference(xi, sigma, x + dx, y + dy)
+                for dx, dy in ((0, 0), (Fraction(1, 5), 0), (0, Fraction(1, 7)))]
+    assert verdicts == (["optimal"] + ["not optimal"] * 2 if t == 2 else ["not optimal"] * 3)
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 3, 2), Shape(2, 2, 3), Shape(2, 3, 4)])
+def test_integer_verifier_on_closed_form_measures(shape):
+    for sigma in SIGMAS[:2]:
+        res = solve_closed_form(shape, sigma)
+        assert _check_against_reference(res.measure, sigma, res.x_star, res.y_star) == "optimal"
+        _check_against_reference(res.measure, sigma, res.x_star, res.y_star * 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_exact_schur_complement_matches_fraction_elimination(t, data):
+    # joint = G'G is PSD; zero column sums in each half of G give C11 1 = 0
+    # (so C11 is singular) and C00 1 = C10 1 = 0, as in every component sum
+    rank = data.draw(st.integers(1, 2 * t))
+    g = np.array(data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=2 * t, max_size=2 * t),
+                                    min_size=rank, max_size=rank)), dtype=np.int64)
+    if data.draw(st.booleans()):
+        g[:, data.draw(st.integers(0, t - 2))] = 0  # a zero row and column in C11
+    g[:, t - 1] = -g[:, :t - 1].sum(axis=1)
+    g[:, -1] = -g[:, t:-1].sum(axis=1)
+    den = data.draw(st.integers(1, 50))
+    joint = np.array([[Fraction(int(v), den) for v in row] for row in g.T @ g], dtype=object)
+    c11, c01, c00 = joint[:t, :t], joint[t:, :t], joint[t:, t:]
+    assert all(sum(row) == 0 for row in c11)
+    got = schur_complement(c00, c01, c11, exact=True)
+    assert all(type(v) is Fraction for v in got.flat)
+    assert (got == _fraction_schur(c00, c01, c11)).all()
+
+
+def _expanded(shape: Shape, pairs) -> Measure:
+    """from_labels on every orbit member, each at its orbit weight over the orbit size."""
+    rows, weights = [], []
+    for o, w in pairs:
+        members = list(orbit_members(o.representative))
+        rows += [s.colex for s in members]
+        weights += [(Fraction(w) if isinstance(w, (int, Fraction)) else float(w)) / o.size] * len(members)
+    return Measure.from_labels(shape, np.array(rows), weights)
+
+
+def _same_measure(got: Measure, want: Measure) -> None:
+    assert got.labels.tolist() == want.labels.tolist()
+    assert not got.labels.flags.writeable
+    assert got.denominator == want.denominator
+    if want.is_exact():
+        assert got.weights == want.weights and all(type(n) is int for n in got.weights)
+    else:
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 10**6)),
+                min_size=1, max_size=6), st.booleans())
+def test_orbit_measure_equals_expanded_atoms(picks, floats):
+    shape = Shape(2, 3, 3)
+    pool = full_pool(shape)
+    pairs = []
+    for k, member, w in picks:
+        members = list(orbit_members(pool[k % len(pool)]))
+        rep = members[member % len(members)]  # any member stands for its orbit
+        pairs.append((Orbit(rep, orbit_size(rep)), w))
+    total = sum(w for _, _, w in picks)
+    if not total:
+        with pytest.raises(ValueError, match="positive weight"):
+            Measure.from_orbit_weights(shape, pairs)
+        return
+    pairs = [(o, w / total if floats else Fraction(w, total)) for o, w in pairs]
+    _same_measure(Measure.from_orbit_weights(shape, pairs), _expanded(shape, pairs))
+
+
+def test_orbit_measure_merges_repeats_at_first_positive_weight():
+    shape = Shape(2, 3, 3)
+    a, b, c = (Orbit(s, orbit_size(s)) for s in list(full_pool(shape))[2:5])
+    for pairs in (
+        [(a, Fraction(1, 3)), (b, 0), (a, Fraction(1, 6)), (c, Fraction(1, 2))],
+        [(a, 0), (b, Fraction(1, 2)), (a, Fraction(1, 2))],  # a's atoms after b's
+        [(a, Fraction(1, 4)), (b, 0.5), (c, Fraction(1, 4))],  # one float: a float measure
+    ):
+        _same_measure(Measure.from_orbit_weights(shape, pairs), _expanded(shape, pairs))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Measure.from_orbit_weights(shape, [(a, Fraction(3, 2)), (b, Fraction(-1, 2))])
+    with pytest.raises(ValueError, match="expected exactly 1"):
+        Measure.from_orbit_weights(shape, [(a, Fraction(1, 2)), (a, Fraction(1, 3))])

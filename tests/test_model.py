@@ -224,5 +224,4 @@ def test_label_matrix_is_colex_order():
 def test_centering_projector_forms():
     b3 = centering_projector(3)
     assert np.allclose(b3, b3 @ b3)
-    exact = centering_projector(3, exact=True)
-    assert exact[0, 0] == Fraction(2, 3) and exact[0, 1] == Fraction(-1, 3)
+    assert np.allclose(b3, [[2 / 3 if i == j else -1 / 3 for j in range(3)] for i in range(3)])
