@@ -9,7 +9,10 @@ by first-occurrence relabeling along the colex scan.
 
 The counting statistics (replication counts over trimmed subgrids,
 same-treatment adjacency counts at distance one and two) are the raw
-material for the closed-form information coefficients in `model`.
+material for the closed-form information coefficients in `model`.  The
+support classes of the optimality theory are read off a whole label
+matrix at once (classify_labels), over the one neighbor definition
+(neighbor_matrix) that `model` uses too.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations, product
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, permutations
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,17 +160,6 @@ def canonical_form(s: BlockArray) -> BlockArray:
     return BlockArray.from_colex(s.shape, canonical_labels(np.array([s.colex]))[0].tolist())
 
 
-def apply_permutation(s: BlockArray, sigma: Mapping[int, int]) -> BlockArray:
-    """Relabel treatments by a bijection sigma of 1..t."""
-    t = s.shape.t
-    image = sorted(sigma.get(m, m) for m in range(1, t + 1))
-    if image != list(range(1, t + 1)):
-        raise ValueError("sigma is not a bijection of 1..t")
-    return BlockArray(
-        s.shape, tuple(tuple(sigma.get(v, v) for v in r) for r in s.rows)
-    )
-
-
 def orbit_size(s: BlockArray) -> int:
     """Number of distinct arrays obtainable from s by relabeling: t!/(t-rho)!,
     with rho the number of distinct treatments in s."""
@@ -288,16 +280,24 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     return rank[np.arange(len(labels))[:, None], first]
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_index=True, return_inverse=True) of a
+    2-D array by one stable lexsort: the distinct rows in lexicographic
+    order, the first row holding each, and the group of every row."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[new], order[new], inverse
+
+
 def canonical_pool(shape: Shape, rows, k: int | None = None) -> LabelPool:
     """The distinct canonical forms of the label rows, as a pool in colex
     order; with k, only the first k of them to appear in row order."""
-    canon = canonical_labels(np.asarray(rows, dtype=np.int64))
-    order = np.lexsort(canon.T[::-1])  # colex order, equal rows in row order
-    canon = canon[order]
-    new = np.ones(len(canon), dtype=bool)
-    new[1:] = (canon[1:] != canon[:-1]).any(axis=1)
-    # order[new] holds the row where each distinct form first appears
-    return LabelPool(shape, canon[new][np.sort(np.argsort(order[new])[:k])])
+    distinct, first, _ = group_rows(canonical_labels(np.asarray(rows, dtype=np.int64)))
+    return LabelPool(shape, distinct[np.sort(np.argsort(first)[:k])])
 
 
 class LabelPool(Sequence[BlockArray]):
@@ -328,12 +328,6 @@ class LabelPool(Sequence[BlockArray]):
 
     def __getitem__(self, k: int) -> BlockArray:
         return BlockArray.from_colex(self.shape, self.labels[k].tolist())
-
-
-def all_arrays(shape: Shape) -> Iterator[BlockArray]:
-    """Every array of the shape (t^p of them); brute-force helper."""
-    for seq in product(range(1, shape.t + 1), repeat=shape.p):
-        yield BlockArray.from_colex(shape, seq)
 
 
 @dataclass(frozen=True)
@@ -425,94 +419,70 @@ def count_statistics(s: BlockArray) -> CountStatistics:
     )
 
 
-@dataclass(frozen=True)
-class ArrayClassification:
-    """Structural flags used to describe optimal-support membership.
+def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:
+    """A plot-indexed (p, k) matrix read at the neighbor in the row above,
+    the row below, the left and the right column (zero off the grid)."""
+    a, b = shape.a, shape.b
+    pad = np.pad(x.reshape(b, a, -1), ((1, 1), (1, 1), (0, 0)))
+    return [pad[1 + dj:1 + dj + b, 1 + di:1 + di + a].reshape(x.shape)
+            for dj, di in ((0, -1), (0, 1), (-1, 0), (1, 0))]
+
+
+def neighbor_matrix(shape: Shape) -> np.ndarray:
+    """p x p 0/1 matrix marking orthogonally adjacent plots (colex order)."""
+    return sum(_neighbor_shifts(np.eye(shape.p, dtype=np.int64), shape))
+
+
+class LabelClasses(NamedTuple):
+    """Per-row support-class flags of a label matrix; see classify_labels."""
+
+    q_index: np.ndarray
+    q1_strict: np.ndarray
+    q2_strict: np.ndarray
+    balanced: np.ndarray
+    connected: np.ndarray
+
+
+def classify_labels(shape: Shape, labels) -> LabelClasses:
+    """Support-class flags of every row of an (N, p) colex label matrix.
 
     A treatment is significant when it appears exactly twice, on
     orthogonally adjacent plots, at least one of them a corner; strictly
-    significant when both plots are corners.  q_index = i marks arrays
-    with exactly i significant treatments and p - 2i treatments appearing
-    exactly once (0 <= i <= 4); q1_strict / q2_strict additionally require
-    every significant treatment to be strict.  balanced marks arrays whose
-    replication counts over all t treatments differ by at most one.
+    significant when both plots are corners.  q_index = i marks rows with
+    exactly i significant treatments and p - 2i treatments appearing
+    exactly once (so 0 <= i <= 4), and is -1 elsewhere; q1_strict /
+    q2_strict additionally require every significant treatment to be
+    strict.  balanced marks rows whose replication counts over all t
+    treatments differ by at most one.  connected[k, m - 1] tells whether
+    the plots of treatment m in row k are orthogonally connected (an
+    absent treatment counts as connected).
     """
-
-    significant: tuple[tuple[int, bool], ...]
-    connected: tuple[bool, ...]
-    q_index: int | None
-    q1_strict: bool
-    q2_strict: bool
-    balanced: bool
-
-
-def _positions(s: BlockArray) -> dict[int, list[tuple[int, int]]]:
-    pos: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(s.rows):
-        for j, v in enumerate(row):
-            pos.setdefault(v, []).append((i + 1, j + 1))
-    return pos
-
-
-def _is_connected(plots: list[tuple[int, int]]) -> bool:
-    # connectivity under orthogonal adjacency; 0 or 1 plots count as connected
-    if len(plots) <= 1:
-        return True
-    todo = set(plots)
-    stack = [plots[0]]
-    todo.discard(plots[0])
-    while stack:
-        i, j = stack.pop()
-        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if (ni, nj) in todo:
-                todo.discard((ni, nj))
-                stack.append((ni, nj))
-    return not todo
-
-
-def classify_array(s: BlockArray) -> ArrayClassification:
-    shape = s.shape
-    corners = set(shape.corners)
-    pos = _positions(s)
-    f0 = [len(pos.get(m, ())) for m in range(1, shape.t + 1)]
-
-    significant: list[tuple[int, bool]] = []
-    for m in range(1, shape.t + 1):
-        plots = pos.get(m, [])
-        if len(plots) != 2:
-            continue
-        (i1, j1), (i2, j2) = plots
-        if abs(i1 - i2) + abs(j1 - j2) != 1:
-            continue
-        on_corner = [(i1, j1) in corners, (i2, j2) in corners]
-        if any(on_corner):
-            significant.append((m, all(on_corner)))
-
-    connected = tuple(
-        _is_connected(pos.get(m, [])) for m in range(1, shape.t + 1)
-    )
-
-    n_sig = len(significant)
-    singles = sum(1 for f in f0 if f == 1)
-    doubles = sum(1 for f in f0 if f == 2)
-    q_index: int | None = None
-    if n_sig <= 4 and singles == shape.p - 2 * n_sig and doubles == n_sig:
-        if max(f0) <= 2:
-            q_index = n_sig
-
-    all_strict = bool(significant) and all(strict for _, strict in significant)
-    q1_strict = q_index == 1 and all_strict
-    q2_strict = q_index == 2 and all_strict
-    balanced = max(f0) - min(f0) <= 1
-
-    return ArrayClassification(
-        significant=tuple(significant),
-        connected=connected,
-        q_index=q_index,
-        q1_strict=q1_strict,
-        q2_strict=q2_strict,
-        balanced=balanced,
-    )
+    lab = np.asarray(labels, dtype=np.int64)
+    p = shape.p
+    onehot = lab[:, :, None] == np.arange(1, shape.t + 1)
+    f0 = onehot.sum(axis=1)
+    dst, src = np.nonzero(neighbor_matrix(shape))  # adjacent plot pairs, by dst
+    same = lab[:, src] == lab[:, dst]
+    corner = np.isin(np.arange(p), [shape.plot_index(i, j) for i, j in shape.corners])
+    # a twice-replicated label meets itself on one pair at most, counted once
+    sig = (same & (src < dst) & (corner[src] | corner[dst])
+           & (np.take_along_axis(f0, lab[:, src] - 1, axis=1) == 2))
+    n_sig = sig.sum(axis=1)
+    q_index = np.where(((f0 == 2).sum(axis=1) == n_sig)
+                       & ((f0 == 1).sum(axis=1) == p - 2 * n_sig), n_sig, -1)
+    strict = (n_sig > 0) & ~(sig & ~(corner[src] & corner[dst])).any(axis=1)
+    # label propagation: every plot ends on the least plot it reaches
+    # through equal neighbors, so a connected label has one such root
+    comp, starts = np.broadcast_to(np.arange(p), lab.shape), np.searchsorted(dst, np.arange(p))
+    while True:
+        reach = np.minimum.reduceat(np.where(same, comp[:, src], p), starts, axis=1)
+        nxt = np.minimum(comp, reach)
+        if (nxt == comp).all():
+            break
+        comp = nxt
+    roots = (onehot & (comp == np.arange(p))[:, :, None]).sum(axis=1)
+    return LabelClasses(q_index, (q_index == 1) & strict, (q_index == 2) & strict,
+                        f0.max(axis=1) - f0.min(axis=1) <= 1, roots <= 1)
 
 
 def canonical_json(obj) -> str:

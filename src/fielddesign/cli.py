@@ -22,10 +22,11 @@ from pathlib import Path
 
 from .arrays import (
     DEFAULT_ORBIT_BUDGET,
+    BlockArray,
     Shape,
     canonical_json,
-    classify_array,
-    enumerate_orbits,
+    classify_labels,
+    enumerate_label_matrix,
     normalize_shape,
     orbit_count,
 )
@@ -183,16 +184,10 @@ def _emit(args, doc: dict, rows) -> None:
         sys.stdout.write(text)
 
 
-def _class_label(cls) -> str:
-    parts = []
-    if cls.q_index is not None:
-        parts.append(f"Q{cls.q_index}")
-    if cls.q1_strict:
-        parts.append("Q1*")
-    if cls.q2_strict:
-        parts.append("Q2*")
-    if cls.balanced:
-        parts.append("balanced")
+def _class_label(cls: dict) -> str:
+    parts = [] if cls["q_index"] is None else [f"Q{cls['q_index']}"]
+    parts += [name for name, key in (("Q1*", "q1_strict"), ("Q2*", "q2_strict"),
+                                     ("balanced", "balanced")) if cls[key]]
     return " ".join(parts) if parts else "-"
 
 
@@ -206,18 +201,15 @@ def cmd_enumerate(args) -> int:
            "arrays": arrays, "orbits": orbits}
     rows = [("shape", str(shape)), ("arrays", str(arrays)), ("orbits", str(orbits))]
     if args.list:
-        listing = [(orbit, classify_array(orbit.representative))
-                   for orbit in enumerate_orbits(shape, budget=args.budget)]
-        doc["listing"] = [
-            {"array": o.representative.to_json(), "size": o.size,
-             "classification": {
-                 "q_index": cls.q_index, "q1_strict": cls.q1_strict,
-                 "q2_strict": cls.q2_strict, "balanced": cls.balanced,
-                 "connected": cls.connected}}
-            for o, cls in listing
-        ]
-        rows += [(str(o.representative), f"size {o.size}  {_class_label(cls)}")
-                 for o, cls in listing]
+        lab = enumerate_label_matrix(shape, budget=args.budget)
+        flags = zip(*(f.tolist() for f in classify_labels(shape, lab)))
+        classes = [{"q_index": None if q < 0 else q, "q1_strict": q1, "q2_strict": q2,
+                    "balanced": bal, "connected": conn} for q, q1, q2, bal, conn in flags]
+        listing = [(BlockArray.from_colex(shape, row), math.perm(shape.t, max(row)), cls)
+                   for row, cls in zip(lab.tolist(), classes)]
+        doc["listing"] = [{"array": s.to_json(), "size": size, "classification": cls}
+                          for s, size, cls in listing]
+        rows += [(str(s), f"size {size}  {_class_label(cls)}") for s, size, cls in listing]
     _emit(args, doc, rows)
     return EXIT_OK
 

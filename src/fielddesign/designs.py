@@ -23,6 +23,7 @@ from .arrays import (
     Shape,
     _integer,
     canonical_pool,
+    group_rows,
     label_matrix,
     orbit_labels,
     orbit_members,
@@ -481,7 +482,7 @@ def construct_exact(
     per_orbit = max(4, -(-4 * max(n, 64) // len(reps)))
     rows = np.concatenate(members + [_orbit_sample(rep - 1, t, per_orbit, rng) for rep in reps])
     # the pool in colex order; where[k] is the pool index of rows[k]
-    labels, where = np.unique(rows, axis=0, return_inverse=True)
+    labels, _, where = group_rows(rows)
     pool = LabelPool(shape, labels)
     stack = component_table(pool, sigma)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
@@ -489,7 +490,7 @@ def construct_exact(
     counts = _largest_remainder([Fraction(w) * n if isinstance(w, (int, Fraction))
                                  else float(w) * n for _, w in pairs], n)
     sizes = [len(group) for group in members]
-    groups = np.split(where.reshape(-1)[:sum(sizes)], np.cumsum(sizes)[:-1])
+    groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
 
     first = _distinct_rows(stack)

@@ -44,8 +44,10 @@ from .arrays import (
     CountStatistics,
     LabelPool,
     Shape,
+    _neighbor_shifts,
     count_statistics,
     label_matrix,
+    neighbor_matrix,
 )
 
 EIG_CUTOFF = 1e-10
@@ -161,20 +163,6 @@ def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
     inv = np.linalg.inv(sigma_matrix(sigma, p))
     u = inv.sum(axis=1)
     return inv - np.outer(u, u) / u.sum()
-
-
-def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:
-    """A plot-indexed (p, k) matrix read at the neighbor in the row above,
-    the row below, the left and the right column (zero off the grid)."""
-    a, b = shape.a, shape.b
-    pad = np.pad(x.reshape(b, a, -1), ((1, 1), (1, 1), (0, 0)))
-    return [pad[1 + dj:1 + dj + b, 1 + di:1 + di + a].reshape(x.shape)
-            for dj, di in ((0, -1), (0, 1), (-1, 0), (1, 0))]
-
-
-def neighbor_matrix(shape: Shape) -> np.ndarray:
-    """p x p 0/1 matrix marking orthogonally adjacent plots (colex order)."""
-    return sum(_neighbor_shifts(np.eye(shape.p, dtype=np.int64), shape))
 
 
 @dataclass(frozen=True)

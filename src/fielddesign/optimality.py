@@ -29,8 +29,9 @@ from .arrays import (
     canonical_form,
     canonical_labels,
     canonical_pool,
-    classify_array,
+    classify_labels,
     enumerate_label_matrix,
+    group_rows,
     label_matrix,
     orbit_labels,
     orbit_size,
@@ -283,45 +284,48 @@ def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QSupport:
-    """Support set descriptor: a named family or an explicit list.
+    """Support set descriptor: a named family or an explicit pool.
 
     kind "balanced" covers arrays with replication counts within one of
     each other; kind "classes" covers the corner-double classes named in
     `names` (Q0 binary, Qi with i corner-anchored doubles, trailing *
-    for the both-plots-on-corners variant); kind "explicit" lists arrays.
+    for the both-plots-on-corners variant); kind "explicit" holds a pool.
     """
 
+    shape: Shape
     kind: str
     names: tuple[str, ...] = ()
-    arrays: tuple[BlockArray, ...] = ()
+    arrays: LabelPool | None = None
 
     @staticmethod
-    def balanced() -> "QSupport":
-        return QSupport(kind="balanced")
+    def balanced(shape: Shape) -> "QSupport":
+        return QSupport(shape, "balanced")
 
     @staticmethod
-    def classes(names: Sequence[str]) -> "QSupport":
-        return QSupport(kind="classes", names=tuple(names))
+    def classes(shape: Shape, names: Sequence[str]) -> "QSupport":
+        return QSupport(shape, "classes", names=tuple(names))
 
     @staticmethod
-    def explicit(arrays: Sequence[BlockArray]) -> "QSupport":
-        return QSupport(kind="explicit", arrays=tuple(arrays))
+    def explicit(pool: LabelPool) -> "QSupport":
+        return QSupport(pool.shape, "explicit", arrays=pool)
 
-    def contains(self, s: BlockArray) -> bool:
-        if self.kind == "balanced":
-            return classify_array(s).balanced
+    def contains(self, labels) -> np.ndarray:
+        """Boolean mask of the rows of an (N, p) colex label matrix that lie
+        in the support."""
+        lab = np.asarray(labels, dtype=np.int64)
         if self.kind == "explicit":
-            return s in self.arrays
-        cl = classify_array(s)
+            inverse = group_rows(np.concatenate([self.arrays.labels, lab]))[2]
+            return np.isin(inverse[len(self.arrays):], inverse[:len(self.arrays)])
+        cl = classify_labels(self.shape, lab)
+        if self.kind == "balanced":
+            return cl.balanced
+        hit = np.zeros(len(lab), dtype=bool)
         for name in self.names:
             if name.endswith("*"):
-                i = int(name[1:-1])
-                hit = cl.q1_strict if i == 1 else cl.q2_strict
+                hit |= cl.q1_strict if name == "Q1*" else cl.q2_strict
             else:
-                hit = cl.q_index == int(name[1:])
-            if hit:
-                return True
-        return False
+                hit |= cl.q_index == int(name[1:])
+        return hit
 
     def describe(self) -> str:
         if self.kind == "balanced":
@@ -597,7 +601,7 @@ def solve_closed_form(
         r = p % t
         x_star = Fraction(0)
         y_id = Fraction(p) - Fraction(p * p + r * (t - r), p * t)
-        support = QSupport.balanced()
+        support = QSupport.balanced(shape)
         orbit_pairs = _balanced_measure(shape)
     else:
         classes = fan_classes(shape)
@@ -609,12 +613,12 @@ def solve_closed_form(
         if phi > 0 and x_vertex < Fraction(-B, 2 * A):
             x_star = x_vertex
             y_id = c00 - c01 * c01 / c11
-            support = QSupport.classes((low.name,))
+            support = QSupport.classes(shape, (low.name,))
             rep = class_representative(shape, low.doubles)
             orbit_pairs = [(Orbit(rep, orbit_size(rep)), Fraction(1))]
         else:
             names = tuple(c.name for c in classes)
-            support = QSupport.classes(names)
+            support = QSupport.classes(shape, names)
             if phi == 0:
                 x_star = x_vertex
                 y_id = q_eval(low.triple, x_star)
@@ -766,9 +770,9 @@ def verify_measure(
             schur_complement(*comps) - target))
     # support: atoms of one orbit share a triple, so test each distinct row once
     rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    distinct, _, inverse = group_rows(rows)
     off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
-                    > tol * max(1, abs(y_star)) for c in distinct])[inverse.reshape(-1)]
+                    > tol * max(1, abs(y_star)) for c in distinct])[inverse]
     if exact:
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
     else:  # left to right in atom order, not np.sum's pairwise order
@@ -943,12 +947,10 @@ def _pool_rows(pool: LabelPool, lab: np.ndarray) -> np.ndarray:
     """Pool row of each row of a label matrix: the first row equal to it,
     else the first row equal to its canonical form; ValueError when neither
     is in the pool."""
-    keys = np.concatenate([pool.labels, lab, canonical_labels(lab)])
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
+    _, first, inverse = group_rows(np.concatenate([pool.labels, lab, canonical_labels(lab)]))
     n, m = len(pool), len(lab)
-    # leftmost match in a stable sort: the earliest equal row, pool rows first
-    first = order[np.searchsorted(keys[order], keys[n:])]
+    # group_rows keeps the earliest row of each group, so pool rows come first
+    first = first[inverse[n:]]
     rows = np.where(first[:m] < n, first[:m], first[m:])
     if (rows >= n).any():
         raise ValueError("initial atom not represented in the pool")
@@ -1018,8 +1020,7 @@ def solve_exchange(
         y_star=qs,
         regime="computational",
         q_support=QSupport.explicit(
-            tuple(pool[k] for k in np.flatnonzero(_touching(table, xt, qs, tol)))
-        ),
+            LabelPool(shape, pool.labels[_touching(table, xt, qs, tol)])),
         measure=measure,
         orbit_weights=orbit_pairs,
         gap=max(gap, 0.0),

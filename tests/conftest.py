@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import product
+from typing import Iterator, Mapping
+
 import pytest
 
 from fielddesign.arrays import BlockArray, Shape
@@ -100,6 +103,23 @@ EFFICIENT_BLOCKS_428 = [
     [[7, 1], [5, 8], [6, 3], [2, 4]],
     [[1, 2], [6, 8], [7, 4], [3, 5]],
 ]
+
+
+def all_arrays(shape: Shape) -> Iterator[BlockArray]:
+    """Every array of the shape (t^p of them); brute-force helper."""
+    for seq in product(range(1, shape.t + 1), repeat=shape.p):
+        yield BlockArray.from_colex(shape, seq)
+
+
+def apply_permutation(s: BlockArray, sigma: Mapping[int, int]) -> BlockArray:
+    """Relabel treatments by a bijection sigma of 1..t."""
+    t = s.shape.t
+    image = sorted(sigma.get(m, m) for m in range(1, t + 1))
+    if image != list(range(1, t + 1)):
+        raise ValueError("sigma is not a bijection of 1..t")
+    return BlockArray(
+        s.shape, tuple(tuple(sigma.get(v, v) for v in r) for r in s.rows)
+    )
 
 
 def array_of(a: int, b: int, t: int, rows) -> BlockArray:

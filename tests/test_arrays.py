@@ -1,4 +1,4 @@
-"""Grids, orbits, canonical forms, counting statistics, classification."""
+"""Grids, orbits, canonical forms, counting statistics, support classes."""
 
 from __future__ import annotations
 
@@ -8,18 +8,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fielddesign.arrays import (
     BlockArray,
     EnumerationBudgetError,
     LabelPool,
     Shape,
-    all_arrays,
-    apply_permutation,
     canonical_form,
     canonical_labels,
     canonical_pool,
-    classify_array,
+    classify_labels,
     count_statistics,
     enumerate_label_matrix,
     enumerate_orbits,
@@ -30,7 +30,7 @@ from fielddesign.arrays import (
 )
 from fielddesign.optimality import full_pool
 
-from .conftest import SBS_ROWS_2X3, array_of
+from .conftest import SBS_ROWS_2X3, all_arrays, apply_permutation, array_of
 
 
 def test_shape_rejects_bad_dimensions():
@@ -302,21 +302,130 @@ def test_z_counts_match_neighbor_graph():
             assert st.z1 == z1 and st.z2 == z2
 
 
+def _reference_classes(s: BlockArray) -> tuple:
+    # the per-array classifier classify_labels replaced, kept here as its
+    # reference: (q_index or -1, q1_strict, q2_strict, balanced, connected)
+    shape = s.shape
+    corners = set(shape.corners)
+    pos: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(s.rows):
+        for j, v in enumerate(row):
+            pos.setdefault(v, []).append((i + 1, j + 1))
+
+    def is_connected(plots):
+        if len(plots) <= 1:
+            return True
+        todo, stack = set(plots[1:]), [plots[0]]
+        while stack:
+            i, j = stack.pop()
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in todo:
+                    todo.discard(nb)
+                    stack.append(nb)
+        return not todo
+
+    f0 = [len(pos.get(m, ())) for m in range(1, shape.t + 1)]
+    strict = []
+    for m in range(1, shape.t + 1):
+        plots = pos.get(m, [])
+        if len(plots) == 2:
+            (i1, j1), (i2, j2) = plots
+            on_corner = [(i1, j1) in corners, (i2, j2) in corners]
+            if abs(i1 - i2) + abs(j1 - j2) == 1 and any(on_corner):
+                strict.append(all(on_corner))
+    n_sig = len(strict)
+    q_index = -1
+    if (n_sig <= 4 and f0.count(1) == shape.p - 2 * n_sig and f0.count(2) == n_sig
+            and max(f0) <= 2):
+        q_index = n_sig
+    all_strict = bool(strict) and all(strict)
+    return (q_index, q_index == 1 and all_strict, q_index == 2 and all_strict,
+            max(f0) - min(f0) <= 1,
+            tuple(is_connected(pos.get(m, [])) for m in range(1, shape.t + 1)))
+
+
+def _classes_by_row(shape: Shape, lab) -> list[tuple]:
+    cl = classify_labels(shape, lab)
+    return [(q, q1, q2, bal, tuple(conn)) for q, q1, q2, bal, conn in
+            zip(*(f.tolist() for f in cl))]
+
+
+def _assert_matches_reference(shape: Shape, lab) -> None:
+    want = [_reference_classes(BlockArray.from_colex(shape, r)) for r in np.asarray(lab).tolist()]
+    assert _classes_by_row(shape, lab) == want
+
+
+@pytest.mark.parametrize("abt", [(2, 2, 4), (2, 3, 5), (3, 3, 5), (2, 4, 8)])
+def test_classify_labels_equals_reference_on_every_orbit(abt):
+    shape = Shape(*abt)
+    _assert_matches_reference(shape, enumerate_label_matrix(shape))
+
+
+# a = 2, a 3x3 grid, a = b = 2, and a wider 3-row grid
+CLASSIFIED_SHAPES = [Shape(2, 3, 4), Shape(2, 5, 6), Shape(3, 3, 5), Shape(2, 2, 3),
+                     Shape(3, 4, 12)]
+
+
+@st.composite
+def _label_matrices(draw, shapes=CLASSIFIED_SHAPES):
+    shape = draw(st.sampled_from(shapes))
+    rows = draw(st.lists(st.lists(st.integers(1, shape.t), min_size=shape.p,
+                                  max_size=shape.p), min_size=1, max_size=12))
+    return shape, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_label_matrices())
+def test_classify_labels_equals_reference_on_random_rows(case):
+    _assert_matches_reference(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_label_matrices(), st.randoms(use_true_random=False))
+def test_classify_labels_invariant_under_relabeling(case, rnd):
+    shape, lab = case
+    image = list(range(1, shape.t + 1))
+    rnd.shuffle(image)
+    got = classify_labels(shape, np.array([0] + image)[lab])
+    want = classify_labels(shape, lab)
+    for f in ("q_index", "q1_strict", "q2_strict", "balanced"):
+        assert (getattr(got, f) == getattr(want, f)).all()
+    # label m of the relabeled rows is label image^-1(m) of the originals
+    assert (got.connected[:, np.array(image) - 1] == want.connected).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_label_matrices([Shape(2, 2, 3), Shape(3, 3, 5), Shape(4, 4, 7)]))
+def test_classify_labels_invariant_under_transposition(case):
+    shape, lab = case
+    transposed = lab.reshape(-1, shape.b, shape.a).transpose(0, 2, 1).reshape(len(lab), -1)
+    assert _classes_by_row(shape, transposed) == _classes_by_row(shape, lab)
+    # and after canonical relabeling, connected follows each label's new name
+    canon = canonical_labels(transposed)
+    got = classify_labels(shape, canon)
+    want = classify_labels(shape, lab)
+    for k in range(len(lab)):
+        renamed = dict(zip(transposed[k].tolist(), canon[k].tolist()))
+        for old, new in renamed.items():
+            assert got.connected[k, new - 1] == want.connected[k, old - 1]
+    assert (got.q_index == want.q_index).all() and (got.balanced == want.balanced).all()
+
+
 def test_classification_one_strict_double():
-    cls = classify_array(array_of(2, 3, 5, SBS_ROWS_2X3))
-    assert cls.q_index == 1
-    assert cls.q1_strict and not cls.q2_strict
-    assert cls.balanced  # counts (2,1,1,1,1) are as even as p=6, t=5 allows
+    cls = classify_labels(Shape(2, 3, 5), [array_of(2, 3, 5, SBS_ROWS_2X3).colex])
+    assert cls.q_index.tolist() == [1]
+    assert cls.q1_strict.all() and not cls.q2_strict.any()
+    assert cls.balanced.all()  # counts (2,1,1,1,1) are as even as p=6, t=5 allows
 
 
 def test_classification_balanced():
-    cls = classify_array(array_of(2, 3, 2, [[1, 2, 1], [2, 1, 2]]))
-    assert cls.balanced and cls.q_index is None
+    cls = classify_labels(Shape(2, 3, 2), [array_of(2, 3, 2, [[1, 2, 1], [2, 1, 2]]).colex])
+    assert cls.balanced.all() and cls.q_index.tolist() == [-1]
 
 
 def test_classification_all_distinct():
-    cls = classify_array(array_of(2, 3, 6, [[1, 2, 3], [4, 5, 6]]))
-    assert cls.q_index == 0
+    cls = classify_labels(Shape(2, 3, 6), [array_of(2, 3, 6, [[1, 2, 3], [4, 5, 6]]).colex])
+    assert cls.q_index.tolist() == [0]
 
 
 def test_all_arrays_yields_every_assignment():

@@ -339,6 +339,10 @@ GOLDEN_STDOUT = {
         (0, "37d4701648e8d151d30ebe786c65b7d03262689051d42c40c17eff520f6892bc"),
     "enumerate --a 2 --b 3 --t 3 --list":
         (0, "ca8d7b848d545900e743a414a4c94b970f3bfb6fc5d5bc4353b27c72efb086e6"),
+    "enumerate --a 2 --b 3 --t 5 --list":
+        (0, "7bc2eac051d70976b595289dce0dca66f41854cd425f868031dd802842ac05ce"),
+    "enumerate --a 2 --b 2 --t 4 --list --format table":
+        (0, "cb3067e1f420dfbb93f0aa4f717534c3ae307c794a5a6221e6b1620b777beb1b"),
     "solve --a 2 --b 3 --t 5":
         (0, "3afd8c1afa8b40f9b4b84c841f74d77a3067ebc205a9de86b8d64cd8f45b51e0"),
     "solve --a 2 --b 3 --t 4 --sigma type-h:3/2":

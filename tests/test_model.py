@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fielddesign.arrays import BlockArray, Shape, all_arrays
+from fielddesign.arrays import BlockArray, Shape
 from fielddesign.model import (
     IDENTITY,
     GeneralCov,
@@ -29,7 +29,7 @@ from fielddesign.model import (
 )
 from fielddesign.optimality import Measure
 
-from .conftest import OPTIMAL_BLOCKS_232, SBS_ROWS_2X3, array_of, design_of
+from .conftest import OPTIMAL_BLOCKS_232, SBS_ROWS_2X3, all_arrays, array_of, design_of
 
 
 def _ar_cov(p: int, rho: float = 0.3) -> GeneralCov:

@@ -19,7 +19,7 @@ from fielddesign.arrays import (
     Orbit,
     Shape,
     canonical_form,
-    classify_array,
+    classify_labels,
     enumerate_label_matrix,
     enumerate_orbits,
     label_matrix,
@@ -137,7 +137,7 @@ def test_class_representatives_classify_back():
     shape = Shape(3, 4, 11)
     for i in (1, 2, 3, 4):
         rep = class_representative(shape, i)
-        assert classify_array(rep).q_index == i
+        assert classify_labels(shape, [rep.colex]).q_index.tolist() == [i]
 
 
 def test_measure_weight_validation():
@@ -193,9 +193,9 @@ def test_symmetric_orbit_measure_triple_equals_member_triple():
 
 def test_r_eval_frozen_points():
     val, witness = r_eval(Fraction(0), full_pool(Shape(2, 2, 2)))
-    assert val == 2 and classify_array(witness).balanced
+    assert val == 2 and classify_labels(witness.shape, [witness.colex]).balanced.all()
     val, witness = r_eval(Fraction(0), full_pool(Shape(2, 2, 4)))
-    assert val == 3 and classify_array(witness).q_index == 0
+    assert val == 3 and classify_labels(witness.shape, [witness.colex]).q_index.tolist() == [0]
 
 
 def test_r_eval_exact_and_float_agree():
