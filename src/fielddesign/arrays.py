@@ -7,10 +7,7 @@ grid coordinates.  Relabeling the t treatments acts on arrays; the orbits
 of that action are the unit of enumeration here, represented canonically
 by first-occurrence relabeling along the colex scan.
 
-The counting statistics (replication counts over trimmed subgrids,
-same-treatment adjacency counts at distance one and two) are the raw
-material for the closed-form information coefficients in `model`.  The
-support classes of the optimality theory are read off a whole label
+The support classes of the optimality theory are read off a whole label
 matrix at once (classify_labels), over the one neighbor definition
 (neighbor_matrix) that `model` uses too.
 """
@@ -328,95 +325,6 @@ class LabelPool(Sequence[BlockArray]):
 
     def __getitem__(self, k: int) -> BlockArray:
         return BlockArray.from_colex(self.shape, self.labels[k].tolist())
-
-
-@dataclass(frozen=True)
-class CountStatistics:
-    """Replication and adjacency counts of one array.
-
-    f0..f4 hold per-treatment replication counts over the whole grid and
-    the four trimmed subgrids (drop last column, first column, last row,
-    first row).  h is the 5x5 table of inner products h[i][j] = sum_m
-    f_i[m] * f_j[m]; h1, h2, h3 are the aggregates sum_j h[0][j] (j>=1),
-    sum_i h[i][i] (i>=1) and sum_{1<=i<j} h[i][j].  The z counts tally
-    same-treatment plot pairs: zr1/zc1 horizontally/vertically adjacent,
-    zr2/zc2 at distance two in a row/column, zd1/zd2 on the two diagonal
-    offsets; z1 = 2*zr1 + 2*zc1 and z2 = 2*zr2 + 2*zc2 + 4*zd1 + 4*zd2.
-    """
-
-    f0: tuple[int, ...]
-    f1: tuple[int, ...]
-    f2: tuple[int, ...]
-    f3: tuple[int, ...]
-    f4: tuple[int, ...]
-    h: tuple[tuple[int, ...], ...]
-    h1: int
-    h2: int
-    h3: int
-    zr1: int
-    zc1: int
-    zr2: int
-    zc2: int
-    zd1: int
-    zd2: int
-    z1: int
-    z2: int
-    rho: int
-
-
-def count_statistics(s: BlockArray) -> CountStatistics:
-    a, b, t = s.shape.a, s.shape.b, s.shape.t
-    rows = s.rows
-
-    def counts(i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> list[int]:
-        f = [0] * t
-        for i in range(i_lo, i_hi):
-            r = rows[i]
-            for j in range(j_lo, j_hi):
-                f[r[j] - 1] += 1
-        return f
-
-    f0 = counts(0, a, 0, b)
-    f1 = counts(0, a, 0, b - 1)
-    f2 = counts(0, a, 1, b)
-    f3 = counts(0, a - 1, 0, b)
-    f4 = counts(1, a, 0, b)
-    fs = (f0, f1, f2, f3, f4)
-
-    h = [[sum(x * y for x, y in zip(fs[i], fs[j])) for j in range(5)] for i in range(5)]
-    h1 = sum(h[0][j] for j in range(1, 5))
-    h2 = sum(h[i][i] for i in range(1, 5))
-    h3 = sum(h[i][j] for i in range(1, 5) for j in range(i + 1, 5))
-
-    zr1 = sum(rows[i][j] == rows[i][j + 1] for i in range(a) for j in range(b - 1))
-    zc1 = sum(rows[i][j] == rows[i + 1][j] for i in range(a - 1) for j in range(b))
-    zr2 = sum(rows[i][j] == rows[i][j + 2] for i in range(a) for j in range(b - 2))
-    zc2 = sum(rows[i][j] == rows[i + 2][j] for i in range(a - 2) for j in range(b))
-    zd1 = sum(rows[i][j] == rows[i - 1][j + 1] for i in range(1, a) for j in range(b - 1))
-    zd2 = sum(rows[i][j] == rows[i + 1][j + 1] for i in range(a - 1) for j in range(b - 1))
-    z1 = 2 * zr1 + 2 * zc1
-    z2 = 2 * zr2 + 2 * zc2 + 4 * zd1 + 4 * zd2
-
-    return CountStatistics(
-        f0=tuple(f0),
-        f1=tuple(f1),
-        f2=tuple(f2),
-        f3=tuple(f3),
-        f4=tuple(f4),
-        h=tuple(tuple(r) for r in h),
-        h1=h1,
-        h2=h2,
-        h3=h3,
-        zr1=zr1,
-        zc1=zc1,
-        zr2=zr2,
-        zc2=zc2,
-        zd1=zd1,
-        zd2=zd2,
-        z1=z1,
-        z2=z2,
-        rho=sum(1 for f in f0 if f > 0),
-    )
 
 
 def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:

@@ -35,6 +35,7 @@ from .model import GeneralCov, TypeH, sigma_from_json
 from .optimality import (
     GAP_TOL,
     SolveResult,
+    _number_json,
     full_pool,
     random_pool,
     solve_closed_form,
@@ -236,8 +237,8 @@ def cmd_verify(args) -> int:
     xi = measure_of_design(design)
     report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=args.tol)
     doc = {"config": _config(args),
-           "x_star": solved.to_json()["x_star"],
-           "y_star": solved.to_json()["y_star"],
+           "x_star": _number_json(solved.x_star),
+           "y_star": _number_json(solved.y_star),
            "n": design.n,
            "report": report.to_json()}
     rows = [("shape", str(design.shape)), ("n", str(design.n)),
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="orbit census")
     shaped(p)
     p.add_argument("--list", action="store_true", help="list every orbit")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET)
+    p.add_argument("--budget", type=_nonnegative(int), default=DEFAULT_ORBIT_BUDGET)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("solve", parents=[common, solver], help="minimax optimum")

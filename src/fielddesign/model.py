@@ -25,8 +25,9 @@ matrix for every covariance: in int64 on K = pI - J for the identity and
 type-H family, and in float on K = Btilde for a dense Sigma.  Exact sums
 are Python-int numerators over one known denominator, from counts of each
 weight's rows per (plot pair, label pair) cell, until the output.  The
-paper's closed forms in the counting statistics (c_coeffs_closed,
-closed_numerators_batch) stay as the independent check of that kernel.
+paper's counting formula, written once in closed_numerators_batch (and
+read for one array by c_coeffs_closed), stays as the independent check of
+that kernel.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ import numpy as np
 
 from .arrays import (
     BlockArray,
-    CountStatistics,
     LabelPool,
     Shape,
     _neighbor_shifts,
-    count_statistics,
     label_matrix,
     neighbor_matrix,
 )
@@ -191,12 +190,11 @@ def incidence_matrices(s: BlockArray) -> IncidenceSet:
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """Quadratic coefficients (c00, c01, c11) of one array, with provenance."""
+    """Quadratic coefficients (c00, c01, c11) of one array."""
 
     c00: Fraction | float
     c01: Fraction | float
     c11: Fraction | float
-    source: str = "closed-form"
 
     def astuple(self):
         return (self.c00, self.c01, self.c11)
@@ -212,16 +210,12 @@ def c11_base(shape: Shape) -> Fraction:
     )
 
 
-def c_coeffs_closed(s: BlockArray, stats: CountStatistics | None = None) -> CoefficientTriple:
-    """Exact coefficients from the counting statistics (identity kernel scale)."""
-    shape = s.shape
-    p, t = shape.p, shape.t
-    st = stats if stats is not None else count_statistics(s)
-    h00 = st.h[0][0]
-    c00 = p - Fraction(h00, p)
-    c01 = st.z1 - Fraction(st.h1, p)
-    c11 = c11_base(shape) + st.z2 - Fraction(st.h2, p) - Fraction(2 * st.h3, p)
-    return CoefficientTriple(c00, c01, c11, source="closed-form")
+def c_coeffs_closed(s: BlockArray) -> CoefficientTriple:
+    """Exact coefficients of one array by the counting formula (identity
+    kernel scale): closed_numerators_batch on its one row."""
+    nums = closed_numerators_batch(label_matrix([s]), s.shape)
+    units = exact_units(s.shape, Fraction(1))
+    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)))
 
 
 def c_coeffs_trace(s: BlockArray, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
@@ -232,51 +226,44 @@ def c_coeffs_trace(s: BlockArray, sigma: CovarianceSpec = IDENTITY) -> Coefficie
         raise ValueError("exact triples need identity or rational type-H covariance")
     nums = trace_numerators_batch(label_matrix([s]), s.shape)
     units = exact_units(s.shape, scale)
-    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)), source="trace")
+    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)))
 
 
 def closed_numerators_batch(labels: np.ndarray, shape: Shape):
-    """Vectorized closed-form path over an (N, p) label matrix.
+    """The paper's counting formula over an (N, p) label matrix.
 
-    Returns integer numerators (n00, n01, n11) over denominators
-    (p, p, p*t); exact for the identity kernel.
+    With f0 the replication counts over the grid, f1..f4 over the grid
+    less its last column, first column, last row and first row, h[i][j] =
+    f_i . f_j, h1 = sum_{j>=1} h[0][j], h2 = sum_{i>=1} h[i][i], h3 =
+    sum_{1<=i<j} h[i][j], z1 the ordered same-label neighbor pairs and z2
+    the ordered same-label pairs weighted by their shared neighbors,
+    returns the integer numerators n00 = p^2 - h00, n01 = p z1 - h1 and
+    n11 = eta p t + p t z2 - t h2 - 2 t h3 over denominators (p, p, p*t),
+    eta = c11_base; exact for the identity kernel.
     """
     a, b, t, p = shape.a, shape.b, shape.t, shape.p
     lab = np.asarray(labels, dtype=np.int64)
-    n = lab.shape[0]
-    onehot = _onehot(lab, t, np.int64)
     i, j = np.arange(p) % a, np.arange(p) // a
-    subgrids = (j <= b - 2, j >= 1, i <= a - 2, i >= 1)
-    f0 = onehot.sum(axis=1)
-    fsub = [onehot[:, m, :].sum(axis=1) for m in subgrids]
-    h00 = (f0 * f0).sum(axis=1)
-    h1 = sum((f0 * fk).sum(axis=1) for fk in fsub)
-    h2 = sum((fk * fk).sum(axis=1) for fk in fsub)
-    h3 = sum(
-        (fsub[x] * fsub[y]).sum(axis=1) for x in range(4) for y in range(x + 1, 4)
-    )
+    grids = np.array([j >= 0, j <= b - 2, j >= 1, i <= a - 2, i >= 1], dtype=np.int64)
+    f = grids @ _onehot(lab, t, np.int64)  # (N, 5, t): f0..f4
+    h = f @ f.transpose(0, 2, 1)
+    h1 = h[:, 0, 1:].sum(axis=1)
+    h2 = np.trace(h[:, 1:, 1:], axis1=1, axis2=2)
+    h3 = (h[:, 1:, 1:].sum(axis=(1, 2)) - h2) // 2
 
     def same(mask: np.ndarray, offset: int) -> np.ndarray:
         src = np.flatnonzero(mask)
         return (lab[:, src] == lab[:, src + offset]).sum(axis=1)
 
-    zr1 = same(j <= b - 2, a)
-    zc1 = same(i <= a - 2, 1)
-    zr2 = same(j <= b - 3, 2 * a) if b >= 3 else np.zeros(n, dtype=np.int64)
-    zc2 = same(i <= a - 3, 2) if a >= 3 else np.zeros(n, dtype=np.int64)
-    zd1 = same((i >= 1) & (j <= b - 2), a - 1)
-    zd2 = same((i <= a - 2) & (j <= b - 2), a + 1)
-    z1 = 2 * zr1 + 2 * zc1
-    z2 = 2 * zr2 + 2 * zc2 + 4 * zd1 + 4 * zd2
-
-    eta_num = (
-        (4 * p - 2 * a - 2 * b) * p * t
-        - 2 * (8 * a * b - 7 * a - 7 * b + 4) * p
-        + 4 * (2 * p - a - b) ** 2
-    )
-    n00 = p * p - h00
+    # plot pairs one apart in a row and in a column; two apart in a row
+    # and in a column (one shared neighbor); diagonal (two shared)
+    z1 = 2 * same(j <= b - 2, a) + 2 * same(i <= a - 2, 1)
+    z2 = (2 * same(j <= b - 3, 2 * a) + 2 * same(i <= a - 3, 2)
+          + 4 * same((i >= 1) & (j <= b - 2), a - 1)
+          + 4 * same((i <= a - 2) & (j <= b - 2), a + 1))
+    n00 = p * p - h[:, 0, 0]
     n01 = p * z1 - h1
-    n11 = eta_num + p * t * z2 - t * h2 - 2 * t * h3
+    n11 = int(c11_base(shape) * p * t) + p * t * z2 - t * h2 - 2 * t * h3
     return n00, n01, n11
 
 

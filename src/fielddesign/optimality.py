@@ -214,7 +214,7 @@ def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> Coefficient
         c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0), units / xi.denominator)
     else:
         c = [float(v) for v in xi.float_weights() @ rows]
-    return CoefficientTriple(*c, source="aggregate")
+    return CoefficientTriple(*c)
 
 
 def q_eval(c, x):
@@ -430,13 +430,6 @@ def fan_classes(shape: Shape) -> list[FanClass]:
     return out
 
 
-def _fan_crossing(shape: Shape) -> tuple[int, int, int]:
-    # integer quadratic whose smaller root is the common class crossing
-    if shape.a == 2:
-        return 4, -4 * (shape.b - 1), 1
-    return 6, -(2 * shape.p - 5), 1
-
-
 def _corner_double_pairs(shape: Shape) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     a, b = shape.a, shape.b
     if a == 2:
@@ -537,24 +530,6 @@ def balanced_clustered(shape: Shape) -> BlockArray:
     return canonical_form(BlockArray.from_colex(shape, seq.tolist()))
 
 
-def _balanced_measure(shape: Shape, seed: int = 0):
-    """Orbit weights for a balanced mixture whose slope vanishes at 0."""
-    candidates = [balanced_no_adjacent(shape), balanced_clustered(shape)]
-    rng = np.random.default_rng(seed)
-    bag = _balanced_bag(shape)
-    for _ in range(200):
-        uniq = sorted(set(candidates), key=lambda s: s.colex)
-        orbits = [Orbit(s, orbit_size(s)) for s in uniq]
-        try:
-            weights, _ = solve_sbs_proportions(orbits, Fraction(0))
-        except ValueError:
-            candidates.append(canonical_form(BlockArray.from_colex(
-                shape, rng.permutation(bag).tolist())))
-            continue
-        return [(o, w) for o, w in zip(orbits, weights) if w > 0]
-    raise RuntimeError(f"could not balance slopes at x=0 for {shape}")
-
-
 def _regime_tag(shape: Shape) -> str:
     p, t, a, b = shape.p, shape.t, shape.a, shape.b
     if t <= p - 2:
@@ -578,8 +553,9 @@ def solve_closed_form(
     and y* picks up the scale.  Three regimes:
 
     * t <= p-2: x* = 0, y* from the balanced replication profile, support
-      is every balanced array; the measure mixes balanced orbits so the
-      aggregated slope at 0 vanishes.
+      is every balanced array; the measure mixes the no-adjacent array
+      (slope below 0 at 0) with the clustered one (slope at least 0) so
+      the aggregated slope at 0 vanishes.
     * t >= p-1, generic shape: the lowest feasible corner-double class
       has its vertex left of the common class crossing, the minimax sits
       on that vertex, and the support is that single class.
@@ -602,40 +578,33 @@ def solve_closed_form(
         x_star = Fraction(0)
         y_id = Fraction(p) - Fraction(p * p + r * (t - r), p * t)
         support = QSupport.balanced(shape)
-        orbit_pairs = _balanced_measure(shape)
+        reps = sorted([balanced_no_adjacent(shape), balanced_clustered(shape)],
+                      key=lambda s: s.colex)
     else:
         classes = fan_classes(shape)
         low = classes[0]
         c00, c01, c11 = low.triple.astuple()
         x_vertex = -c01 / c11
-        A, B, C = _fan_crossing(shape)
-        phi = A * x_vertex * x_vertex + B * x_vertex + C
-        if phi > 0 and x_vertex < Fraction(-B, 2 * A):
+        # adjacent classes differ by one step, so q_low + step = q_next
+        # crosses q_low where A x^2 + B x + 1 = 0 (smaller root)
+        step = [v - u for u, v in zip((c00, c01, c11), classes[1].triple.astuple())]
+        A, B = step[2] / step[0], 2 * step[1] / step[0]
+        phi = A * x_vertex * x_vertex + B * x_vertex + 1
+        vertex = phi > 0 and x_vertex < -B / (2 * A)
+        support = QSupport.classes(shape, (low.name,) if vertex else
+                                   tuple(c.name for c in classes))
+        if vertex or phi == 0:
             x_star = x_vertex
             y_id = c00 - c01 * c01 / c11
-            support = QSupport.classes(shape, (low.name,))
-            rep = class_representative(shape, low.doubles)
-            orbit_pairs = [(Orbit(rep, orbit_size(rep)), Fraction(1))]
+            reps = [class_representative(shape, low.doubles)]
         else:
-            names = tuple(c.name for c in classes)
-            support = QSupport.classes(shape, names)
-            if phi == 0:
-                x_star = x_vertex
-                y_id = q_eval(low.triple, x_star)
-                rep = class_representative(shape, low.doubles)
-                orbit_pairs = [(Orbit(rep, orbit_size(rep)), Fraction(1))]
-            else:
-                disc = B * B - 4 * A * C
-                x_star = (-B - math.sqrt(disc)) / (2 * A)
-                y_id = float(q_eval(
-                    CoefficientTriple(float(c00), float(c01), float(c11)),
-                    x_star,
-                ))
-                reps = [class_representative(shape, c.doubles) for c in classes]
-                orbits = [Orbit(s, orbit_size(s)) for s in reps]
-                weights, _ = solve_sbs_proportions(orbits, x_star)
-                orbit_pairs = [(o, w) for o, w in zip(orbits, weights) if w > 0]
+            x_star = (-B - math.sqrt(B * B - 4 * A)) / (2 * A)
+            y_id = q_eval((float(c00), float(c01), float(c11)), x_star)
+            reps = [class_representative(shape, c.doubles) for c in classes]
 
+    orbits = [Orbit(s, orbit_size(s)) for s in reps]
+    weights = solve_sbs_proportions(orbits, x_star)[0] if len(orbits) > 1 else [Fraction(1)]
+    orbit_pairs = [(o, w) for o, w in zip(orbits, weights) if w > 0]
     y_star = y_id * yscale
     total = sum(o.size for o, _ in orbit_pairs)
     measure = (
@@ -832,12 +801,11 @@ def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
         bag = _balanced_bag(shape)
         return _drawn_pool(shape, 64, 20 * 64, lambda rng: rng.permutation(bag), seed, head)
     pairs = _corner_double_pairs(shape)
-    top = 2 if shape.a == 2 else 4
     return canonical_pool(shape, [
         _filled(shape, chosen)
-        for i in range(max(0, shape.p - shape.t), top + 1)
-        for chosen in combinations(pairs, i)
-        if len({cell for pair in chosen for cell in pair}) == 2 * i])
+        for cls in fan_classes(shape)
+        for chosen in combinations(pairs, cls.doubles)
+        if len({cell for pair in chosen for cell in pair}) == 2 * cls.doubles])
 
 
 def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:

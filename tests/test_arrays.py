@@ -1,4 +1,4 @@
-"""Grids, orbits, canonical forms, counting statistics, support classes."""
+"""Grids, orbits, canonical forms, support classes."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from fielddesign.arrays import (
     canonical_labels,
     canonical_pool,
     classify_labels,
-    count_statistics,
     enumerate_label_matrix,
     enumerate_orbits,
     normalize_shape,
@@ -260,46 +259,6 @@ def test_orbit_members_follow_injection_order(abt, seq):
             for image in itertools.permutations(range(1, shape.t + 1), len(labels))]
     assert [m.colex for m in orbit_members(s)] == want
     assert len(want) == orbit_size(s)
-
-
-def test_count_statistics_reference_values():
-    # hand-enumerated counts for (1,1;2,3;4,5) on a 2x3 grid
-    st = count_statistics(array_of(2, 3, 5, SBS_ROWS_2X3))
-    assert st.rho == 5
-    assert st.z1 == 2 and st.z2 == 0
-    assert st.h[0][0] == 8
-    assert st.h1 == 18 and st.h2 == 16 and st.h3 == 13
-
-
-def _neighbor_sets(shape: Shape):
-    cells = [(i, j) for j in range(shape.b) for i in range(shape.a)]
-    out = {}
-    for i, j in cells:
-        out[(i, j)] = [
-            (i + di, j + dj)
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            if 0 <= i + di < shape.a and 0 <= j + dj < shape.b
-        ]
-    return cells, out
-
-
-def test_z_counts_match_neighbor_graph():
-    # z1: ordered adjacent same-label pairs; z2: ordered same-label pairs
-    # weighted by the number of shared neighbors
-    rng = np.random.default_rng(11)
-    for shape in (Shape(2, 3, 3), Shape(3, 4, 5), Shape(2, 2, 2)):
-        cells, nbrs = _neighbor_sets(shape)
-        for _ in range(20):
-            s = BlockArray.from_colex(
-                shape, rng.integers(1, shape.t + 1, size=shape.p))
-            lab = {c: s.rows[c[0]][c[1]] for c in cells}
-            z1 = sum(
-                lab[u] == lab[v] for u in cells for v in nbrs[u])
-            z2 = sum(
-                len(set(nbrs[u]) & set(nbrs[v])) * (lab[u] == lab[v])
-                for u in cells for v in cells if u != v)
-            st = count_statistics(s)
-            assert st.z1 == z1 and st.z2 == z2
 
 
 def _reference_classes(s: BlockArray) -> tuple:

@@ -198,12 +198,19 @@ def test_bad_tol_and_max_iter_are_input_errors(capsys, tmp_path, monkeypatch, fl
     assert len(errors) == 1 and flags[-2] in errors[0]
 
 
-@pytest.mark.parametrize("value", ["-0.5", "-1e-9", "-inf"])
-def test_negative_tol_gets_the_range_message(capsys, value):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["solve", "--tol", v], id=v) for v in ("-0.5", "-1e-9", "-inf")),
+    # a negative budget is bad input, not a computation over the budget
+    pytest.param(["enumerate", "--list", "--budget", "-1"], id="budget"),
+])
+def test_negative_tol_gets_the_range_message(capsys, argv):
     # argparse reads "-1e-9" and "-inf" as options unless told otherwise
-    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "3", "--tol", value)
+    command, *flags = argv
+    flag, value = flags[-2:]
+    kind = "int" if flag == "--budget" else "float"
+    code, out, err = run(capsys, command, "--a", "2", "--b", "3", "--t", "3", *flags)
     assert code == 1 and out == ""
-    assert f"error: argument --tol: need a finite float >= 0, got {value!r}" in err
+    assert f"error: argument {flag}: need a finite {kind} >= 0, got {value!r}" in err
 
 
 def test_construct_same_seed_same_bytes(capsys, tmp_path):

@@ -32,6 +32,7 @@ from fielddesign.model import (
     TypeH,
     block_components,
     c_coeffs_closed,
+    closed_numerators_batch,
     info_matrix_measure,
     schur_complement,
     triple_table,
@@ -39,6 +40,8 @@ from fielddesign.model import (
 from fielddesign.optimality import (
     LabelPool,
     Measure,
+    balanced_clustered,
+    balanced_no_adjacent,
     class_representative,
     equivalence_gap,
     fan_classes,
@@ -102,6 +105,30 @@ def test_closed_form_frozen_values(abt):
         assert list(res.q_support.names) == classes
 
 
+# every regime: t <= p-2, the vertex branch (2,4,7), (3,4,11), ..., all
+# of 2x2, and the class crossing for a = 2 and for a >= 3, (3,3,8),
+# (3,3,9) and (3,4,12) among them
+SWEEP_SHAPES = [Shape(a, b, t) for a in (2, 3, 4) for b in range(a, 6)
+                for t in range(max(2, a * b - 3), a * b + 3)]
+
+
+def test_closed_form_sweep_digest():
+    # digest recorded before the closed form's formulas were deduplicated
+    digest = hashlib.sha256()
+    regimes = set()
+    for shape in SWEEP_SHAPES:
+        for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+            res = solve_closed_form(shape, sigma)
+            regimes.add(res.regime)
+            digest.update(repr((
+                repr(res.x_star), repr(res.y_star), res.regime, res.q_support.describe(),
+                [(o.representative.colex, o.size, repr(w)) for o, w in res.orbit_weights],
+            )).encode())
+    assert len(regimes) == 7
+    assert digest.hexdigest() == \
+        "c5c01680f117ff15f17b1d0cd93029f57b26760103035390b0c7a2bf26ce47b1"
+
+
 def test_vertex_branch_exact_values():
     res = solve_closed_form(Shape(2, 4, 7))
     assert (res.x_star, res.y_star) == (Fraction(14, 171), Fraction(4561, 684))
@@ -131,6 +158,19 @@ def test_fan_triples_match_counting_path():
             rep = class_representative(shape, cls.doubles)
             got = c_coeffs_closed(rep).astuple()
             assert got == cls.triple.astuple(), cls.name
+
+
+def test_balanced_arrays_bracket_zero_slope():
+    # the no-adjacent array has z1 = 0, so c01 = -h1/p < 0, and the
+    # clustered one never has a negative slope at 0: the two always mix
+    # into the balanced measure with slope 0 at x* = 0
+    shapes = [Shape(a, b, t) for a in range(2, 7) for b in range(a, 36 // a + 1)
+              for t in range(2, a * b - 1)]
+    assert len(shapes) == 736
+    for shape in shapes:
+        lab = label_matrix([balanced_no_adjacent(shape), balanced_clustered(shape)])
+        _, n01, _ = closed_numerators_batch(lab, shape)
+        assert n01[0] < 0 <= n01[1], shape
 
 
 def test_class_representatives_classify_back():
