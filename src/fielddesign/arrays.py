@@ -116,9 +116,6 @@ class BlockArray:
         """Entries in plot order (column-major scan)."""
         return tuple(v for col in zip(*self.rows) for v in col)
 
-    def grid(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
     def transpose(self) -> "BlockArray":
         shape = Shape(self.shape.b, self.shape.a, self.shape.t)
         return BlockArray(shape, tuple(zip(*self.rows)))

@@ -31,7 +31,7 @@ from .arrays import (
     orbit_count,
 )
 from .designs import ExactDesign, construct_exact, efficiencies, measure_of_design
-from .model import GeneralCov, TypeH, sigma_from_json
+from .model import GeneralCov, sigma_from_json, sigma_matrix
 from .optimality import (
     GAP_TOL,
     SolveResult,
@@ -54,35 +54,33 @@ class _InputError(Exception):
     """Anything wrong with flags or input files."""
 
 
-def resolve_sigma(source: str):
-    """Turn --sigma into a covariance spec.
+def resolve_sigma(source: str, p: int):
+    """Turn --sigma into a covariance spec for p plots.
 
     Keywords: "identity", "type-h:X" with X an exact number like 2 or
     3/2 or 0.5.  Anything else is a path to a JSON description or a
-    CSV matrix.
+    CSV matrix.  The spec must give a positive definite p x p matrix
+    (sigma_matrix); anything else is bad input.
     """
-    if source == "identity":
-        return sigma_from_json({"type": "identity"})
-    if source.startswith("type-h:"):
-        try:
-            x = Fraction(source.split(":", 1)[1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _InputError(f"bad type-h parameter in {source!r}: {exc}")
-        if x <= 0:
-            raise _InputError("type-h parameter must be positive")
-        return TypeH(x)
     path = Path(source)
-    if not path.exists():
-        raise _InputError(
-            f"covariance source {source!r} is neither a keyword nor a file")
     try:
-        if path.suffix.lower() == ".csv":
-            rows = [[float(v) for v in line.split(",")]
-                    for line in path.read_text().splitlines() if line.strip()]
-            return GeneralCov.from_matrix(rows)
-        return sigma_from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read covariance from {source}: {exc}")
+        if source == "identity":
+            sigma = sigma_from_json({"type": "identity"})
+        elif source.startswith("type-h:"):
+            sigma = sigma_from_json({"type": "type-h", "x": source.split(":", 1)[1]})
+        elif not path.exists():
+            raise _InputError(
+                f"covariance source {source!r} is neither a keyword nor a file")
+        elif path.suffix.lower() == ".csv":
+            sigma = GeneralCov.from_matrix([[float(v) for v in line.split(",")]
+                                            for line in path.read_text().splitlines()
+                                            if line.strip()])
+        else:
+            sigma = sigma_from_json(json.loads(path.read_text()))
+        sigma_matrix(sigma, p)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"bad covariance {source!r}: {exc}")
+    return sigma
 
 
 def resolve_pool(spec, shape: Shape, seed: int):
@@ -217,7 +215,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_solve(args) -> int:
     shape, transposed = _shape_from_args(args)
-    sigma = resolve_sigma(args.sigma)
+    sigma = resolve_sigma(args.sigma, shape.p)
     result = _solve_for(shape, sigma, args)
     doc = {"config": _config(args), "transposed": transposed}
     doc.update(result.to_json())
@@ -232,7 +230,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     design = load_design(args.design)
     _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(args.sigma)
+    sigma = resolve_sigma(args.sigma, design.shape.p)
     solved = _solve_for(design.shape, sigma, args)
     xi = measure_of_design(design)
     report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=args.tol)
@@ -255,7 +253,7 @@ def cmd_verify(args) -> int:
 def cmd_efficiency(args) -> int:
     design = load_design(args.design)
     _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(args.sigma)
+    sigma = resolve_sigma(args.sigma, design.shape.p)
     solved = _solve_for(design.shape, sigma, args)
     report = efficiencies(design, sigma, y_star=float(solved.y_star))
     doc = {"config": _config(args), "y_star_source": solved.regime}
@@ -276,7 +274,7 @@ def cmd_construct(args) -> int:
     if args.effort < 1:
         raise _InputError(f"need effort >= 1, got {args.effort}")
     shape, _ = _shape_from_args(args)
-    sigma = resolve_sigma(args.sigma)
+    sigma = resolve_sigma(args.sigma, shape.p)
     design, report = construct_exact(shape, args.n, sigma,
                                      seed=args.seed, effort=args.effort)
     doc = {"config": _config(args), "design": design.to_json(),

@@ -468,9 +468,7 @@ def construct_exact(
     y = float(result.y_star)
     t = shape.t
 
-    pairs = list(result.orbit_weights or [])
-    if not pairs:
-        raise ValueError("solver returned no support to draw candidates from")
+    pairs = result.orbit_weights
     cap = max(2 * n, 64)
     reps = label_matrix([o.representative for o, _ in pairs])
     members = [_orbit_sample(rep - 1, t, cap, rng) for rep in reps]

@@ -33,7 +33,7 @@ that kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence
@@ -55,23 +55,28 @@ CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
-class Identity:
-    """White within-block covariance (the reference case)."""
-
-    def __repr__(self):
-        return "Identity()"
-
-
-@dataclass(frozen=True)
 class TypeH:
-    """Sigma = x I + y 1' + 1 y', which shares its contrast kernel with x I."""
+    """Sigma = x I + y 1' + 1 y', which shares its contrast kernel with x I;
+    x > 0 with a finite float value, y checked by sigma_matrix."""
 
     x: Fraction | float | int
     y: tuple | None = None
 
     def __post_init__(self):
-        if not (float(self.x) > 0):
-            raise ValueError("type-H diagonal weight x must be positive")
+        try:
+            ok = 0 < float(self.x) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError("type-H weight x must be positive and finite")
+
+
+@dataclass(frozen=True)
+class Identity(TypeH):
+    """White within-block covariance: the type-H member x = 1, y = 0."""
+
+    x: Fraction = field(default=Fraction(1), init=False, repr=False)
+    y: None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,8 @@ class GeneralCov:
         arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("covariance must be square")
-        if not np.allclose(arr, arr.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
+        if not (np.isfinite(arr).all() and np.allclose(arr, arr.T, atol=1e-10)):
+            raise ValueError("covariance must be finite and symmetric")
         if np.linalg.eigvalsh(arr)[0] <= 0:
             raise ValueError("covariance must be positive definite")
         return GeneralCov(tuple(tuple(float(v) for v in row) for row in arr))
@@ -95,41 +100,41 @@ class GeneralCov:
         return np.array(self.matrix, dtype=float)
 
 
-CovarianceSpec = Identity | TypeH | GeneralCov
+CovarianceSpec = TypeH | GeneralCov
 
 IDENTITY = Identity()
 
 
-def is_contrast_identity(sigma: CovarianceSpec) -> bool:
-    """True when Btilde is a positive multiple of the centering projector."""
-    return isinstance(sigma, (Identity, TypeH))
-
-
 def rational_scale(sigma: CovarianceSpec) -> Fraction | None:
     """The exact scale 1/x relating Btilde to B_p, if representable."""
-    if isinstance(sigma, Identity):
-        return Fraction(1)
     if isinstance(sigma, TypeH) and isinstance(sigma.x, Rational):
         return 1 / Fraction(sigma.x)
     return None
 
 
 def sigma_from_json(obj) -> CovarianceSpec:
-    """Parse a covariance description.
+    """Parse a covariance description; ValueError for anything malformed.
 
-    Accepts {"type": "identity"}, {"type": "type-h", "x": ..., "y": [...]}
-    (x as int or "num/den" string stays exact), {"matrix": [[...]]}, or a
-    bare dense row-major matrix.
+    Accepts {"type": "identity"}, {"type": "type-h", "x": ..., "y": [...]},
+    {"matrix": [[...]]}, or a bare dense row-major matrix.  The type-H x
+    stays exact as an int or a "num/den" or decimal string, is a float
+    otherwise, and must be positive and finite; a boolean is refused.  The
+    optional offsets y are numbers, one per plot (checked by sigma_matrix).
     """
     if isinstance(obj, Mapping):
         kind = obj.get("type")
         if kind == "identity":
             return Identity()
         if kind == "type-h":
-            x = obj["x"]
-            x = Fraction(x) if isinstance(x, (int, str)) else float(x)
-            y = obj.get("y")
-            return TypeH(x, None if y is None else tuple(float(v) for v in y))
+            x, y = obj.get("x"), obj.get("y")
+            if isinstance(x, bool):
+                raise ValueError(f"type-H x must be a number, got {x}")
+            try:
+                x = Fraction(x) if isinstance(x, (int, str)) else float(x)
+                y = None if y is None else tuple(float(v) for v in y)
+            except (TypeError, ZeroDivisionError):
+                raise ValueError(f"bad type-H x={obj.get('x')!r} or y={obj.get('y')!r}") from None
+            return TypeH(x, y)
         if "matrix" in obj:
             return GeneralCov.from_matrix(obj["matrix"])
         raise ValueError(f"unrecognized covariance type {kind!r}")
@@ -137,8 +142,9 @@ def sigma_from_json(obj) -> CovarianceSpec:
 
 
 def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    if isinstance(sigma, Identity):
-        return np.eye(p)
+    """The p x p matrix of a covariance spec: the one check that the spec
+    describes a positive definite matrix of that size (the length of any
+    type-H offsets included); ValueError otherwise."""
     if isinstance(sigma, TypeH):
         y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
         if y.shape != (p,):
@@ -155,8 +161,6 @@ def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
 
 def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
     """Block-centered precision kernel (p x p, float)."""
-    if isinstance(sigma, Identity):
-        return np.eye(p) - np.full((p, p), 1.0 / p)
     if isinstance(sigma, TypeH):
         return (np.eye(p) - np.full((p, p), 1.0 / p)) / float(sigma.x)
     inv = np.linalg.inv(sigma_matrix(sigma, p))
@@ -333,7 +337,9 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
     scale = rational_scale(sigma)
     if exact and scale is None:
         raise ValueError("exact path needs Identity or rational type-H covariance")
-    if is_contrast_identity(sigma):
+    if isinstance(sigma, TypeH):
+        if sigma.y is not None:
+            sigma_matrix(sigma, p)  # valid offsets cancel in K; invalid ones are refused
         k = p * np.eye(p, dtype=np.int64) - 1
         scale = 1.0 / float(sigma.x) if scale is None else scale
         unit = float(scale) / p

@@ -359,7 +359,7 @@ class SolveResult:
     regime: str
     q_support: QSupport
     measure: Measure | None
-    orbit_weights: tuple[tuple[Orbit, object], ...] | None
+    orbit_weights: tuple[tuple[Orbit, object], ...]
     gap: object
     converged: bool = True
     iterations: int = 0
@@ -376,13 +376,12 @@ class SolveResult:
             "gap": _number_json(self.gap),
             "converged": self.converged,
             "iterations": self.iterations,
-        }
-        if self.orbit_weights is not None:
-            out["orbit_weights"] = [
+            "orbit_weights": [
                 {"representative": o.representative.to_json(), "size": o.size,
                  "weight": _number_json(w)}
                 for o, w in self.orbit_weights
-            ]
+            ],
+        }
         if self.measure is not None:
             out["measure"] = self.measure.to_json()
         return out
@@ -911,27 +910,12 @@ def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
     return 0.5 * (lo + hi), max_iter
 
 
-def _pool_rows(pool: LabelPool, lab: np.ndarray) -> np.ndarray:
-    """Pool row of each row of a label matrix: the first row equal to it,
-    else the first row equal to its canonical form; ValueError when neither
-    is in the pool."""
-    _, first, inverse = group_rows(np.concatenate([pool.labels, lab, canonical_labels(lab)]))
-    n, m = len(pool), len(lab)
-    # group_rows keeps the earliest row of each group, so pool rows come first
-    first = first[inverse[n:]]
-    rows = np.where(first[:m] < n, first[:m], first[m:])
-    if (rows >= n).any():
-        raise ValueError("initial atom not represented in the pool")
-    return rows
-
-
 def solve_exchange(
     shape: Shape,
     sigma: CovarianceSpec = IDENTITY,
     pool: Sequence[BlockArray] | None = None,
     tol: float = GAP_TOL,
     max_iter: int = 500,
-    init: Measure | None = None,
 ) -> SolveResult:
     """Maximize the measure criterion over a pool by minimising the envelope.
 
@@ -949,29 +933,19 @@ def solve_exchange(
     the envelope, until it contains 0 or the interval stops shrinking;
     `iterations` counts the bisection steps, at most max_iter.  The
     measure is a one- or two-atom mixture over the rows active at the
-    minimiser (_basic_mixture); ties go to the earliest pool row.  An
-    `init` measure whose own peak is already within tol of the envelope
-    is returned as is, with iterations 0; each of its atoms goes to the
-    first pool row of its orbit.  `gap` is the envelope at the measure's
-    peak less the peak; the result is flagged converged when gap <= tol
-    (relative).
+    minimiser (_basic_mixture); ties go to the earliest pool row.  `gap`
+    is the envelope at the measure's peak less the peak; the result is
+    flagged converged when gap <= tol (relative).  To certify a measure
+    already at hand, use equivalence_gap.
     """
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
     table = triple_table(pool, sigma)
-    w = None
-    if init is not None:
+    x, iterations = _envelope_argmin(table, max_iter)
+    w = _basic_mixture(table, x)
+    if w is None:  # bisection cut short by max_iter: best single row
         w = np.zeros(len(pool))
-        np.add.at(w, _pool_rows(pool, init.labels), init.float_weights())
-        w /= w.sum()
-        qs, xt, gap = _peak(w, table, 0.0)
-        iterations = 0
-    if w is None or gap > tol * max(1.0, abs(qs)):
-        x, iterations = _envelope_argmin(table, max_iter)
-        w = _basic_mixture(table, x)
-        if w is None:  # bisection cut short by max_iter: best single row
-            w = np.zeros(len(pool))
-            w[_active_slopes(table, x)[0][0]] = 1.0
-        qs, xt, gap = _peak(w, table, x)
+        w[_active_slopes(table, x)[0][0]] = 1.0
+    qs, xt, gap = _peak(w, table, x)
 
     keep = w > 1e-15
     w = np.where(keep, w, 0.0)

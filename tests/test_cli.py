@@ -271,6 +271,56 @@ def test_sigma_unknown_keyword(capsys):
     assert code == 1 and "covariance" in err
 
 
+# a 6x6 identity with an infinite first variance
+INFINITE_CSV = "\n".join(",".join("1e400" if i == j == 0 else str(int(i == j)) for j in range(6))
+                         for i in range(6))
+# each bad --sigma: the file to write it to (None for a keyword), its text,
+# and words its one error line must hold; 2x3 grids have six plots
+BAD_SIGMA = {
+    "dense-2x2-json": ("d.json", '{"matrix": [[1, 0], [0, 1]]}', "need 6x6"),
+    "dense-2x2-csv": ("d.csv", "1,0\n0,1\n", "need 6x6"),
+    "dense-infinite": ("d.csv", INFINITE_CSV, "finite"),
+    "short-offsets": ("h.json", '{"type": "type-h", "x": 1, "y": [0.5]}', "length 6"),
+    "indefinite-offsets": ("h.json", '{"type": "type-h", "x": 1, "y": [-3, 0, 0, 0, 0, 0]}',
+                           "positive definite"),
+    "zero-denominator": ("h.json", '{"type": "type-h", "x": "1/0"}', "1/0"),
+    "overflow": ("h.json", '{"type": "type-h", "x": 1e400}', "positive and finite"),
+    "boolean": ("h.json", '{"type": "type-h", "x": true}', "must be a number"),
+    "keyword-zero-denominator": (None, "type-h:1/0", "1/0"),
+    "keyword-not-a-number": (None, "type-h:abc", "abc"),
+    "keyword-zero": (None, "type-h:0", "positive and finite"),
+    "keyword-overflow": (None, "type-h:1e400", "positive and finite"),
+}
+
+
+def _bad_sigma_run(capsys, tmp_path, case, *argv):
+    name, text, words = BAD_SIGMA[case]
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        text = str(tmp_path / name)
+    code, out, err = run(capsys, *argv, "--sigma", text)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and words in err
+
+
+@pytest.mark.parametrize("case", BAD_SIGMA)
+def test_bad_covariance_is_input_error(capsys, tmp_path, case):
+    _bad_sigma_run(capsys, tmp_path, case, "solve", "--a", "2", "--b", "3", "--t", "2")
+
+
+def test_covariance_path_that_is_a_directory_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",
+                         "--sigma", str(tmp_path))
+    assert code == 1 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_bad_covariance_is_input_error_in_verify_and_construct(capsys, tmp_path):
+    design = write_design(tmp_path, "d232.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
+    _bad_sigma_run(capsys, tmp_path, "dense-2x2-json", "verify", design)
+    _bad_sigma_run(capsys, tmp_path, "short-offsets", "construct", "--a", "2", "--b", "3",
+                   "--t", "2", "--n", "4")
+
+
 def test_forced_computational_agrees_with_closed_form(capsys):
     code, out, _ = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "3",
                        "--force-computational", "--seed", "5")

@@ -11,12 +11,14 @@ from fielddesign.arrays import BlockArray, Shape
 from fielddesign.model import (
     IDENTITY,
     GeneralCov,
+    Identity,
     TypeH,
     btilde,
     c11_base,
     c_coeffs_closed,
     c_coeffs_trace,
     centering_projector,
+    component_table,
     incidence_matrices,
     info_matrix_exact,
     info_matrix_measure,
@@ -27,7 +29,7 @@ from fielddesign.model import (
     symmetric_pinv,
     triple_table,
 )
-from fielddesign.optimality import Measure
+from fielddesign.optimality import Measure, full_pool, solve_closed_form, verify_measure
 
 from .conftest import OPTIMAL_BLOCKS_232, SBS_ROWS_2X3, all_arrays, array_of, design_of
 
@@ -87,6 +89,63 @@ def test_sigma_from_json_forms():
     assert isinstance(g, GeneralCov)
     with pytest.raises(ValueError):
         sigma_from_json({"type": "wishful"})
+
+
+# type-H descriptions that sigma_from_json refuses with ValueError
+BAD_TYPE_H = {
+    "zero-denominator": {"type": "type-h", "x": "1/0"},
+    "overflow": {"type": "type-h", "x": 1e400},
+    "huge-exact": {"type": "type-h", "x": "1e400"},
+    "boolean": {"type": "type-h", "x": True},
+    "missing-x": {"type": "type-h"},
+    "zero": {"type": "type-h", "x": 0},
+    "nan": {"type": "type-h", "x": float("nan")},
+    "offsets-not-a-list": {"type": "type-h", "x": 1, "y": 5},
+}
+
+
+@pytest.mark.parametrize("obj", BAD_TYPE_H.values(), ids=BAD_TYPE_H.keys())
+def test_sigma_from_json_refuses_bad_type_h(obj):
+    with pytest.raises(ValueError):
+        sigma_from_json(obj)
+
+
+@pytest.mark.parametrize("x", [0, -1, float("inf"), float("nan"), Fraction(10**400)])
+def test_type_h_refuses_a_weight_not_positive_and_finite(x):
+    with pytest.raises(ValueError, match="positive and finite"):
+        TypeH(x)
+
+
+@pytest.mark.parametrize("sigma, match", [
+    (TypeH(1, y=(0.5,)), "length 6"),
+    (TypeH(1, y=(-3, 0, 0, 0, 0, 0)), "positive definite"),
+    (_ar_cov(4), "need 6x6"),
+])
+def test_sigma_matrix_and_pair_kernel_refuse_a_bad_matrix(sigma, match):
+    with pytest.raises(ValueError, match=match):
+        sigma_matrix(sigma, 6)
+    with pytest.raises(ValueError, match=match):
+        triple_table([array_of(2, 3, 2, OPTIMAL_BLOCKS_232[0])], sigma)
+
+
+def test_identity_is_type_h_with_unit_weight():
+    assert isinstance(IDENTITY, TypeH) and repr(IDENTITY) == "Identity()"
+    with pytest.raises(TypeError):
+        Identity(x=2)
+    for p in (4, 6, 9, 16):
+        assert (btilde(IDENTITY, p) == btilde(TypeH(Fraction(1)), p)).all()
+        assert (sigma_matrix(IDENTITY, p) == np.eye(p)).all()
+    for abt in ((2, 3, 2), (2, 3, 5), (3, 3, 4)):
+        shape = Shape(*abt)
+        pool = full_pool(shape)
+        got = [(triple_table(pool, sigma), component_table(pool, sigma),
+                solve_closed_form(shape, sigma)) for sigma in (IDENTITY, TypeH(Fraction(1)))]
+        (tab, comp, res), (tab1, comp1, res1) = got
+        assert (tab == tab1).all() and (comp == comp1).all(), abt
+        assert res.to_json() == res1.to_json(), abt
+        reports = [verify_measure(res.measure, sigma, res.x_star, res.y_star).to_json()
+                   for sigma in (IDENTITY, TypeH(Fraction(1)))]
+        assert reports[0] == reports[1], abt
 
 
 def test_reference_array_coefficients():

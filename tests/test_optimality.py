@@ -379,20 +379,20 @@ def test_exchange_matches_closed_form(abt):
 
 
 def test_exchange_fixed_point_at_optimum():
+    # the closed-form optimum touches the envelope: no pool array improves it
     shape = Shape(2, 3, 2)
     res = solve_closed_form(shape)
-    again = solve_exchange(shape, init=res.measure, pool=full_pool(shape))
-    assert again.iterations == 0 and float(again.gap) <= 1e-12
+    gap = equivalence_gap(res.measure, full_pool(shape))
+    assert isinstance(gap, Fraction) and gap == 0
 
 
-def test_exchange_warm_start_returns_optimal_init():
-    shape = Shape(2, 3, 5)  # x* irrational, away from the bracket's start
+def test_equivalence_gap_certifies_float_crossing():
+    shape = Shape(2, 3, 5)  # x* irrational: a float measure, read in floats
     res = solve_closed_form(shape)
-    again = solve_exchange(shape, init=res.measure)
-    assert again.iterations == 0 and again.converged
-    assert {o.representative: w for o, w in again.orbit_weights} == pytest.approx(
-        {o.representative: float(w) for o, w in res.orbit_weights}, rel=1e-12)
-    assert again.x_star == pytest.approx(res.x_star, rel=1e-12)
+    assert not res.measure.is_exact()
+    gap = equivalence_gap(res.measure, full_pool(shape))
+    assert abs(gap) <= 1e-12 * max(1.0, res.y_star)
+    assert q_star(res.measure)[1] == pytest.approx(res.x_star, rel=1e-12)
 
 
 def test_exchange_general_covariance_converges():
@@ -423,17 +423,20 @@ def _random_spd(p: int, seed: int) -> GeneralCov:
 
 
 def test_exchange_from_every_point_measure():
-    # the 2x2 stripe arrays are flat (c01 = c11 = 0), so some starts and
-    # finishes have no vertex of their own
+    # the 2x2 stripe arrays are flat (c01 = c11 = 0): their point measures
+    # have no vertex of their own and are read at x = 0
     shape = Shape(2, 2, 4)
     pool = full_pool(shape)
-    assert any(row[2] == 0 for row in optimality.triple_table(pool))
-    for s in pool:
-        res = solve_exchange(shape, init=Measure.point(s))
-        assert res.converged is True, s
-        assert float(res.gap) <= 1e-9, s
-        assert abs(float(res.y_star) - 2) <= 1e-9, s
-        json.dumps(res.to_json())
+    flat = optimality.triple_table(pool)[:, 2] == 0
+    gaps = [equivalence_gap(Measure.point(s), pool) for s in pool]
+    assert all(isinstance(g, Fraction) and g >= 0 for g in gaps)
+    assert sorted(g for g, f in zip(gaps, flat) if f) == [1, 1, 3]
+    assert gaps.count(0) == 5
+    res = solve_exchange(shape)
+    assert res.converged is True
+    assert float(res.gap) <= 1e-9
+    assert abs(float(res.y_star) - 2) <= 1e-9
+    json.dumps(res.to_json())
 
 
 @pytest.mark.parametrize("abt, steps", [((2, 3, 3), 0), ((2, 3, 5), 64)])
@@ -526,24 +529,6 @@ def test_exchange_over_budget_raises_before_enumerating(monkeypatch):
     monkeypatch.setattr(arrays, "_growth_strings", never)
     with pytest.raises(EnumerationBudgetError):
         solve_exchange(Shape(4, 4, 3), _ar_kernel(16, 0.5))
-
-
-def test_exchange_init_atoms_find_their_pool_rows():
-    # an atom goes to the first row equal to it, else to the first row
-    # equal to its canonical form; a pool may hold non-canonical arrays
-    raw = array_of(2, 3, 3, [[2, 1, 3], [2, 3, 1]])
-    other = array_of(2, 3, 3, [[1, 1, 3], [2, 2, 3]])
-    pool = LabelPool.of([canonical_form(other), raw, canonical_form(other)])
-    relabeled = array_of(2, 3, 3, [[3, 3, 1], [2, 2, 1]])
-    rows = optimality._pool_rows(pool, label_matrix([raw, relabeled, other]))
-    assert rows.tolist() == [1, 0, 0]
-    with pytest.raises(ValueError, match="not represented"):
-        optimality._pool_rows(pool, label_matrix([canonical_form(raw)]))
-    shape = Shape(2, 3, 5)
-    q = support_pool(shape)
-    outside = next(s for s in full_pool(shape) if s not in set(q))
-    with pytest.raises(ValueError, match="not represented"):
-        solve_exchange(shape, pool=q, init=Measure.point(outside))
 
 
 def _digest(pool) -> str:
