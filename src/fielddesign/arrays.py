@@ -121,12 +121,7 @@ class BlockArray:
         return BlockArray(shape, tuple(zip(*self.rows)))
 
     def to_json(self) -> dict:
-        return {
-            "a": self.shape.a,
-            "b": self.shape.b,
-            "t": self.shape.t,
-            "rows": [list(r) for r in self.rows],
-        }
+        return LabelPool(self.shape, [self.colex]).to_json()[0]
 
     @staticmethod
     def from_json(obj: Mapping) -> "BlockArray":
@@ -322,6 +317,12 @@ class LabelPool(Sequence[BlockArray]):
 
     def __getitem__(self, k: int) -> BlockArray:
         return BlockArray.from_colex(self.shape, self.labels[k].tolist())
+
+    def to_json(self) -> list[dict]:
+        """Every array as {"a", "b", "t", "rows"}: the one array JSON writer."""
+        a, b, t = self.shape.a, self.shape.b, self.shape.t
+        return [{"a": a, "b": b, "t": t, "rows": rows}
+                for rows in self.labels.reshape(-1, b, a).transpose(0, 2, 1).tolist()]
 
 
 def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:

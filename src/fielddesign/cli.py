@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .arrays import (
     DEFAULT_ORBIT_BUDGET,
-    BlockArray,
+    LabelPool,
     Shape,
     canonical_json,
     classify_labels,
@@ -93,12 +93,9 @@ def resolve_pool(spec, shape: Shape, seed: int):
         return support_pool(shape, seed=seed)
     if spec.startswith("random:"):
         try:
-            count = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise _InputError(f"bad pool size in {spec!r}")
-        if count < 1:
-            raise _InputError("random pool size must be positive")
-        return random_pool(shape, count, seed=seed)
+            return random_pool(shape, _at_least(int, 1)(spec.split(":", 1)[1]), seed=seed)
+        except argparse.ArgumentTypeError as exc:
+            raise _InputError(f"bad pool size in {spec!r}: {exc}")
     raise _InputError(f"unknown pool strategy {spec!r}")
 
 
@@ -125,19 +122,6 @@ def _shape_from_args(args) -> tuple[Shape, bool]:
         raise _InputError(str(exc))
 
 
-def _check_shape_flags(args, shape: Shape):
-    # optional --a/--b/--t on file-driven commands cross-check the file
-    given = (args.a, args.b, args.t)
-    if all(v is None for v in given):
-        return
-    if any(v is None for v in given):
-        raise _InputError("give all of --a --b --t or none")
-    expected, _ = _shape_from_args(args)
-    if expected != shape:
-        raise _InputError(
-            f"design file has shape {shape}, flags say {expected}")
-
-
 def _solve_for(shape: Shape, sigma, args) -> SolveResult:
     """Dispatch: closed form when the kernel is the centering projector."""
     if isinstance(sigma, GeneralCov) or args.force_computational:
@@ -145,6 +129,21 @@ def _solve_for(shape: Shape, sigma, args) -> SolveResult:
         return solve_exchange(shape, sigma, pool=pool, tol=args.tol,
                               max_iter=args.max_iter)
     return solve_closed_form(shape, sigma)
+
+
+def _design_inputs(args) -> tuple[ExactDesign, object, SolveResult]:
+    """The design file, its covariance and its solve; optional --a/--b/--t
+    must all be given and match the file."""
+    design = load_design(args.design)
+    given = (args.a, args.b, args.t)
+    if given != (None, None, None):
+        if None in given:
+            raise _InputError("give all of --a --b --t or none")
+        expected, _ = _shape_from_args(args)
+        if expected != design.shape:
+            raise _InputError(f"design file has shape {design.shape}, flags say {expected}")
+    sigma = resolve_sigma(args.sigma, design.shape.p)
+    return design, sigma, _solve_for(design.shape, sigma, args)
 
 
 # -- rendering ---------------------------------------------------------
@@ -200,15 +199,17 @@ def cmd_enumerate(args) -> int:
            "arrays": arrays, "orbits": orbits}
     rows = [("shape", str(shape)), ("arrays", str(arrays)), ("orbits", str(orbits))]
     if args.list:
-        lab = enumerate_label_matrix(shape, budget=args.budget)
-        flags = zip(*(f.tolist() for f in classify_labels(shape, lab)))
+        pool = LabelPool(shape, enumerate_label_matrix(shape, budget=args.budget))
+        sizes = [math.perm(shape.t, m) for m in pool.labels.max(axis=1).tolist()]
+        flags = zip(*(f.tolist() for f in classify_labels(shape, pool.labels)))
         classes = [{"q_index": None if q < 0 else q, "q1_strict": q1, "q2_strict": q2,
                     "balanced": bal, "connected": conn} for q, q1, q2, bal, conn in flags]
-        listing = [(BlockArray.from_colex(shape, row), math.perm(shape.t, max(row)), cls)
-                   for row, cls in zip(lab.tolist(), classes)]
-        doc["listing"] = [{"array": s.to_json(), "size": size, "classification": cls}
-                          for s, size, cls in listing]
-        rows += [(str(s), f"size {size}  {_class_label(cls)}") for s, size, cls in listing]
+        if args.fmt == "table":
+            rows += [(str(s), f"size {size}  {_class_label(cls)}")
+                     for s, size, cls in zip(pool, sizes, classes)]
+        else:
+            doc["listing"] = [{"array": array, "size": size, "classification": cls}
+                              for array, size, cls in zip(pool.to_json(), sizes, classes)]
     _emit(args, doc, rows)
     return EXIT_OK
 
@@ -228,10 +229,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    design = load_design(args.design)
-    _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(args.sigma, design.shape.p)
-    solved = _solve_for(design.shape, sigma, args)
+    design, sigma, solved = _design_inputs(args)
     xi = measure_of_design(design)
     report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=args.tol)
     doc = {"config": _config(args),
@@ -251,10 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    design = load_design(args.design)
-    _check_shape_flags(args, design.shape)
-    sigma = resolve_sigma(args.sigma, design.shape.p)
-    solved = _solve_for(design.shape, sigma, args)
+    design, sigma, solved = _design_inputs(args)
     report = efficiencies(design, sigma, y_star=float(solved.y_star))
     doc = {"config": _config(args), "y_star_source": solved.regime}
     doc.update(report.to_json())
@@ -269,10 +264,6 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.n < 1:
-        raise _InputError(f"need n >= 1, got {args.n}")
-    if args.effort < 1:
-        raise _InputError(f"need effort >= 1, got {args.effort}")
     shape, _ = _shape_from_args(args)
     sigma = resolve_sigma(args.sigma, shape.p)
     design, report = construct_exact(shape, args.n, sigma,
@@ -302,17 +293,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _nonnegative(convert):
-    """An argparse type: the flag converted, refusing NaN, infinity and
-    negative values."""
+def _at_least(convert, low=0):
+    """An argparse type: the flag converted, refusing NaN, infinity and values
+    below low.  Every numeric flag but --a/--b/--t (checked by Shape) uses it."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not 0 <= value < math.inf:
+        if not low <= value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"need a finite {convert.__name__} >= 0, got {text!r}")
+                f"need a finite {convert.__name__} >= {low}, got {text!r}")
         return value
     return parse
 
@@ -321,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--sigma", default="identity",
                         help="identity | type-h:X | path to JSON/CSV covariance")
-    common.add_argument("--tol", type=_nonnegative(float), default=GAP_TOL)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--tol", type=_at_least(float), default=GAP_TOL)
+    common.add_argument("--seed", type=_at_least(int), default=0)
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--format", dest="fmt", choices=("json", "table"),
                         default="json")
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full | q | random:N (computational path only); "
                              "default: every orbit, exit 2 above the orbit budget")
     solver.add_argument("--force-computational", action="store_true")
-    solver.add_argument("--max-iter", type=_nonnegative(int), default=500)
+    solver.add_argument("--max-iter", type=_at_least(int), default=500)
 
     parser = _Parser(prog="fielddesign",
                      description="Optimal designs under two-dimensional interference")
@@ -346,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="orbit census")
     shaped(p)
     p.add_argument("--list", action="store_true", help="list every orbit")
-    p.add_argument("--budget", type=_nonnegative(int), default=DEFAULT_ORBIT_BUDGET)
+    p.add_argument("--budget", type=_at_least(int), default=DEFAULT_ORBIT_BUDGET)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("solve", parents=[common, solver], help="minimax optimum")
@@ -368,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common],
                        help="build an n-block design")
     shaped(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--effort", type=int, default=4)
+    p.add_argument("--n", type=_at_least(int, 1), required=True)
+    p.add_argument("--effort", type=_at_least(int, 1), default=4)
     p.set_defaults(handler=cmd_construct)
 
     return parser

@@ -249,30 +249,23 @@ def min_n_symmetric(weights: Iterable[tuple[Orbit, object]]) -> MinNReport:
 
 
 def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDesign:
-    """Design replicating each orbit member n * w_k / |orbit_k| times."""
+    """Design replicating each orbit member n * w_k / |orbit_k| times, orbit by
+    orbit in orbit_members order.  n must be a multiple of min_n_symmetric's
+    n (which refuses negative weights), and the weights must sum to one."""
     pairs = list(weights)
-    if not pairs:
-        raise ValueError("no orbit weights given")
-    shape = pairs[0][0].representative.shape
-    counts = []
-    for o, w in pairs:
-        f, _ = _rationalized(w)
-        share = f * n / o.size
-        counts.append(share)
-    if any(c.denominator != 1 for c in counts):
-        feasible = min_n_symmetric(pairs).n
+    least = min_n_symmetric(pairs).n
+    if n % least:
         raise ValueError(
-            f"n={n} does not split the orbits evenly; "
-            f"smallest feasible n is {feasible}"
-        )
+            f"n={n} does not split the orbits evenly; smallest feasible n is {least}")
     blocks: list[BlockArray] = []
-    for (o, _), c in zip(pairs, counts):
-        reps = int(c)
-        if reps == 0:
-            continue
+    for o, w in pairs:
+        reps = int(_rationalized(w)[0] * n / o.size)
         for member in orbit_members(o.representative):
             blocks.extend([member] * reps)
-    return ExactDesign(shape, tuple(blocks))
+    if len(blocks) != n:
+        raise ValueError(f"weights sum to {Fraction(len(blocks), n)}, so n={n} "
+                         f"gives {len(blocks)} blocks")
+    return ExactDesign(pairs[0][0].representative.shape, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

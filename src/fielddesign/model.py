@@ -119,7 +119,7 @@ def sigma_from_json(obj) -> CovarianceSpec:
     {"matrix": [[...]]}, or a bare dense row-major matrix.  The type-H x
     stays exact as an int or a "num/den" or decimal string, is a float
     otherwise, and must be positive and finite; a boolean is refused.  The
-    optional offsets y are numbers, one per plot (checked by sigma_matrix).
+    optional offsets y are a list of numbers, one per plot (sigma_matrix).
     """
     if isinstance(obj, Mapping):
         kind = obj.get("type")
@@ -129,10 +129,13 @@ def sigma_from_json(obj) -> CovarianceSpec:
             x, y = obj.get("x"), obj.get("y")
             if isinstance(x, bool):
                 raise ValueError(f"type-H x must be a number, got {x}")
+            if y is not None and not (isinstance(y, list) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in y)):
+                raise ValueError(f"type-H offsets y must be a list of numbers, got {y!r}")
             try:
                 x = Fraction(x) if isinstance(x, (int, str)) else float(x)
                 y = None if y is None else tuple(float(v) for v in y)
-            except (TypeError, ZeroDivisionError):
+            except (TypeError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"bad type-H x={obj.get('x')!r} or y={obj.get('y')!r}") from None
             return TypeH(x, y)
         if "matrix" in obj:

@@ -197,13 +197,11 @@ class Measure:
         return tuple(c / self.denominator for c in comps) if exact else comps
 
     def to_json(self) -> list:
-        """Atoms in colex order, arrays in BlockArray.to_json form."""
-        a, b, t = self.shape.a, self.shape.b, self.shape.t
-        grids = self.labels.reshape(-1, b, a).transpose(0, 2, 1).tolist()
+        """Atoms in colex order, arrays in LabelPool.to_json form."""
+        order = np.lexsort(self.labels.T[::-1]).tolist()
         weights = self._weight_list()
-        return [{"array": {"a": a, "b": b, "t": t, "rows": grids[k]},
-                 "weight": _number_json(weights[k])}
-                for k in np.lexsort(self.labels.T[::-1]).tolist()]
+        return [{"array": array, "weight": _number_json(weights[k])} for array, k
+                in zip(LabelPool(self.shape, self.labels[order]).to_json(), order)]
 
 
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
@@ -339,7 +337,7 @@ class QSupport:
         if self.kind == "classes":
             out["classes"] = list(self.names)
         if self.kind == "explicit":
-            out["arrays"] = [s.to_json() for s in self.arrays]
+            out["arrays"] = self.arrays.to_json()
         return out
 
 
@@ -457,19 +455,11 @@ def _filled(shape: Shape, pairs) -> list[int]:
 
 
 def class_representative(shape: Shape, doubles: int) -> BlockArray:
-    """Canonical array with `doubles` corner doubles and distinct fillers."""
-    a, b = shape.a, shape.b
-    if a == 2:
-        pairs = _corner_double_pairs(shape)[:doubles]
-    else:
-        # one disjoint pair per corner, partners rotated to avoid overlap
-        pairs = [
-            ((1, 1), (2, 1)),
-            ((a, 1), (a, 2)),
-            ((1, b), (1, b - 1)),
-            ((a, b), (a - 1, b)),
-        ][:doubles]
-    seq = _filled(shape, pairs)
+    """Canonical array with `doubles` corner doubles and distinct fillers, on the
+    first `doubles` of _corner_double_pairs 0, 1 (a = 2) or 0, 3, 5, 6 (a >= 3)."""
+    pairs = _corner_double_pairs(shape)
+    picks = (0, 1) if shape.a == 2 else (0, 3, 5, 6)
+    seq = _filled(shape, [pairs[k] for k in picks[:doubles]])
     if max(seq) > shape.t:
         raise ValueError(f"class needs {max(seq)} treatments, shape has {shape.t}")
     return canonical_form(BlockArray.from_colex(shape, seq))

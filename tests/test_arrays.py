@@ -217,6 +217,14 @@ def test_label_pool_is_a_read_only_sequence_of_arrays():
         LabelPool(shape, lab[:, :4])
 
 
+@pytest.mark.parametrize("abt", [(2, 3, 3), (3, 3, 4)])
+def test_label_pool_json_is_each_arrays_json(abt):
+    pool = full_pool(Shape(*abt))
+    got = pool.to_json()
+    assert got == [s.to_json() for s in pool]
+    assert [g["rows"] for g in got] == [[list(r) for r in s.rows] for s in pool]
+
+
 def _sequential_canonical_form(seq) -> tuple[int, ...]:
     # the one-array-at-a-time relabeling canonical_labels replaced, kept
     # here as its reference: labels numbered by first appearance

@@ -165,13 +165,13 @@ def test_construct_reaches_known_optimum(capsys, tmp_path):
 def test_construct_rejects_zero_n(capsys):
     code, _, err = run(capsys, "construct", "--a", "2", "--b", "3", "--t", "2",
                        "--n", "0")
-    assert code == 1 and "n >= 1" in err
+    assert code == 1 and "argument --n: need a finite int >= 1" in err
 
 
 def test_construct_rejects_zero_effort(capsys):
     code, _, err = run(capsys, "construct", "--a", "2", "--b", "3", "--t", "3",
                        "--n", "6", "--effort", "0")
-    assert code == 1 and "effort >= 1" in err
+    assert code == 1 and "argument --effort: need a finite int >= 1" in err
 
 
 @pytest.mark.parametrize("flag", [["--pool", "random:3"], ["--force-computational"],
@@ -202,15 +202,28 @@ def test_bad_tol_and_max_iter_are_input_errors(capsys, tmp_path, monkeypatch, fl
     *(pytest.param(["solve", "--tol", v], id=v) for v in ("-0.5", "-1e-9", "-inf")),
     # a negative budget is bad input, not a computation over the budget
     pytest.param(["enumerate", "--list", "--budget", "-1"], id="budget"),
+    # a negative seed is bad input, not a failure inside numpy
+    pytest.param(["construct", "--n", "4", "--seed", "-1"], id="construct-seed"),
+    pytest.param(["solve", "--force-computational", "--pool", "q", "--seed", "-1"],
+                 id="solve-seed"),
 ])
 def test_negative_tol_gets_the_range_message(capsys, argv):
     # argparse reads "-1e-9" and "-inf" as options unless told otherwise
     command, *flags = argv
     flag, value = flags[-2:]
-    kind = "int" if flag == "--budget" else "float"
+    kind = "float" if flag == "--tol" else "int"
     code, out, err = run(capsys, command, "--a", "2", "--b", "3", "--t", "3", *flags)
-    assert code == 1 and out == ""
-    assert f"error: argument {flag}: need a finite {kind} >= 0, got {value!r}" in err
+    assert code == 1 and out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: argument {flag}: need a finite {kind} >= 0, got {value!r}"]
+
+
+@pytest.mark.parametrize("count", ["0", "x", "-2"])
+def test_bad_random_pool_size_is_input_error(capsys, count):
+    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",
+                         "--force-computational", "--pool", f"random:{count}")
+    assert code == 1 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"random:{count}" in err and "need a finite int >= 1" in err
 
 
 def test_construct_same_seed_same_bytes(capsys, tmp_path):
@@ -286,6 +299,11 @@ BAD_SIGMA = {
     "zero-denominator": ("h.json", '{"type": "type-h", "x": "1/0"}', "1/0"),
     "overflow": ("h.json", '{"type": "type-h", "x": 1e400}', "positive and finite"),
     "boolean": ("h.json", '{"type": "type-h", "x": true}', "must be a number"),
+    # offsets are a list of numbers, not any iterable such as a string
+    "offsets-string": ("h.json", '{"type": "type-h", "x": 1, "y": "000000"}', "list of numbers"),
+    "offsets-object": ("h.json", '{"type": "type-h", "x": 1, "y": {"a": 1}}', "list of numbers"),
+    "offsets-overflow": ("h.json", '{"type": "type-h", "x": 1, "y": [1%s, 0, 0, 0, 0, 0]}'
+                         % ("0" * 400), "bad type-H"),
     "keyword-zero-denominator": (None, "type-h:1/0", "1/0"),
     "keyword-not-a-number": (None, "type-h:abc", "abc"),
     "keyword-zero": (None, "type-h:0", "positive and finite"),

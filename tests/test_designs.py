@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,41 @@ def test_expand_symmetric_rejects_uneven_n():
     res = solve_closed_form(Shape(2, 3, 2))
     with pytest.raises(ValueError, match="smallest feasible"):
         expand_symmetric(res.orbit_weights, 12)
+
+
+@pytest.mark.parametrize("weights, n, match", [
+    pytest.param((Fraction(3, 2), Fraction(-1, 2)), 4, "negative orbit weight", id="negative"),
+    pytest.param((Fraction(7, 8),), 16, "weights sum to 7/8", id="short-sum"),
+])
+def test_expand_symmetric_gives_n_blocks_or_raises(weights, n, match):
+    # the two (2,3,2) closed-form orbits have two members each; neither
+    # weight vector can be spread over n blocks
+    orbits = [o for o, _ in solve_closed_form(Shape(2, 3, 2)).orbit_weights]
+    with pytest.raises(ValueError, match=match):
+        expand_symmetric(list(zip(orbits, weights)), n)
+
+
+# the exact closed-form measures of a <= 3, b <= 4 whose least n is at
+# most 400, with that n
+EXPAND_LEAST_N = {(2, 2, 2): 2, (2, 2, 3): 6, (2, 2, 4): 24, (2, 2, 5): 120, (2, 2, 6): 360,
+                  (2, 3, 2): 16, (2, 3, 3): 54, (2, 3, 4): 24, (2, 4, 2): 16, (2, 4, 3): 78,
+                  (2, 4, 4): 192, (3, 3, 2): 142, (3, 3, 3): 18, (3, 3, 4): 312,
+                  (3, 4, 2): 56, (3, 4, 3): 180}
+
+
+def test_expand_symmetric_digest():
+    # digest recorded before expand_symmetric took its feasibility from
+    # min_n_symmetric
+    digest = hashlib.sha256()
+    for abt, least in EXPAND_LEAST_N.items():
+        pairs = solve_closed_form(Shape(*abt)).orbit_weights
+        assert min_n_symmetric(pairs).n == least
+        for n in (least, 2 * least):
+            d = expand_symmetric(pairs, n)
+            assert d.n == n
+            digest.update(repr((abt, n, [blk.colex for blk in d.blocks])).encode())
+    assert digest.hexdigest() == \
+        "b27bc9dd3b0ec420740d2b5eb659b2d527ed4d9fa66a201082ff2775b028da2f"
 
 
 def test_construct_finds_exact_optimum():

@@ -101,6 +101,8 @@ BAD_TYPE_H = {
     "zero": {"type": "type-h", "x": 0},
     "nan": {"type": "type-h", "x": float("nan")},
     "offsets-not-a-list": {"type": "type-h", "x": 1, "y": 5},
+    "offsets-string": {"type": "type-h", "x": 1, "y": "0000"},
+    "offsets-boolean": {"type": "type-h", "x": 1, "y": [0, True, 0, 0]},
 }
 
 

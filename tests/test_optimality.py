@@ -173,6 +173,24 @@ def test_balanced_arrays_bracket_zero_slope():
         assert n01[0] < 0 <= n01[1], shape
 
 
+def test_class_representative_sweep_digest():
+    # digest recorded while the a >= 3 placements were a hand-written list
+    digest, count = hashlib.sha256(), 0
+    for a in range(2, 7):
+        for b in range(a, 9):
+            for t in range(a * b - 1, a * b + 3):
+                for doubles in range(3 if a == 2 else 5):
+                    try:
+                        s = class_representative(Shape(a, b, t), doubles)
+                    except ValueError:  # the class needs more than t labels
+                        continue
+                    count += 1
+                    digest.update(repr((a, b, t, doubles, s.colex)).encode())
+    assert count == 419
+    assert digest.hexdigest() == \
+        "17b9c31ad4f26c3c4470fa893fe7a6abc4c8cf14f2bc22d36732ed1f4fb49dab"
+
+
 def test_class_representatives_classify_back():
     shape = Shape(3, 4, 11)
     for i in (1, 2, 3, 4):
