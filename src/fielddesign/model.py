@@ -22,7 +22,12 @@ over plot pairs and M the neighbor matrix, Btilde 1 = 0 gives
 
 for K = Btilde.  One pair kernel evaluates both over an (N, p) label
 matrix for every covariance: in int64 on K = pI - J for the identity and
-type-H family, and in float on K = Btilde for a dense Sigma.  Exact sums
+type-H family, and in float on K = Btilde for a dense Sigma.  The
+covariance-free part (neighbor matrix, int64 stack, plot-pair index and
+pair weights) is built once per shape and held read-only; a covariance
+adds its scale, or its own float stack, and is validated on every call.
+Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
+exact for the integer stack (_shape_kernel states the bound).  Exact sums
 are Python-int numerators over one known denominator, from counts of each
 weight's rows per (plot pair, label pair) cell, until the output.  The
 paper's counting formula, written once in closed_numerators_batch (and
@@ -32,8 +37,9 @@ that kernel.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence
@@ -281,7 +287,9 @@ def exact_units(shape: Shape, scale: Fraction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PairKernel:
-    """The stack (K, K M, M K M) of one shape and covariance.
+    """The stack (K, K M, M K M) of one shape and covariance, with its
+    reductions over the plot pairs i < j (pairs): the symmetrized weights
+    pair_w (P, 3) in float64, the diagonal and the c11 corner 1'M K M 1.
 
     On the identity family K = pI - J in int64 and Btilde = scale K / p;
     for a dense Sigma K = Btilde in float and scale is None.  unit is the
@@ -289,28 +297,35 @@ class _PairKernel:
     """
 
     shape: Shape
+    neighbors: np.ndarray
     stack: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    pair_w: np.ndarray
+    diag: np.ndarray
+    corner: np.integer | np.floating
     scale: Fraction | float | None
     unit: float
 
     def triples(self, labels: np.ndarray) -> np.ndarray:
         """(N, 3) rows <X, E> for X in the stack, less the c11 constant: the
-        numerators over (p, p, p t) before the scale for an integer kernel,
-        the coefficients themselves for a float one."""
-        i, j = np.triu_indices(self.shape.p, 1)
-        # E is symmetric with a unit diagonal: only the pairs i < j vary
-        pair_w = (self.stack + self.stack.transpose(0, 2, 1))[:, i, j].T
-        diag = np.trace(self.stack, axis1=1, axis2=2)
+        int64 numerators over (p, p, p t) before the scale for an integer
+        kernel, the coefficients themselves for a float one.  Both multiply
+        a float64 0/1 pair indicator by pair_w in BLAS; on an integer kernel
+        every partial sum is an integer below 2**53 (_shape_kernel), so the
+        float64 result is exact."""
+        i, j = self.pairs
+        narrow = np.min_scalar_type(self.shape.t)
         out = np.empty((len(labels), 3), dtype=self.stack.dtype)
         for lo in range(0, len(labels), CHUNK_ROWS):
-            lab = labels[lo:lo + CHUNK_ROWS]
-            same = (lab[:, i] == lab[:, j]).astype(pair_w.dtype)
-            out[lo:lo + CHUNK_ROWS] = same @ pair_w + diag
-        corner, t = self.stack[2].sum(), self.shape.t
+            # one plot per row, so the pair gathers copy whole rows
+            lab = labels[lo:lo + CHUNK_ROWS].T.astype(narrow, order="C")
+            # E is symmetric with a unit diagonal: only the pairs i < j vary
+            out[lo:lo + CHUNK_ROWS] = (lab[i] == lab[j]).T.astype(np.float64) @ self.pair_w
+        out += self.diag
         if self.scale is None:
-            out[:, 2] -= corner / t
+            out[:, 2] -= self.corner / self.shape.t
         else:
-            out[:, 2] = t * out[:, 2] - corner
+            out[:, 2] = self.shape.t * out[:, 2] - self.corner
         return out
 
     def components(self, labels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -334,21 +349,43 @@ class _PairKernel:
         return (self.stack.reshape(3, p * p) @ counts.reshape(p * p, t * t)).reshape(3, t, t)
 
 
-def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
+def _stack_kernel(shape: Shape, m: np.ndarray, k: np.ndarray, pairs, scale, unit) -> _PairKernel:
+    """The pair kernel of K on a shape with neighbor matrix m."""
+    stack = np.stack([k, k @ m, m @ k @ m])
+    i, j = pairs
+    pair_w = (stack + stack.transpose(0, 2, 1))[:, i, j].T.astype(np.float64)
+    return _PairKernel(shape, m, stack, pairs, pair_w, np.trace(stack, axis1=1, axis2=2),
+                       stack[2].sum(), scale, unit)
+
+
+@functools.lru_cache(maxsize=64)
+def _shape_kernel(shape: Shape) -> _PairKernel:
+    """The covariance-free int64 kernel of a shape at unit scale, built once
+    per shape and held read-only; every pair kernel of the shape starts here."""
     p = shape.p
-    m = neighbor_matrix(shape)
+    kern = _stack_kernel(shape, neighbor_matrix(shape), p * np.eye(p, dtype=np.int64) - 1,
+                         np.triu_indices(p, 1), Fraction(1), 1 / p)
+    # triples sums at most P = p(p-1)/2 integer weights of size |w| <= 8p + 32
+    # in float64: every partial sum is an exact integer while P max|w| < 2**53
+    # (p = 48 gives under 2**19), whatever order BLAS adds in
+    if len(kern.pairs[0]) * np.abs(kern.pair_w).max() >= 2**53:
+        raise ValueError(f"{shape}: pair weights too large for exact float64 sums")
+    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag):
+        arr.flags.writeable = False
+    return kern
+
+
+def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
     scale = rational_scale(sigma)
     if exact and scale is None:
         raise ValueError("exact path needs Identity or rational type-H covariance")
+    base = _shape_kernel(shape)
     if isinstance(sigma, TypeH):
         if sigma.y is not None:
-            sigma_matrix(sigma, p)  # valid offsets cancel in K; invalid ones are refused
-        k = p * np.eye(p, dtype=np.int64) - 1
+            sigma_matrix(sigma, shape.p)  # valid offsets cancel in K; invalid ones are refused
         scale = 1.0 / float(sigma.x) if scale is None else scale
-        unit = float(scale) / p
-    else:
-        k, unit = btilde(sigma, p), 1.0
-    return _PairKernel(shape, np.stack([k, k @ m, m @ k @ m]), scale, unit)
+        return replace(base, scale=scale, unit=float(scale) / shape.p)
+    return _stack_kernel(shape, base.neighbors, btilde(sigma, shape.p), base.pairs, None, 1.0)
 
 
 def trace_numerators_batch(labels: np.ndarray, shape: Shape):

@@ -663,7 +663,11 @@ class VerificationReport:
     from the scaled contrast projector; slope_residual: size of the
     weighted cross-plus-neighbor blocks, which must vanish; support_mass:
     weight sitting on arrays outside the support; info_residual: the full
-    information matrix against the same target.
+    information matrix against the same target.  The measure is optimal
+    when all four are at most the tolerance.  The information residual
+    matters for a measure that is not symmetrized, such as an exact
+    design's: its slope residual is projected on both sides and can vanish
+    while its information matrix misses the target.
     """
 
     balance_residual: object
@@ -695,7 +699,9 @@ def verify_measure(
     y_star,
     tol: float = GAP_TOL,
 ) -> VerificationReport:
-    """Check the optimality conditions of a measure at a claimed (x*, y*).
+    """Check the optimality conditions of a measure at a claimed (x*, y*):
+    the verdict is optimal when the balance, slope and information
+    residuals and the support mass are all at most tol (VerificationReport).
     An exact measure, rational (x*, y*) and identity or rational type-H
     covariance are checked on integer numerators, each residual a Fraction."""
     t = xi.shape.t
@@ -735,7 +741,7 @@ def verify_measure(
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
     else:  # left to right in atom order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
-    ok = balance <= tol and slope <= tol and support_mass <= tol
+    ok = balance <= tol and slope <= tol and support_mass <= tol and info_res <= tol
     return VerificationReport(
         balance_residual=balance,
         slope_residual=slope,

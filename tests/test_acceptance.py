@@ -453,20 +453,33 @@ def test_gate_8_complete_symmetry_of_orbit_measures():
          "full-orbit measures have completely symmetric component blocks")
 
 
+def _closed_form_numerators(shape: Shape):
+    """Every orbit representative of the shape and its counting-formula
+    numerators (n00, n01, n11), whose signs are those of (c00, c01, c11);
+    one representative is checked against c_coeffs_closed."""
+    lab = enumerate_label_matrix(shape)
+    nums = closed_numerators_batch(lab, shape)
+    k = len(lab) // 2
+    spot = c_coeffs_closed(BlockArray.from_colex(shape, tuple(int(v) for v in lab[k])))
+    assert spot.astuple() == (Fraction(int(nums[0][k]), shape.p), Fraction(int(nums[1][k]), shape.p),
+                              Fraction(int(nums[2][k]), shape.p * shape.t))
+    return lab, nums
+
+
 def test_gate_8_c11_positive():
     for a, b, t in [(2, 3, 2), (2, 3, 3), (2, 4, 2), (3, 3, 2), (3, 3, 3)]:
-        for o in enumerate_orbits(Shape(a, b, t)):
-            assert c_coeffs_closed(o.representative).c11 > 0, \
-                f"c11 <= 0 at {o.representative}"
+        shape = Shape(a, b, t)
+        lab, (_, _, n11) = _closed_form_numerators(shape)
+        bad = lab[n11 <= 0]
+        assert not len(bad), \
+            f"c11 <= 0 at {BlockArray.from_colex(shape, tuple(int(v) for v in bad[0]))}"
     # the 2x2 grid is the documented boundary: the constant array and the
     # two stripe patterns are neighbor-degenerate with c11 = c01 = 0
-    flats = []
-    for o in enumerate_orbits(Shape(2, 2, 4)):
-        c = c_coeffs_closed(o.representative)
-        assert c.c11 >= 0
-        if c.c11 == 0:
-            assert c.c01 == 0
-            flats.append(str(o.representative))
+    shape = Shape(2, 2, 4)
+    lab, (_, n01, n11) = _closed_form_numerators(shape)
+    assert (n11 >= 0).all() and (n01[n11 == 0] == 0).all()
+    flats = [str(BlockArray.from_colex(shape, tuple(int(v) for v in row)))
+             for row in lab[n11 == 0]]
     assert len(flats) == 3, flats
     gate("c11-positive", True,
          f"c11 > 0 on every b >= 3 orbit; 2x2 flats are exactly {flats}")

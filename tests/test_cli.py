@@ -99,6 +99,25 @@ def test_verify_rejects_suboptimal_design(capsys, tmp_path):
     assert json.loads(out)["report"]["verdict"] == "not optimal"
 
 
+# exact designs whose two-sided slope and balance residuals vanish while
+# their information matrix misses the target (A-efficiency 0.667, 0.874, 0.842)
+UNSYMMETRIZED_NOT_OPTIMAL = {
+    "333-one-block": (3, 3, 3, [[[1, 2, 2], [1, 3, 3], [2, 3, 1]]]),
+    "232-two-blocks": (2, 3, 2, [[[1, 1, 2], [1, 2, 2]], [[1, 2, 1], [1, 2, 2]]]),
+    "233-three-blocks": (2, 3, 3, [[[1, 2, 3], [1, 2, 3]]] * 2 + [[[1, 3, 2], [3, 1, 2]]]),
+}
+
+
+@pytest.mark.parametrize("key", UNSYMMETRIZED_NOT_OPTIMAL)
+def test_verify_rejects_design_missing_the_information_target(capsys, tmp_path, key):
+    path = write_design(tmp_path, "d.json", *UNSYMMETRIZED_NOT_OPTIMAL[key])
+    code, out, _ = run(capsys, "verify", path)
+    report = json.loads(out)["report"]
+    assert code == 3 and report["verdict"] == "not optimal"
+    assert report["balance_residual"] == report["slope_residual"] == report["support_mass"] == 0
+    assert report["info_residual"] > 0.1
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("nonsense")

@@ -331,6 +331,17 @@ def test_verify_measure_vertex_branch_exact():
     assert report.balance_residual == 0 and report.slope_residual == 0
 
 
+# every regime of the closed form: x* = 0, the vertex, the class crossing, a = b = 2
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5),
+                                   (2, 5, 4), (2, 4, 6), (2, 4, 7), (2, 3, 5), (2, 3, 6),
+                                   (2, 2, 3)])
+def test_verify_measure_certifies_every_closed_form_measure(shape):
+    for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+        res = solve_closed_form(Shape(*shape), sigma)
+        report = verify_measure(res.measure, sigma, res.x_star, res.y_star)
+        assert report.verdict == "optimal" and report.info_residual <= report.tolerance
+
+
 def _orbit_of_sized(s):
     return Orbit(canonical_form(s), orbit_size(s))
 
