@@ -3,6 +3,7 @@ explicit per-array algebra and test-local Fraction references."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fielddesign.arrays import BlockArray, Orbit, Shape, orbit_members, orbit_size
-from fielddesign.designs import measure_of_design
+from fielddesign.arrays import BlockArray, Orbit, Shape, label_matrix, orbit_members, orbit_size
+from fielddesign.designs import ExactDesign, measure_of_design
 from fielddesign.arrays import neighbor_matrix
 from fielddesign.model import (
     IDENTITY,
@@ -19,10 +20,12 @@ from fielddesign.model import (
     TypeH,
     _pair_kernel,
     _shape_kernel,
+    accumulate_components,
     block_components,
     btilde,
     c_coeffs_closed,
     closed_numerators_batch,
+    info_matrix_exact,
     info_matrix_measure,
     rational_scale,
     schur_complement,
@@ -358,6 +361,39 @@ def test_integer_verifier_on_closed_form_measures(shape):
         res = solve_closed_form(shape, sigma)
         assert _check_against_reference(res.measure, sigma, res.x_star, res.y_star) == "optimal"
         _check_against_reference(res.measure, sigma, res.x_star, res.y_star * 2)
+
+
+def _support_rows(shape: Shape, x: Fraction, y: Fraction) -> np.ndarray:
+    """Every array of the shape with q(x) = y, by the counting formula."""
+    t, p = shape.t, shape.p
+    lab = np.array(list(itertools.product(range(1, t + 1), repeat=p)))
+    n00, n01, n11 = closed_numerators_batch(lab, shape)
+    (u, v), (m, e) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
+    return lab[e * (t * v * v * n00 + 2 * t * u * v * n01 + u * u * n11) == m * p * t * v * v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3, 2), (2, 2, 3), (2, 3, 3)]), st.booleans(), st.data())
+def test_verdict_is_the_information_target(abt, with_optimal, data):
+    # exact designs over every array on which q(x*) = y*, at the closed-form (x*, y*)
+    shape = Shape(*abt)
+    res = solve_closed_form(shape)
+    support = _support_rows(shape, res.x_star, res.y_star)
+    picks = data.draw(st.lists(st.integers(0, len(support) - 1), min_size=1, max_size=6))
+    blocks = [BlockArray.from_colex(shape, tuple(int(v) for v in support[k])) for k in picks]
+    if with_optimal and abt == (2, 3, 2):
+        blocks = list(design_of(2, 3, 2, OPTIMAL_BLOCKS_232).blocks) * len(blocks) + blocks[1:]
+    design = ExactDesign(shape, tuple(blocks))
+    x, y, t = res.x_star, res.y_star, shape.t
+    report = verify_measure(measure_of_design(design), IDENTITY, x, y)
+    bt = np.array([[Fraction(int(i == j)) - Fraction(1, t) for j in range(t)] for i in range(t)])
+    on_target = (info_matrix_exact(design, exact=True) / design.n == bt * (y / (t - 1))).all()
+    assert report.optimal == on_target
+    if report.balance_residual == 0 and report.support_mass == 0:
+        # given balance and support, the one-sided slope decides
+        _, c01, c11 = accumulate_components(shape, label_matrix(design.blocks), [1] * design.n,
+                                            exact=True)
+        assert on_target == ((c01.T + x * c11) @ bt == 0).all()
 
 
 @settings(max_examples=80, deadline=None)
