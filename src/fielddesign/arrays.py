@@ -75,6 +75,12 @@ def normalize_shape(a: int, b: int, t: int) -> tuple[Shape, bool]:
     return Shape(a, b, t), False
 
 
+def mirror_plot_order(shape: Shape) -> np.ndarray:
+    """Colex index in the b x a mirror of each plot k of the a x b grid."""
+    k = np.arange(shape.p)
+    return k % shape.a * shape.b + k // shape.a
+
+
 def _integer(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{what} {v!r} is not an integer")

@@ -27,6 +27,7 @@ from .arrays import (
     canonical_json,
     classify_labels,
     enumerate_label_matrix,
+    mirror_plot_order,
     normalize_shape,
     orbit_count,
 )
@@ -83,6 +84,15 @@ def resolve_sigma(source: str, p: int):
     return sigma
 
 
+def _oriented_sigma(sigma, shape: Shape, transposed: bool):
+    """A dense Sigma of a tall grid re-indexed to its mirror's plots; type-H
+    offsets cancel in the contrast kernel and need no permutation."""
+    if not (transposed and isinstance(sigma, GeneralCov)):
+        return sigma
+    perm = mirror_plot_order(shape)
+    return GeneralCov.from_matrix(sigma.array()[perm][:, perm])
+
+
 def resolve_pool(spec, shape: Shape, seed: int):
     """--pool full | q | random:N; None lets the solver pick."""
     if spec is None:
@@ -99,8 +109,8 @@ def resolve_pool(spec, shape: Shape, seed: int):
     raise _InputError(f"unknown pool strategy {spec!r}")
 
 
-def load_design(path: str) -> ExactDesign:
-    """Read a design file; accepts bare design JSON or a {"design": ...} wrapper."""
+def load_design(path: str) -> tuple[ExactDesign, bool]:
+    """A design file (bare or {"design": ...}-wrapped JSON), and whether its a > b."""
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -110,7 +120,7 @@ def load_design(path: str) -> ExactDesign:
     if isinstance(obj, dict) and "design" in obj and "blocks" not in obj:
         obj = obj["design"]
     try:
-        return ExactDesign.from_json(obj)
+        return ExactDesign.from_json(obj), obj["a"] > obj["b"]
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path} is not a valid design: {exc}")
 
@@ -134,7 +144,7 @@ def _solve_for(shape: Shape, sigma, args) -> SolveResult:
 def _design_inputs(args) -> tuple[ExactDesign, object, SolveResult]:
     """The design file, its covariance and its solve; optional --a/--b/--t
     must all be given and match the file."""
-    design = load_design(args.design)
+    design, transposed = load_design(args.design)
     given = (args.a, args.b, args.t)
     if given != (None, None, None):
         if None in given:
@@ -142,7 +152,7 @@ def _design_inputs(args) -> tuple[ExactDesign, object, SolveResult]:
         expected, _ = _shape_from_args(args)
         if expected != design.shape:
             raise _InputError(f"design file has shape {design.shape}, flags say {expected}")
-    sigma = resolve_sigma(args.sigma, design.shape.p)
+    sigma = _oriented_sigma(resolve_sigma(args.sigma, design.shape.p), design.shape, transposed)
     return design, sigma, _solve_for(design.shape, sigma, args)
 
 
@@ -216,7 +226,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_solve(args) -> int:
     shape, transposed = _shape_from_args(args)
-    sigma = resolve_sigma(args.sigma, shape.p)
+    sigma = _oriented_sigma(resolve_sigma(args.sigma, shape.p), shape, transposed)
     result = _solve_for(shape, sigma, args)
     doc = {"config": _config(args), "transposed": transposed}
     doc.update(result.to_json())
@@ -264,8 +274,8 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    shape, _ = _shape_from_args(args)
-    sigma = resolve_sigma(args.sigma, shape.p)
+    shape, transposed = _shape_from_args(args)
+    sigma = _oriented_sigma(resolve_sigma(args.sigma, shape.p), shape, transposed)
     design, report = construct_exact(shape, args.n, sigma,
                                      seed=args.seed, effort=args.effort)
     doc = {"config": _config(args), "design": design.to_json(),

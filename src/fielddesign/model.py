@@ -27,12 +27,13 @@ covariance-free part (neighbor matrix, int64 stack, plot-pair index and
 pair weights) is built once per shape and held read-only; a covariance
 adds its scale, or its own float stack, and is validated on every call.
 Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
-exact for the integer stack (_shape_kernel states the bound).  Exact sums
-are Python-int numerators over one known denominator, from counts of each
-weight's rows per (plot pair, label pair) cell, until the output.  The
-paper's counting formula, written once in closed_numerators_batch (and
-read for one array by c_coeffs_closed), stays as the independent check of
-that kernel.
+exact for the integer stack (_shape_kernel states the bound).  The one
+exact sum is component_numerators: Python-int numerators over one known
+denominator, from counts of each weight's rows per (plot pair, label
+pair) cell; schur_numerators eliminates in integers, and Fractions are
+made once, at the output.  The paper's counting formula, written once in
+closed_numerators_batch (and read for one array by c_coeffs_closed),
+stays as the independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -231,17 +232,6 @@ def c_coeffs_closed(s: BlockArray) -> CoefficientTriple:
     return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)))
 
 
-def c_coeffs_trace(s: BlockArray, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
-    """Exact coefficients of one array by the pair kernel; identity and
-    rational type-H covariance only (use triple_table for a dense Sigma)."""
-    scale = rational_scale(sigma)
-    if scale is None:
-        raise ValueError("exact triples need identity or rational type-H covariance")
-    nums = trace_numerators_batch(label_matrix([s]), s.shape)
-    units = exact_units(s.shape, scale)
-    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)))
-
-
 def closed_numerators_batch(labels: np.ndarray, shape: Shape):
     """The paper's counting formula over an (N, p) label matrix.
 
@@ -420,11 +410,6 @@ def component_table(
     return np.concatenate([c for _, c in kern.components(pool.labels)]) * kern.unit
 
 
-def block_components(s: BlockArray, sigma: CovarianceSpec = IDENTITY, exact: bool = False):
-    """Per-block information components (C00, C01, C11), each t x t."""
-    return accumulate_components(s.shape, label_matrix([s]), [1], sigma, exact)
-
-
 def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
     """Moore-Penrose inverse of each symmetric matrix of a (..., t, t) stack via
     eigendecomposition, zeroing eigenvalues below cutoff * its max|eigenvalue|."""
@@ -436,27 +421,27 @@ def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
     return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def schur_complement(c00, c01, c11, exact: bool = False):
-    """Information matrix C00 - C01 C11^+ C10 of accumulated components;
-    float components may be (..., t, t) stacks.
+def schur_complement(c00, c01, c11):
+    """Float information matrix C00 - C01 C11^+ C10 of accumulated
+    components, which may be (..., t, t) stacks."""
+    return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
 
-    The exact branch needs [[C11, C10], [C01, C00]] positive semidefinite,
-    as every sum of components with nonnegative weights is.  It clears one
-    denominator and eliminates C11 in integers (Bareiss: exact division by
-    the last pivot, zero pivots have zero rows and are skipped)."""
-    if not exact:
-        return c00 - c01 @ symmetric_pinv(c11) @ np.swapaxes(c01, -1, -2)
-    den = math.lcm(*(v.denominator for c in (c00, c01, c11) for v in np.ravel(c)))
-    t = len(c11)
-    joint = np.vectorize(lambda v: int(v * den), otypes=[object])(
-        np.block([[c11, c01.T], [c01, c00]]))
+
+def schur_numerators(n00, n01, n11) -> tuple[np.ndarray, int]:
+    """Exact C00 - C01 C11^+ C10 = N / pivot of integer components (int64
+    is promoted), as Python-int N and pivot > 0.  [[C11, C10], [C01, C00]]
+    must be positive semidefinite, as every sum of components with
+    nonnegative weights is: C11 is eliminated fraction-free (Bareiss: exact
+    division by the last pivot; a zero pivot has a zero row and is skipped)."""
+    t = len(n11)
+    joint = np.block([[n11, n01.T], [n01, n00]]).astype(object)
     pivot = 1
     for k in range(t):
         if joint[k, k] != 0:
             joint[k + 1:, k + 1:] = (joint[k, k] * joint[k + 1:, k + 1:] - np.outer(
                 joint[k + 1:, k], joint[k, k + 1:])) // pivot
             pivot = joint[k, k]
-    return joint[t:, t:] * Fraction(1, pivot * den)
+    return joint[t:, t:], pivot
 
 
 def exact_weighted_sum(
@@ -486,33 +471,38 @@ def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int
 
 
 def accumulate_components(shape: Shape, labels: np.ndarray, weights: Sequence,
-                          sigma: CovarianceSpec = IDENTITY, exact: bool = False):
-    """Weighted sums of (C00, C01, C11) over the rows of an (N, p) label
-    matrix.  Exact sums take integer weights and give Fractions, made once
-    per entry from component_numerators; float sums take float weights."""
+                          sigma: CovarianceSpec = IDENTITY):
+    """Float weighted sums of (C00, C01, C11) over the rows of an (N, p)
+    label matrix (component_numerators is the exact sum)."""
     if not len(labels):
         raise ValueError("no blocks given")
-    if exact:
-        nums, den = component_numerators(shape, labels, weights, sigma)
-        out = nums * Fraction(1, den)
-    else:
-        kern = _pair_kernel(shape, sigma)
-        w = np.asarray(weights, dtype=float)
-        out = sum(np.tensordot(w[rows], comp, axes=1)
-                  for rows, comp in kern.components(labels)) * kern.unit
+    kern = _pair_kernel(shape, sigma)
+    w = np.asarray(weights, dtype=float)
+    out = sum(np.tensordot(w[rows], comp, axes=1)
+              for rows, comp in kern.components(labels)) * kern.unit
     return out[0], out[1], out[2]
+
+
+def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1) -> np.ndarray:
+    """C00 - C01 C11^+ C10 at the weights: float, or Fractions at integer weights / den."""
+    if not exact:
+        return schur_complement(*accumulate_components(shape, labels, weights, sigma))
+    nums, d = component_numerators(shape, labels, weights, sigma)
+    n, pivot = schur_numerators(*nums)
+    return n * Fraction(1, pivot * d * den)
 
 
 def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Information matrix of an exact design (blocks accumulated, then Schur)."""
-    comps = accumulate_components(design.shape, label_matrix(design.blocks), [1] * design.n,
-                                  sigma, exact)
-    return schur_complement(*comps, exact=exact)
+    return _information(design.shape, label_matrix(design.blocks), [1] * design.n, sigma, exact)
 
 
 def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
     """Per-block-average information matrix of an approximate measure."""
-    return schur_complement(*measure.components(sigma, exact), exact=exact)
+    if exact and measure.denominator is None:
+        raise ValueError("exact sums need a measure with exact weights")
+    weights = measure.weights if exact else measure.float_weights()
+    return _information(measure.shape, measure.labels, weights, sigma, exact, measure.denominator)
 
 
 def centering_projector(t: int) -> np.ndarray:

@@ -49,6 +49,7 @@ from .model import (
     exact_weighted_sum,
     rational_scale,
     schur_complement,
+    schur_numerators,
     trace_numerators_batch,
     triple_table,
 )
@@ -112,19 +113,18 @@ class Measure:
         if not keep:
             raise ValueError("a measure needs at least one atom of positive weight")
         weights = [weights[k] for k in keep]
-        index: dict[tuple, int] = {}  # the distinct rows, in order of first appearance
-        slot = [index.setdefault(tuple(r), len(index)) for r in labels[keep].tolist()]
+        rows = labels[keep]
+        _, first, group = group_rows(rows)  # kept in order of first appearance
+        slot = np.argsort(np.argsort(first))[group].tolist()
         self.shape = shape
-        self.labels = np.array(list(index), dtype=np.int64).reshape(len(index), shape.p)
+        self.labels = rows[np.sort(first)]
         self.labels.flags.writeable = False
+        vec = np.zeros(len(first), dtype=object if exact else float)
         if exact:
             den = math.lcm(*(w.denominator for w in weights))
-            nums = [0] * len(index)
-            for j, w in zip(slot, weights):
-                nums[j] += w.numerator * (den // w.denominator)
-            self._set_exact(nums, den)
+            np.add.at(vec, slot, [w.numerator * (den // w.denominator) for w in weights])
+            self._set_exact(vec.tolist(), den)
         else:
-            vec = np.zeros(len(index))
             np.add.at(vec, slot, weights)
             total = sum(vec.tolist())
             if abs(total - 1.0) > 1e-12:
@@ -187,14 +187,6 @@ class Measure:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def components(self, sigma: CovarianceSpec = IDENTITY, exact: bool = False):
-        """Weighted sums of the atoms' (C00, C01, C11); Fractions when exact."""
-        if exact and self.denominator is None:
-            raise ValueError("exact sums need a measure with exact weights")
-        comps = accumulate_components(self.shape, self.labels,
-                                      self.weights if exact else self.float_weights(), sigma, exact)
-        return tuple(c / self.denominator for c in comps) if exact else comps
 
     def to_json(self) -> list:
         """Atoms in colex order, arrays in LabelPool.to_json form."""
@@ -349,7 +341,10 @@ def _number_json(v):
 
 @dataclass
 class SolveResult:
-    """Outcome of a minimax solve: the optimum, its support, a measure."""
+    """Outcome of a minimax solve: the optimum, its support, a measure.
+    solve_closed_form's measure spreads each orbit weight over the orbit and
+    verifies; solve_exchange's holds it on one pool row, and the measure
+    Measure.from_orbit_weights(shape, orbit_weights) is the one that verifies."""
 
     shape: Shape
     x_star: object
@@ -617,22 +612,20 @@ def solve_closed_form(
 # proportion solve, verification, envelope solve
 
 
-def solve_sbs_proportions(
-    orbits: Sequence[Orbit], x_star, sigma: CovarianceSpec = IDENTITY
-):
+def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     """Nonnegative orbit weights killing the aggregated slope at x*.
 
     Solves sum_k w_k (c01_k + x* c11_k) = 0 with sum w_k = 1 as a basic
     feasible solution: a single zero-slope orbit if one exists, else the
-    extreme negative/positive pair.  Returns (weights, residual); exact
-    on the rational path.  Raises ValueError when every slope has the
-    same strict sign.
+    extreme negative/positive pair, on the identity kernel's slopes (type-H
+    rescales them all alike).  Returns (weights, residual), exact when x* is
+    rational.  Raises ValueError when every slope has the same strict sign.
     """
     if not orbits:
         raise ValueError("no orbits given")
-    exact = _is_rational(x_star) and rational_scale(sigma) is not None
+    exact = _is_rational(x_star)
     reps = LabelPool.of([o.representative for o in orbits])
-    rows, units = _triple_rows(reps.shape, reps.labels, sigma, exact)
+    rows, units = _triple_rows(reps.shape, reps.labels, IDENTITY, exact)
     x = Fraction(x_star) if exact else float(x_star)
     g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
          else float(n01 + x * n11) for _, n01, n11 in rows]
@@ -718,12 +711,13 @@ def verify_measure(
         d *= xi.denominator
         (u, v), (m, e) = Fraction(x_star).as_integer_ratio(), Fraction(y_star).as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
+        info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
         balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
             ((t - 1) * e * (proj @ (v * n00 + u * n01) @ proj) - t * v * d * m * proj, t * s * v * d),
             (proj @ (v * n01.T + u * n11) @ proj, t * t * v * d),
-            (s * schur_complement(n00, n01, n11, exact=True) - d * m * proj, s * d)))
+            (s * info - pivot * d * m * proj, s * pivot * d)))
     else:
-        c00, c01, c11 = comps = xi.components(sigma)
+        c00, c01, c11 = comps = accumulate_components(xi.shape, xi.labels, xi.float_weights(), sigma)
         bt = centering_projector(t)
         x, y = float(x_star), float(y_star)
         # conditions hold on treatment contrasts; project out the constant

@@ -7,8 +7,9 @@ from typing import Iterator, Mapping
 
 import pytest
 
-from fielddesign.arrays import BlockArray, Shape
+from fielddesign.arrays import BlockArray, Shape, label_matrix
 from fielddesign.designs import ExactDesign
+from fielddesign.model import closed_numerators_batch, trace_numerators_batch
 
 # Langton's neighbor-balanced latin square, 5 treatments on a 5x5 block.
 LANGTON_SQUARE = [
@@ -120,6 +121,14 @@ def apply_permutation(s: BlockArray, sigma: Mapping[int, int]) -> BlockArray:
     return BlockArray(
         s.shape, tuple(tuple(sigma.get(v, v) for v in r) for r in s.rows)
     )
+
+
+def numerators_agree(s: BlockArray) -> bool:
+    """The pair kernel and the counting formula give one array the same
+    exact integer numerators of (c00, c01, c11)."""
+    row = label_matrix([s])
+    return ([int(n[0]) for n in trace_numerators_batch(row, s.shape)]
+            == [int(n[0]) for n in closed_numerators_batch(row, s.shape)])
 
 
 def array_of(a: int, b: int, t: int, rows) -> BlockArray:

@@ -22,6 +22,7 @@ from fielddesign.arrays import (
     classify_labels,
     enumerate_label_matrix,
     enumerate_orbits,
+    mirror_plot_order,
     normalize_shape,
     orbit_count,
     orbit_members,
@@ -46,6 +47,18 @@ def test_normalize_shape_transposes_tall_grids():
     assert shape == Shape(2, 4, 8) and transposed
     shape, transposed = normalize_shape(2, 4, 8)
     assert shape == Shape(2, 4, 8) and not transposed
+
+
+@pytest.mark.parametrize("abt", [(2, 4, 8), (3, 5, 4), (3, 3, 2)])
+def test_mirror_plot_order_maps_each_plot_to_its_mirror(abt):
+    shape = Shape(*abt)
+    s = BlockArray.from_colex(shape, np.arange(shape.p) % shape.t + 1)
+    mirror = list(zip(*s.rows))  # b rows of a: the grid given transposed
+    mirror_colex = [mirror[r][c] for c in range(shape.a) for r in range(shape.b)]
+    perm = mirror_plot_order(shape)
+    assert sorted(perm.tolist()) == list(range(shape.p))
+    assert [mirror_colex[k] for k in perm] == list(s.colex)
+    assert perm.tolist() == [k % shape.a * shape.b + k // shape.a for k in range(shape.p)]
 
 
 def test_plot_index_scans_columns_first():

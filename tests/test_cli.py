@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from fielddesign import designs
+from fielddesign.arrays import Shape, mirror_plot_order
 from fielddesign.cli import main
+from fielddesign.designs import ExactDesign, efficiencies
+from fielddesign.model import GeneralCov
+from fielddesign.optimality import solve_exchange
 
 from .conftest import LANGTON_SQUARE, OPTIMAL_BLOCKS_232
 
@@ -411,6 +415,41 @@ def _ar_file(path: Path, p: int, rho: float = 0.5) -> str:
     path.write_text(json.dumps(
         {"matrix": [[rho ** abs(i - j) for j in range(p)] for i in range(p)]}))
     return path.name
+
+
+# a dense covariance is indexed by the plots of the grid as given: a tall
+# 4 x 2 grid is solved as its 2 x 4 mirror, whose plot k is plot PERM_42[k]
+PERM_42 = [0, 4, 1, 5, 2, 6, 3, 7]
+
+
+def test_tall_grid_reads_sigma_in_its_own_plot_order(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sigma = _ar_file(tmp_path / "ar8.json", 8)
+    m = np.array(json.loads((tmp_path / sigma).read_text())["matrix"])
+    (tmp_path / "mirror.json").write_text(json.dumps({"matrix": m[np.ix_(PERM_42, PERM_42)].tolist()}))
+    assert mirror_plot_order(Shape(2, 4, 3)).tolist() == PERM_42
+    tall = json.loads(run(capsys, "solve", "--a", "4", "--b", "2", "--t", "3", "--sigma", sigma)[1])
+    wide = json.loads(run(capsys, "solve", "--a", "2", "--b", "4", "--t", "3",
+                          "--sigma", "mirror.json")[1])
+    assert tall["transposed"] and tall["y_star"] == wide["y_star"]
+    assert tall["x_star"] == wide["x_star"] and tall["orbit_weights"] == wide["orbit_weights"]
+
+
+def test_tall_design_file_reads_sigma_in_its_own_plot_order(capsys, tmp_path):
+    blocks = np.random.default_rng(17).integers(1, 4, size=(3, 4, 2)).tolist()
+    path = write_design(tmp_path, "tall.json", 4, 2, 3, blocks)
+    g = np.random.default_rng(18).normal(size=(8, 8))
+    m = g @ g.T + 8 * np.eye(8)
+    (tmp_path / "spd.json").write_text(json.dumps({"matrix": m.tolist()}))
+    code, out, _ = run(capsys, "efficiency", path, "--sigma", str(tmp_path / "spd.json"))
+    assert code == 0
+    # the library on the mirror design under the re-indexed matrix
+    design = ExactDesign.from_json(json.loads(Path(path).read_text()))
+    mirror = GeneralCov.from_matrix(m[np.ix_(PERM_42, PERM_42)])
+    want = efficiencies(design, mirror, y_star=float(solve_exchange(design.shape, mirror).y_star))
+    doc = json.loads(out)
+    assert doc["y_star"] == want.y_star
+    assert [doc[k] for k in ("eff_A", "eff_D", "eff_E", "eff_T")] == [round(v, 6) for v in want.astuple()]
 
 
 def test_general_sigma_over_the_orbit_budget_exits_2(capsys, tmp_path, monkeypatch):

@@ -20,15 +20,14 @@ from fielddesign.model import (
     TypeH,
     _pair_kernel,
     _shape_kernel,
-    accumulate_components,
-    block_components,
     btilde,
     c_coeffs_closed,
     closed_numerators_batch,
+    component_numerators,
     info_matrix_exact,
     info_matrix_measure,
     rational_scale,
-    schur_complement,
+    schur_numerators,
     trace_numerators_batch,
     triple_table,
 )
@@ -248,13 +247,14 @@ def test_grouped_exact_accumulation_matches_per_block_sum():
     xi = Measure(shape, {s: w / total for s, w in raw.items()})
     assert len(set(xi.weights)) >= 3
     for sigma in (IDENTITY, TypeH(Fraction(5, 2))):
-        got = xi.components(sigma, exact=True)
-        want = [0, 0, 0]
-        for s, w in xi.items():
-            want = [acc + w * c for acc, c in zip(want, block_components(s, sigma, exact=True))]
-        for g, wnt in zip(got, want):
-            assert all(isinstance(v, Fraction) for v in g.flat)
-            assert (g == wnt).all()
+        got, den = component_numerators(shape, xi.labels, xi.weights, sigma)
+        want = 0
+        for row, w in zip(xi.labels, xi.weights):
+            block, block_den = component_numerators(shape, row[None], [1], sigma)
+            assert block_den == den
+            want = want + w * block
+        assert all(type(v) is int for v in got.flat)
+        assert (got == want).all()
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +272,9 @@ def _fraction_schur(c00, c01, c11):
     return joint[t:, t:]
 
 
-def _reference_report(xi: Measure, sigma, x: Fraction, y: Fraction, tol: float = 1e-9):
-    """verify_measure's four fields and verdict, by explicit per-atom
-    components O'K O, O'K F, F'K F (K = p I - J, F = M O) summed in
-    Fractions, Fraction matrix algebra and closed-form triples."""
+def _reference_components(xi: Measure, sigma):
+    """(C00, C01, C11) of a measure by explicit per-atom components O'K O,
+    O'K F, F'K F (K = p I - J, F = M O) summed in Fractions."""
     shape, scale = xi.shape, rational_scale(sigma)
     a, b, t, p = shape.a, shape.b, shape.t, shape.p
     m = _neighbors(a, b).astype(np.int64)
@@ -286,7 +285,14 @@ def _reference_report(xi: Measure, sigma, x: Fraction, y: Fraction, tol: float =
         o[np.arange(p), np.asarray(row.colex) - 1] = 1
         f = m @ o
         comps = comps + np.array([o.T @ k @ o, o.T @ k @ f, f.T @ k @ f]).astype(object) * w
-    c00, c01, c11 = comps * (scale / p)
+    return comps * (scale / p)
+
+
+def _reference_report(xi: Measure, sigma, x: Fraction, y: Fraction, tol: float = 1e-9):
+    """verify_measure's four fields and verdict, by _reference_components,
+    Fraction matrix algebra and closed-form triples."""
+    scale, t = rational_scale(sigma), xi.shape.t
+    c00, c01, c11 = _reference_components(xi, sigma)
     bt = np.array([[Fraction(int(i == j)) - Fraction(1, t) for j in range(t)] for i in range(t)])
     target = bt * (y / (t - 1))
 
@@ -344,6 +350,25 @@ def test_integer_verifier_matches_fraction_algebra(xi, sigma, shift):
     _check_against_reference(xi, sigma, x + shift[0], y + shift[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact_measures(), st.sampled_from(SIGMAS))
+def test_exact_information_matrix_matches_fraction_algebra(xi, sigma):
+    got = info_matrix_measure(xi, sigma, exact=True)
+    assert all(type(v) is Fraction for v in got.flat)
+    assert (got == _fraction_schur(*_reference_components(xi, sigma))).all()
+
+
+@pytest.mark.parametrize("a,b,t,blocks", [(2, 3, 2, OPTIMAL_BLOCKS_232),
+                                          (4, 2, 8, EFFICIENT_BLOCKS_428)])
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_exact_design_information_matrix_matches_fraction_algebra(a, b, t, blocks, sigma):
+    design = design_of(a, b, t, blocks)
+    want = _fraction_schur(*_reference_components(measure_of_design(design), sigma)) * design.n
+    got = info_matrix_exact(design, sigma, exact=True)
+    assert all(type(v) is Fraction for v in got.flat)
+    assert (got == want).all()
+
+
 @pytest.mark.parametrize("a,b,t,blocks", [(2, 3, 2, OPTIMAL_BLOCKS_232),
                                           (4, 2, 8, EFFICIENT_BLOCKS_428)])
 @pytest.mark.parametrize("sigma", SIGMAS)
@@ -391,9 +416,9 @@ def test_verdict_is_the_information_target(abt, with_optimal, data):
     assert report.optimal == on_target
     if report.balance_residual == 0 and report.support_mass == 0:
         # given balance and support, the one-sided slope decides
-        _, c01, c11 = accumulate_components(shape, label_matrix(design.blocks), [1] * design.n,
-                                            exact=True)
-        assert on_target == ((c01.T + x * c11) @ bt == 0).all()
+        (_, n01, n11), _ = component_numerators(shape, label_matrix(design.blocks),
+                                                [1] * design.n)
+        assert on_target == ((n01.T + x * n11) @ bt == 0).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,10 +434,13 @@ def test_exact_schur_complement_matches_fraction_elimination(t, data):
     g[:, t - 1] = -g[:, :t - 1].sum(axis=1)
     g[:, -1] = -g[:, t:-1].sum(axis=1)
     den = data.draw(st.integers(1, 50))
-    joint = np.array([[Fraction(int(v), den) for v in row] for row in g.T @ g], dtype=object)
+    nums = g.T @ g  # int64: den times the joint matrix
+    joint = np.array([[Fraction(int(v), den) for v in row] for row in nums], dtype=object)
     c11, c01, c00 = joint[:t, :t], joint[t:, :t], joint[t:, t:]
     assert all(sum(row) == 0 for row in c11)
-    got = schur_complement(c00, c01, c11, exact=True)
+    num, pivot = schur_numerators(nums[t:, t:], nums[t:, :t], nums[:t, :t])
+    assert all(type(v) is int for v in num.flat) and pivot > 0
+    got = num * Fraction(1, pivot * den)
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == _fraction_schur(c00, c01, c11)).all()
 

@@ -16,7 +16,6 @@ from fielddesign.model import (
     btilde,
     c11_base,
     c_coeffs_closed,
-    c_coeffs_trace,
     centering_projector,
     component_table,
     incidence_matrices,
@@ -24,6 +23,7 @@ from fielddesign.model import (
     info_matrix_measure,
     label_matrix,
     schur_complement,
+    schur_numerators,
     sigma_from_json,
     sigma_matrix,
     symmetric_pinv,
@@ -31,7 +31,14 @@ from fielddesign.model import (
 )
 from fielddesign.optimality import Measure, full_pool, solve_closed_form, verify_measure
 
-from .conftest import OPTIMAL_BLOCKS_232, SBS_ROWS_2X3, all_arrays, array_of, design_of
+from .conftest import (
+    OPTIMAL_BLOCKS_232,
+    SBS_ROWS_2X3,
+    all_arrays,
+    array_of,
+    design_of,
+    numerators_agree,
+)
 
 
 def _ar_cov(p: int, rho: float = 0.3) -> GeneralCov:
@@ -161,9 +168,7 @@ def test_reference_array_coefficients():
 def test_coefficient_paths_agree_exhaustively_small():
     for shape in (Shape(2, 2, 2), Shape(2, 2, 3), Shape(2, 3, 2)):
         for s in all_arrays(shape):
-            closed = c_coeffs_closed(s)
-            trace = c_coeffs_trace(s, IDENTITY)
-            assert closed.astuple() == trace.astuple(), s
+            assert numerators_agree(s), s
 
 
 def test_coefficient_paths_agree_random():
@@ -172,7 +177,7 @@ def test_coefficient_paths_agree_random():
         for _ in range(20):
             s = BlockArray.from_colex(
                 shape, rng.integers(1, shape.t + 1, size=shape.p))
-            assert c_coeffs_closed(s).astuple() == c_coeffs_trace(s).astuple()
+            assert numerators_agree(s), s
 
 
 def test_triple_table_matches_per_array():
@@ -180,7 +185,7 @@ def test_triple_table_matches_per_array():
     pool = [s for _, s in zip(range(40), all_arrays(shape))]
     table = triple_table(pool, IDENTITY)
     for k, s in enumerate(pool):
-        c = c_coeffs_trace(s)
+        c = c_coeffs_closed(s)
         assert np.allclose(table[k], [float(v) for v in c.astuple()])
 
 
@@ -234,6 +239,16 @@ def test_exact_measure_info_is_rational():
     assert c[0, 0] + c[0, 1] == 0
 
 
+def test_exact_information_refuses_float_weights_and_dense_sigma():
+    s = array_of(2, 3, 2, [[1, 2, 1], [2, 1, 2]])
+    with pytest.raises(ValueError, match="exact weights"):
+        info_matrix_measure(Measure(s.shape, {s: 1.0}), exact=True)
+    with pytest.raises(ValueError, match="exact path"):
+        info_matrix_measure(Measure.point(s), _ar_cov(6), exact=True)
+    with pytest.raises(ValueError, match="exact path"):
+        info_matrix_exact(design_of(2, 3, 2, OPTIMAL_BLOCKS_232), TypeH(1.5), exact=True)
+
+
 def test_exact_schur_complement_agrees_with_float():
     rng = np.random.default_rng(3)
     t = 3
@@ -242,14 +257,14 @@ def test_exact_schur_complement_agrees_with_float():
         g = rng.integers(-3, 4, size=(1 + k % (t - 1), 2 * t))
         if k % 3 == 0:
             g[:, k % t] = 0  # a zero row and column in C11
-        joint = g.T @ g
-        exact = np.vectorize(lambda v: Fraction(int(v), 1 + k), otypes=[object])(joint)
-        c11, c01, c00 = exact[:t, :t], exact[t:, :t], exact[t:, t:]
-        assert np.linalg.matrix_rank(np.array(c11, dtype=float)) < t
-        got = schur_complement(c00, c01, c11, exact=True)
-        assert all(isinstance(v, Fraction) for v in got.flat)
+        joint = g.T @ g  # int64, the integer numerators of joint / (1 + k)
+        n11, n01, n00 = joint[:t, :t], joint[t:, :t], joint[t:, t:]
+        assert np.linalg.matrix_rank(n11) < t
+        num, pivot = schur_numerators(n00, n01, n11)
+        assert all(type(v) is int for v in num.flat) and type(pivot) is int and pivot > 0
+        got = num * Fraction(1, pivot * (1 + k))
         assert (got == got.T).all()
-        want = schur_complement(*(np.array(c, dtype=float) for c in (c00, c01, c11)))
+        want = schur_complement(*(c / (1 + k) for c in (n00, n01, n11)))
         assert np.allclose(np.array(got, dtype=float), want, atol=1e-9)
 
 

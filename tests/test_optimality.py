@@ -30,11 +30,11 @@ from fielddesign.model import (
     IDENTITY,
     GeneralCov,
     TypeH,
-    block_components,
     c_coeffs_closed,
     closed_numerators_batch,
+    component_numerators,
     info_matrix_measure,
-    schur_complement,
+    schur_numerators,
     triple_table,
 )
 from fielddesign.optimality import (
@@ -369,10 +369,13 @@ def test_exact_measure_past_int64_denominators():
     want_c = [sum(w * c for w, c in zip(weights, col)) for col in zip(
         *(c_coeffs_closed(s).astuple() for s in blocks))]
     assert list(measure_triple(xi).astuple()) == want_c
-    want = [sum(w * c for w, c in zip(weights, comps)) for comps in zip(
-        *(block_components(s, exact=True) for s in blocks))]
+    # per-block integer components, summed at integer weights over the lcm
+    lcm = math.lcm(*(w.denominator for w in weights))
+    per_block = [component_numerators(shape, label_matrix([s]), [1]) for s in blocks]
+    want = sum(int(w * lcm) * nums for w, (nums, _) in zip(weights, per_block))
+    num, pivot = schur_numerators(*want)
     info = info_matrix_measure(xi, exact=True)
-    assert (info == schur_complement(*want, exact=True)).all()
+    assert (info == num * Fraction(1, pivot * per_block[0][1] * lcm)).all()
     res = solve_closed_form(shape)
     off = [abs(q_eval(c_coeffs_closed(s), res.x_star) - res.y_star) > 1e-9 * res.y_star
            for s in blocks]
@@ -466,6 +469,26 @@ def test_exchange_from_every_point_measure():
     assert float(res.gap) <= 1e-9
     assert abs(float(res.y_star) - 2) <= 1e-9
     json.dumps(res.to_json())
+
+
+@pytest.mark.parametrize("abt, sigma", [
+    ((2, 3, 3), _ar_kernel(6, 0.5)), ((2, 3, 3), _ar_kernel(6, 0.8)),
+    ((3, 3, 4), _ar_kernel(9, 0.5)), ((2, 4, 3), _ar_kernel(8, 0.5)),
+    ((2, 2, 3), _ar_kernel(4, 0.5)), ((2, 4, 3), _random_spd(8, 3)),
+    ((3, 3, 3), _random_spd(9, 4)), ((2, 3, 5), GeneralCov.from_matrix(np.eye(6))),
+    ((3, 3, 3), GeneralCov.from_matrix(np.eye(9))),
+])
+def test_exchange_orbit_weights_symmetrized_verify(abt, sigma):
+    # the exchange measure holds each orbit's weight on one pool row; spread
+    # over the orbits' members it is the optimal measure the certificate reads
+    shape = Shape(*abt)
+    res = solve_exchange(shape, sigma)
+    xi = Measure.from_orbit_weights(shape, res.orbit_weights)
+    report = verify_measure(xi, sigma, res.x_star, res.y_star)
+    assert report.optimal, abt
+    residuals = (report.balance_residual, report.slope_residual, report.info_residual,
+                 report.support_mass)
+    assert max(residuals) <= 1e-13
 
 
 @pytest.mark.parametrize("abt, steps", [((2, 3, 3), 0), ((2, 3, 5), 64)])
