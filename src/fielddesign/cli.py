@@ -134,6 +134,10 @@ def _shape_from_args(args) -> tuple[Shape, bool]:
 
 def _solve_for(shape: Shape, sigma, args) -> SolveResult:
     """Dispatch: closed form when the kernel is the centering projector."""
+    if isinstance(sigma, GeneralCov) and args.tol == 0:
+        raise _InputError("--tol 0 cannot be met under a general --sigma: the float exchange "
+                          "solve's duality gap stops at rounding error, not at 0; give a "
+                          "positive tolerance")
     if isinstance(sigma, GeneralCov) or args.force_computational:
         pool = resolve_pool(args.pool, shape, args.seed)
         return solve_exchange(shape, sigma, pool=pool, tol=args.tol,

@@ -328,9 +328,9 @@ def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
     return best, best_val
 
 
-# _swap_bounds applies only when the base's C11 stays this well conditioned
-# with any candidate's C11 added, and lowers each bound by BOUND_SLACK of the
-# slot's scale; both keep rounding in either computation far below the slack.
+# Both bounds apply only when the base's C11 stays this well conditioned with
+# any candidate's C11 added, and lower each bound by BOUND_SLACK of the slot's
+# scale; both keep rounding in any of the computations far below the slack.
 BOUND_MAX_COND = 1e3
 BOUND_SLACK = 1e-7
 # a slot works through its candidates in chunks of (2t, 2t) matrices holding
@@ -353,49 +353,6 @@ def _joint(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _swap_bounds(base: np.ndarray, joint: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Lower bounds on _swap_residuals(base, stack, target), given the
-    _joint(stack) matrices, or None when base's C11 is not well conditioned.
-
-    With X = B01 B11^-1 and h h' = B11^-1, G = [[I, -X], [0, h']] takes B to
-    [[C(B), 0], [0, I]] and keeps Schur complements, so with G S G' =
-    [[U, A], [A', K]], C(B + S) = C(B) + U - A (I + K)^-1 A'.  K >= 0 gives
-    I - K <= (I + K)^-1 <= I in Loewner order, so that last term lies within
-    R = A K A' / 2 of M = A A' - R; a symmetric D with -R <= D <= R has
-    |D| <= |R| in the Frobenius norm, hence
-    |C(B + S) - T| >= |C(B) + U - M - T| - |R|.
-    """
-    b00, b01, b11 = base
-    t = len(target)
-    w, v = np.linalg.eigh(b11)
-    top = w[-1] + np.trace(joint[:, t:, t:], axis1=1, axis2=2).max(initial=0.0)
-    if not w[0] * BOUND_MAX_COND > top:
-        return None
-    h = v / np.sqrt(w)
-    x = b01 @ h @ h.T
-    gt = np.zeros((2 * t, 2 * t))  # G'
-    gt[:t, :t] = np.eye(t)
-    gt[t:, :t] = -x.T
-    gt[t:, t:] = h
-    g = gt.T
-    shift = b00 - x @ b01.T - target  # C(B) - T
-    rows = _chunk_rows(t)
-    out = []
-    for lo in range(0, len(joint), rows):
-        part = joint[lo:lo + rows]
-        m = len(part)
-        gsg = g @ (part.reshape(-1, 2 * t) @ gt).reshape(m, 2 * t, 2 * t)
-        a = np.ascontiguousarray(gsg[:, :t, t:])
-        at = np.swapaxes(a, 1, 2)
-        r = (a @ gsg[:, t:, t:] @ at) / 2
-        dev = gsg[:, :t, :t] + shift - a @ at + r
-        out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev))
-                   - np.sqrt(np.einsum("kij,kij->k", r, r)))
-    scale = (np.linalg.norm(b00) + np.linalg.norm(target)
-             + np.sqrt(np.einsum("kij,kij->k", joint[:, :t, :t], joint[:, :t, :t]).max()))
-    return np.concatenate(out) - BOUND_SLACK * scale
-
-
 def _distinct_rows(stack: np.ndarray) -> np.ndarray:
     """For each row of stack, the first row in order with the same bytes."""
     first: dict[bytes, int] = {}
@@ -403,25 +360,123 @@ def _distinct_rows(stack: np.ndarray) -> np.ndarray:
                      for k, row in enumerate(stack.reshape(len(stack), -1))])
 
 
-def _slot_pick(base: np.ndarray, stack: np.ndarray, first: np.ndarray, joint: np.ndarray,
-               target: np.ndarray, current: float, old: int) -> tuple[int | None, float]:
-    """What _scan picks from _swap_residuals(base, stack, target) with
-    candidate old excluded.  first comes from _distinct_rows(stack) and joint
-    holds the _joint matrices of the rows that are their own first: each
-    distinct table is scored once, and only where _swap_bounds says it can
-    beat current, as a pruned candidate's exact value could not pass _scan."""
-    cand = np.flatnonzero(first == np.arange(len(first)))
-    bound = _swap_bounds(base, joint, target)
-    if bound is not None:
-        cand = cand[bound < current - 1e-12]
-        if not len(cand):
+@dataclass(frozen=True)
+class _Candidates:
+    """A construct run's swap candidates: the (k, 3, t, t) component table,
+    first = _distinct_rows(stack), the rows that are their own first
+    (`distinct`), their _joint matrices, and the largest C11 trace and C00
+    Frobenius norm among them."""
+
+    stack: np.ndarray
+    first: np.ndarray
+    distinct: np.ndarray
+    joint: np.ndarray
+    c11_trace: float
+    c00_norm: float
+
+    @staticmethod
+    def of(stack: np.ndarray) -> "_Candidates":
+        first = _distinct_rows(stack)
+        distinct = np.flatnonzero(first == np.arange(len(first)))
+        joint = _joint(stack[distinct])
+        t = stack.shape[-1]
+        c00 = joint[:, :t, :t]
+        return _Candidates(stack, first, distinct, joint,
+                           float(np.trace(joint[:, t:, t:], axis1=1, axis2=2).max()),
+                           float(np.sqrt(np.einsum("kij,kij->k", c00, c00).max())))
+
+
+def _base_factor(base: np.ndarray, cands: _Candidates, target: np.ndarray):
+    """(X, h, C(B) - T, slack) for the base B of a slot, which both bounds
+    share: X = B01 B11^-1, h h' = B11^-1 and the slot's BOUND_SLACK; or None
+    when B11 is not well conditioned with a candidate's C11 added, where
+    neither bound applies."""
+    b00, b01, b11 = base
+    w, v = np.linalg.eigh(b11)
+    if not w[0] * BOUND_MAX_COND > w[-1] + cands.c11_trace:
+        return None
+    h = v / np.sqrt(w)
+    x = b01 @ h @ h.T
+    slack = BOUND_SLACK * (np.linalg.norm(b00) + np.linalg.norm(target) + cands.c00_norm)
+    return x, h, b00 - x @ b01.T - target, slack
+
+
+def _eigen_bounds(factor, joint: np.ndarray) -> np.ndarray:
+    """Lower bounds on _swap_residuals for the candidates with these _joint
+    matrices, from one matrix product.
+
+    S >= 0, and the Schur complement is the least [I, -Y] M [I, -Y]' over Y,
+    so C(B) <= C(B + S) <= C(B) + [I, -X] S [I, -X]' in Loewner order.  With
+    C(B) - T = V diag(e) V' and z_i = [v_i; -X' v_i], entry i of
+    V' (C(B + S) - T) V lies in [e_i, e_i + z_i' S z_i], and a symmetric M
+    has |M|^2 >= sum_i (v_i' M v_i)^2 in the Frobenius norm; so
+    |C(B + S) - T| is at least the norm of the distances from 0 to those
+    intervals.
+    """
+    x, _, shift, slack = factor
+    e, v = np.linalg.eigh(shift)
+    z = np.concatenate([v, -x.T @ v])
+    q = joint.reshape(len(joint), -1) @ (z[:, None] * z[None]).reshape(-1, len(e))
+    gap = np.maximum(np.maximum(e, -(e + q)), 0.0)
+    return np.sqrt(np.einsum("ki,ki->k", gap, gap)) - slack
+
+
+def _swap_bounds(factor, joint: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Lower bounds on _swap_residuals for the candidates with the _joint
+    matrices joint[which], gathered a chunk at a time: finer than
+    _eigen_bounds on most candidates, at O(t^3) each.
+
+    With G = [[I, -X], [0, h']], G B G' = [[C(B), 0], [0, I]], and G keeps
+    Schur complements, so with G S G' = [[U, A], [A', K]],
+    C(B + S) = C(B) + U - A (I + K)^-1 A'.  K >= 0 gives
+    I - K <= (I + K)^-1 <= I in Loewner order, so that last term lies within
+    R = A K A' / 2 of M = A A' - R; a symmetric D with -R <= D <= R has
+    |D| <= |R| in the Frobenius norm, hence
+    |C(B + S) - T| >= |C(B) + U - M - T| - |R|.
+    """
+    x, h, shift, slack = factor
+    t = len(shift)
+    gt = np.zeros((2 * t, 2 * t))  # G'
+    gt[:t, :t] = np.eye(t)
+    gt[t:, :t] = -x.T
+    gt[t:, t:] = h
+    g = gt.T
+    rows = _chunk_rows(t)
+    out = []
+    for lo in range(0, len(which), rows):
+        part = which[lo:lo + rows]
+        gsg = g @ (joint[part].reshape(-1, 2 * t) @ gt).reshape(len(part), 2 * t, 2 * t)
+        a = np.ascontiguousarray(gsg[:, :t, t:])
+        at = np.swapaxes(a, 1, 2)
+        r = (a @ gsg[:, t:, t:] @ at) / 2
+        dev = gsg[:, :t, :t] + shift - a @ at + r
+        out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev))
+                   - np.sqrt(np.einsum("kij,kij->k", r, r)))
+    return np.concatenate(out) - slack
+
+
+def _slot_pick(base: np.ndarray, cands: _Candidates, target: np.ndarray,
+               current: float, old: int) -> tuple[int | None, float]:
+    """What _scan picks from _swap_residuals(base, cands.stack, target) with
+    candidate old excluded.  Each distinct table is scored once, and only
+    where both bounds say it can beat current: _eigen_bounds screens every
+    distinct table, _swap_bounds its survivors, and _swap_residuals scores
+    what is left; a pruned candidate's exact value could not pass _scan."""
+    cand = cands.distinct
+    factor = _base_factor(base, cands, target)
+    if factor is not None:
+        keep = np.flatnonzero(_eigen_bounds(factor, cands.joint) < current - 1e-12)
+        if len(keep):
+            keep = keep[_swap_bounds(factor, cands.joint, keep) < current - 1e-12]
+        if not len(keep):
             return None, current
-    vals = np.full(len(stack), np.inf)
+        cand = cand[keep]
+    vals = np.full(len(cands.stack), np.inf)
     rows = _chunk_rows(len(target))
     for lo in range(0, len(cand), rows):
         part = cand[lo:lo + rows]
-        vals[part] = _swap_residuals(base, stack[part], target)
-    vals = vals[first]
+        vals[part] = _swap_residuals(base, cands.stack[part], target)
+    vals = vals[cands.first]
     vals[old] = np.inf
     return _scan(vals, current)
 
@@ -440,14 +495,15 @@ def construct_exact(
     support arrays whenever that shrinks the distance between the design
     information matrix and its optimal completely-symmetric target.  Each
     slot takes the pick of a pool-order scan (_scan) of exact residuals
-    (_swap_residuals), bound then verify: a Loewner lower bound
-    (_swap_bounds, batched matmuls only) drops every candidate that cannot
-    beat the current residual, each distinct component table is scored once,
-    and a slot whose block was scored without a swap since the last swap is
-    skipped.  None of this changes a pick, so the blocks and report are those
-    of scoring every candidate.  `effort` counts restarts (the first start is
-    the rounded measure, later ones are seeded random draws); deterministic
-    given the seed.
+    (_swap_residuals), in three tiers over the distinct component tables:
+    an eigenbasis bound (_eigen_bounds, one matrix product) screens them
+    all, a congruence bound (_swap_bounds, batched matmuls) its survivors,
+    and only what both leave is scored exactly; each drops only candidates
+    that cannot beat the current residual.  A slot whose block was scored
+    without a swap since the last swap is skipped.  None of this changes a
+    pick, so the blocks and report are those of scoring every candidate.
+    `effort` counts restarts (the first start is the rounded measure, later
+    ones are seeded random draws); deterministic given the seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -484,8 +540,7 @@ def construct_exact(
     groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
 
-    first = _distinct_rows(stack)
-    joint = _joint(stack[first == np.arange(len(stack))])
+    cands = _Candidates.of(stack)
     best_idx: list[int] | None = None
     best_res = np.inf
     for attempt in range(effort):
@@ -500,8 +555,8 @@ def construct_exact(
                 old = idx[i]
                 if old in idle:  # same base as then, so the same outcome
                     continue
-                best_cand, best_val = _slot_pick(total - stack[old], stack, first, joint,
-                                                 target, current, old)
+                best_cand, best_val = _slot_pick(total - stack[old], cands, target,
+                                                 current, old)
                 if best_cand is None:
                     idle.add(old)
                 else:

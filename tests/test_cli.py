@@ -241,6 +241,24 @@ def test_negative_tol_gets_the_range_message(capsys, argv):
     assert errors == [f"error: argument {flag}: need a finite {kind} >= 0, got {value!r}"]
 
 
+def test_zero_tol_is_refused_only_under_a_general_sigma(capsys, tmp_path, monkeypatch):
+    # the float exchange solve's gap stops at rounding error (1.8e-15 on
+    # (2,3,3) under AR(0.5)), so a zero tolerance could only read as a failure
+    monkeypatch.chdir(tmp_path)
+    _ar_file(tmp_path / "ar05.json", 6)
+    write_design(tmp_path, "d232.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
+    for argv in (["solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "ar05.json"],
+                 ["verify", "d232.json", "--sigma", "ar05.json"]):
+        code, out, err = run(capsys, *argv, "--tol", "0")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: --tol 0 cannot be met under a general --sigma")
+    # the closed form, the exact verify, and the forced exchange under identity
+    for argv in (["solve", "--a", "2", "--b", "3", "--t", "3"], ["verify", "d232.json"],
+                 ["solve", "--a", "2", "--b", "3", "--t", "3", "--force-computational"]):
+        code, out, _ = run(capsys, *argv, "--tol", "0")
+        assert code == 0 and json.loads(out)["config"]["tol"] == 0
+
+
 @pytest.mark.parametrize("count", ["0", "x", "-2"])
 def test_bad_random_pool_size_is_input_error(capsys, count):
     code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",

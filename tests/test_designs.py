@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from fielddesign import designs
 from fielddesign.arrays import (
+    LabelPool,
     Orbit,
     Shape,
     canonical_form,
@@ -327,10 +330,9 @@ def _bound_case(sigma, n, seed, scale):
        st.integers(0, 2**32 - 1), st.floats(0.25, 8.0), st.floats(0.0, 1.0))
 def test_pruned_slot_picks_what_the_full_scan_picks(sigma, n, seed, scale, level):
     stack, idx, total, target = _bound_case(sigma, n, seed, scale)
-    first = designs._distinct_rows(stack)
-    distinct = first == np.arange(len(stack))
-    joint = designs._joint(stack[distinct])
-    assert (stack[first] == stack).all()
+    cands = designs._Candidates.of(stack)
+    distinct = cands.first == np.arange(len(stack))
+    assert (stack[cands.first] == stack).all()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "CHUNK_ROWS", 7)  # several chunks and a ragged tail
         mp.setattr(designs, "BOUND_ENTRIES", 7 * (2 * BOUND_SHAPE.t) ** 2)
@@ -338,33 +340,101 @@ def test_pruned_slot_picks_what_the_full_scan_picks(sigma, n, seed, scale, level
         for old in idx[:2]:
             base = total - stack[old]
             exact = designs._swap_residuals(base, stack, target)
-            bound = designs._swap_bounds(base, joint, target)
+            factor = designs._base_factor(base, cands, target)
             w = np.linalg.eigvalsh(base[2])
             if w[0] <= EIG_CUTOFF * max(abs(w[-1]), 1.0):  # singular B11: score everything
-                assert bound is None
-            if bound is not None:
-                assert (bound <= exact[distinct]).all()
+                assert factor is None
+            if factor is not None:
+                every = np.arange(len(cands.joint))
+                assert (designs._swap_bounds(factor, cands.joint, every)
+                        <= exact[distinct]).all()
             # any threshold, not just the design's own residual
             finite = exact[np.isfinite(exact)]
             for cur in (current, float(np.quantile(finite, level))):
                 vals = exact.copy()
                 vals[old] = np.inf
                 want = designs._scan(vals, cur)
-                assert designs._slot_pick(base, stack, first, joint, target, cur, old) == want
+                assert designs._slot_pick(base, cands, target, cur, old) == want
 
 
 def test_slot_pick_scores_every_distinct_table_when_b11_is_singular(monkeypatch):
     stack, idx, total, target = _bound_case("identity", 1, 5, 2.0)
-    first = designs._distinct_rows(stack)
-    joint = designs._joint(stack[first == np.arange(len(stack))])
+    cands = designs._Candidates.of(stack)
     base = total - stack[idx[0]]  # n = 1: the base is zero
-    assert designs._swap_bounds(base, joint, target) is None
+    assert designs._base_factor(base, cands, target) is None
     scored = []
     real = designs._swap_residuals
     monkeypatch.setattr(designs, "_swap_residuals",
                         lambda b, s, t: scored.append(len(s)) or real(b, s, t))
-    designs._slot_pick(base, stack, first, joint, target, np.inf, int(idx[0]))
-    assert scored == [len(joint)]
+    designs._slot_pick(base, cands, target, np.inf, int(idx[0]))
+    assert scored == [len(cands.joint)]
+
+
+def _sigma_of(kind: str, p: int):
+    if kind in ("identity", "type-h"):
+        return BOUND_SIGMAS[kind]
+    if kind == "ar":
+        return GeneralCov.from_matrix(0.5 ** np.abs(np.subtract.outer(range(p), range(p))))
+    return GeneralCov.from_matrix(_random_spd(11, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(shape: Shape, kind: str):
+    # every labelling, as construct's pool holds relabelings of each orbit
+    labels = np.array(list(itertools.product(range(1, shape.t + 1), repeat=shape.p)))
+    return designs._Candidates.of(component_table(LabelPool(shape, labels),
+                                                  _sigma_of(kind, shape.p)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Shape(2, 3, 2), Shape(2, 3, 3), Shape(2, 4, 2), Shape(3, 3, 2)]),
+       st.sampled_from(sorted(BOUND_SIGMAS)), st.integers(2, 14), st.integers(0, 2**32 - 1),
+       st.floats(0.25, 8.0), st.floats(0.0, 1.0))
+def test_eigenbasis_bound_is_a_bound_and_only_drops_scorings(shape, sigma, n, seed, scale,
+                                                             level):
+    cands = _candidates(shape, sigma)
+    stack = cands.stack
+    idx = np.random.default_rng(seed).integers(0, len(stack), size=n)
+    total = sum(stack[idx])
+    base = total - stack[idx[0]]
+    target = centering_projector(shape.t) * (scale * n)
+    factor = designs._base_factor(base, cands, target)
+    if factor is None:  # neither bound applies: every distinct table is scored
+        return
+    exact = designs._swap_residuals(base, stack[cands.distinct], target)
+    assert (designs._eigen_bounds(factor, cands.joint) <= exact).all()
+    index = {stack[k].tobytes(): k for k in cands.distinct}
+    congruence = designs._swap_bounds(factor, cands.joint, np.arange(len(cands.joint)))
+    current = float(designs._residuals(total[None], target)[0])
+    for cur in (current, float(np.quantile(exact, level))):
+        scored = []
+        real = designs._swap_residuals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(designs, "_swap_residuals",
+                       lambda b, s, t: scored.extend(index[row.tobytes()] for row in s)
+                       or real(b, s, t))
+            designs._slot_pick(base, cands, target, cur, int(idx[0]))
+        # both tiers score a subset of what the congruence bound alone would
+        assert set(scored) <= set(cands.distinct[congruence < cur - 1e-12].tolist())
+
+
+def test_eigenbasis_bound_sends_few_candidates_on(monkeypatch):
+    # the golden (4,2,8) n = 14 run: 66,325 candidates reach the eigenbasis
+    # bound over all slots, and before it existed the congruence bound saw
+    # them all and the exact step scored 2,818
+    seen = {}
+    # the argument that holds the candidates each tier is handed
+    for name, arg in (("_eigen_bounds", 1), ("_swap_bounds", 2), ("_swap_residuals", 1)):
+        seen[name] = 0
+        def counted(*args, name=name, arg=arg, real=getattr(designs, name)):
+            seen[name] += len(args[arg])
+            return real(*args)
+        monkeypatch.setattr(designs, name, counted)
+    shape, _ = normalize_shape(4, 2, 8)
+    design, _ = construct_exact(shape, 14, seed=7)
+    assert design.to_json()["blocks"] == GOLDEN_428_N14_SEED7
+    assert 0 < seen["_swap_bounds"] < seen["_eigen_bounds"] / 4
+    assert seen["_swap_residuals"] <= 2818
 
 
 # construct_exact's blocks for two seeds, recorded from the per-candidate
