@@ -81,6 +81,11 @@ def mirror_plot_order(shape: Shape) -> np.ndarray:
     return k % shape.a * shape.b + k // shape.a
 
 
+def grid_text(rows) -> str:
+    """A grid given as rows, written column by column: (1,1;2,1;2,2)."""
+    return "(" + ";".join(",".join(map(str, col)) for col in zip(*rows)) + ")"
+
+
 def _integer(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{what} {v!r} is not an integer")
@@ -135,11 +140,7 @@ class BlockArray:
         return BlockArray.from_rows(shape, obj["rows"])
 
     def __str__(self) -> str:
-        cols = [
-            ",".join(str(self.rows[i][j]) for i in range(self.shape.a))
-            for j in range(self.shape.b)
-        ]
-        return "(" + ";".join(cols) + ")"
+        return grid_text(self.rows)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .arrays import (
     canonical_json,
     classify_labels,
     enumerate_label_matrix,
+    grid_text,
     mirror_plot_order,
     normalize_shape,
     orbit_count,
@@ -110,7 +111,7 @@ def resolve_pool(spec, shape: Shape, seed: int):
 
 
 def load_design(path: str) -> tuple[ExactDesign, bool]:
-    """A design file (bare or {"design": ...}-wrapped JSON), and whether its a > b."""
+    """A design file (bare or {"design": ...}-wrapped JSON) and whether it is tall."""
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -120,7 +121,7 @@ def load_design(path: str) -> tuple[ExactDesign, bool]:
     if isinstance(obj, dict) and "design" in obj and "blocks" not in obj:
         obj = obj["design"]
     try:
-        return ExactDesign.from_json(obj), obj["a"] > obj["b"]
+        return ExactDesign.from_json(obj), normalize_shape(obj["a"], obj["b"], obj["t"])[1]
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path} is not a valid design: {exc}")
 
@@ -282,10 +283,13 @@ def cmd_construct(args) -> int:
     sigma = _oriented_sigma(resolve_sigma(args.sigma, shape.p), shape, transposed)
     design, report = construct_exact(shape, args.n, sigma,
                                      seed=args.seed, effort=args.effort)
-    doc = {"config": _config(args), "design": design.to_json(),
-           "report": report.to_json()}
+    written = design.to_json()
+    if transposed:  # write a tall grid's blocks in the orientation asked for
+        written.update(a=args.a, b=args.b,
+                       blocks=[[list(r) for r in zip(*rows)] for rows in written["blocks"]])
+    doc = {"config": _config(args), "design": written, "report": report.to_json()}
     rows = [("shape", str(shape)), ("n", str(design.n))]
-    rows += [(f"block {k + 1}", str(blk)) for k, blk in enumerate(design.blocks)]
+    rows += [(f"block {k + 1}", grid_text(blk)) for k, blk in enumerate(written["blocks"])]
     rows += [("eff_A", report.eff_A), ("eff_D", report.eff_D),
              ("eff_E", report.eff_E), ("eff_T", report.eff_T)]
     _emit(args, doc, rows)

@@ -25,6 +25,7 @@ from .arrays import (
     canonical_pool,
     group_rows,
     label_matrix,
+    normalize_shape,
     orbit_labels,
     orbit_members,
 )
@@ -35,6 +36,7 @@ from .model import (
     GeneralCov,
     centering_projector,
     component_table,
+    exact_value,
     info_matrix_exact,
     schur_complement,
 )
@@ -82,22 +84,21 @@ class ExactDesign:
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExactDesign":
+        """Read {"a", "b", "t", "blocks"} and an optional "n".  A tall grid
+        (a > b) is read as its b x a mirror (normalize_shape), whose neighbor
+        structure is the same; its blocks must form a x b grids as given,
+        which is checked before they are transposed."""
         a, b, t = (_integer(obj[k], f"{k} =") for k in "abt")
         rows_list = obj["blocks"]
         if "n" in obj and _integer(obj["n"], "n =") != len(rows_list):
             raise ValueError(
                 f"declared n={obj['n']} but {len(rows_list)} blocks given")
-        if a > b:
-            # stored transposed relative to the normalized orientation;
-            # the neighbor structure is symmetric under transposition
-            shape = Shape(b, a, t)
-            blocks = tuple(
-                BlockArray.from_rows(shape, list(zip(*rows))) for rows in rows_list
-            )
-        else:
-            shape = Shape(a, b, t)
-            blocks = tuple(BlockArray.from_rows(shape, rows) for rows in rows_list)
-        return ExactDesign(shape, blocks)
+        shape, transposed = normalize_shape(a, b, t)
+        if transposed:
+            if any(len(rows) != a or any(len(r) != b for r in rows) for rows in rows_list):
+                raise ValueError(f"rows must form an {a}x{b} grid")
+            rows_list = [list(zip(*rows)) for rows in rows_list]
+        return ExactDesign(shape, tuple(BlockArray.from_rows(shape, rows) for rows in rows_list))
 
 
 def measure_of_design(d: ExactDesign) -> Measure:
@@ -200,9 +201,8 @@ def pseudo_symmetric_efficiency(xi: Measure, sigma: CovarianceSpec = IDENTITY,
     """
     y_star = _resolve_y_star(xi.shape, sigma, y_star)
     qs, _ = q_star(xi, sigma)
-    if isinstance(qs, Fraction) and isinstance(y_star, Fraction):
-        return qs / y_star
-    return float(qs) / float(y_star)
+    qe, ye = exact_value(qs), exact_value(y_star)
+    return float(qs) / float(y_star) if qe is None or ye is None else qe / ye
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,8 @@ class MinNReport:
 
 
 def _rationalized(w) -> tuple[Fraction, bool]:
-    if isinstance(w, (int, Fraction)):
-        return Fraction(w), False
-    return Fraction(float(w)).limit_denominator(10**6), True
+    f = exact_value(w)
+    return (f, False) if f is not None else (Fraction(float(w)).limit_denominator(10**6), True)
 
 
 def min_n_symmetric(weights: Iterable[tuple[Orbit, object]]) -> MinNReport:
@@ -534,8 +533,8 @@ def construct_exact(
     stack = component_table(pool, sigma)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
-    counts = _largest_remainder([Fraction(w) * n if isinstance(w, (int, Fraction))
-                                 else float(w) * n for _, w in pairs], n)
+    counts = _largest_remainder([float(w) * n if (e := exact_value(w)) is None else e * n
+                                 for _, w in pairs], n)
     sizes = [len(group) for group in members]
     groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]

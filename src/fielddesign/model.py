@@ -42,7 +42,6 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -112,11 +111,22 @@ CovarianceSpec = TypeH | GeneralCov
 IDENTITY = Identity()
 
 
-def rational_scale(sigma: CovarianceSpec) -> Fraction | None:
-    """The exact scale 1/x relating Btilde to B_p, if representable."""
-    if isinstance(sigma, TypeH) and isinstance(sigma.x, Rational):
-        return 1 / Fraction(sigma.x)
+def exact_value(v) -> Fraction | None:
+    """The one exactness rule: an int, a Fraction or a numpy integer is exact,
+    returned as a Fraction of Python ints so no numpy scalar reaches Fraction
+    arithmetic; anything else is None, and the path reading it runs in floats."""
+    if type(v) is Fraction and type(v.numerator) is int is type(v.denominator):
+        return v
+    if isinstance(v, (int, np.integer, Fraction)):
+        return Fraction(int(v.numerator), int(v.denominator))
     return None
+
+
+def rational_scale(sigma: CovarianceSpec) -> Fraction | None:
+    """The exact scale 1/x relating Btilde to B_p, for a type-H x that is
+    exact (exact_value); None for a float x or a dense Sigma."""
+    x = exact_value(sigma.x) if isinstance(sigma, TypeH) else None
+    return None if x is None else 1 / x
 
 
 def sigma_from_json(obj) -> CovarianceSpec:

@@ -46,6 +46,7 @@ from .model import (
     centering_projector,
     component_numerators,
     exact_units,
+    exact_value,
     exact_weighted_sum,
     rational_scale,
     schur_complement,
@@ -58,10 +59,6 @@ GAP_TOL = 1e-9
 MATERIALIZE_LIMIT = 20_000
 # old name of the budget, still read by the benchmark worker (perfbench/)
 FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
-
-
-def _is_rational(v) -> bool:
-    return isinstance(v, (int, Fraction))
 
 
 def _triple_rows(shape: Shape, labels: np.ndarray, sigma: CovarianceSpec, exact: bool):
@@ -77,10 +74,11 @@ class Measure:
     """Probability weights over block arrays of one shape.
 
     The atoms are the rows of `labels`, a read-only (N, p) int64 colex label
-    matrix of distinct rows.  Weights given as int or Fraction stay exact:
-    `weights` holds their Python-int numerators over `denominator`, the
-    least common denominator.  Any float weight switches the whole measure
-    to floating point: `weights` is then one read-only float64 vector and
+    matrix of distinct rows.  Weights that are exact (model.exact_value: an
+    int, a Fraction or a numpy integer) stay exact: `weights` holds their
+    Python-int numerators over `denominator`, the least common denominator.
+    Any other weight, a float included, switches the whole measure to
+    floating point: `weights` is then one read-only float64 vector and
     `denominator` is None.
     """
 
@@ -105,8 +103,9 @@ class Measure:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (len(weights), shape.p):
             raise ValueError(f"need one weight per row of an (N, {shape.p}) label matrix")
-        exact = all(_is_rational(w) for w in weights)
-        weights = [Fraction(w) if exact else float(w) for w in weights]
+        values = [exact_value(w) for w in weights]
+        exact = all(v is not None for v in values)
+        weights = values if exact else [float(w) for w in weights]
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         keep = [k for k, w in enumerate(weights) if w != 0]
@@ -151,12 +150,13 @@ class Measure:
         its integer numerators are spread orbit by orbit."""
         pairs = list(pairs)
         canon = canonical_labels(label_matrix([o.representative for o, _ in pairs]))
-        if not all(_is_rational(w) for _, w in pairs):
+        values = [exact_value(w) for _, w in pairs]
+        if any(v is None for v in values):
             blocks = [orbit_labels(r - 1, shape.t) for r in canon]
-            shares = [(Fraction(w) if _is_rational(w) else float(w)) / o.size for o, w in pairs]
+            shares = [(float(w) if v is None else v) / o.size for (o, w), v in zip(pairs, values)]
             return Measure.from_labels(shape, np.concatenate(blocks),
                                        [w for w, b in zip(shares, blocks) for _ in range(len(b))])
-        orbits = Measure.from_labels(shape, canon, [w for _, w in pairs])
+        orbits = Measure.from_labels(shape, canon, values)
         blocks = [orbit_labels(r - 1, shape.t) for r in orbits.labels]
         den = orbits.denominator * math.lcm(*map(len, blocks))
         xi = Measure.__new__(Measure)
@@ -208,64 +208,58 @@ def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> Coefficient
 
 
 def q_eval(c, x):
-    """Value of the array quadratic at x; exact under rational inputs."""
-    if isinstance(c, CoefficientTriple):
-        c00, c01, c11 = c.astuple()
-    else:
-        c00, c01, c11 = c
-    return c00 + 2 * c01 * x + c11 * x * x
+    """Value of the array quadratic at x; exact under rational inputs.  c is
+    a triple, or three columns: q_eval(table.T, x) scores every table row."""
+    c00, c01, c11 = c.astuple() if isinstance(c, CoefficientTriple) else (c[0], c[1], c[2])
+    # c01 + c01 is 2 c01 exactly, and spares numpy an int-scalar conversion
+    return c00 + (c01 + c01) * x + c11 * x * x
 
 
-def _q_star_of_triple(c: CoefficientTriple):
-    c00, c01, c11 = c.astuple()
-    if c11 == 0:
-        # flat quadratic (2x2 stripe degeneracy forces c01 = 0 too)
-        return c00, c00 - c00
-    x = -c01 / c11
-    return c00 - c01 * c01 / c11, x
+def _vertex(c00, c01, c11, flat_x):
+    """(q*, x~) of c00 + 2 c01 x + c11 x^2: its least value and where it is
+    attained, (c00 - c01^2/c11, -c01/c11) when c11 > 0.  Otherwise the
+    quadratic is flat (c11 = 0 forces c01 = 0, as on the 2x2 stripes) and
+    is read at flat_x."""
+    if c11 > 0:
+        return c00 - c01 * c01 / c11, -c01 / c11
+    return c00, flat_x
 
 
 def q_star(xi: Measure, sigma: CovarianceSpec = IDENTITY):
-    """Peak criterion value of a measure and the x where it is attained.
-
-    Returns (q*, x~) with q* = c00 - c01^2/c11 and x~ = -c01/c11 for the
-    aggregated triple; exact Fractions whenever measure and covariance
-    allow it.
-    """
-    return _q_star_of_triple(measure_triple(xi, sigma))
+    """Peak criterion value of a measure and the x where it is attained:
+    the _vertex of the aggregated triple, a flat one read at x~ = 0; exact
+    Fractions whenever measure and covariance allow it."""
+    c00, c01, c11 = measure_triple(xi, sigma).astuple()
+    return _vertex(c00, c01, c11, c00 - c00)
 
 
 def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     """Envelope value max_s q_s(x) over the pool, with its witness array.
 
-    Ties go to the earliest pool entry.  When x is rational and the
-    covariance is identity or rational type-H, a float shortlist is settled
-    exactly in Python integers.
+    Ties go to the earliest pool entry.  When x is exact (model.exact_value)
+    and the covariance is identity or exact type-H, a float shortlist is
+    settled exactly in Python integers.
     """
     pool = LabelPool.of(pool)
     shape = pool.shape
-    if rational_scale(sigma) is not None and _is_rational(x):
-        xf = Fraction(x)
+    xf = exact_value(x)
+    if rational_scale(sigma) is not None and xf is not None:
         u, v, t = xf.numerator, xf.denominator, shape.t
         rows, units = _triple_rows(shape, pool.labels, sigma, exact=True)
-        q = _scores(rows / [shape.p, shape.p, shape.p * t], float(xf))
+        q = q_eval((rows / [shape.p, shape.p, shape.p * t]).T, float(xf))
         near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
         weights = np.array([t * v * v, 2 * t * u * v, u * u], dtype=object)
         k = near[int(np.argmax(rows[near].astype(object) @ weights))]
         return q_eval(rows[k].astype(object) * units, xf), pool[k]
-    q = _scores(triple_table(pool, sigma), float(x))
+    q = q_eval(triple_table(pool, sigma).T, float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
-
-
-def _scores(table: np.ndarray, x: float) -> np.ndarray:
-    return table[:, 0] + 2.0 * table[:, 1] * x + table[:, 2] * x * x
 
 
 def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
     """Mask of the table rows whose quadratic meets y* at x* within tol."""
     yf = float(y_star)
-    return np.abs(_scores(table, float(x_star)) - yf) <= tol * max(1.0, abs(yf))
+    return np.abs(q_eval(table.T, float(x_star)) - yf) <= tol * max(1.0, abs(yf))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +562,7 @@ def solve_closed_form(
         classes = fan_classes(shape)
         low = classes[0]
         c00, c01, c11 = low.triple.astuple()
-        x_vertex = -c01 / c11
+        y_vertex, x_vertex = _vertex(c00, c01, c11, None)  # c11 > 0 on every class
         # adjacent classes differ by one step, so q_low + step = q_next
         # crosses q_low where A x^2 + B x + 1 = 0 (smaller root)
         step = [v - u for u, v in zip((c00, c01, c11), classes[1].triple.astuple())]
@@ -578,8 +572,7 @@ def solve_closed_form(
         support = QSupport.classes(shape, (low.name,) if vertex else
                                    tuple(c.name for c in classes))
         if vertex or phi == 0:
-            x_star = x_vertex
-            y_id = c00 - c01 * c01 / c11
+            x_star, y_id = x_vertex, y_vertex
             reps = [class_representative(shape, low.doubles)]
         else:
             x_star = (-B - math.sqrt(B * B - 4 * A)) / (2 * A)
@@ -623,10 +616,10 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     """
     if not orbits:
         raise ValueError("no orbits given")
-    exact = _is_rational(x_star)
+    exact = (x := exact_value(x_star)) is not None
+    x = x if exact else float(x_star)
     reps = LabelPool.of([o.representative for o in orbits])
     rows, units = _triple_rows(reps.shape, reps.labels, IDENTITY, exact)
-    x = Fraction(x_star) if exact else float(x_star)
     g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
          else float(n01 + x * n11) for _, n01, n11 in rows]
     n = len(orbits)
@@ -695,21 +688,19 @@ def verify_measure(
     """Check the optimality conditions of a measure at a claimed (x*, y*):
     the verdict is optimal when the balance, slope and information
     residuals and the support mass are all at most tol (VerificationReport).
-    An exact measure, rational (x*, y*) and identity or rational type-H
-    covariance are checked on integer numerators, each residual a Fraction."""
+    An exact measure, exact (x*, y*) and identity or exact type-H covariance
+    (model.exact_value) are checked on integer numerators, residuals Fractions."""
     t = xi.shape.t
-    exact = (
-        xi.is_exact()
-        and rational_scale(sigma) is not None
-        and _is_rational(x_star)
-        and _is_rational(y_star)
-    )
+    xe, ye = exact_value(x_star), exact_value(y_star)
+    exact = (xi.is_exact() and rational_scale(sigma) is not None
+             and xe is not None and ye is not None)
     if exact:
         # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
         # residual is the largest |entry| of a matrix over one integer
+        x_star, y_star = xe, ye
         (n00, n01, n11), d = component_numerators(xi.shape, xi.labels, xi.weights, sigma)
         d *= xi.denominator
-        (u, v), (m, e) = Fraction(x_star).as_integer_ratio(), Fraction(y_star).as_integer_ratio()
+        (u, v), (m, e) = x_star.as_integer_ratio(), y_star.as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
         info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
         balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
@@ -809,7 +800,7 @@ def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:
 def _active_slopes(table: np.ndarray, x: float):
     """Rows tied with the envelope at x up to rounding, in pool order,
     and their slopes c01 + x c11."""
-    q = _scores(table, x)
+    q = q_eval(table.T, x)
     m = float(q.max())
     act = np.flatnonzero(q >= m - 1e-14 * max(1.0, abs(m)))
     return act, table[act, 1] + x * table[act, 2]
@@ -831,16 +822,6 @@ def _nearest_crossing(clo, chi, xt: float) -> float:
     r1 = (-a1 - root) / (2.0 * a2)
     r2 = (-a1 + root) / (2.0 * a2)
     return r1 if abs(r1 - xt) <= abs(r2 - xt) else r2
-
-
-def _peak(w: np.ndarray, table: np.ndarray, x: float):
-    """(q*, x~, gap) of the mixture w: a flat mixture (c11 = 0, hence
-    c01 = 0) peaks everywhere, so it is read at x."""
-    c00, c01, c11 = w @ table
-    if c11 > 0:
-        x = -c01 / c11
-        c00 -= c01 * c01 / c11
-    return float(c00), float(x), float(_scores(table, x).max() - c00)
 
 
 def _basic_mixture(table: np.ndarray, x: float) -> np.ndarray | None:
@@ -935,7 +916,9 @@ def solve_exchange(
     if w is None:  # bisection cut short by max_iter: best single row
         w = np.zeros(len(pool))
         w[_active_slopes(table, x)[0][0]] = 1.0
-    qs, xt, gap = _peak(w, table, x)
+    # a flat mixture peaks everywhere, so it is read at x
+    qs, xt = (float(v) for v in _vertex(*(w @ table), x))
+    gap = float(q_eval(table.T, xt).max()) - qs
 
     keep = w > 1e-15
     w = np.where(keep, w, 0.0)

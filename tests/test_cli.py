@@ -470,6 +470,35 @@ def test_tall_design_file_reads_sigma_in_its_own_plot_order(capsys, tmp_path):
     assert [doc[k] for k in ("eff_A", "eff_D", "eff_E", "eff_T")] == [round(v, 6) for v in want.astuple()]
 
 
+def test_tall_construct_writes_the_grid_it_was_asked_for(capsys, tmp_path):
+    # so the written file, read back under the same dense Sigma, scores as built
+    g = np.random.default_rng(19).normal(size=(8, 8))
+    sigma, built = str(tmp_path / "spd.json"), str(tmp_path / "built.json")
+    Path(sigma).write_text(json.dumps({"matrix": (g @ g.T + 8 * np.eye(8)).tolist()}))
+    args = ["construct", "--a", "4", "--b", "2", "--t", "3", "--n", "4", "--sigma", sigma]
+    assert run(capsys, *args, "--out", built)[0] == 0
+    doc = json.loads(Path(built).read_text())
+    blocks = doc["design"]["blocks"]
+    assert (doc["design"]["a"], doc["design"]["b"]) == (4, 2)
+    assert [[len(r) for r in rows] for rows in blocks] == [[2] * 4] * 4
+    code, out, _ = run(capsys, "efficiency", built, "--sigma", sigma)
+    got = json.loads(out)
+    assert code == 0 and {k: got[k] for k in doc["report"]} == doc["report"]
+    # the table lists each block's two columns of four, as a 4 x 2 BlockArray would
+    code, out, _ = run(capsys, *args, "--format", "table")
+    lines = [line.split()[-1] for line in out.splitlines() if line.startswith("block")]
+    assert code == 0 and lines == [
+        "(" + ";".join(",".join(str(r[j]) for r in rows) for j in range(2)) + ")" for rows in blocks]
+
+
+def test_ragged_tall_design_file_exits_1(capsys, tmp_path):
+    # the grid is checked as given, before the transposition could drop a label
+    path = write_design(tmp_path, "ragged.json", 4, 2, 3, [[[1, 2], [2, 3], [3, 1, 2], [1, 2]]])
+    for command in ("efficiency", "verify"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == "" and "rows must form an 4x2 grid" in err
+
+
 def test_general_sigma_over_the_orbit_budget_exits_2(capsys, tmp_path, monkeypatch):
     # (4,4,3) has 7.2 M orbits: no silent fall-back to a restricted pool
     monkeypatch.chdir(tmp_path)

@@ -178,6 +178,13 @@ def test_min_n_float_weights_are_rationalized():
     assert rep.approximated and rep.n == 120
 
 
+def test_min_n_numpy_integer_weight_is_exact():
+    s = array_of(2, 3, 5, SBS_ROWS_2X3)
+    orbit = Orbit(canonical_form(s), orbit_size(s))
+    rep = min_n_symmetric([(orbit, np.int64(1))])
+    assert not rep.approximated and rep == min_n_symmetric([(orbit, 1)])
+
+
 def test_expand_symmetric_round_trip():
     res = solve_closed_form(Shape(2, 3, 2))
     d = expand_symmetric(res.orbit_weights, 16)

@@ -451,7 +451,7 @@ def _expanded(shape: Shape, pairs) -> Measure:
     for o, w in pairs:
         members = list(orbit_members(o.representative))
         rows += [s.colex for s in members]
-        weights += [(Fraction(w) if isinstance(w, (int, Fraction)) else float(w)) / o.size] * len(members)
+        weights += [(w if isinstance(w, float) else Fraction(w)) / o.size] * len(members)
     return Measure.from_labels(shape, np.array(rows), weights)
 
 

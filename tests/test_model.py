@@ -18,10 +18,12 @@ from fielddesign.model import (
     c_coeffs_closed,
     centering_projector,
     component_table,
+    exact_value,
     incidence_matrices,
     info_matrix_exact,
     info_matrix_measure,
     label_matrix,
+    rational_scale,
     schur_complement,
     schur_numerators,
     sigma_from_json,
@@ -135,6 +137,19 @@ def test_sigma_matrix_and_pair_kernel_refuse_a_bad_matrix(sigma, match):
         sigma_matrix(sigma, 6)
     with pytest.raises(ValueError, match=match):
         triple_table([array_of(2, 3, 2, OPTIMAL_BLOCKS_232[0])], sigma)
+
+
+def test_exact_value_is_the_one_exactness_rule():
+    for v, want in ((3, Fraction(3)), (np.int64(-3), Fraction(-3)), (np.uint8(7), Fraction(7)),
+                    (Fraction(5, 2), Fraction(5, 2)),
+                    (Fraction(np.int64(2), np.int64(6)), Fraction(1, 3))):
+        got = exact_value(v)
+        assert got == want and type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+    for v in (0.5, 2.0, np.float64(2.0), "1/2", None):
+        assert exact_value(v) is None
+    assert rational_scale(TypeH(np.int64(3))) == Fraction(1, 3)
+    assert rational_scale(TypeH(1.5)) is None
 
 
 def test_identity_is_type_h_with_unit_weight():

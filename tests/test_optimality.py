@@ -342,6 +342,34 @@ def test_verify_measure_certifies_every_closed_form_measure(shape):
         assert report.verdict == "optimal" and report.info_residual <= report.tolerance
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 4, 7)])
+def test_numpy_integer_type_h_is_exact_like_an_int(shape):
+    # a numpy-integer x is exact (model.exact_value): the same solve and the
+    # same verification report, field for field and type for type
+    solves = [solve_closed_form(Shape(*shape), TypeH(x)) for x in (3, np.int64(3))]
+    assert solves[0].to_json() == solves[1].to_json()
+    reports = [verify_measure(res.measure, TypeH(x), res.x_star, res.y_star)
+               for res, x in zip(solves, (3, np.int64(3)))]
+    assert reports[1] == reports[0] and reports[1].optimal
+    assert [type(v) for v in vars(reports[1]).values()] == [type(v) for v in vars(reports[0]).values()]
+
+
+def test_measures_read_numpy_integer_weights_exactly():
+    shape = Shape(2, 3, 2)
+    rows = [[1, 1, 2, 2, 1, 2], [1, 2, 1, 2, 1, 2], [2, 2, 2, 2, 2, 1]]
+    for weights, ints in (([Fraction(np.int64(1), np.int64(2)), np.uint8(0), Fraction(1, 2)],
+                           [Fraction(1, 2), 0, Fraction(1, 2)]),
+                          (np.array([0, 1, 0]), [0, 1, 0])):
+        xi, want = (Measure.from_labels(shape, rows, w) for w in (weights, ints))
+        assert xi.is_exact() and xi.labels.tolist() == want.labels.tolist()
+        assert (xi.weights, xi.denominator) == (want.weights, want.denominator)
+        assert all(type(n) is int for n in (*xi.weights, xi.denominator))
+    orbit = Orbit(canonical_form(array_of(2, 3, 2, SPREAD_ROWS_232)), 2)
+    xi = Measure.from_orbit_weights(shape, [(orbit, np.int64(1))])
+    assert xi.is_exact() and (xi.weights, xi.denominator) == ((1, 1), 2)
+    assert all(type(n) is int for n in (*xi.weights, xi.denominator))
+
+
 def _orbit_of_sized(s):
     return Orbit(canonical_form(s), orbit_size(s))
 
