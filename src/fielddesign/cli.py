@@ -146,9 +146,9 @@ def _solve_for(shape: Shape, sigma, args) -> SolveResult:
     return solve_closed_form(shape, sigma)
 
 
-def _design_inputs(args) -> tuple[ExactDesign, object, SolveResult]:
-    """The design file, its covariance and its solve; optional --a/--b/--t
-    must all be given and match the file."""
+def _design_inputs(args) -> tuple[ExactDesign, bool, object, SolveResult]:
+    """The design file, whether it is tall, its covariance and its solve;
+    optional --a/--b/--t must all be given and match the file."""
     design, transposed = load_design(args.design)
     given = (args.a, args.b, args.t)
     if given != (None, None, None):
@@ -158,7 +158,7 @@ def _design_inputs(args) -> tuple[ExactDesign, object, SolveResult]:
         if expected != design.shape:
             raise _InputError(f"design file has shape {design.shape}, flags say {expected}")
     sigma = _oriented_sigma(resolve_sigma(args.sigma, design.shape.p), design.shape, transposed)
-    return design, sigma, _solve_for(design.shape, sigma, args)
+    return design, transposed, sigma, _solve_for(design.shape, sigma, args)
 
 
 # -- rendering ---------------------------------------------------------
@@ -169,6 +169,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.4f}"
     return str(v)
+
+
+def _shape_text(shape: Shape, transposed: bool) -> str:
+    """The grid as given, not the mirror a tall one is solved as."""
+    return f"({shape.b},{shape.a},{shape.t})" if transposed else str(shape)
 
 
 def _table(rows) -> str:
@@ -207,12 +212,13 @@ def _class_label(cls: dict) -> str:
 # -- subcommands -------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    shape, _ = _shape_from_args(args)
+    shape, transposed = _shape_from_args(args)
     arrays = shape.t ** shape.p
     orbits = orbit_count(shape)
     doc = {"config": _config(args), "a": shape.a, "b": shape.b, "t": shape.t,
            "arrays": arrays, "orbits": orbits}
-    rows = [("shape", str(shape)), ("arrays", str(arrays)), ("orbits", str(orbits))]
+    rows = [("shape", _shape_text(shape, transposed)), ("arrays", str(arrays)),
+            ("orbits", str(orbits))]
     if args.list:
         pool = LabelPool(shape, enumerate_label_matrix(shape, budget=args.budget))
         sizes = [math.perm(shape.t, m) for m in pool.labels.max(axis=1).tolist()]
@@ -235,7 +241,7 @@ def cmd_solve(args) -> int:
     result = _solve_for(shape, sigma, args)
     doc = {"config": _config(args), "transposed": transposed}
     doc.update(result.to_json())
-    rows = [("shape", str(shape)), ("regime", result.regime),
+    rows = [("shape", _shape_text(shape, transposed)), ("regime", result.regime),
             ("x_star", result.x_star), ("y_star", result.y_star),
             ("gap", result.gap), ("support", result.q_support.describe()),
             ("converged", str(result.converged))]
@@ -244,7 +250,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    design, sigma, solved = _design_inputs(args)
+    design, transposed, sigma, solved = _design_inputs(args)
     xi = measure_of_design(design)
     report = verify_measure(xi, sigma, solved.x_star, solved.y_star, tol=args.tol)
     doc = {"config": _config(args),
@@ -252,7 +258,7 @@ def cmd_verify(args) -> int:
            "y_star": _number_json(solved.y_star),
            "n": design.n,
            "report": report.to_json()}
-    rows = [("shape", str(design.shape)), ("n", str(design.n)),
+    rows = [("shape", _shape_text(design.shape, transposed)), ("n", str(design.n)),
             ("x_star", solved.x_star), ("y_star", solved.y_star),
             ("balance_residual", float(report.balance_residual)),
             ("slope_residual", float(report.slope_residual)),
@@ -264,11 +270,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    design, sigma, solved = _design_inputs(args)
+    design, transposed, sigma, solved = _design_inputs(args)
     report = efficiencies(design, sigma, y_star=float(solved.y_star))
     doc = {"config": _config(args), "y_star_source": solved.regime}
     doc.update(report.to_json())
-    rows = [("shape", str(design.shape)), ("n", str(design.n)),
+    rows = [("shape", _shape_text(design.shape, transposed)), ("n", str(design.n)),
             ("y_star", report.y_star),
             ("eff_A", report.eff_A), ("eff_D", report.eff_D),
             ("eff_E", report.eff_E), ("eff_T", report.eff_T)]
@@ -288,7 +294,7 @@ def cmd_construct(args) -> int:
         written.update(a=args.a, b=args.b,
                        blocks=[[list(r) for r in zip(*rows)] for rows in written["blocks"]])
     doc = {"config": _config(args), "design": written, "report": report.to_json()}
-    rows = [("shape", str(shape)), ("n", str(design.n))]
+    rows = [("shape", _shape_text(shape, transposed)), ("n", str(design.n))]
     rows += [(f"block {k + 1}", grid_text(blk)) for k, blk in enumerate(written["blocks"])]
     rows += [("eff_A", report.eff_A), ("eff_D", report.eff_D),
              ("eff_E", report.eff_E), ("eff_T", report.eff_T)]

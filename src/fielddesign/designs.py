@@ -327,9 +327,9 @@ def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
     return best, best_val
 
 
-# Both bounds apply only when the base's C11 stays this well conditioned with
-# any candidate's C11 added, and lower each bound by BOUND_SLACK of the slot's
-# scale; both keep rounding in any of the computations far below the slack.
+# The eigenbasis bound and the congruence scorer apply only when the base's
+# C11 stays this well conditioned with any candidate's C11 added; the bound is
+# lowered by BOUND_SLACK of the slot's scale, far above rounding in it.
 BOUND_MAX_COND = 1e3
 BOUND_SLACK = 1e-7
 # a slot works through its candidates in chunks of (2t, 2t) matrices holding
@@ -363,8 +363,8 @@ def _distinct_rows(stack: np.ndarray) -> np.ndarray:
 class _Candidates:
     """A construct run's swap candidates: the (k, 3, t, t) component table,
     first = _distinct_rows(stack), the rows that are their own first
-    (`distinct`), their _joint matrices, and the largest C11 trace and C00
-    Frobenius norm among them."""
+    (`distinct`), their _joint matrices, which both tiers read, and the
+    largest C11 trace and C00 Frobenius norm among them."""
 
     stack: np.ndarray
     first: np.ndarray
@@ -386,10 +386,10 @@ class _Candidates:
 
 
 def _base_factor(base: np.ndarray, cands: _Candidates, target: np.ndarray):
-    """(X, h, C(B) - T, slack) for the base B of a slot, which both bounds
+    """(X, h, C(B) - T, slack) for the base B of a slot, which both tiers
     share: X = B01 B11^-1, h h' = B11^-1 and the slot's BOUND_SLACK; or None
     when B11 is not well conditioned with a candidate's C11 added, where
-    neither bound applies."""
+    _swap_residuals scores every distinct table."""
     b00, b01, b11 = base
     w, v = np.linalg.eigh(b11)
     if not w[0] * BOUND_MAX_COND > w[-1] + cands.c11_trace:
@@ -420,20 +420,16 @@ def _eigen_bounds(factor, joint: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", gap, gap)) - slack
 
 
-def _swap_bounds(factor, joint: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """Lower bounds on _swap_residuals for the candidates with the _joint
-    matrices joint[which], gathered a chunk at a time: finer than
-    _eigen_bounds on most candidates, at O(t^3) each.
+def _swap_exact(factor, joint: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """_swap_residuals, to rounding, of the candidates with the _joint
+    matrices joint[which], a chunk at a time.
 
     With G = [[I, -X], [0, h']], G B G' = [[C(B), 0], [0, I]], and G keeps
     Schur complements, so with G S G' = [[U, A], [A', K]],
-    C(B + S) = C(B) + U - A (I + K)^-1 A'.  K >= 0 gives
-    I - K <= (I + K)^-1 <= I in Loewner order, so that last term lies within
-    R = A K A' / 2 of M = A A' - R; a symmetric D with -R <= D <= R has
-    |D| <= |R| in the Frobenius norm, hence
-    |C(B + S) - T| >= |C(B) + U - M - T| - |R|.
+    C(B + S) = C(B) + U - A (I + K)^-1 A'; I + K > 0 as S >= 0, so one
+    batched solve per chunk replaces a pseudo-inverse per candidate.
     """
-    x, h, shift, slack = factor
+    x, h, shift, _ = factor
     t = len(shift)
     gt = np.zeros((2 * t, 2 * t))  # G'
     gt[:t, :t] = np.eye(t)
@@ -445,39 +441,40 @@ def _swap_bounds(factor, joint: np.ndarray, which: np.ndarray) -> np.ndarray:
     for lo in range(0, len(which), rows):
         part = which[lo:lo + rows]
         gsg = g @ (joint[part].reshape(-1, 2 * t) @ gt).reshape(len(part), 2 * t, 2 * t)
-        a = np.ascontiguousarray(gsg[:, :t, t:])
-        at = np.swapaxes(a, 1, 2)
-        r = (a @ gsg[:, t:, t:] @ at) / 2
-        dev = gsg[:, :t, :t] + shift - a @ at + r
-        out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev))
-                   - np.sqrt(np.einsum("kij,kij->k", r, r)))
-    return np.concatenate(out) - slack
+        a = gsg[:, :t, t:]
+        dev = gsg[:, :t, :t] + shift - a @ np.linalg.solve(np.eye(t) + gsg[:, t:, t:],
+                                                           np.swapaxes(a, 1, 2))
+        out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev)))
+    return np.concatenate(out)
 
 
 def _slot_pick(base: np.ndarray, cands: _Candidates, target: np.ndarray,
                current: float, old: int) -> tuple[int | None, float]:
     """What _scan picks from _swap_residuals(base, cands.stack, target) with
-    candidate old excluded.  Each distinct table is scored once, and only
-    where both bounds say it can beat current: _eigen_bounds screens every
-    distinct table, _swap_bounds its survivors, and _swap_residuals scores
-    what is left; a pruned candidate's exact value could not pass _scan."""
-    cand = cands.distinct
+    candidate old excluded, each distinct table scored once: by _swap_exact
+    where _eigen_bounds says it can beat current, or by _swap_residuals
+    when _base_factor does not apply.  A _swap_exact winner is scored again
+    by _swap_residuals, so the value is the full scan's, and so is the pick
+    unless two values straddle a 1e-12 margin of _scan by less than the two
+    routes' rounding (at most 2e-14 on the benchmark's construct specs)."""
     factor = _base_factor(base, cands, target)
+    vals = np.full(len(cands.stack), np.inf)
     if factor is not None:
         keep = np.flatnonzero(_eigen_bounds(factor, cands.joint) < current - 1e-12)
-        if len(keep):
-            keep = keep[_swap_bounds(factor, cands.joint, keep) < current - 1e-12]
         if not len(keep):
             return None, current
-        cand = cand[keep]
-    vals = np.full(len(cands.stack), np.inf)
-    rows = _chunk_rows(len(target))
-    for lo in range(0, len(cand), rows):
-        part = cand[lo:lo + rows]
-        vals[part] = _swap_residuals(base, cands.stack[part], target)
+        vals[cands.distinct[keep]] = _swap_exact(factor, cands.joint, keep)
+    else:
+        rows = _chunk_rows(len(target))
+        for lo in range(0, len(cands.distinct), rows):
+            part = cands.distinct[lo:lo + rows]
+            vals[part] = _swap_residuals(base, cands.stack[part], target)
     vals = vals[cands.first]
     vals[old] = np.inf
-    return _scan(vals, current)
+    best, best_val = _scan(vals, current)
+    if best is not None and factor is not None:
+        best_val = float(_swap_residuals(base, cands.stack[best:best + 1], target)[0])
+    return best, best_val
 
 
 def construct_exact(
@@ -493,14 +490,14 @@ def construct_exact(
     measure's support, then greedily replaces single blocks with other
     support arrays whenever that shrinks the distance between the design
     information matrix and its optimal completely-symmetric target.  Each
-    slot takes the pick of a pool-order scan (_scan) of exact residuals
-    (_swap_residuals), in three tiers over the distinct component tables:
-    an eigenbasis bound (_eigen_bounds, one matrix product) screens them
-    all, a congruence bound (_swap_bounds, batched matmuls) its survivors,
-    and only what both leave is scored exactly; each drops only candidates
-    that cannot beat the current residual.  A slot whose block was scored
-    without a swap since the last swap is skipped.  None of this changes a
-    pick, so the blocks and report are those of scoring every candidate.
+    slot takes the pick of a pool-order scan (_scan) of exact residuals over
+    the distinct component tables, in two tiers: an eigenbasis bound
+    (_eigen_bounds, one matrix product) drops those that cannot beat the
+    current residual, and the base's congruence (_swap_exact, one batched
+    solve) scores the rest; with the base's C11 singular or ill conditioned,
+    _swap_residuals scores them all.  A slot whose block was scored without a
+    swap since the last swap is skipped.  The blocks and report are those of
+    scoring every candidate by pseudo-inverse (see _slot_pick).
     `effort` counts restarts (the first start is the rounded measure, later
     ones are seeded random draws); deterministic given the seed.
     """

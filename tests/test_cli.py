@@ -491,6 +491,23 @@ def test_tall_construct_writes_the_grid_it_was_asked_for(capsys, tmp_path):
         "(" + ";".join(",".join(str(r[j]) for r in rows) for j in range(2)) + ")" for rows in blocks]
 
 
+def test_tall_table_shows_the_grid_it_was_asked_for(capsys, tmp_path):
+    # a 4 x 2 grid runs as its 2 x 4 mirror; the table's shape row and the
+    # JSON's a and b still say 4 x 2
+    built = str(tmp_path / "built.json")
+    args = ["construct", "--a", "4", "--b", "2", "--t", "3", "--n", "4"]
+    assert run(capsys, *args, "--out", built)[0] == 0
+    doc = json.loads(Path(built).read_text())
+    assert (doc["design"]["a"], doc["design"]["b"]) == (4, 2)
+    for argv in (args, ["solve", "--a", "4", "--b", "2", "--t", "3"],
+                 ["enumerate", "--a", "4", "--b", "2", "--t", "3"],
+                 ["verify", built], ["efficiency", built]):
+        code, out, _ = run(capsys, *argv, "--format", "table")
+        assert code in (0, 3) and out.splitlines()[0].split() == ["shape", "(4,2,3)"]
+    code, out, _ = run(capsys, "solve", "--a", "2", "--b", "4", "--t", "3", "--format", "table")
+    assert code == 0 and out.splitlines()[0].split() == ["shape", "(2,4,3)"]
+
+
 def test_ragged_tall_design_file_exits_1(capsys, tmp_path):
     # the grid is checked as given, before the transposition could drop a label
     path = write_design(tmp_path, "ragged.json", 4, 2, 3, [[[1, 2], [2, 3], [3, 1, 2], [1, 2]]])

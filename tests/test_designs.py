@@ -353,8 +353,9 @@ def test_pruned_slot_picks_what_the_full_scan_picks(sigma, n, seed, scale, level
                 assert factor is None
             if factor is not None:
                 every = np.arange(len(cands.joint))
-                assert (designs._swap_bounds(factor, cands.joint, every)
-                        <= exact[distinct]).all()
+                congruence = designs._swap_exact(factor, cands.joint, every)
+                assert (np.abs(congruence - exact[distinct])
+                        <= 1e-12 * np.maximum(1.0, np.abs(exact[distinct]))).all()
             # any threshold, not just the design's own residual
             finite = exact[np.isfinite(exact)]
             for cur in (current, float(np.quantile(finite, level))):
@@ -406,32 +407,31 @@ def test_eigenbasis_bound_is_a_bound_and_only_drops_scorings(shape, sigma, n, se
     base = total - stack[idx[0]]
     target = centering_projector(shape.t) * (scale * n)
     factor = designs._base_factor(base, cands, target)
-    if factor is None:  # neither bound applies: every distinct table is scored
+    if factor is None:  # the screen does not apply: every distinct table is scored
         return
     exact = designs._swap_residuals(base, stack[cands.distinct], target)
     assert (designs._eigen_bounds(factor, cands.joint) <= exact).all()
-    index = {stack[k].tobytes(): k for k in cands.distinct}
-    congruence = designs._swap_bounds(factor, cands.joint, np.arange(len(cands.joint)))
     current = float(designs._residuals(total[None], target)[0])
     for cur in (current, float(np.quantile(exact, level))):
         scored = []
         real = designs._swap_residuals
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(designs, "_swap_residuals",
-                       lambda b, s, t: scored.extend(index[row.tobytes()] for row in s)
-                       or real(b, s, t))
-            designs._slot_pick(base, cands, target, cur, int(idx[0]))
-        # both tiers score a subset of what the congruence bound alone would
-        assert set(scored) <= set(cands.distinct[congruence < cur - 1e-12].tolist())
+                       lambda b, s, t: scored.extend(s) or real(b, s, t))
+            pick, _ = designs._slot_pick(base, cands, target, cur, int(idx[0]))
+        # the pseudo-inverse scores the winner alone, once
+        assert len(scored) == (pick is not None)
+        if pick is not None:
+            assert np.array_equal(scored[0], stack[pick])
 
 
 def test_eigenbasis_bound_sends_few_candidates_on(monkeypatch):
     # the golden (4,2,8) n = 14 run: 66,325 candidates reach the eigenbasis
-    # bound over all slots, and before it existed the congruence bound saw
-    # them all and the exact step scored 2,818
+    # bound over all slots, 11,312 of them the congruence scorer, and the
+    # pseudo-inverse scores one winner per swap
     seen = {}
     # the argument that holds the candidates each tier is handed
-    for name, arg in (("_eigen_bounds", 1), ("_swap_bounds", 2), ("_swap_residuals", 1)):
+    for name, arg in (("_eigen_bounds", 1), ("_swap_exact", 2), ("_swap_residuals", 1)):
         seen[name] = 0
         def counted(*args, name=name, arg=arg, real=getattr(designs, name)):
             seen[name] += len(args[arg])
@@ -440,8 +440,35 @@ def test_eigenbasis_bound_sends_few_candidates_on(monkeypatch):
     shape, _ = normalize_shape(4, 2, 8)
     design, _ = construct_exact(shape, 14, seed=7)
     assert design.to_json()["blocks"] == GOLDEN_428_N14_SEED7
-    assert 0 < seen["_swap_bounds"] < seen["_eigen_bounds"] / 4
-    assert seen["_swap_residuals"] <= 2818
+    assert seen == {"_eigen_bounds": 66325, "_swap_exact": 11312, "_swap_residuals": 53}
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 3, 3), Shape(2, 4, 2), Shape(3, 3, 2)])
+@pytest.mark.parametrize("sigma", sorted(BOUND_SIGMAS))
+@settings(max_examples=8, deadline=None)
+@given(st.integers(3, 14), st.integers(0, 2**32 - 1), st.floats(0.25, 8.0))
+def test_congruence_scores_equal_scalar_loop_near_the_condition_limit(shape, sigma, n,
+                                                                      seed, scale):
+    cands = _candidates(shape, sigma)
+    stack = cands.stack
+    rng = np.random.default_rng(seed)
+    base = sum(stack[rng.integers(0, len(stack), size=n)])
+    # scale the base so that B11 with a candidate's C11 added sits just
+    # inside BOUND_MAX_COND, the worst conditioning _base_factor accepts
+    w = np.linalg.eigvalsh(base[2])
+    if not w[0] * designs.BOUND_MAX_COND > w[-1]:  # no scaling reaches it
+        return
+    base = base * (1 + 1e-6) * cands.c11_trace / (w[0] * designs.BOUND_MAX_COND - w[-1])
+    target = centering_projector(shape.t) * (scale * n)
+    factor = designs._base_factor(base, cands, target)
+    assert factor is not None
+    t = shape.t
+    which = rng.permutation(len(cands.joint))[:len(cands.joint) // 2 + 3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "BOUND_ENTRIES", 7 * (2 * t) ** 2)  # chunks and a ragged tail
+        got = designs._swap_exact(factor, cands.joint, which)
+    want = _scalar_swap_residuals(base, stack[cands.distinct[which]], target)
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 
 # construct_exact's blocks for two seeds, recorded from the per-candidate
