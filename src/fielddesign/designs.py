@@ -10,7 +10,7 @@ designs for arbitrary n by rounding plus local block swaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -312,9 +312,11 @@ def _residuals(sums: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _swap_residuals(base: np.ndarray, stack: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """_residuals of base + stack[k] for every candidate k, CHUNK_ROWS at a time."""
-    return np.concatenate([_residuals(base + stack[lo:lo + CHUNK_ROWS], target)
-                           for lo in range(0, len(stack), CHUNK_ROWS)])
+    """_residuals of base + stack[k] for every candidate k, CHUNK_ROWS at a
+    time; base is one (3, t, t) base for them all or a stack of one per k."""
+    sums = base + stack
+    return np.concatenate([_residuals(sums[lo:lo + CHUNK_ROWS], target)
+                           for lo in range(0, len(sums), CHUNK_ROWS)])
 
 
 def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
@@ -327,29 +329,19 @@ def _scan(vals: np.ndarray, current: float) -> tuple[int | None, float]:
     return best, best_val
 
 
-# The eigenbasis bound and the congruence scorer apply only when the base's
+# The eigenbasis bound and the batched solve apply only when the base's
 # C11 stays this well conditioned with any candidate's C11 added; the bound is
 # lowered by BOUND_SLACK of the slot's scale, far above rounding in it.
 BOUND_MAX_COND = 1e3
 BOUND_SLACK = 1e-7
-# a slot works through its candidates in chunks of (2t, 2t) matrices holding
-# BOUND_ENTRIES entries (128 KiB of floats), which keeps every temporary small
+# a step works through its candidates in chunks of as many (2t, 2t) matrices
+# as BOUND_ENTRIES entries (128 KiB of floats) hold, and through its bases in
+# groups whose z_i z_i' terms fit in as many, which keeps every temporary small
 BOUND_ENTRIES = 1 << 14
 
 
 def _chunk_rows(t: int) -> int:
     return max(1, BOUND_ENTRIES // (2 * t) ** 2)
-
-
-def _joint(stack: np.ndarray) -> np.ndarray:
-    """(k, 2t, 2t) matrices [[C00, C01], [C10, C11]] of a (k, 3, t, t) stack."""
-    k, _, t, _ = stack.shape
-    out = np.empty((k, 2 * t, 2 * t))
-    out[:, :t, :t] = stack[:, 0]
-    out[:, :t, t:] = stack[:, 1]
-    out[:, t:, :t] = np.swapaxes(stack[:, 1], 1, 2)
-    out[:, t:, t:] = stack[:, 2]
-    return out
 
 
 def _distinct_rows(stack: np.ndarray) -> np.ndarray:
@@ -363,13 +355,17 @@ def _distinct_rows(stack: np.ndarray) -> np.ndarray:
 class _Candidates:
     """A construct run's swap candidates: the (k, 3, t, t) component table,
     first = _distinct_rows(stack), the rows that are their own first
-    (`distinct`), their _joint matrices, which both tiers read, and the
-    largest C11 trace and C00 Frobenius norm among them."""
+    (`distinct`); for those, the entries of [[C00, C01], [C10, C11]] that
+    a symmetric matrix does not repeat, at the row and column indices
+    `upper`, each off-diagonal one doubled (`weights`, which the eigenbasis
+    bound reads); and the largest C11 trace and C00 Frobenius norm among
+    them."""
 
     stack: np.ndarray
     first: np.ndarray
     distinct: np.ndarray
-    joint: np.ndarray
+    upper: tuple[np.ndarray, np.ndarray]
+    weights: np.ndarray
     c11_trace: float
     c00_norm: float
 
@@ -377,32 +373,46 @@ class _Candidates:
     def of(stack: np.ndarray) -> "_Candidates":
         first = _distinct_rows(stack)
         distinct = np.flatnonzero(first == np.arange(len(first)))
-        joint = _joint(stack[distinct])
         t = stack.shape[-1]
-        c00 = joint[:, :t, :t]
-        return _Candidates(stack, first, distinct, joint,
-                           float(np.trace(joint[:, t:, t:], axis1=1, axis2=2).max()),
-                           float(np.sqrt(np.einsum("kij,kij->k", c00, c00).max())))
+        i, j = np.triu_indices(2 * t)
+        # entry (i, j) of [[C00, C01], [C10, C11]] in the flattened (3, t, t)
+        # table, block i // t + j // t, as the upper triangle holds no C10
+        flat = (i // t + j // t) * t * t + i % t * t + j % t
+        weights = stack.reshape(len(stack), -1)[np.ix_(distinct, flat)]
+        weights *= np.where(i == j, 1.0, 2.0)
+        # duplicates change no maximum, so the whole table is read in place
+        return _Candidates(stack, first, distinct, (i, j), weights,
+                           float(np.trace(stack[:, 2], axis1=1, axis2=2).max()),
+                           float(np.sqrt(np.einsum("kij,kij->k", stack[:, 0], stack[:, 0]).max())))
 
 
-def _base_factor(base: np.ndarray, cands: _Candidates, target: np.ndarray):
-    """(X, h, C(B) - T, slack) for the base B of a slot, which both tiers
-    share: X = B01 B11^-1, h h' = B11^-1 and the slot's BOUND_SLACK; or None
-    when B11 is not well conditioned with a candidate's C11 added, where
-    _swap_residuals scores every distinct table."""
-    b00, b01, b11 = base
-    w, v = np.linalg.eigh(b11)
-    if not w[0] * BOUND_MAX_COND > w[-1] + cands.c11_trace:
-        return None
-    h = v / np.sqrt(w)
-    x = b01 @ h @ h.T
-    slack = BOUND_SLACK * (np.linalg.norm(b00) + np.linalg.norm(target) + cands.c00_norm)
-    return x, h, b00 - x @ b01.T - target, slack
+def _base_factor(bases: np.ndarray, cands: _Candidates, target: np.ndarray):
+    """The indices of the bases B in a (R, 3, t, t) stack of slot bases whose
+    B11 stays well conditioned with any candidate's C11 added, and for those
+    (e, zz, slack), which _eigen_bounds reads: with X = B01 B11^-1, the
+    eigenvalues e and vectors v_i of C(B) - T; the entries of each z_i z_i'
+    at cands.upper, for z_i = [v_i; -X' v_i], as an (entries, R t) matrix zz;
+    and the slot's BOUND_SLACK.  _swap_residuals scores every distinct table
+    for the other bases."""
+    w, v = np.linalg.eigh(bases[:, 2])
+    found = np.flatnonzero(w[:, 0] * BOUND_MAX_COND > w[:, -1] + cands.c11_trace)
+    b00, b01, w, v = bases[found, 0], bases[found, 1], w[found], v[found]
+    h = v / np.sqrt(w)[:, None]  # h h' = B11^-1
+    x = b01 @ h @ np.swapaxes(h, 1, 2)
+    e, u = np.linalg.eigh(b00 - x @ np.swapaxes(b01, 1, 2) - target)
+    # row a, column (r, i): entry a of z_i for base r
+    z = np.swapaxes(np.concatenate([u, -np.swapaxes(x, 1, 2) @ u], axis=1), 0, 1).reshape(
+        2 * len(target), -1)
+    i, j = cands.upper
+    slack = BOUND_SLACK * (np.linalg.norm(b00, axis=(1, 2)) + np.linalg.norm(target)
+                           + cands.c00_norm)
+    return found, (e, z[i] * z[j], slack)
 
 
-def _eigen_bounds(factor, joint: np.ndarray) -> np.ndarray:
-    """Lower bounds on _swap_residuals for the candidates with these _joint
-    matrices, from one matrix product.
+def _eigen_bounds(factor, weights: np.ndarray) -> np.ndarray:
+    """(k, R) lower bounds on _swap_residuals for the k candidates with these
+    _Candidates weights under each of the R bases of a _base_factor, from one
+    matrix product.
 
     S >= 0, and the Schur complement is the least [I, -Y] M [I, -Y]' over Y,
     so C(B) <= C(B + S) <= C(B) + [I, -X] S [I, -X]' in Loewner order.  With
@@ -412,69 +422,128 @@ def _eigen_bounds(factor, joint: np.ndarray) -> np.ndarray:
     |C(B + S) - T| is at least the norm of the distances from 0 to those
     intervals.
     """
-    x, _, shift, slack = factor
-    e, v = np.linalg.eigh(shift)
-    z = np.concatenate([v, -x.T @ v])
-    q = joint.reshape(len(joint), -1) @ (z[:, None] * z[None]).reshape(-1, len(e))
+    e, zz, slack = factor
+    q = (weights @ zz).reshape(len(weights), *e.shape)
     gap = np.maximum(np.maximum(e, -(e + q)), 0.0)
-    return np.sqrt(np.einsum("ki,ki->k", gap, gap)) - slack
+    return np.sqrt(np.einsum("kri,kri->kr", gap, gap)) - slack
 
 
-def _swap_exact(factor, joint: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """_swap_residuals, to rounding, of the candidates with the _joint
-    matrices joint[which], a chunk at a time.
+def _swap_exact(bases: np.ndarray, stack: np.ndarray, target: np.ndarray,
+                of: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """_swap_residuals, to rounding, of each base bases[of[i]] with the
+    table stack[which[i]] added, a chunk of pairs at a time.
 
-    With G = [[I, -X], [0, h']], G B G' = [[C(B), 0], [0, I]], and G keeps
-    Schur complements, so with G S G' = [[U, A], [A', K]],
-    C(B + S) = C(B) + U - A (I + K)^-1 A'; I + K > 0 as S >= 0, so one
-    batched solve per chunk replaces a pseudo-inverse per candidate.
+    With M = B + S, C(M) = M00 - M01 M11^-1 M10, and M11 is well conditioned
+    wherever _base_factor applies, so one batched solve per chunk replaces a
+    pseudo-inverse per pair.
     """
-    x, h, shift, _ = factor
-    t = len(shift)
-    gt = np.zeros((2 * t, 2 * t))  # G'
-    gt[:t, :t] = np.eye(t)
-    gt[t:, :t] = -x.T
-    gt[t:, t:] = h
-    g = gt.T
-    rows = _chunk_rows(t)
+    rows = _chunk_rows(len(target))
     out = []
     for lo in range(0, len(which), rows):
-        part = which[lo:lo + rows]
-        gsg = g @ (joint[part].reshape(-1, 2 * t) @ gt).reshape(len(part), 2 * t, 2 * t)
-        a = gsg[:, :t, t:]
-        dev = gsg[:, :t, :t] + shift - a @ np.linalg.solve(np.eye(t) + gsg[:, t:, t:],
-                                                           np.swapaxes(a, 1, 2))
+        m = bases[of[lo:lo + rows]] + stack[which[lo:lo + rows]]
+        dev = m[:, 0] - m[:, 1] @ np.linalg.solve(m[:, 2], np.swapaxes(m[:, 1], 1, 2)) - target
         out.append(np.sqrt(np.einsum("kij,kij->k", dev, dev)))
     return np.concatenate(out)
 
 
-def _slot_pick(base: np.ndarray, cands: _Candidates, target: np.ndarray,
-               current: float, old: int) -> tuple[int | None, float]:
-    """What _scan picks from _swap_residuals(base, cands.stack, target) with
-    candidate old excluded, each distinct table scored once: by _swap_exact
-    where _eigen_bounds says it can beat current, or by _swap_residuals
-    when _base_factor does not apply.  A _swap_exact winner is scored again
-    by _swap_residuals, so the value is the full scan's, and so is the pick
-    unless two values straddle a 1e-12 margin of _scan by less than the two
-    routes' rounding (at most 2e-14 on the benchmark's construct specs)."""
-    factor = _base_factor(base, cands, target)
-    vals = np.full(len(cands.stack), np.inf)
-    if factor is not None:
-        keep = np.flatnonzero(_eigen_bounds(factor, cands.joint) < current - 1e-12)
-        if not len(keep):
-            return None, current
-        vals[cands.distinct[keep]] = _swap_exact(factor, cands.joint, keep)
-    else:
-        rows = _chunk_rows(len(target))
-        for lo in range(0, len(cands.distinct), rows):
-            part = cands.distinct[lo:lo + rows]
-            vals[part] = _swap_residuals(base, cands.stack[part], target)
-    vals = vals[cands.first]
-    vals[old] = np.inf
-    best, best_val = _scan(vals, current)
-    if best is not None and factor is not None:
-        best_val = float(_swap_residuals(base, cands.stack[best:best + 1], target)[0])
-    return best, best_val
+def _slot_pick(bases: np.ndarray, cands: _Candidates, target: np.ndarray,
+               current: Sequence[float], old: Sequence[int]) -> list[tuple[int | None, float]]:
+    """For each base B = bases[r] of a (R, 3, t, t) stack, what _scan picks
+    from _swap_residuals(B, cands.stack, target) with candidate old[r]
+    excluded and current[r] to beat, each distinct table scored once: by
+    _swap_exact where _eigen_bounds says it can beat current[r], or by
+    _swap_residuals when _base_factor does not apply to B.  Each tier serves
+    all the bases at once, a group at a time past the number whose z_i z_i'
+    fit in BOUND_ENTRIES, in chunks that keep its temporaries within
+    BOUND_ENTRIES.  A _swap_exact winner is scored again by _swap_residuals,
+    so the value is the full scan's, and so is the pick unless two values
+    straddle a 1e-12 margin of _scan by less than the two routes' rounding
+    (at most 2e-14 on the benchmark's construct specs)."""
+    t = len(target)
+    group = max(1, BOUND_ENTRIES // (2 * t) ** 2 // t)  # bases whose z_i z_i' fit
+    if len(bases) > group:
+        return [pick for lo in range(0, len(bases), group)
+                for pick in _slot_pick(bases[lo:lo + group], cands, target,
+                                       current[lo:lo + group], old[lo:lo + group])]
+    found, factor = _base_factor(bases, cands, target)
+    limit = np.asarray(current)[found] - 1e-12
+    span = max(1, BOUND_ENTRIES // (len(found) * t or 1))  # candidates per product
+    of, which = [], []
+    for at in range(0, len(cands.weights), span):
+        k, r = np.nonzero(_eigen_bounds(factor, cands.weights[at:at + span]) < limit)
+        of.append(found[r])
+        which.append(cands.distinct[at + k])
+    of, which = np.concatenate(of), np.concatenate(which)
+    exact = _swap_exact(bases, cands.stack, target, of, which) if len(which) else None
+    factored = set(found.tolist())
+    rows = _chunk_rows(t)
+    picks = []
+    for r, base in enumerate(bases):
+        vals = np.full(len(cands.stack), np.inf)
+        if r in factored:
+            mine = of == r
+            if not mine.any():
+                picks.append((None, current[r]))
+                continue
+            vals[which[mine]] = exact[mine]
+        else:
+            for lo in range(0, len(cands.distinct), rows):
+                part = cands.distinct[lo:lo + rows]
+                vals[part] = _swap_residuals(base, cands.stack[part], target)
+        vals = vals[cands.first]
+        vals[old[r]] = np.inf
+        picks.append(_scan(vals, current[r]))
+    won = [r for r in found.tolist() if picks[r][0] is not None]
+    if won:
+        again = _swap_residuals(bases[won], cands.stack[[picks[r][0] for r in won]], target)
+        for r, value in zip(won, again.tolist()):
+            picks[r] = (picks[r][0], value)
+    return picks
+
+
+@dataclass
+class _Restart:
+    """One restart of construct_exact's search, a slot at a time: sweeps
+    over the slots while the last sweep made a swap, skipping a slot whose
+    block was scored without a swap since the last swap (same base as
+    then, so the same outcome).  The search ends once current is 0, as no
+    swap can beat it by _scan's margin."""
+
+    idx: list[int]
+    total: np.ndarray
+    current: float
+    idle: set[int] = field(default_factory=set)  # pool indices scored since the last swap
+    improved: bool = True
+    slot: int = field(init=False)
+
+    def __post_init__(self):
+        self.slot = len(self.idx)  # at the end of a sweep, so the sweep test comes first
+
+    def next_slot(self) -> int | None:
+        """The slot the search scores next, or None once it has ended."""
+        n = len(self.idx)
+        while self.current > 1e-12:
+            while self.slot < n and self.idx[self.slot] in self.idle:
+                self.slot += 1
+            if self.slot < n:
+                return self.slot
+            if not self.improved:
+                return None
+            self.improved, self.slot = False, 0
+        return None
+
+    def take(self, stack: np.ndarray, best: int | None, value: float) -> None:
+        """Apply the pick for the slot next_slot returned."""
+        old = self.idx[self.slot]
+        if best is None:
+            self.idle.add(old)
+        else:
+            self.total += stack[best] - stack[old]
+            self.idx[self.slot] = best
+            self.current = value
+            self.improved = True
+            self.idle.clear()
+        self.slot += 1
 
 
 def construct_exact(
@@ -493,13 +562,20 @@ def construct_exact(
     slot takes the pick of a pool-order scan (_scan) of exact residuals over
     the distinct component tables, in two tiers: an eigenbasis bound
     (_eigen_bounds, one matrix product) drops those that cannot beat the
-    current residual, and the base's congruence (_swap_exact, one batched
-    solve) scores the rest; with the base's C11 singular or ill conditioned,
-    _swap_residuals scores them all.  A slot whose block was scored without a
-    swap since the last swap is skipped.  The blocks and report are those of
-    scoring every candidate by pseudo-inverse (see _slot_pick).
+    current residual, and one batched solve (_swap_exact) scores the rest;
+    with the base's C11 singular or ill conditioned, _swap_residuals scores
+    them all.  A slot whose block was scored without a swap since the last
+    swap is skipped.  The blocks and report are those of scoring every
+    candidate by pseudo-inverse (see _slot_pick).
+
     `effort` counts restarts (the first start is the rounded measure, later
-    ones are seeded random draws); deterministic given the seed.
+    ones are seeded random draws); deterministic given the seed.  The
+    restarts are independent, so they run in lockstep: each step takes the
+    next slot of every restart that has joined and makes one batched
+    _slot_pick for all of them, and restart r joins at step r.  A restart
+    that reaches residual 0 drops every later one, as the first restart to
+    reach 0 is the one kept.  The blocks and report are those of running
+    the restarts one after another.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -536,34 +612,39 @@ def construct_exact(
     groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
 
-    cands = _Candidates.of(stack)
+    runs: list[_Restart] = []
+    cands: _Candidates | None = None  # built at the first pick: a start at 0 needs none
+    while True:
+        # the first restart at 0 is the one kept, so it drops every later
+        # one; until then restart r joins at step r, so that a start which
+        # reaches 0 within its first picks ends the search before the later
+        # starts are drawn
+        zero = next((r for r, run in enumerate(runs) if run.current <= 1e-12), None)
+        if zero is not None:
+            del runs[zero + 1:]
+        elif len(runs) < effort:
+            idx = rounded if not runs else rng.integers(0, len(pool), size=n).tolist()
+            total = sum(stack[idx])  # from zero in slot order: ties break on the last bit
+            runs.append(_Restart(idx, total, float(_residuals(total[None], target)[0])))
+        step = [run for run in runs if run.next_slot() is not None]
+        if not step:
+            if zero is not None or len(runs) == effort:
+                break
+            continue
+        if cands is None:
+            cands = _Candidates.of(stack)
+        olds = [run.idx[run.slot] for run in step]
+        bases = np.stack([run.total - stack[old] for run, old in zip(step, olds)])
+        picks = _slot_pick(bases, cands, target, [run.current for run in step], olds)
+        for run, (best, value) in zip(step, picks):
+            run.take(stack, best, value)
+
     best_idx: list[int] | None = None
     best_res = np.inf
-    for attempt in range(effort):
-        idx = rounded if attempt == 0 else rng.integers(0, len(pool), size=n).tolist()
-        total = sum(stack[idx])  # from zero in slot order: ties break on the last bit
-        current = float(_residuals(total[None], target)[0])
-        idle: set[int] = set()  # pool indices scored without a swap since the last one
-        improved = True
-        while improved and current > 1e-12:
-            improved = False
-            for i in range(n):
-                old = idx[i]
-                if old in idle:  # same base as then, so the same outcome
-                    continue
-                best_cand, best_val = _slot_pick(total - stack[old], cands, target,
-                                                 current, old)
-                if best_cand is None:
-                    idle.add(old)
-                else:
-                    total += stack[best_cand] - stack[old]
-                    idx[i] = best_cand
-                    current = best_val
-                    improved = True
-                    idle.clear()
-        if current < best_res:
-            best_res = current
-            best_idx = list(idx)
+    for run in runs:
+        if run.current < best_res:
+            best_res = run.current
+            best_idx = run.idx
         if best_res <= 1e-12:
             break
 

@@ -125,7 +125,7 @@ class Measure:
             self._set_exact(vec.tolist(), den)
         else:
             np.add.at(vec, slot, weights)
-            total = sum(vec.tolist())
+            total = math.fsum(vec.tolist())  # a running sum drifts past 1e-12 on large measures
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {total}, expected 1")
             vec.flags.writeable = False
@@ -756,15 +756,16 @@ def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
 def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
                 head=()) -> LabelPool:
     """The first `count` distinct canonical forms among the head rows and
-    then up to `draws` rows of draw(rng), as a pool in colex order.  Rows
-    are drawn `count` at a time, and only the forms found so far (fewer
-    than `count`, so all of them stay) go on to the next batch; the
-    generator is local, so rows drawn past the count change nothing."""
+    then up to `draws` rows drawn by draw(rng, k), which gives k rows from
+    one generator call, as a pool in colex order.  Rows are drawn `count`
+    at a time, and only the forms found so far (fewer than `count`, so all
+    of them stay) go on to the next batch; the generator is local, so rows
+    drawn past the count change nothing."""
     rng = np.random.default_rng(seed)
     rows, made = list(head), 0
     while True:
         batch = min(count, draws - made)
-        pool = canonical_pool(shape, [*rows, *(draw(rng) for _ in range(batch))], count)
+        pool = canonical_pool(shape, [*rows, *draw(rng, batch)], count)
         made += batch
         if len(pool) >= count or made == draws:
             return pool
@@ -779,7 +780,9 @@ def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
     if shape.t <= shape.p - 2:
         head = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
         bag = _balanced_bag(shape)
-        return _drawn_pool(shape, 64, 20 * 64, lambda rng: rng.permutation(bag), seed, head)
+        # one shuffle per row, the rows of k single permutations
+        return _drawn_pool(shape, 64, 20 * 64,
+                           lambda rng, k: rng.permuted(np.tile(bag, (k, 1)), axis=1), seed, head)
     pairs = _corner_double_pairs(shape)
     return canonical_pool(shape, [
         _filled(shape, chosen)
@@ -794,7 +797,7 @@ def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:
     if count < 1:
         raise ValueError("a random pool needs at least one array")
     return _drawn_pool(shape, count, 30 * count,
-                       lambda rng: rng.integers(1, shape.t + 1, size=shape.p), seed)
+                       lambda rng, k: rng.integers(1, shape.t + 1, size=(k, shape.p)), seed)
 
 
 def _active_slopes(table: np.ndarray, x: float):

@@ -201,8 +201,10 @@ def _brute_minimax(shape: Shape):
         return float(np.max(c0 + 2 * c1 * x + c2 * x * x))
 
     def r_exact(x: Fraction) -> Fraction:
-        return max(Fraction(t * a0 + 2 * t * a1 * x + a2 * x * x, p * t)
-                   for a0, a1, a2 in uniq)
+        # each row's value over the common denominator p t v^2, x = u / v
+        u, v = x.numerator, x.denominator
+        tvv, tuv, uu = t * v * v, 2 * t * u * v, u * u
+        return Fraction(max(tvv * a0 + tuv * a1 + uu * a2 for a0, a1, a2 in uniq), p * t * v * v)
 
     uniq = [tuple(int(v) for v in row)
             for row in np.unique(np.stack([n00, n01, n11], axis=1), axis=0)]

@@ -250,6 +250,23 @@ def test_construct_deterministic():
     assert d1 == d2
 
 
+@pytest.mark.parametrize("abt, n, steps", [((2, 2, 4), 24, 0), ((3, 3, 3), 3, 2)])
+def test_restart_at_zero_drops_every_later_restart(monkeypatch, abt, n, steps):
+    # the rounded start reaches residual 0 (at once on (2,2,4), so no slot
+    # is ever scored), which drops the three random restarts: effort 4
+    # returns effort 1's design after as many batched picks
+    batches = []
+    real = designs._slot_pick
+    monkeypatch.setattr(designs, "_slot_pick",
+                        lambda bases, *args: batches.append(len(bases)) or real(bases, *args))
+    one, rep = construct_exact(Shape(*abt), n, effort=1)
+    assert np.allclose(rep.astuple(), 1.0, atol=1e-12)
+    assert batches == [1] * steps
+    batches.clear()
+    assert construct_exact(Shape(*abt), n, effort=4)[0] == one
+    assert len(batches) == steps
+
+
 def test_construct_rejects_bad_n():
     with pytest.raises(ValueError):
         construct_exact(Shape(2, 3, 2), 0)
@@ -332,50 +349,77 @@ def _bound_case(sigma, n, seed, scale):
     return stack, idx, total, target
 
 
+def _full_scan_picks(stack, bases, target, currents, olds):
+    # the reference: R independent pool-order scans of every candidate's
+    # pseudo-inverse residual, the old candidate excluded
+    picks = []
+    for base, cur, old in zip(bases, currents, olds):
+        vals = designs._swap_residuals(base, stack, target)
+        vals[old] = np.inf
+        picks.append(designs._scan(vals, cur))
+    return picks
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(BOUND_SIGMAS)), st.sampled_from([1, 2, 5, 14]),
+@given(st.sampled_from(sorted(BOUND_SIGMAS)),
+       st.lists(st.sampled_from([1, 2, 5, 14]), min_size=1, max_size=5),
        st.integers(0, 2**32 - 1), st.floats(0.25, 8.0), st.floats(0.0, 1.0))
-def test_pruned_slot_picks_what_the_full_scan_picks(sigma, n, seed, scale, level):
-    stack, idx, total, target = _bound_case(sigma, n, seed, scale)
+def test_pruned_slot_picks_what_the_full_scan_picks(sigma, sizes, seed, scale, level):
+    # one batch of bases from designs of these sizes; size 1 leaves a zero
+    # base, whose B11 is singular
+    stack = component_table(full_pool(BOUND_SHAPE), BOUND_SIGMAS[sigma])
     cands = designs._Candidates.of(stack)
     distinct = cands.first == np.arange(len(stack))
     assert (stack[cands.first] == stack).all()
+    rng = np.random.default_rng(seed)
+    target = centering_projector(BOUND_SHAPE.t) * (scale * max(sizes))
+    idx = [rng.integers(0, len(stack), size=n) for n in sizes]
+    totals = np.stack([sum(stack[i]) for i in idx])
+    olds = [int(i[0]) for i in idx]
+    bases = totals - stack[olds]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "CHUNK_ROWS", 7)  # several chunks and a ragged tail
+        # ragged chunks of bases and of candidates in every tier
         mp.setattr(designs, "BOUND_ENTRIES", 7 * (2 * BOUND_SHAPE.t) ** 2)
-        current = float(designs._residuals(total[None], target)[0])
-        for old in idx[:2]:
-            base = total - stack[old]
-            exact = designs._swap_residuals(base, stack, target)
-            factor = designs._base_factor(base, cands, target)
+        found, _ = designs._base_factor(bases, cands, target)
+        for r, base in enumerate(bases):
             w = np.linalg.eigvalsh(base[2])
             if w[0] <= EIG_CUTOFF * max(abs(w[-1]), 1.0):  # singular B11: score everything
-                assert factor is None
-            if factor is not None:
-                every = np.arange(len(cands.joint))
-                congruence = designs._swap_exact(factor, cands.joint, every)
-                assert (np.abs(congruence - exact[distinct])
-                        <= 1e-12 * np.maximum(1.0, np.abs(exact[distinct]))).all()
-            # any threshold, not just the design's own residual
-            finite = exact[np.isfinite(exact)]
-            for cur in (current, float(np.quantile(finite, level))):
-                vals = exact.copy()
-                vals[old] = np.inf
-                want = designs._scan(vals, cur)
-                assert designs._slot_pick(base, cands, target, cur, old) == want
+                assert r not in found
+        every = cands.distinct
+        for r in found:
+            exact = designs._swap_residuals(bases[r], stack, target)
+            got = designs._swap_exact(bases, stack, target, np.full(len(every), r), every)
+            assert (np.abs(got - exact[distinct])
+                    <= 1e-12 * np.maximum(1.0, np.abs(exact[distinct]))).all()
+        # any threshold, not just each design's own residual
+        currents = designs._residuals(totals, target).tolist()
+        quantiles = []
+        for base, old in zip(bases, olds):
+            vals = designs._swap_residuals(base, stack, target)
+            vals[old] = np.inf
+            quantiles.append(float(np.quantile(vals[np.isfinite(vals)], level)))
+        for cur in (currents, quantiles):
+            want = _full_scan_picks(stack, bases, target, cur, olds)
+            assert designs._slot_pick(bases, cands, target, cur, olds) == want
 
 
 def test_slot_pick_scores_every_distinct_table_when_b11_is_singular(monkeypatch):
-    stack, idx, total, target = _bound_case("identity", 1, 5, 2.0)
+    stack, idx, total, target = _bound_case("identity", 5, 5, 2.0)
     cands = designs._Candidates.of(stack)
-    base = total - stack[idx[0]]  # n = 1: the base is zero
-    assert designs._base_factor(base, cands, target) is None
+    # a zero base (n = 1) between two well-conditioned ones
+    bases = np.stack([total - stack[idx[0]], np.zeros_like(total), total - stack[idx[1]]])
+    olds = [int(idx[0]), int(idx[2]), int(idx[1])]
+    found, _ = designs._base_factor(bases, cands, target)
+    assert found.tolist() == [0, 2]
+    want = _full_scan_picks(stack, bases, target, [np.inf] * 3, olds)
     scored = []
     real = designs._swap_residuals
     monkeypatch.setattr(designs, "_swap_residuals",
                         lambda b, s, t: scored.append(len(s)) or real(b, s, t))
-    designs._slot_pick(base, cands, target, np.inf, int(idx[0]))
-    assert scored == [len(cands.joint)]
+    assert designs._slot_pick(bases, cands, target, [np.inf] * 3, olds) == want
+    # every distinct table for the zero base, then the other two winners
+    assert scored == [len(cands.distinct), 2]
 
 
 def _sigma_of(kind: str, p: int):
@@ -406,11 +450,11 @@ def test_eigenbasis_bound_is_a_bound_and_only_drops_scorings(shape, sigma, n, se
     total = sum(stack[idx])
     base = total - stack[idx[0]]
     target = centering_projector(shape.t) * (scale * n)
-    factor = designs._base_factor(base, cands, target)
-    if factor is None:  # the screen does not apply: every distinct table is scored
+    found, factor = designs._base_factor(base[None], cands, target)
+    if not len(found):  # the screen does not apply: every distinct table is scored
         return
     exact = designs._swap_residuals(base, stack[cands.distinct], target)
-    assert (designs._eigen_bounds(factor, cands.joint) <= exact).all()
+    assert (designs._eigen_bounds(factor, cands.weights)[:, 0] <= exact).all()
     current = float(designs._residuals(total[None], target)[0])
     for cur in (current, float(np.quantile(exact, level))):
         scored = []
@@ -418,7 +462,7 @@ def test_eigenbasis_bound_is_a_bound_and_only_drops_scorings(shape, sigma, n, se
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(designs, "_swap_residuals",
                        lambda b, s, t: scored.extend(s) or real(b, s, t))
-            pick, _ = designs._slot_pick(base, cands, target, cur, int(idx[0]))
+            [(pick, _)] = designs._slot_pick(base[None], cands, target, [cur], [int(idx[0])])
         # the pseudo-inverse scores the winner alone, once
         assert len(scored) == (pick is not None)
         if pick is not None:
@@ -426,15 +470,18 @@ def test_eigenbasis_bound_is_a_bound_and_only_drops_scorings(shape, sigma, n, se
 
 
 def test_eigenbasis_bound_sends_few_candidates_on(monkeypatch):
-    # the golden (4,2,8) n = 14 run: 66,325 candidates reach the eigenbasis
-    # bound over all slots, 11,312 of them the congruence scorer, and the
-    # pseudo-inverse scores one winner per swap
-    seen = {}
-    # the argument that holds the candidates each tier is handed
-    for name, arg in (("_eigen_bounds", 1), ("_swap_exact", 2), ("_swap_residuals", 1)):
-        seen[name] = 0
-        def counted(*args, name=name, arg=arg, real=getattr(designs, name)):
-            seen[name] += len(args[arg])
+    # the golden (4,2,8) n = 14 run: 66,325 (base, candidate) pairs reach the
+    # eigenbasis bound over all slots of all restarts, 11,312 of them the
+    # batched solve, and the pseudo-inverse scores one winner per swap
+    pairs = {
+        "_eigen_bounds": lambda factor, weights: len(factor[0]) * len(weights),
+        "_swap_exact": lambda bases, stack, target, of, which: len(which),
+        "_swap_residuals": lambda base, stack, target: len(stack),
+    }
+    seen = dict.fromkeys(pairs, 0)
+    for name, count in pairs.items():
+        def counted(*args, name=name, count=count, real=getattr(designs, name)):
+            seen[name] += count(*args)
             return real(*args)
         monkeypatch.setattr(designs, name, counted)
     shape, _ = normalize_shape(4, 2, 8)
@@ -460,14 +507,14 @@ def test_congruence_scores_equal_scalar_loop_near_the_condition_limit(shape, sig
         return
     base = base * (1 + 1e-6) * cands.c11_trace / (w[0] * designs.BOUND_MAX_COND - w[-1])
     target = centering_projector(shape.t) * (scale * n)
-    factor = designs._base_factor(base, cands, target)
-    assert factor is not None
+    found, _ = designs._base_factor(base[None], cands, target)
+    assert found.tolist() == [0]
     t = shape.t
-    which = rng.permutation(len(cands.joint))[:len(cands.joint) // 2 + 3]
+    which = rng.permutation(cands.distinct)[:len(cands.distinct) // 2 + 3]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "BOUND_ENTRIES", 7 * (2 * t) ** 2)  # chunks and a ragged tail
-        got = designs._swap_exact(factor, cands.joint, which)
-    want = _scalar_swap_residuals(base, stack[cands.distinct[which]], target)
+        got = designs._swap_exact(base[None], stack, target, np.zeros_like(which), which)
+    want = _scalar_swap_residuals(base, stack[which], target)
     assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 

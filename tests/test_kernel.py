@@ -498,3 +498,15 @@ def test_orbit_measure_merges_repeats_at_first_positive_weight():
         Measure.from_orbit_weights(shape, [(a, Fraction(3, 2)), (b, Fraction(-1, 2))])
     with pytest.raises(ValueError, match="expected exactly 1"):
         Measure.from_orbit_weights(shape, [(a, Fraction(1, 2)), (a, Fraction(1, 3))])
+
+
+def test_large_float_orbit_measure_sums_to_one():
+    # (2,4,8)'s closed-form weights are floats over 60,480 atoms: a running
+    # sum of them is off by 1.1e-12, past the 1e-12 check
+    shape = Shape(2, 4, 8)
+    pairs = solve_closed_form(shape).orbit_weights
+    assert all(isinstance(w, float) for _, w in pairs)
+    xi = Measure.from_orbit_weights(shape, pairs)
+    assert len(xi.labels) == sum(o.size for o, _ in pairs) == 60480
+    assert abs(sum(xi.weights.tolist()) - 1.0) > 1e-12
+    assert xi.weights.sum() == pytest.approx(1.0, abs=1e-15)
