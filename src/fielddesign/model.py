@@ -480,24 +480,38 @@ def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int
     return nums, shape.p * kern.scale.denominator
 
 
-def accumulate_components(shape: Shape, labels: np.ndarray, weights: Sequence,
-                          sigma: CovarianceSpec = IDENTITY):
-    """Float weighted sums of (C00, C01, C11) over the rows of an (N, p)
-    label matrix (component_numerators is the exact sum)."""
-    if not len(labels):
+def st_average(nums: np.ndarray, den):
+    """The S_t average of each (t, t) matrix N of a stack over den, over den
+    t(t-1): (t-1) tr N on the diagonal and sum N - tr N off it, exact on
+    integers; on orbit representatives, the sum over the orbits' members."""
+    t = nums.shape[-1]
+    tr = np.trace(nums, axis1=-2, axis2=-1)[..., None, None]
+    off = nums.sum(axis=(-2, -1))[..., None, None] - tr
+    return np.where(np.eye(t, dtype=bool), (t - 1) * tr, off), den * t * (t - 1)
+
+
+def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
+                      sigma: CovarianceSpec = IDENTITY, exact: bool = False, orbits: bool = False):
+    """The (3, t, t) sum of (C00, C01, C11) over the rows of an (N, p) label
+    matrix at the weights, over a denominator: component_numerators (exact),
+    or floats over 1; with orbits, each weight spread over its row's orbit."""
+    if exact:
+        nums, d = component_numerators(shape, labels, weights, sigma)
+    elif not len(labels):
         raise ValueError("no blocks given")
-    kern = _pair_kernel(shape, sigma)
-    w = np.asarray(weights, dtype=float)
-    out = sum(np.tensordot(w[rows], comp, axes=1)
-              for rows, comp in kern.components(labels)) * kern.unit
-    return out[0], out[1], out[2]
+    else:
+        kern, w = _pair_kernel(shape, sigma), np.asarray(weights, dtype=float)
+        nums, d = sum(np.tensordot(w[rows], comp, axes=1)
+                      for rows, comp in kern.components(labels)) * kern.unit, 1
+    return st_average(nums, d) if orbits else (nums, d)
 
 
-def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1) -> np.ndarray:
-    """C00 - C01 C11^+ C10 at the weights: float, or Fractions at integer weights / den."""
+def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1,
+                 orbits: bool = False) -> np.ndarray:
+    """C00 - C01 C11^+ C10 of summed_components: float, or Fractions at weights / den."""
+    nums, d = summed_components(shape, labels, weights, sigma, exact, orbits)
     if not exact:
-        return schur_complement(*accumulate_components(shape, labels, weights, sigma))
-    nums, d = component_numerators(shape, labels, weights, sigma)
+        return schur_complement(*(nums / d))
     n, pivot = schur_numerators(*nums)
     return n * Fraction(1, pivot * d * den)
 
@@ -512,7 +526,8 @@ def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool =
     if exact and measure.denominator is None:
         raise ValueError("exact sums need a measure with exact weights")
     weights = measure.weights if exact else measure.float_weights()
-    return _information(measure.shape, measure.labels, weights, sigma, exact, measure.denominator)
+    return _information(measure.shape, measure.labels, weights, sigma, exact, measure.denominator,
+                        measure.orbit_sizes is not None)
 
 
 def centering_projector(t: int) -> np.ndarray:

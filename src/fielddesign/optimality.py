@@ -41,16 +41,15 @@ from .model import (
     CoefficientTriple,
     CovarianceSpec,
     GeneralCov,
-    accumulate_components,
     c11_base,
     centering_projector,
-    component_numerators,
     exact_units,
     exact_value,
     exact_weighted_sum,
     rational_scale,
     schur_complement,
     schur_numerators,
+    summed_components,
     trace_numerators_batch,
     triple_table,
 )
@@ -73,16 +72,21 @@ def _triple_rows(shape: Shape, labels: np.ndarray, sigma: CovarianceSpec, exact:
 class Measure:
     """Probability weights over block arrays of one shape.
 
-    The atoms are the rows of `labels`, a read-only (N, p) int64 colex label
-    matrix of distinct rows.  Weights that are exact (model.exact_value: an
-    int, a Fraction or a numpy integer) stay exact: `weights` holds their
-    Python-int numerators over `denominator`, the least common denominator.
-    Any other weight, a float included, switches the whole measure to
-    floating point: `weights` is then one read-only float64 vector and
-    `denominator` is None.
+    The rows of `labels`, a read-only (N, p) int64 colex label matrix of
+    distinct rows, carry the weights.  Weights that are exact
+    (model.exact_value: an int, a Fraction or a numpy integer) stay exact:
+    `weights` holds their Python-int numerators over `denominator`, the
+    least common denominator.  Any other weight, a float included, switches
+    the whole measure to floating point: `weights` is then one read-only
+    float64 vector and `denominator` is None.
+
+    An atom measure (`orbit_sizes` None) puts weights[k] on row k; an orbit
+    measure (from_orbit_weights) spreads it evenly over the orbit of row k,
+    whose size is orbit_sizes[k], and is read through model.st_average.
+    atoms() expands it, and items(), to_json() and len() read the atoms.
     """
 
-    __slots__ = ("shape", "labels", "weights", "denominator")
+    __slots__ = ("shape", "labels", "weights", "denominator", "orbit_sizes", "_shares")
 
     def __init__(self, shape: Shape, atoms: Mapping[BlockArray, object]):
         if any(s.shape != shape for s in atoms):
@@ -115,7 +119,7 @@ class Measure:
         rows = labels[keep]
         _, first, group = group_rows(rows)  # kept in order of first appearance
         slot = np.argsort(np.argsort(first))[group].tolist()
-        self.shape = shape
+        self.shape, self.orbit_sizes, self._shares = shape, None, None
         self.labels = rows[np.sort(first)]
         self.labels.flags.writeable = False
         vec = np.zeros(len(first), dtype=object if exact else float)
@@ -143,27 +147,20 @@ class Measure:
 
     @staticmethod
     def from_orbit_weights(shape: Shape, pairs: Iterable[tuple[Orbit, object]]) -> "Measure":
-        """Spread each orbit weight uniformly over all its member arrays:
-        the atoms run orbit by orbit, each in orbit_labels order.  Exact
-        weights make a measure on the canonical forms first (from_labels:
-        a repeated orbit merges at its first place of positive weight), and
-        its integer numerators are spread orbit by orbit."""
+        """Orbit measure with each orbit weight spread evenly over the orbit,
+        the weights on the canonical forms (from_labels: a repeated orbit
+        merges at its first place of positive weight)."""
         pairs = list(pairs)
         canon = canonical_labels(label_matrix([o.representative for o, _ in pairs]))
-        values = [exact_value(w) for _, w in pairs]
-        if any(v is None for v in values):
-            blocks = [orbit_labels(r - 1, shape.t) for r in canon]
-            shares = [(float(w) if v is None else v) / o.size for (o, w), v in zip(pairs, values)]
-            return Measure.from_labels(shape, np.concatenate(blocks),
-                                       [w for w, b in zip(shares, blocks) for _ in range(len(b))])
-        orbits = Measure.from_labels(shape, canon, values)
-        blocks = [orbit_labels(r - 1, shape.t) for r in orbits.labels]
-        den = orbits.denominator * math.lcm(*map(len, blocks))
-        xi = Measure.__new__(Measure)
-        xi.shape, xi.labels = shape, np.concatenate(blocks)
-        xi.labels.flags.writeable = False
-        xi._set_exact([n * (den // orbits.denominator // len(b))
-                       for n, b in zip(orbits.weights, blocks) for _ in range(len(b))], den)
+        xi = Measure.from_labels(shape, canon, [w for _, w in pairs])
+        xi.orbit_sizes = tuple(math.perm(shape.t, m) for m in xi.labels.max(axis=1).tolist())
+        if not xi.is_exact():  # an atom's weight: its pairs' shares w / size in pair order
+            at = {r: k for k, r in enumerate(map(tuple, xi.labels.tolist()))}
+            xi._shares = np.zeros(len(at))
+            for (_, w), r in zip(pairs, map(tuple, canon.tolist())):
+                n, v = math.perm(shape.t, max(r)), exact_value(w)
+                if r in at:  # a pair of weight 0 adds 0.0, which changes no share
+                    xi._shares[at[r]] += float(w) / n if v is None else float(v / n)
         return xi
 
     def is_exact(self) -> bool:
@@ -175,25 +172,33 @@ class Measure:
             return self.weights
         return np.array([n / self.denominator for n in self.weights])
 
-    def _weight_list(self) -> list:
+    def atoms(self) -> tuple[np.ndarray, list]:
+        """The atoms' (N, p) label matrix and weights (Fractions or floats): an
+        orbit's members in orbit_labels order, at the orbit weight over its size."""
+        if self.orbit_sizes is None:
+            return self.labels, (self.weights.tolist() if self.denominator is None
+                                 else [Fraction(n, self.denominator) for n in self.weights])
+        labels = np.concatenate([orbit_labels(r - 1, self.shape.t) for r in self.labels])
         if self.denominator is None:
-            return self.weights.tolist()
-        return [Fraction(n, self.denominator) for n in self.weights]
+            return labels, np.repeat(self._shares, self.orbit_sizes).tolist()
+        return labels, [w for n, k in zip(self.weights, self.orbit_sizes)
+                        for w in [Fraction(n, self.denominator * k)] * k]
 
     def items(self) -> list[tuple[BlockArray, Fraction | float]]:
         """(array, weight) pairs in atom order, the arrays built on each call."""
+        labels, weights = self.atoms()
         return [(BlockArray.from_colex(self.shape, row), w)
-                for row, w in zip(self.labels.tolist(), self._weight_list())]
+                for row, w in zip(labels.tolist(), weights)]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.labels) if self.orbit_sizes is None else sum(self.orbit_sizes)
 
     def to_json(self) -> list:
         """Atoms in colex order, arrays in LabelPool.to_json form."""
-        order = np.lexsort(self.labels.T[::-1]).tolist()
-        weights = self._weight_list()
+        labels, weights = self.atoms()
+        order = np.lexsort(labels.T[::-1]).tolist()
         return [{"array": array, "weight": _number_json(weights[k])} for array, k
-                in zip(LabelPool(self.shape, self.labels[order]).to_json(), order)]
+                in zip(LabelPool(self.shape, labels[order]).to_json(), order)]
 
 
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
@@ -238,7 +243,8 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
 
     Ties go to the earliest pool entry.  When x is exact (model.exact_value)
     and the covariance is identity or exact type-H, a float shortlist is
-    settled exactly in Python integers.
+    settled exactly on integer rows: in int64 when no dot product can
+    overflow, otherwise in Python integers on its distinct rows.
     """
     pool = LabelPool.of(pool)
     shape = pool.shape
@@ -248,8 +254,12 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
         rows, units = _triple_rows(shape, pool.labels, sigma, exact=True)
         q = q_eval((rows / [shape.p, shape.p, shape.p * t]).T, float(xf))
         near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
-        weights = np.array([t * v * v, 2 * t * u * v, u * u], dtype=object)
-        k = near[int(np.argmax(rows[near].astype(object) @ weights))]
+        # q = (t v^2 n00 + 2 t u v n01 + u^2 n11) / (p t v^2) at x = u / v
+        w, sub = [t * v * v, 2 * t * u * v, u * u], rows[near]
+        if 3 * max(1, int(np.abs(sub).max())) * max(map(abs, w)) >= 2**63:
+            keep = np.sort(group_rows(sub)[1])  # each distinct row once, at its earliest place
+            near, sub, w = near[keep], sub[keep].astype(object), np.array(w, dtype=object)
+        k = near[int(np.argmax(sub @ np.array(w)))]
         return q_eval(rows[k].astype(object) * units, xf), pool[k]
     q = q_eval(triple_table(pool, sigma).T, float(x))
     k = int(np.argmax(q))
@@ -336,9 +346,10 @@ def _number_json(v):
 @dataclass
 class SolveResult:
     """Outcome of a minimax solve: the optimum, its support, a measure.
-    solve_closed_form's measure spreads each orbit weight over the orbit and
-    verifies; solve_exchange's holds it on one pool row, and the measure
-    Measure.from_orbit_weights(shape, orbit_weights) is the one that verifies."""
+    solve_closed_form's is the orbit measure of orbit_weights (None past
+    MATERIALIZE_LIMIT atoms), and it verifies; solve_exchange's holds each
+    orbit weight on one pool row, and Measure.from_orbit_weights(shape,
+    orbit_weights) is the measure that verifies."""
 
     shape: Shape
     x_star: object
@@ -583,6 +594,8 @@ def solve_closed_form(
     weights = solve_sbs_proportions(orbits, x_star)[0] if len(orbits) > 1 else [Fraction(1)]
     orbit_pairs = [(o, w) for o, w in zip(orbits, weights) if w > 0]
     y_star = y_id * yscale
+    # an orbit measure costs O(orbits), but the benchmark worker (perfbench/) sends
+    # every atom to its reference: none past MATERIALIZE_LIMIT atoms until it reads orbits
     total = sum(o.size for o, _ in orbit_pairs)
     measure = (
         Measure.from_orbit_weights(shape, orbit_pairs)
@@ -694,12 +707,13 @@ def verify_measure(
     xe, ye = exact_value(x_star), exact_value(y_star)
     exact = (xi.is_exact() and rational_scale(sigma) is not None
              and xe is not None and ye is not None)
+    nums, d = summed_components(xi.shape, xi.labels, xi.weights if exact else xi.float_weights(),
+                                sigma, exact, xi.orbit_sizes is not None)
     if exact:
         # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
         # residual is the largest |entry| of a matrix over one integer
         x_star, y_star = xe, ye
-        (n00, n01, n11), d = component_numerators(xi.shape, xi.labels, xi.weights, sigma)
-        d *= xi.denominator
+        (n00, n01, n11), d = nums, d * xi.denominator
         (u, v), (m, e) = x_star.as_integer_ratio(), y_star.as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
         info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
@@ -708,7 +722,7 @@ def verify_measure(
             (proj @ (v * n01.T + u * n11) @ proj, t * t * v * d),
             (s * info - pivot * d * m * proj, s * pivot * d)))
     else:
-        c00, c01, c11 = comps = accumulate_components(xi.shape, xi.labels, xi.float_weights(), sigma)
+        c00, c01, c11 = comps = nums / d
         bt = centering_projector(t)
         x, y = float(x_star), float(y_star)
         # conditions hold on treatment contrasts; project out the constant
@@ -724,7 +738,7 @@ def verify_measure(
                     > tol * max(1, abs(y_star)) for c in distinct])[inverse]
     if exact:
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
-    else:  # left to right in atom order, not np.sum's pairwise order
+    else:  # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = balance <= tol and slope <= tol and support_mass <= tol and info_res <= tol
     return VerificationReport(

@@ -447,8 +447,10 @@ def test_gate_8_complete_symmetry_of_orbit_measures():
         array_of(3, 3, 4, [[1, 2, 3], [4, 1, 2], [3, 4, 1]]),
     ]
     for s in cases:
-        xi = Measure.from_orbit_weights(
-            s.shape, [(Orbit(s, orbit_size(s)), Fraction(1))])
+        # every member of the orbit summed, not the S_t average the orbit measure reads
+        xi = Measure.from_labels(s.shape, *Measure.from_orbit_weights(
+            s.shape, [(Orbit(s, orbit_size(s)), Fraction(1))]).atoms())
+        assert len(xi.labels) == orbit_size(s)
         # integer numerators over one denominator: symmetric exactly when the Fractions are
         nums, _ = component_numerators(s.shape, xi.labels, xi.weights)
         for m in nums:

@@ -456,13 +456,19 @@ def _expanded(shape: Shape, pairs) -> Measure:
 
 
 def _same_measure(got: Measure, want: Measure) -> None:
-    assert got.labels.tolist() == want.labels.tolist()
+    # the orbit measure's expansion is the expanded atom measure, bit for bit
+    labels, weights = got.atoms()
+    assert labels.tolist() == want.labels.tolist() and len(got) == len(want)
     assert not got.labels.flags.writeable
-    assert got.denominator == want.denominator
+    assert got.is_exact() == want.is_exact()
+    atoms = Measure.from_labels(got.shape, labels, weights)
+    assert atoms.denominator == want.denominator
     if want.is_exact():
-        assert got.weights == want.weights and all(type(n) is int for n in got.weights)
+        assert atoms.weights == want.weights and all(type(n) is int for n in atoms.weights)
+        assert all(type(n) is int for n in (*got.weights, got.denominator))
     else:
-        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.array(weights).tobytes() == want.weights.tobytes()
+    assert got.items() == want.items() and got.to_json() == want.to_json()
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,7 +512,39 @@ def test_large_float_orbit_measure_sums_to_one():
     shape = Shape(2, 4, 8)
     pairs = solve_closed_form(shape).orbit_weights
     assert all(isinstance(w, float) for _, w in pairs)
-    xi = Measure.from_orbit_weights(shape, pairs)
-    assert len(xi.labels) == sum(o.size for o, _ in pairs) == 60480
-    assert abs(sum(xi.weights.tolist()) - 1.0) > 1e-12
+    labels, weights = Measure.from_orbit_weights(shape, pairs).atoms()
+    assert len(labels) == sum(o.size for o, _ in pairs) == 60480
+    assert abs(sum(weights) - 1.0) > 1e-12
+    xi = Measure.from_labels(shape, labels, weights)  # _fill checks the total by fsum
     assert xi.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+ORBIT_SHAPES = [Shape(2, 3, 3), Shape(3, 3, 3), Shape(2, 2, 4), Shape(2, 4, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORBIT_SHAPES), st.sampled_from(SIGMAS[:2]), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 10**6)), min_size=1, max_size=4),
+       st.fractions(-2, 2, max_denominator=50), st.fractions(0, 20, max_denominator=50))
+def test_orbit_measure_reads_as_its_atoms(shape, sigma, floats, picks, x, y):
+    # the S_t average of the representatives' components against the sum
+    # over every member: exact residuals equal, float ones within rounding
+    pool = full_pool(shape)
+    total = sum(w for _, w in picks)
+    pairs = [(Orbit(pool[k % len(pool)], orbit_size(pool[k % len(pool)])),
+              w / total if floats else Fraction(w, total)) for k, w in picks]
+    xi = Measure.from_orbit_weights(shape, pairs)
+    atoms = Measure.from_labels(shape, *xi.atoms())
+    assert len(xi.labels) == len(xi.orbit_sizes) < len(xi) == len(atoms)
+    assert xi.items() == atoms.items() and xi.to_json() == atoms.to_json()
+    got, want = verify_measure(xi, sigma, x, y), verify_measure(atoms, sigma, x, y)
+    fields = ("balance_residual", "slope_residual", "support_mass", "info_residual")
+    for g, w in ((getattr(got, f), getattr(want, f)) for f in fields):
+        if floats:
+            assert abs(g - w) <= REL * max(1.0, abs(w))
+        else:
+            assert type(g) is Fraction and g == w
+    assert floats or got.optimal == want.optimal
+    for exact in (False,) if floats else (False, True):
+        g, w = info_matrix_measure(xi, sigma, exact), info_matrix_measure(atoms, sigma, exact)
+        assert (g == w).all() if exact else _close(g, w)

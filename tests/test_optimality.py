@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -231,6 +232,25 @@ def test_orbit_measure_atoms_run_orbit_by_orbit():
         w / o.size for o, w in res.orbit_weights for _ in range(o.size)]
 
 
+def test_closed_form_measure_keeps_one_row_per_orbit():
+    res = solve_closed_form(Shape(2, 4, 7))
+    xi = res.measure
+    assert xi.labels.shape == (1, 8) and xi.orbit_sizes == (5040,)
+    assert (xi.weights, xi.denominator) == ((1,), 1) and len(xi) == 5040
+
+
+def test_closed_form_solve_json_keeps_its_bytes():
+    # every closed-form shape of the benchmark's certify workload, under
+    # identity and type-H 3/2, as the solves printed it while their measures
+    # still held one row per atom
+    digest = hashlib.sha256()
+    for abt in [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5), (2, 5, 4), (2, 4, 6),
+                (2, 4, 7), (2, 3, 5), (2, 3, 6), (2, 2, 3), (2, 4, 8), (3, 3, 8), (3, 3, 9)]:
+        for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+            digest.update(json.dumps(solve_closed_form(Shape(*abt), sigma).to_json()).encode())
+    assert digest.hexdigest() == "76c3e0c4c0760d498ae565323bf2cd77c65128ae753f91ec513e7582493c1eef"
+
+
 def test_single_orbit_peak_value():
     # uniform measure on the orbit of (1,1;2,3;4,5): q* = c00 - c01^2/c11
     s = array_of(2, 3, 5, SBS_ROWS_2X3)
@@ -265,15 +285,32 @@ def test_r_eval_exact_and_float_agree():
 
 
 def test_r_eval_exact_maximum_and_earliest_witness():
-    pool = full_pool(Shape(2, 3, 3))
-    for x in (Fraction(123456789, 987654321), Fraction(0)):
-        values = [q_eval(c_coeffs_closed(s), x) for s in pool]
-        top = max(values)
-        assert values.count(top) > 1  # tied rows: the earliest must win
-        for sigma, scale in ((IDENTITY, 1), (TypeH(Fraction(3, 2)), Fraction(2, 3))):
-            val, witness = r_eval(x, pool, sigma)
-            assert val == top * scale
-            assert witness == pool[values.index(top)]
+    # against a per-row Fraction max of the counting formula; the x with large
+    # denominators send the settle to Python integers, the others to int64
+    for abt, xs in (
+        ((2, 3, 3), (Fraction(123456789, 987654321), Fraction(0), Fraction(5, 17),
+                     Fraction(2**40 + 1, 3**30),
+                     # the weights fit in int64, their dot products do not
+                     Fraction(1, 2**30), Fraction(-1, 2**30 + 1))),
+        ((2, 4, 3), (Fraction(0), Fraction(2, 9), Fraction(-(2**35) - 3, 7**20))),
+        ((2, 5, 4), (Fraction(0),)),  # 6,300 rows tie at the top, 312 of them distinct
+    ):
+        shape = Shape(*abt)
+        pool = full_pool(shape)
+        p, t = shape.p, shape.t
+        nums = [[int(v) for v in col] for col in closed_numerators_batch(pool.labels, shape)]
+        for x in xs:
+            @functools.cache  # equal triples, equal values
+            def value(n00, n01, n11):
+                return Fraction(n00, p) + 2 * Fraction(n01, p) * x + Fraction(n11, p * t) * x * x
+
+            values = [value(*n) for n in zip(*nums)]
+            top = max(values)
+            assert values.count(top) > 1  # tied rows: the earliest must win
+            for sigma, scale in ((IDENTITY, 1), (TypeH(Fraction(3, 2)), Fraction(2, 3))):
+                val, witness = r_eval(x, pool, sigma)
+                assert type(val) is Fraction and val == top * scale
+                assert witness == pool[values.index(top)]
 
 
 def test_r_eval_at_optimum_equals_y_star():
@@ -366,8 +403,10 @@ def test_measures_read_numpy_integer_weights_exactly():
         assert all(type(n) is int for n in (*xi.weights, xi.denominator))
     orbit = Orbit(canonical_form(array_of(2, 3, 2, SPREAD_ROWS_232)), 2)
     xi = Measure.from_orbit_weights(shape, [(orbit, np.int64(1))])
-    assert xi.is_exact() and (xi.weights, xi.denominator) == ((1, 1), 2)
-    assert all(type(n) is int for n in (*xi.weights, xi.denominator))
+    atoms = Measure.from_labels(shape, *xi.atoms())
+    for m, want in ((xi, ((1,), 1)), (atoms, ((1, 1), 2))):
+        assert m.is_exact() and (m.weights, m.denominator) == want
+        assert all(type(n) is int for n in (*m.weights, m.denominator))
 
 
 def _orbit_of_sized(s):
@@ -577,14 +616,34 @@ def test_exchange_ties_survive_last_bit_rounding(shape, sigma, monkeypatch):
 
 
 def _envelope_minimum(table: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> float:
-    # ternary search of the convex envelope max_k q_k(x) over [lo, hi]
-    def r(x):
-        return float((table[:, 0] + 2 * table[:, 1] * x + table[:, 2] * x * x).max())
+    # ternary search of the convex envelope r(x) = max_k q_k(x) over [lo, hi].
+    # Each q_k is convex, so a row whose larger end value on the bracket lies
+    # below a lower bound on min r there is never the maximum inside it and
+    # is dropped; the bound is the least value on the bracket of the larger
+    # of r's tangent lines at its two ends.
+    def q(x):
+        return table[:, 0] + 2 * table[:, 1] * x + table[:, 2] * x * x
 
+    def tangent(x, qx):  # r(x) and a subgradient there: a maximal row's slope
+        k = int(np.argmax(qx))
+        return qx[k], 2 * (table[k, 1] + table[k, 2] * x)
+
+    q_lo, q_hi = q(lo), q(hi)
     for _ in range(100):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        lo, hi = (lo, m2) if r(m1) <= r(m2) else (m1, hi)
-    return r((lo + hi) / 2)
+        q1, q2 = q(m1), q(m2)
+        if q1.max() <= q2.max():
+            hi, q_hi = m2, q2
+        else:
+            lo, q_lo = m1, q1
+        (r_lo, g_lo), (r_hi, g_hi) = tangent(lo, q_lo), tangent(hi, q_hi)
+        xs = [lo, hi]
+        if g_lo < g_hi:  # where the two tangent lines cross
+            xs.append(min(hi, max(lo, (r_hi - r_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi))))
+        bound = min(max(r_lo + g_lo * (x - lo), r_hi + g_hi * (x - hi)) for x in xs)
+        keep = np.maximum(q_lo, q_hi) >= bound - 1e-12 * max(1.0, abs(bound))
+        table, q_lo, q_hi = table[keep], q_lo[keep], q_hi[keep]
+    return float(q((lo + hi) / 2).max())
 
 
 def test_exchange_default_pool_covers_every_orbit_above_200k():
