@@ -26,6 +26,7 @@ from .arrays import (
     LabelPool,
     Orbit,
     Shape,
+    _check_budget,
     canonical_form,
     canonical_labels,
     canonical_pool,
@@ -178,11 +179,20 @@ class Measure:
         if self.orbit_sizes is None:
             return self.labels, (self.weights.tolist() if self.denominator is None
                                  else [Fraction(n, self.denominator) for n in self.weights])
-        labels = np.concatenate([orbit_labels(r - 1, self.shape.t) for r in self.labels])
+        sizes = self._listed_sizes()
+        labels = np.concatenate([orbit_labels(r - 1, self.shape.t)
+                                 for r, k in zip(self.labels, sizes) if k])
         if self.denominator is None:
-            return labels, np.repeat(self._shares, self.orbit_sizes).tolist()
+            return labels, np.repeat(self._shares, sizes).tolist()
         return labels, [w for n, k in zip(self.weights, self.orbit_sizes)
                         for w in [Fraction(n, self.denominator * k)] * k]
+
+    def _listed_sizes(self) -> tuple[int, ...]:
+        """Members atoms() lists per orbit: all of them, or none where a float
+        member share underflows to 0.0 (the atom measure dropped those)."""
+        if self._shares is None:
+            return self.orbit_sizes
+        return tuple(k if w else 0 for k, w in zip(self.orbit_sizes, self._shares.tolist()))
 
     def items(self) -> list[tuple[BlockArray, Fraction | float]]:
         """(array, weight) pairs in atom order, the arrays built on each call."""
@@ -191,7 +201,7 @@ class Measure:
                 for row, w in zip(labels.tolist(), weights)]
 
     def __len__(self) -> int:
-        return len(self.labels) if self.orbit_sizes is None else sum(self.orbit_sizes)
+        return len(self.labels) if self.orbit_sizes is None else sum(self._listed_sizes())
 
     def to_json(self) -> list:
         """Atoms in colex order, arrays in LabelPool.to_json form."""
@@ -243,24 +253,29 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
 
     Ties go to the earliest pool entry.  When x is exact (model.exact_value)
     and the covariance is identity or exact type-H, a float shortlist is
-    settled exactly on integer rows: in int64 when no dot product can
-    overflow, otherwise in Python integers on its distinct rows.
+    settled exactly on the pool's distinct integer rows, each standing for
+    its earliest pool entry: in int64 when no dot product can overflow,
+    otherwise in Python integers.  A pool that full_pool keeps has its
+    distinct rows built once; r_eval only reads a kept pool, never builds one.
     """
     pool = LabelPool.of(pool)
     shape = pool.shape
     xf = exact_value(x)
     if rational_scale(sigma) is not None and xf is not None:
         u, v, t = xf.numerator, xf.denominator, shape.t
-        rows, units = _triple_rows(shape, pool.labels, sigma, exact=True)
+        kept = _full_pools.get(shape)
+        if kept is None or kept.pool is not pool:
+            kept = _PoolTriples(pool)  # for this call only
+        rows, first = kept.triples()
         q = q_eval((rows / [shape.p, shape.p, shape.p * t]).T, float(xf))
         near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
         # q = (t v^2 n00 + 2 t u v n01 + u^2 n11) / (p t v^2) at x = u / v
         w, sub = [t * v * v, 2 * t * u * v, u * u], rows[near]
         if 3 * max(1, int(np.abs(sub).max())) * max(map(abs, w)) >= 2**63:
-            keep = np.sort(group_rows(sub)[1])  # each distinct row once, at its earliest place
-            near, sub, w = near[keep], sub[keep].astype(object), np.array(w, dtype=object)
+            sub, w = sub.astype(object), np.array(w, dtype=object)
         k = near[int(np.argmax(sub @ np.array(w)))]
-        return q_eval(rows[k].astype(object) * units, xf), pool[k]
+        value = q_eval(rows[k].astype(object) * exact_units(shape, rational_scale(sigma)), xf)
+        return value, pool[first[k]]
     q = q_eval(triple_table(pool, sigma).T, float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
@@ -760,11 +775,53 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
     return val - qs
 
 
+class _PoolTriples:
+    """A pool and, built when r_eval first asks, its distinct exact triple
+    rows (the identity numerators of _triple_rows) in order of first
+    occurrence, with the first pool row of each; all read-only."""
+
+    __slots__ = ("pool", "_triples")
+
+    def __init__(self, pool: LabelPool):
+        self.pool, self._triples = pool, None
+
+    def triples(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._triples is None:
+            rows = _triple_rows(self.pool.shape, self.pool.labels, IDENTITY, exact=True)[0]
+            distinct, first, _ = group_rows(rows)
+            order = np.argsort(first)
+            self._triples = distinct[order], first[order]
+            for arr in self._triples:
+                arr.flags.writeable = False
+        return self._triples
+
+
+# Full pools kept per process, least recently used dropped first, while they
+# hold more than _FULL_POOL_ROWS rows in all; a larger shape is enumerated on
+# every call.  A shape of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2
+# gives at least 2^(p-1) orbits, and p = 17 is no grid), so a kept row costs
+# at most 8p = 128 bytes of labels and 32 of triple and first index: 16 MB
+# at worst.  The certify shapes of the benchmark hold 75,212 rows, 5.7 MB.
+_FULL_POOL_ROWS = 100_000
+_full_pools: dict[Shape, _PoolTriples] = {}
+
+
 def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
     """Every orbit's canonical representative, in enumeration order, as a
-    label matrix; raises EnumerationBudgetError, before allocating, when
-    the shape has more than `budget` orbits."""
-    return LabelPool(shape, enumerate_label_matrix(shape, budget=budget))
+    read-only label matrix; raises EnumerationBudgetError, before
+    allocating, when the shape has more than `budget` orbits.  A pool of
+    at most _FULL_POOL_ROWS rows is built once per process and the same
+    object is returned on every call; the budget is checked on each one."""
+    _check_budget(shape, budget)
+    kept = _full_pools.pop(shape, None)
+    if kept is None:
+        kept = _PoolTriples(LabelPool(shape, enumerate_label_matrix(shape, budget=budget)))
+        if len(kept.pool) > _FULL_POOL_ROWS:
+            return kept.pool
+    _full_pools[shape] = kept  # the most recently used last
+    while sum(len(k.pool) for k in _full_pools.values()) > _FULL_POOL_ROWS:
+        del _full_pools[next(iter(_full_pools))]
+    return kept.pool
 
 
 def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,

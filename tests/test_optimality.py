@@ -239,6 +239,18 @@ def test_closed_form_measure_keeps_one_row_per_orbit():
     assert (xi.weights, xi.denominator) == ((1,), 1) and len(xi) == 5040
 
 
+def test_float_orbit_share_that_underflows_lists_no_atoms():
+    # 5e-324 / 6 rounds to 0.0: the orbit stays, its members are not listed
+    shape = Shape(2, 3, 3)
+    a, b = [Orbit(s, 6) for s in full_pool(shape) if orbit_size(s) == 6][:2]
+    xi = Measure.from_orbit_weights(shape, [(a, 5e-324), (b, 1 - 5e-324)])
+    only_b = Measure.from_orbit_weights(shape, [(b, 1.0)])
+    assert xi.orbit_sizes == (6, 6)
+    assert len(xi) == len(xi.atoms()[0]) == len(xi.items()) == 6
+    assert xi.items() == only_b.items() and all(w == 1 / 6 for _, w in xi.items())
+    assert xi.to_json() == only_b.to_json()
+
+
 def test_closed_form_solve_json_keeps_its_bytes():
     # every closed-form shape of the benchmark's certify workload, under
     # identity and type-H 3/2, as the solves printed it while their measures
@@ -319,6 +331,78 @@ def test_r_eval_at_optimum_equals_y_star():
         res = solve_closed_form(shape)
         val, _ = r_eval(res.x_star, full_pool(shape))
         assert abs(float(val) - float(res.y_star)) < 1e-9
+
+
+@pytest.fixture
+def fresh_full_pools(monkeypatch):
+    """An empty full-pool cache for one test, so pools kept by earlier tests
+    can hide no enumeration and no budget check."""
+    monkeypatch.setattr(optimality, "_full_pools", {})
+
+
+def _never_enumerate(*args):
+    raise AssertionError("enumerated past the budget check")
+
+
+@pytest.mark.parametrize("sigma", [IDENTITY, TypeH(Fraction(3, 2))], ids=["identity", "type-h"])
+@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (2, 5, 4)])
+def test_kept_full_pool_scores_like_a_fresh_copy(fresh_full_pools, abt, sigma):
+    # the kept pool reuses its distinct rows, the copy has them built for
+    # each call; the Fractions with large denominators overflow int64 dot products
+    shape = Shape(*abt)
+    pool = full_pool(shape)
+    copy = LabelPool(shape, pool.labels.copy())
+    for x in (Fraction(0), Fraction(1, 2**30), Fraction(2**40 + 1, 3**30),
+              Fraction(-5, 17), 0.3125, -0.2):
+        kept, fresh = r_eval(x, pool, sigma), r_eval(x, copy, sigma)
+        assert type(kept[0]) is type(fresh[0]) and kept == fresh, x
+    assert optimality._full_pools[shape].pool is pool
+
+
+def test_full_pool_is_kept_once_read_only_and_scored_lazily(fresh_full_pools):
+    shape = Shape(2, 4, 3)
+    pool = full_pool(shape)
+    assert full_pool(shape) is pool
+    solve_exchange(shape, GeneralCov.from_matrix(np.eye(shape.p)))  # reads no triples
+    kept = optimality._full_pools[shape]
+    assert kept.pool is pool and kept._triples is None
+    r_eval(Fraction(1, 3), pool)
+    rows, first = kept.triples()
+    assert len(rows) == len(first) < len(pool) and (np.diff(first) > 0).all()
+    for arr in (pool.labels, rows, first):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+
+
+def test_full_pools_past_the_row_bound_are_not_kept(fresh_full_pools, monkeypatch):
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 400)
+    big = Shape(2, 4, 3)  # 1,094 rows
+    assert full_pool(big) is not full_pool(big) and not optimality._full_pools
+    # 187 + 202 rows fit; 32 more drop the least recently used shape
+    for abt in ((2, 3, 4), (2, 3, 5), (2, 3, 4), (2, 3, 2)):
+        full_pool(Shape(*abt))
+    assert list(optimality._full_pools) == [Shape(2, 3, 4), Shape(2, 3, 2)]
+
+
+def test_kept_full_pool_still_checks_the_budget(fresh_full_pools):
+    shape = Shape(3, 3, 5)  # 18,002 orbits
+    full_pool(shape)
+    with pytest.raises(EnumerationBudgetError):
+        full_pool(shape, budget=100)
+
+
+@pytest.mark.parametrize("abt", [(4, 4, 3), (5, 5, 5)])
+def test_explicit_pool_of_an_over_budget_shape_never_enumerates(
+        fresh_full_pools, monkeypatch, abt):
+    shape = Shape(*abt)
+    pool = random_pool(shape, 16, seed=3)
+    xi = Measure.point(pool[0])
+    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
+    for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+        for x in (Fraction(0), Fraction(1, 3), 0.25):
+            r_eval(x, pool, sigma)
+        assert equivalence_gap(xi, pool, sigma) >= 0
+    assert not optimality._full_pools
 
 
 def test_proportions_known_mixture():
@@ -660,12 +744,9 @@ def test_exchange_default_pool_covers_every_orbit_above_200k():
         assert abs(res.y_star - want) <= 1e-9 * want, rho
 
 
-def test_exchange_over_budget_raises_before_enumerating(monkeypatch):
+def test_exchange_over_budget_raises_before_enumerating(fresh_full_pools, monkeypatch):
     # (4,4,3) has 7.2 M orbits, over DEFAULT_ORBIT_BUDGET
-    def never(*args):
-        raise AssertionError("enumerated past the budget check")
-
-    monkeypatch.setattr(arrays, "_growth_strings", never)
+    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
     with pytest.raises(EnumerationBudgetError):
         solve_exchange(Shape(4, 4, 3), _ar_kernel(16, 0.5))
 
