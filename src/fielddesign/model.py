@@ -328,6 +328,12 @@ class _PairKernel:
             out[:, 2] = self.shape.t * out[:, 2] - self.corner
         return out
 
+    def floats(self, nums: np.ndarray) -> np.ndarray:
+        """Float coefficients of the (N, 3) numerators triples() gives on an
+        integer kernel."""
+        fac, p = float(self.scale), self.shape.p
+        return nums * np.array([fac / p, fac / p, fac / (p * self.shape.t)])
+
     def components(self, labels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Per-row (C00, C01, C11) = O'X O before the scale, as chunks
         (rows, (n, 3, t, t))."""
@@ -375,16 +381,23 @@ def _shape_kernel(shape: Shape) -> _PairKernel:
     return kern
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _scaled_kernel(shape: Shape, scale: Fraction | float) -> _PairKernel:
+    """_shape_kernel at a type-H scale, kept per shape and scale.  Typed, so
+    an exact scale and an equal float one (Fraction(1, 2) == 0.5, with equal
+    hashes) keep kernels of their own type."""
+    return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
+
+
 def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
     scale = rational_scale(sigma)
     if exact and scale is None:
         raise ValueError("exact path needs Identity or rational type-H covariance")
-    base = _shape_kernel(shape)
     if isinstance(sigma, TypeH):
         if sigma.y is not None:
             sigma_matrix(sigma, shape.p)  # valid offsets cancel in K; invalid ones are refused
-        scale = 1.0 / float(sigma.x) if scale is None else scale
-        return replace(base, scale=scale, unit=float(scale) / shape.p)
+        return _scaled_kernel(shape, 1.0 / float(sigma.x) if scale is None else scale)
+    base = _shape_kernel(shape)
     return _stack_kernel(shape, base.neighbors, btilde(sigma, shape.p), base.pairs, None, 1.0)
 
 
@@ -405,10 +418,14 @@ def triple_table(
     pool = LabelPool.of(pool)
     kern = _pair_kernel(pool.shape, sigma)
     out = kern.triples(pool.labels)
-    if kern.scale is None:
-        return out
-    fac, p = float(kern.scale), pool.shape.p
-    return out * np.array([fac / p, fac / p, fac / (p * pool.shape.t)])
+    return out if kern.scale is None else kern.floats(out)
+
+
+def type_h_table(nums: np.ndarray, shape: Shape, sigma: TypeH) -> np.ndarray:
+    """triple_table of the rows whose (N, 3) int64 identity numerators are
+    nums (trace_numerators_batch), for an identity or type-H sigma: the
+    same float operations, so the same bits, and no label scored."""
+    return _pair_kernel(shape, sigma).floats(nums)
 
 
 def component_table(

@@ -12,8 +12,9 @@ verification of a candidate measure.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -53,6 +54,7 @@ from .model import (
     summed_components,
     trace_numerators_batch,
     triple_table,
+    type_h_table,
 )
 
 GAP_TOL = 1e-9
@@ -61,13 +63,28 @@ MATERIALIZE_LIMIT = 20_000
 FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
 
 
-def _triple_rows(shape: Shape, labels: np.ndarray, sigma: CovarianceSpec, exact: bool):
-    """(N, 3) coefficient rows of a label matrix and the value of one unit in
-    each column: int64 numerators with exact units, or floats."""
+def _numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
+    """(N, 3) int64 identity numerators of a label matrix, read-only."""
+    rows = np.column_stack(trace_numerators_batch(labels, shape))
+    rows.flags.writeable = False
+    return rows
+
+
+def _triple_rows(shape: Shape, nums: np.ndarray, sigma: CovarianceSpec, exact: bool):
+    """(N, 3) coefficient rows of identity numerators (_numerator_rows) under
+    identity or type-H covariance, and the value of one unit in each column:
+    the int64 numerators with exact units, or floats."""
     if exact:
-        nums = trace_numerators_batch(labels, shape)
-        return np.column_stack(nums), exact_units(shape, rational_scale(sigma))
-    return triple_table(LabelPool(shape, labels), sigma), np.ones(3)
+        return nums, exact_units(shape, rational_scale(sigma))
+    return type_h_table(nums, shape, sigma), np.ones(3)
+
+
+def _measure_rows(xi: "Measure", sigma: CovarianceSpec, exact: bool):
+    """_triple_rows of a measure's label rows, read from its kept numerators;
+    a dense Sigma scores the labels, in floats."""
+    if isinstance(sigma, GeneralCov):
+        return triple_table(LabelPool(xi.shape, xi.labels), sigma), np.ones(3)
+    return _triple_rows(xi.shape, xi.numerator_rows(), sigma, exact)
 
 
 class Measure:
@@ -85,9 +102,12 @@ class Measure:
     measure (from_orbit_weights) spreads it evenly over the orbit of row k,
     whose size is orbit_sizes[k], and is read through model.st_average.
     atoms() expands it, and items(), to_json() and len() read the atoms.
+    The rows' identity triple numerators are built on the first
+    numerator_rows() call and kept.  Every array a measure holds is
+    read-only.
     """
 
-    __slots__ = ("shape", "labels", "weights", "denominator", "orbit_sizes", "_shares")
+    __slots__ = ("shape", "labels", "weights", "denominator", "orbit_sizes", "_shares", "_rows")
 
     def __init__(self, shape: Shape, atoms: Mapping[BlockArray, object]):
         if any(s.shape != shape for s in atoms):
@@ -120,7 +140,7 @@ class Measure:
         rows = labels[keep]
         _, first, group = group_rows(rows)  # kept in order of first appearance
         slot = np.argsort(np.argsort(first))[group].tolist()
-        self.shape, self.orbit_sizes, self._shares = shape, None, None
+        self.shape, self.orbit_sizes, self._shares, self._rows = shape, None, None, None
         self.labels = rows[np.sort(first)]
         self.labels.flags.writeable = False
         vec = np.zeros(len(first), dtype=object if exact else float)
@@ -162,7 +182,15 @@ class Measure:
                 n, v = math.perm(shape.t, max(r)), exact_value(w)
                 if r in at:  # a pair of weight 0 adds 0.0, which changes no share
                     xi._shares[at[r]] += float(w) / n if v is None else float(v / n)
+            xi._shares.flags.writeable = False
         return xi
+
+    def numerator_rows(self) -> np.ndarray:
+        """The (N, 3) int64 identity triple numerators of the label rows, over
+        (p, p, p t) (model.trace_numerators_batch): one pass, then kept."""
+        if self._rows is None:
+            self._rows = _numerator_rows(self.shape, self.labels)
+        return self._rows
 
     def is_exact(self) -> bool:
         return self.denominator is not None
@@ -214,7 +242,7 @@ class Measure:
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
     """Weighted sum of per-array coefficient triples."""
     exact = xi.is_exact() and rational_scale(sigma) is not None
-    rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
+    rows, units = _measure_rows(xi, sigma, exact)
     if exact:
         c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0), units / xi.denominator)
     else:
@@ -364,7 +392,10 @@ class SolveResult:
     solve_closed_form's is the orbit measure of orbit_weights (None past
     MATERIALIZE_LIMIT atoms), and it verifies; solve_exchange's holds each
     orbit weight on one pool row, and Measure.from_orbit_weights(shape,
-    orbit_weights) is the measure that verifies."""
+    orbit_weights) is the measure that verifies.  The closed form keeps
+    its measure, orbit_weights and q_support per shape, so every solve of
+    a shape returns those same objects: they are read-only (a Measure's
+    arrays refuse writes)."""
 
     shape: Shape
     x_star: object
@@ -553,8 +584,12 @@ def solve_closed_form(
     """Closed-form minimax point, support, and an optimal measure.
 
     Covariance must be identity or type-H; a type-H kernel only rescales
-    every quadratic by the same factor, so x* and the support carry over
-    and y* picks up the scale.  Three regimes:
+    every quadratic by the same factor, so x*, the support and the orbit
+    weights carry over and y* picks up the scale.  That covariance-free
+    part is solved once per shape per process (_closed_form); each call
+    applies the scale, so its SolveResult is new, but its measure,
+    orbit_weights and q_support are the kept, read-only objects.  Three
+    regimes:
 
     * t <= p-2: x* = 0, y* from the balanced replication profile, support
       is every balanced array; the measure mixes the no-adjacent array
@@ -573,10 +608,17 @@ def solve_closed_form(
             "no closed form for general covariance; use solve_exchange"
         )
     scale = rational_scale(sigma)
-    yscale = scale if scale is not None else 1.0 / float(sigma.x)
-    p, t = shape.p, shape.t
-    gap = Fraction(0) if scale is not None else 0.0
+    base = _closed_form(shape)
+    if scale is None:
+        return replace(base, y_star=base.y_star * (1.0 / float(sigma.x)), gap=0.0)
+    return replace(base, y_star=base.y_star * scale, gap=Fraction(0))
 
+
+@functools.lru_cache(maxsize=64)
+def _closed_form(shape: Shape) -> SolveResult:
+    """solve_closed_form under identity, kept per shape: each entry holds
+    a few orbit rows, and its measure its numerator rows."""
+    p, t = shape.p, shape.t
     if t <= p - 2:
         r = p % t
         x_star = Fraction(0)
@@ -608,24 +650,21 @@ def solve_closed_form(
     orbits = [Orbit(s, orbit_size(s)) for s in reps]
     weights = solve_sbs_proportions(orbits, x_star)[0] if len(orbits) > 1 else [Fraction(1)]
     orbit_pairs = [(o, w) for o, w in zip(orbits, weights) if w > 0]
-    y_star = y_id * yscale
     # an orbit measure costs O(orbits), but the benchmark worker (perfbench/) sends
     # every atom to its reference: none past MATERIALIZE_LIMIT atoms until it reads orbits
-    total = sum(o.size for o, _ in orbit_pairs)
-    measure = (
-        Measure.from_orbit_weights(shape, orbit_pairs)
-        if total <= MATERIALIZE_LIMIT
-        else None
-    )
+    measure = None
+    if sum(o.size for o, _ in orbit_pairs) <= MATERIALIZE_LIMIT:
+        measure = Measure.from_orbit_weights(shape, orbit_pairs)
+        measure.numerator_rows()  # kept with it: the readers of a solve score no rows
     return SolveResult(
         shape=shape,
         x_star=x_star,
-        y_star=y_star,
+        y_star=y_id,
         regime=_regime_tag(shape),
         q_support=support,
         measure=measure,
         orbit_weights=tuple(orbit_pairs),
-        gap=gap,
+        gap=Fraction(0),
     )
 
 
@@ -647,7 +686,8 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     exact = (x := exact_value(x_star)) is not None
     x = x if exact else float(x_star)
     reps = LabelPool.of([o.representative for o in orbits])
-    rows, units = _triple_rows(reps.shape, reps.labels, IDENTITY, exact)
+    rows, units = _triple_rows(reps.shape, _numerator_rows(reps.shape, reps.labels),
+                               IDENTITY, exact)
     g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
          else float(n01 + x * n11) for _, n01, n11 in rows]
     n = len(orbits)
@@ -733,8 +773,8 @@ def verify_measure(
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
         info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
         balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
-            ((t - 1) * e * (proj @ (v * n00 + u * n01) @ proj) - t * v * d * m * proj, t * s * v * d),
-            (proj @ (v * n01.T + u * n11) @ proj, t * t * v * d),
+            ((t - 1) * e * _sandwich(v * n00 + u * n01) - t * v * d * m * proj, t * s * v * d),
+            (_sandwich(v * n01.T + u * n11), t * t * v * d),
             (s * info - pivot * d * m * proj, s * pivot * d)))
     else:
         c00, c01, c11 = comps = nums / d
@@ -747,7 +787,7 @@ def verify_measure(
             bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
             schur_complement(*comps) - target))
     # support: atoms of one orbit share a triple, so test each distinct row once
-    rows, units = _triple_rows(xi.shape, xi.labels, sigma, exact)
+    rows, units = _measure_rows(xi, sigma, exact)
     distinct, _, inverse = group_rows(rows)
     off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
                     > tol * max(1, abs(y_star)) for c in distinct])[inverse]
@@ -766,6 +806,15 @@ def verify_measure(
     )
 
 
+def _sandwich(x: np.ndarray) -> np.ndarray:
+    """P X P for P = t I - J, in O(t^2) and exact on integers: t^2 X less
+    t (r 1' + 1 c') plus s J, with r, c and s the row sums, column sums
+    and total of X."""
+    x = np.asarray(x, dtype=object)
+    t, r, c = len(x), x.sum(axis=1), x.sum(axis=0)
+    return t * t * x - t * (r[:, None] + c[None, :]) + r.sum()
+
+
 def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
                     sigma: CovarianceSpec = IDENTITY):
     """Envelope value at the measure's own peak minus the peak: >= 0,
@@ -777,7 +826,7 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
 
 class _PoolTriples:
     """A pool and, built when r_eval first asks, its distinct exact triple
-    rows (the identity numerators of _triple_rows) in order of first
+    rows (the identity numerators of _numerator_rows) in order of first
     occurrence, with the first pool row of each; all read-only."""
 
     __slots__ = ("pool", "_triples")
@@ -787,8 +836,7 @@ class _PoolTriples:
 
     def triples(self) -> tuple[np.ndarray, np.ndarray]:
         if self._triples is None:
-            rows = _triple_rows(self.pool.shape, self.pool.labels, IDENTITY, exact=True)[0]
-            distinct, first, _ = group_rows(rows)
+            distinct, first, _ = group_rows(_numerator_rows(self.pool.shape, self.pool.labels))
             order = np.argsort(first)
             self._triples = distinct[order], first[order]
             for arr in self._triples:

@@ -144,6 +144,18 @@ def test_equal_type_h_weights_keep_their_own_exactness(float_first):
     assert _pair_kernel(shape, TypeH(Fraction(3, 2)), exact=True).scale == Fraction(2, 3)
 
 
+def test_type_h_kernel_is_kept_per_shape_and_scale():
+    shape = Shape(2, 3, 3)
+    exact_two, float_two = TypeH(Fraction(2)), TypeH(2.0)
+    assert _pair_kernel(shape, exact_two) is _pair_kernel(shape, TypeH(2))
+    assert _pair_kernel(shape, float_two) is _pair_kernel(shape, TypeH(2.0))
+    # the scales 1/2 and 0.5 are equal and hash alike, yet keep their own kernels
+    assert _pair_kernel(shape, exact_two) is not _pair_kernel(shape, float_two)
+    assert type(_pair_kernel(shape, exact_two).scale) is Fraction
+    assert type(_pair_kernel(shape, float_two).scale) is float
+    assert _pair_kernel(Shape(2, 3, 4), exact_two).shape == Shape(2, 3, 4)
+
+
 def test_type_h_offsets_are_checked_on_every_call():
     shape = Shape(2, 3, 2)
     pool = full_pool(shape)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fielddesign.arrays as arrays
+import fielddesign.model as model
 import fielddesign.optimality as optimality
 from fielddesign.arrays import (
     EnumerationBudgetError,
@@ -261,6 +262,95 @@ def test_closed_form_solve_json_keeps_its_bytes():
         for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
             digest.update(json.dumps(solve_closed_form(Shape(*abt), sigma).to_json()).encode())
     assert digest.hexdigest() == "76c3e0c4c0760d498ae565323bf2cd77c65128ae753f91ec513e7582493c1eef"
+
+
+CERTIFY_SHAPES = [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5), (2, 5, 4), (2, 4, 6),
+                  (2, 4, 7), (2, 3, 5), (2, 3, 6), (2, 2, 3), (2, 4, 8), (3, 3, 8), (3, 3, 9)]
+
+
+def _solve_facts(res) -> tuple:
+    return (json.dumps(res.to_json()).encode(),
+            type(res.x_star), type(res.y_star), type(res.gap))
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_kept_closed_form_solves_like_a_cold_one(float_first):
+    # TypeH(1.5) == TypeH(Fraction(3, 2)) and both hash alike: the kept
+    # solve is covariance-free, so each call keeps its own exactness
+    exact_h, float_h = TypeH(Fraction(3, 2)), TypeH(1.5)
+    sigmas = [IDENTITY, float_h, exact_h] if float_first else [IDENTITY, exact_h, float_h]
+    for abt in CERTIFY_SHAPES:
+        shape = Shape(*abt)
+        cold = []
+        for sigma in sigmas:
+            optimality._closed_form.cache_clear()
+            cold.append(_solve_facts(solve_closed_form(shape, sigma)))
+        optimality._closed_form.cache_clear()
+        kept = [solve_closed_form(shape, sigma) for sigma in sigmas]
+        assert [_solve_facts(res) for res in kept] == cold, abt
+        by_sigma = {id(sigma): res for sigma, res in zip(sigmas, kept)}
+        if type(by_sigma[id(IDENTITY)].y_star) is Fraction:
+            assert type(by_sigma[id(exact_h)].y_star) is Fraction
+            assert type(by_sigma[id(float_h)].y_star) is float
+
+
+def test_closed_form_is_solved_once_per_shape_and_kept_read_only(monkeypatch):
+    optimality._closed_form.cache_clear()
+    built = []
+    real = optimality.balanced_no_adjacent
+    monkeypatch.setattr(optimality, "balanced_no_adjacent",
+                        lambda shape: built.append(shape) or real(shape))
+    shapes = [Shape(2, 3, 2), Shape(2, 4, 3), Shape(3, 3, 3)]
+    for _ in range(3):
+        for shape in shapes:
+            for sigma in (IDENTITY, TypeH(1.5), TypeH(Fraction(3, 2))):
+                solve_closed_form(shape, sigma)
+    assert built == shapes
+    first, again = solve_closed_form(shapes[0]), solve_closed_form(shapes[0], TypeH(2.0))
+    assert first is not again and first.measure is again.measure
+    assert first.orbit_weights is again.orbit_weights and first.q_support is again.q_support
+    for abt, exact in (((2, 3, 4), True), ((2, 3, 5), False)):
+        xi = solve_closed_form(Shape(*abt)).measure
+        assert xi.is_exact() is exact
+        kept = [xi.labels, xi.numerator_rows()]
+        kept += [] if exact else [xi.weights, xi._shares]
+        for arr in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] += 1
+    optimality._closed_form.cache_clear()
+
+
+@pytest.mark.parametrize("sigma", [IDENTITY, TypeH(Fraction(3, 2)), TypeH(1.5)],
+                         ids=["identity", "type-h-exact", "type-h-float"])
+@pytest.mark.parametrize("abt", [(2, 3, 4), (2, 4, 7), (2, 3, 5), (2, 2, 3)])
+def test_closed_form_measure_scores_its_rows_once(monkeypatch, abt, sigma):
+    # after the solve, q_star and verify_measure read the measure's kept
+    # numerators and score no label row; a new measure scores its own
+    shape = Shape(*abt)
+    res = solve_closed_form(shape, sigma)
+    fresh = Measure.from_orbit_weights(shape, res.orbit_weights)
+    want = (q_star(fresh, sigma), verify_measure(fresh, sigma, res.x_star, res.y_star))
+    scored = []
+    real = model._PairKernel.triples
+    monkeypatch.setattr(model._PairKernel, "triples",
+                        lambda kern, labels: scored.append(len(labels)) or real(kern, labels))
+    got = (q_star(res.measure, sigma), verify_measure(res.measure, sigma, res.x_star, res.y_star))
+    assert not scored
+    assert got == want
+    assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+    q_star(Measure.from_orbit_weights(shape, res.orbit_weights), sigma)
+    assert scored == [len(res.measure.labels)]
+
+
+def test_projector_sandwich_equals_the_matmul_form():
+    # (t I - J) X (t I - J) from row and column sums, on Python ints past int64
+    rng = np.random.default_rng(24)
+    for t in range(2, 10):
+        x = rng.integers(-2**62, 2**62, size=(t, t)).astype(object) * 2**40
+        proj = (t * np.eye(t, dtype=np.int64) - 1).astype(object)
+        got = optimality._sandwich(x)
+        assert got.tolist() == (proj @ x @ proj).tolist()
+        assert all(type(v) is int for v in got.ravel())
 
 
 def test_single_orbit_peak_value():
