@@ -8,9 +8,10 @@ Each --root NAME=PATH is the root of a checkout with its own perfbench/.
 For every seed and workload the checkouts run `perfbench/run.py --trace 0`
 one after the other, the first of them alternating from seed to seed, so
 each seed gives one pair of runs under the same conditions.  The snapshot
-holds each checkout's commit, the seeds, every JSON line run.py printed,
-and per workload and metric the median and quartiles of each checkout and
-the number of pairs that each later checkout won against the first.
+holds each checkout's commit and source line count, the seeds, every JSON
+line run.py printed, and per workload and metric the median and quartiles
+of each checkout and the number of pairs that each later checkout won
+against the first.
 Each --traced WORKLOAD adds one `--trace 1` run per checkout, on the first
 seed, after the pairs, under "traced": the per-layer self times and counters.
 """
@@ -43,16 +44,18 @@ def parse_seeds(text: str) -> list[int]:
 
 def describe(root: Path) -> dict:
     """The checkout's commit, whether its tracked files differ from it, and
-    a digest of its package sources."""
+    a digest and the line count of its package sources."""
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], check=True,
                               capture_output=True, text=True).stdout.strip()
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in sorted((root / "src").rglob("*.py")):
-        digest.update(path.relative_to(root).as_posix().encode() + path.read_bytes())
+        text = path.read_bytes()
+        digest.update(path.relative_to(root).as_posix().encode() + text)
+        lines += len(text.splitlines())
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "src_sha256": digest.hexdigest()}
+            "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:

@@ -27,8 +27,10 @@ covariance-free part (neighbor matrix, int64 stack, plot-pair index and
 pair weights) is built once per shape and held read-only; a covariance
 adds its scale, or its own float stack, and is validated on every call.
 Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
-exact for the integer stack (_shape_kernel states the bound).  The one
-exact sum is component_numerators: Python-int numerators over one known
+exact for the integer stack (_shape_kernel states the bound).  Only this
+module reads the identity numerators over (p, p, p t): numerator_rows,
+the float route scaled_rows and the exact q of exact_q.  The one exact
+sum is component_numerators: Python-int numerators over one known
 denominator, from counts of each weight's rows per (plot pair, label
 pair) cell; schur_numerators eliminates in integers, and Fractions are
 made once, at the output.  The paper's counting formula, written once in
@@ -328,12 +330,6 @@ class _PairKernel:
             out[:, 2] = self.shape.t * out[:, 2] - self.corner
         return out
 
-    def floats(self, nums: np.ndarray) -> np.ndarray:
-        """Float coefficients of the (N, 3) numerators triples() gives on an
-        integer kernel."""
-        fac, p = float(self.scale), self.shape.p
-        return nums * np.array([fac / p, fac / p, fac / (p * self.shape.t)])
-
     def components(self, labels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Per-row (C00, C01, C11) = O'X O before the scale, as chunks
         (rows, (n, 3, t, t))."""
@@ -381,14 +377,6 @@ def _shape_kernel(shape: Shape) -> _PairKernel:
     return kern
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _scaled_kernel(shape: Shape, scale: Fraction | float) -> _PairKernel:
-    """_shape_kernel at a type-H scale, kept per shape and scale.  Typed, so
-    an exact scale and an equal float one (Fraction(1, 2) == 0.5, with equal
-    hashes) keep kernels of their own type."""
-    return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
-
-
 def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
     scale = rational_scale(sigma)
     if exact and scale is None:
@@ -396,7 +384,8 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
     if isinstance(sigma, TypeH):
         if sigma.y is not None:
             sigma_matrix(sigma, shape.p)  # valid offsets cancel in K; invalid ones are refused
-        return _scaled_kernel(shape, 1.0 / float(sigma.x) if scale is None else scale)
+        scale = 1.0 / float(sigma.x) if scale is None else scale
+        return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
     base = _shape_kernel(shape)
     return _stack_kernel(shape, base.neighbors, btilde(sigma, shape.p), base.pairs, None, 1.0)
 
@@ -404,8 +393,37 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
 def trace_numerators_batch(labels: np.ndarray, shape: Shape):
     """Pair-kernel path over an (N, p) label matrix; same integer contract
     as closed_numerators_batch (numerators over p, p and p*t)."""
-    nums = _pair_kernel(shape, IDENTITY).triples(np.asarray(labels, dtype=np.int64))
+    nums = _shape_kernel(shape).triples(np.asarray(labels, dtype=np.int64))
     return nums[:, 0], nums[:, 1], nums[:, 2]
+
+
+def numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
+    """(N, 3) int64 identity numerators (n00, n01, n11) of a label matrix,
+    over (p, p, p t) (trace_numerators_batch), read-only."""
+    rows = np.column_stack(trace_numerators_batch(labels, shape))
+    rows.flags.writeable = False
+    return rows
+
+
+def scaled_rows(nums: np.ndarray, shape: Shape, sigma: TypeH) -> np.ndarray:
+    """Float coefficient rows of (N, 3) identity numerators (numerator_rows)
+    under an identity or type-H sigma: the one float route, which
+    triple_table takes too, so the same bits with no label scored."""
+    fac, p = float(_pair_kernel(shape, sigma).scale), shape.p
+    return nums * np.array([fac / p, fac / p, fac / (p * shape.t)])
+
+
+def exact_q(nums: np.ndarray, shape: Shape, scale: Fraction, x: Fraction):
+    """q = c00 + 2 c01 x + c11 x^2 of every row of (N, 3) identity
+    numerators (numerator_rows) at an exact type-H scale and x = u / v:
+    the integers t v^2 n00 + 2 t u v n01 + u^2 n11 and the one Fraction
+    they share, scale / (p t v^2).  In int64 when no dot product can pass
+    2**63, otherwise in Python ints."""
+    u, v, t = x.numerator, x.denominator, shape.t
+    w = [t * v * v, 2 * t * u * v, u * u]
+    if 3 * max(1, int(np.abs(nums).max(initial=0))) * max(map(abs, w)) >= 2**63:
+        nums, w = nums.astype(object), np.array(w, dtype=object)
+    return nums @ np.array(w), scale / (shape.p * t * v * v)
 
 
 def triple_table(
@@ -416,16 +434,9 @@ def triple_table(
     if not len(pool):
         return np.zeros((0, 3))
     pool = LabelPool.of(pool)
-    kern = _pair_kernel(pool.shape, sigma)
-    out = kern.triples(pool.labels)
-    return out if kern.scale is None else kern.floats(out)
-
-
-def type_h_table(nums: np.ndarray, shape: Shape, sigma: TypeH) -> np.ndarray:
-    """triple_table of the rows whose (N, 3) int64 identity numerators are
-    nums (trace_numerators_batch), for an identity or type-H sigma: the
-    same float operations, so the same bits, and no label scored."""
-    return _pair_kernel(shape, sigma).floats(nums)
+    if isinstance(sigma, TypeH):
+        return scaled_rows(_shape_kernel(pool.shape).triples(pool.labels), pool.shape, sigma)
+    return _pair_kernel(pool.shape, sigma).triples(pool.labels)
 
 
 def component_table(

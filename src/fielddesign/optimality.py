@@ -45,16 +45,17 @@ from .model import (
     GeneralCov,
     c11_base,
     centering_projector,
+    exact_q,
     exact_units,
     exact_value,
     exact_weighted_sum,
+    numerator_rows,
     rational_scale,
+    scaled_rows,
     schur_complement,
     schur_numerators,
     summed_components,
-    trace_numerators_batch,
     triple_table,
-    type_h_table,
 )
 
 GAP_TOL = 1e-9
@@ -63,28 +64,13 @@ MATERIALIZE_LIMIT = 20_000
 FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
 
 
-def _numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
-    """(N, 3) int64 identity numerators of a label matrix, read-only."""
-    rows = np.column_stack(trace_numerators_batch(labels, shape))
-    rows.flags.writeable = False
-    return rows
-
-
-def _triple_rows(shape: Shape, nums: np.ndarray, sigma: CovarianceSpec, exact: bool):
-    """(N, 3) coefficient rows of identity numerators (_numerator_rows) under
-    identity or type-H covariance, and the value of one unit in each column:
-    the int64 numerators with exact units, or floats."""
-    if exact:
-        return nums, exact_units(shape, rational_scale(sigma))
-    return type_h_table(nums, shape, sigma), np.ones(3)
-
-
-def _measure_rows(xi: "Measure", sigma: CovarianceSpec, exact: bool):
-    """_triple_rows of a measure's label rows, read from its kept numerators;
-    a dense Sigma scores the labels, in floats."""
+def _float_rows(xi: "Measure", sigma: CovarianceSpec) -> np.ndarray:
+    """Float coefficient rows of a measure's label rows: its kept numerators
+    under identity or type-H covariance (model.scaled_rows); a dense Sigma
+    scores the labels."""
     if isinstance(sigma, GeneralCov):
-        return triple_table(LabelPool(xi.shape, xi.labels), sigma), np.ones(3)
-    return _triple_rows(xi.shape, xi.numerator_rows(), sigma, exact)
+        return triple_table(LabelPool(xi.shape, xi.labels), sigma)
+    return scaled_rows(xi.numerator_rows(), xi.shape, sigma)
 
 
 class Measure:
@@ -147,7 +133,11 @@ class Measure:
         if exact:
             den = math.lcm(*(w.denominator for w in weights))
             np.add.at(vec, slot, [w.numerator * (den // w.denominator) for w in weights])
-            self._set_exact(vec.tolist(), den)
+            nums = vec.tolist()
+            if sum(nums) != den:
+                raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
+            g = math.gcd(den, *nums)  # merged rows may leave a common factor
+            self.weights, self.denominator = tuple(n // g for n in nums), den // g
         else:
             np.add.at(vec, slot, weights)
             total = math.fsum(vec.tolist())  # a running sum drifts past 1e-12 on large measures
@@ -155,12 +145,6 @@ class Measure:
                 raise ValueError(f"weights sum to {total}, expected 1")
             vec.flags.writeable = False
             self.weights, self.denominator = vec, None
-
-    def _set_exact(self, nums: list[int], den: int) -> None:
-        if sum(nums) != den:
-            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
-        g = math.gcd(den, *nums)  # merged rows may leave a common factor
-        self.weights, self.denominator = tuple(n // g for n in nums), den // g
 
     @staticmethod
     def point(s: BlockArray) -> "Measure":
@@ -187,9 +171,9 @@ class Measure:
 
     def numerator_rows(self) -> np.ndarray:
         """The (N, 3) int64 identity triple numerators of the label rows, over
-        (p, p, p t) (model.trace_numerators_batch): one pass, then kept."""
+        (p, p, p t) (model.numerator_rows): one pass, then kept."""
         if self._rows is None:
-            self._rows = _numerator_rows(self.shape, self.labels)
+            self._rows = numerator_rows(self.shape, self.labels)
         return self._rows
 
     def is_exact(self) -> bool:
@@ -241,12 +225,13 @@ class Measure:
 
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
     """Weighted sum of per-array coefficient triples."""
-    exact = xi.is_exact() and rational_scale(sigma) is not None
-    rows, units = _measure_rows(xi, sigma, exact)
-    if exact:
-        c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0), units / xi.denominator)
+    scale = rational_scale(sigma) if xi.is_exact() else None
+    if scale is not None:
+        rows = xi.numerator_rows()
+        c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0),
+                               exact_units(xi.shape, scale) / xi.denominator)
     else:
-        c = [float(v) for v in xi.float_weights() @ rows]
+        c = [float(v) for v in xi.float_weights() @ _float_rows(xi, sigma)]
     return CoefficientTriple(*c)
 
 
@@ -280,30 +265,22 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     """Envelope value max_s q_s(x) over the pool, with its witness array.
 
     Ties go to the earliest pool entry.  When x is exact (model.exact_value)
-    and the covariance is identity or exact type-H, a float shortlist is
-    settled exactly on the pool's distinct integer rows, each standing for
-    its earliest pool entry: in int64 when no dot product can overflow,
-    otherwise in Python integers.  A pool that full_pool keeps has its
-    distinct rows built once; r_eval only reads a kept pool, never builds one.
+    and the covariance is identity or exact type-H, every distinct integer
+    row of the pool, standing for its earliest pool entry, is scored
+    exactly (model.exact_q) and the first maximum wins.  A pool that
+    full_pool keeps has its distinct rows built once; r_eval only reads a
+    kept pool, never builds one.
     """
     pool = LabelPool.of(pool)
-    shape = pool.shape
-    xf = exact_value(x)
-    if rational_scale(sigma) is not None and xf is not None:
-        u, v, t = xf.numerator, xf.denominator, shape.t
-        kept = _full_pools.get(shape)
+    xf, scale = exact_value(x), rational_scale(sigma)
+    if scale is not None and xf is not None:
+        kept = _full_pools.get(pool.shape)
         if kept is None or kept.pool is not pool:
             kept = _PoolTriples(pool)  # for this call only
         rows, first = kept.triples()
-        q = q_eval((rows / [shape.p, shape.p, shape.p * t]).T, float(xf))
-        near = np.flatnonzero(q >= q.max() - 1e-6 * max(1.0, abs(q.max())))
-        # q = (t v^2 n00 + 2 t u v n01 + u^2 n11) / (p t v^2) at x = u / v
-        w, sub = [t * v * v, 2 * t * u * v, u * u], rows[near]
-        if 3 * max(1, int(np.abs(sub).max())) * max(map(abs, w)) >= 2**63:
-            sub, w = sub.astype(object), np.array(w, dtype=object)
-        k = near[int(np.argmax(sub @ np.array(w)))]
-        value = q_eval(rows[k].astype(object) * exact_units(shape, rational_scale(sigma)), xf)
-        return value, pool[first[k]]
+        q, unit = exact_q(rows, pool.shape, scale, xf)
+        k = int(np.argmax(q))
+        return int(q[k]) * unit, pool[first[k]]
     q = q_eval(triple_table(pool, sigma).T, float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
@@ -684,19 +661,21 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     if not orbits:
         raise ValueError("no orbits given")
     exact = (x := exact_value(x_star)) is not None
-    x = x if exact else float(x_star)
     reps = LabelPool.of([o.representative for o in orbits])
-    rows, units = _triple_rows(reps.shape, _numerator_rows(reps.shape, reps.labels),
-                               IDENTITY, exact)
-    g = [int(n01) * units[1] + x * (int(n11) * units[2]) if exact
-         else float(n01 + x * n11) for _, n01, n11 in rows]
+    rows = numerator_rows(reps.shape, reps.labels)
+    if exact:  # c01 + x c11 = (q(x + 1) - q(x - 1)) / 4, and q(x +- 1) share one unit
+        (hi, _), (lo, _) = (exact_q(rows, reps.shape, Fraction(1), x + d) for d in (1, -1))
+        g = [Fraction(a - b) for a, b in zip(hi.tolist(), lo.tolist())]
+        zero, one, cut = Fraction(0), Fraction(1), 0
+    else:
+        x = float(x_star)
+        g = [float(n01 + x * n11) for _, n01, n11 in scaled_rows(rows, reps.shape, IDENTITY)]
+        zero, one, cut = 0.0, 1.0, 1e-12 * max(1.0, max(abs(v) for v in g))
     n = len(orbits)
-    zero = Fraction(0) if exact else 0.0
     weights = [zero] * n
-    cut = 0 if exact else 1e-12 * max(1.0, max(abs(float(v)) for v in g))
     for k, v in enumerate(g):
         if abs(v) <= cut:
-            weights[k] = Fraction(1) if exact else 1.0
+            weights[k] = one
             return weights, zero
     neg = min(range(n), key=lambda k: g[k])
     pos = max(range(n), key=lambda k: g[k])
@@ -759,23 +738,28 @@ def verify_measure(
     An exact measure, exact (x*, y*) and identity or exact type-H covariance
     (model.exact_value) are checked on integer numerators, residuals Fractions."""
     t = xi.shape.t
-    xe, ye = exact_value(x_star), exact_value(y_star)
-    exact = (xi.is_exact() and rational_scale(sigma) is not None
-             and xe is not None and ye is not None)
+    x, y = exact_value(x_star), exact_value(y_star)
+    scale = rational_scale(sigma) if xi.is_exact() else None
+    exact = scale is not None and x is not None and y is not None
     nums, d = summed_components(xi.shape, xi.labels, xi.weights if exact else xi.float_weights(),
                                 sigma, exact, xi.orbit_sizes is not None)
     if exact:
         # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
         # residual is the largest |entry| of a matrix over one integer
-        x_star, y_star = xe, ye
         (n00, n01, n11), d = nums, d * xi.denominator
-        (u, v), (m, e) = x_star.as_integer_ratio(), y_star.as_integer_ratio()
+        (u, v), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
         info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
         balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
             ((t - 1) * e * _sandwich(v * n00 + u * n01) - t * v * d * m * proj, t * s * v * d),
             (_sandwich(v * n01.T + u * n11), t * t * v * d),
             (s * info - pivot * d * m * proj, s * pivot * d)))
+        # atoms of one orbit share a row, so each distinct row is scored once
+        distinct, _, inverse = group_rows(xi.numerator_rows())
+        q, unit = exact_q(distinct, xi.shape, scale, x)
+        off = np.array([abs(int(n) * unit - y) > tol * max(1, abs(y)) for n in q.tolist()])
+        support_mass = Fraction(sum(n for n, o in zip(xi.weights, off[inverse]) if o),
+                                xi.denominator)
     else:
         c00, c01, c11 = comps = nums / d
         bt = centering_projector(t)
@@ -786,14 +770,8 @@ def verify_measure(
         balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
             bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
             schur_complement(*comps) - target))
-    # support: atoms of one orbit share a triple, so test each distinct row once
-    rows, units = _measure_rows(xi, sigma, exact)
-    distinct, _, inverse = group_rows(rows)
-    off = np.array([abs(q_eval(c.astype(object) * units, x_star) - y_star)
-                    > tol * max(1, abs(y_star)) for c in distinct])[inverse]
-    if exact:
-        support_mass = Fraction(sum(n for n, o in zip(xi.weights, off) if o), xi.denominator)
-    else:  # left to right in row order, not np.sum's pairwise order
+        off = np.abs(q_eval(_float_rows(xi, sigma).T, x) - y) > tol * max(1.0, abs(y))
+        # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = balance <= tol and slope <= tol and support_mass <= tol and info_res <= tol
     return VerificationReport(
@@ -826,7 +804,7 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
 
 class _PoolTriples:
     """A pool and, built when r_eval first asks, its distinct exact triple
-    rows (the identity numerators of _numerator_rows) in order of first
+    rows (the identity numerators of model.numerator_rows) in order of first
     occurrence, with the first pool row of each; all read-only."""
 
     __slots__ = ("pool", "_triples")
@@ -836,7 +814,7 @@ class _PoolTriples:
 
     def triples(self) -> tuple[np.ndarray, np.ndarray]:
         if self._triples is None:
-            distinct, first, _ = group_rows(_numerator_rows(self.pool.shape, self.pool.labels))
+            distinct, first, _ = group_rows(numerator_rows(self.pool.shape, self.pool.labels))
             order = np.argsort(first)
             self._triples = distinct[order], first[order]
             for arr in self._triples:

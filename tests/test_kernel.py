@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fielddesign.arrays import BlockArray, Orbit, Shape, label_matrix, orbit_members, orbit_size
+from fielddesign.arrays import (
+    BlockArray,
+    LabelPool,
+    Orbit,
+    Shape,
+    label_matrix,
+    orbit_members,
+    orbit_size,
+)
 from fielddesign.designs import ExactDesign, measure_of_design
 from fielddesign.arrays import neighbor_matrix
 from fielddesign.model import (
@@ -24,9 +32,12 @@ from fielddesign.model import (
     c_coeffs_closed,
     closed_numerators_batch,
     component_numerators,
+    exact_q,
     info_matrix_exact,
     info_matrix_measure,
+    numerator_rows,
     rational_scale,
+    scaled_rows,
     schur_numerators,
     trace_numerators_batch,
     triple_table,
@@ -147,10 +158,6 @@ def test_equal_type_h_weights_keep_their_own_exactness(float_first):
 def test_type_h_kernel_is_kept_per_shape_and_scale():
     shape = Shape(2, 3, 3)
     exact_two, float_two = TypeH(Fraction(2)), TypeH(2.0)
-    assert _pair_kernel(shape, exact_two) is _pair_kernel(shape, TypeH(2))
-    assert _pair_kernel(shape, float_two) is _pair_kernel(shape, TypeH(2.0))
-    # the scales 1/2 and 0.5 are equal and hash alike, yet keep their own kernels
-    assert _pair_kernel(shape, exact_two) is not _pair_kernel(shape, float_two)
     assert type(_pair_kernel(shape, exact_two).scale) is Fraction
     assert type(_pair_kernel(shape, float_two).scale) is float
     assert _pair_kernel(Shape(2, 3, 4), exact_two).shape == Shape(2, 3, 4)
@@ -331,6 +338,50 @@ def _check_against_reference(xi: Measure, sigma, x: Fraction, y: Fraction) -> st
     return report.verdict
 
 
+# ---------------------------------------------------------------------------
+# the one route from identity numerators: exact values and float rows
+
+_SMALL_X = st.fractions(-4, 4, max_denominator=50)
+# an odd numerator over 2**k, k >= 30, is in lowest terms, and t v^2 >= 3 * 2**60
+_BIG_X = st.one_of(st.sampled_from([Fraction(2**40 + 1, 3**30), Fraction(1, 2**30)]),
+                   st.builds(lambda u, k: Fraction(2 * u + 1, 2**k),
+                             st.integers(-2**70, 2**70), st.integers(30, 80)))
+
+
+@st.composite
+def route_rows(draw):
+    """One of (2,3,3), (2,4,3) and (3,3,3) and up to eight label rows."""
+    shape = Shape(*draw(st.sampled_from([(2, 3, 3), (2, 4, 3), (3, 3, 3)])))
+    rows = draw(st.lists(st.lists(st.integers(1, shape.t), min_size=shape.p, max_size=shape.p),
+                         min_size=1, max_size=8))
+    return shape, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(route_rows(), st.sampled_from([IDENTITY, TypeH(Fraction(3, 2))]), st.booleans(),
+       st.data())
+def test_exact_q_is_the_counting_formula(case, sigma, big, data):
+    # int64 at small x, Python ints once t v^2 alone passes 2**63 / 3
+    shape, labels = case
+    x = data.draw(_BIG_X if big else _SMALL_X)
+    scale, p, t = rational_scale(sigma), shape.p, shape.t
+    rows = numerator_rows(shape, labels)
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    q, unit = exact_q(rows, shape, scale, x)
+    assert q.dtype == (object if big else np.int64) and type(unit) is Fraction
+    for n, n00, n01, n11 in zip(q.tolist(), *closed_numerators_batch(labels, shape)):
+        c00, c01, c11 = Fraction(int(n00), p), Fraction(int(n01), p), Fraction(int(n11), p * t)
+        assert type(n) is int and n * unit == scale * (c00 + 2 * c01 * x + c11 * x * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(route_rows(), st.sampled_from([IDENTITY, TypeH(Fraction(3, 2)), TypeH(1.5)]))
+def test_float_route_has_the_bits_of_triple_table(case, sigma):
+    shape, labels = case
+    got = scaled_rows(numerator_rows(shape, labels), shape, sigma)
+    assert got.tobytes() == triple_table(LabelPool(shape, labels), sigma).tobytes()
+
+
 SIGMAS = [IDENTITY, TypeH(Fraction(3, 2)), TypeH(Fraction(7, 3))]
 
 
@@ -431,6 +482,26 @@ def test_verdict_is_the_information_target(abt, with_optimal, data):
         (_, n01, n11), _ = component_numerators(shape, label_matrix(design.blocks),
                                                 [1] * design.n)
         assert on_target == ((n01.T + x * n11) @ bt == 0).all()
+
+
+@pytest.mark.parametrize("x", [Fraction(2**40 + 1, 3**30), Fraction(1, 2**30)])
+def test_exact_support_test_past_int64(x):
+    # the q numerators at x* pass int64 (at 1/2**30 their weights do not):
+    # the support mass and the verdict against per-row Fractions of the
+    # counting formula, at y* touching some rows or none
+    shape, sigma = Shape(2, 3, 3), TypeH(Fraction(3, 2))
+    rows = np.random.default_rng(7).integers(1, shape.t + 1, size=(6, shape.p))
+    xi = Measure.from_labels(shape, rows, [Fraction(k, 21) for k in range(1, 7)])
+    p, t, scale = shape.p, shape.t, rational_scale(sigma)
+    assert exact_q(xi.numerator_rows(), shape, scale, x)[0].dtype == object
+    q = [scale * (Fraction(int(a), p) + 2 * x * Fraction(int(b), p) + x * x * Fraction(int(c), p * t))
+         for a, b, c in zip(*closed_numerators_batch(xi.labels, shape))]
+    for y in (q[0], q[0] + Fraction(1, 3**30), max(q), Fraction(2**40 + 3, 3**30)):
+        report = verify_measure(xi, sigma, x, y)
+        mass = sum((Fraction(n, xi.denominator) for n, qk in zip(xi.weights, q)
+                    if abs(qk - y) > 1e-9 * max(1, abs(y))), Fraction(0))
+        assert type(report.support_mass) is Fraction and report.support_mass == mass
+        assert report.optimal == _reference_report(xi, sigma, x, y)[-1]
 
 
 @settings(max_examples=80, deadline=None)
