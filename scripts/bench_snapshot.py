@@ -5,13 +5,20 @@
         --seconds 10 --out BENCH_k.json
 
 Each --root NAME=PATH is the root of a checkout with its own perfbench/.
-For every seed and workload the checkouts run `perfbench/run.py --trace 0`
-one after the other, the first of them alternating from seed to seed, so
-each seed gives one pair of runs under the same conditions.  The snapshot
-holds each checkout's commit and source line count, the seeds, every JSON
-line run.py printed, and per workload and metric the median and quartiles
-of each checkout and the number of pairs that each later checkout won
-against the first.
+Every checkout is copied once (without .git and caches) into a fresh
+temporary directory, and every run starts from one of the fixed sibling
+slot directories slot0, slot1, ... there, as the working directory of a
+run can move its figures (a dense-sigma `wall_s` read +5% between two
+clones of one commit).  From seed to seed the copies move one slot on, so
+with two checkouts they swap slots at every pair; the first checkout to
+run swaps every second seed, so over four seeds each checkout runs first
+and sits in each slot twice.  For every seed and workload the checkouts
+run `perfbench/run.py --trace 0` one after the other, so each seed gives
+one pair of runs under the same conditions.  The snapshot holds each
+checkout's commit and source line count, the seeds, every JSON line
+run.py printed with the slot it ran from, and per workload and metric the
+median and quartiles of each checkout and the number of pairs that each
+later checkout won against the first.
 Each --traced WORKLOAD adds one `--trace 1` run per checkout, on the first
 seed, after the pairs, under "traced": the per-layer self times and counters.
 """
@@ -22,9 +29,11 @@ import argparse
 import hashlib
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -77,6 +86,17 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 
     raise RuntimeError(f"{cmd} in {root} failed {ATTEMPTS} times: {retries}")
 
 
+def place(copies: list[Path], work: Path, shift: int) -> list[Path]:
+    """Move the k-th copy of the work directory into its slot (k + shift)
+    mod n, by way of held{k}; copies then lists the slots, and a copy of it
+    is returned."""
+    for k, copy in enumerate(copies):
+        copies[k] = copy.rename(work / f"held{k}")
+    for k, copy in enumerate(copies):
+        copies[k] = copy.rename(work / f"slot{(k + shift) % len(copies)}")
+    return list(copies)
+
+
 def summarize(runs: list[dict], names: list[str], workloads: list[str]) -> tuple[dict, dict]:
     summary: dict = {}
     pairs: dict = {}
@@ -122,21 +142,31 @@ def main() -> int:
     roots = dict(spec.split("=", 1) for spec in args.root)
     names = list(roots)
     seeds = parse_seeds(args.seeds)
-    runs = []
-    for k, seed in enumerate(seeds):
-        order = names if k % 2 == 0 else names[::-1]
-        for w in args.workload:
-            for n in order:
-                result = run_once(Path(roots[n]), w, seed, args.seconds)
-                runs.append({"root": n, "workload": w, "seed": seed, "result": result})
-                print(json.dumps(runs[-1]), flush=True)
+    runs, traced = [], []
+    work = Path(tempfile.mkdtemp(prefix="bench_snapshot_"))
+    try:
+        ignore = shutil.ignore_patterns(".git", "__pycache__", ".work", ".pytest_cache")
+        copies = [Path(shutil.copytree(roots[n], work / f"held{k}", ignore=ignore))
+                  for k, n in enumerate(names)]
+        for k, seed in enumerate(seeds):
+            slots = dict(zip(names, place(copies, work, k)))
+            order = names if (k // 2) % 2 == 0 else names[::-1]
+            for w in args.workload:
+                for n in order:
+                    result = run_once(slots[n], w, seed, args.seconds)
+                    runs.append({"root": n, "workload": w, "seed": seed,
+                                 "slot": slots[n].name, "result": result})
+                    print(json.dumps(runs[-1]), flush=True)
+        slots = dict(zip(names, place(copies, work, 0)))
+        for w in args.traced:
+            for n in names:
+                result = run_once(slots[n], w, seeds[0], args.seconds, trace=1)
+                traced.append({"root": n, "workload": w, "seed": seeds[0],
+                               "slot": slots[n].name, "result": result})
+                print(json.dumps(traced[-1]), flush=True)
+    finally:
+        shutil.rmtree(work)
     summary, pairs = summarize(runs, names, args.workload)
-    traced = []
-    for w in args.traced:
-        for n in names:
-            result = run_once(Path(roots[n]), w, seeds[0], args.seconds, trace=1)
-            traced.append({"root": n, "workload": w, "seed": seeds[0], "result": result})
-            print(json.dumps(traced[-1]), flush=True)
     snapshot = {
         "roots": {n: describe(Path(p)) for n, p in roots.items()},
         "seeds": seeds,

@@ -25,7 +25,7 @@ matrix for every covariance: in int64 on K = pI - J for the identity and
 type-H family, and in float on K = Btilde for a dense Sigma.  The
 covariance-free part (neighbor matrix, int64 stack, plot-pair index and
 pair weights) is built once per shape and held read-only; a covariance
-adds its scale, or its own float stack, and is validated on every call.
+adds its scale, or its own float stack, and its size is checked on each.
 Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
 exact for the integer stack (_shape_kernel states the bound).  Only this
 module reads the identity numerators over (p, p, p t): numerator_rows,
@@ -65,7 +65,8 @@ CHUNK_ROWS = 2048
 @dataclass(frozen=True)
 class TypeH:
     """Sigma = x I + y 1' + 1 y', which shares its contrast kernel with x I;
-    x > 0 with a finite float value, y checked by sigma_matrix."""
+    x > 0 with a finite float value, and finite offsets y, tested once in
+    Fractions: positive definite exactly when x + sum y > sqrt(len(y) y'y)."""
 
     x: Fraction | float | int
     y: tuple | None = None
@@ -77,6 +78,14 @@ class TypeH:
             ok = False
         if not ok:
             raise ValueError("type-H weight x must be positive and finite")
+        if self.y is not None:
+            try:  # numpy integers as Python ints (exact_value), floats as they are
+                x, *y = (Fraction(v) if (e := exact_value(v)) is None else e
+                         for v in (self.x, *self.y))
+            except (OverflowError, ValueError):  # an infinite or NaN float
+                raise ValueError("type-H offsets y must be finite numbers") from None
+            if not (0 < (lead := x + sum(y)) and lead * lead > len(y) * sum(v * v for v in y)):
+                raise ValueError("type-H parameters do not give a positive definite matrix")
 
 
 @dataclass(frozen=True)
@@ -165,16 +174,13 @@ def sigma_from_json(obj) -> CovarianceSpec:
 
 def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
     """The p x p matrix of a covariance spec: the one check that the spec
-    describes a positive definite matrix of that size (the length of any
-    type-H offsets included); ValueError otherwise."""
+    fits p plots (a type-H spec is positive definite by construction, and
+    a GeneralCov by from_matrix); ValueError otherwise."""
     if isinstance(sigma, TypeH):
         y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
         if y.shape != (p,):
             raise ValueError(f"type-H offset vector must have length {p}")
-        m = float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
-        if np.linalg.eigvalsh(m)[0] <= 0:
-            raise ValueError("type-H parameters do not give a positive definite matrix")
-        return m
+        return float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
     m = sigma.array()
     if m.shape != (p, p):
         raise ValueError(f"covariance is {m.shape[0]}x{m.shape[1]}, need {p}x{p}")
@@ -382,8 +388,8 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
     if exact and scale is None:
         raise ValueError("exact path needs Identity or rational type-H covariance")
     if isinstance(sigma, TypeH):
-        if sigma.y is not None:
-            sigma_matrix(sigma, shape.p)  # valid offsets cancel in K; invalid ones are refused
+        if sigma.y is not None and len(sigma.y) != shape.p:  # offsets cancel in K
+            raise ValueError(f"type-H offset vector must have length {shape.p}")
         scale = 1.0 / float(sigma.x) if scale is None else scale
         return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
     base = _shape_kernel(shape)

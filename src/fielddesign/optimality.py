@@ -803,23 +803,28 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
 
 
 class _PoolTriples:
-    """A pool and, built when r_eval first asks, its distinct exact triple
-    rows (the identity numerators of model.numerator_rows) in order of first
-    occurrence, with the first pool row of each; all read-only."""
+    """A pool and, built when first asked, its distinct exact triple rows
+    (model.numerator_rows) in order of first occurrence, the first pool row
+    of each, and only for table() the int32 row of each pool row; read-only."""
 
-    __slots__ = ("pool", "_triples")
+    __slots__ = ("pool", "_triples", "_index")
 
     def __init__(self, pool: LabelPool):
-        self.pool, self._triples = pool, None
+        self.pool, self._triples, self._index = pool, None, None
 
-    def triples(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._triples is None:
-            distinct, first, _ = group_rows(numerator_rows(self.pool.shape, self.pool.labels))
+    def triples(self, index: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        if self._triples is None or (index and self._index is None):
+            distinct, first, group = group_rows(numerator_rows(self.pool.shape, self.pool.labels))
             order = np.argsort(first)
-            self._triples = distinct[order], first[order]
-            for arr in self._triples:
+            self._triples = self._triples or (distinct[order], first[order])
+            self._index = np.argsort(order).astype(np.int32)[group] if index else None
+            for arr in (*self._triples, self._index)[:2 + index]:
                 arr.flags.writeable = False
         return self._triples
+
+    def table(self, sigma: CovarianceSpec) -> np.ndarray:
+        """triple_table(pool, sigma) of a type-H sigma, the same bits."""
+        return scaled_rows(self.triples(index=True)[0], self.pool.shape, sigma)[self._index]
 
 
 # Full pools kept per process, least recently used dropped first, while they
@@ -906,6 +911,23 @@ def _active_slopes(table: np.ndarray, x: float):
     return act, table[act, 1] + x * table[act, 2]
 
 
+def _live_rows(table: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The rows that can come within _active_slopes' tie band of the envelope
+    in [lo, hi], in order.  A row peaks there at an end, or at most |c11|
+    (hi - lo)^2 above one if c11 < 0.  A row on top at lo or hi bounds the
+    envelope from below by its tangent there, or by |c11| (hi - lo)^2 less.
+    The slack, 1e-9 of the largest term on [lo, hi], is far above rounding."""
+    _, c01, c11 = cols = table.T
+    ends = q_eval(cols, lo), q_eval(cols, hi)
+    (r0, g0), (r1, g1) = ((q[k], 2.0 * (c01[k] + x * c11[k])) for x, q in zip((lo, hi), ends)
+                          for k in [int(np.argmax(q))])
+    cross = min(hi, max(lo, (r1 - r0 + g0 * lo - g1 * hi) / (g0 - g1))) if g0 != g1 else lo
+    floor = min(max(r0 + g0 * (x - lo), r1 + g1 * (x - hi)) for x in (lo, hi, cross))
+    reach, bend = max(abs(lo), abs(hi)), max(0.0, -c11.min()) * (hi - lo) * (hi - lo)
+    slack = 1e-9 * (1.0 + np.abs(table).max(axis=0) @ (1.0, 2.0 * reach, reach * reach))
+    return table[np.maximum(*ends) >= floor - 2.0 * bend - slack]
+
+
 def _nearest_crossing(clo, chi, xt: float) -> float:
     # root of q_lo - q_hi closest to xt, or xt when they do not cross
     a2 = clo[2] - chi[2]
@@ -951,10 +973,16 @@ def _basic_mixture(table: np.ndarray, x: float) -> np.ndarray | None:
     return w
 
 
-def _side(table: np.ndarray, x: float) -> int:
+def _side(table: np.ndarray | list, x: float) -> int:
     """Sign of the envelope's subdifferential at x: +1 when every active
     slope is positive (the minimiser lies left), -1 when every one is
     negative, 0 when x is a minimiser."""
+    if isinstance(table, list):  # a few rows: q_eval's and _active_slopes' float operations
+        q = [c00 + (c01 + c01) * x + c11 * x * x for c00, c01, c11 in table]
+        m = max(q)
+        cut = m - 1e-14 * max(1.0, abs(m))
+        g = [c01 + x * c11 for (_, c01, c11), v in zip(table, q) if v >= cut]
+        return 1 if min(g) > 0 else -1 if max(g) < 0 else 0
     _, g = _active_slopes(table, x)
     return 1 if g.min() > 0 else -1 if g.max() < 0 else 0
 
@@ -974,6 +1002,9 @@ def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid, steps
+        if steps and steps % 4 == 0 and not isinstance(table, list):
+            table = _live_rows(table, lo, hi)
+            table = table.tolist() if len(table) <= 16 else table
         side = _side(table, mid)
         if side == 0:
             return mid, steps + 1
@@ -1002,15 +1033,18 @@ def solve_exchange(
     of r is bracketed from x = 0 by doubling steps and bisected on the
     sign of the subdifferential, the slopes of the pool rows tied with
     the envelope, until it contains 0 or the interval stops shrinking;
-    `iterations` counts the bisection steps, at most max_iter.  The
-    measure is a one- or two-atom mixture over the rows active at the
-    minimiser (_basic_mixture); ties go to the earliest pool row.  `gap`
-    is the envelope at the measure's peak less the peak; the result is
-    flagged converged when gap <= tol (relative).  To certify a measure
-    already at hand, use equivalence_gap.
+    `iterations` counts the bisection steps, at most max_iter.  Every few
+    steps it narrows to the rows still live on the bracket (_live_rows),
+    taking the same steps.  The measure is a one- or two-atom mixture over
+    the rows active at the minimiser (_basic_mixture); ties go to the
+    earliest pool row.  `gap` is the envelope at the measure's peak less
+    the peak; the result is flagged converged when gap <= tol (relative).
+    To certify a measure already at hand, use equivalence_gap.
     """
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
-    table = triple_table(pool, sigma)
+    kept = _full_pools.get(pool.shape)
+    table = (kept.table(sigma) if kept is not None and kept.pool is pool
+             and not isinstance(sigma, GeneralCov) else triple_table(pool, sigma))
     x, iterations = _envelope_argmin(table, max_iter)
     w = _basic_mixture(table, x)
     if w is None:  # bisection cut short by max_iter: best single row

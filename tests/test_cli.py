@@ -343,6 +343,10 @@ BAD_SIGMA = {
     # offsets are a list of numbers, not any iterable such as a string
     "offsets-string": ("h.json", '{"type": "type-h", "x": 1, "y": "000000"}', "list of numbers"),
     "offsets-object": ("h.json", '{"type": "type-h", "x": 1, "y": {"a": 1}}', "list of numbers"),
+    # an exact test: the float matrix of these offsets overflows, with a warning
+    "offsets-past-float-range": ("h.json",
+                                 '{"type": "type-h", "x": 1, "y": [1e308, 0, 0, 0, 0, 0]}',
+                                 "positive definite"),
     "offsets-overflow": ("h.json", '{"type": "type-h", "x": 1, "y": [1%s, 0, 0, 0, 0, 0]}'
                          % ("0" * 400), "bad type-H"),
     "keyword-zero-denominator": (None, "type-h:1/0", "1/0"),

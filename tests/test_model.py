@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,14 @@ from fielddesign.model import (
     symmetric_pinv,
     triple_table,
 )
-from fielddesign.optimality import Measure, full_pool, solve_closed_form, verify_measure
+from fielddesign.optimality import (
+    Measure,
+    full_pool,
+    measure_triple,
+    r_eval,
+    solve_closed_form,
+    verify_measure,
+)
 
 from .conftest import (
     OPTIMAL_BLOCKS_232,
@@ -127,16 +135,53 @@ def test_type_h_refuses_a_weight_not_positive_and_finite(x):
         TypeH(x)
 
 
+# each spec is built inside the check: a type-H spec that is not positive
+# definite is refused when it is made
 @pytest.mark.parametrize("sigma, match", [
-    (TypeH(1, y=(0.5,)), "length 6"),
-    (TypeH(1, y=(-3, 0, 0, 0, 0, 0)), "positive definite"),
-    (_ar_cov(4), "need 6x6"),
+    (functools.partial(TypeH, 1, y=(0.5,)), "length 6"),
+    (functools.partial(TypeH, 1, y=(-3, 0, 0, 0, 0, 0)), "positive definite"),
+    (functools.partial(_ar_cov, 4), "need 6x6"),
 ])
 def test_sigma_matrix_and_pair_kernel_refuse_a_bad_matrix(sigma, match):
     with pytest.raises(ValueError, match=match):
-        sigma_matrix(sigma, 6)
+        sigma_matrix(sigma(), 6)
     with pytest.raises(ValueError, match=match):
-        triple_table([array_of(2, 3, 2, OPTIMAL_BLOCKS_232[0])], sigma)
+        triple_table([array_of(2, 3, 2, OPTIMAL_BLOCKS_232[0])], sigma())
+
+
+@pytest.mark.parametrize("x", [Fraction(1), 1.0], ids=["exact", "float"])
+def test_type_h_offsets_are_refused_alike_on_exact_and_float_paths(x):
+    # the exact paths never built the float matrix whose eigenvalues refused
+    # these offsets: solve_closed_form, measure_triple and r_eval returned values
+    shape = Shape(2, 3, 3)
+    xi, pool = solve_closed_form(shape).measure, full_pool(shape)
+    for call in (lambda s: solve_closed_form(shape, s), lambda s: measure_triple(xi, s),
+                 lambda s: r_eval(Fraction(0), pool, s)):
+        with pytest.raises(ValueError, match="positive definite"):
+            call(TypeH(x, y=(-3, 0, 0, 0, 0, 0)))
+
+
+def test_type_h_offset_test_is_exact_and_agrees_with_the_eigenvalues():
+    # y = -x/(2p) 1 makes x + 2 p y_1, an eigenvalue, exactly 0; the float
+    # matrix of the first offsets below overflows
+    for x, y in ((1, (-0.25, -0.25)), (Fraction(3, 2), (Fraction(-3, 16),) * 4),
+                 (1.0, (1e308, 0, 0, 0, 0, 0)), (1, (float("inf"), 0)), (1, (float("nan"), 0))):
+        with pytest.raises(ValueError, match="positive definite|finite"):
+            TypeH(x, y=y)
+    TypeH(1, y=(-0.25, -0.2499999))
+    TypeH(1, y=(1e308,) * 6)  # y = c 1 with c > 0 adds 2 p c to one eigenvalue
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        p, x = int(rng.integers(1, 10)), float(rng.exponential())
+        y = rng.normal(size=p) * rng.exponential()
+        least = np.linalg.eigvalsh(x * np.eye(p) + np.add.outer(y, y))[0]
+        if abs(least) > 1e-9:
+            try:
+                TypeH(x, y=tuple(y))
+            except ValueError:
+                assert least < 0
+            else:
+                assert least > 0
 
 
 def test_exact_value_is_the_one_exactness_rule():

@@ -464,6 +464,39 @@ def test_full_pool_is_kept_once_read_only_and_scored_lazily(fresh_full_pools):
             arr[(0,) * arr.ndim] += 1
 
 
+# the shapes of the benchmark's certify and dense-sigma workloads
+BENCHMARK_SHAPES = [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5), (2, 5, 4), (2, 4, 6),
+                    (2, 4, 7), (2, 3, 5), (2, 3, 6), (2, 2, 3), (2, 4, 8), (3, 3, 8), (3, 3, 9),
+                    (2, 3, 3), (3, 3, 4)]
+
+
+@pytest.mark.parametrize("abt", BENCHMARK_SHAPES)
+def test_kept_numerator_table_is_the_triple_table(fresh_full_pools, abt):
+    shape = Shape(*abt)
+    pool = full_pool(shape)
+    kept = optimality._full_pools[shape]
+    for sigma in (IDENTITY, TypeH(Fraction(3, 2)), TypeH(1.5)):
+        assert kept.table(sigma).tobytes() == triple_table(pool, sigma).tobytes(), sigma
+    assert kept._index.dtype == np.int32 and len(kept._index) == len(pool)
+
+
+def test_certify_leaves_the_row_index_unbuilt(fresh_full_pools):
+    shape = Shape(2, 4, 3)
+    for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+        res = solve_closed_form(shape, sigma)
+        assert verify_measure(res.measure, sigma, res.x_star, res.y_star).optimal
+        assert equivalence_gap(res.measure, full_pool(shape), sigma) == 0
+        r_eval(Fraction(1, 7), full_pool(shape), sigma)
+    kept = optimality._full_pools[shape]
+    rows, first = kept.triples()
+    assert kept._index is None
+    # a solve over the kept pool builds the index once and keeps the rows
+    solve_exchange(shape, TypeH(Fraction(3, 2)))
+    index = kept._index
+    solve_exchange(shape)
+    assert kept._index is index and all(a is b for a, b in zip(kept.triples(), (rows, first)))
+
+
 def test_full_pools_past_the_row_bound_are_not_kept(fresh_full_pools, monkeypatch):
     monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 400)
     big = Shape(2, 4, 3)  # 1,094 rows
@@ -787,6 +820,88 @@ def test_exchange_ties_survive_last_bit_rounding(shape, sigma, monkeypatch):
             [o.representative for o, _ in base.orbit_weights], trial
         for (_, w0), (_, w1) in zip(base.orbit_weights, bumped.orbit_weights):
             assert abs(w1 - w0) <= 1e-12
+
+
+def _full_table_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
+    # the bisection as first written: every step scores the whole table
+    def side(x):
+        _, g = optimality._active_slopes(table, x)
+        return 1 if g.min() > 0 else -1 if g.max() < 0 else 0
+
+    s0 = side(0.0)
+    if s0 == 0:
+        return 0.0, 0
+    near, far = 0.0, -float(s0)
+    while (sd := side(far)) == s0:
+        near, far = far, 2.0 * far
+    if sd == 0:
+        return far, 0
+    lo, hi = sorted((near, far))
+    for steps in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid, steps
+        sd = side(mid)
+        if sd == 0:
+            return mid, steps + 1
+        lo, hi = (lo, mid) if sd > 0 else (mid, hi)
+    return 0.5 * (lo + hi), max_iter
+
+
+SMALL_SHAPES = [Shape(a, b, t) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))
+                for t in range(2, a * b + 2)]
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_narrowed_bisection_takes_the_full_tables_steps(shape):
+    p = shape.p
+    pool = full_pool(shape)
+    sigmas = [_ar_kernel(p, rho) for rho in (0.2, 0.5, 0.8, -0.4)]
+    sigmas += [_random_spd(p, seed) for seed in (3, 2017)]
+    sigmas += [GeneralCov.from_matrix(np.eye(p)), TypeH(Fraction(3, 2)), TypeH(0.7)]
+    for sigma in sigmas:
+        table = triple_table(pool, sigma)
+        for max_iter in (5, 500):
+            got = optimality._envelope_argmin(table, max_iter)
+            want = _full_table_argmin(table, max_iter)
+            assert got[0].hex() == want[0].hex() and got[1] == want[1], (sigma, max_iter)
+
+
+def test_narrowed_bisection_on_hand_made_tables():
+    rng = np.random.default_rng(5)
+    # a near-linear row rounded to c11 = -1e-17 sets the envelope right of
+    # its crossing with a convex row; rows far above and below drop out
+    concave = np.array([[1.0, -0.5, 1.0], [0.8, 0.05, -1e-17], [0.1, 0.0, 0.2],
+                        *([9.0, 0.0, 1.0] + rng.normal(size=(40, 3)) * [0.1, 0.1, 0.05])])
+    # sixty rows within the tie band of each other across the bracket, with
+    # slopes of both signs: the envelope is flat to rounding and none may drop
+    flat = np.column_stack([1 + 1e-15 * rng.random(60), 1e-13 * rng.normal(size=60),
+                            1e-12 * rng.random(60)])
+    flat[0] = [1.0, -1e-3, 1e-2]  # the minimiser lies right of 0
+    for table in (concave, flat):
+        for max_iter in (5, 500):
+            got = optimality._envelope_argmin(table, max_iter)
+            want = _full_table_argmin(table, max_iter)
+            assert got[0].hex() == want[0].hex() and got[1] == want[1], max_iter
+    assert optimality._envelope_argmin(concave, 500)[1] > 20
+    assert len(optimality._live_rows(flat, -1e-3, 1.0)) == len(flat)
+
+
+def test_float_rows_decide_steps_like_the_table():
+    # a row of slope -0.3 + 0.2 x set a few units in the last place about the
+    # edge of the tie band of the envelope row 1 + x: whether it ties, and so
+    # the step, hangs on every rounding of q_eval and _active_slopes
+    rng = np.random.default_rng(26)
+    sides = []
+    for x in rng.uniform(-2.0, 2.0, size=300):
+        m = 1.0 + (0.5 + 0.5) * x
+        cut = m - 1e-14 * max(1.0, abs(m))
+        c00 = cut - ((-0.3 + -0.3) * x + 0.2 * x * x)
+        for k in range(-4, 5):
+            table = np.array([[1.0, 0.5, 0.0], [c00 + k * math.ulp(c00), -0.3, 0.2]])
+            sides.append(optimality._side(table, x))
+            assert optimality._side(table.tolist(), x) == sides[-1], (x, k)
+    assert sides.count(0) > 100 and sides.count(1) > 100
 
 
 def _envelope_minimum(table: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> float:
