@@ -33,7 +33,7 @@ from .arrays import (
     orbit_count,
 )
 from .designs import ExactDesign, construct_exact, efficiencies, measure_of_design
-from .model import GeneralCov, sigma_from_json, sigma_matrix
+from .model import GeneralCov, check_sigma_size, sigma_from_json
 from .optimality import (
     GAP_TOL,
     SolveResult,
@@ -62,7 +62,7 @@ def resolve_sigma(source: str, p: int):
     Keywords: "identity", "type-h:X" with X an exact number like 2 or
     3/2 or 0.5.  Anything else is a path to a JSON description or a
     CSV matrix.  The spec must give a positive definite p x p matrix
-    (sigma_matrix); anything else is bad input.
+    (model.check_sigma_size); anything else is bad input.
     """
     path = Path(source)
     try:
@@ -79,7 +79,7 @@ def resolve_sigma(source: str, p: int):
                                             if line.strip()])
         else:
             sigma = sigma_from_json(json.loads(path.read_text()))
-        sigma_matrix(sigma, p)
+        check_sigma_size(sigma, p)
     except (OSError, ValueError) as exc:
         raise _InputError(f"bad covariance {source!r}: {exc}")
     return sigma

@@ -147,7 +147,7 @@ def sigma_from_json(obj) -> CovarianceSpec:
     {"matrix": [[...]]}, or a bare dense row-major matrix.  The type-H x
     stays exact as an int or a "num/den" or decimal string, is a float
     otherwise, and must be positive and finite; a boolean is refused.  The
-    optional offsets y are a list of numbers, one per plot (sigma_matrix).
+    optional offsets y are a list of numbers, one per plot (check_sigma_size).
     """
     if isinstance(obj, Mapping):
         kind = obj.get("type")
@@ -172,19 +172,24 @@ def sigma_from_json(obj) -> CovarianceSpec:
     return GeneralCov.from_matrix(obj)
 
 
+def check_sigma_size(sigma: CovarianceSpec, p: int) -> None:
+    """The one check that a spec fits p plots, ValueError otherwise: type-H
+    offsets, one per plot, with no float matrix built (it can overflow), or a
+    p x p dense matrix.  Either spec is positive definite when made."""
+    if isinstance(sigma, TypeH):
+        if sigma.y is not None and len(sigma.y) != p:
+            raise ValueError(f"type-H offset vector must have length {p}")
+    elif (m := sigma.array().shape) != (p, p):
+        raise ValueError(f"covariance is {m[0]}x{m[1]}, need {p}x{p}")
+
+
 def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    """The p x p matrix of a covariance spec: the one check that the spec
-    fits p plots (a type-H spec is positive definite by construction, and
-    a GeneralCov by from_matrix); ValueError otherwise."""
+    """The p x p matrix of a covariance spec that fits p plots (check_sigma_size)."""
+    check_sigma_size(sigma, p)
     if isinstance(sigma, TypeH):
         y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
-        if y.shape != (p,):
-            raise ValueError(f"type-H offset vector must have length {p}")
         return float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
-    m = sigma.array()
-    if m.shape != (p, p):
-        raise ValueError(f"covariance is {m.shape[0]}x{m.shape[1]}, need {p}x{p}")
-    return m
+    return sigma.array()
 
 
 def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
@@ -388,8 +393,7 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
     if exact and scale is None:
         raise ValueError("exact path needs Identity or rational type-H covariance")
     if isinstance(sigma, TypeH):
-        if sigma.y is not None and len(sigma.y) != shape.p:  # offsets cancel in K
-            raise ValueError(f"type-H offset vector must have length {shape.p}")
+        check_sigma_size(sigma, shape.p)  # the offsets cancel in K
         scale = 1.0 / float(sigma.x) if scale is None else scale
         return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
     base = _shape_kernel(shape)

@@ -43,7 +43,6 @@ from .model import (
     CoefficientTriple,
     CovarianceSpec,
     GeneralCov,
-    c11_base,
     centering_projector,
     exact_q,
     exact_units,
@@ -410,44 +409,26 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class FanClass:
-    """One corner-double class: i doubled treatments, rest singletons."""
+    """One feasible corner-double class: `doubles` corner-anchored doubled
+    treatments, the rest singletons; a starred name (2-row grids) marks
+    doubles whose plots are all corners."""
 
     name: str
     doubles: int
-    strict: bool
-    triple: CoefficientTriple
 
 
 def fan_classes(shape: Shape) -> list[FanClass]:
-    """Feasible corner-double classes with their coefficient triples.
+    """The feasible corner-double classes, fewest doubles first.
 
-    The classes share per-double increments, so adjacent quadratics all
-    cross at one common point; class i needs p - i distinct labels, so
-    only i >= p - t are feasible.
+    Class i needs p - i distinct labels, so only i >= p - t are feasible,
+    up to 2 doubles on a 2-row grid and 4 otherwise.  A class's
+    coefficient triple is that of its class_representative.
     """
-    a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    if t < p - 1:
+    if shape.t < shape.p - 1:
         raise ValueError("corner-double classes apply only for t >= p - 1")
-    eta = c11_base(shape)
-    base = (
-        Fraction(p - 1),
-        -Fraction(4 * p - 2 * a - 2 * b, p),
-        eta - Fraction(16 * p - 14 * a - 14 * b + 8, p),
-    )
-    if a == 2:
-        step = (-Fraction(2, p), Fraction(2) - Fraction(2, b), -Fraction(4, b))
-        top, strict = 2, True
-    else:
-        step = (-Fraction(2, p), Fraction(2 * p - 5, p), -Fraction(12, p))
-        top, strict = 4, False
-    out = []
-    for i in range(max(0, p - t), top + 1):
-        c = CoefficientTriple(
-            base[0] + i * step[0], base[1] + i * step[1], base[2] + i * step[2]
-        )
-        name = "Q0" if i == 0 else (f"Q{i}*" if strict else f"Q{i}")
-        out.append(FanClass(name, i, strict and i > 0, c))
-    return out
+    star = "*" if shape.a == 2 else ""
+    return [FanClass(f"Q{i}{star}" if i else "Q0", i)
+            for i in range(max(0, shape.p - shape.t), (2 if shape.a == 2 else 4) + 1)]
 
 
 def _corner_double_pairs(shape: Shape) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -542,6 +523,35 @@ def balanced_clustered(shape: Shape) -> BlockArray:
     return canonical_form(BlockArray.from_colex(shape, seq.tolist()))
 
 
+def _envelope_min(rows: Sequence[Sequence[Fraction]]) -> tuple[object, object, list[bool]]:
+    """(x*, y*, tied): the minimum of r(x) = max_k q_k(x) over a few exact
+    (c00, c01, c11) rows with r bounded below, and which rows are on r at x*.
+    Of 0, each vertex -c01/c11 (c11 > 0) and each root of a pairwise
+    difference d, the least exact r wins, ties going to the nearest 0.  A
+    root of 1 + B x + A x^2 (A = d11/d00, B = 2 d01/d00) is a float unless
+    B^2 - 4A is a rational square.  y* is the first tied row's value; rows
+    tie exactly at a Fraction x*, and within 1e-14 (relative) at a float one."""
+    xs = [Fraction(0)] + [-c01 / c11 for _, c01, c11 in rows if c11 > 0]
+    for r, s in combinations(rows, 2):
+        d00, d01, d11 = (v - u for u, v in zip(r, s))
+        if d11 == 0:
+            xs += [-d00 / (2 * d01)] if d01 else []
+        elif d00 == 0:
+            xs += [Fraction(0), -2 * d01 / d11]
+        else:
+            A, B = d11 / d00, 2 * d01 / d00
+            if (disc := B * B - 4 * A) >= 0:
+                root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+                root = root if root * root == disc else math.sqrt(disc)
+                xs += [(-B - root) / (2 * A), (-B + root) / (2 * A)]
+    x = min(xs, key=lambda x: (max(q_eval(c, Fraction(x)) for c in rows), abs(x),
+                               isinstance(x, float)))
+    exact = isinstance(x, Fraction)
+    q = [q_eval(c if exact else tuple(map(float, c)), x) for c in rows]
+    tied = [v >= max(q) - (0 if exact else 1e-14 * max(1.0, abs(max(q)))) for v in q]
+    return x, q[tied.index(True)], tied
+
+
 def _regime_tag(shape: Shape) -> str:
     p, t, a, b = shape.p, shape.t, shape.a, shape.b
     if t <= p - 2:
@@ -565,20 +575,19 @@ def solve_closed_form(
     weights carry over and y* picks up the scale.  That covariance-free
     part is solved once per shape per process (_closed_form); each call
     applies the scale, so its SolveResult is new, but its measure,
-    orbit_weights and q_support are the kept, read-only objects.  Three
-    regimes:
+    orbit_weights and q_support are the kept, read-only objects.
 
-    * t <= p-2: x* = 0, y* from the balanced replication profile, support
-      is every balanced array; the measure mixes the no-adjacent array
-      (slope below 0 at 0) with the clustered one (slope at least 0) so
-      the aggregated slope at 0 vanishes.
-    * t >= p-1, generic shape: the lowest feasible corner-double class
-      has its vertex left of the common class crossing, the minimax sits
-      on that vertex, and the support is that single class.
-    * t >= p-1 on the smallest grids (2x3 and 3x3 at t = p-1, every
-      shape at t >= p, and all of 2x2): the vertex falls at or beyond
-      the crossing, the minimax is the crossing point itself, and every
-      feasible class is in the support.
+    The regime names a few representatives, and (x*, y*) is the minimum of
+    the exact envelope of their rows (_envelope_min), at a vertex or a
+    crossing.  The representatives tied there are kept, their orbits
+    weighted to zero the aggregated slope (solve_sbs_proportions).
+
+    * t <= p-2: the no-adjacent and the clustered balanced arrays, which
+      share c00 and cross at x* = 0 with slopes of opposite signs; the
+      support is every balanced array.
+    * t >= p-1: one class_representative per feasible corner-double class
+      (fan_classes).  x* is the lowest class's vertex, that class alone
+      the support, or the crossing the classes share, all in the support.
     """
     if isinstance(sigma, GeneralCov):
         raise ValueError(
@@ -595,34 +604,20 @@ def solve_closed_form(
 def _closed_form(shape: Shape) -> SolveResult:
     """solve_closed_form under identity, kept per shape: each entry holds
     a few orbit rows, and its measure its numerator rows."""
-    p, t = shape.p, shape.t
-    if t <= p - 2:
-        r = p % t
-        x_star = Fraction(0)
-        y_id = Fraction(p) - Fraction(p * p + r * (t - r), p * t)
-        support = QSupport.balanced(shape)
+    if shape.t <= shape.p - 2:
+        names = None
         reps = sorted([balanced_no_adjacent(shape), balanced_clustered(shape)],
                       key=lambda s: s.colex)
     else:
         classes = fan_classes(shape)
-        low = classes[0]
-        c00, c01, c11 = low.triple.astuple()
-        y_vertex, x_vertex = _vertex(c00, c01, c11, None)  # c11 > 0 on every class
-        # adjacent classes differ by one step, so q_low + step = q_next
-        # crosses q_low where A x^2 + B x + 1 = 0 (smaller root)
-        step = [v - u for u, v in zip((c00, c01, c11), classes[1].triple.astuple())]
-        A, B = step[2] / step[0], 2 * step[1] / step[0]
-        phi = A * x_vertex * x_vertex + B * x_vertex + 1
-        vertex = phi > 0 and x_vertex < -B / (2 * A)
-        support = QSupport.classes(shape, (low.name,) if vertex else
-                                   tuple(c.name for c in classes))
-        if vertex or phi == 0:
-            x_star, y_id = x_vertex, y_vertex
-            reps = [class_representative(shape, low.doubles)]
-        else:
-            x_star = (-B - math.sqrt(B * B - 4 * A)) / (2 * A)
-            y_id = q_eval((float(c00), float(c01), float(c11)), x_star)
-            reps = [class_representative(shape, c.doubles) for c in classes]
+        names = [c.name for c in classes]
+        reps = [class_representative(shape, c.doubles) for c in classes]
+    units = exact_units(shape, Fraction(1))
+    x_star, y_id, tied = _envelope_min([[n * u for n, u in zip(row, units)] for row
+                                        in numerator_rows(shape, label_matrix(reps)).tolist()])
+    reps = [s for s, hit in zip(reps, tied) if hit]
+    support = (QSupport.balanced(shape) if names is None else
+               QSupport.classes(shape, [name for name, hit in zip(names, tied) if hit]))
 
     orbits = [Orbit(s, orbit_size(s)) for s in reps]
     weights = solve_sbs_proportions(orbits, x_star)[0] if len(orbits) > 1 else [Fraction(1)]

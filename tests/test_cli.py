@@ -377,6 +377,18 @@ def test_covariance_path_that_is_a_directory_is_input_error(capsys, tmp_path):
     assert code == 1 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_type_h_offsets_near_the_float_range_solve_quietly(capsys, tmp_path):
+    # positive definite (y = c 1, c > 0), but the float matrix of these
+    # offsets overflows: its size is checked without building it
+    path = tmp_path / "h.json"
+    path.write_text('{"type": "type-h", "x": 1, "y": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}')
+    argv = ("solve", "--a", "2", "--b", "3", "--t", "2", "--sigma")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    _, plain, _ = run(capsys, *argv, "type-h:1")
+    assert json.loads(out)["y_star"] == json.loads(plain)["y_star"]
+
+
 def test_bad_covariance_is_input_error_in_verify_and_construct(capsys, tmp_path):
     design = write_design(tmp_path, "d232.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
     _bad_sigma_run(capsys, tmp_path, "dense-2x2-json", "verify", design)

@@ -131,6 +131,27 @@ def test_closed_form_sweep_digest():
         "c5c01680f117ff15f17b1d0cd93029f57b26760103035390b0c7a2bf26ce47b1"
 
 
+# every shape with a <= 5, a <= b <= 7, p <= 30 and 2 <= t <= p + 3
+WIDE_SWEEP_SHAPES = [Shape(a, b, t) for a in range(2, 6) for b in range(a, 8) if a * b <= 30
+                     for t in range(2, a * b + 4)]
+
+
+def test_closed_form_wide_sweep_digest():
+    # digest recorded while the closed form solved its regimes by hand-derived
+    # formulas, before it read the envelope of its representatives' rows
+    digest = hashlib.sha256()
+    for shape in WIDE_SWEEP_SHAPES:
+        res = solve_closed_form(shape)
+        digest.update(repr((
+            shape.a, shape.b, shape.t, repr(res.x_star), type(res.x_star).__name__,
+            repr(res.y_star), type(res.y_star).__name__, res.regime, res.q_support.describe(),
+            [(o.representative.colex, o.size, repr(w)) for o, w in res.orbit_weights],
+        )).encode())
+    assert len(WIDE_SWEEP_SHAPES) == 306
+    assert digest.hexdigest() == \
+        "28d44f900f67dff6897c9bdfce648c05dd029a306c1cf9d2e87af825c3187188"
+
+
 def test_vertex_branch_exact_values():
     res = solve_closed_form(Shape(2, 4, 7))
     assert (res.x_star, res.y_star) == (Fraction(14, 171), Fraction(4561, 684))
@@ -154,12 +175,99 @@ def test_closed_form_rejects_general_covariance():
         solve_closed_form(Shape(2, 3, 2), GeneralCov.from_matrix(rho))
 
 
+def _fan_triple(shape, doubles):
+    # the corner-double classes' triples by hand: a base and a per-double step
+    a, b, p = shape.a, shape.b, shape.p
+    eta = model.c11_base(shape)
+    base = (
+        Fraction(p - 1),
+        -Fraction(4 * p - 2 * a - 2 * b, p),
+        eta - Fraction(16 * p - 14 * a - 14 * b + 8, p),
+    )
+    if a == 2:
+        step = (-Fraction(2, p), Fraction(2) - Fraction(2, b), -Fraction(4, b))
+    else:
+        step = (-Fraction(2, p), Fraction(2 * p - 5, p), -Fraction(12, p))
+    i = doubles
+    return (base[0] + i * step[0], base[1] + i * step[1], base[2] + i * step[2])
+
+
 def test_fan_triples_match_counting_path():
-    for shape in (Shape(2, 4, 8), Shape(3, 4, 11), Shape(3, 3, 8)):
+    # three routes to a class's triple: the base and step above, the pair
+    # kernel's numerator rows, and the paper's counting formula
+    count = 0
+    for shape in WIDE_SWEEP_SHAPES:
+        if shape.t < shape.p - 1:
+            continue
+        units = model.exact_units(shape, Fraction(1))
         for cls in fan_classes(shape):
             rep = class_representative(shape, cls.doubles)
-            got = c_coeffs_closed(rep).astuple()
-            assert got == cls.triple.astuple(), cls.name
+            rows = model.numerator_rows(shape, label_matrix([rep]))[0].tolist()
+            kernel = tuple(n * u for n, u in zip(rows, units))
+            assert kernel == _fan_triple(shape, cls.doubles) == c_coeffs_closed(rep).astuple(), \
+                (shape, cls.name)
+            count += 1
+    assert count == 348
+
+
+def _twelfths(lo, hi):
+    return st.integers(lo, hi).map(lambda n: Fraction(n, 12))
+
+
+# c11 >= 0, and c11 = 0 only on a flat row, as on every array: the envelope
+# is bounded below, and every vertex lies in [-16, 16]
+_ROWS = st.lists(st.tuples(_twelfths(-48, 48), _twelfths(-48, 48),
+                           st.one_of(st.just(Fraction(0)), _twelfths(3, 48)))
+                 .map(lambda c: c if c[2] else (c[0], Fraction(0), c[2])), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROWS)
+def test_envelope_min_is_the_least_envelope_value(rows):
+    x, y, tied = optimality._envelope_min(rows)
+    exact = isinstance(x, Fraction)
+    slack = 0 if exact else 1e-12 * max(1.0, abs(y))
+    at_x = [q_eval(c if exact else tuple(map(float, c)), x) for c in rows]
+    assert all(q <= y + slack for q in at_x) and at_x[tied.index(True)] == y
+    if exact:
+        assert tied == [q == y for q in at_x]
+    for k in range(-32, 33):
+        assert y <= max(q_eval(c, Fraction(k, 2)) for c in rows) + slack
+
+
+# (rows, x*, y*, tied): the type of x* is checked with its value
+ENVELOPE_CASES = {
+    # (2,2,2)'s balanced arrays: both reach y* = 2 on [0, 1], and 0 is nearest 0
+    "flat-222": ([(2, 0, 0), (2, -4, 8)], Fraction(0), Fraction(2), [True, True]),
+    # a flat row on top over [1, 3], away from 0: the crossing 1, not the vertex 2
+    "plateau": ([(1, 0, 0), (4, -2, 1)], Fraction(1), Fraction(1), [True, True]),
+    "plateau-mirrored": ([(1, 0, 0), (4, 2, 1)], Fraction(-1), Fraction(1), [True, True]),
+    # (2,2,3)'s classes touch at the vertex 1/2: discriminant 0
+    "tangent-223": ([(Fraction(5, 2), -1, 2), (2, 0, 0)], Fraction(1, 2), Fraction(2),
+                    [True, True]),
+    # a crossing at 1/2 that is no row's vertex: discriminant (5/3)^2
+    "square-crossing": ([(0, 0, 1), (Fraction(3, 2), Fraction(-7, 4), 2)], Fraction(1, 2),
+                        Fraction(1, 4), [True, True]),
+    # a single row: its vertex
+    "one-row": ([(3, -1, 2)], Fraction(1, 2), Fraction(5, 2), [True]),
+}
+
+
+@pytest.mark.parametrize("case", ENVELOPE_CASES)
+def test_envelope_min_hand_cases(case):
+    rows, x_want, y_want, tied_want = ENVELOPE_CASES[case]
+    x, y, tied = optimality._envelope_min([tuple(map(Fraction, c)) for c in rows])
+    assert (type(x), x, type(y), y, tied) == (Fraction, x_want, Fraction, y_want, tied_want)
+
+
+def test_envelope_min_irrational_crossing_keeps_the_float_bits():
+    # (2,3,5)'s classes Q1* and Q2*: their difference is 1 + B x + A x^2 up to scale
+    rows = [(Fraction(14, 3), Fraction(-1), Fraction(101, 15)),
+            (Fraction(13, 3), Fraction(1, 3), Fraction(27, 5))]
+    A, B = Fraction(4), Fraction(-8)
+    x, y, tied = optimality._envelope_min(rows)
+    assert type(x) is float and x == (-B - math.sqrt(B * B - 4 * A)) / (2 * A)
+    assert y == q_eval(tuple(map(float, rows[0])), x) and tied == [True, True]
 
 
 def test_balanced_arrays_bracket_zero_slope():
