@@ -20,6 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .arrays import (
     DEFAULT_ORBIT_BUDGET,
     LabelPool,
@@ -38,7 +40,6 @@ from .optimality import (
     GAP_TOL,
     SolveResult,
     _number_json,
-    full_pool,
     random_pool,
     solve_closed_form,
     solve_exchange,
@@ -95,11 +96,9 @@ def _oriented_sigma(sigma, shape: Shape, transposed: bool):
 
 
 def resolve_pool(spec, shape: Shape, seed: int):
-    """--pool full | q | random:N; None lets the solver pick."""
-    if spec is None:
+    """--pool full | q | random:N; None (as full) lets the solver build every orbit."""
+    if spec in (None, "full"):
         return None
-    if spec == "full":
-        return full_pool(shape)
     if spec == "q":
         return support_pool(shape, seed=seed)
     if spec.startswith("random:"):
@@ -397,10 +396,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return args.handler(args)
-    except (_InputError, ValueError, MemoryError, RuntimeError) as exc:
-        # anything but bad input is a limit (EnumerationBudgetError is a
-        # RuntimeError) or a failed computation, in any subcommand
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except (_InputError, ValueError, MemoryError, RuntimeError, ArithmeticError) as exc:
+        # anything but bad input is a limit (EnumerationBudgetError is a RuntimeError,
+        # a float overflow an ArithmeticError) or a failed computation, in any subcommand
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, _InputError) else EXIT_COMPUTE
 

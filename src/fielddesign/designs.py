@@ -438,7 +438,7 @@ def _swap_exact(bases: np.ndarray, stack: np.ndarray, target: np.ndarray,
     pseudo-inverse per pair.
     """
     rows = _chunk_rows(len(target))
-    out = []
+    out = [np.zeros(0)]  # np.concatenate needs one array even for no pairs
     for lo in range(0, len(which), rows):
         m = bases[of[lo:lo + rows]] + stack[which[lo:lo + rows]]
         dev = m[:, 0] - m[:, 1] @ np.linalg.solve(m[:, 2], np.swapaxes(m[:, 1], 1, 2)) - target
@@ -450,15 +450,16 @@ def _slot_pick(bases: np.ndarray, cands: _Candidates, target: np.ndarray,
                current: Sequence[float], old: Sequence[int]) -> list[tuple[int | None, float]]:
     """For each base B = bases[r] of a (R, 3, t, t) stack, what _scan picks
     from _swap_residuals(B, cands.stack, target) with candidate old[r]
-    excluded and current[r] to beat, each distinct table scored once: by
-    _swap_exact where _eigen_bounds says it can beat current[r], or by
-    _swap_residuals when _base_factor does not apply to B.  Each tier serves
-    all the bases at once, a group at a time past the number whose z_i z_i'
-    fit in BOUND_ENTRIES, in chunks that keep its temporaries within
-    BOUND_ENTRIES.  A _swap_exact winner is scored again by _swap_residuals,
-    so the value is the full scan's, and so is the pick unless two values
-    straddle a 1e-12 margin of _scan by less than the two routes' rounding
-    (at most 2e-14 on the benchmark's construct specs)."""
+    excluded and current[r] to beat, each distinct table scored once into
+    one (R, K) score matrix, inf where unscored: by _swap_exact where
+    _eigen_bounds says it can beat current[r], or by _swap_residuals on
+    every distinct table for the bases _base_factor leaves out.  Each tier
+    serves all the bases at once, a group at a time past the number whose
+    z_i z_i' fit in BOUND_ENTRIES, in chunks that keep its temporaries
+    within BOUND_ENTRIES.  A _swap_exact winner is scored again by
+    _swap_residuals, so the value is the full scan's, and so is the pick
+    unless two values straddle a 1e-12 margin of _scan by less than the two
+    routes' rounding (at most 2e-14 on the benchmark's construct specs)."""
     t = len(target)
     group = max(1, BOUND_ENTRIES // (2 * t) ** 2 // t)  # bases whose z_i z_i' fit
     if len(bases) > group:
@@ -474,25 +475,16 @@ def _slot_pick(bases: np.ndarray, cands: _Candidates, target: np.ndarray,
         of.append(found[r])
         which.append(cands.distinct[at + k])
     of, which = np.concatenate(of), np.concatenate(which)
-    exact = _swap_exact(bases, cands.stack, target, of, which) if len(which) else None
-    factored = set(found.tolist())
+    vals = np.full((len(bases), len(cands.stack)), np.inf)
+    vals[of, which] = _swap_exact(bases, cands.stack, target, of, which)
     rows = _chunk_rows(t)
-    picks = []
-    for r, base in enumerate(bases):
-        vals = np.full(len(cands.stack), np.inf)
-        if r in factored:
-            mine = of == r
-            if not mine.any():
-                picks.append((None, current[r]))
-                continue
-            vals[which[mine]] = exact[mine]
-        else:
-            for lo in range(0, len(cands.distinct), rows):
-                part = cands.distinct[lo:lo + rows]
-                vals[part] = _swap_residuals(base, cands.stack[part], target)
-        vals = vals[cands.first]
-        vals[old[r]] = np.inf
-        picks.append(_scan(vals, current[r]))
+    for r in np.flatnonzero(np.bincount(found, minlength=len(bases)) == 0).tolist():
+        for lo in range(0, len(cands.distinct), rows):
+            part = cands.distinct[lo:lo + rows]
+            vals[r, part] = _swap_residuals(bases[r], cands.stack[part], target)
+    vals = vals[:, cands.first]
+    vals[np.arange(len(bases)), old] = np.inf
+    picks = [_scan(row, cur) for row, cur in zip(vals, current)]
     won = [r for r in found.tolist() if picks[r][0] is not None]
     if won:
         again = _swap_residuals(bases[won], cands.stack[[picks[r][0] for r in won]], target)
@@ -566,7 +558,9 @@ def construct_exact(
     with the base's C11 singular or ill conditioned, _swap_residuals scores
     them all.  A slot whose block was scored without a swap since the last
     swap is skipped.  The blocks and report are those of scoring every
-    candidate by pseudo-inverse (see _slot_pick).
+    candidate by pseudo-inverse (see _slot_pick).  A type-H sigma only scales
+    identity's components and target by 1/x, so the search runs in identity's
+    units, which its absolute 1e-12 margins assume.
 
     `effort` counts restarts (the first start is the rounded measure, later
     ones are seeded random draws); deterministic given the seed.  The
@@ -582,10 +576,8 @@ def construct_exact(
     if effort < 1:
         raise ValueError("effort must be at least 1")
     rng = np.random.default_rng(seed)
-    if isinstance(sigma, GeneralCov):
-        result = solve_exchange(shape, sigma)
-    else:
-        result = solve_closed_form(shape, sigma)
+    search = sigma if isinstance(sigma, GeneralCov) else IDENTITY
+    result = (solve_closed_form if search is IDENTITY else solve_exchange)(shape, search)
     y = float(result.y_star)
     t = shape.t
 
@@ -603,7 +595,7 @@ def construct_exact(
     # the pool in colex order; where[k] is the pool index of rows[k]
     labels, _, where = group_rows(rows)
     pool = LabelPool(shape, labels)
-    stack = component_table(pool, sigma)
+    stack = component_table(pool, search)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     counts = _largest_remainder([float(w) * n if (e := exact_value(w)) is None else e * n
@@ -639,15 +631,7 @@ def construct_exact(
         for run, (best, value) in zip(step, picks):
             run.take(stack, best, value)
 
-    best_idx: list[int] | None = None
-    best_res = np.inf
-    for run in runs:
-        if run.current < best_res:
-            best_res = run.current
-            best_idx = run.idx
-        if best_res <= 1e-12:
-            break
-
-    design = ExactDesign(shape, tuple(pool[k] for k in best_idx))
-    report = efficiencies(design, sigma, y_star=y)
+    best = min(runs, key=lambda run: run.current)  # ties go to the first
+    design = ExactDesign(shape, tuple(pool[k] for k in best.idx))
+    report = efficiencies(design, sigma, y_star=y if search is sigma else None)
     return design, report

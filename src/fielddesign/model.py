@@ -44,7 +44,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ CHUNK_ROWS = 2048
 @dataclass(frozen=True)
 class TypeH:
     """Sigma = x I + y 1' + 1 y', which shares its contrast kernel with x I;
-    x > 0 with a finite float value, and finite offsets y, tested once in
+    x > 0 with x and 1/x finite as floats, and finite offsets y, tested once in
     Fractions: positive definite exactly when x + sum y > sqrt(len(y) y'y)."""
 
     x: Fraction | float | int
@@ -73,11 +73,11 @@ class TypeH:
 
     def __post_init__(self):
         try:
-            ok = 0 < float(self.x) < math.inf
+            ok = 0 < float(self.x) < math.inf and 1 / float(self.x) < math.inf
         except OverflowError:
             ok = False
         if not ok:
-            raise ValueError("type-H weight x must be positive and finite")
+            raise ValueError("type-H weight x must be positive and finite, and so must 1/x")
         if self.y is not None:
             try:  # numpy integers as Python ints (exact_value), floats as they are
                 x, *y = (Fraction(v) if (e := exact_value(v)) is None else e
@@ -109,9 +109,13 @@ class GeneralCov:
             raise ValueError("covariance must be square")
         if not (np.isfinite(arr).all() and np.allclose(arr, arr.T, atol=1e-10)):
             raise ValueError("covariance must be finite and symmetric")
-        if np.linalg.eigvalsh(arr)[0] <= 0:
+        if not np.linalg.eigvalsh(arr)[0] > 0:  # a NaN eigenvalue is refused too
             raise ValueError("covariance must be positive definite")
-        return GeneralCov(tuple(tuple(float(v) for v in row) for row in arr))
+        cov = GeneralCov(tuple(tuple(float(v) for v in row) for row in arr))
+        with np.errstate(all="ignore"):  # an overflowing inverse is refused, not warned of
+            if not np.isfinite(btilde(cov, len(arr))).all():
+                raise ValueError("covariance kernel (its block-centered inverse) is not finite")
+        return cov
 
     def array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
@@ -492,30 +496,18 @@ def schur_numerators(n00, n01, n11) -> tuple[np.ndarray, int]:
     return joint[t:, t:], pivot
 
 
-def exact_weighted_sum(
-    numerators: Sequence[int],
-    group_sum: Callable[[np.ndarray], np.ndarray],
-    factor,
-) -> np.ndarray:
-    """factor * sum_k n_k x_k for integer n_k >= 0 of any size, where
-    group_sum(rows) is the int64 sum of x_k over an index array.  Rows
-    sharing a numerator (every atom of one orbit does) are summed in one
-    call, and the groups combined in Python integers."""
-    nums = np.array(numerators, dtype=np.int64 if max(numerators) < 2**63 else object)
-    order = np.argsort(nums, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(nums[order]) != 0) + 1)
-    return sum(group_sum(rows).astype(object) * int(nums[rows[0]]) for rows in groups) * factor
-
-
 def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int],
                          sigma: CovarianceSpec = IDENTITY):
     """Exact sum of (C00, C01, C11) over the rows of an (N, p) label matrix
-    with integer weights[k] on row k: a (3, t, t) object array of Python
-    ints, and the positive int denominator they share."""
+    with integer weights[k] >= 0 of any size on row k, as a (3, t, t) object array
+    of Python ints and the positive int denominator they share.  Rows sharing a
+    weight (as an orbit's atoms do) are counted by one count_sum."""
     kern = _pair_kernel(shape, sigma, exact=True)
-    nums = exact_weighted_sum(weights, lambda rows: kern.count_sum(labels[rows]),
-                              kern.scale.numerator)
-    return nums, shape.p * kern.scale.denominator
+    w = np.array(weights, dtype=np.int64 if max(weights) < 2**63 else object)
+    order = np.argsort(w, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(w[order]) != 0) + 1)
+    nums = sum(kern.count_sum(labels[rows]).astype(object) * int(w[rows[0]]) for rows in groups)
+    return nums * kern.scale.numerator, shape.p * kern.scale.denominator
 
 
 def st_average(nums: np.ndarray, den):

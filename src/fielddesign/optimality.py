@@ -47,7 +47,6 @@ from .model import (
     exact_q,
     exact_units,
     exact_value,
-    exact_weighted_sum,
     numerator_rows,
     rational_scale,
     scaled_rows,
@@ -223,12 +222,13 @@ class Measure:
 
 
 def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
-    """Weighted sum of per-array coefficient triples."""
+    """Weighted sum of per-array coefficient triples: exact measure and covariance
+    give one Python-int dot of the weights and numerators, times the units over
+    the denominator; anything else a float dot."""
     scale = rational_scale(sigma) if xi.is_exact() else None
     if scale is not None:
-        rows = xi.numerator_rows()
-        c = exact_weighted_sum(xi.weights, lambda k: rows[k].sum(axis=0),
-                               exact_units(xi.shape, scale) / xi.denominator)
+        c = (np.array(xi.weights, dtype=object) @ xi.numerator_rows().astype(object)
+             * (exact_units(xi.shape, scale) / xi.denominator))
     else:
         c = [float(v) for v in xi.float_weights() @ _float_rows(xi, sigma)]
     return CoefficientTriple(*c)
@@ -765,7 +765,7 @@ def verify_measure(
         balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
             bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
             schur_complement(*comps) - target))
-        off = np.abs(q_eval(_float_rows(xi, sigma).T, x) - y) > tol * max(1.0, abs(y))
+        off = ~_touching(_float_rows(xi, sigma), x, y, tol)
         # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = balance <= tol and slope <= tol and support_mass <= tol and info_res <= tol

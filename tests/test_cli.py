@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fielddesign import designs
 from fielddesign.arrays import Shape, mirror_plot_order
@@ -599,3 +605,183 @@ def test_cli_import_loads_no_scipy():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+# -- fuzz gate: every argv and input file gets a documented exit code ----
+
+# JSON values at and past every limit (Python's json writes and reads NaN
+# and Infinity)
+ODD_NUMBERS = [1, 2, 0.5, 0, -1, 1e308, 1e-310, math.nan, math.inf, -math.inf, True, False]
+# each flag's values within its limits, then at and past them; None: no value
+FLAG_VALUES = {
+    "--tol": (["1e-9", "1e-6", "0.1"], ["0", "-1e-9", "nan", "inf", "1e308", "1e-310"]),
+    "--seed": (["0", "1", "7"], ["-1", str(2**64)]),
+    "--format": (["json", "table"], ["xml"]),
+    "--max-iter": (["1", "500"], ["0", "-1"]),
+    "--pool": (["full", "q", "random:3"], ["random:0", "random:1", "random:x", "grid"]),
+    "--budget": (["10", "100000"], ["0", "1", "-1"]),
+    "--n": (["1", "2", "5", "7"], ["-1", "0", "inf"]),
+    "--effort": (["1", "2"], ["0", "nan"]),
+    "--list": None,
+    "--force-computational": None,
+}
+SOLVER_FLAGS = ["--pool", "--max-iter", "--force-computational"]
+SUBCOMMAND_FLAGS = {
+    "enumerate": ["--list", "--budget"],
+    "solve": SOLVER_FLAGS,
+    "verify": SOLVER_FLAGS,
+    "efficiency": SOLVER_FLAGS,
+    "construct": ["--effort"],
+}
+EXIT_CODES = {0, 1, 2, 3}  # README: success, bad input, computation, not optimal
+
+
+def _good_or_bad(draw, good, bad):
+    """One of good, or of bad one time in four."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+
+def _spoil(draw, grid: list) -> list:
+    """grid with, one time in four, one odd entry, and one time in eight
+    one row short."""
+    if draw(st.integers(0, 3)) == 0:
+        grid[draw(st.integers(0, len(grid) - 1))][0] = draw(st.sampled_from(ODD_NUMBERS))
+    if draw(st.integers(0, 7)) == 0:
+        grid[draw(st.integers(0, len(grid) - 1))].pop()
+    return grid
+
+
+@st.composite
+def _sigma_file(draw, p: int):
+    """A covariance file: d I + o J, perturbed, as a bare, tagged or CSV
+    matrix; type-H; or a bare tag."""
+    size = draw(st.sampled_from([p, p, p, p + 1]))
+    diag = _good_or_bad(draw, [1, 2, 1.7e308], [1e-310, 0, -1, math.nan, math.inf])
+    off = _good_or_bad(draw, [0, 0.5, 1e308], [-1, math.inf, True])
+    matrix = _spoil(draw, [[diag if i == j else off for j in range(size)] for i in range(size)])
+    kind = draw(st.sampled_from(["matrix", "tagged", "csv", "type-h", "type-h", "tag"]))
+    if kind == "csv":
+        return ".csv", "\n".join(",".join(str(v) for v in row) for row in matrix)
+    if kind == "type-h":
+        obj = {"type": "type-h", "x": _good_or_bad(draw, [1, 2.5, "3/2", 1e-300, 1e300],
+                                                    ODD_NUMBERS + ["1/0", "x", None])}
+        if draw(st.booleans()):
+            obj["y"] = [_good_or_bad(draw, [0, 0.25, 1, 1e308], ODD_NUMBERS)
+                        for _ in range(size)]
+        return ".json", json.dumps(obj)
+    obj = {"matrix": matrix} if kind == "tagged" else matrix
+    if kind == "tag":
+        obj = {"type": draw(st.sampled_from(["identity", "dense", None]))}
+    return ".json", json.dumps(obj)
+
+
+@st.composite
+def _design_file(draw, a: int, b: int, t: int):
+    blocks = [[[draw(st.integers(1, t)) for _ in range(b)] for _ in range(a)]
+              for _ in range(draw(st.integers(1, 4)))]
+    _spoil(draw, blocks[0])
+    obj = {"a": a, "b": b, "t": t, "n": len(blocks), "blocks": blocks}
+    if draw(st.integers(0, 3)) == 0:
+        obj[draw(st.sampled_from(["a", "b", "t", "n"]))] = draw(st.sampled_from(ODD_NUMBERS))
+    return json.dumps(obj)
+
+
+@st.composite
+def _invocation(draw, folder: Path):
+    """argv for one run of main, writing the files it names to folder."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    shape = draw(st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 2, 3), (2, 2, 4),
+                                  (3, 3, 3)]))
+    argv = [command]
+    if command in ("verify", "efficiency"):
+        design = folder / "design.json"
+        design.write_text(draw(_design_file(*shape)))
+        argv.append(str(design))
+    given = ["--a", "--b", "--t"]  # all, none or some for a design file
+    if command in ("verify", "efficiency"):
+        given = _good_or_bad(draw, [given, []], [given[:1], given[1:]])
+    for flag, size in zip(("--a", "--b", "--t"), shape):
+        if flag in given:
+            argv += [flag, _good_or_bad(draw, [str(size)], ["-1", "0", "1", "2", "2.5", "x"])]
+    if command == "construct":
+        argv += ["--n", _good_or_bad(draw, *FLAG_VALUES["--n"])]
+    source = draw(st.sampled_from(["identity", "type-h", "file", "file", "missing"]))
+    if source == "type-h":
+        argv += ["--sigma", "type-h:" + _good_or_bad(
+            draw, ["2", "3/2", "0.5", "1e-300"], ["0", "-1", "1/0", "nan", "inf", "1e-310", "x"])]
+    elif source == "file":
+        suffix, text = draw(_sigma_file(shape[0] * shape[1]))
+        sigma = folder / f"sigma{suffix}"
+        sigma.write_text(text)
+        argv += ["--sigma", str(sigma)]
+    elif source == "missing":
+        argv += ["--sigma", str(folder / "absent.json")]
+    flags = SUBCOMMAND_FLAGS[command] + ["--tol", "--seed", "--format"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        argv.append(flag)
+        if FLAG_VALUES[flag] is not None:
+            argv.append(_good_or_bad(draw, *FLAG_VALUES[flag]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)  # about 2 s
+@given(st.data())
+def test_cli_fuzz_gives_documented_exit_codes(tmp_path_factory, data):
+    argv = data.draw(_invocation(tmp_path_factory.mktemp("fuzz")))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in EXIT_CODES, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 0 and "table" not in argv:
+        json.loads(out.getvalue())
+
+
+def test_efficiency_reports_an_unestimable_contrast(capsys, tmp_path):
+    # treatment 3 never appears, so its contrasts are not estimable
+    path = write_design(tmp_path, "d.json", 2, 3, 3, [[[1, 2, 1], [2, 1, 2]]] * 2)
+    code, out, _ = run(capsys, "efficiency", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["eff_A"] == 0.0
+    assert doc["diagnostic"] == "some treatment contrast is not estimable (1 extra null directions)"
+    code, out, _ = run(capsys, "efficiency", path, "--format", "table")
+    assert code == 0 and "diagnostic  some treatment contrast is not estimable" in out
+
+
+def test_unreadable_design_path_and_partial_shape_flags_are_input_errors(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path / "absent.json"))
+    assert code == 1 and out == "" and err.startswith("error: cannot read")
+    path = write_design(tmp_path, "d.json", 2, 3, 2, OPTIMAL_BLOCKS_232)
+    code, out, err = run(capsys, "verify", path, "--a", "2", "--t", "2")
+    assert (code, out, err) == (1, "", "error: give all of --a --b --t or none\n")
+
+
+def test_dense_sigma_whose_kernel_overflows_is_input_error(capsys, tmp_path):
+    # 1e-310 I is positive definite, but its inverse is not finite
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps((1e-310 * np.eye(6)).tolist()))
+    argv = ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma")
+    code, out, err = run(capsys, *argv, str(tiny))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "not finite" in err
+    # eigvalsh overflows to inf on the 1-direction here, yet the kernel is
+    # finite: the matrix solves
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(np.where(np.eye(6, dtype=bool), 1.7e308, 1e308).tolist()))
+    code, out, err = run(capsys, *argv, str(huge))
+    assert (code, err) == (0, "") and json.loads(out)["converged"]
+
+
+@pytest.mark.parametrize("argv", [
+    # y* = 4e308 exactly, which no float holds
+    ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "type-h:1e-308"),
+    # the float exchange solve squares coefficients of size 1e300
+    ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "type-h:1e-300",
+     "--force-computational"),
+])
+def test_result_past_the_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1

@@ -267,6 +267,17 @@ def test_restart_at_zero_drops_every_later_restart(monkeypatch, abt, n, steps):
     assert len(batches) == steps
 
 
+@pytest.mark.parametrize("x", [Fraction(1, 10**8), Fraction(1, 10**100)])
+def test_construct_under_type_h_searches_identity_units(x):
+    # type-H scales identity's components and target by 1/x, and so the
+    # rounding of the residuals against construct's absolute 1e-12 margins:
+    # searched in those units, both weights swapped without end
+    design, rep = construct_exact(Shape(2, 3, 3), 7, TypeH(x))
+    assert design == construct_exact(Shape(2, 3, 3), 7)[0]
+    assert rep.eff_A > 0.98
+    assert rep.y_star == float(solve_closed_form(Shape(2, 3, 3), TypeH(x)).y_star)
+
+
 def test_construct_rejects_bad_n():
     with pytest.raises(ValueError):
         construct_exact(Shape(2, 3, 2), 0)

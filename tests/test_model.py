@@ -135,6 +135,23 @@ def test_type_h_refuses_a_weight_not_positive_and_finite(x):
         TypeH(x)
 
 
+@pytest.mark.parametrize("x", [1e-310, Fraction(1, 10**310)])
+def test_type_h_refuses_a_weight_whose_inverse_overflows(x):
+    with pytest.raises(ValueError, match="so must 1/x"):
+        TypeH(x)
+
+
+def test_dense_sigma_with_a_nan_eigenvalue_is_refused(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(len(m), np.nan))
+    with pytest.raises(ValueError, match="positive definite"):
+        GeneralCov.from_matrix(np.eye(3))
+
+
+def test_dense_sigma_whose_kernel_overflows_is_refused():
+    with pytest.raises(ValueError, match="not finite"):
+        GeneralCov.from_matrix(1e-310 * np.eye(6))
+
+
 # each spec is built inside the check: a type-H spec that is not positive
 # definite is refused when it is made
 @pytest.mark.parametrize("sigma, match", [

@@ -1121,3 +1121,36 @@ def test_solver_result_json_shape():
     assert doc["y_star"]["fraction"] == "3/1"
     assert doc["support"]["kind"] == "balanced"
     assert {"representative", "size", "weight"} <= set(doc["orbit_weights"][0])
+
+
+def test_explicit_support_contains_exactly_its_pool():
+    pool = full_pool(Shape(2, 3, 2))
+    support = optimality.QSupport.explicit(LabelPool(pool.shape, pool.labels[::3]))
+    assert support.contains(pool.labels).tolist() == [k % 3 == 0 for k in range(len(pool))]
+
+
+def test_nearest_crossing_of_rows_with_equal_c11_or_no_real_root():
+    cross = optimality._nearest_crossing
+    # equal c11: the root of a line, or none when the slopes are equal too
+    assert cross((1.0, 1.0, 1.0), (0.0, 0.0, 1.0), 3.0) == -0.5
+    assert cross((1.0, 0.0, 1.0), (0.0, 0.0, 1.0), 3.0) == 3.0
+    # 1 + x^2 never meets 0
+    assert cross((1.0, 0.0, 1.0), (0.0, 0.0, 0.0), 3.0) == 3.0
+
+
+def test_basic_mixture_falls_back_to_the_slopes_at_x():
+    # two rows tied at 0 within rounding, of slopes 1e-9 and -1e-9 there,
+    # cross exactly at 2.5e-7, where both slopes are positive: the weights
+    # zero the mixture slope at 0 instead
+    table = np.array([[0.0, 1e-9, 1.0], [1e-15, -1e-9, 1.0]])
+    assert optimality._basic_mixture(table, 0.0).tolist() == [0.5, 0.5]
+
+
+def test_envelope_argmin_ends_at_a_bracket_end_or_where_the_bracket_stalls():
+    # x^2 - 2x has its vertex at 1, the first bracket end tried
+    assert optimality._envelope_argmin(np.array([[0.0, -1.0, 1.0]]), 50) == (1.0, 0)
+    # the slope -0.7 + 0.6 x rounds to 0 at no float, so the bracket about
+    # 7/6 shrinks to two neighbouring floats long before max_iter
+    table = np.array([[0.0, -0.7, 0.6]])
+    x, steps = optimality._envelope_argmin(table, 500)
+    assert steps < 60 and abs(x - 7 / 6) < 1e-15 and optimality._side(table, x) != 0
