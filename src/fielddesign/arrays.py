@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,19 +36,23 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True, order=True)
-class Shape:
-    """Grid dimensions and treatment count (a rows, b columns, t treatments)."""
-
+class _ShapeFields(NamedTuple):
     a: int
     b: int
     t: int
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < self.a:
-            raise ValueError(f"need 2 <= a <= b, got a={self.a}, b={self.b}")
-        if self.t < 2:
-            raise ValueError(f"need t >= 2, got t={self.t}")
+
+class Shape(_ShapeFields):
+    """Grid dimensions and treatment count (a rows, b columns, t treatments)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, t: int):
+        if a < 2 or b < a:
+            raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
+        if t < 2:
+            raise ValueError(f"need t >= 2, got t={t}")
+        return super().__new__(cls, a, b, t)
 
     @property
     def p(self) -> int:
@@ -92,21 +95,25 @@ def _integer(v, what: str) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
-class BlockArray:
-    """One treatment assignment on a grid, stored as row tuples."""
-
+class _BlockArrayFields(NamedTuple):
     shape: Shape
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        a, b, t = self.shape.a, self.shape.b, self.shape.t
-        if len(self.rows) != a or any(len(r) != b for r in self.rows):
+
+class BlockArray(_BlockArrayFields):
+    """One treatment assignment on a grid, stored as row tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, shape: Shape, rows: tuple[tuple[int, ...], ...]):
+        a, b, t = shape.a, shape.b, shape.t
+        if len(rows) != a or any(len(r) != b for r in rows):
             raise ValueError(f"rows must form an {a}x{b} grid")
-        for r in self.rows:
+        for r in rows:
             for v in r:
                 if not (1 <= v <= t):
                     raise ValueError(f"treatment {v} outside 1..{t}")
+        return super().__new__(cls, shape, rows)
 
     @staticmethod
     def from_rows(shape: Shape, rows: Sequence[Sequence[int]]) -> "BlockArray":
@@ -143,8 +150,7 @@ class BlockArray:
         return grid_text(self.rows)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A treatment-relabeling orbit, held by its canonical representative."""
 
     representative: BlockArray

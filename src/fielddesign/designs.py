@@ -10,9 +10,8 @@ designs for arbitrary n by rounding plus local block swaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,32 +54,31 @@ class NullDirectionError(RuntimeError):
     """An information matrix without the numerically-zero eigenvalue of 1_t."""
 
 
-@dataclass(frozen=True)
-class ExactDesign:
-    """An ordered list of blocks, each an a x b array of one shape."""
-
+class _ExactDesignFields(NamedTuple):
     shape: Shape
     blocks: tuple[BlockArray, ...]
 
-    def __post_init__(self):
-        if len(self.blocks) < 1:
+
+class ExactDesign(_ExactDesignFields):
+    """An ordered list of blocks, each an a x b array of one shape."""
+
+    __slots__ = ()
+
+    def __new__(cls, shape: Shape, blocks: tuple[BlockArray, ...]):
+        if len(blocks) < 1:
             raise ValueError("a design needs at least one block")
-        for s in self.blocks:
-            if s.shape != self.shape:
+        for s in blocks:
+            if s.shape != shape:
                 raise ValueError("all blocks must share the design shape")
+        return super().__new__(cls, shape, blocks)
 
     @property
     def n(self) -> int:
         return len(self.blocks)
 
     def to_json(self) -> dict:
-        return {
-            "a": self.shape.a,
-            "b": self.shape.b,
-            "t": self.shape.t,
-            "n": self.n,
-            "blocks": [[list(r) for r in s.rows] for s in self.blocks],
-        }
+        return {**self.shape._asdict(), "n": self.n,
+                "blocks": [[list(r) for r in s.rows] for s in self.blocks]}
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExactDesign":
@@ -107,8 +105,7 @@ def measure_of_design(d: ExactDesign) -> Measure:
     return Measure.from_labels(d.shape, label_matrix(d.blocks), [Fraction(1, d.n)] * d.n)
 
 
-@dataclass
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """A/D/E/T efficiencies of a design against the minimax bound y*."""
 
     eff_A: float
@@ -158,14 +155,15 @@ def efficiencies(
     NullDirectionError) and the four criteria are computed from the
     remaining t - 1, normalized by n * y_star.  A second near-zero
     eigenvalue means some treatment contrast is not estimable and all
-    efficiencies are reported as 0.
+    efficiencies are reported as 0.  Both cuts are NULL_EIG_CUT times the
+    larger of trace(C) and n y*, which scale alike with Sigma.
     """
     y = float(_resolve_y_star(d.shape, sigma, y_star))
     t = d.shape.t
     c = np.asarray(info_matrix_exact(d, sigma), dtype=float)
     lam = np.linalg.eigvalsh(c)
     k = int(np.argmin(np.abs(lam)))
-    cut = NULL_EIG_CUT * max(float(np.trace(c)), 1.0)
+    cut = NULL_EIG_CUT * max(float(np.trace(c)), d.n * y)
     if abs(lam[k]) > cut:
         raise NullDirectionError("no numerically-zero eigenvalue for the 1_t direction "
                                  f"(smallest {abs(lam[k]):.3g}, cutoff {cut:.3g})")
@@ -205,8 +203,7 @@ def pseudo_symmetric_efficiency(xi: Measure, sigma: CovarianceSpec = IDENTITY,
     return float(qs) / float(y_star) if qe is None or ye is None else qe / ye
 
 
-@dataclass(frozen=True)
-class MinNReport:
+class MinNReport(NamedTuple):
     """Smallest block counts a symmetric weight vector supports.
 
     n is the full symmetric expansion (every orbit member replicated
@@ -351,8 +348,7 @@ def _distinct_rows(stack: np.ndarray) -> np.ndarray:
                      for k, row in enumerate(stack.reshape(len(stack), -1))])
 
 
-@dataclass(frozen=True)
-class _Candidates:
+class _Candidates(NamedTuple):
     """A construct run's swap candidates: the (k, 3, t, t) component table,
     first = _distinct_rows(stack), the rows that are their own first
     (`distinct`); for those, the entries of [[C00, C01], [C10, C11]] that
@@ -493,7 +489,6 @@ def _slot_pick(bases: np.ndarray, cands: _Candidates, target: np.ndarray,
     return picks
 
 
-@dataclass
 class _Restart:
     """One restart of construct_exact's search, a slot at a time: sweeps
     over the slots while the last sweep made a swap, skipping a slot whose
@@ -501,15 +496,11 @@ class _Restart:
     then, so the same outcome).  The search ends once current is 0, as no
     swap can beat it by _scan's margin."""
 
-    idx: list[int]
-    total: np.ndarray
-    current: float
-    idle: set[int] = field(default_factory=set)  # pool indices scored since the last swap
-    improved: bool = True
-    slot: int = field(init=False)
-
-    def __post_init__(self):
-        self.slot = len(self.idx)  # at the end of a sweep, so the sweep test comes first
+    def __init__(self, idx: list[int], total: np.ndarray, current: float):
+        self.idx, self.total, self.current = idx, total, current
+        self.idle = set()  # pool indices scored since the last swap
+        self.improved = True
+        self.slot = len(idx)  # at the end of a sweep, so the sweep test comes first
 
     def next_slot(self) -> int | None:
         """The slot the search scores next, or None once it has ended."""

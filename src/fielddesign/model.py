@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,48 +61,59 @@ EIG_CUTOFF = 1e-10
 CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class TypeH:
+class _TypeHFields(NamedTuple):
+    x: Fraction | float | int
+    y: tuple | None = None
+
+
+class TypeH(_TypeHFields):
     """Sigma = x I + y 1' + 1 y', which shares its contrast kernel with x I;
     x > 0 with x and 1/x finite as floats, and finite offsets y, tested once in
     Fractions: positive definite exactly when x + sum y > sqrt(len(y) y'y)."""
 
-    x: Fraction | float | int
-    y: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, x: Fraction | float | int, y: tuple | None = None):
         try:
-            ok = 0 < float(self.x) < math.inf and 1 / float(self.x) < math.inf
+            ok = 0 < float(x) < math.inf and 1 / float(x) < math.inf
         except OverflowError:
             ok = False
         if not ok:
             raise ValueError("type-H weight x must be positive and finite, and so must 1/x")
-        if self.y is not None:
+        if y is not None:
             try:  # numpy integers as Python ints (exact_value), floats as they are
-                x, *y = (Fraction(v) if (e := exact_value(v)) is None else e
-                         for v in (self.x, *self.y))
+                fx, *fy = (Fraction(v) if (e := exact_value(v)) is None else e for v in (x, *y))
             except (OverflowError, ValueError):  # an infinite or NaN float
                 raise ValueError("type-H offsets y must be finite numbers") from None
-            if not (0 < (lead := x + sum(y)) and lead * lead > len(y) * sum(v * v for v in y)):
+            if not (0 < (lead := fx + sum(fy)) and lead * lead > len(fy) * sum(v * v for v in fy)):
                 raise ValueError("type-H parameters do not give a positive definite matrix")
+        return super().__new__(cls, x, y)
 
 
-@dataclass(frozen=True)
 class Identity(TypeH):
     """White within-block covariance: the type-H member x = 1, y = 0."""
 
-    x: Fraction = field(default=Fraction(1), init=False, repr=False)
-    y: None = field(default=None, init=False, repr=False)
+    __slots__ = ()
+
+    def __new__(cls):
+        return super().__new__(cls, Fraction(1))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return ()
+
+    def __repr__(self) -> str:
+        return "Identity()"
 
 
-@dataclass(frozen=True)
-class GeneralCov:
+class GeneralCov(NamedTuple):
     """Arbitrary symmetric positive definite within-block covariance."""
 
     matrix: tuple[tuple[float, ...], ...]
 
     @staticmethod
     def from_matrix(m) -> "GeneralCov":
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(m, dtype=object).flat):
+            raise ValueError("covariance entries must be numbers, not booleans")
         arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("covariance must be square")
@@ -205,8 +215,7 @@ def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
     return inv - np.outer(u, u) / u.sum()
 
 
-@dataclass(frozen=True)
-class IncidenceSet:
+class IncidenceSet(NamedTuple):
     """Plot-by-treatment incidences: direct and the four neighbor directions."""
 
     t0: np.ndarray
@@ -229,8 +238,7 @@ def incidence_matrices(s: BlockArray) -> IncidenceSet:
     return IncidenceSet(t0, *_neighbor_shifts(t0, s.shape))
 
 
-@dataclass(frozen=True)
-class CoefficientTriple:
+class CoefficientTriple(NamedTuple):
     """Quadratic coefficients (c00, c01, c11) of one array."""
 
     c00: Fraction | float
@@ -302,8 +310,7 @@ def exact_units(shape: Shape, scale: Fraction) -> np.ndarray:
     return np.array([scale / shape.p] * 2 + [scale / (shape.p * shape.t)], dtype=object)
 
 
-@dataclass(frozen=True)
-class _PairKernel:
+class _PairKernel(NamedTuple):
     """The stack (K, K M, M K M) of one shape and covariance, with its
     reductions over the plot pairs i < j (pairs): the symmetrized weights
     pair_w (P, 3) in float64, the diagonal and the c11 corner 1'M K M 1.
@@ -399,7 +406,7 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
     if isinstance(sigma, TypeH):
         check_sigma_size(sigma, shape.p)  # the offsets cancel in K
         scale = 1.0 / float(sigma.x) if scale is None else scale
-        return replace(_shape_kernel(shape), scale=scale, unit=float(scale) / shape.p)
+        return _shape_kernel(shape)._replace(scale=scale, unit=float(scale) / shape.p)
     base = _shape_kernel(shape)
     return _stack_kernel(shape, base.neighbors, btilde(sigma, shape.p), base.pairs, None, 1.0)
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,7 +236,7 @@ def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> Coefficient
 def q_eval(c, x):
     """Value of the array quadratic at x; exact under rational inputs.  c is
     a triple, or three columns: q_eval(table.T, x) scores every table row."""
-    c00, c01, c11 = c.astuple() if isinstance(c, CoefficientTriple) else (c[0], c[1], c[2])
+    c00, c01, c11 = c
     # c01 + c01 is 2 c01 exactly, and spares numpy an int-scalar conversion
     return c00 + (c01 + c01) * x + c11 * x * x
 
@@ -256,7 +255,7 @@ def q_star(xi: Measure, sigma: CovarianceSpec = IDENTITY):
     """Peak criterion value of a measure and the x where it is attained:
     the _vertex of the aggregated triple, a flat one read at x~ = 0; exact
     Fractions whenever measure and covariance allow it."""
-    c00, c01, c11 = measure_triple(xi, sigma).astuple()
+    c00, c01, c11 = measure_triple(xi, sigma)
     return _vertex(c00, c01, c11, c00 - c00)
 
 
@@ -295,8 +294,7 @@ def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
 # support descriptors and the closed-form solution
 
 
-@dataclass(frozen=True)
-class QSupport:
+class QSupport(NamedTuple):
     """Support set descriptor: a named family or an explicit pool.
 
     kind "balanced" covers arrays with replication counts within one of
@@ -362,8 +360,7 @@ def _number_json(v):
     return {"decimal": float(v)}
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a minimax solve: the optimum, its support, a measure.
     solve_closed_form's is the orbit measure of orbit_weights (None past
     MATERIALIZE_LIMIT atoms), and it verifies; solve_exchange's holds each
@@ -386,9 +383,7 @@ class SolveResult:
 
     def to_json(self) -> dict:
         out = {
-            "a": self.shape.a,
-            "b": self.shape.b,
-            "t": self.shape.t,
+            **self.shape._asdict(),
             "x_star": _number_json(self.x_star),
             "y_star": _number_json(self.y_star),
             "regime": self.regime,
@@ -407,8 +402,7 @@ class SolveResult:
         return out
 
 
-@dataclass(frozen=True)
-class FanClass:
+class FanClass(NamedTuple):
     """One feasible corner-double class: `doubles` corner-anchored doubled
     treatments, the rest singletons; a starred name (2-row grids) marks
     doubles whose plots are all corners."""
@@ -596,8 +590,8 @@ def solve_closed_form(
     scale = rational_scale(sigma)
     base = _closed_form(shape)
     if scale is None:
-        return replace(base, y_star=base.y_star * (1.0 / float(sigma.x)), gap=0.0)
-    return replace(base, y_star=base.y_star * scale, gap=Fraction(0))
+        return base._replace(y_star=base.y_star * (1.0 / float(sigma.x)), gap=0.0)
+    return base._replace(y_star=base.y_star * scale, gap=Fraction(0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -683,8 +677,7 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     return weights, residual
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Matrix-level check that a measure attains the minimax bound.
 
     balance_residual: deviation of the weighted direct-plus-cross blocks

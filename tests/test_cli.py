@@ -340,6 +340,8 @@ BAD_SIGMA = {
     "dense-2x2-json": ("d.json", '{"matrix": [[1, 0], [0, 1]]}', "need 6x6"),
     "dense-2x2-csv": ("d.csv", "1,0\n0,1\n", "need 6x6"),
     "dense-infinite": ("d.csv", INFINITE_CSV, "finite"),
+    "dense-booleans": ("d.json", json.dumps([[i == j for j in range(6)] for i in range(6)]),
+                       "not booleans"),
     "short-offsets": ("h.json", '{"type": "type-h", "x": 1, "y": [0.5]}', "length 6"),
     "indefinite-offsets": ("h.json", '{"type": "type-h", "x": 1, "y": [-3, 0, 0, 0, 0, 0]}',
                            "positive definite"),

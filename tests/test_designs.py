@@ -278,6 +278,39 @@ def test_construct_under_type_h_searches_identity_units(x):
     assert rep.y_star == float(solve_closed_form(Shape(2, 3, 3), TypeH(x)).y_star)
 
 
+@functools.cache
+def _design_233_7():
+    return construct_exact(Shape(2, 3, 3), 7)[0]
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-3, 1, 1e3, 1e13])
+def test_efficiencies_do_not_depend_on_the_type_h_weight(x):
+    # C and n y* both scale by 1/x, and so does the null-direction cut
+    want = efficiencies(_design_233_7())
+    got = efficiencies(_design_233_7(), TypeH(x))
+    assert got.diagnostic is None and want.diagnostic is None
+    assert np.allclose(got.astuple(), want.astuple(), rtol=1e-9, atol=0)
+
+
+def test_construct_under_a_large_type_h_weight_keeps_its_scores():
+    # its eigenvalues, about 1.4e-12, are not null directions
+    design, rep = construct_exact(Shape(2, 3, 3), 7, TypeH(10**13))
+    assert design == _design_233_7() and rep.diagnostic is None
+    assert np.allclose(rep.astuple(), efficiencies(design).astuple(), rtol=1e-9, atol=0)
+    assert round(rep.eff_A, 5) == 0.98984
+
+
+def test_unestimable_design_is_flagged_under_a_dense_sigma():
+    # constant blocks carry no information: C is 0 up to rounding, here with
+    # a negative trace, which is no contrast estimable, not a missing 1_t
+    g = np.random.default_rng(1).normal(size=(4, 4))
+    sigma = GeneralCov.from_matrix(g @ g.T + 4 * np.eye(4))
+    design = design_of(2, 2, 3, [[[1, 1], [1, 1]]])
+    assert -1e-15 < np.trace(designs.info_matrix_exact(design, sigma)) < 0
+    rep = efficiencies(design, sigma, y_star=1.0)
+    assert rep.diagnostic and rep.astuple() == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_construct_rejects_bad_n():
     with pytest.raises(ValueError):
         construct_exact(Shape(2, 3, 2), 0)

@@ -152,6 +152,20 @@ def test_dense_sigma_whose_kernel_overflows_is_refused():
         GeneralCov.from_matrix(1e-310 * np.eye(6))
 
 
+@pytest.mark.parametrize("m", [
+    [[True, False], [False, True]],
+    [[1.0, 0.0], [0.0, True]],
+    np.eye(2, dtype=bool),
+    [[1.0, np.False_], [np.False_, 1.0]],
+], ids=["python", "one-entry", "numpy-array", "numpy-scalars"])
+def test_dense_sigma_refuses_booleans(m):
+    # True and False are not 1 and 0 here, as for a type-H x
+    with pytest.raises(ValueError, match="not booleans"):
+        GeneralCov.from_matrix(m)
+    with pytest.raises(ValueError, match="not booleans"):
+        sigma_from_json({"matrix": m})
+
+
 # each spec is built inside the check: a type-H spec that is not positive
 # definite is refused when it is made
 @pytest.mark.parametrize("sigma, match", [

@@ -703,7 +703,7 @@ def test_numpy_integer_type_h_is_exact_like_an_int(shape):
     reports = [verify_measure(res.measure, TypeH(x), res.x_star, res.y_star)
                for res, x in zip(solves, (3, np.int64(3)))]
     assert reports[1] == reports[0] and reports[1].optimal
-    assert [type(v) for v in vars(reports[1]).values()] == [type(v) for v in vars(reports[0]).values()]
+    assert [type(v) for v in reports[1]] == [type(v) for v in reports[0]]
 
 
 def test_measures_read_numpy_integer_weights_exactly():
