@@ -117,7 +117,8 @@ class GeneralCov(NamedTuple):
         arr = np.asarray(m, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("covariance must be square")
-        if not (np.isfinite(arr).all() and np.allclose(arr, arr.T, atol=1e-10)):
+        if not (np.isfinite(arr).all()  # symmetric to 1e-10 of the largest |entry|
+                and np.allclose(arr, arr.T, atol=1e-10 * np.abs(arr).max(initial=0.0))):
             raise ValueError("covariance must be finite and symmetric")
         if not np.linalg.eigvalsh(arr)[0] > 0:  # a NaN eigenvalue is refused too
             raise ValueError("covariance must be positive definite")

@@ -43,6 +43,7 @@ from .model import (
     CovarianceSpec,
     GeneralCov,
     centering_projector,
+    check_sigma_size,
     exact_q,
     exact_units,
     exact_value,
@@ -285,9 +286,9 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
 
 
 def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
-    """Mask of the table rows whose quadratic meets y* at x* within tol."""
+    """Mask of the table rows whose quadratic meets y* at x* within tol |y*|."""
     yf = float(y_star)
-    return np.abs(q_eval(table.T, float(x_star)) - yf) <= tol * max(1.0, abs(yf))
+    return np.abs(q_eval(table.T, float(x_star)) - yf) <= tol * abs(yf)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +588,8 @@ def solve_closed_form(
         raise ValueError(
             "no closed form for general covariance; use solve_exchange"
         )
-    scale = rational_scale(sigma)
-    base = _closed_form(shape)
-    if scale is None:
-        return base._replace(y_star=base.y_star * (1.0 / float(sigma.x)), gap=0.0)
-    return base._replace(y_star=base.y_star * scale, gap=Fraction(0))
+    base, scale = _closed_form(shape), rational_scale(sigma) or 1.0 / float(sigma.x)
+    return base._replace(y_star=base.y_star * scale, gap=base.gap * scale)
 
 
 @functools.lru_cache(maxsize=64)
@@ -685,10 +683,11 @@ class VerificationReport(NamedTuple):
     weighted cross-plus-neighbor blocks, which must vanish; support_mass:
     weight sitting on arrays outside the support; info_residual: the full
     information matrix against the same target.  The measure is optimal
-    when all four are at most the tolerance.  The information residual
-    matters for a measure that is not symmetrized, such as an exact
-    design's: its slope residual is projected on both sides and can vanish
-    while its information matrix misses the target.
+    when the residuals are at most tolerance * y* and the support mass, a
+    probability, at most the tolerance.  The information residual matters
+    for a measure that is not symmetrized, such as an exact design's: its
+    slope residual is projected on both sides and can vanish while its
+    information matrix misses the target.
     """
 
     balance_residual: object
@@ -722,7 +721,8 @@ def verify_measure(
 ) -> VerificationReport:
     """Check the optimality conditions of a measure at a claimed (x*, y*):
     the verdict is optimal when the balance, slope and information
-    residuals and the support mass are all at most tol (VerificationReport).
+    residuals are at most tol |y*| and the support mass, the weight on
+    arrays whose q misses y* at x* by more than tol |y*|, at most tol.
     An exact measure, exact (x*, y*) and identity or exact type-H covariance
     (model.exact_value) are checked on integer numerators, residuals Fractions."""
     t = xi.shape.t
@@ -745,7 +745,7 @@ def verify_measure(
         # atoms of one orbit share a row, so each distinct row is scored once
         distinct, _, inverse = group_rows(xi.numerator_rows())
         q, unit = exact_q(distinct, xi.shape, scale, x)
-        off = np.array([abs(int(n) * unit - y) > tol * max(1, abs(y)) for n in q.tolist()])
+        off = np.array([abs(int(n) * unit - y) > tol * abs(y) for n in q.tolist()])
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off[inverse]) if o),
                                 xi.denominator)
     else:
@@ -761,15 +761,8 @@ def verify_measure(
         off = ~_touching(_float_rows(xi, sigma), x, y, tol)
         # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
-    ok = balance <= tol and slope <= tol and support_mass <= tol and info_res <= tol
-    return VerificationReport(
-        balance_residual=balance,
-        slope_residual=slope,
-        support_mass=support_mass,
-        info_residual=info_res,
-        tolerance=tol,
-        optimal=bool(ok),
-    )
+    ok = max(balance, slope, info_res) <= tol * abs(y) and support_mass <= tol
+    return VerificationReport(balance, slope, support_mass, info_res, tol, bool(ok))
 
 
 def _sandwich(x: np.ndarray) -> np.ndarray:
@@ -810,9 +803,9 @@ class _PoolTriples:
                 arr.flags.writeable = False
         return self._triples
 
-    def table(self, sigma: CovarianceSpec) -> np.ndarray:
-        """triple_table(pool, sigma) of a type-H sigma, the same bits."""
-        return scaled_rows(self.triples(index=True)[0], self.pool.shape, sigma)[self._index]
+    def table(self) -> np.ndarray:
+        """triple_table(pool) under identity, the same bits."""
+        return scaled_rows(self.triples(index=True)[0], self.pool.shape, IDENTITY)[self._index]
 
 
 # Full pools kept per process, least recently used dropped first, while they
@@ -895,7 +888,7 @@ def _active_slopes(table: np.ndarray, x: float):
     and their slopes c01 + x c11."""
     q = q_eval(table.T, x)
     m = float(q.max())
-    act = np.flatnonzero(q >= m - 1e-14 * max(1.0, abs(m)))
+    act = np.flatnonzero(q >= m - 1e-14 * abs(m))
     return act, table[act, 1] + x * table[act, 2]
 
 
@@ -912,19 +905,15 @@ def _live_rows(table: np.ndarray, lo: float, hi: float) -> np.ndarray:
     cross = min(hi, max(lo, (r1 - r0 + g0 * lo - g1 * hi) / (g0 - g1))) if g0 != g1 else lo
     floor = min(max(r0 + g0 * (x - lo), r1 + g1 * (x - hi)) for x in (lo, hi, cross))
     reach, bend = max(abs(lo), abs(hi)), max(0.0, -c11.min()) * (hi - lo) * (hi - lo)
-    slack = 1e-9 * (1.0 + np.abs(table).max(axis=0) @ (1.0, 2.0 * reach, reach * reach))
+    slack = 1e-9 * (np.abs(table).max(axis=0) @ (1.0, 2.0 * reach, reach * reach))
     return table[np.maximum(*ends) >= floor - 2.0 * bend - slack]
 
 
 def _nearest_crossing(clo, chi, xt: float) -> float:
     # root of q_lo - q_hi closest to xt, or xt when they do not cross
-    a2 = clo[2] - chi[2]
-    a1 = 2.0 * (clo[1] - chi[1])
-    a0 = clo[0] - chi[0]
-    if abs(a2) <= 1e-14 * (abs(clo[2]) + abs(chi[2]) + 1.0):
-        if abs(a1) <= 1e-300:
-            return xt
-        return -a0 / a1
+    a2, a1, a0 = clo[2] - chi[2], 2.0 * (clo[1] - chi[1]), clo[0] - chi[0]
+    if abs(a2) <= 1e-14 * (abs(clo[2]) + abs(chi[2])):  # flat: a line, or parallel
+        return xt if abs(a1) <= 1e-300 else -a0 / a1
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0:
         return xt
@@ -942,7 +931,7 @@ def _basic_mixture(table: np.ndarray, x: float) -> np.ndarray | None:
     # rounding of the extreme go to the earliest row.
     act, g = _active_slopes(table, x)
     w = np.zeros(len(table))
-    cut = 1e-13 * max(1.0, float(np.abs(g).max()))
+    cut = 1e-13 * float(np.abs(g).max())
     near0 = np.abs(g) <= cut
     if near0.any():
         w[act[int(np.argmax(near0))]] = 1.0
@@ -968,7 +957,7 @@ def _side(table: np.ndarray | list, x: float) -> int:
     if isinstance(table, list):  # a few rows: q_eval's and _active_slopes' float operations
         q = [c00 + (c01 + c01) * x + c11 * x * x for c00, c01, c11 in table]
         m = max(q)
-        cut = m - 1e-14 * max(1.0, abs(m))
+        cut = m - 1e-14 * abs(m)
         g = [c01 + x * c11 for (_, c01, c11), v in zip(table, q) if v >= cut]
         return 1 if min(g) > 0 else -1 if max(g) < 0 else 0
     _, g = _active_slopes(table, x)
@@ -1026,12 +1015,22 @@ def solve_exchange(
     taking the same steps.  The measure is a one- or two-atom mixture over
     the rows active at the minimiser (_basic_mixture); ties go to the
     earliest pool row.  `gap` is the envelope at the measure's peak less
-    the peak; the result is flagged converged when gap <= tol (relative).
-    To certify a measure already at hand, use equivalence_gap.
+    the peak; the result is flagged converged when gap <= tol |y*|, and
+    the support lists the pool rows within tol |y*| of y* at x*.  A type-H
+    Sigma = x I + y 1' + 1 y' is identity's solve, y* and gap times 1/x;
+    OverflowError when either passes the float range.  To certify a
+    measure already at hand, use equivalence_gap.
     """
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
+    if not isinstance(sigma, GeneralCov) and sigma != IDENTITY:
+        check_sigma_size(sigma, shape.p)
+        res = solve_exchange(shape, IDENTITY, pool, tol, max_iter)
+        scale = rational_scale(sigma) or 1.0 / float(sigma.x)  # solve_closed_form's 1/x
+        if not (math.isfinite(y := res.y_star * scale) and math.isfinite(gap := res.gap * scale)):
+            raise OverflowError(f"y* = {res.y_star!r} / x is past the float range")
+        return res._replace(y_star=y, gap=gap)
     kept = _full_pools.get(pool.shape)
-    table = (kept.table(sigma) if kept is not None and kept.pool is pool
+    table = (kept.table() if kept is not None and kept.pool is pool
              and not isinstance(sigma, GeneralCov) else triple_table(pool, sigma))
     x, iterations = _envelope_argmin(table, max_iter)
     w = _basic_mixture(table, x)
@@ -1061,6 +1060,6 @@ def solve_exchange(
         measure=measure,
         orbit_weights=orbit_pairs,
         gap=max(gap, 0.0),
-        converged=bool(gap <= tol * max(1.0, abs(qs))),
+        converged=bool(gap <= tol * abs(qs)),
         iterations=iterations,
     )

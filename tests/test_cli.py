@@ -22,7 +22,7 @@ from fielddesign import designs
 from fielddesign.arrays import Shape, mirror_plot_order
 from fielddesign.cli import main
 from fielddesign.designs import ExactDesign, efficiencies
-from fielddesign.model import GeneralCov
+from fielddesign.model import GeneralCov, TypeH
 from fielddesign.optimality import solve_exchange
 
 from .conftest import LANGTON_SQUARE, OPTIMAL_BLOCKS_232
@@ -780,10 +780,56 @@ def test_dense_sigma_whose_kernel_overflows_is_input_error(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     # y* = 4e308 exactly, which no float holds
     ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "type-h:1e-308"),
-    # the float exchange solve squares coefficients of size 1e300
-    ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "type-h:1e-300",
+    # the exchange solve's y*, identity's times 1/x, too
+    ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", "type-h:1e-308",
      "--force-computational"),
 ])
 def test_result_past_the_float_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("x", ["1e-200", "1e-300"])
+def test_exchange_solve_under_an_extreme_type_h_scale_matches_the_closed_form(capsys, x):
+    # identity's solve, y* times 1/x: no coefficient of size 1/x is squared
+    argv = ("solve", "--a", "2", "--b", "3", "--t", "3", "--sigma", f"type-h:{x}")
+    code, out, err = run(capsys, *argv, "--force-computational")
+    assert (code, err) == (0, "")
+    y = json.loads(out)["y_star"]["decimal"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and abs(y - json.loads(out)["y_star"]["decimal"]) <= 1e-12 * y
+
+
+def test_exchange_solve_checks_type_h_offsets_before_taking_identitys_solve():
+    with pytest.raises(ValueError, match="length 6"):
+        solve_exchange(Shape(2, 3, 2), TypeH(1, y=(0.5,)))
+
+
+@pytest.mark.parametrize("sigma", ["type-h:2e8", "ar05e12.json"])
+def test_verify_of_a_non_optimal_design_is_scale_free(capsys, tmp_path, monkeypatch, sigma):
+    # the golden construct design is not optimal (exit 3 under identity);
+    # residuals and the support band are held relative to y*, so a scaled
+    # Sigma, under which every value is small, does not pass it
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "construct", "--a", "2", "--b", "3", "--t", "3", "--n", "6")
+    Path("d.json").write_text(out)
+    Path("ar05e12.json").write_text(json.dumps(
+        [[1e12 * 0.5 ** abs(i - j) for j in range(6)] for i in range(6)]))
+    for given in ("identity", sigma):
+        code, out, _ = run(capsys, "verify", "d.json", "--sigma", given)
+        assert code == 3 and json.loads(out)["report"]["verdict"] == "not optimal", given
+
+
+def test_exchange_support_does_not_grow_under_a_scaled_sigma(capsys, tmp_path, monkeypatch):
+    # under AR(0.5) times 2^40 every q_s is 2^-40 of the unscaled one; an
+    # absolute band of 1e-9 once listed every orbit (11,051) as support
+    monkeypatch.chdir(tmp_path)
+    ar = [[0.5 ** abs(i - j) for j in range(9)] for i in range(9)]
+    sizes = []
+    for scale in (1.0, 2.0 ** 40):
+        Path("sigma.json").write_text(json.dumps([[scale * v for v in row] for row in ar]))
+        code, out, _ = run(capsys, "solve", "--a", "3", "--b", "3", "--t", "4",
+                           "--sigma", "sigma.json")
+        assert code == 0
+        sizes.append(len(json.loads(out)["support"]["arrays"]))
+    assert sizes[0] == sizes[1] < 1000

@@ -166,6 +166,16 @@ def test_dense_sigma_refuses_booleans(m):
         sigma_from_json({"matrix": m})
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_dense_sigma_symmetry_check_is_scale_free(scale):
+    # an absolute atol once let the skewed matrix through at 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        GeneralCov.from_matrix(np.array([[1.0, 50.0], [0.0, 1.0]]) * scale)
+    idx = np.arange(6)
+    ar = 0.5 ** np.abs(idx[:, None] - idx[None, :]) * scale
+    assert np.array_equal(GeneralCov.from_matrix(ar).array(), ar)
+
+
 # each spec is built inside the check: a type-H spec that is not positive
 # definite is refused when it is made
 @pytest.mark.parametrize("sigma, match", [

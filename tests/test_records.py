@@ -106,10 +106,11 @@ def _replace_calls() -> set[tuple[str, str, str]]:
 
 def test_replace_is_only_called_on_records_that_do_not_validate():
     # _replace builds through tuple.__new__, past a validating __new__: a new
-    # call must be on a record that checks nothing (here a _PairKernel and a
-    # SolveResult)
+    # call must be on a record that checks nothing (here a _PairKernel and
+    # two SolveResults)
     assert _replace_calls() == {("model", "_pair_kernel", "_shape_kernel(shape)"),
-                                ("optimality", "solve_closed_form", "base")}
+                                ("optimality", "solve_closed_form", "base"),
+                                ("optimality", "solve_exchange", "res")}
 
 
 def test_cli_import_builds_no_dataclass():
