@@ -383,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build an n-block design")
     shaped(p)
     p.add_argument("--n", type=_at_least(int, 1), required=True)
-    p.add_argument("--effort", type=_at_least(int, 1), default=4)
+    p.add_argument("--effort", type=_at_least(int, 1), default=4,
+                   help="restarts of the swap search, which a group design "
+                        "that fits n skips (as it does --seed)")
     p.set_defaults(handler=cmd_construct)
 
     return parser

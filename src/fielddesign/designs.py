@@ -4,11 +4,13 @@ An exact design is an ordered list of n block arrays.  This module turns
 designs into empirical measures, expands symmetric orbit weights into
 designs, evaluates A/D/E/T efficiencies against the minimax bound, finds
 the smallest n a symmetric weight vector supports, and builds efficient
-designs for arbitrary n by rounding plus local block swaps.
+designs for arbitrary n: exactly optimal ones over a 2-transitive group of
+the treatments where n allows, else by rounding plus local block swaps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -34,6 +36,7 @@ from .model import (
     CovarianceSpec,
     GeneralCov,
     centering_projector,
+    check_sigma_size,
     component_table,
     exact_value,
     info_matrix_exact,
@@ -262,6 +265,89 @@ def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDe
         raise ValueError(f"weights sum to {Fraction(len(blocks), n)}, so n={n} "
                          f"gives {len(blocks)} blocks")
     return ExactDesign(pairs[0][0].representative.shape, tuple(blocks))
+
+
+# ---------------------------------------------------------------------------
+# 2-transitive groups: a G-average of a t x t matrix is its S_t average
+
+
+def _field(q: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (q, q) addition and multiplication tables of GF(q), element e
+    the polynomial whose coefficients are the base-p digits of e, taken
+    modulo the first monic x^k + f(x) (f's digits counting up) under which
+    no two nonzero elements multiply to 0; None unless q = p^k."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    k = round(math.log(q, p)) if p else 0
+    if not p or p ** k != q:
+        return None
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p  # (q, k)
+    add = (digits[:, None] + digits[None, :]) % p @ place
+    for f in digits:
+        # power[e, i] is x^i e, as digits: x^(i+1) e shifts x^i e up one
+        # place and takes its top digit times x^k = -f back off
+        power = [digits]
+        for _ in range(k - 1):
+            top = power[-1][:, -1:]
+            power.append((np.pad(power[-1][:, :-1], ((0, 0), (1, 0))) - top * f) % p)
+        mul = np.einsum("aij,bi->abj", np.stack(power, axis=1), digits) % p @ place
+        if (mul[1:, 1:] != 0).all():
+            return add, mul
+    return None
+
+
+@functools.lru_cache(maxsize=16)
+def two_transitive(t: int) -> np.ndarray | None:
+    """A 2-transitive group on the labels 0..t-1, as a read-only (|G|, t)
+    array whose row g maps label i to g[i], the identity first: AGL(1, t),
+    x -> a x + b over GF(t), for a prime power t; else PSL(2, q), z ->
+    (a z + b) / (c z + d) with ad - bc = 1 on the projective line of
+    GF(q), infinity the label q, for t = q + 1; else None.  Every t <= 14
+    has one."""
+    if (gf := _field(t)) is not None:
+        add, mul = gf
+        group = add[mul[1:, None, :], np.arange(t)[None, :, None]].reshape(-1, t)
+    elif (gf := _field(q := t - 1)) is not None:
+        add, mul = gf
+        inv = np.argmax(mul == 1, axis=1)  # inv[0] is 0, read only where masked
+        a, b, c, d = np.stack(np.meshgrid(*[np.arange(q)] * 4, indexing="ij")).reshape(4, -1)
+        neg = np.argmax(add == 0, axis=1)  # the additive inverse of each element
+        keep = add[mul[a, d], neg[mul[b, c]]] == 1
+        a, b, c, d = (v[keep, None] for v in (a, b, c, d))
+        z = np.arange(q)[None, :]
+        num, den = add[mul[a, z], b], add[mul[c, z], d]
+        finite = np.where(den == 0, q, mul[num, inv[den]])
+        infinity = np.where(c == 0, q, mul[a, inv[c]])
+        group = np.unique(np.concatenate([finite, infinity], axis=1), axis=0)
+    else:
+        return None
+    group.flags.writeable = False
+    return group
+
+
+def _group_design(shape: Shape, pairs: Sequence[tuple[Orbit, object]],
+                  n: int) -> ExactDesign | None:
+    """The n-block design that spreads the orbit weights w_k over a
+    two_transitive group G, or None.  With L the least common denominator
+    of the weights and m_k = L w_k, it is m_k copies of G(s_k) = [g(s_k) for
+    g in G] for each orbit representative s_k in turn, n_G = |G| L blocks,
+    repeated n / n_G times; None when G does not exist, n is no multiple of
+    n_G or a weight is not exact (model.exact_value), a lone orbit's
+    weight counting as 1.  Each G(s_k) has the components of s_k's S_t
+    orbit average, as relabeling permutes a component's rows and columns
+    alike, so the design's information matrix is n times the measure's."""
+    group = two_transitive(shape.t)
+    weights = [Fraction(1)] if len(pairs) == 1 else [exact_value(w) for _, w in pairs]
+    if group is None or None in weights:
+        return None
+    lcd = math.lcm(*(w.denominator for w in weights))
+    if n % (len(group) * lcd):
+        return None
+    reps = label_matrix([o.representative for o, _ in pairs])
+    labels = np.concatenate([group[:, rep - 1] + 1 for rep, w in zip(reps, weights)
+                             for _ in range(int(w * lcd))])
+    pool = LabelPool(shape, np.tile(labels, (n // len(labels), 1)))
+    return ExactDesign(shape, tuple(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +622,22 @@ def construct_exact(
     seed: int = 0,
     effort: int = 4,
 ) -> tuple[ExactDesign, EfficiencyReport]:
-    """Build an efficient n-block design by rounding plus local swaps.
+    """Build an efficient n-block design: a group design where one fits,
+    else by rounding plus local swaps.
 
-    Starts from a largest-remainder apportionment of n over the optimal
-    measure's support, then greedily replaces single blocks with other
-    support arrays whenever that shrinks the distance between the design
-    information matrix and its optimal completely-symmetric target.  Each
+    The group design (_group_design) spreads the solve's orbit weights over
+    a 2-transitive group G of the treatments (two_transitive), which gives
+    the optimal measure's information matrix exactly.  It is returned, with
+    no search, when G exists (every t <= 14), the weights are exact (the
+    closed form's Fractions, or a general-Sigma solve with one orbit) and n
+    is a multiple of n_G = |G| times their least common denominator;
+    `seed` and `effort` do not apply to it.
+
+    Otherwise the search starts from a largest-remainder apportionment of n
+    over the optimal measure's support, then greedily replaces single
+    blocks with other support arrays whenever that shrinks the distance
+    between the design information matrix and its optimal
+    completely-symmetric target.  Each
     slot takes the pick of a pool-order scan (_scan) of exact residuals over
     the distinct component tables, in two tiers: an eigenbasis bound
     (_eigen_bounds, one matrix product) drops those that cannot beat the
@@ -566,13 +662,17 @@ def construct_exact(
         raise ValueError("n must be at least 1")
     if effort < 1:
         raise ValueError("effort must be at least 1")
-    rng = np.random.default_rng(seed)
+    check_sigma_size(sigma, shape.p)
     search = sigma if isinstance(sigma, GeneralCov) else IDENTITY
     result = (solve_closed_form if search is IDENTITY else solve_exchange)(shape, search)
     y = float(result.y_star)
     t = shape.t
 
     pairs = result.orbit_weights
+    design = _group_design(shape, pairs, n)
+    if design is not None:
+        return design, efficiencies(design, sigma, y_star=y if search is sigma else None)
+    rng = np.random.default_rng(seed)
     cap = max(2 * n, 64)
     reps = label_matrix([o.representative for o, _ in pairs])
     members = [_orbit_sample(rep - 1, t, cap, rng) for rep in reps]

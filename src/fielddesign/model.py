@@ -210,6 +210,7 @@ def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
 def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
     """Block-centered precision kernel (p x p, float)."""
     if isinstance(sigma, TypeH):
+        check_sigma_size(sigma, p)
         return (np.eye(p) - np.full((p, p), 1.0 / p)) / float(sigma.x)
     inv = np.linalg.inv(sigma_matrix(sigma, p))
     u = inv.sum(axis=1)

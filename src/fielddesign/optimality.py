@@ -227,6 +227,7 @@ def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> Coefficient
     the denominator; anything else a float dot."""
     scale = rational_scale(sigma) if xi.is_exact() else None
     if scale is not None:
+        check_sigma_size(sigma, xi.shape.p)
         c = (np.array(xi.weights, dtype=object) @ xi.numerator_rows().astype(object)
              * (exact_units(xi.shape, scale) / xi.denominator))
     else:
@@ -273,6 +274,7 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     pool = LabelPool.of(pool)
     xf, scale = exact_value(x), rational_scale(sigma)
     if scale is not None and xf is not None:
+        check_sigma_size(sigma, pool.shape.p)
         kept = _full_pools.get(pool.shape)
         if kept is None or kept.pool is not pool:
             kept = _PoolTriples(pool)  # for this call only
@@ -588,6 +590,7 @@ def solve_closed_form(
         raise ValueError(
             "no closed form for general covariance; use solve_exchange"
         )
+    check_sigma_size(sigma, shape.p)
     base, scale = _closed_form(shape), rational_scale(sigma) or 1.0 / float(sigma.x)
     return base._replace(y_star=base.y_star * scale, gap=base.gap * scale)
 
@@ -855,11 +858,14 @@ def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
         rows = list(pool.labels)
 
 
+@functools.lru_cache(maxsize=64)
 def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
     """Constructive pool covering the closed-form support classes, in colex
     order.  For t <= p - 2 it holds the first 64 distinct balanced orbits
     among the two structured balanced arrays and 1,280 random ones;
-    otherwise every placement of the feasible corner-double classes."""
+    otherwise every placement of the feasible corner-double classes.  It is
+    built once per (shape, seed) per process, the 64 most recently used
+    kept, and every call returns that read-only pool."""
     if shape.t <= shape.p - 2:
         head = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
         bag = _balanced_bag(shape)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,11 +38,25 @@ from fielddesign.model import (
     IDENTITY,
     GeneralCov,
     TypeH,
+    btilde,
     centering_projector,
     component_table,
+    info_matrix_exact,
+    info_matrix_measure,
     symmetric_pinv,
+    triple_table,
 )
-from fielddesign.optimality import Measure, full_pool, solve_closed_form
+from fielddesign.optimality import (
+    Measure,
+    equivalence_gap,
+    full_pool,
+    measure_triple,
+    q_star,
+    r_eval,
+    solve_closed_form,
+    solve_exchange,
+    verify_measure,
+)
 
 from .conftest import (
     CLUSTERED_ROWS_232,
@@ -617,13 +632,14 @@ GOLDEN_REPORTS = [
         [[2, 3, 1], [2, 3, 1]], [[3, 1, 2], [3, 1, 2]], [[1, 3, 3], [2, 2, 1]],
     ], {"eff_A": 0.99102, "eff_D": 0.991026, "eff_E": 0.9875, "eff_T": 0.991033,
         "eigenvalues": [11.85, 11.934782608695652], "n": 6, "y_star": 4.0}),
+    # the AGL(1, 4) design of the closed form's one orbit, exactly optimal
     ((2, 3, 4), 12, TypeH(Fraction(3, 2)), [
-        [[1, 3, 4], [2, 2, 4]], [[3, 2, 2], [4, 4, 1]], [[1, 1, 3], [2, 2, 4]],
-        [[1, 1, 2], [3, 4, 2]], [[3, 1, 4], [2, 1, 4]], [[4, 4, 3], [2, 1, 1]],
-        [[3, 3, 1], [2, 4, 1]], [[1, 3, 3], [4, 2, 2]], [[1, 1, 4], [2, 3, 3]],
-        [[1, 3, 3], [4, 2, 2]], [[1, 2, 4], [3, 3, 4]], [[3, 4, 1], [3, 4, 2]],
-    ], {"eff_A": 0.999564, "eff_D": 0.999564, "eff_E": 0.999236, "eff_T": 0.999564,
-        "eigenvalues": [11.546731769383292, 11.549685166587272, 11.555122340713899],
+        [[1, 2, 3], [1, 2, 4]], [[2, 1, 4], [2, 1, 3]], [[3, 4, 1], [3, 4, 2]],
+        [[4, 3, 2], [4, 3, 1]], [[1, 3, 4], [1, 3, 2]], [[2, 4, 3], [2, 4, 1]],
+        [[3, 1, 2], [3, 1, 4]], [[4, 2, 1], [4, 2, 3]], [[1, 4, 2], [1, 4, 3]],
+        [[2, 3, 1], [2, 3, 4]], [[3, 2, 4], [3, 2, 1]], [[4, 1, 3], [4, 1, 2]],
+    ], {"eff_A": 1.0, "eff_D": 1.0, "eff_E": 1.0, "eff_T": 1.0,
+        "eigenvalues": [11.555555555555555, 11.555555555555555, 11.555555555555555],
         "n": 12, "y_star": 2.888888888888889}),
     ((2, 3, 3), 6, BOUND_SIGMAS["ar"], [
         [[3, 3, 3], [1, 1, 2]], [[1, 1, 1], [2, 2, 3]], [[1, 1, 3], [3, 2, 2]],
@@ -641,3 +657,124 @@ def test_construct_golden_reports(abt, n, sigma, blocks, report):
     design, rep = construct_exact(shape, n, sigma, seed=0)
     assert design.to_json()["blocks"] == blocks
     assert rep.to_json() == report
+    if not isinstance(sigma, GeneralCov):  # exactly optimal where the report reads 1
+        res = solve_closed_form(shape, sigma)
+        check = verify_measure(measure_of_design(design), sigma, res.x_star, res.y_star)
+        assert check.optimal == (report["eff_A"] == 1)
+        assert (check.info_residual == 0) == check.optimal
+
+
+# ---------------------------------------------------------------------------
+# 2-transitive groups and the group designs construct returns
+
+
+def _prime_power(q: int) -> bool:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+@pytest.mark.parametrize("t", range(2, 15))
+def test_two_transitive_group_orders_and_pair_transitivity(t):
+    group = designs.two_transitive(t)
+    q = t - 1
+    want = t * (t - 1) if _prime_power(t) else q * (q * q - 1) // math.gcd(2, q - 1)
+    assert group.shape == (want, t) and not group.flags.writeable
+    assert group[0].tolist() == list(range(t))
+    assert all(sorted(g) == list(range(t)) for g in group.tolist())
+    assert len({tuple(g) for g in group.tolist()}) == want
+    # the images of the pair (0, 1) are every ordered pair of distinct labels
+    assert {(g[0], g[1]) for g in group.tolist()} == set(itertools.permutations(range(t), 2))
+
+
+@pytest.mark.parametrize("t", range(2, 15))
+def test_group_average_is_the_symmetric_group_average(t):
+    # sum over g of the relabeled matrix R_g, R_g[g(i), g(j)] = M[i, j],
+    # is |G| times the S_t average: trace / t on the diagonal and the
+    # off-diagonal sum / (t (t - 1)) off it, compared in integers
+    group = designs.two_transitive(t)
+    for seed in range(3):
+        m = np.random.default_rng(seed).integers(-50, 50, size=(t, t))
+        total = np.zeros((t, t), dtype=np.int64)
+        for g in group:
+            total[np.ix_(g, g)] += m
+        tr, off = int(np.trace(m)), int(m.sum() - np.trace(m))
+        assert (t * np.diag(total) == len(group) * tr).all()
+        assert (t * (t - 1) * total[~np.eye(t, dtype=bool)] == len(group) * off).all()
+
+
+def test_two_transitive_is_none_past_the_prime_power_families():
+    assert designs.two_transitive(15) is None
+    assert designs.two_transitive(1) is None
+
+
+# n_G = |G| L: (2,3,4) has one orbit, weight 1, and AGL(1, 4) of order 12;
+# (2,3,2) weights 7/8 and 1/8 over S_2, (2,3,3) 7/9 and 2/9 over S_3
+@pytest.mark.parametrize("abt, n_g, sigma", [
+    ((2, 3, 4), 12, IDENTITY), ((2, 3, 4), 12, TypeH(Fraction(3, 2))),
+    ((2, 3, 2), 16, IDENTITY), ((2, 3, 3), 54, IDENTITY)],
+    ids=["234", "234-type-h", "232", "233"])
+def test_construct_returns_an_exactly_optimal_group_design(monkeypatch, abt, n_g, sigma):
+    monkeypatch.setattr(designs, "_slot_pick", None)  # no search is run
+    shape = Shape(*abt)
+    design, rep = construct_exact(shape, n_g, sigma)
+    assert design.n == n_g
+    res = solve_closed_form(shape, sigma)
+    check = verify_measure(measure_of_design(design), sigma, res.x_star, res.y_star)
+    assert check.optimal
+    assert all(v == 0 for v in (check.balance_residual, check.slope_residual,
+                                check.support_mass, check.info_residual))
+    assert np.allclose(rep.astuple(), 1.0, rtol=0, atol=1e-12)
+    again = construct_exact(shape, 2 * n_g, sigma, seed=5, effort=1)[0]
+    assert again.blocks == design.blocks * 2
+
+
+@pytest.mark.parametrize("abt, n", [((2, 3, 4), 12), ((2, 5, 5), 20)])
+def test_construct_group_design_under_a_one_orbit_exchange_optimum(monkeypatch, abt, n):
+    # AR(0.5) has a one-orbit optimum on these shapes: its AGL(1, t) design
+    monkeypatch.setattr(designs, "_slot_pick", None)
+    p = abt[0] * abt[1]
+    ar = GeneralCov.from_matrix(0.5 ** np.abs(np.subtract.outer(range(p), range(p))))
+    design, rep = construct_exact(Shape(*abt), n, ar)
+    assert design.n == n
+    assert all(abs(v - 1) <= 1e-12 for v in rep.astuple())
+
+
+def test_construct_searches_where_the_group_design_does_not_fit(monkeypatch):
+    # (2,3,2) has n_G = 16, so n = 4 is searched
+    calls = []
+    real = designs._slot_pick
+    monkeypatch.setattr(designs, "_slot_pick", lambda *args: calls.append(1) or real(*args))
+    construct_exact(Shape(2, 3, 2), 4, seed=1)
+    assert calls
+
+
+def test_every_public_entry_refuses_type_h_offsets_of_the_wrong_length(optimal_design_232):
+    shape, bad = Shape(2, 3, 2), TypeH(1, y=(0.5,))
+    res = solve_closed_form(shape)
+    xi, pool = res.measure, full_pool(shape)
+    calls = [
+        lambda: solve_closed_form(shape, bad),
+        lambda: solve_exchange(shape, bad),
+        lambda: r_eval(Fraction(0), pool, bad),
+        lambda: r_eval(0.0, pool, bad),
+        lambda: verify_measure(xi, bad, res.x_star, res.y_star),
+        lambda: verify_measure(xi, bad, float(res.x_star), float(res.y_star)),
+        lambda: equivalence_gap(xi, pool, bad),
+        lambda: measure_triple(xi, bad),
+        lambda: q_star(xi, bad),
+        lambda: triple_table(pool, bad),
+        lambda: btilde(bad, shape.p),
+        lambda: info_matrix_exact(optimal_design_232, bad),
+        lambda: info_matrix_measure(xi, bad),
+        lambda: efficiencies(optimal_design_232, bad),
+        lambda: efficiencies(optimal_design_232, bad, y_star=1.0),
+        lambda: pseudo_symmetric_efficiency(xi, bad),
+        lambda: pseudo_symmetric_efficiency(xi, bad, y_star=1),
+        lambda: construct_exact(shape, 4, bad),
+        lambda: construct_exact(shape, 16, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="type-H offset vector must have length 6"):
+            call()

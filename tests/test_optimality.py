@@ -1087,6 +1087,14 @@ def test_restricted_pools_keep_contents_and_order():
         "878786afc4cf3412cfb1d7541de629f787e8e12d41669fa9b07580a5142ee455"
 
 
+def test_support_pool_is_kept_per_shape_and_seed():
+    # built once per (shape, seed): the same read-only pool on every call
+    pool = support_pool(Shape(2, 3, 3))
+    assert support_pool(Shape(2, 3, 3)) is pool and not pool.labels.flags.writeable
+    assert support_pool(Shape(2, 3, 3), seed=1) is not pool
+    assert support_pool(Shape(2, 3, 3), seed=1) is support_pool(Shape(2, 3, 3), seed=1)
+
+
 TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
 
 
