@@ -271,15 +271,33 @@ def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDe
 # 2-transitive groups: a G-average of a t x t matrix is its S_t average
 
 
-def _field(q: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (q, q) addition and multiplication tables of GF(q), element e
-    the polynomial whose coefficients are the base-p digits of e, taken
-    modulo the first monic x^k + f(x) (f's digits counting up) under which
-    no two nonzero elements multiply to 0; None unless q = p^k."""
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    k = round(math.log(q, p)) if p else 0
-    if not p or p ** k != q:
+def _prime_power(q: int) -> int | None:
+    """The prime p with q = p^k, k >= 1, or None."""
+    if q < 2:
         return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return p if q == 1 else None
+
+
+def _group_order(t: int) -> int | None:
+    """|two_transitive(t)| without building it: t (t - 1) for AGL(1, t),
+    q (q^2 - 1) / gcd(2, q - 1) for PSL(2, q) with t = q + 1, else None."""
+    if _prime_power(t):
+        return t * (t - 1)
+    if _prime_power(q := t - 1):
+        return q * (q * q - 1) // math.gcd(2, q - 1)
+    return None
+
+
+def _field(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, q) addition and multiplication tables of GF(q), q = p^k,
+    element e the polynomial whose coefficients are the base-p digits of
+    e, taken modulo the first monic x^k + f(x) (f's digits counting up)
+    under which no two nonzero elements multiply to 0."""
+    p = _prime_power(q)
+    k = round(math.log(q, p))
     place = p ** np.arange(k)
     digits = np.arange(q)[:, None] // place % p  # (q, k)
     add = (digits[:, None] + digits[None, :]) % p @ place
@@ -293,36 +311,55 @@ def _field(q: int) -> tuple[np.ndarray, np.ndarray] | None:
         mul = np.einsum("aij,bi->abj", np.stack(power, axis=1), digits) % p @ place
         if (mul[1:, 1:] != 0).all():
             return add, mul
-    return None
+    raise AssertionError(f"GF({q}) has an irreducible modulus")
 
 
-@functools.lru_cache(maxsize=16)
+def _build_group(t: int) -> np.ndarray:
+    """two_transitive(t), built, for a t that has a group."""
+    if _prime_power(t):
+        add, mul = _field(t)
+        group = add[mul[1:, None, :], np.arange(t)[None, :, None]].reshape(-1, t)
+    else:
+        q = t - 1
+        add, mul = _field(q)
+        inv = np.argmax(mul == 1, axis=1)  # inv[0] is 0, read only where masked
+        neg = np.argmax(add == 0, axis=1)  # the additive inverse of each element
+        # SL(2, q), q (q^2 - 1) rows: a != 0 fixes d = (1 + bc) / a, and
+        # a = 0 needs c = -1 / b with d free
+        a, b, c = (v.ravel() for v in np.meshgrid(
+            np.arange(1, q), np.arange(q), np.arange(q), indexing="ij"))
+        b0, d0 = (v.ravel() for v in np.meshgrid(np.arange(1, q), np.arange(q), indexing="ij"))
+        a, b, c, d = (np.concatenate(pair)[:, None] for pair in (
+            (a, np.zeros_like(b0)), (b, b0), (c, neg[inv[b0]]),
+            (mul[add[1, mul[b, c]], inv[a]], d0)))
+        z = np.arange(q)[None, :]
+        num, den = add[mul[a, z], b], add[mul[c, z], d]
+        finite = np.where(den == 0, q, mul[num, inv[den]])
+        infinity = np.where(c == 0, q, mul[a, inv[c]])
+        # -g acts as g does, so each PSL element comes twice for odd q
+        group = np.unique(np.concatenate([finite, infinity], axis=1), axis=0)
+    group.flags.writeable = False
+    return group
+
+
+# Groups of at most _KEPT_GROUP_LABELS labels (|G| t) are kept per process,
+# 16 at most, 1 MB each: those of every t <= 23 among others.  A larger one
+# is built on each call; its design holds at least as many labels.
+_KEPT_GROUP_LABELS = 1 << 17
+_kept_group = functools.lru_cache(maxsize=16)(_build_group)
+
+
 def two_transitive(t: int) -> np.ndarray | None:
     """A 2-transitive group on the labels 0..t-1, as a read-only (|G|, t)
     array whose row g maps label i to g[i], the identity first: AGL(1, t),
     x -> a x + b over GF(t), for a prime power t; else PSL(2, q), z ->
     (a z + b) / (c z + d) with ad - bc = 1 on the projective line of
     GF(q), infinity the label q, for t = q + 1; else None.  Every t <= 14
-    has one."""
-    if (gf := _field(t)) is not None:
-        add, mul = gf
-        group = add[mul[1:, None, :], np.arange(t)[None, :, None]].reshape(-1, t)
-    elif (gf := _field(q := t - 1)) is not None:
-        add, mul = gf
-        inv = np.argmax(mul == 1, axis=1)  # inv[0] is 0, read only where masked
-        a, b, c, d = np.stack(np.meshgrid(*[np.arange(q)] * 4, indexing="ij")).reshape(4, -1)
-        neg = np.argmax(add == 0, axis=1)  # the additive inverse of each element
-        keep = add[mul[a, d], neg[mul[b, c]]] == 1
-        a, b, c, d = (v[keep, None] for v in (a, b, c, d))
-        z = np.arange(q)[None, :]
-        num, den = add[mul[a, z], b], add[mul[c, z], d]
-        finite = np.where(den == 0, q, mul[num, inv[den]])
-        infinity = np.where(c == 0, q, mul[a, inv[c]])
-        group = np.unique(np.concatenate([finite, infinity], axis=1), axis=0)
-    else:
+    has one.  |G| is _group_order(t)."""
+    order = _group_order(t)
+    if order is None:
         return None
-    group.flags.writeable = False
-    return group
+    return (_kept_group if order * t <= _KEPT_GROUP_LABELS else _build_group)(t)
 
 
 def _group_design(shape: Shape, pairs: Sequence[tuple[Orbit, object]],
@@ -333,16 +370,18 @@ def _group_design(shape: Shape, pairs: Sequence[tuple[Orbit, object]],
     g in G] for each orbit representative s_k in turn, n_G = |G| L blocks,
     repeated n / n_G times; None when G does not exist, n is no multiple of
     n_G or a weight is not exact (model.exact_value), a lone orbit's
-    weight counting as 1.  Each G(s_k) has the components of s_k's S_t
+    weight counting as 1.  n_G comes from _group_order, so G is built only
+    when the design is.  Each G(s_k) has the components of s_k's S_t
     orbit average, as relabeling permutes a component's rows and columns
     alike, so the design's information matrix is n times the measure's."""
-    group = two_transitive(shape.t)
+    order = _group_order(shape.t)
     weights = [Fraction(1)] if len(pairs) == 1 else [exact_value(w) for _, w in pairs]
-    if group is None or None in weights:
+    if order is None or None in weights:
         return None
     lcd = math.lcm(*(w.denominator for w in weights))
-    if n % (len(group) * lcd):
+    if n % (order * lcd):
         return None
+    group = two_transitive(shape.t)
     reps = label_matrix([o.representative for o, _ in pairs])
     labels = np.concatenate([group[:, rep - 1] + 1 for rep, w in zip(reps, weights)
                              for _ in range(int(w * lcd))])

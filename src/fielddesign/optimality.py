@@ -811,14 +811,32 @@ class _PoolTriples:
         return scaled_rows(self.triples(index=True)[0], self.pool.shape, IDENTITY)[self._index]
 
 
-# Full pools kept per process, least recently used dropped first, while they
-# hold more than _FULL_POOL_ROWS rows in all; a larger shape is enumerated on
-# every call.  A shape of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2
-# gives at least 2^(p-1) orbits, and p = 17 is no grid), so a kept row costs
-# at most 8p = 128 bytes of labels and 32 of triple and first index: 16 MB
-# at worst.  The certify shapes of the benchmark hold 75,212 rows, 5.7 MB.
+# Full pools (keyed by shape) and support pools (keyed by (shape, seed)) kept
+# per process, least recently used dropped first, while they hold more than
+# _FULL_POOL_ROWS rows in all; a larger pool is built on every call.  A shape
+# of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at least
+# 2^(p-1) orbits, and p = 17 is no grid), so a kept full-pool row costs at
+# most 8p = 128 bytes of labels and 32 of triple and first index: 16 MB at
+# worst.  The certify shapes of the benchmark hold 75,212 rows, 5.7 MB.
+# A support pool holds at most 64 balanced rows or its shape's few
+# corner-double placements (80 at most for the shapes up to p = 40 tried), so
+# it weighs little; it is scored like any other pool, as r_eval and
+# triple_table look up full pools only.
 _FULL_POOL_ROWS = 100_000
-_full_pools: dict[Shape, _PoolTriples] = {}
+_full_pools: dict[Shape | tuple[Shape, int], _PoolTriples] = {}
+
+
+def _kept_pool(key, build) -> LabelPool:
+    """The kept pool under key, else build()'s, kept when small enough."""
+    kept = _full_pools.pop(key, None)
+    if kept is None:
+        kept = _PoolTriples(build())
+        if len(kept.pool) > _FULL_POOL_ROWS:
+            return kept.pool
+    _full_pools[key] = kept  # the most recently used last
+    while sum(len(k.pool) for k in _full_pools.values()) > _FULL_POOL_ROWS:
+        del _full_pools[next(iter(_full_pools))]
+    return kept.pool
 
 
 def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
@@ -828,15 +846,8 @@ def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
     at most _FULL_POOL_ROWS rows is built once per process and the same
     object is returned on every call; the budget is checked on each one."""
     _check_budget(shape, budget)
-    kept = _full_pools.pop(shape, None)
-    if kept is None:
-        kept = _PoolTriples(LabelPool(shape, enumerate_label_matrix(shape, budget=budget)))
-        if len(kept.pool) > _FULL_POOL_ROWS:
-            return kept.pool
-    _full_pools[shape] = kept  # the most recently used last
-    while sum(len(k.pool) for k in _full_pools.values()) > _FULL_POOL_ROWS:
-        del _full_pools[next(iter(_full_pools))]
-    return kept.pool
+    return _kept_pool(shape, lambda: LabelPool(
+        shape, enumerate_label_matrix(shape, budget=budget)))
 
 
 def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
@@ -858,14 +869,17 @@ def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
         rows = list(pool.labels)
 
 
-@functools.lru_cache(maxsize=64)
 def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
     """Constructive pool covering the closed-form support classes, in colex
     order.  For t <= p - 2 it holds the first 64 distinct balanced orbits
     among the two structured balanced arrays and 1,280 random ones;
-    otherwise every placement of the feasible corner-double classes.  It is
-    built once per (shape, seed) per process, the 64 most recently used
-    kept, and every call returns that read-only pool."""
+    otherwise every placement of the feasible corner-double classes.  It
+    is kept per (shape, seed) beside the full pools, so a repeated call in
+    one process returns the same read-only pool."""
+    return _kept_pool((shape, seed), lambda: _built_support_pool(shape, seed))
+
+
+def _built_support_pool(shape: Shape, seed: int) -> LabelPool:
     if shape.t <= shape.p - 2:
         head = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
         bag = _balanced_bag(shape)

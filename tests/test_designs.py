@@ -681,6 +681,7 @@ def test_two_transitive_group_orders_and_pair_transitivity(t):
     q = t - 1
     want = t * (t - 1) if _prime_power(t) else q * (q * q - 1) // math.gcd(2, q - 1)
     assert group.shape == (want, t) and not group.flags.writeable
+    assert designs._group_order(t) == want
     assert group[0].tolist() == list(range(t))
     assert all(sorted(g) == list(range(t)) for g in group.tolist())
     assert len({tuple(g) for g in group.tolist()}) == want
@@ -707,6 +708,26 @@ def test_group_average_is_the_symmetric_group_average(t):
 def test_two_transitive_is_none_past_the_prime_power_families():
     assert designs.two_transitive(15) is None
     assert designs.two_transitive(1) is None
+
+
+def test_only_small_groups_are_kept(monkeypatch):
+    assert designs.two_transitive(5) is designs.two_transitive(5)
+    monkeypatch.setattr(designs, "_KEPT_GROUP_LABELS", 5 * 4 * 5 - 1)
+    group = designs.two_transitive(5)
+    assert group is not designs.two_transitive(5) and not group.flags.writeable
+    assert np.array_equal(group, designs._kept_group(5))
+
+
+@pytest.mark.parametrize("abt, n", [((2, 2, 24), 2), ((2, 2, 102), 1)])
+def test_construct_at_a_large_t_searches_without_building_the_group(monkeypatch, abt, n):
+    # n_G >= 6072 for t = 24 (PSL(2, 23)) and 515,100 for t = 102
+    # (PSL(2, 101)), worked out from the order alone
+    def refuse(t):
+        raise AssertionError(f"built the group of t = {t}")
+    monkeypatch.setattr(designs, "_build_group", refuse)
+    monkeypatch.setattr(designs, "_kept_group", refuse)
+    design, _ = construct_exact(Shape(*abt), n, effort=1)
+    assert design.n == n
 
 
 # n_G = |G| L: (2,3,4) has one orbit, weight 1, and AGL(1, 4) of order 12;

@@ -1087,12 +1087,23 @@ def test_restricted_pools_keep_contents_and_order():
         "878786afc4cf3412cfb1d7541de629f787e8e12d41669fa9b07580a5142ee455"
 
 
-def test_support_pool_is_kept_per_shape_and_seed():
+def test_support_pool_is_kept_per_shape_and_seed(fresh_full_pools, monkeypatch):
     # built once per (shape, seed): the same read-only pool on every call
-    pool = support_pool(Shape(2, 3, 3))
-    assert support_pool(Shape(2, 3, 3)) is pool and not pool.labels.flags.writeable
-    assert support_pool(Shape(2, 3, 3), seed=1) is not pool
-    assert support_pool(Shape(2, 3, 3), seed=1) is support_pool(Shape(2, 3, 3), seed=1)
+    shape = Shape(2, 3, 3)
+    pool = support_pool(shape)
+    assert support_pool(shape) is pool and not pool.labels.flags.writeable
+    assert support_pool(shape, seed=0) is pool
+    assert support_pool(shape, seed=1) is not pool
+    assert support_pool(shape, seed=1) is support_pool(shape, seed=1)
+    assert list(optimality._full_pools) == [(shape, 0), (shape, 1)]
+    # under the full pools' row bound: 15 + 15 + 32 rows, the least recently
+    # used dropped first, and a pool past the bound is not kept
+    full_pool(Shape(2, 3, 2))
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 40)
+    full_pool(Shape(2, 3, 2))
+    assert list(optimality._full_pools) == [Shape(2, 3, 2)]
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", len(pool) - 1)
+    assert support_pool(shape, seed=2) is not support_pool(shape, seed=2)
 
 
 TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
