@@ -18,7 +18,10 @@ one pair of runs under the same conditions.  The snapshot holds each
 checkout's commit and source line count, the seeds, every JSON line
 run.py printed with the slot it ran from, and per workload and metric the
 median and quartiles of each checkout and the number of pairs that each
-later checkout won against the first.
+later checkout won against the first.  `resolved` says whether that is a
+gain by the claim rule: the later checkout won at least nine tenths of the
+pairs, and its median is below the first's by more than the first's
+interquartile spread (q3 - q1).
 Each --traced WORKLOAD adds one `--trace 1` run per checkout, on the first
 seed, after the pairs, under "traced": the per-layer self times and counters.
 """
@@ -122,8 +125,11 @@ def summarize(runs: list[dict], names: list[str], workloads: list[str]) -> tuple
                     new, old = r["metrics"][m]["value"], base[seed]["metrics"][m]["value"]
                     won += new < old
                     lost += new > old
+                first, later = summary[names[0]][w][m], summary[n][w][m]
+                resolved = (10 * won >= 9 * len(by_name[n])
+                            and first["median"] - later["median"] > first["q3"] - first["q1"])
                 pairs.setdefault(n, {}).setdefault(w, {})[m] = {
-                    "won": won, "lost": lost, "pairs": len(by_name[n])}
+                    "won": won, "lost": lost, "pairs": len(by_name[n]), "resolved": resolved}
     return summary, pairs
 
 

@@ -673,10 +673,11 @@ def construct_exact(
     `seed` and `effort` do not apply to it.
 
     Otherwise the search starts from a largest-remainder apportionment of n
-    over the optimal measure's support, then greedily replaces single
-    blocks with other support arrays whenever that shrinks the distance
-    between the design information matrix and its optimal
-    completely-symmetric target.  Each
+    over the optimal measure's support.  When n p < t some treatment is in
+    no block, so every efficiency is 0, and that start is returned with no
+    swap.  Else the search greedily replaces single blocks with other
+    support arrays whenever that shrinks the distance between the design
+    information matrix and its optimal completely-symmetric target.  Each
     slot takes the pick of a pool-order scan (_scan) of exact residuals over
     the distinct component tables, in two tiers: an eigenbasis bound
     (_eigen_bounds, one matrix product) drops those that cannot beat the
@@ -725,14 +726,17 @@ def construct_exact(
     # the pool in colex order; where[k] is the pool index of rows[k]
     labels, _, where = group_rows(rows)
     pool = LabelPool(shape, labels)
-    stack = component_table(pool, search)
-    target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     counts = _largest_remainder([float(w) * n if (e := exact_value(w)) is None else e * n
                                  for _, w in pairs], n)
     sizes = [len(group) for group in members]
     groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
+    if n * shape.p < t:  # some treatment is in no block: every design scores 0
+        design = ExactDesign(shape, tuple(pool[k] for k in rounded))
+        return design, efficiencies(design, sigma, y_star=y if search is sigma else None)
+    stack = component_table(pool, search)
+    target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     runs: list[_Restart] = []
     cands: _Candidates | None = None  # built at the first pick: a start at 0 needs none

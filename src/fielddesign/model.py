@@ -462,6 +462,39 @@ def triple_table(
     return _pair_kernel(pool.shape, sigma).triples(pool.labels)
 
 
+def _float_rows(measure, sigma: CovarianceSpec) -> np.ndarray:
+    """Float coefficient rows of a measure's label rows: its kept numerators
+    under identity or type-H covariance (scaled_rows); a dense Sigma scores
+    the labels."""
+    if isinstance(sigma, GeneralCov):
+        return triple_table(LabelPool(measure.shape, measure.labels), sigma)
+    return scaled_rows(measure.numerator_rows(), measure.shape, sigma)
+
+
+def measure_triple(measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
+    """Weighted sum of per-array coefficient triples: exact measure and covariance
+    give one Python-int dot of the weights and numerators, times the units over
+    the denominator; anything else a float dot."""
+    scale = rational_scale(sigma) if measure.is_exact() else None
+    if scale is not None:
+        check_sigma_size(sigma, measure.shape.p)
+        c = (np.array(measure.weights, dtype=object) @ measure.numerator_rows().astype(object)
+             * (exact_units(measure.shape, scale) / measure.denominator))
+    else:
+        c = [float(v) for v in measure.float_weights() @ _float_rows(measure, sigma)]
+    return CoefficientTriple(*c)
+
+
+def _vertex(c00, c01, c11, flat_x):
+    """(q*, x~) of c00 + 2 c01 x + c11 x^2: its least value and where it is
+    attained, (c00 - c01^2/c11, -c01/c11) when c11 > 0.  Otherwise the
+    quadratic is flat (c11 = 0 forces c01 = 0, as on the 2x2 stripes) and
+    is read at flat_x."""
+    if c11 > 0:
+        return c00 - c01 * c01 / c11, -c01 / c11
+    return c00, flat_x
+
+
 def component_table(
     pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY
 ) -> np.ndarray:
@@ -519,36 +552,23 @@ def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int
     return nums * kern.scale.numerator, shape.p * kern.scale.denominator
 
 
-def st_average(nums: np.ndarray, den):
-    """The S_t average of each (t, t) matrix N of a stack over den, over den
-    t(t-1): (t-1) tr N on the diagonal and sum N - tr N off it, exact on
-    integers; on orbit representatives, the sum over the orbits' members."""
-    t = nums.shape[-1]
-    tr = np.trace(nums, axis1=-2, axis2=-1)[..., None, None]
-    off = nums.sum(axis=(-2, -1))[..., None, None] - tr
-    return np.where(np.eye(t, dtype=bool), (t - 1) * tr, off), den * t * (t - 1)
-
-
 def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
-                      sigma: CovarianceSpec = IDENTITY, exact: bool = False, orbits: bool = False):
+                      sigma: CovarianceSpec = IDENTITY, exact: bool = False):
     """The (3, t, t) sum of (C00, C01, C11) over the rows of an (N, p) label
     matrix at the weights, over a denominator: component_numerators (exact),
-    or floats over 1; with orbits, each weight spread over its row's orbit."""
+    or floats over 1."""
     if exact:
-        nums, d = component_numerators(shape, labels, weights, sigma)
-    elif not len(labels):
+        return component_numerators(shape, labels, weights, sigma)
+    if not len(labels):
         raise ValueError("no blocks given")
-    else:
-        kern, w = _pair_kernel(shape, sigma), np.asarray(weights, dtype=float)
-        nums, d = sum(np.tensordot(w[rows], comp, axes=1)
-                      for rows, comp in kern.components(labels)) * kern.unit, 1
-    return st_average(nums, d) if orbits else (nums, d)
+    kern, w = _pair_kernel(shape, sigma), np.asarray(weights, dtype=float)
+    return sum(np.tensordot(w[rows], comp, axes=1)
+               for rows, comp in kern.components(labels)) * kern.unit, 1
 
 
-def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1,
-                 orbits: bool = False) -> np.ndarray:
+def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1) -> np.ndarray:
     """C00 - C01 C11^+ C10 of summed_components: float, or Fractions at weights / den."""
-    nums, d = summed_components(shape, labels, weights, sigma, exact, orbits)
+    nums, d = summed_components(shape, labels, weights, sigma, exact)
     if not exact:
         return schur_complement(*(nums / d))
     n, pivot = schur_numerators(*nums)
@@ -561,12 +581,19 @@ def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = Fa
 
 
 def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
-    """Per-block-average information matrix of an approximate measure."""
+    """Per-block-average information matrix of an approximate measure; an
+    orbit measure's is q*/(t-1) B_t, q* the _vertex of its measure_triple."""
     if exact and measure.denominator is None:
         raise ValueError("exact sums need a measure with exact weights")
-    weights = measure.weights if exact else measure.float_weights()
-    return _information(measure.shape, measure.labels, weights, sigma, exact, measure.denominator,
-                        measure.orbit_sizes is not None)
+    if measure.orbit_sizes is None:
+        weights = measure.weights if exact else measure.float_weights()
+        return _information(measure.shape, measure.labels, weights, sigma, exact,
+                            measure.denominator)
+    if exact and rational_scale(sigma) is None:
+        raise ValueError("exact path needs Identity or rational type-H covariance")
+    t, q = measure.shape.t, _vertex(*measure_triple(measure, sigma), 0)[0]
+    proj = t * np.eye(t, dtype=np.int64) - 1  # t B_t, completely symmetric (verify_measure)
+    return proj.astype(object) * (q / (t * t - t)) if exact else proj * (float(q) / (t * t - t))
 
 
 def centering_projector(t: int) -> np.ndarray:

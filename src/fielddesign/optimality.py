@@ -39,14 +39,16 @@ from .arrays import (
 )
 from .model import (
     IDENTITY,
-    CoefficientTriple,
     CovarianceSpec,
     GeneralCov,
+    _float_rows,
+    _vertex,
     centering_projector,
     check_sigma_size,
     exact_q,
     exact_units,
     exact_value,
+    measure_triple,
     numerator_rows,
     rational_scale,
     scaled_rows,
@@ -62,15 +64,6 @@ MATERIALIZE_LIMIT = 20_000
 FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
 
 
-def _float_rows(xi: "Measure", sigma: CovarianceSpec) -> np.ndarray:
-    """Float coefficient rows of a measure's label rows: its kept numerators
-    under identity or type-H covariance (model.scaled_rows); a dense Sigma
-    scores the labels."""
-    if isinstance(sigma, GeneralCov):
-        return triple_table(LabelPool(xi.shape, xi.labels), sigma)
-    return scaled_rows(xi.numerator_rows(), xi.shape, sigma)
-
-
 class Measure:
     """Probability weights over block arrays of one shape.
 
@@ -84,7 +77,8 @@ class Measure:
 
     An atom measure (`orbit_sizes` None) puts weights[k] on row k; an orbit
     measure (from_orbit_weights) spreads it evenly over the orbit of row k,
-    whose size is orbit_sizes[k], and is read through model.st_average.
+    whose size is orbit_sizes[k], and is read off its measure_triple, as a
+    symmetric measure's components are fixed by it (verify_measure).
     atoms() expands it, and items(), to_json() and len() read the atoms.
     The rows' identity triple numerators are built on the first
     numerator_rows() call and kept.  Every array a measure holds is
@@ -221,36 +215,12 @@ class Measure:
                 in zip(LabelPool(self.shape, labels[order]).to_json(), order)]
 
 
-def measure_triple(xi: Measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
-    """Weighted sum of per-array coefficient triples: exact measure and covariance
-    give one Python-int dot of the weights and numerators, times the units over
-    the denominator; anything else a float dot."""
-    scale = rational_scale(sigma) if xi.is_exact() else None
-    if scale is not None:
-        check_sigma_size(sigma, xi.shape.p)
-        c = (np.array(xi.weights, dtype=object) @ xi.numerator_rows().astype(object)
-             * (exact_units(xi.shape, scale) / xi.denominator))
-    else:
-        c = [float(v) for v in xi.float_weights() @ _float_rows(xi, sigma)]
-    return CoefficientTriple(*c)
-
-
 def q_eval(c, x):
     """Value of the array quadratic at x; exact under rational inputs.  c is
     a triple, or three columns: q_eval(table.T, x) scores every table row."""
     c00, c01, c11 = c
     # c01 + c01 is 2 c01 exactly, and spares numpy an int-scalar conversion
     return c00 + (c01 + c01) * x + c11 * x * x
-
-
-def _vertex(c00, c01, c11, flat_x):
-    """(q*, x~) of c00 + 2 c01 x + c11 x^2: its least value and where it is
-    attained, (c00 - c01^2/c11, -c01/c11) when c11 > 0.  Otherwise the
-    quadratic is flat (c11 = 0 forces c01 = 0, as on the 2x2 stripes) and
-    is read at flat_x."""
-    if c11 > 0:
-        return c00 - c01 * c01 / c11, -c01 / c11
-    return c00, flat_x
 
 
 def q_star(xi: Measure, sigma: CovarianceSpec = IDENTITY):
@@ -617,8 +587,8 @@ def _closed_form(shape: Shape) -> SolveResult:
     orbits = [Orbit(s, orbit_size(s)) for s in reps]
     weights = solve_sbs_proportions(orbits, x_star)[0] if len(orbits) > 1 else [Fraction(1)]
     orbit_pairs = [(o, w) for o, w in zip(orbits, weights) if w > 0]
-    # an orbit measure costs O(orbits), but the benchmark worker (perfbench/) sends
-    # every atom to its reference: none past MATERIALIZE_LIMIT atoms until it reads orbits
+    # verifying an orbit measure reads no atom and no component sum, but the benchmark
+    # worker (perfbench/) sends every atom to its reference: none past MATERIALIZE_LIMIT
     measure = None
     if sum(o.size for o, _ in orbit_pairs) <= MATERIALIZE_LIMIT:
         measure = Measure.from_orbit_weights(shape, orbit_pairs)
@@ -727,17 +697,24 @@ def verify_measure(
     residuals are at most tol |y*| and the support mass, the weight on
     arrays whose q misses y* at x* by more than tol |y*|, at most tol.
     An exact measure, exact (x*, y*) and identity or exact type-H covariance
-    (model.exact_value) are checked on integer numerators, residuals Fractions."""
+    (model.exact_value) are checked on integer numerators, residuals Fractions.
+    An orbit measure is symmetric (Kiefer 1975): each component is
+    c_jk/(t-1) B_t of its measure_triple, plus a J part on C11 alone
+    (Btilde 1 = 0), and max |B_t| = (t-1)/t, so no component is summed."""
     t = xi.shape.t
     x, y = exact_value(x_star), exact_value(y_star)
     scale = rational_scale(sigma) if xi.is_exact() else None
     exact = scale is not None and x is not None and y is not None
-    nums, d = summed_components(xi.shape, xi.labels, xi.weights if exact else xi.float_weights(),
-                                sigma, exact, xi.orbit_sizes is not None)
-    if exact:
+    x, y = (x, y) if exact else (float(x_star), float(y_star))
+    if xi.orbit_sizes is not None:
+        c00, c01, c11 = (v if exact else float(v) for v in measure_triple(xi, sigma))
+        balance, slope, info_res = (abs(r) / t for r in (
+            c00 + x * c01 - y, c01 + x * c11, _vertex(c00, c01, c11, x)[0] - y))
+    elif exact:
         # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
         # residual is the largest |entry| of a matrix over one integer
-        (n00, n01, n11), d = nums, d * xi.denominator
+        (n00, n01, n11), d = summed_components(xi.shape, xi.labels, xi.weights, sigma, exact)
+        d *= xi.denominator
         (u, v), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
         info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
@@ -745,6 +722,17 @@ def verify_measure(
             ((t - 1) * e * _sandwich(v * n00 + u * n01) - t * v * d * m * proj, t * s * v * d),
             (_sandwich(v * n01.T + u * n11), t * t * v * d),
             (s * info - pivot * d * m * proj, s * pivot * d)))
+    else:
+        c00, c01, c11 = comps = summed_components(xi.shape, xi.labels, xi.float_weights(),
+                                                  sigma)[0]
+        bt = centering_projector(t)
+        # conditions hold on treatment contrasts; project out the constant
+        # direction the raw neighbor blocks may carry
+        target = bt * (y / (t - 1))
+        balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
+            bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
+            schur_complement(*comps) - target))
+    if exact:
         # atoms of one orbit share a row, so each distinct row is scored once
         distinct, _, inverse = group_rows(xi.numerator_rows())
         q, unit = exact_q(distinct, xi.shape, scale, x)
@@ -752,15 +740,6 @@ def verify_measure(
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off[inverse]) if o),
                                 xi.denominator)
     else:
-        c00, c01, c11 = comps = nums / d
-        bt = centering_projector(t)
-        x, y = float(x_star), float(y_star)
-        # conditions hold on treatment contrasts; project out the constant
-        # direction the raw neighbor blocks may carry
-        target = bt * (y / (t - 1))
-        balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
-            bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
-            schur_complement(*comps) - target))
         off = ~_touching(_float_rows(xi, sigma), x, y, tol)
         # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)

@@ -771,6 +771,28 @@ def test_construct_searches_where_the_group_design_does_not_fit(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("abt, n", [((2, 2, 32), 4), ((2, 3, 7), 1), ((2, 2, 9), 2)])
+def test_construct_returns_its_rounded_start_when_a_treatment_is_missing(monkeypatch, abt, n):
+    # n p < t: some treatment is in no block, so every design scores 0
+    def refuse(*args):
+        raise AssertionError("a slot was picked")
+    monkeypatch.setattr(designs, "_slot_pick", refuse)
+    shape = Shape(*abt)
+    design, rep = construct_exact(shape, n, seed=3)
+    assert design.n == n and len({v for s in design.blocks for v in s.colex}) < shape.t
+    assert rep.astuple() == (0.0, 0.0, 0.0, 0.0)
+    assert rep.diagnostic.startswith("some treatment contrast is not estimable")
+    assert construct_exact(shape, n, TypeH(Fraction(3, 2)), seed=3)[0] == design
+
+
+def test_construct_searches_once_every_treatment_can_appear(monkeypatch):
+    calls = []
+    real = designs._slot_pick
+    monkeypatch.setattr(designs, "_slot_pick", lambda *args: calls.append(1) or real(*args))
+    construct_exact(Shape(2, 2, 8), 2, effort=1)  # n p = t
+    assert calls
+
+
 def test_every_public_entry_refuses_type_h_offsets_of_the_wrong_length(optimal_design_232):
     shape, bad = Shape(2, 3, 2), TypeH(1, y=(0.5,))
     res = solve_closed_form(shape)

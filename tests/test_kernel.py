@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fielddesign.model as model
+import fielddesign.optimality as optimality
 from fielddesign.arrays import (
     BlockArray,
     LabelPool,
@@ -30,6 +32,7 @@ from fielddesign.model import (
     _shape_kernel,
     btilde,
     c_coeffs_closed,
+    centering_projector,
     closed_numerators_batch,
     component_numerators,
     exact_q,
@@ -631,3 +634,50 @@ def test_orbit_measure_reads_as_its_atoms(shape, sigma, floats, picks, x, y):
     for exact in (False,) if floats else (False, True):
         g, w = info_matrix_measure(xi, sigma, exact), info_matrix_measure(atoms, sigma, exact)
         assert (g == w).all() if exact else _close(g, w)
+
+
+@pytest.mark.parametrize("abt", [(2, 3, 4), (3, 3, 3), (2, 2, 3), (2, 3, 5)])
+@pytest.mark.parametrize("sigma", SIGMAS[:2], ids=["identity", "type-h-3/2"])
+def test_orbit_measure_is_read_off_its_triple(monkeypatch, abt, sigma):
+    # a symmetric measure's components are fixed by its triple, so neither
+    # a component sum nor an exact Schur elimination runs; (2,3,5) crosses
+    # at an irrational x*, so it is read in floats
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit measure's components were summed")
+    for module in (model, optimality):
+        monkeypatch.setattr(module, "summed_components", refuse)
+        monkeypatch.setattr(module, "schur_numerators", refuse)
+    shape, exact = Shape(*abt), abt != (2, 3, 5)
+    res = solve_closed_form(shape, sigma)
+    assert isinstance(res.x_star, Fraction) == exact
+    report = verify_measure(res.measure, sigma, res.x_star, res.y_star)
+    assert report.optimal
+    residuals = (report.balance_residual, report.slope_residual, report.info_residual)
+    if exact:
+        assert all(type(r) is Fraction and r == 0 for r in residuals)
+    else:
+        assert max(residuals) <= 1e-12 * res.y_star
+    t = shape.t
+    info = info_matrix_measure(res.measure, sigma, exact)
+    if exact:  # the optimum's information matrix is y*/(t-1) B_t
+        assert (info == (t * np.eye(t, dtype=np.int64) - 1) * (res.y_star / (t * (t - 1)))).all()
+    else:
+        assert _close(info, centering_projector(t) * (res.y_star / (t - 1)))
+
+
+@pytest.mark.parametrize("abt", [(2, 3, 3), (3, 3, 3), (2, 5, 4)])
+def test_triples_invariant_under_grid_symmetries(abt):
+    # the neighbor matrix is fixed by every symmetry of the grid, and
+    # K = pI - J by every plot permutation, so every orbit keeps its row
+    shape = Shape(*abt)
+    a, b = shape.a, shape.b
+    lab = full_pool(shape).labels
+    i, j = np.arange(shape.p) % a, np.arange(shape.p) // a
+    # plot i + a j of the image holds the label of plot moved[i + a j]
+    moves = {"column flip": i + a * (b - 1 - j), "row flip": a - 1 - i + a * j,
+             "180-degree rotation": a - 1 - i + a * (b - 1 - j)}
+    if a == b:
+        moves["transposition"] = j + a * i
+    rows = numerator_rows(shape, lab)
+    for name, moved in moves.items():
+        assert np.array_equal(numerator_rows(shape, lab[:, moved]), rows), name
