@@ -177,8 +177,8 @@ def orbit_labels(ranks: np.ndarray, t: int, images=None) -> np.ndarray:
     if images is None:
         rho = int(ranks.max()) + 1
         images = np.fromiter(chain.from_iterable(permutations(range(1, t + 1), rho)),
-                             dtype=np.int64, count=math.perm(t, rho) * rho).reshape(-1, rho)
-    return np.asarray(images, dtype=np.int64)[:, ranks]
+                             dtype=label_dtype(t), count=math.perm(t, rho) * rho).reshape(-1, rho)
+    return np.asarray(images, dtype=label_dtype(t))[:, ranks]
 
 
 def orbit_members(s: BlockArray) -> Iterator[BlockArray]:
@@ -212,38 +212,46 @@ def _check_budget(shape: Shape, budget: int) -> None:
         raise EnumerationBudgetError(shape, count, budget)
 
 
-def _growth_levels(p: int, tmax: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def label_dtype(t: int) -> np.dtype:
+    """The narrowest signed integer type holding 1..t, in which every label
+    matrix is held: int8 up to t = 127, int16 up to 32,767, then int32."""
+    return np.min_scalar_type(-t - 1)  # a signed type holding -t - 1 holds t
+
+
+def _growth_levels(p: int, tmax: int, dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
     # restricted-growth strings g (g[0] = 1, g[k] <= min(max(g[:k]) + 1,
     # tmax)), exactly the canonical colex label sequences, by prefix
     # expansion (Knuth, TAOCP 4A 7.2.1.5): the children 1..min(m + 1, tmax)
     # of a prefix with largest label m sit next to each other, in
     # increasing order, so every level stays in lexicographic order.  Each
     # level after the first is kept as its label column and the number of
-    # children of each row of the level before.
+    # children of each row of the level before, both in dtype.
     labels, kids_of = [], []
-    top = np.ones(1, dtype=np.int64)
+    top = np.ones(1, dtype=dtype)
     for _ in range(1, p):
-        kids = np.minimum(top + 1, tmax)
-        label = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids) + 1
+        kids = np.minimum(top, tmax - 1) + 1
+        # the children 1..kids of each row: the first kids of 1..tmax
+        label = np.broadcast_to(np.arange(1, tmax + 1, dtype=dtype), (len(kids), tmax))[
+            np.arange(tmax) < kids[:, None]]
         top = np.maximum(np.repeat(top, kids), label)
-        labels.append(label.astype(np.min_scalar_type(tmax)))
+        labels.append(label)
         kids_of.append(kids)
     return labels, kids_of
 
 
-def _growth_strings(p: int, tmax: int) -> np.ndarray:
+def _growth_strings(p: int, tmax: int, dtype) -> np.ndarray:
     # the (N, p) matrix of _growth_levels, built column by column from the
     # last level back (each row of a level repeats once per last-level row
-    # it leads to), then transposed into rows in one pass
-    labels, kids_of = _growth_levels(p, tmax)
-    cols = np.empty((p, len(labels[-1]) if labels else 1), dtype=np.min_scalar_type(tmax))
-    cols[0] = 1
-    reach = np.ones(cols.shape[1], dtype=np.int64)
-    for level in range(p - 1, 0, -1):
+    # it leads to: its children, then theirs), then transposed in one pass
+    labels, kids_of = _growth_levels(p, tmax, dtype)
+    cols = np.empty((p, len(labels[-1])), dtype=dtype)
+    cols[0], cols[-1] = 1, labels[-1]
+    reach = kids_of[-1].astype(np.int64)
+    for level in range(p - 2, 0, -1):
         cols[level] = np.repeat(labels[level - 1], reach)
         kids = kids_of[level - 1]
         reach = np.add.reduceat(reach, np.cumsum(kids) - kids)
-    return np.ascontiguousarray(cols.T, dtype=np.int64)
+    return np.ascontiguousarray(cols.T)
 
 
 def enumerate_orbits(
@@ -254,21 +262,20 @@ def enumerate_orbits(
 
     Refuses up front when the orbit count exceeds `budget`.
     """
-    _check_budget(shape, budget)
-    for seq in _growth_strings(shape.p, min(shape.t, shape.p)).tolist():
+    for seq in enumerate_label_matrix(shape, budget).tolist():
         yield Orbit(BlockArray.from_colex(shape, seq), math.perm(shape.t, max(seq)))
 
 
 def enumerate_label_matrix(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> np.ndarray:
-    """All canonical colex label sequences as an (N, p) int64 array, in
-    lexicographic order; refuses before allocating when N exceeds `budget`."""
+    """All canonical colex label sequences as an (N, p) label_dtype(t) array,
+    in lexicographic order; refuses before allocating when N exceeds `budget`."""
     _check_budget(shape, budget)
-    return _growth_strings(shape.p, min(shape.t, shape.p))
+    return _growth_strings(shape.p, min(shape.t, shape.p), label_dtype(shape.t))
 
 
 def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
-    """(N, p) int64 colex labels of same-shape arrays."""
-    grids = np.array([s.rows for s in pool], dtype=np.int64)
+    """(N, p) colex labels of same-shape arrays, in label_dtype(t)."""
+    grids = np.array([s.rows for s in pool], dtype=label_dtype(pool[0].shape.t))
     return grids.transpose(0, 2, 1).reshape(len(pool), -1)
 
 
@@ -278,7 +285,7 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     # along the row numbers the labels in order of first appearance
     p = labels.shape[1]
     first = (labels[:, :, None] == labels[:, None, :]).argmax(axis=2)
-    rank = (first == np.arange(p)).cumsum(axis=1)
+    rank = (first == np.arange(p)).cumsum(axis=1, dtype=labels.dtype)
     return rank[np.arange(len(labels))[:, None], first]
 
 
@@ -298,20 +305,26 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def canonical_pool(shape: Shape, rows, k: int | None = None) -> LabelPool:
     """The distinct canonical forms of the label rows, as a pool in colex
     order; with k, only the first k of them to appear in row order."""
-    distinct, first, _ = group_rows(canonical_labels(np.asarray(rows, dtype=np.int64)))
+    distinct, first, _ = group_rows(canonical_labels(np.asarray(rows)))
     return LabelPool(shape, distinct[np.sort(np.argsort(first)[:k])])
 
 
 class LabelPool(Sequence[BlockArray]):
-    """A read-only pool of same-shape arrays held as an (N, p) int64 colex
-    label matrix; indexing or iterating builds each BlockArray from its row."""
+    """A read-only pool of same-shape arrays held as an (N, p) colex label
+    matrix in label_dtype(t); indexing or iterating builds each BlockArray
+    from its row.  A matrix that is not of integers, or holds a label
+    outside 1..t, is refused, so narrowing never wraps a label."""
 
     __slots__ = ("shape", "labels")
 
     def __init__(self, shape: Shape, labels: np.ndarray):
-        labels = np.asarray(labels, dtype=np.int64).view()
+        labels = np.asarray(labels)
         if labels.ndim != 2 or labels.shape[1] != shape.p:
             raise ValueError(f"labels must be an (N, {shape.p}) matrix")
+        if labels.dtype.kind not in "iu" or labels.size and not (
+                1 <= labels.min() <= labels.max() <= shape.t):
+            raise ValueError(f"labels must be integers in 1..{shape.t}")
+        labels = labels.astype(label_dtype(shape.t), copy=False).view()
         labels.flags.writeable = False
         self.shape = shape
         self.labels = labels
@@ -376,7 +389,7 @@ def classify_labels(shape: Shape, labels) -> LabelClasses:
     the plots of treatment m in row k are orthogonally connected (an
     absent treatment counts as connected).
     """
-    lab = np.asarray(labels, dtype=np.int64)
+    lab = np.asarray(labels)
     p = shape.p
     onehot = lab[:, :, None] == np.arange(1, shape.t + 1)
     f0 = onehot.sum(axis=1)

@@ -397,16 +397,18 @@ def _orbit_sample(ranks: np.ndarray, t: int, cap: int, rng: np.random.Generator)
     """Label rows, in colex order, of the orbit whose canonical representative
     is ranks + 1: all of it when it has at most cap members, else the
     representative and the distinct relabelings among up to 50 * cap
-    draws of rng.permutation(t), one per draw, stopping at cap rows."""
+    draws of rng.permutation(t), stopping at cap rows.  One rng.permuted
+    call draws the rows still needed, as those single draws would."""
     rho = int(ranks.max()) + 1
     if math.perm(t, rho) <= cap:
         return orbit_labels(ranks, t)
     # distinct injections give distinct arrays; the representative's is 1..rho
-    seen = {tuple(range(1, rho + 1))}
-    for _ in range(50 * cap):
-        if len(seen) >= cap:
-            break
-        seen.add(tuple((rng.permutation(t)[:rho] + 1).tolist()))
+    seen, draws = {tuple(range(1, rho + 1))}, 50 * cap
+    while len(seen) < cap and draws:
+        k = min(cap - len(seen), draws)  # each draw adds one row at most
+        draws -= k
+        seen.update(map(tuple, rng.permuted(np.tile(np.arange(1, t + 1), (k, 1)), axis=1)
+                        [:, :rho].tolist()))
     # sorted injections give the rows in colex order: both follow the ranks
     return orbit_labels(ranks, t, sorted(seen))
 

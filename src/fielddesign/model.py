@@ -282,7 +282,7 @@ def closed_numerators_batch(labels: np.ndarray, shape: Shape):
     eta = c11_base; exact for the identity kernel.
     """
     a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    lab = np.asarray(labels, dtype=np.int64)
+    lab = np.asarray(labels)
     i, j = np.arange(p) % a, np.arange(p) // a
     grids = np.array([j >= 0, j <= b - 2, j >= 1, i <= a - 2, i >= 1], dtype=np.int64)
     f = grids @ _onehot(lab, t, np.int64)  # (N, 5, t): f0..f4
@@ -340,11 +340,10 @@ class _PairKernel(NamedTuple):
         every partial sum is an integer below 2**53 (_shape_kernel), so the
         float64 result is exact."""
         i, j = self.pairs
-        narrow = np.min_scalar_type(self.shape.t)
         out = np.empty((len(labels), 3), dtype=self.stack.dtype)
         for lo in range(0, len(labels), CHUNK_ROWS):
             # one plot per row, so the pair gathers copy whole rows
-            lab = labels[lo:lo + CHUNK_ROWS].T.astype(narrow, order="C")
+            lab = np.ascontiguousarray(labels[lo:lo + CHUNK_ROWS].T)
             # E is symmetric with a unit diagonal: only the pairs i < j vary
             out[lo:lo + CHUNK_ROWS] = (lab[i] == lab[j]).T.astype(np.float64) @ self.pair_w
         out += self.diag
@@ -369,7 +368,7 @@ class _PairKernel(NamedTuple):
         pairs = np.arange(0, p * p * t * t, t * t).reshape(p, p)
         counts = np.zeros(p * p * t * t, dtype=np.int64)
         for lo in range(0, len(labels), CHUNK_ROWS):
-            lab = np.ascontiguousarray(labels[lo:lo + CHUNK_ROWS]) - 1
+            lab = labels[lo:lo + CHUNK_ROWS].astype(np.intp) - 1  # lab * t passes int8
             idx = (lab * t)[:, :, None] + lab[:, None, :] + pairs
             counts += np.bincount(idx.ravel(), minlength=len(counts))
         return (self.stack.reshape(3, p * p) @ counts.reshape(p * p, t * t)).reshape(3, t, t)
@@ -416,7 +415,7 @@ def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _P
 def trace_numerators_batch(labels: np.ndarray, shape: Shape):
     """Pair-kernel path over an (N, p) label matrix; same integer contract
     as closed_numerators_batch (numerators over p, p and p*t)."""
-    nums = _shape_kernel(shape).triples(np.asarray(labels, dtype=np.int64))
+    nums = _shape_kernel(shape).triples(np.asarray(labels))
     return nums[:, 0], nums[:, 1], nums[:, 2]
 
 

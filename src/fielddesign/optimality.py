@@ -67,8 +67,8 @@ FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
 class Measure:
     """Probability weights over block arrays of one shape.
 
-    The rows of `labels`, a read-only (N, p) int64 colex label matrix of
-    distinct rows, carry the weights.  Weights that are exact
+    The rows of `labels`, a read-only (N, p) label_dtype(t) colex label
+    matrix of distinct rows, carry the weights.  Weights that are exact
     (model.exact_value: an int, a Fraction or a numpy integer) stay exact:
     `weights` holds their Python-int numerators over `denominator`, the
     least common denominator.  Any other weight, a float included, switches
@@ -90,7 +90,7 @@ class Measure:
     def __init__(self, shape: Shape, atoms: Mapping[BlockArray, object]):
         if any(s.shape != shape for s in atoms):
             raise ValueError("atom shape differs from the measure shape")
-        labels = label_matrix(list(atoms)) if atoms else np.empty((0, shape.p))
+        labels = label_matrix(list(atoms)) if atoms else np.empty((0, shape.p), dtype=int)
         self._fill(shape, labels, list(atoms.values()))
 
     @staticmethod
@@ -103,9 +103,10 @@ class Measure:
         return xi
 
     def _fill(self, shape: Shape, labels, weights: list) -> None:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.shape != (len(weights), shape.p):
             raise ValueError(f"need one weight per row of an (N, {shape.p}) label matrix")
+        labels = LabelPool(shape, labels).labels
         values = [exact_value(w) for w in weights]
         exact = all(v is not None for v in values)
         weights = values if exact else [float(w) for w in weights]
@@ -296,7 +297,7 @@ class QSupport(NamedTuple):
     def contains(self, labels) -> np.ndarray:
         """Boolean mask of the rows of an (N, p) colex label matrix that lie
         in the support."""
-        lab = np.asarray(labels, dtype=np.int64)
+        lab = np.asarray(labels)
         if self.kind == "explicit":
             inverse = group_rows(np.concatenate([self.arrays.labels, lab]))[2]
             return np.isin(inverse[len(self.arrays):], inverse[:len(self.arrays)])
@@ -795,8 +796,8 @@ class _PoolTriples:
 # _FULL_POOL_ROWS rows in all; a larger pool is built on every call.  A shape
 # of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at least
 # 2^(p-1) orbits, and p = 17 is no grid), so a kept full-pool row costs at
-# most 8p = 128 bytes of labels and 32 of triple and first index: 16 MB at
-# worst.  The certify shapes of the benchmark hold 75,212 rows, 5.7 MB.
+# most p = 16 bytes of int8 labels and 32 of triple and first index: 4.8 MB at
+# worst.  The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
 # A support pool holds at most 64 balanced rows or its shape's few
 # corner-double placements (80 at most for the shapes up to p = 40 tried), so
 # it weighs little; it is scored like any other pool, as r_eval and

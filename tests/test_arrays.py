@@ -22,6 +22,7 @@ from fielddesign.arrays import (
     classify_labels,
     enumerate_label_matrix,
     enumerate_orbits,
+    label_dtype,
     mirror_plot_order,
     normalize_shape,
     orbit_count,
@@ -183,7 +184,7 @@ def test_label_matrix_enumeration_equals_sequential_generator(abt):
     shape = Shape(*abt)
     want = list(_restricted_growth(shape.p, min(shape.t, shape.p)))
     lab = enumerate_label_matrix(shape)
-    assert lab.dtype == np.int64 and lab.shape == (orbit_count(shape), shape.p)
+    assert lab.dtype == label_dtype(shape.t) and lab.shape == (orbit_count(shape), shape.p)
     assert list(map(tuple, lab.tolist())) == want
 
 
@@ -197,7 +198,8 @@ def test_label_matrix_peak_memory_stays_near_its_size():
     finally:
         tracemalloc.stop()
     assert lab.shape == (orbit_count(shape), shape.p) and lab.flags.c_contiguous
-    assert peak <= 1.6 * lab.nbytes
+    # within the int64 matrix's bytes, and near the narrow matrix's size
+    assert peak <= 1.6 * lab.size * 8 and peak <= 3 * lab.nbytes
 
 
 @pytest.mark.parametrize("abt", ENUMERATED_SHAPES[:6])
@@ -228,6 +230,31 @@ def test_label_pool_is_a_read_only_sequence_of_arrays():
         LabelPool.of([])
     with pytest.raises(ValueError):
         LabelPool(shape, lab[:, :4])
+
+
+def test_label_pool_refuses_what_it_cannot_narrow():
+    shape = Shape(2, 3, 3)
+    lab = enumerate_label_matrix(shape).astype(np.int64)
+    for bad in (0, 4, 128):  # 128 would wrap to -128 in int8
+        wrong = lab.copy()
+        wrong[5, 2] = bad
+        with pytest.raises(ValueError, match="integers in 1..3"):
+            LabelPool(shape, wrong)
+    with pytest.raises(ValueError, match="integers in 1..3"):
+        LabelPool(shape, lab.astype(float))
+    assert LabelPool(shape, lab).labels.dtype == np.int8
+
+
+def test_label_dtype_is_the_narrowest_signed_type_holding_t():
+    for t, want in ((2, np.int8), (127, np.int8), (128, np.int16), (32_767, np.int16),
+                    (32_768, np.int32)):
+        assert label_dtype(t) == want
+
+
+def test_kept_full_pool_holds_a_byte_per_plot():
+    shape = Shape(2, 5, 4)
+    pool = full_pool(shape)
+    assert pool.labels.dtype == np.int8 and pool.labels.nbytes == len(pool) * shape.p
 
 
 @pytest.mark.parametrize("abt", [(2, 3, 3), (3, 3, 4)])

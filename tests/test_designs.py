@@ -21,6 +21,7 @@ from fielddesign.arrays import (
     canonical_form,
     canonical_json,
     normalize_shape,
+    orbit_labels,
     orbit_size,
 )
 from fielddesign.designs import (
@@ -821,3 +822,27 @@ def test_every_public_entry_refuses_type_h_offsets_of_the_wrong_length(optimal_d
     for call in calls:
         with pytest.raises(ValueError, match="type-H offset vector must have length 6"):
             call()
+
+
+def _orbit_sample_one_draw_at_a_time(ranks, t, cap, rng):
+    # the sampler as first written: one rng.permutation(t) per draw
+    rho = int(ranks.max()) + 1
+    if math.perm(t, rho) <= cap:
+        return orbit_labels(ranks, t)
+    seen = {tuple(range(1, rho + 1))}
+    for _ in range(50 * cap):
+        if len(seen) >= cap:
+            break
+        seen.add(tuple((rng.permutation(t)[:rho] + 1).tolist()))
+    return orbit_labels(ranks, t, sorted(seen))
+
+
+def test_orbit_sample_batches_draw_what_single_draws_draw():
+    # the same rows, and the generator left where single draws leave it
+    for t, cap, seed in itertools.product(range(2, 10), (2, 5, 64, 100), range(3)):
+        for rho in range(1, t + 1):
+            ranks = np.arange(rho)
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _orbit_sample_one_draw_at_a_time(ranks, t, cap, want_rng)
+            assert np.array_equal(designs._orbit_sample(ranks, t, cap, got_rng), want)
+            assert got_rng.random() == want_rng.random()

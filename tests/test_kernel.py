@@ -18,6 +18,10 @@ from fielddesign.arrays import (
     LabelPool,
     Orbit,
     Shape,
+    canonical_labels,
+    classify_labels,
+    group_rows,
+    label_dtype,
     label_matrix,
     orbit_members,
     orbit_size,
@@ -681,3 +685,27 @@ def test_triples_invariant_under_grid_symmetries(abt):
     rows = numerator_rows(shape, lab)
     for name, moved in moves.items():
         assert np.array_equal(numerator_rows(shape, lab[:, moved]), rows), name
+
+
+@pytest.mark.parametrize("t", [*range(2, 21), 127, 128])
+def test_narrow_labels_read_as_their_int64_copy(t):
+    # every reader takes a label_dtype(t) matrix as it is: from t = 16 an
+    # unwidened label * t index wraps int8, and at 128 int8 gives way to int16
+    rng = np.random.default_rng(t)
+    for shape in (Shape(2, 3, t), Shape(3, 3, t)):
+        wide = rng.integers(1, t + 1, size=(12, shape.p))
+        narrow = wide.astype(label_dtype(t))
+        assert narrow.dtype == (np.int8 if t <= 127 else np.int16)
+        m = rng.normal(size=(shape.p, shape.p))
+        dense = GeneralCov.from_matrix(m @ m.T + shape.p * np.eye(shape.p))
+        for kern in (_shape_kernel(shape), _pair_kernel(shape, dense)):
+            assert np.array_equal(kern.triples(narrow), kern.triples(wide))
+            assert np.array_equal(kern.count_sum(narrow), kern.count_sum(wide))
+            for (rows, got), (_, want) in zip(kern.components(narrow), kern.components(wide)):
+                assert np.array_equal(got, want), rows
+        assert np.array_equal(numerator_rows(shape, narrow), numerator_rows(shape, wide))
+        for got, want in zip(classify_labels(shape, narrow), classify_labels(shape, wide)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(canonical_labels(narrow), canonical_labels(wide))
+        for got, want in zip(group_rows(narrow), group_rows(wide)):
+            assert np.array_equal(got, want)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fielddesign.arrays import BlockArray, Shape
+from fielddesign.arrays import BlockArray, Shape, label_dtype
 from fielddesign.model import (
     IDENTITY,
     GeneralCov,
@@ -394,7 +394,7 @@ def test_label_matrix_is_colex_order():
         pool = [BlockArray.from_colex(shape, rng.integers(1, t + 1, size=a * b).tolist())
                 for _ in range(7)]
         lab = label_matrix(pool)
-        assert lab.dtype == np.int64
+        assert lab.dtype == label_dtype(t)
         assert lab.tolist() == [list(s.colex) for s in pool]
 
 
