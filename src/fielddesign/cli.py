@@ -35,15 +35,13 @@ from .arrays import (
     orbit_count,
 )
 from .designs import ExactDesign, construct_exact, efficiencies, measure_of_design
-from .model import GeneralCov, check_sigma_size, sigma_from_json
+from .model import BoundCov, GeneralCov, bind, sigma_from_json
 from .optimality import (
     GAP_TOL,
     SolveResult,
     _number_json,
-    random_pool,
     solve_closed_form,
     solve_exchange,
-    support_pool,
     verify_measure,
 )
 
@@ -57,13 +55,13 @@ class _InputError(Exception):
     """Anything wrong with flags or input files."""
 
 
-def resolve_sigma(source: str, p: int):
-    """Turn --sigma into a covariance spec for p plots.
+def resolve_sigma(source: str, p: int) -> BoundCov:
+    """Turn --sigma into a covariance bound to p plots (model.bind).
 
     Keywords: "identity", "type-h:X" with X an exact number like 2 or
     3/2 or 0.5.  Anything else is a path to a JSON description or a
-    CSV matrix.  The spec must give a positive definite p x p matrix
-    (model.check_sigma_size); anything else is bad input.
+    CSV matrix.  The spec must give a positive definite p x p matrix;
+    anything else is bad input.
     """
     path = Path(source)
     try:
@@ -80,33 +78,18 @@ def resolve_sigma(source: str, p: int):
                                             if line.strip()])
         else:
             sigma = sigma_from_json(json.loads(path.read_text()))
-        check_sigma_size(sigma, p)
+        return bind(p, sigma)
     except (OSError, ValueError) as exc:
         raise _InputError(f"bad covariance {source!r}: {exc}")
-    return sigma
 
 
-def _oriented_sigma(sigma, shape: Shape, transposed: bool):
-    """A dense Sigma of a tall grid re-indexed to its mirror's plots; type-H
-    offsets cancel in the contrast kernel and need no permutation."""
-    if not (transposed and isinstance(sigma, GeneralCov)):
-        return sigma
+def _oriented_sigma(cov: BoundCov, shape: Shape, transposed: bool) -> BoundCov:
+    """A dense Sigma of a tall grid re-indexed to its mirror's plots; the
+    identity family has no plot order."""
+    if not transposed or cov.unit is None:
+        return cov
     perm = mirror_plot_order(shape)
-    return GeneralCov.from_matrix(sigma.array()[perm][:, perm])
-
-
-def resolve_pool(spec, shape: Shape, seed: int):
-    """--pool full | q | random:N; None (as full) lets the solver build every orbit."""
-    if spec in (None, "full"):
-        return None
-    if spec == "q":
-        return support_pool(shape, seed=seed)
-    if spec.startswith("random:"):
-        try:
-            return random_pool(shape, _at_least(int, 1)(spec.split(":", 1)[1]), seed=seed)
-        except argparse.ArgumentTypeError as exc:
-            raise _InputError(f"bad pool size in {spec!r}: {exc}")
-    raise _InputError(f"unknown pool strategy {spec!r}")
+    return BoundCov(cov.scale, cov.unit[np.ix_(perm, perm)])
 
 
 def load_design(path: str) -> tuple[ExactDesign, bool]:
@@ -132,17 +115,15 @@ def _shape_from_args(args) -> tuple[Shape, bool]:
         raise _InputError(str(exc))
 
 
-def _solve_for(shape: Shape, sigma, args) -> SolveResult:
+def _solve_for(shape: Shape, cov: BoundCov, args) -> SolveResult:
     """Dispatch: closed form when the kernel is the centering projector."""
-    if isinstance(sigma, GeneralCov) and args.tol == 0:
+    if cov.unit is None and not args.force_computational:
+        return solve_closed_form(shape, cov)
+    if cov.unit is not None and args.tol == 0:
         raise _InputError("--tol 0 cannot be met under a general --sigma: the float exchange "
                           "solve's duality gap stops at rounding error, not at 0; give a "
                           "positive tolerance")
-    if isinstance(sigma, GeneralCov) or args.force_computational:
-        pool = resolve_pool(args.pool, shape, args.seed)
-        return solve_exchange(shape, sigma, pool=pool, tol=args.tol,
-                              max_iter=args.max_iter)
-    return solve_closed_form(shape, sigma)
+    return solve_exchange(shape, cov, tol=args.tol, max_iter=args.max_iter)
 
 
 def _design_inputs(args) -> tuple[ExactDesign, bool, object, SolveResult]:
@@ -342,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json")
 
     solver = _Parser(add_help=False)
-    solver.add_argument("--pool", default=None,
-                        help="full | q | random:N (computational path only); "
-                             "default: every orbit, exit 2 above the orbit budget")
+    solver.add_argument("--pool", default=None, choices=("full",),
+                        help="full, the default: every orbit of the shape (computational "
+                             "path only), exit 2 above the orbit budget")
     solver.add_argument("--force-computational", action="store_true")
     solver.add_argument("--max-iter", type=_at_least(int), default=500)
 

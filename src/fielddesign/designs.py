@@ -33,10 +33,10 @@ from .arrays import (
 from .model import (
     CHUNK_ROWS,
     IDENTITY,
+    BoundCov,
     CovarianceSpec,
-    GeneralCov,
+    bind,
     centering_projector,
-    check_sigma_size,
     component_table,
     exact_value,
     info_matrix_exact,
@@ -138,14 +138,6 @@ class EfficiencyReport(NamedTuple):
         return out
 
 
-def _resolve_y_star(shape: Shape, sigma: CovarianceSpec, y_star):
-    if y_star is not None:
-        return y_star
-    if isinstance(sigma, GeneralCov):
-        raise ValueError("y_star is required under general covariance")
-    return solve_closed_form(shape, sigma).y_star
-
-
 def efficiencies(
     d: ExactDesign,
     sigma: CovarianceSpec = IDENTITY,
@@ -156,14 +148,16 @@ def efficiencies(
     The information matrix has 1_t in its null space; the eigenvalue of
     smallest magnitude is discarded (it must be numerically zero, else
     NullDirectionError) and the four criteria are computed from the
-    remaining t - 1, normalized by n * y_star.  A second near-zero
+    remaining t - 1, normalized by n * y_star (by default the closed
+    form's, which a dense Sigma has not).  A second near-zero
     eigenvalue means some treatment contrast is not estimable and all
     efficiencies are reported as 0.  Both cuts are NULL_EIG_CUT times the
     larger of trace(C) and n y*, which scale alike with Sigma.
     """
-    y = float(_resolve_y_star(d.shape, sigma, y_star))
+    cov = bind(d.shape, sigma)
+    y = float(solve_closed_form(d.shape, cov).y_star if y_star is None else y_star)
     t = d.shape.t
-    c = np.asarray(info_matrix_exact(d, sigma), dtype=float)
+    c = np.asarray(info_matrix_exact(d, cov), dtype=float)
     lam = np.linalg.eigvalsh(c)
     k = int(np.argmin(np.abs(lam)))
     cut = NULL_EIG_CUT * max(float(np.trace(c)), d.n * y)
@@ -200,8 +194,9 @@ def pseudo_symmetric_efficiency(xi: Measure, sigma: CovarianceSpec = IDENTITY,
     information matrix is completely symmetric with all four criteria
     equal to q*/y*.
     """
-    y_star = _resolve_y_star(xi.shape, sigma, y_star)
-    qs, _ = q_star(xi, sigma)
+    cov = bind(xi.shape, sigma)
+    y_star = solve_closed_form(xi.shape, cov).y_star if y_star is None else y_star
+    qs, _ = q_star(xi, cov)
     qe, ye = exact_value(qs), exact_value(y_star)
     return float(qs) / float(y_star) if qe is None or ye is None else qe / ye
 
@@ -687,9 +682,10 @@ def construct_exact(
     with the base's C11 singular or ill conditioned, _swap_residuals scores
     them all.  A slot whose block was scored without a swap since the last
     swap is skipped.  The blocks and report are those of scoring every
-    candidate by pseudo-inverse (see _slot_pick).  A type-H sigma only scales
-    identity's components and target by 1/x, so the search runs in identity's
-    units, which its absolute 1e-12 margins assume.
+    candidate by pseudo-inverse (see _slot_pick).  The solve, components and
+    target are those of the unit-scale kernel (model.bind), so the absolute
+    1e-12 margins decide alike at every scale of Sigma, and only the report
+    takes the scale.
 
     `effort` counts restarts (the first start is the rounded measure, later
     ones are seeded random draws); deterministic given the seed.  The
@@ -704,23 +700,23 @@ def construct_exact(
         raise ValueError("n must be at least 1")
     if effort < 1:
         raise ValueError("effort must be at least 1")
-    check_sigma_size(sigma, shape.p)
-    search = sigma if isinstance(sigma, GeneralCov) else IDENTITY
-    result = (solve_closed_form if search is IDENTITY else solve_exchange)(shape, search)
-    y = float(result.y_star)
+    cov = bind(shape, sigma)
+    unit = BoundCov(cov.scale / cov.scale, cov.unit)  # scale 1, a Fraction where cov's is one
+    result = (solve_closed_form if cov.unit is None else solve_exchange)(shape, unit)
+    y, y_star = float(result.y_star), result.y_star * cov.scale
     t = shape.t
 
     pairs = result.orbit_weights
     design = _group_design(shape, pairs, n)
     if design is not None:
-        return design, efficiencies(design, sigma, y_star=y if search is sigma else None)
+        return design, efficiencies(design, cov, y_star)
     rng = np.random.default_rng(seed)
     cap = max(2 * n, 64)
     reps = label_matrix([o.representative for o, _ in pairs])
     members = [_orbit_sample(rep - 1, t, cap, rng) for rep in reps]
     # swap candidates: every support-class placement, not just the
     # orbits the weights touch; exact designs mix relabelings freely
-    if not isinstance(sigma, GeneralCov):
+    if cov.unit is None:
         reps = np.concatenate([reps, support_pool(shape).labels])
     reps = canonical_pool(shape, reps).labels
     per_orbit = max(4, -(-4 * max(n, 64) // len(reps)))
@@ -736,8 +732,8 @@ def construct_exact(
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
     if n * shape.p < t:  # some treatment is in no block: every design scores 0
         design = ExactDesign(shape, tuple(pool[k] for k in rounded))
-        return design, efficiencies(design, sigma, y_star=y if search is sigma else None)
-    stack = component_table(pool, search)
+        return design, efficiencies(design, cov, y_star)
+    stack = component_table(pool, unit)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
 
     runs: list[_Restart] = []
@@ -769,5 +765,4 @@ def construct_exact(
 
     best = min(runs, key=lambda run: run.current)  # ties go to the first
     design = ExactDesign(shape, tuple(pool[k] for k in best.idx))
-    report = efficiencies(design, sigma, y_star=y if search is sigma else None)
-    return design, report
+    return design, efficiencies(design, cov, y_star)

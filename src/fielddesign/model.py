@@ -21,11 +21,11 @@ over plot pairs and M the neighbor matrix, Btilde 1 = 0 gives
     (C00, C01, C11) = (O'K O, O'K M O, O'M K M O)
 
 for K = Btilde.  One pair kernel evaluates both over an (N, p) label
-matrix for every covariance: in int64 on K = pI - J for the identity and
-type-H family, and in float on K = Btilde for a dense Sigma.  The
+matrix for every covariance, as bind reduces it: in int64 on K = pI - J
+for the identity and type-H family, and in float on K = Btilde of the
+unit-scale Sigma for a dense one, each result times the bound scale.  The
 covariance-free part (neighbor matrix, int64 stack, plot-pair index and
-pair weights) is built once per shape and held read-only; a covariance
-adds its scale, or its own float stack, and its size is checked on each.
+pair weights) is built once per shape and held read-only.
 Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
 exact for the integer stack (_shape_kernel states the bound).  Only this
 module reads the identity numerators over (p, p, p t): numerator_rows,
@@ -148,11 +148,37 @@ def exact_value(v) -> Fraction | None:
     return None
 
 
-def rational_scale(sigma: CovarianceSpec) -> Fraction | None:
-    """The exact scale 1/x relating Btilde to B_p, for a type-H x that is
-    exact (exact_value); None for a float x or a dense Sigma."""
-    x = exact_value(sigma.x) if isinstance(sigma, TypeH) else None
-    return None if x is None else 1 / x
+class BoundCov(NamedTuple):
+    """A covariance bound to p plots by bind: Btilde is scale times B_p (unit
+    None: the identity and type-H family) or times Btilde of `unit`, the
+    unit-scale p x p Sigma.  The scale is a Fraction exactly where sums
+    under it can be exact (an exact type-H x), else a float."""
+
+    scale: Fraction | float
+    unit: np.ndarray | None = None
+
+
+def bind(shape: Shape | int, sigma: CovarianceSpec | BoundCov) -> BoundCov:
+    """The one door of a covariance spec (a BoundCov passes as it is) for a
+    shape or its plot count p, ValueError where it does not fit.  Type-H has
+    Btilde = B_p / x, its offsets cancelling, so only their number is
+    checked.  A dense Sigma is divided by 2^e, e the binary exponent of its
+    mean diagonal entry: exact, so Sigma 2^k binds to the unit of Sigma and
+    a unit diagonal keeps its bits.  A spec is checked when it is made."""
+    if isinstance(sigma, BoundCov):
+        return sigma
+    p = getattr(shape, "p", shape)
+    if isinstance(sigma, TypeH):
+        if sigma.y is not None and len(sigma.y) != p:
+            raise ValueError(f"type-H offset vector must have length {p}")
+        x = exact_value(sigma.x)
+        return BoundCov(1.0 / float(sigma.x) if x is None else 1 / x)
+    if (m := sigma.array()).shape != (p, p):
+        raise ValueError(f"covariance is {m.shape[0]}x{m.shape[1]}, need {p}x{p}")
+    diag = [row[k] for k, row in enumerate(sigma.matrix)]
+    top = math.frexp(max(diag))[1]  # the mean of the diagonal over 2^top cannot overflow
+    e = math.frexp(sum(math.ldexp(v, -top) for v in diag) / p)[1] - 1 + top
+    return BoundCov(float(np.ldexp(1.0, -e)), np.ldexp(m, -e))  # scale inf past the float range
 
 
 def sigma_from_json(obj) -> CovarianceSpec:
@@ -162,7 +188,7 @@ def sigma_from_json(obj) -> CovarianceSpec:
     {"matrix": [[...]]}, or a bare dense row-major matrix.  The type-H x
     stays exact as an int or a "num/den" or decimal string, is a float
     otherwise, and must be positive and finite; a boolean is refused.  The
-    optional offsets y are a list of numbers, one per plot (check_sigma_size).
+    optional offsets y are a list of numbers, one per plot (bind).
     """
     if isinstance(obj, Mapping):
         kind = obj.get("type")
@@ -187,34 +213,23 @@ def sigma_from_json(obj) -> CovarianceSpec:
     return GeneralCov.from_matrix(obj)
 
 
-def check_sigma_size(sigma: CovarianceSpec, p: int) -> None:
-    """The one check that a spec fits p plots, ValueError otherwise: type-H
-    offsets, one per plot, with no float matrix built (it can overflow), or a
-    p x p dense matrix.  Either spec is positive definite when made."""
-    if isinstance(sigma, TypeH):
-        if sigma.y is not None and len(sigma.y) != p:
-            raise ValueError(f"type-H offset vector must have length {p}")
-    elif (m := sigma.array().shape) != (p, p):
-        raise ValueError(f"covariance is {m[0]}x{m[1]}, need {p}x{p}")
-
-
 def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    """The p x p matrix of a covariance spec that fits p plots (check_sigma_size)."""
-    check_sigma_size(sigma, p)
-    if isinstance(sigma, TypeH):
-        y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
-        return float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
-    return sigma.array()
+    """The p x p matrix of a covariance spec that fits p plots (bind)."""
+    if bind(p, sigma).unit is not None:
+        return sigma.array()
+    y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
+    return float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
 
 
-def btilde(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    """Block-centered precision kernel (p x p, float)."""
-    if isinstance(sigma, TypeH):
-        check_sigma_size(sigma, p)
-        return (np.eye(p) - np.full((p, p), 1.0 / p)) / float(sigma.x)
-    inv = np.linalg.inv(sigma_matrix(sigma, p))
+def btilde(sigma: CovarianceSpec | BoundCov, p: int) -> np.ndarray:
+    """Block-centered precision kernel (p x p, float): the bound scale times
+    B_p, or times the block-centered inverse of the unit Sigma."""
+    cov = bind(p, sigma)
+    if cov.unit is None:
+        return (np.eye(p) - np.full((p, p), 1.0 / p)) * float(cov.scale)
+    inv = np.linalg.inv(cov.unit)
     u = inv.sum(axis=1)
-    return inv - np.outer(u, u) / u.sum()
+    return (inv - np.outer(u, u) / u.sum()) * cov.scale
 
 
 class IncidenceSet(NamedTuple):
@@ -317,9 +332,9 @@ class _PairKernel(NamedTuple):
     reductions over the plot pairs i < j (pairs): the symmetrized weights
     pair_w (P, 3) in float64, the diagonal and the c11 corner 1'M K M 1.
 
-    On the identity family K = pI - J in int64 and Btilde = scale K / p;
-    for a dense Sigma K = Btilde in float and scale is None.  unit is the
-    float value of one count of K.
+    At unit scale (bind): K = pI - J in int64 on the identity family, with
+    triple denominators dens = (p, p, p t); K = Btilde of the unit Sigma in
+    float for a dense one, dens (1,).  A component's denominator is dens[0].
     """
 
     shape: Shape
@@ -329,13 +344,12 @@ class _PairKernel(NamedTuple):
     pair_w: np.ndarray
     diag: np.ndarray
     corner: np.integer | np.floating
-    scale: Fraction | float | None
-    unit: float
+    dens: np.ndarray
 
     def triples(self, labels: np.ndarray) -> np.ndarray:
         """(N, 3) rows <X, E> for X in the stack, less the c11 constant: the
-        int64 numerators over (p, p, p t) before the scale for an integer
-        kernel, the coefficients themselves for a float one.  Both multiply
+        int64 numerators over dens for an integer kernel, the unit-scale
+        coefficients themselves for a float one.  Both multiply
         a float64 0/1 pair indicator by pair_w in BLAS; on an integer kernel
         every partial sum is an integer below 2**53 (_shape_kernel), so the
         float64 result is exact."""
@@ -347,14 +361,14 @@ class _PairKernel(NamedTuple):
             # E is symmetric with a unit diagonal: only the pairs i < j vary
             out[lo:lo + CHUNK_ROWS] = (lab[i] == lab[j]).T.astype(np.float64) @ self.pair_w
         out += self.diag
-        if self.scale is None:
+        if self.stack.dtype.kind == "f":
             out[:, 2] -= self.corner / self.shape.t
         else:
             out[:, 2] = self.shape.t * out[:, 2] - self.corner
         return out
 
     def components(self, labels: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """Per-row (C00, C01, C11) = O'X O before the scale, as chunks
+        """Per-row (C00, C01, C11) = O'X O in counts, as chunks
         (rows, (n, 3, t, t))."""
         for lo in range(0, len(labels), CHUNK_ROWS):
             o = _onehot(labels[lo:lo + CHUNK_ROWS], self.shape.t, self.stack.dtype)
@@ -374,13 +388,13 @@ class _PairKernel(NamedTuple):
         return (self.stack.reshape(3, p * p) @ counts.reshape(p * p, t * t)).reshape(3, t, t)
 
 
-def _stack_kernel(shape: Shape, m: np.ndarray, k: np.ndarray, pairs, scale, unit) -> _PairKernel:
+def _stack_kernel(shape: Shape, m: np.ndarray, k: np.ndarray, pairs, dens) -> _PairKernel:
     """The pair kernel of K on a shape with neighbor matrix m."""
     stack = np.stack([k, k @ m, m @ k @ m])
     i, j = pairs
     pair_w = (stack + stack.transpose(0, 2, 1))[:, i, j].T.astype(np.float64)
     return _PairKernel(shape, m, stack, pairs, pair_w, np.trace(stack, axis1=1, axis2=2),
-                       stack[2].sum(), scale, unit)
+                       stack[2].sum(), np.asarray(dens, dtype=float))
 
 
 @functools.lru_cache(maxsize=64)
@@ -389,27 +403,25 @@ def _shape_kernel(shape: Shape) -> _PairKernel:
     per shape and held read-only; every pair kernel of the shape starts here."""
     p = shape.p
     kern = _stack_kernel(shape, neighbor_matrix(shape), p * np.eye(p, dtype=np.int64) - 1,
-                         np.triu_indices(p, 1), Fraction(1), 1 / p)
+                         np.triu_indices(p, 1), (p, p, p * shape.t))
     # triples sums at most P = p(p-1)/2 integer weights of size |w| <= 8p + 32
     # in float64: every partial sum is an exact integer while P max|w| < 2**53
     # (p = 48 gives under 2**19), whatever order BLAS adds in
     if len(kern.pairs[0]) * np.abs(kern.pair_w).max() >= 2**53:
         raise ValueError(f"{shape}: pair weights too large for exact float64 sums")
-    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag):
+    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag, kern.dens):
         arr.flags.writeable = False
     return kern
 
 
-def _pair_kernel(shape: Shape, sigma: CovarianceSpec, exact: bool = False) -> _PairKernel:
-    scale = rational_scale(sigma)
-    if exact and scale is None:
-        raise ValueError("exact path needs Identity or rational type-H covariance")
-    if isinstance(sigma, TypeH):
-        check_sigma_size(sigma, shape.p)  # the offsets cancel in K
-        scale = 1.0 / float(sigma.x) if scale is None else scale
-        return _shape_kernel(shape)._replace(scale=scale, unit=float(scale) / shape.p)
-    base = _shape_kernel(shape)
-    return _stack_kernel(shape, base.neighbors, btilde(sigma, shape.p), base.pairs, None, 1.0)
+def _pair_kernel(shape: Shape, cov: BoundCov) -> tuple[_PairKernel, np.ndarray]:
+    """The unit-scale pair kernel of a bound covariance, and the float value
+    at its scale of one count of each triple entry (scale / dens)."""
+    kern = _shape_kernel(shape)
+    if cov.unit is not None:
+        kern = _stack_kernel(shape, kern.neighbors, btilde(BoundCov(1.0, cov.unit), shape.p),
+                             kern.pairs, (1,))  # one entry broadcasts as a scalar, fast
+    return kern, float(cov.scale) / kern.dens
 
 
 def trace_numerators_batch(labels: np.ndarray, shape: Shape):
@@ -427,12 +439,11 @@ def numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
     return rows
 
 
-def scaled_rows(nums: np.ndarray, shape: Shape, sigma: TypeH) -> np.ndarray:
+def scaled_rows(nums: np.ndarray, shape: Shape, scale=1) -> np.ndarray:
     """Float coefficient rows of (N, 3) identity numerators (numerator_rows)
-    under an identity or type-H sigma: the one float route, which
-    triple_table takes too, so the same bits with no label scored."""
-    fac, p = float(_pair_kernel(shape, sigma).scale), shape.p
-    return nums * np.array([fac / p, fac / p, fac / (p * shape.t)])
+    at a bound scale: the one float route, which triple_table takes too, so
+    the same bits with no label scored."""
+    return nums * (float(scale) / _shape_kernel(shape).dens)
 
 
 def exact_q(nums: np.ndarray, shape: Shape, scale: Fraction, x: Fraction):
@@ -456,31 +467,28 @@ def triple_table(
     if not len(pool):
         return np.zeros((0, 3))
     pool = LabelPool.of(pool)
-    if isinstance(sigma, TypeH):
-        return scaled_rows(_shape_kernel(pool.shape).triples(pool.labels), pool.shape, sigma)
-    return _pair_kernel(pool.shape, sigma).triples(pool.labels)
+    kern, count = _pair_kernel(pool.shape, bind(pool.shape, sigma))
+    return kern.triples(pool.labels) * count
 
 
-def _float_rows(measure, sigma: CovarianceSpec) -> np.ndarray:
-    """Float coefficient rows of a measure's label rows: its kept numerators
-    under identity or type-H covariance (scaled_rows); a dense Sigma scores
-    the labels."""
-    if isinstance(sigma, GeneralCov):
-        return triple_table(LabelPool(measure.shape, measure.labels), sigma)
-    return scaled_rows(measure.numerator_rows(), measure.shape, sigma)
+def _float_rows(measure, cov: BoundCov) -> np.ndarray:
+    """Float coefficient rows of a measure's label rows: its kept identity
+    numerators (scaled_rows), or for a dense Sigma its labels scored."""
+    if cov.unit is None:
+        return scaled_rows(measure.numerator_rows(), measure.shape, cov.scale)
+    return triple_table(LabelPool(measure.shape, measure.labels), cov)
 
 
 def measure_triple(measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
     """Weighted sum of per-array coefficient triples: exact measure and covariance
     give one Python-int dot of the weights and numerators, times the units over
     the denominator; anything else a float dot."""
-    scale = rational_scale(sigma) if measure.is_exact() else None
-    if scale is not None:
-        check_sigma_size(sigma, measure.shape.p)
+    cov = bind(measure.shape, sigma)
+    if measure.is_exact() and isinstance(cov.scale, Fraction):
         c = (np.array(measure.weights, dtype=object) @ measure.numerator_rows().astype(object)
-             * (exact_units(measure.shape, scale) / measure.denominator))
+             * (exact_units(measure.shape, cov.scale) / measure.denominator))
     else:
-        c = [float(v) for v in measure.float_weights() @ _float_rows(measure, sigma)]
+        c = [float(v) for v in measure.float_weights() @ _float_rows(measure, cov)]
     return CoefficientTriple(*c)
 
 
@@ -499,8 +507,8 @@ def component_table(
 ) -> np.ndarray:
     """(N, 3, t, t) float components (C00, C01, C11) of each pool array."""
     pool = LabelPool.of(pool)
-    kern = _pair_kernel(pool.shape, sigma)
-    return np.concatenate([c for _, c in kern.components(pool.labels)]) * kern.unit
+    kern, count = _pair_kernel(pool.shape, bind(pool.shape, sigma))
+    return np.concatenate([c for _, c in kern.components(pool.labels)]) * count[0]
 
 
 def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
@@ -543,12 +551,14 @@ def component_numerators(shape: Shape, labels: np.ndarray, weights: Sequence[int
     with integer weights[k] >= 0 of any size on row k, as a (3, t, t) object array
     of Python ints and the positive int denominator they share.  Rows sharing a
     weight (as an orbit's atoms do) are counted by one count_sum."""
-    kern = _pair_kernel(shape, sigma, exact=True)
+    if not isinstance(scale := bind(shape, sigma).scale, Fraction):
+        raise ValueError("exact path needs Identity or rational type-H covariance")
+    kern = _shape_kernel(shape)
     w = np.array(weights, dtype=np.int64 if max(weights) < 2**63 else object)
     order = np.argsort(w, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(w[order]) != 0) + 1)
     nums = sum(kern.count_sum(labels[rows]).astype(object) * int(w[rows[0]]) for rows in groups)
-    return nums * kern.scale.numerator, shape.p * kern.scale.denominator
+    return nums * scale.numerator, shape.p * scale.denominator
 
 
 def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
@@ -560,9 +570,9 @@ def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
         return component_numerators(shape, labels, weights, sigma)
     if not len(labels):
         raise ValueError("no blocks given")
-    kern, w = _pair_kernel(shape, sigma), np.asarray(weights, dtype=float)
+    (kern, count), w = _pair_kernel(shape, bind(shape, sigma)), np.asarray(weights, dtype=float)
     return sum(np.tensordot(w[rows], comp, axes=1)
-               for rows, comp in kern.components(labels)) * kern.unit, 1
+               for rows, comp in kern.components(labels)) * count[0], 1
 
 
 def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1) -> np.ndarray:
@@ -588,9 +598,9 @@ def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool =
         weights = measure.weights if exact else measure.float_weights()
         return _information(measure.shape, measure.labels, weights, sigma, exact,
                             measure.denominator)
-    if exact and rational_scale(sigma) is None:
-        raise ValueError("exact path needs Identity or rational type-H covariance")
     t, q = measure.shape.t, _vertex(*measure_triple(measure, sigma), 0)[0]
+    if exact and not isinstance(q, Fraction):  # an exact measure under a float scale
+        raise ValueError("exact path needs Identity or rational type-H covariance")
     proj = t * np.eye(t, dtype=np.int64) - 1  # t B_t, completely symmetric (verify_measure)
     return proj.astype(object) * (q / (t * t - t)) if exact else proj * (float(q) / (t * t - t))
 

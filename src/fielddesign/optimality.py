@@ -39,18 +39,17 @@ from .arrays import (
 )
 from .model import (
     IDENTITY,
+    BoundCov,
     CovarianceSpec,
-    GeneralCov,
     _float_rows,
     _vertex,
+    bind,
     centering_projector,
-    check_sigma_size,
     exact_q,
     exact_units,
     exact_value,
     measure_triple,
     numerator_rows,
-    rational_scale,
     scaled_rows,
     schur_complement,
     schur_numerators,
@@ -236,24 +235,23 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     """Envelope value max_s q_s(x) over the pool, with its witness array.
 
     Ties go to the earliest pool entry.  When x is exact (model.exact_value)
-    and the covariance is identity or exact type-H, every distinct integer
+    and the bound scale exact (identity or exact type-H), every distinct integer
     row of the pool, standing for its earliest pool entry, is scored
     exactly (model.exact_q) and the first maximum wins.  A pool that
     full_pool keeps has its distinct rows built once; r_eval only reads a
     kept pool, never builds one.
     """
     pool = LabelPool.of(pool)
-    xf, scale = exact_value(x), rational_scale(sigma)
-    if scale is not None and xf is not None:
-        check_sigma_size(sigma, pool.shape.p)
+    xf, cov = exact_value(x), bind(pool.shape, sigma)
+    if isinstance(cov.scale, Fraction) and xf is not None:
         kept = _full_pools.get(pool.shape)
         if kept is None or kept.pool is not pool:
             kept = _PoolTriples(pool)  # for this call only
         rows, first = kept.triples()
-        q, unit = exact_q(rows, pool.shape, scale, xf)
+        q, unit = exact_q(rows, pool.shape, cov.scale, xf)
         k = int(np.argmax(q))
         return int(q[k]) * unit, pool[first[k]]
-    q = q_eval(triple_table(pool, sigma).T, float(x))
+    q = q_eval(triple_table(pool, cov).T, float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
 
@@ -538,12 +536,11 @@ def solve_closed_form(
 ) -> SolveResult:
     """Closed-form minimax point, support, and an optimal measure.
 
-    Covariance must be identity or type-H; a type-H kernel only rescales
-    every quadratic by the same factor, so x*, the support and the orbit
-    weights carry over and y* picks up the scale.  That covariance-free
-    part is solved once per shape per process (_closed_form); each call
-    applies the scale, so its SolveResult is new, but its measure,
-    orbit_weights and q_support are the kept, read-only objects.
+    Covariance must be identity or type-H, which bind reduces to identity
+    times a scale: the unit solve is made once per shape per process
+    (_closed_form), and each call scales its y* and gap (_at_scale), so its
+    SolveResult is new, but its measure, orbit_weights and q_support are
+    the kept, read-only objects.
 
     The regime names a few representatives, and (x*, y*) is the minimum of
     the exact envelope of their rows (_envelope_min), at a vertex or a
@@ -557,13 +554,17 @@ def solve_closed_form(
       (fan_classes).  x* is the lowest class's vertex, that class alone
       the support, or the crossing the classes share, all in the support.
     """
-    if isinstance(sigma, GeneralCov):
-        raise ValueError(
-            "no closed form for general covariance; use solve_exchange"
-        )
-    check_sigma_size(sigma, shape.p)
-    base, scale = _closed_form(shape), rational_scale(sigma) or 1.0 / float(sigma.x)
-    return base._replace(y_star=base.y_star * scale, gap=base.gap * scale)
+    cov = bind(shape, sigma)
+    if cov.unit is not None:
+        raise ValueError("no closed form for general covariance; use solve_exchange")
+    return _at_scale(_closed_form(shape), cov.scale)
+
+
+def _at_scale(res: SolveResult, scale) -> SolveResult:
+    """A unit solve's y* and gap times a scale, OverflowError past the float range."""
+    if not (math.isfinite(y := res.y_star * scale) and math.isfinite(gap := res.gap * scale)):
+        raise OverflowError(f"y* = {res.y_star!r} times {scale!r} is past the float range")
+    return res._replace(y_star=y, gap=gap)
 
 
 @functools.lru_cache(maxsize=64)
@@ -615,7 +616,7 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
 
     Solves sum_k w_k (c01_k + x* c11_k) = 0 with sum w_k = 1 as a basic
     feasible solution: a single zero-slope orbit if one exists, else the
-    extreme negative/positive pair, on the identity kernel's slopes (type-H
+    extreme negative/positive pair, on the unit-scale slopes (a bound scale
     rescales them all alike).  Returns (weights, residual), exact when x* is
     rational.  Raises ValueError when every slope has the same strict sign.
     """
@@ -630,7 +631,7 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
         zero, one, cut = Fraction(0), Fraction(1), 0
     else:
         x = float(x_star)
-        g = [float(n01 + x * n11) for _, n01, n11 in scaled_rows(rows, reps.shape, IDENTITY)]
+        g = [float(n01 + x * n11) for _, n01, n11 in scaled_rows(rows, reps.shape)]
         zero, one, cut = 0.0, 1.0, 1e-12 * max(1.0, max(abs(v) for v in g))
     n = len(orbits)
     weights = [zero] * n
@@ -697,24 +698,23 @@ def verify_measure(
     the verdict is optimal when the balance, slope and information
     residuals are at most tol |y*| and the support mass, the weight on
     arrays whose q misses y* at x* by more than tol |y*|, at most tol.
-    An exact measure, exact (x*, y*) and identity or exact type-H covariance
-    (model.exact_value) are checked on integer numerators, residuals Fractions.
+    An exact measure, exact (x*, y*) and an exact bound scale (identity or
+    exact type-H) are checked on integer numerators, residuals Fractions.
     An orbit measure is symmetric (Kiefer 1975): each component is
     c_jk/(t-1) B_t of its measure_triple, plus a J part on C11 alone
     (Btilde 1 = 0), and max |B_t| = (t-1)/t, so no component is summed."""
-    t = xi.shape.t
+    t, cov = xi.shape.t, bind(xi.shape, sigma)
     x, y = exact_value(x_star), exact_value(y_star)
-    scale = rational_scale(sigma) if xi.is_exact() else None
-    exact = scale is not None and x is not None and y is not None
+    exact = xi.is_exact() and isinstance(cov.scale, Fraction) and None not in (x, y)
     x, y = (x, y) if exact else (float(x_star), float(y_star))
     if xi.orbit_sizes is not None:
-        c00, c01, c11 = (v if exact else float(v) for v in measure_triple(xi, sigma))
+        c00, c01, c11 = (v if exact else float(v) for v in measure_triple(xi, cov))
         balance, slope, info_res = (abs(r) / t for r in (
             c00 + x * c01 - y, c01 + x * c11, _vertex(c00, c01, c11, x)[0] - y))
     elif exact:
         # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
         # residual is the largest |entry| of a matrix over one integer
-        (n00, n01, n11), d = summed_components(xi.shape, xi.labels, xi.weights, sigma, exact)
+        (n00, n01, n11), d = summed_components(xi.shape, xi.labels, xi.weights, cov, exact)
         d *= xi.denominator
         (u, v), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
         proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
@@ -725,7 +725,7 @@ def verify_measure(
             (s * info - pivot * d * m * proj, s * pivot * d)))
     else:
         c00, c01, c11 = comps = summed_components(xi.shape, xi.labels, xi.float_weights(),
-                                                  sigma)[0]
+                                                  cov)[0]
         bt = centering_projector(t)
         # conditions hold on treatment contrasts; project out the constant
         # direction the raw neighbor blocks may carry
@@ -736,12 +736,12 @@ def verify_measure(
     if exact:
         # atoms of one orbit share a row, so each distinct row is scored once
         distinct, _, inverse = group_rows(xi.numerator_rows())
-        q, unit = exact_q(distinct, xi.shape, scale, x)
+        q, unit = exact_q(distinct, xi.shape, cov.scale, x)
         off = np.array([abs(int(n) * unit - y) > tol * abs(y) for n in q.tolist()])
         support_mass = Fraction(sum(n for n, o in zip(xi.weights, off[inverse]) if o),
                                 xi.denominator)
     else:
-        off = ~_touching(_float_rows(xi, sigma), x, y, tol)
+        off = ~_touching(_float_rows(xi, cov), x, y, tol)
         # left to right in row order, not np.sum's pairwise order
         support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = max(balance, slope, info_res) <= tol * abs(y) and support_mass <= tol
@@ -761,8 +761,9 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
                     sigma: CovarianceSpec = IDENTITY):
     """Envelope value at the measure's own peak minus the peak: >= 0,
     and zero exactly when no pool array improves on the measure."""
-    qs, xt = q_star(xi, sigma)
-    val, _ = r_eval(xt, pool, sigma)
+    cov = bind(xi.shape, sigma)
+    qs, xt = q_star(xi, cov)
+    val, _ = r_eval(xt, pool, cov)
     return val - qs
 
 
@@ -788,7 +789,7 @@ class _PoolTriples:
 
     def table(self) -> np.ndarray:
         """triple_table(pool) under identity, the same bits."""
-        return scaled_rows(self.triples(index=True)[0], self.pool.shape, IDENTITY)[self._index]
+        return scaled_rows(self.triples(index=True)[0], self.pool.shape)[self._index]
 
 
 # Full pools (keyed by shape) and support pools (keyed by (shape, seed)) kept
@@ -872,15 +873,6 @@ def _built_support_pool(shape: Shape, seed: int) -> LabelPool:
         for cls in fan_classes(shape)
         for chosen in combinations(pairs, cls.doubles)
         if len({cell for pair in chosen for cell in pair}) == 2 * cls.doubles])
-
-
-def random_pool(shape: Shape, count: int, seed: int = 0) -> LabelPool:
-    """The first `count` distinct orbits among 30 * count uniform random
-    arrays, as canonical forms in colex order."""
-    if count < 1:
-        raise ValueError("a random pool needs at least one array")
-    return _drawn_pool(shape, count, 30 * count,
-                       lambda rng, k: rng.integers(1, shape.t + 1, size=(k, shape.p)), seed)
 
 
 def _active_slopes(table: np.ndarray, x: float):
@@ -1016,22 +1008,16 @@ def solve_exchange(
     the rows active at the minimiser (_basic_mixture); ties go to the
     earliest pool row.  `gap` is the envelope at the measure's peak less
     the peak; the result is flagged converged when gap <= tol |y*|, and
-    the support lists the pool rows within tol |y*| of y* at x*.  A type-H
-    Sigma = x I + y 1' + 1 y' is identity's solve, y* and gap times 1/x;
-    OverflowError when either passes the float range.  To certify a
-    measure already at hand, use equivalence_gap.
+    the support lists the pool rows within tol |y*| of y* at x*.  The solve
+    runs on the unit-scale table of the bound covariance (model.bind), all
+    its tests relative, and y* and gap take the scale at the end
+    (_at_scale).  To certify a measure already at hand, use equivalence_gap.
     """
+    cov = bind(shape, sigma)
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
-    if not isinstance(sigma, GeneralCov) and sigma != IDENTITY:
-        check_sigma_size(sigma, shape.p)
-        res = solve_exchange(shape, IDENTITY, pool, tol, max_iter)
-        scale = rational_scale(sigma) or 1.0 / float(sigma.x)  # solve_closed_form's 1/x
-        if not (math.isfinite(y := res.y_star * scale) and math.isfinite(gap := res.gap * scale)):
-            raise OverflowError(f"y* = {res.y_star!r} / x is past the float range")
-        return res._replace(y_star=y, gap=gap)
     kept = _full_pools.get(pool.shape)
-    table = (kept.table() if kept is not None and kept.pool is pool
-             and not isinstance(sigma, GeneralCov) else triple_table(pool, sigma))
+    table = (kept.table() if kept is not None and kept.pool is pool and cov.unit is None
+             else triple_table(pool, BoundCov(1.0, cov.unit)))
     x, iterations = _envelope_argmin(table, max_iter)
     w = _basic_mixture(table, x)
     if w is None:  # bisection cut short by max_iter: best single row
@@ -1050,7 +1036,7 @@ def solve_exchange(
         (Orbit(s, orbit_size(s)), wt) for s, wt in sorted(
             measure.items(), key=lambda kv: kv[0].colex)
     )
-    return SolveResult(
+    return _at_scale(SolveResult(
         shape=shape,
         x_star=xt,
         y_star=qs,
@@ -1062,4 +1048,4 @@ def solve_exchange(
         gap=max(gap, 0.0),
         converged=bool(gap <= tol * abs(qs)),
         iterations=iterations,
-    )
+    ), cov.scale)

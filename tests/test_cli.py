@@ -233,8 +233,7 @@ def test_bad_tol_and_max_iter_are_input_errors(capsys, tmp_path, monkeypatch, fl
     pytest.param(["enumerate", "--list", "--budget", "-1"], id="budget"),
     # a negative seed is bad input, not a failure inside numpy
     pytest.param(["construct", "--n", "4", "--seed", "-1"], id="construct-seed"),
-    pytest.param(["solve", "--force-computational", "--pool", "q", "--seed", "-1"],
-                 id="solve-seed"),
+    pytest.param(["solve", "--force-computational", "--seed", "-1"], id="solve-seed"),
 ])
 def test_negative_tol_gets_the_range_message(capsys, argv):
     # argparse reads "-1e-9" and "-inf" as options unless told otherwise
@@ -263,14 +262,6 @@ def test_zero_tol_is_refused_only_under_a_general_sigma(capsys, tmp_path, monkey
                  ["solve", "--a", "2", "--b", "3", "--t", "3", "--force-computational"]):
         code, out, _ = run(capsys, *argv, "--tol", "0")
         assert code == 0 and json.loads(out)["config"]["tol"] == 0
-
-
-@pytest.mark.parametrize("count", ["0", "x", "-2"])
-def test_bad_random_pool_size_is_input_error(capsys, count):
-    code, out, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",
-                         "--force-computational", "--pool", f"random:{count}")
-    assert code == 1 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-    assert f"random:{count}" in err and "need a finite int >= 1" in err
 
 
 def test_construct_same_seed_same_bytes(capsys, tmp_path):
@@ -412,15 +403,22 @@ def test_forced_computational_agrees_with_closed_form(capsys):
     assert abs(doc["y_star"]["decimal"] - 4.0) < 1e-8
 
 
-def test_pool_strategies(capsys):
-    for pool in ("q", "random:300"):
-        code, out, _ = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",
-                           "--force-computational", "--pool", pool)
-        doc = json.loads(out)
-        assert code == 0 and abs(doc["y_star"]["decimal"] - 3.0) < 1e-6
-    code, _, err = run(capsys, "solve", "--a", "2", "--b", "3", "--t", "2",
-                       "--force-computational", "--pool", "bogus")
-    assert code == 1 and "pool" in err
+# one block per member of the orbit of ((1,2,3), (2,3,3)): not optimal (y* = 4 at x* = 0),
+# yet a one-orbit stand-in pool once gave it its own lower y* and the verdict "optimal"
+FINDING_13_BLOCKS = [[[1, 2, 3], [2, 3, 3]], [[1, 3, 2], [3, 2, 2]], [[2, 1, 3], [1, 3, 3]],
+                     [[2, 3, 1], [3, 1, 1]], [[3, 1, 2], [1, 2, 2]], [[3, 2, 1], [2, 1, 1]]]
+
+
+def test_stand_in_pools_are_refused_so_verify_cannot_trust_one(capsys, tmp_path):
+    path = write_design(tmp_path, "d13.json", 2, 3, 3, FINDING_13_BLOCKS)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 3 and json.loads(out)["report"]["verdict"] == "not optimal"
+    for pool in ("random:1", "q", "bogus"):
+        code, out, err = run(capsys, "verify", path, "--force-computational", "--pool", pool,
+                             "--seed", "0")
+        assert code == 1 and out == "" and "argument --pool: invalid choice" in err, pool
+    code, out, _ = run(capsys, "verify", path, "--force-computational", "--pool", "full")
+    assert code == 3 and json.loads(out)["config"]["pool"] == "full"
 
 
 def test_missing_subcommand_is_input_error(capsys):
@@ -620,7 +618,7 @@ FLAG_VALUES = {
     "--seed": (["0", "1", "7"], ["-1", str(2**64)]),
     "--format": (["json", "table"], ["xml"]),
     "--max-iter": (["1", "500"], ["0", "-1"]),
-    "--pool": (["full", "q", "random:3"], ["random:0", "random:1", "random:x", "grid"]),
+    "--pool": (["full"], ["q", "random:3", "random:0", "random:1", "random:x", "grid"]),
     "--budget": (["10", "100000"], ["0", "1", "-1"]),
     "--n": (["1", "2", "5", "7"], ["-1", "0", "inf"]),
     "--effort": (["1", "2"], ["0", "nan"]),

@@ -294,6 +294,23 @@ def test_construct_under_type_h_searches_identity_units(x):
     assert rep.y_star == float(solve_closed_form(Shape(2, 3, 3), TypeH(x)).y_star)
 
 
+@pytest.mark.parametrize("abt, n, rho", [((2, 3, 3), 6, 0.5), ((2, 3, 4), 10, 0.8)])
+def test_construct_under_a_dense_sigma_is_the_same_at_every_power_of_two(abt, n, rho):
+    # bind divides Sigma 2^k back to the unit Sigma exactly, so the search
+    # and its absolute 1e-12 margins see the same numbers at every k: once
+    # they saw Sigma itself, and these returned other blocks at some k
+    shape = Shape(*abt)
+    ar = rho ** np.abs(np.subtract.outer(range(shape.p), range(shape.p)))
+    base, rep = construct_exact(shape, n, GeneralCov.from_matrix(ar), seed=0)
+    for k in (40, 20, -20, -40):
+        design, scaled = construct_exact(shape, n, GeneralCov.from_matrix(ar * 2.0 ** k), seed=0)
+        assert design == base, k
+        # y* and the eigenvalues take the factor exactly; eff_D's logarithms round
+        assert scaled.y_star == rep.y_star * 2.0 ** -k, k
+        assert scaled.eigenvalues == tuple(v * 2.0 ** -k for v in rep.eigenvalues), k
+        assert np.allclose(scaled.astuple(), rep.astuple(), rtol=1e-12, atol=0), k
+
+
 @functools.cache
 def _design_233_7():
     return construct_exact(Shape(2, 3, 3), 7)[0]

@@ -34,6 +34,7 @@ from fielddesign.model import (
     TypeH,
     _pair_kernel,
     _shape_kernel,
+    bind,
     btilde,
     c_coeffs_closed,
     centering_projector,
@@ -43,7 +44,6 @@ from fielddesign.model import (
     info_matrix_exact,
     info_matrix_measure,
     numerator_rows,
-    rational_scale,
     scaled_rows,
     schur_numerators,
     trace_numerators_batch,
@@ -140,7 +140,8 @@ def test_integer_numerators_equal_counting_formula_on_large_grids(a, b, t):
 
 
 def test_shape_kernel_arrays_are_read_only():
-    kern = _pair_kernel(Shape(2, 3, 3), TypeH(Fraction(3, 2)))
+    shape = Shape(2, 3, 3)
+    kern, _ = _pair_kernel(shape, bind(shape, TypeH(Fraction(3, 2))))
     for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
@@ -149,25 +150,28 @@ def test_shape_kernel_arrays_are_read_only():
 @pytest.mark.parametrize("float_first", [True, False])
 def test_equal_type_h_weights_keep_their_own_exactness(float_first):
     # TypeH(1.5) == TypeH(Fraction(3, 2)) and both hash alike, yet only the
-    # second is exact: no kernel may be shared between them
+    # second is exact: no bound scale may be shared between them
     shape = Shape(2, 3, 3)
     _shape_kernel.cache_clear()
     sigmas = [TypeH(1.5), TypeH(Fraction(3, 2))]
     assert sigmas[0] == sigmas[1] and hash(sigmas[0]) == hash(sigmas[1])
     for sigma in sigmas if float_first else sigmas[::-1]:
-        kern = _pair_kernel(shape, sigma)
-        assert type(kern.scale) is type(sigma.x)
+        assert type(bind(shape, sigma).scale) is type(sigma.x)
+    labels = full_pool(shape).labels[:3]
     with pytest.raises(ValueError, match="exact path"):
-        _pair_kernel(shape, TypeH(1.5), exact=True)
-    assert _pair_kernel(shape, TypeH(Fraction(3, 2)), exact=True).scale == Fraction(2, 3)
+        component_numerators(shape, labels, [1] * 3, TypeH(1.5))
+    assert bind(shape, TypeH(Fraction(3, 2))).scale == Fraction(2, 3)
 
 
 def test_type_h_kernel_is_kept_per_shape_and_scale():
+    # the kernel is kept per shape at unit scale; the bound scale keeps its type
     shape = Shape(2, 3, 3)
-    exact_two, float_two = TypeH(Fraction(2)), TypeH(2.0)
-    assert type(_pair_kernel(shape, exact_two).scale) is Fraction
-    assert type(_pair_kernel(shape, float_two).scale) is float
-    assert _pair_kernel(Shape(2, 3, 4), exact_two).shape == Shape(2, 3, 4)
+    exact_two, float_two = bind(shape, TypeH(Fraction(2))), bind(shape, TypeH(2.0))
+    assert type(exact_two.scale) is Fraction and type(float_two.scale) is float
+    kern, count = _pair_kernel(shape, exact_two)
+    assert kern is _pair_kernel(shape, float_two)[0] is _shape_kernel(shape)
+    assert (count == _pair_kernel(shape, float_two)[1]).all()
+    assert _pair_kernel(Shape(2, 3, 4), exact_two)[0].shape == Shape(2, 3, 4)
 
 
 def test_type_h_offsets_are_checked_on_every_call():
@@ -178,7 +182,7 @@ def test_type_h_offsets_are_checked_on_every_call():
         with pytest.raises(ValueError, match=match):
             triple_table(pool, TypeH(1, y=bad))
         with pytest.raises(ValueError, match=match):
-            _pair_kernel(shape, TypeH(Fraction(1), y=bad), exact=True)
+            component_numerators(shape, pool.labels, [1] * len(pool), TypeH(Fraction(1), y=bad))
 
 
 def _int64_gather_triples(labels: np.ndarray, shape: Shape, sigma) -> np.ndarray:
@@ -301,7 +305,7 @@ def _fraction_schur(c00, c01, c11):
 def _reference_components(xi: Measure, sigma):
     """(C00, C01, C11) of a measure by explicit per-atom components O'K O,
     O'K F, F'K F (K = p I - J, F = M O) summed in Fractions."""
-    shape, scale = xi.shape, rational_scale(sigma)
+    shape, scale = xi.shape, bind(xi.shape, sigma).scale
     a, b, t, p = shape.a, shape.b, shape.t, shape.p
     m = _neighbors(a, b).astype(np.int64)
     k = p * np.eye(p, dtype=np.int64) - 1
@@ -317,7 +321,7 @@ def _reference_components(xi: Measure, sigma):
 def _reference_report(xi: Measure, sigma, x: Fraction, y: Fraction, tol: float = 1e-9):
     """verify_measure's four fields and verdict, by _reference_components,
     Fraction matrix algebra and closed-form triples."""
-    scale, t = rational_scale(sigma), xi.shape.t
+    scale, t = bind(xi.shape, sigma).scale, xi.shape.t
     c00, c01, c11 = _reference_components(xi, sigma)
     bt = np.array([[Fraction(int(i == j)) - Fraction(1, t) for j in range(t)] for i in range(t)])
     target = bt * (y / (t - 1))
@@ -371,7 +375,7 @@ def test_exact_q_is_the_counting_formula(case, sigma, big, data):
     # int64 at small x, Python ints once t v^2 alone passes 2**63 / 3
     shape, labels = case
     x = data.draw(_BIG_X if big else _SMALL_X)
-    scale, p, t = rational_scale(sigma), shape.p, shape.t
+    scale, p, t = bind(shape, sigma).scale, shape.p, shape.t
     rows = numerator_rows(shape, labels)
     assert rows.dtype == np.int64 and not rows.flags.writeable
     q, unit = exact_q(rows, shape, scale, x)
@@ -385,7 +389,7 @@ def test_exact_q_is_the_counting_formula(case, sigma, big, data):
 @given(route_rows(), st.sampled_from([IDENTITY, TypeH(Fraction(3, 2)), TypeH(1.5)]))
 def test_float_route_has_the_bits_of_triple_table(case, sigma):
     shape, labels = case
-    got = scaled_rows(numerator_rows(shape, labels), shape, sigma)
+    got = scaled_rows(numerator_rows(shape, labels), shape, bind(shape, sigma).scale)
     assert got.tobytes() == triple_table(LabelPool(shape, labels), sigma).tobytes()
 
 
@@ -499,7 +503,7 @@ def test_exact_support_test_past_int64(x):
     shape, sigma = Shape(2, 3, 3), TypeH(Fraction(3, 2))
     rows = np.random.default_rng(7).integers(1, shape.t + 1, size=(6, shape.p))
     xi = Measure.from_labels(shape, rows, [Fraction(k, 21) for k in range(1, 7)])
-    p, t, scale = shape.p, shape.t, rational_scale(sigma)
+    p, t, scale = shape.p, shape.t, bind(shape, sigma).scale
     assert exact_q(xi.numerator_rows(), shape, scale, x)[0].dtype == object
     q = [scale * (Fraction(int(a), p) + 2 * x * Fraction(int(b), p) + x * x * Fraction(int(c), p * t))
          for a, b, c in zip(*closed_numerators_batch(xi.labels, shape))]
@@ -698,7 +702,7 @@ def test_narrow_labels_read_as_their_int64_copy(t):
         assert narrow.dtype == (np.int8 if t <= 127 else np.int16)
         m = rng.normal(size=(shape.p, shape.p))
         dense = GeneralCov.from_matrix(m @ m.T + shape.p * np.eye(shape.p))
-        for kern in (_shape_kernel(shape), _pair_kernel(shape, dense)):
+        for kern in (_shape_kernel(shape), _pair_kernel(shape, bind(shape, dense))[0]):
             assert np.array_equal(kern.triples(narrow), kern.triples(wide))
             assert np.array_equal(kern.count_sum(narrow), kern.count_sum(wide))
             for (rows, got), (_, want) in zip(kern.components(narrow), kern.components(wide)):

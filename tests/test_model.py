@@ -14,6 +14,7 @@ from fielddesign.model import (
     GeneralCov,
     Identity,
     TypeH,
+    bind,
     btilde,
     c11_base,
     c_coeffs_closed,
@@ -24,7 +25,6 @@ from fielddesign.model import (
     info_matrix_exact,
     info_matrix_measure,
     label_matrix,
-    rational_scale,
     schur_complement,
     schur_numerators,
     sigma_from_json,
@@ -234,8 +234,8 @@ def test_exact_value_is_the_one_exactness_rule():
         assert type(got.numerator) is int and type(got.denominator) is int
     for v in (0.5, 2.0, np.float64(2.0), "1/2", None):
         assert exact_value(v) is None
-    assert rational_scale(TypeH(np.int64(3))) == Fraction(1, 3)
-    assert rational_scale(TypeH(1.5)) is None
+    assert bind(6, TypeH(np.int64(3))).scale == Fraction(1, 3)
+    assert type(bind(6, TypeH(1.5)).scale) is float
 
 
 def test_identity_is_type_h_with_unit_weight():

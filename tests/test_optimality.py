@@ -52,7 +52,6 @@ from fielddesign.optimality import (
     q_eval,
     q_star,
     r_eval,
-    random_pool,
     solve_closed_form,
     solve_exchange,
     solve_sbs_proportions,
@@ -625,7 +624,7 @@ def test_kept_full_pool_still_checks_the_budget(fresh_full_pools):
 def test_explicit_pool_of_an_over_budget_shape_never_enumerates(
         fresh_full_pools, monkeypatch, abt):
     shape = Shape(*abt)
-    pool = random_pool(shape, 16, seed=3)
+    pool = LabelPool(shape, np.random.default_rng(3).integers(1, shape.t + 1, (16, shape.p)))
     xi = Measure.point(pool[0])
     monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
     for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
@@ -1072,10 +1071,6 @@ def test_restricted_pools_keep_contents_and_order():
     # became label matrices
     assert _digest(support_pool(Shape(3, 3, 4), seed=1)) == \
         "9b45ca672ad7d5f0277a8e8786e8714953c5b347054325d53c9211f51c958bb5"
-    assert _digest(random_pool(Shape(3, 3, 9), 40, seed=5)) == \
-        "1d6cfed817591f090e015c603080c238480190947e00e0d111a6fedb1532b2a1"
-    assert _digest(random_pool(Shape(2, 3, 5), 40, seed=1)) == \
-        "a5ebb0489a0197b98fc6d62939000bcb725d99ea88a859ede28682536f97fd96"
     # the corner-double branch for a = 2 and for a >= 3, and the balanced
     # branch on a shape whose 15 balanced orbits never fill the 64 wanted,
     # so every one of its 1,280 draws is made
@@ -1170,6 +1165,36 @@ def test_scaling_sigma_by_a_power_of_two_repeats_every_decision(abt, sigma):
             again = verify_measure(xi, scaled, res.x_star, res.y_star)
             assert (again.optimal, again.support_mass) == (report.optimal, report.support_mass), k
             assert _residuals(again) == tuple(v * f for v in _residuals(report)), k
+
+
+def _grid_symmetries(shape: Shape) -> dict[str, np.ndarray]:
+    """Each symmetry of the a x b grid but the identity, as the plot that
+    moves to plot i + a j: the flips and the 180-degree rotation, and on a
+    square grid the two transpositions and the quarter turns."""
+    a, b = shape.a, shape.b
+    i, j = np.arange(shape.p) % a, np.arange(shape.p) // a
+    moves = {"column flip": i + a * (b - 1 - j), "row flip": a - 1 - i + a * j,
+             "180-degree rotation": a - 1 - i + a * (b - 1 - j)}
+    if a == b:
+        moves.update({"transposition": j + a * i,
+                      "anti-transposition": a - 1 - j + a * (a - 1 - i),
+                      "quarter turn": j + a * (a - 1 - i),
+                      "three-quarter turn": a - 1 - j + a * i})
+    return moves
+
+
+@pytest.mark.parametrize("abt, seed", [((2, 4, 3), 14), ((3, 3, 3), 15), ((2, 3, 4), 16)])
+def test_whole_solve_is_invariant_under_grid_symmetries(abt, seed):
+    # a grid symmetry P fixes the neighbor matrix and maps the full pool onto
+    # itself, so the envelope under P Sigma P' is the envelope under Sigma
+    shape = Shape(*abt)
+    sigma = _random_spd(shape.p, seed).array()
+    base = solve_exchange(shape, GeneralCov.from_matrix(sigma))
+    assert base.converged
+    for name, moved in _grid_symmetries(shape).items():
+        res = solve_exchange(shape, GeneralCov.from_matrix(sigma[np.ix_(moved, moved)]))
+        assert abs(res.y_star - base.y_star) <= 1e-12 * abs(base.y_star), name
+        assert abs(res.x_star - base.x_star) <= 1e-12 * max(1.0, abs(base.x_star)), name
 
 
 def test_solver_result_json_shape():

@@ -106,11 +106,37 @@ def _replace_calls() -> set[tuple[str, str, str]]:
 
 def test_replace_is_only_called_on_records_that_do_not_validate():
     # _replace builds through tuple.__new__, past a validating __new__: a new
-    # call must be on a record that checks nothing (here a _PairKernel and
-    # two SolveResults)
-    assert _replace_calls() == {("model", "_pair_kernel", "_shape_kernel(shape)"),
-                                ("optimality", "solve_closed_form", "base"),
-                                ("optimality", "solve_exchange", "res")}
+    # call must be on a record that checks nothing (here a SolveResult)
+    assert _replace_calls() == {("optimality", "_at_scale", "res")}
+
+
+SPEC_CLASSES = {"TypeH", "Identity", "GeneralCov"}
+RETIRED_HELPERS = {"rational_scale", "check_sigma_size"}
+
+
+def _covariance_dispatch() -> set[tuple[str, str]]:
+    """(module, function) of every isinstance call on a covariance spec class,
+    and (module, name) of every use of a retired scale or size helper."""
+    found = set()
+    for path in (SRC / "fielddesign").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+                    and SPEC_CLASSES & {n.id for n in ast.walk(call.args[1])
+                                        if isinstance(n, ast.Name)}
+                    for call in ast.walk(node)):
+                found.add((path.stem, node.name))
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in RETIRED_HELPERS:
+                found.add((path.stem, name))
+    return found
+
+
+def test_only_bind_dispatches_on_a_covariance_spec():
+    # model.bind reduces a spec to its scale and unit kernel once; every
+    # other function reads that record, never the spec's class
+    assert _covariance_dispatch() == {("model", "bind")}
 
 
 def test_cli_import_builds_no_dataclass():
