@@ -405,12 +405,12 @@ def test_forced_computational_agrees_with_closed_form(capsys):
 
 # one block per member of the orbit of ((1,2,3), (2,3,3)): not optimal (y* = 4 at x* = 0),
 # yet a one-orbit stand-in pool once gave it its own lower y* and the verdict "optimal"
-FINDING_13_BLOCKS = [[[1, 2, 3], [2, 3, 3]], [[1, 3, 2], [3, 2, 2]], [[2, 1, 3], [1, 3, 3]],
+ONE_ORBIT_BLOCKS_233 = [[[1, 2, 3], [2, 3, 3]], [[1, 3, 2], [3, 2, 2]], [[2, 1, 3], [1, 3, 3]],
                      [[2, 3, 1], [3, 1, 1]], [[3, 1, 2], [1, 2, 2]], [[3, 2, 1], [2, 1, 1]]]
 
 
 def test_stand_in_pools_are_refused_so_verify_cannot_trust_one(capsys, tmp_path):
-    path = write_design(tmp_path, "d13.json", 2, 3, 3, FINDING_13_BLOCKS)
+    path = write_design(tmp_path, "one_orbit.json", 2, 3, 3, ONE_ORBIT_BLOCKS_233)
     code, out, _ = run(capsys, "verify", path)
     assert code == 3 and json.loads(out)["report"]["verdict"] == "not optimal"
     for pool in ("random:1", "q", "bogus"):
