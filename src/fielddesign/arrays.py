@@ -344,6 +344,20 @@ class LabelPool(Sequence[BlockArray]):
     def __getitem__(self, k: int) -> BlockArray:
         return BlockArray.from_colex(self.shape, self.labels[k].tolist())
 
+    # a record by shape and labels; copied and pickled through __init__, read-only
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LabelPool) and self.shape == other.shape
+                and np.array_equal(self.labels, other.labels))
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.labels.tobytes()))
+
+    def __reduce__(self):
+        return LabelPool, (self.shape, self.labels)
+
+    def __repr__(self) -> str:
+        return f"LabelPool(shape={self.shape!r}, labels={self.labels.tolist()!r})"
+
     def to_json(self) -> list[dict]:
         """Every array as {"a", "b", "t", "rows"}: the one array JSON writer."""
         a, b, t = self.shape.a, self.shape.b, self.shape.t

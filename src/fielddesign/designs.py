@@ -23,12 +23,13 @@ from .arrays import (
     Orbit,
     Shape,
     _integer,
+    canonical_labels,
     canonical_pool,
     group_rows,
+    label_dtype,
     label_matrix,
     normalize_shape,
     orbit_labels,
-    orbit_members,
 )
 from .model import (
     CHUNK_ROWS,
@@ -59,21 +60,22 @@ class NullDirectionError(RuntimeError):
 
 class _ExactDesignFields(NamedTuple):
     shape: Shape
-    blocks: tuple[BlockArray, ...]
+    blocks: LabelPool
 
 
 class ExactDesign(_ExactDesignFields):
-    """An ordered list of blocks, each an a x b array of one shape."""
+    """An ordered list of n blocks of one shape, held as one (n, p) LabelPool
+    (BlockArrays given are converted once), which yields BlockArrays."""
 
     __slots__ = ()
 
-    def __new__(cls, shape: Shape, blocks: tuple[BlockArray, ...]):
+    def __new__(cls, shape: Shape, blocks: Sequence[BlockArray]):
         if len(blocks) < 1:
             raise ValueError("a design needs at least one block")
-        for s in blocks:
-            if s.shape != shape:
-                raise ValueError("all blocks must share the design shape")
-        return super().__new__(cls, shape, blocks)
+        if (blocks.shape != shape if isinstance(blocks, LabelPool)
+                else any(s.shape != shape for s in blocks)):
+            raise ValueError("all blocks must share the design shape")
+        return super().__new__(cls, shape, LabelPool.of(blocks))
 
     @property
     def n(self) -> int:
@@ -81,31 +83,38 @@ class ExactDesign(_ExactDesignFields):
 
     def to_json(self) -> dict:
         return {**self.shape._asdict(), "n": self.n,
-                "blocks": [[list(r) for r in s.rows] for s in self.blocks]}
+                "blocks": [arr["rows"] for arr in self.blocks.to_json()]}
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExactDesign":
-        """Read {"a", "b", "t", "blocks"} and an optional "n".  A tall grid
-        (a > b) is read as its b x a mirror (normalize_shape), whose neighbor
-        structure is the same; its blocks must form a x b grids as given,
-        which is checked before they are transposed."""
+        """Read {"a", "b", "t", "blocks"} and an optional "n" into one label
+        matrix, each block checked as BlockArray.from_rows checks it, in
+        the grid as given.  A tall grid (a > b) is read as its b x a mirror
+        (normalize_shape), whose neighbor structure is the same."""
         a, b, t = (_integer(obj[k], f"{k} =") for k in "abt")
         rows_list = obj["blocks"]
         if "n" in obj and _integer(obj["n"], "n =") != len(rows_list):
             raise ValueError(
                 f"declared n={obj['n']} but {len(rows_list)} blocks given")
         shape, transposed = normalize_shape(a, b, t)
-        if transposed:
-            if any(len(rows) != a or any(len(r) != b for r in rows) for rows in rows_list):
+        grids = []
+        for rows in rows_list:
+            rows = [[_integer(v, "treatment label") for v in r] for r in rows]
+            if len(rows) != a or any(len(r) != b for r in rows):
                 raise ValueError(f"rows must form an {a}x{b} grid")
-            rows_list = [list(zip(*rows)) for rows in rows_list]
-        return ExactDesign(shape, tuple(BlockArray.from_rows(shape, rows) for rows in rows_list))
+            if bad := [v for r in rows for v in r if not 1 <= v <= t]:
+                raise ValueError(f"treatment {bad[0]} outside 1..{t}")
+            grids.append(rows)
+        grids = np.array(grids, dtype=label_dtype(t)).reshape(len(grids), a, b)
+        # the colex scan of a tall grid's mirror runs along its rows as given
+        labels = grids if transposed else grids.transpose(0, 2, 1)
+        return ExactDesign(shape, LabelPool(shape, labels.reshape(len(grids), shape.p)))
 
 
 def measure_of_design(d: ExactDesign) -> Measure:
     """Empirical measure with exact weights n_s / n, its atoms in order of
     first appearance among the blocks."""
-    return Measure.from_labels(d.shape, label_matrix(d.blocks), [Fraction(1, d.n)] * d.n)
+    return Measure.from_labels(d.shape, d.blocks.labels, [Fraction(1, d.n)] * d.n)
 
 
 class EfficiencyReport(NamedTuple):
@@ -244,22 +253,23 @@ def min_n_symmetric(weights: Iterable[tuple[Orbit, object]]) -> MinNReport:
 
 def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDesign:
     """Design replicating each orbit member n * w_k / |orbit_k| times, orbit by
-    orbit in orbit_members order.  n must be a multiple of min_n_symmetric's
+    orbit in orbit_members order, built as one label matrix: each orbit's
+    orbit_labels rows, repeated.  n must be a multiple of min_n_symmetric's
     n (which refuses negative weights), and the weights must sum to one."""
     pairs = list(weights)
     least = min_n_symmetric(pairs).n
     if n % least:
         raise ValueError(
             f"n={n} does not split the orbits evenly; smallest feasible n is {least}")
-    blocks: list[BlockArray] = []
-    for o, w in pairs:
-        reps = int(_rationalized(w)[0] * n / o.size)
-        for member in orbit_members(o.representative):
-            blocks.extend([member] * reps)
-    if len(blocks) != n:
-        raise ValueError(f"weights sum to {Fraction(len(blocks), n)}, so n={n} "
-                         f"gives {len(blocks)} blocks")
-    return ExactDesign(pairs[0][0].representative.shape, tuple(blocks))
+    shape = pairs[0][0].representative.shape
+    ranks = canonical_labels(label_matrix([o.representative for o, _ in pairs])) - 1
+    labels = np.concatenate([
+        np.repeat(orbit_labels(r, shape.t), int(_rationalized(w)[0] * n / o.size), axis=0)
+        for r, (o, w) in zip(ranks, pairs)])
+    if len(labels) != n:
+        raise ValueError(f"weights sum to {Fraction(len(labels), n)}, so n={n} "
+                         f"gives {len(labels)} blocks")
+    return ExactDesign(shape, LabelPool(shape, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +390,7 @@ def _group_design(shape: Shape, pairs: Sequence[tuple[Orbit, object]],
     reps = label_matrix([o.representative for o, _ in pairs])
     labels = np.concatenate([group[:, rep - 1] + 1 for rep, w in zip(reps, weights)
                              for _ in range(int(w * lcd))])
-    pool = LabelPool(shape, np.tile(labels, (n // len(labels), 1)))
-    return ExactDesign(shape, tuple(pool))
+    return ExactDesign(shape, LabelPool(shape, np.tile(labels, (n // len(labels), 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +740,7 @@ def construct_exact(
     groups = np.split(where[:sum(sizes)], np.cumsum(sizes)[:-1])
     rounded = [int(group[j % len(group)]) for group, c in zip(groups, counts) for j in range(c)]
     if n * shape.p < t:  # some treatment is in no block: every design scores 0
-        design = ExactDesign(shape, tuple(pool[k] for k in rounded))
+        design = ExactDesign(shape, LabelPool(shape, pool.labels[rounded]))
         return design, efficiencies(design, cov, y_star)
     stack = component_table(pool, unit)
     target = np.asarray(centering_projector(t), dtype=float) * (n * y / (t - 1))
@@ -764,5 +773,5 @@ def construct_exact(
             run.take(stack, best, value)
 
     best = min(runs, key=lambda run: run.current)  # ties go to the first
-    design = ExactDesign(shape, tuple(pool[k] for k in best.idx))
+    design = ExactDesign(shape, LabelPool(shape, pool.labels[best.idx]))
     return design, efficiencies(design, cov, y_star)

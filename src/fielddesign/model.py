@@ -25,7 +25,8 @@ matrix for every covariance, as bind reduces it: in int64 on K = pI - J
 for the identity and type-H family, and in float on K = Btilde of the
 unit-scale Sigma for a dense one, each result times the bound scale.  The
 covariance-free part (neighbor matrix, int64 stack, plot-pair index and
-pair weights) is built once per shape and held read-only.
+pair weights) is built once per shape, and a dense Sigma's unit and float
+kernel once per spec and shape, all held read-only.
 Triples are a 0/1 pair indicator times the pair weights in float64 BLAS,
 exact for the integer stack (_shape_kernel states the bound).  Only this
 module reads the identity numerators over (p, p, p t): numerator_rows,
@@ -173,12 +174,20 @@ def bind(shape: Shape | int, sigma: CovarianceSpec | BoundCov) -> BoundCov:
             raise ValueError(f"type-H offset vector must have length {p}")
         x = exact_value(sigma.x)
         return BoundCov(1.0 / float(sigma.x) if x is None else 1 / x)
+    return _bind_dense(p, sigma)
+
+
+@functools.lru_cache(maxsize=64)
+def _bind_dense(p: int, sigma: GeneralCov) -> BoundCov:
+    """bind of a dense Sigma, kept per (p, spec) with its unit read-only."""
     if (m := sigma.array()).shape != (p, p):
         raise ValueError(f"covariance is {m.shape[0]}x{m.shape[1]}, need {p}x{p}")
     diag = [row[k] for k, row in enumerate(sigma.matrix)]
     top = math.frexp(max(diag))[1]  # the mean of the diagonal over 2^top cannot overflow
     e = math.frexp(sum(math.ldexp(v, -top) for v in diag) / p)[1] - 1 + top
-    return BoundCov(float(np.ldexp(1.0, -e)), np.ldexp(m, -e))  # scale inf past the float range
+    unit = np.ldexp(m, -e)
+    unit.flags.writeable = False
+    return BoundCov(float(np.ldexp(1.0, -e)), unit)  # scale inf past the float range
 
 
 def sigma_from_json(obj) -> CovarianceSpec:
@@ -393,8 +402,11 @@ def _stack_kernel(shape: Shape, m: np.ndarray, k: np.ndarray, pairs, dens) -> _P
     stack = np.stack([k, k @ m, m @ k @ m])
     i, j = pairs
     pair_w = (stack + stack.transpose(0, 2, 1))[:, i, j].T.astype(np.float64)
-    return _PairKernel(shape, m, stack, pairs, pair_w, np.trace(stack, axis1=1, axis2=2),
+    kern = _PairKernel(shape, m, stack, pairs, pair_w, np.trace(stack, axis1=1, axis2=2),
                        stack[2].sum(), np.asarray(dens, dtype=float))
+    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag, kern.dens):
+        arr.flags.writeable = False
+    return kern
 
 
 @functools.lru_cache(maxsize=64)
@@ -409,18 +421,23 @@ def _shape_kernel(shape: Shape) -> _PairKernel:
     # (p = 48 gives under 2**19), whatever order BLAS adds in
     if len(kern.pairs[0]) * np.abs(kern.pair_w).max() >= 2**53:
         raise ValueError(f"{shape}: pair weights too large for exact float64 sums")
-    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag, kern.dens):
-        arr.flags.writeable = False
     return kern
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_kernel(shape: Shape, unit: bytes) -> _PairKernel:
+    """The float pair kernel of a unit-scale Sigma, given as its float64
+    bytes, built once per (shape, unit) and held read-only."""
+    kern = _shape_kernel(shape)
+    sigma = BoundCov(1.0, np.frombuffer(unit).reshape(shape.p, shape.p))
+    return _stack_kernel(shape, kern.neighbors, btilde(sigma, shape.p), kern.pairs,
+                         (1,))  # one entry broadcasts as a scalar, fast
 
 
 def _pair_kernel(shape: Shape, cov: BoundCov) -> tuple[_PairKernel, np.ndarray]:
     """The unit-scale pair kernel of a bound covariance, and the float value
     at its scale of one count of each triple entry (scale / dens)."""
-    kern = _shape_kernel(shape)
-    if cov.unit is not None:
-        kern = _stack_kernel(shape, kern.neighbors, btilde(BoundCov(1.0, cov.unit), shape.p),
-                             kern.pairs, (1,))  # one entry broadcasts as a scalar, fast
+    kern = _shape_kernel(shape) if cov.unit is None else _dense_kernel(shape, cov.unit.tobytes())
     return kern, float(cov.scale) / kern.dens
 
 
@@ -442,8 +459,12 @@ def numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
 def scaled_rows(nums: np.ndarray, shape: Shape, scale=1) -> np.ndarray:
     """Float coefficient rows of (N, 3) identity numerators (numerator_rows)
     at a bound scale: the one float route, which triple_table takes too, so
-    the same bits with no label scored."""
-    return nums * (float(scale) / _shape_kernel(shape).dens)
+    the same bits with no label scored, one column at a time (numpy's
+    (3,) broadcast takes about twice as long on a large table)."""
+    out = np.empty(nums.shape)
+    for k, f in enumerate((float(scale) / _shape_kernel(shape).dens).tolist()):
+        np.multiply(nums[:, k], f, out=out[:, k])
+    return out
 
 
 def exact_q(nums: np.ndarray, shape: Shape, scale: Fraction, x: Fraction):
@@ -467,8 +488,9 @@ def triple_table(
     if not len(pool):
         return np.zeros((0, 3))
     pool = LabelPool.of(pool)
-    kern, count = _pair_kernel(pool.shape, bind(pool.shape, sigma))
-    return kern.triples(pool.labels) * count
+    kern, count = _pair_kernel(pool.shape, cov := bind(pool.shape, sigma))
+    table = kern.triples(pool.labels)
+    return table * count if cov.unit is not None else scaled_rows(table, pool.shape, cov.scale)
 
 
 def _float_rows(measure, cov: BoundCov) -> np.ndarray:
@@ -565,12 +587,17 @@ def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
                       sigma: CovarianceSpec = IDENTITY, exact: bool = False):
     """The (3, t, t) sum of (C00, C01, C11) over the rows of an (N, p) label
     matrix at the weights, over a denominator: component_numerators (exact),
-    or floats over 1."""
+    or floats over 1.  Unit weights on an integer kernel (a design's blocks)
+    take one count_sum, the bits of the per-row sum, whose partial sums are
+    all integers below 2**53."""
     if exact:
         return component_numerators(shape, labels, weights, sigma)
     if not len(labels):
         raise ValueError("no blocks given")
-    (kern, count), w = _pair_kernel(shape, bind(shape, sigma)), np.asarray(weights, dtype=float)
+    kern, count = _pair_kernel(shape, cov := bind(shape, sigma))
+    if cov.unit is None and all(v == 1 for v in weights):
+        return kern.count_sum(labels) * count[0], 1
+    w = np.asarray(weights, dtype=float)
     return sum(np.tensordot(w[rows], comp, axes=1)
                for rows, comp in kern.components(labels)) * count[0], 1
 
@@ -585,8 +612,8 @@ def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1
 
 
 def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
-    """Information matrix of an exact design (blocks accumulated, then Schur)."""
-    return _information(design.shape, label_matrix(design.blocks), [1] * design.n, sigma, exact)
+    """Information matrix of an exact design (its label matrix summed, then Schur)."""
+    return _information(design.shape, design.blocks.labels, [1] * design.n, sigma, exact)
 
 
 def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:

@@ -22,6 +22,7 @@ from fielddesign.arrays import (
     canonical_json,
     normalize_shape,
     orbit_labels,
+    orbit_members,
     orbit_size,
 )
 from fielddesign.designs import (
@@ -252,6 +253,24 @@ def test_expand_symmetric_digest():
             digest.update(repr((abt, n, [blk.colex for blk in d.blocks])).encode())
     assert digest.hexdigest() == \
         "b27bc9dd3b0ec420740d2b5eb659b2d527ed4d9fa66a201082ff2775b028da2f"
+
+
+def test_expand_symmetric_lists_the_orbit_members_loop():
+    # on every shape of at most 10 plots whose least symmetric n is at most
+    # 100, the label matrix holds the blocks of a loop over orbit_members
+    tested = 0
+    for a, b in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3)):
+        for t in range(2, a * b + 3):
+            pairs = solve_closed_form(Shape(a, b, t)).orbit_weights
+            least = min_n_symmetric(pairs).n
+            if least > 100:
+                continue
+            tested += 1
+            for n in (least, 2 * least):
+                want = [member for o, w in pairs for member in orbit_members(o.representative)
+                        for _ in range(int(w * n / o.size))]
+                assert list(expand_symmetric(pairs, n).blocks) == want, (a, b, t, n)
+    assert tested == 10
 
 
 def test_construct_finds_exact_optimum():
@@ -766,7 +785,7 @@ def test_construct_returns_an_exactly_optimal_group_design(monkeypatch, abt, n_g
                                 check.support_mass, check.info_residual))
     assert np.allclose(rep.astuple(), 1.0, rtol=0, atol=1e-12)
     again = construct_exact(shape, 2 * n_g, sigma, seed=5, effort=1)[0]
-    assert again.blocks == design.blocks * 2
+    assert np.array_equal(again.blocks.labels, np.tile(design.blocks.labels, (2, 1)))
 
 
 @pytest.mark.parametrize("abt, n", [((2, 3, 4), 12), ((2, 5, 5), 20)])

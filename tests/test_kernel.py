@@ -26,7 +26,7 @@ from fielddesign.arrays import (
     orbit_members,
     orbit_size,
 )
-from fielddesign.designs import ExactDesign, measure_of_design
+from fielddesign.designs import ExactDesign, efficiencies, measure_of_design
 from fielddesign.arrays import neighbor_matrix
 from fielddesign.model import (
     IDENTITY,
@@ -142,6 +142,28 @@ def test_integer_numerators_equal_counting_formula_on_large_grids(a, b, t):
 def test_shape_kernel_arrays_are_read_only():
     shape = Shape(2, 3, 3)
     kern, _ = _pair_kernel(shape, bind(shape, TypeH(Fraction(3, 2))))
+    for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+
+
+def test_dense_kernel_is_kept_per_spec(monkeypatch):
+    # bind's unit Sigma and its float pair kernel are made once per spec
+    # and shape, so a solve, its check and a design's scores invert once
+    shape = Shape(2, 3, 3)
+    ar = GeneralCov.from_matrix(0.45 ** np.abs(np.subtract.outer(range(6), range(6))))
+    calls = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(1) or real(m))
+    res = optimality.solve_exchange(shape, ar)
+    optimality.verify_measure(Measure.from_orbit_weights(shape, res.orbit_weights), ar,
+                              res.x_star, res.y_star)
+    efficiencies(ExactDesign(shape, res.q_support.arrays), ar, res.y_star)
+    assert len(calls) == 1
+    cov = bind(shape, ar)
+    assert cov.unit is bind(shape, ar).unit and not cov.unit.flags.writeable
+    kern = _pair_kernel(shape, cov)[0]
+    assert kern is _pair_kernel(shape, bind(shape, ar))[0]
     for arr in (kern.neighbors, kern.stack, *kern.pairs, kern.pair_w, kern.diag):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
@@ -391,6 +413,40 @@ def test_float_route_has_the_bits_of_triple_table(case, sigma):
     shape, labels = case
     got = scaled_rows(numerator_rows(shape, labels), shape, bind(shape, sigma).scale)
     assert got.tobytes() == triple_table(LabelPool(shape, labels), sigma).tobytes()
+
+
+def _one_hot_components(shape, labels, weights, sigma=IDENTITY, exact=False):
+    """summed_components' per-row route in floats: each chunk's one-hot
+    components, weighted and summed."""
+    assert not exact
+    kern, count = _pair_kernel(shape, bind(shape, sigma))
+    w = np.asarray(weights, dtype=float)
+    return sum(np.tensordot(w[rows], comp, axes=1)
+               for rows, comp in kern.components(labels)) * count[0], 1
+
+
+@pytest.mark.parametrize("abt, n", [((2, 3, 2), 16), ((2, 3, 3), 7), ((2, 3, 4), 12),
+                                    ((2, 4, 3), 78), ((3, 3, 3), 18), ((3, 3, 5), 9),
+                                    ((2, 4, 8), 14)])
+def test_unit_weight_sums_have_the_bits_of_the_one_hot_route(monkeypatch, abt, n):
+    # an exact design's float sum is one count_sum on an integer kernel,
+    # every partial sum an integer below 2**53: the per-row route's bits
+    shape = Shape(*abt)
+    rng = np.random.default_rng(n)
+    found = [ExactDesign(shape, LabelPool(shape, rng.integers(1, shape.t + 1, (n, shape.p))))]
+    if abt == (2, 4, 8):
+        found.append(design_of(4, 2, 8, EFFICIENT_BLOCKS_428))
+    sigmas = (IDENTITY, TypeH(Fraction(3, 2)), TypeH(0.7))
+    sums = []
+    real = model._PairKernel.count_sum
+    monkeypatch.setattr(model._PairKernel, "count_sum",
+                        lambda kern, labels: sums.append(1) or real(kern, labels))
+    got = [(info_matrix_exact(d, s), efficiencies(d, s)) for d in found for s in sigmas]
+    assert len(sums) == 2 * len(got)
+    monkeypatch.setattr(model, "summed_components", _one_hot_components)
+    want = [(info_matrix_exact(d, s), efficiencies(d, s)) for d in found for s in sigmas]
+    for (info, rep), (info_want, rep_want) in zip(got, want):
+        assert np.array_equal(info, info_want) and rep == rep_want
 
 
 SIGMAS = [IDENTITY, TypeH(Fraction(3, 2)), TypeH(Fraction(7, 3))]

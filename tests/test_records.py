@@ -14,9 +14,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fielddesign.arrays import BlockArray, Orbit, Shape
+from fielddesign.arrays import BlockArray, LabelPool, Orbit, Shape
 from fielddesign.designs import ExactDesign, MinNReport, efficiencies
 from fielddesign.model import IDENTITY, CoefficientTriple, GeneralCov, Identity, TypeH
 from fielddesign.optimality import FanClass, QSupport
@@ -25,6 +26,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 S232 = Shape(2, 3, 2)
 B232 = BlockArray.from_rows(S232, [[1, 2, 1], [2, 1, 2]])
 D232 = ExactDesign(S232, (B232, B232))
+
+
+def _design_json(blocks) -> dict:
+    return {"a": 2, "b": 3, "t": 2, "blocks": blocks}
+
 
 # each validated record's refusal: how it is made, the error and its message
 REFUSALS = {
@@ -42,6 +48,26 @@ REFUSALS = {
                      "a design needs at least one block"),
     "exact-design-shape": (lambda: ExactDesign(Shape(2, 3, 3), (B232,)), ValueError,
                            "all blocks must share the design shape"),
+    "exact-design-pool-shape": (lambda: ExactDesign(Shape(2, 3, 3), D232.blocks), ValueError,
+                                "all blocks must share the design shape"),
+    # a design file is read into one label matrix, each label checked as
+    # BlockArray.from_rows checks it
+    "design-json-empty": (lambda: ExactDesign.from_json(_design_json([])), ValueError,
+                          "a design needs at least one block"),
+    "design-json-n": (lambda: ExactDesign.from_json({**_design_json([B232.rows]), "n": 2}),
+                      ValueError, "declared n=2 but 1 blocks given"),
+    "design-json-label": (lambda: ExactDesign.from_json(_design_json([[[1, 2, 1.0], [2, 1, 2]]])),
+                          ValueError, "treatment label 1.0 is not an integer"),
+    "design-json-bool": (lambda: ExactDesign.from_json(_design_json([[[1, 2, 1], [2, True, 2]]])),
+                         ValueError, "treatment label True is not an integer"),
+    "design-json-ragged": (lambda: ExactDesign.from_json(_design_json([B232.rows, [[1, 2, 1]]])),
+                           ValueError, "rows must form an 2x3 grid"),
+    "design-json-range": (lambda: ExactDesign.from_json(_design_json([B232.rows, [[1, 2, 0],
+                                                                                  [2, 1, 2]]])),
+                          ValueError, "treatment 0 outside 1..2"),
+    "design-json-tall": (lambda: ExactDesign.from_json({"a": 3, "b": 2, "t": 2,
+                                                        "blocks": [[[1, 2], [2, 1], [1]]]}),
+                         ValueError, "rows must form an 3x2 grid"),
     "identity": (lambda: Identity(x=2), TypeError, "unexpected keyword argument 'x'"),
 }
 
@@ -75,7 +101,25 @@ def test_records_keep_their_repr_and_str():
     assert repr(TypeH(Fraction(3, 2))) == "TypeH(x=Fraction(3, 2), y=None)"
     assert str(MinNReport(4)) == "MinNReport(n=4, pseudo_symmetric=None, approximated=False)"
     assert repr(FanClass("Q0", 0)) == "FanClass(name='Q0', doubles=0)"
-    assert repr(D232) == f"ExactDesign(shape={S232!r}, blocks=({B232!r}, {B232!r}))"
+    assert repr(D232) == (f"ExactDesign(shape={S232!r}, blocks=LabelPool(shape={S232!r}, "
+                          "labels=[[1, 2, 2, 1, 1, 2], [1, 2, 2, 1, 1, 2]]))")
+
+
+def test_label_pool_is_a_read_only_record():
+    # a design's blocks: equal and hashed alike by shape and labels, and
+    # still read-only when copied or pickled, alone or inside the design
+    pool = D232.blocks
+    for twin in (copy.deepcopy(pool), pickle.loads(pickle.dumps(pool)),
+                 copy.deepcopy(D232).blocks, pickle.loads(pickle.dumps(D232)).blocks):
+        assert type(twin) is LabelPool and twin == pool and hash(twin) == hash(pool)
+        assert twin.labels.dtype == pool.labels.dtype and not twin.labels.flags.writeable
+    wide = LabelPool(S232, np.array(pool.labels, dtype=np.int64))
+    assert wide == pool and hash(wide) == hash(pool)
+    assert pool != LabelPool(S232, pool.labels[:1])
+    assert pool != LabelPool(Shape(2, 3, 3), pool.labels)
+    assert pool != list(pool) and list(pool) == [B232, B232]
+    assert repr(pool) == (f"LabelPool(shape={S232!r}, "
+                          "labels=[[1, 2, 2, 1, 1, 2], [1, 2, 2, 1, 1, 2]])")
 
 
 def test_equal_records_of_one_class_hash_alike():
