@@ -459,12 +459,8 @@ def numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
 def scaled_rows(nums: np.ndarray, shape: Shape, scale=1) -> np.ndarray:
     """Float coefficient rows of (N, 3) identity numerators (numerator_rows)
     at a bound scale: the one float route, which triple_table takes too, so
-    the same bits with no label scored, one column at a time (numpy's
-    (3,) broadcast takes about twice as long on a large table)."""
-    out = np.empty(nums.shape)
-    for k, f in enumerate((float(scale) / _shape_kernel(shape).dens).tolist()):
-        np.multiply(nums[:, k], f, out=out[:, k])
-    return out
+    the same bits with no label scored."""
+    return nums * (float(scale) / _shape_kernel(shape).dens)
 
 
 def exact_q(nums: np.ndarray, shape: Shape, scale: Fraction, x: Fraction):
@@ -488,9 +484,8 @@ def triple_table(
     if not len(pool):
         return np.zeros((0, 3))
     pool = LabelPool.of(pool)
-    kern, count = _pair_kernel(pool.shape, cov := bind(pool.shape, sigma))
-    table = kern.triples(pool.labels)
-    return table * count if cov.unit is not None else scaled_rows(table, pool.shape, cov.scale)
+    kern, count = _pair_kernel(pool.shape, bind(pool.shape, sigma))
+    return kern.triples(pool.labels) * count
 
 
 def _float_rows(measure, cov: BoundCov) -> np.ndarray:

@@ -149,7 +149,10 @@ def test_shape_kernel_arrays_are_read_only():
 
 def test_dense_kernel_is_kept_per_spec(monkeypatch):
     # bind's unit Sigma and its float pair kernel are made once per spec
-    # and shape, so a solve, its check and a design's scores invert once
+    # and shape, so a solve, its check and a design's scores invert once;
+    # the caches are process-wide, so they start empty whatever ran before
+    model._bind_dense.cache_clear()
+    model._dense_kernel.cache_clear()
     shape = Shape(2, 3, 3)
     ar = GeneralCov.from_matrix(0.45 ** np.abs(np.subtract.outer(range(6), range(6))))
     calls = []
