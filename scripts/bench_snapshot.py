@@ -16,9 +16,11 @@ and sits in each slot twice.  For every seed and workload the checkouts
 run `perfbench/run.py --trace 0` one after the other, so each seed gives
 one pair of runs under the same conditions.  The snapshot holds each
 checkout's commit and source line count, the seeds, every JSON line
-run.py printed with the slot it ran from, and per workload and metric the
-median and quartiles of each checkout and the number of pairs that each
-later checkout won against the first.  `resolved` says whether that is a
+run.py printed with the slot it ran from, per workload the number of each
+checkout's runs that exited non-zero before they passed ("retried": a check
+that runs each side once, with no retry, would have refused them), and per
+workload and metric the median and quartiles of each checkout and the
+number of pairs that each later checkout won against the first.  `resolved` says whether that is a
 gain by the claim rule: the later checkout won at least nine tenths of the
 pairs, and its median is below the first's by more than the first's
 interquartile spread (q3 - q1).
@@ -110,7 +112,8 @@ def summarize(runs: list[dict], names: list[str], workloads: list[str]) -> tuple
             res = list(by_name[n].values())
             entry = {"correct": all(r["correct"] for r in res),
                      "failed": sum(r["failed"] for r in res),
-                     "attempted": sum(r["attempted"] for r in res)}
+                     "attempted": sum(r["attempted"] for r in res),
+                     "retried": sum(bool(r.get("retries")) for r in res)}
             for m in METRICS:
                 vals = [r["metrics"][m]["value"] for r in res]
                 q1, med, q3 = (statistics.quantiles(vals, n=4, method="inclusive")

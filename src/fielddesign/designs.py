@@ -230,7 +230,9 @@ def _rationalized(w) -> tuple[Fraction, bool]:
 
 
 def min_n_symmetric(weights: Iterable[tuple[Orbit, object]]) -> MinNReport:
-    """Least n with every n * w_k / |orbit_k| a whole number."""
+    """Least n with every n * w_k / |orbit_k| a whole number: with w_k = a / b
+    in lowest terms (a float weight rationalized first), the lcm of
+    b |orbit_k| / gcd(a, |orbit_k|), all in integers."""
     pairs = list(weights)
     if not pairs:
         raise ValueError("no orbit weights given")
@@ -239,10 +241,11 @@ def min_n_symmetric(weights: Iterable[tuple[Orbit, object]]) -> MinNReport:
     for o, w in pairs:
         f, was_float = _rationalized(w)
         approx = approx or was_float
-        if f < 0:
+        a, b = f.as_integer_ratio()
+        if a < 0:
             raise ValueError("negative orbit weight")
-        if f:
-            denoms.append((f / o.size).denominator)
+        if a:
+            denoms.append(b * o.size // math.gcd(a, o.size))
     pseudo = None
     if len(pairs) == 1:
         t = pairs[0][0].representative.shape.t
@@ -263,9 +266,9 @@ def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDe
             f"n={n} does not split the orbits evenly; smallest feasible n is {least}")
     shape = pairs[0][0].representative.shape
     ranks = canonical_labels(label_matrix([o.representative for o, _ in pairs])) - 1
-    labels = np.concatenate([
-        np.repeat(orbit_labels(r, shape.t), int(_rationalized(w)[0] * n / o.size), axis=0)
-        for r, (o, w) in zip(ranks, pairs)])
+    ratios = [_rationalized(w)[0].as_integer_ratio() for _, w in pairs]
+    labels = np.concatenate([np.repeat(orbit_labels(r, shape.t), n * a // (b * o.size), axis=0)
+                             for r, (o, _), (a, b) in zip(ranks, pairs, ratios)])
     if len(labels) != n:
         raise ValueError(f"weights sum to {Fraction(len(labels), n)}, so n={n} "
                          f"gives {len(labels)} blocks")

@@ -165,16 +165,23 @@ def bind(shape: Shape | int, sigma: CovarianceSpec | BoundCov) -> BoundCov:
     Btilde = B_p / x, its offsets cancelling, so only their number is
     checked.  A dense Sigma is divided by 2^e, e the binary exponent of its
     mean diagonal entry: exact, so Sigma 2^k binds to the unit of Sigma and
-    a unit diagonal keeps its bits.  A spec is checked when it is made."""
+    a unit diagonal keeps its bits.  A spec is checked when it is made, and
+    its BoundCov kept; a public function binds once and passes it down."""
     if isinstance(sigma, BoundCov):
         return sigma
     p = getattr(shape, "p", shape)
     if isinstance(sigma, TypeH):
         if sigma.y is not None and len(sigma.y) != p:
             raise ValueError(f"type-H offset vector must have length {p}")
-        x = exact_value(sigma.x)
-        return BoundCov(1.0 / float(sigma.x) if x is None else 1 / x)
+        return _bound_type_h(sigma.x)
     return _bind_dense(p, sigma)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _bound_type_h(x) -> BoundCov:
+    """bind of a type-H weight, kept per value and type: 1.5 and the equal
+    Fraction(3, 2) bind to a float and an exact scale."""
+    return BoundCov(1.0 / float(x) if (e := exact_value(x)) is None else 1 / e)
 
 
 @functools.lru_cache(maxsize=64)
@@ -463,17 +470,17 @@ def scaled_rows(nums: np.ndarray, shape: Shape, scale=1) -> np.ndarray:
     return nums * (float(scale) / _shape_kernel(shape).dens)
 
 
-def exact_q(nums: np.ndarray, shape: Shape, scale: Fraction, x: Fraction):
-    """q = c00 + 2 c01 x + c11 x^2 of every row of (N, 3) identity
-    numerators (numerator_rows) at an exact type-H scale and x = u / v:
-    the integers t v^2 n00 + 2 t u v n01 + u^2 n11 and the one Fraction
-    they share, scale / (p t v^2).  In int64 when no dot product can pass
-    2**63, otherwise in Python ints."""
-    u, v, t = x.numerator, x.denominator, shape.t
+def exact_q(nums: np.ndarray, shape: Shape, u: int, v: int):
+    """q = c00 + 2 c01 x + c11 x^2 at unit scale of every row of (N, 3)
+    identity numerators (numerator_rows) at x = u / v, v > 0: the integers
+    t v^2 n00 + 2 t u v n01 + u^2 n11 and the one Python-int denominator
+    they share, p t v^2 (an exact bound scale multiplies them all).  In
+    int64 when no dot product can pass 2**63, otherwise in Python ints."""
+    t = shape.t
     w = [t * v * v, 2 * t * u * v, u * u]
     if 3 * max(1, int(np.abs(nums).max(initial=0))) * max(map(abs, w)) >= 2**63:
         nums, w = nums.astype(object), np.array(w, dtype=object)
-    return nums @ np.array(w), scale / (shape.p * t * v * v)
+    return nums @ np.array(w), shape.p * t * v * v
 
 
 def triple_table(
@@ -497,16 +504,32 @@ def _float_rows(measure, cov: BoundCov) -> np.ndarray:
 
 
 def measure_triple(measure, sigma: CovarianceSpec = IDENTITY) -> CoefficientTriple:
-    """Weighted sum of per-array coefficient triples: exact measure and covariance
-    give one Python-int dot of the weights and numerators, times the units over
-    the denominator; anything else a float dot."""
+    """Weighted sum of per-array coefficient triples: an exact measure under an
+    exact bound scale is summed in Python ints (_exact_triple), and each entry
+    made a Fraction once, here; anything else is a float dot."""
     cov = bind(measure.shape, sigma)
-    if measure.is_exact() and isinstance(cov.scale, Fraction):
-        c = (np.array(measure.weights, dtype=object) @ measure.numerator_rows().astype(object)
-             * (exact_units(measure.shape, cov.scale) / measure.denominator))
-    else:
-        c = [float(v) for v in measure.float_weights() @ _float_rows(measure, cov)]
-    return CoefficientTriple(*c)
+    if (exact := _exact_triple(measure, cov)) is not None:
+        return CoefficientTriple(*(Fraction(n, exact[1]) for n in exact[0]))
+    return CoefficientTriple(*(float(v) for v in measure.float_weights()
+                               @ _float_rows(measure, cov)))
+
+
+def _exact_triple(measure, cov: BoundCov):
+    """An exact measure's triple under an exact scale a / b in Python ints:
+    the numerators (n00, n01, n11) over one denominator d = p t b D, D the
+    measure's, and its _vertex, a flat one read at 0, as (numerator,
+    denominator > 0) pairs q* and x~; None on a float path."""
+    if not (measure.is_exact() and isinstance(cov.scale, Fraction)):
+        return None
+    (a, b), t = cov.scale.as_integer_ratio(), measure.shape.t
+    s00, s01, s11 = (sum(w * n for w, n in zip(measure.weights, col))
+                     for col in zip(*measure.numerator_rows().tolist()))
+    n00, n01, n11 = t * a * s00, t * a * s01, a * s11  # the rows count over (p, p, p t)
+    d = measure.shape.p * t * b * measure.denominator
+    if n11 > 0:  # q* = c00 - c01^2 / c11 at x~ = -c01 / c11
+        g = math.gcd(n01, n11)
+        return (n00, n01, n11), d, (n00 * n11 - n01 * n01, n11 * d), (-n01 // g, n11 // g)
+    return (n00, n01, n11), d, (n00, d), (0, 1)
 
 
 def _vertex(c00, c01, c11, flat_x):
@@ -552,7 +575,8 @@ def schur_numerators(n00, n01, n11) -> tuple[np.ndarray, int]:
     nonnegative weights is: C11 is eliminated fraction-free (Bareiss: exact
     division by the last pivot; a zero pivot has a zero row and is skipped)."""
     t = len(n11)
-    joint = np.block([[n11, n01.T], [n01, n00]]).astype(object)
+    joint = np.empty((2 * t, 2 * t), dtype=object)  # filled block by block: Python ints
+    joint[:t, :t], joint[:t, t:], joint[t:, :t], joint[t:, t:] = n11, n01.T, n01, n00
     pivot = 1
     for k in range(t):
         if joint[k, k] != 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -41,6 +42,7 @@ from .model import (
     IDENTITY,
     BoundCov,
     CovarianceSpec,
+    _exact_triple,
     _float_rows,
     _vertex,
     bind,
@@ -226,8 +228,11 @@ def q_eval(c, x):
 def q_star(xi: Measure, sigma: CovarianceSpec = IDENTITY):
     """Peak criterion value of a measure and the x where it is attained:
     the _vertex of the aggregated triple, a flat one read at x~ = 0; exact
-    Fractions whenever measure and covariance allow it."""
-    c00, c01, c11 = measure_triple(xi, sigma)
+    Fractions, made from integers (model._exact_triple), where both allow it."""
+    cov = bind(xi.shape, sigma)
+    if (exact := _exact_triple(xi, cov)) is not None:
+        return Fraction(*exact[2]), Fraction(*exact[3])
+    c00, c01, c11 = measure_triple(xi, cov)
     return _vertex(c00, c01, c11, c00 - c00)
 
 
@@ -248,9 +253,9 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
         if kept is None or kept.pool is not pool:
             kept = _PoolTriples(pool)  # for this call only
         rows, first = kept.triples()
-        q, unit = exact_q(rows, pool.shape, cov.scale, xf)
-        k = int(np.argmax(q))
-        return int(q[k]) * unit, pool[first[k]]
+        q, den = exact_q(rows, pool.shape, *xf.as_integer_ratio())
+        (a, b), k = cov.scale.as_integer_ratio(), int(np.argmax(q))
+        return Fraction(int(q[k]) * a, den * b), pool[first[k]]
     q = q_eval(triple_table(pool, cov).T, float(x))
     k = int(np.argmax(q))
     return float(q[k]), pool[k]
@@ -562,7 +567,9 @@ def solve_closed_form(
 
 def _at_scale(res: SolveResult, scale) -> SolveResult:
     """A unit solve's y* and gap times a scale, OverflowError past the float range."""
-    if not (math.isfinite(y := res.y_star * scale) and math.isfinite(gap := res.gap * scale)):
+    exact = isinstance(scale, Fraction)  # then 1, or a zero gap, keeps the value: no Fraction
+    y, gap = (v if exact and (scale == 1 or not v) else v * scale for v in (res.y_star, res.gap))
+    if not (math.isfinite(y) and math.isfinite(gap)):
         raise OverflowError(f"y* = {res.y_star!r} times {scale!r} is past the float range")
     return res._replace(y_star=y, gap=gap)
 
@@ -626,7 +633,8 @@ def solve_sbs_proportions(orbits: Sequence[Orbit], x_star):
     reps = LabelPool.of([o.representative for o in orbits])
     rows = numerator_rows(reps.shape, reps.labels)
     if exact:  # c01 + x c11 = (q(x + 1) - q(x - 1)) / 4, and q(x +- 1) share one unit
-        (hi, _), (lo, _) = (exact_q(rows, reps.shape, Fraction(1), x + d) for d in (1, -1))
+        (hi, _), (lo, _) = (exact_q(rows, reps.shape, *(x + d).as_integer_ratio())
+                            for d in (1, -1))
         g = [Fraction(a - b) for a, b in zip(hi.tolist(), lo.tolist())]
         zero, one, cut = Fraction(0), Fraction(1), 0
     else:
@@ -699,30 +707,20 @@ def verify_measure(
     residuals are at most tol |y*| and the support mass, the weight on
     arrays whose q misses y* at x* by more than tol |y*|, at most tol.
     An exact measure, exact (x*, y*) and an exact bound scale (identity or
-    exact type-H) are checked on integer numerators, residuals Fractions.
+    exact type-H) are checked in integers (_verify_exact), and a Fraction is
+    made only for each residual and the support mass reported.
     An orbit measure is symmetric (Kiefer 1975): each component is
     c_jk/(t-1) B_t of its measure_triple, plus a J part on C11 alone
     (Btilde 1 = 0), and max |B_t| = (t-1)/t, so no component is summed."""
     t, cov = xi.shape.t, bind(xi.shape, sigma)
     x, y = exact_value(x_star), exact_value(y_star)
-    exact = xi.is_exact() and isinstance(cov.scale, Fraction) and None not in (x, y)
-    x, y = (x, y) if exact else (float(x_star), float(y_star))
+    if xi.is_exact() and isinstance(cov.scale, Fraction) and None not in (x, y):
+        return _verify_exact(xi, cov, x, y, tol)
+    x, y = float(x_star), float(y_star)
     if xi.orbit_sizes is not None:
-        c00, c01, c11 = (v if exact else float(v) for v in measure_triple(xi, cov))
+        c00, c01, c11 = (float(v) for v in measure_triple(xi, cov))
         balance, slope, info_res = (abs(r) / t for r in (
             c00 + x * c01 - y, c01 + x * c11, _vertex(c00, c01, c11, x)[0] - y))
-    elif exact:
-        # C = N / d, x = u / v, y = m / e and t B_t = P = t I - J: each
-        # residual is the largest |entry| of a matrix over one integer
-        (n00, n01, n11), d = summed_components(xi.shape, xi.labels, xi.weights, cov, exact)
-        d *= xi.denominator
-        (u, v), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
-        proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
-        info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
-        balance, slope, info_res = (Fraction(np.abs(num).max(), den) for num, den in (
-            ((t - 1) * e * _sandwich(v * n00 + u * n01) - t * v * d * m * proj, t * s * v * d),
-            (_sandwich(v * n01.T + u * n11), t * t * v * d),
-            (s * info - pivot * d * m * proj, s * pivot * d)))
     else:
         c00, c01, c11 = comps = summed_components(xi.shape, xi.labels, xi.float_weights(),
                                                   cov)[0]
@@ -733,19 +731,52 @@ def verify_measure(
         balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
             bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
             schur_complement(*comps) - target))
-    if exact:
-        # atoms of one orbit share a row, so each distinct row is scored once
-        distinct, _, inverse = group_rows(xi.numerator_rows())
-        q, unit = exact_q(distinct, xi.shape, cov.scale, x)
-        off = np.array([abs(int(n) * unit - y) > tol * abs(y) for n in q.tolist()])
-        support_mass = Fraction(sum(n for n, o in zip(xi.weights, off[inverse]) if o),
-                                xi.denominator)
-    else:
-        off = ~_touching(_float_rows(xi, cov), x, y, tol)
-        # left to right in row order, not np.sum's pairwise order
-        support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
+    off = ~_touching(_float_rows(xi, cov), x, y, tol)
+    # left to right in row order, not np.sum's pairwise order
+    support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = max(balance, slope, info_res) <= tol * abs(y) and support_mass <= tol
     return VerificationReport(balance, slope, support_mass, info_res, tol, bool(ok))
+
+
+def _verify_exact(xi: Measure, cov: BoundCov, x: Fraction, y: Fraction, tol) -> VerificationReport:
+    """verify_measure in integers, with x = u / v, y = m / e, scale a / b."""
+    t, ((u, v), (m, e), (a, b)) = xi.shape.t, (r.as_integer_ratio() for r in (x, y, cov.scale))
+    if xi.orbit_sizes is not None:  # c = n / d (model._exact_triple)
+        (n00, n01, n11), d, (qn, qd), _ = _exact_triple(xi, cov)
+        residuals = [(abs(e * (v * n00 + u * n01) - m * v * d), t * e * v * d),
+                     (abs(v * n01 + u * n11), t * v * d), (abs(e * qn - m * qd), t * e * qd)]
+    else:
+        # C = N / d and t B_t = P = t I - J: each residual is the largest
+        # |entry| of a matrix over one integer
+        (n00, n01, n11), d = summed_components(xi.shape, xi.labels, xi.weights, cov, True)
+        d *= xi.denominator
+        proj, s = (t * np.eye(t, dtype=np.int64) - 1).astype(object), t * (t - 1) * e
+        info, pivot = schur_numerators(n00, n01, n11)  # C = info / (pivot d)
+        residuals = [(np.abs(num).max(), den) for num, den in (
+            ((t - 1) * e * _sandwich(v * n00 + u * n01) - t * v * d * m * proj, t * s * v * d),
+            (_sandwich(v * n01.T + u * n11), t * t * v * d),
+            (s * info - pivot * d * m * proj, s * pivot * d))]
+    # atoms of one orbit share a row, so each distinct row is scored once:
+    # its q at x* less y* is (q a e - m b den) / (b den e)
+    distinct, _, inverse = group_rows(xi.numerator_rows())
+    q, den = exact_q(distinct, xi.shape, u, v)
+    bound = tol * (abs(m) / e) if isinstance(tol, float) else tol * abs(y)  # as tol * abs(y)
+    off = np.array([_ratio_holds(operator.gt, abs(n * a * e - m * b * den), b * den * e, bound)
+                    for n in q.tolist()])
+    mass = sum(n for n, o in zip(xi.weights, off[inverse]) if o)
+    ok = (all(_ratio_holds(operator.le, *r, bound) for r in residuals)
+          and _ratio_holds(operator.le, mass, xi.denominator, tol))
+    balance, slope, info_res = (Fraction(*r) for r in residuals)
+    return VerificationReport(balance, slope, Fraction(mass, xi.denominator), info_res, tol, ok)
+
+
+def _ratio_holds(op, num: int, den: int, bound) -> bool:
+    """op(num / den, bound), den > 0, as a Fraction compares with a number:
+    exactly, by cross-multiplying, and as op(0.0, bound) past the finite floats."""
+    if isinstance(bound, float) and not math.isfinite(bound):
+        return op(0.0, bound)
+    c, k = bound.as_integer_ratio()
+    return op(num * k, c * den)
 
 
 def _sandwich(x: np.ndarray) -> np.ndarray:

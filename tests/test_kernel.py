@@ -4,6 +4,7 @@ explicit per-array algebra and test-local Fraction references."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,13 @@ from fielddesign.model import (
     trace_numerators_batch,
     triple_table,
 )
-from fielddesign.optimality import Measure, full_pool, solve_closed_form, verify_measure
+from fielddesign.optimality import (
+    GAP_TOL,
+    Measure,
+    full_pool,
+    solve_closed_form,
+    verify_measure,
+)
 
 from .conftest import EFFICIENT_BLOCKS_428, OPTIMAL_BLOCKS_232, design_of
 
@@ -403,11 +410,13 @@ def test_exact_q_is_the_counting_formula(case, sigma, big, data):
     scale, p, t = bind(shape, sigma).scale, shape.p, shape.t
     rows = numerator_rows(shape, labels)
     assert rows.dtype == np.int64 and not rows.flags.writeable
-    q, unit = exact_q(rows, shape, scale, x)
-    assert q.dtype == (object if big else np.int64) and type(unit) is Fraction
+    q, den = exact_q(rows, shape, x.numerator, x.denominator)
+    assert q.dtype == (object if big else np.int64) and type(den) is int
     for n, n00, n01, n11 in zip(q.tolist(), *closed_numerators_batch(labels, shape)):
         c00, c01, c11 = Fraction(int(n00), p), Fraction(int(n01), p), Fraction(int(n11), p * t)
-        assert type(n) is int and n * unit == scale * (c00 + 2 * c01 * x + c11 * x * x)
+        # at a bound scale a / b the value is n a / (den b), as r_eval forms it
+        assert type(n) is int and Fraction(n * scale.numerator, den * scale.denominator) \
+            == scale * (c00 + 2 * c01 * x + c11 * x * x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -563,7 +572,7 @@ def test_exact_support_test_past_int64(x):
     rows = np.random.default_rng(7).integers(1, shape.t + 1, size=(6, shape.p))
     xi = Measure.from_labels(shape, rows, [Fraction(k, 21) for k in range(1, 7)])
     p, t, scale = shape.p, shape.t, bind(shape, sigma).scale
-    assert exact_q(xi.numerator_rows(), shape, scale, x)[0].dtype == object
+    assert exact_q(xi.numerator_rows(), shape, x.numerator, x.denominator)[0].dtype == object
     q = [scale * (Fraction(int(a), p) + 2 * x * Fraction(int(b), p) + x * x * Fraction(int(c), p * t))
          for a, b, c in zip(*closed_numerators_batch(xi.labels, shape))]
     for y in (q[0], q[0] + Fraction(1, 3**30), max(q), Fraction(2**40 + 3, 3**30)):
@@ -572,6 +581,32 @@ def test_exact_support_test_past_int64(x):
                     if abs(qk - y) > 1e-9 * max(1, abs(y))), Fraction(0))
         assert type(report.support_mass) is Fraction and report.support_mass == mass
         assert report.optimal == _reference_report(xi, sigma, x, y)[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(route_rows(), st.sampled_from([IDENTITY, TypeH(Fraction(3, 2))]), _SMALL_X,
+       st.fractions(-1, 1, max_denominator=60), st.data())
+def test_exact_support_decision_is_the_fraction_comparison(case, sigma, x, shift, data):
+    # the exact verifier weighs each row's miss of y* against the float
+    # tol |y*| in integers: every decision must be abs(q - y) > tol * abs(y)
+    # on Fractions, also where tol |y*| is a miss's float or the float on
+    # either side of it; weights 2^k / (2^N - 1) make the mass name its rows
+    shape, labels = case
+    scale, p, t = bind(shape, sigma).scale, shape.p, shape.t
+    xi = Measure.from_labels(shape, labels, [Fraction(2**k, 2**len(labels) - 1)
+                                             for k in range(len(labels))])
+    q = [scale * (Fraction(int(a), p) + 2 * x * Fraction(int(b), p) + x * x * Fraction(int(c), p * t))
+         for a, b, c in zip(*closed_numerators_batch(xi.labels, shape))]
+    y = data.draw(st.sampled_from(q)) + shift or Fraction(1, 7)
+    miss = abs(data.draw(st.sampled_from(q)) - y)
+    edge = float(miss) / abs(y)
+    for tol in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf), 0.0, GAP_TOL):
+        report = verify_measure(xi, sigma, x, y, tol)
+        mass = sum((Fraction(n, xi.denominator) for n, qk in zip(xi.weights, q)
+                    if abs(qk - y) > tol * abs(y)), Fraction(0))
+        assert type(report.support_mass) is Fraction and report.support_mass == mass
+        worst = max(report.balance_residual, report.slope_residual, report.info_residual)
+        assert report.optimal == (worst <= tol * abs(y) and report.support_mass <= tol)
 
 
 @settings(max_examples=80, deadline=None)

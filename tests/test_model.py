@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fielddesign.model as model
+
 from fielddesign.arrays import BlockArray, Shape, label_dtype
 from fielddesign.model import (
     IDENTITY,
@@ -256,6 +258,20 @@ def test_identity_is_type_h_with_unit_weight():
         reports = [verify_measure(res.measure, sigma, res.x_star, res.y_star).to_json()
                    for sigma in (IDENTITY, TypeH(Fraction(1)))]
         assert reports[0] == reports[1], abt
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_kept_type_h_bound_keeps_the_exactness_of_its_weight(float_first):
+    # TypeH(1.5) == TypeH(Fraction(3, 2)) and both hash alike; bind keeps a
+    # BoundCov per weight, keyed on its type too, so neither binds to the
+    # other's scale, whichever comes first into an empty store
+    model._bound_type_h.cache_clear()
+    sigmas = [TypeH(1.5), TypeH(Fraction(3, 2))]
+    for sigma in sigmas if float_first else sigmas[::-1]:
+        cov = bind(Shape(2, 3, 2), sigma)
+        assert bind(6, sigma) is cov  # kept, and read back
+        assert type(cov.scale) is type(sigma.x) and cov.scale == 1 / sigma.x
+    assert model._bound_type_h.cache_info().currsize == 2
 
 
 def test_reference_array_coefficients():

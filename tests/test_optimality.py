@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import fielddesign.arrays as arrays
 import fielddesign.model as model
 import fielddesign.optimality as optimality
+from fielddesign.designs import expand_symmetric, min_n_symmetric
 from fielddesign.arrays import (
     EnumerationBudgetError,
     Orbit,
@@ -149,6 +150,36 @@ def test_closed_form_wide_sweep_digest():
     assert len(WIDE_SWEEP_SHAPES) == 306
     assert digest.hexdigest() == \
         "28d44f900f67dff6897c9bdfce648c05dd029a306c1cf9d2e87af825c3187188"
+
+
+# the benchmark's certify shapes whose closed form keeps its measure
+CERTIFIED_SHAPES = [Shape(*abt) for abt in ((2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5),
+                                            (2, 5, 4), (2, 4, 6), (2, 4, 7), (2, 3, 5), (2, 3, 6),
+                                            (2, 2, 3))]
+
+
+def test_certificate_values_and_types_digest():
+    # digest recorded before exact certificates were carried as integer
+    # ratios: each value and type of the verification report, measure_triple,
+    # q_star, the equivalence gap, min_n_symmetric and (up to 20,000 blocks)
+    # the labels expand_symmetric gives; exact wherever x* is rational
+    digest = hashlib.sha256()
+    for shape in CERTIFIED_SHAPES:
+        for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
+            res = solve_closed_form(shape, sigma)
+            report = verify_measure(res.measure, sigma, res.x_star, res.y_star)
+            values = [*report[:4], *measure_triple(res.measure, sigma), *q_star(res.measure, sigma),
+                      equivalence_gap(res.measure, full_pool(shape), sigma)]
+            assert {type(v) for v in values} == {type(res.x_star)}, shape
+            least = min_n_symmetric(res.orbit_weights)
+            assert type(least.n) is int and type(least.pseudo_symmetric) in (int, type(None))
+            design = expand_symmetric(res.orbit_weights, least.n) if least.n <= 20_000 else None
+            digest.update(repr((
+                [(type(v).__name__, v.hex() if isinstance(v, float) else repr(v)) for v in values],
+                report.tolerance, report.optimal, tuple(least),
+                design and hashlib.sha256(design.blocks.labels.tobytes()).hexdigest())).encode())
+    assert digest.hexdigest() == \
+        "a9615dc0d27e256d30dc51caedaf3524a6a624bdfb62cc551fe456aed2be733d"
 
 
 def test_vertex_branch_exact_values():
