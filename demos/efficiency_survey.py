@@ -11,8 +11,7 @@ import csv
 import sys
 
 from fielddesign.arrays import Shape, BlockArray
-from fielddesign.designs import pseudo_symmetric_efficiency
-from fielddesign.optimality import Measure, class_representative
+from fielddesign.optimality import Measure, class_representative, q_star, solve_closed_form
 
 LANGTON_SQUARE = [
     [1, 2, 3, 4, 5],
@@ -31,7 +30,8 @@ def main(out_path: str = "single_sbs_efficiencies.csv") -> None:
             for t in range(p, p + 9):
                 shape = Shape(a, b, t)
                 rep = class_representative(shape, 1)
-                eff = float(pseudo_symmetric_efficiency(Measure.point(rep)))
+                # q*/y*, the common A/D/E/T efficiency of the symmetrized array
+                eff = float(q_star(Measure.point(rep))[0] / solve_closed_form(shape).y_star)
                 rows.append((a, b, t, eff))
 
     with open(out_path, "w", newline="") as fh:
@@ -45,7 +45,7 @@ def main(out_path: str = "single_sbs_efficiencies.csv") -> None:
           f"at {worst[3]:.6f}; every cell >= 0.999")
 
     square = BlockArray.from_rows(Shape(5, 5, 5), LANGTON_SQUARE)
-    eff = float(pseudo_symmetric_efficiency(Measure.point(square)))
+    eff = float(q_star(Measure.point(square))[0] / solve_closed_form(square.shape).y_star)
     print(f"\nsymmetrized Langton 5x5 square: {eff:.6f} "
           "(neighbor balance alone is far from optimal here)")
 

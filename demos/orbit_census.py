@@ -6,7 +6,7 @@ This walks a few shapes, confirms the formula against a streamed
 enumeration, and shows the census the enumerate command reports.
 """
 
-from fielddesign.arrays import Shape, enumerate_orbits, orbit_count
+from fielddesign.arrays import LabelPool, Shape, enumerate_label_matrix, orbit_count, orbit_size
 
 
 def main() -> None:
@@ -16,11 +16,12 @@ def main() -> None:
         arrays = t ** shape.p
         count = orbit_count(shape)
         if count <= 100_000:
-            orbits = list(enumerate_orbits(shape))
-            assert len(orbits) == count
-            assert sum(o.size for o in orbits) == arrays
-            widest = max(orbits, key=lambda o: o.size)
-            note = f"{widest.size} members, e.g. {widest.representative}"
+            pool = LabelPool(shape, enumerate_label_matrix(shape))
+            sizes = [orbit_size(s) for s in pool]
+            assert len(pool) == count
+            assert sum(sizes) == arrays
+            k = sizes.index(max(sizes))
+            note = f"{sizes[k]} members, e.g. {pool[k]}"
         else:
             note = "(not enumerated)"
         print(f"({a},{b},{t}):{arrays:>12}{count:>9}  {note}")

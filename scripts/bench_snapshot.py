@@ -15,8 +15,8 @@ run swaps every second seed, so over four seeds each checkout runs first
 and sits in each slot twice.  For every seed and workload the checkouts
 run `perfbench/run.py --trace 0` one after the other, so each seed gives
 one pair of runs under the same conditions.  The snapshot holds each
-checkout's commit and source line count, the seeds, every JSON line
-run.py printed with the slot it ran from, per workload the number of each
+checkout's commit and its source and test line counts, the seeds, every
+JSON line run.py printed with the slot it ran from, per workload the number of each
 checkout's runs that exited non-zero before they passed ("retried": a check
 that runs each side once, with no retry, would have refused them), and per
 workload and metric the median and quartiles of each checkout and the
@@ -57,8 +57,10 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def describe(root: Path) -> dict:
-    """The checkout's commit, whether its tracked files differ from it, and
-    a digest and the line count of its package sources."""
+    """The checkout's commit, whether its tracked files differ from it, a
+    digest and the line count of its package sources, and the line count of
+    the Python files under tests/ and demos/ (so a snapshot tells lines
+    deleted from lines moved out of the package)."""
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], check=True,
                               capture_output=True, text=True).stdout.strip()
@@ -67,9 +69,11 @@ def describe(root: Path) -> dict:
         text = path.read_bytes()
         digest.update(path.relative_to(root).as_posix().encode() + text)
         lines += len(text.splitlines())
+    tests_lines = sum(len(path.read_bytes().splitlines())
+                      for folder in ("tests", "demos") for path in (root / folder).rglob("*.py"))
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "src_sha256": digest.hexdigest(), "src_lines": lines}
+            "src_sha256": digest.hexdigest(), "src_lines": lines, "tests_lines": tests_lines}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:

@@ -8,7 +8,6 @@ from .arrays import (
     Shape,
     canonical_form,
     classify_labels,
-    enumerate_orbits,
     normalize_shape,
     orbit_count,
     orbit_members,
@@ -24,7 +23,6 @@ from .designs import (
     expand_symmetric,
     measure_of_design,
     min_n_symmetric,
-    pseudo_symmetric_efficiency,
 )
 from .model import (
     IDENTITY,
@@ -32,15 +30,10 @@ from .model import (
     CovarianceSpec,
     GeneralCov,
     Identity,
-    IncidenceSet,
     TypeH,
     bind,
     btilde,
-    c11_base,
-    c_coeffs_closed,
-    incidence_matrices,
     info_matrix_exact,
-    info_matrix_measure,
     sigma_from_json,
     triple_table,
 )

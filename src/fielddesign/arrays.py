@@ -254,18 +254,6 @@ def _growth_strings(p: int, tmax: int, dtype) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-def enumerate_orbits(
-    shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET
-) -> Iterator[Orbit]:
-    """Every orbit of the shape as (canonical representative, size), in the
-    row order of enumerate_label_matrix.
-
-    Refuses up front when the orbit count exceeds `budget`.
-    """
-    for seq in enumerate_label_matrix(shape, budget).tolist():
-        yield Orbit(BlockArray.from_colex(shape, seq), math.perm(shape.t, max(seq)))
-
-
 def enumerate_label_matrix(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> np.ndarray:
     """All canonical colex label sequences as an (N, p) label_dtype(t) array,
     in lexicographic order; refuses before allocating when N exceeds `budget`."""

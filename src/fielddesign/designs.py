@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .arrays import (
+    DEFAULT_ORBIT_BUDGET,
     BlockArray,
     LabelPool,
     Orbit,
@@ -45,7 +46,6 @@ from .model import (
 )
 from .optimality import (
     Measure,
-    q_star,
     solve_closed_form,
     solve_exchange,
     support_pool,
@@ -194,22 +194,6 @@ def efficiencies(
     )
 
 
-def pseudo_symmetric_efficiency(xi: Measure, sigma: CovarianceSpec = IDENTITY,
-                                y_star=None):
-    """Common efficiency of the symmetrized version of a measure.
-
-    Coefficient triples are invariant under relabeling, so the peak
-    value q* of xi equals that of its full symmetrization, whose
-    information matrix is completely symmetric with all four criteria
-    equal to q*/y*.
-    """
-    cov = bind(xi.shape, sigma)
-    y_star = solve_closed_form(xi.shape, cov).y_star if y_star is None else y_star
-    qs, _ = q_star(xi, cov)
-    qe, ye = exact_value(qs), exact_value(y_star)
-    return float(qs) / float(y_star) if qe is None or ye is None else qe / ye
-
-
 class MinNReport(NamedTuple):
     """Smallest block counts a symmetric weight vector supports.
 
@@ -258,7 +242,11 @@ def expand_symmetric(weights: Iterable[tuple[Orbit, object]], n: int) -> ExactDe
     """Design replicating each orbit member n * w_k / |orbit_k| times, orbit by
     orbit in orbit_members order, built as one label matrix: each orbit's
     orbit_labels rows, repeated.  n must be a multiple of min_n_symmetric's
-    n (which refuses negative weights), and the weights must sum to one."""
+    n (which refuses negative weights), and the weights must sum to one.  An
+    n past DEFAULT_ORBIT_BUDGET blocks is refused before any row is built."""
+    if n > DEFAULT_ORBIT_BUDGET:
+        raise ValueError(f"n={n} blocks is over the label-matrix bound of "
+                         f"{DEFAULT_ORBIT_BUDGET} rows")
     pairs = list(weights)
     least = min_n_symmetric(pairs).n
     if n % least:

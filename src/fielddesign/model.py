@@ -34,9 +34,9 @@ the float route scaled_rows and the exact q of exact_q.  The one exact
 sum is component_numerators: Python-int numerators over one known
 denominator, from counts of each weight's rows per (plot pair, label
 pair) cell; schur_numerators eliminates in integers, and Fractions are
-made once, at the output.  The paper's counting formula, written once in
-closed_numerators_batch (and read for one array by c_coeffs_closed),
-stays as the independent check of that kernel.
+made once, at the output.  The paper's counting formula is not here: it
+lives beside the tests (tests/reference_model.py), the independent check
+of this kernel.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .arrays import (
-    BlockArray,
-    LabelPool,
-    Shape,
-    _neighbor_shifts,
-    label_matrix,
-    neighbor_matrix,
-)
+from .arrays import BlockArray, LabelPool, Shape, neighbor_matrix
 
 EIG_CUTOFF = 1e-10
 # rows per kernel pass: the pair indicator of a chunk stays a few MB
@@ -229,14 +222,6 @@ def sigma_from_json(obj) -> CovarianceSpec:
     return GeneralCov.from_matrix(obj)
 
 
-def sigma_matrix(sigma: CovarianceSpec, p: int) -> np.ndarray:
-    """The p x p matrix of a covariance spec that fits p plots (bind)."""
-    if bind(p, sigma).unit is not None:
-        return sigma.array()
-    y = np.zeros(p) if sigma.y is None else np.asarray(sigma.y, dtype=float)
-    return float(sigma.x) * np.eye(p) + np.outer(y, np.ones(p)) + np.outer(np.ones(p), y)
-
-
 def btilde(sigma: CovarianceSpec | BoundCov, p: int) -> np.ndarray:
     """Block-centered precision kernel (p x p, float): the bound scale times
     B_p, or times the block-centered inverse of the unit Sigma."""
@@ -248,29 +233,6 @@ def btilde(sigma: CovarianceSpec | BoundCov, p: int) -> np.ndarray:
     return (inv - np.outer(u, u) / u.sum()) * cov.scale
 
 
-class IncidenceSet(NamedTuple):
-    """Plot-by-treatment incidences: direct and the four neighbor directions."""
-
-    t0: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    t4: np.ndarray
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.t1 + self.t2 + self.t3 + self.t4
-
-
-def _onehot(labels: np.ndarray, t: int, dtype) -> np.ndarray:
-    return (labels[:, :, None] == np.arange(1, t + 1)).astype(dtype)
-
-
-def incidence_matrices(s: BlockArray) -> IncidenceSet:
-    t0 = _onehot(label_matrix([s]), s.shape.t, np.int64)[0]
-    return IncidenceSet(t0, *_neighbor_shifts(t0, s.shape))
-
-
 class CoefficientTriple(NamedTuple):
     """Quadratic coefficients (c00, c01, c11) of one array."""
 
@@ -280,67 +242,6 @@ class CoefficientTriple(NamedTuple):
 
     def astuple(self):
         return (self.c00, self.c01, self.c11)
-
-
-def c11_base(shape: Shape) -> Fraction:
-    """Shape constant: the label-free part of c11 (same for every array)."""
-    a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    return (
-        Fraction(4 * p - 2 * a - 2 * b)
-        - Fraction(2 * (8 * a * b - 7 * a - 7 * b + 4), t)
-        + Fraction(4 * (2 * p - a - b) ** 2, p * t)
-    )
-
-
-def c_coeffs_closed(s: BlockArray) -> CoefficientTriple:
-    """Exact coefficients of one array by the counting formula (identity
-    kernel scale): closed_numerators_batch on its one row."""
-    nums = closed_numerators_batch(label_matrix([s]), s.shape)
-    units = exact_units(s.shape, Fraction(1))
-    return CoefficientTriple(*(int(n[0]) * u for n, u in zip(nums, units)))
-
-
-def closed_numerators_batch(labels: np.ndarray, shape: Shape):
-    """The paper's counting formula over an (N, p) label matrix.
-
-    With f0 the replication counts over the grid, f1..f4 over the grid
-    less its last column, first column, last row and first row, h[i][j] =
-    f_i . f_j, h1 = sum_{j>=1} h[0][j], h2 = sum_{i>=1} h[i][i], h3 =
-    sum_{1<=i<j} h[i][j], z1 the ordered same-label neighbor pairs and z2
-    the ordered same-label pairs weighted by their shared neighbors,
-    returns the integer numerators n00 = p^2 - h00, n01 = p z1 - h1 and
-    n11 = eta p t + p t z2 - t h2 - 2 t h3 over denominators (p, p, p*t),
-    eta = c11_base; exact for the identity kernel.
-    """
-    a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    lab = np.asarray(labels)
-    i, j = np.arange(p) % a, np.arange(p) // a
-    grids = np.array([j >= 0, j <= b - 2, j >= 1, i <= a - 2, i >= 1], dtype=np.int64)
-    f = grids @ _onehot(lab, t, np.int64)  # (N, 5, t): f0..f4
-    h = f @ f.transpose(0, 2, 1)
-    h1 = h[:, 0, 1:].sum(axis=1)
-    h2 = np.trace(h[:, 1:, 1:], axis1=1, axis2=2)
-    h3 = (h[:, 1:, 1:].sum(axis=(1, 2)) - h2) // 2
-
-    def same(mask: np.ndarray, offset: int) -> np.ndarray:
-        src = np.flatnonzero(mask)
-        return (lab[:, src] == lab[:, src + offset]).sum(axis=1)
-
-    # plot pairs one apart in a row and in a column; two apart in a row
-    # and in a column (one shared neighbor); diagonal (two shared)
-    z1 = 2 * same(j <= b - 2, a) + 2 * same(i <= a - 2, 1)
-    z2 = (2 * same(j <= b - 3, 2 * a) + 2 * same(i <= a - 3, 2)
-          + 4 * same((i >= 1) & (j <= b - 2), a - 1)
-          + 4 * same((i <= a - 2) & (j <= b - 2), a + 1))
-    n00 = p * p - h[:, 0, 0]
-    n01 = p * z1 - h1
-    n11 = int(c11_base(shape) * p * t) + p * t * z2 - t * h2 - 2 * t * h3
-    return n00, n01, n11
-
-
-def exact_units(shape: Shape, scale: Fraction) -> np.ndarray:
-    """Exact value of one unit of the integer numerators of (c00, c01, c11)."""
-    return np.array([scale / shape.p] * 2 + [scale / (shape.p * shape.t)], dtype=object)
 
 
 class _PairKernel(NamedTuple):
@@ -387,7 +288,8 @@ class _PairKernel(NamedTuple):
         """Per-row (C00, C01, C11) = O'X O in counts, as chunks
         (rows, (n, 3, t, t))."""
         for lo in range(0, len(labels), CHUNK_ROWS):
-            o = _onehot(labels[lo:lo + CHUNK_ROWS], self.shape.t, self.stack.dtype)
+            lab = labels[lo:lo + CHUNK_ROWS, :, None]
+            o = (lab == np.arange(1, self.shape.t + 1)).astype(self.stack.dtype)
             xo = self.stack @ o[:, None]  # (n, 3, p, t)
             yield slice(lo, lo + len(o)), np.swapaxes(o, 1, 2)[:, None] @ xo
 
@@ -448,17 +350,10 @@ def _pair_kernel(shape: Shape, cov: BoundCov) -> tuple[_PairKernel, np.ndarray]:
     return kern, float(cov.scale) / kern.dens
 
 
-def trace_numerators_batch(labels: np.ndarray, shape: Shape):
-    """Pair-kernel path over an (N, p) label matrix; same integer contract
-    as closed_numerators_batch (numerators over p, p and p*t)."""
-    nums = _shape_kernel(shape).triples(np.asarray(labels))
-    return nums[:, 0], nums[:, 1], nums[:, 2]
-
-
 def numerator_rows(shape: Shape, labels: np.ndarray) -> np.ndarray:
     """(N, 3) int64 identity numerators (n00, n01, n11) of a label matrix,
-    over (p, p, p t) (trace_numerators_batch), read-only."""
-    rows = np.column_stack(trace_numerators_batch(labels, shape))
+    over (p, p, p t) (the shape's pair kernel), read-only."""
+    rows = _shape_kernel(shape).triples(np.asarray(labels))
     rows.flags.writeable = False
     return rows
 
@@ -621,34 +516,14 @@ def summed_components(shape: Shape, labels: np.ndarray, weights: Sequence,
                for rows, comp in kern.components(labels)) * count[0], 1
 
 
-def _information(shape: Shape, labels, weights, sigma, exact: bool, den: int = 1) -> np.ndarray:
-    """C00 - C01 C11^+ C10 of summed_components: float, or Fractions at weights / den."""
-    nums, d = summed_components(shape, labels, weights, sigma, exact)
+def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
+    """Information matrix of an exact design: its label matrix summed
+    (summed_components), then C00 - C01 C11^+ C10 in floats or Fractions."""
+    nums, d = summed_components(design.shape, design.blocks.labels, [1] * design.n, sigma, exact)
     if not exact:
         return schur_complement(*(nums / d))
     n, pivot = schur_numerators(*nums)
-    return n * Fraction(1, pivot * d * den)
-
-
-def info_matrix_exact(design, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
-    """Information matrix of an exact design (its label matrix summed, then Schur)."""
-    return _information(design.shape, design.blocks.labels, [1] * design.n, sigma, exact)
-
-
-def info_matrix_measure(measure, sigma: CovarianceSpec = IDENTITY, exact: bool = False) -> np.ndarray:
-    """Per-block-average information matrix of an approximate measure; an
-    orbit measure's is q*/(t-1) B_t, q* the _vertex of its measure_triple."""
-    if exact and measure.denominator is None:
-        raise ValueError("exact sums need a measure with exact weights")
-    if measure.orbit_sizes is None:
-        weights = measure.weights if exact else measure.float_weights()
-        return _information(measure.shape, measure.labels, weights, sigma, exact,
-                            measure.denominator)
-    t, q = measure.shape.t, _vertex(*measure_triple(measure, sigma), 0)[0]
-    if exact and not isinstance(q, Fraction):  # an exact measure under a float scale
-        raise ValueError("exact path needs Identity or rational type-H covariance")
-    proj = t * np.eye(t, dtype=np.int64) - 1  # t B_t, completely symmetric (verify_measure)
-    return proj.astype(object) * (q / (t * t - t)) if exact else proj * (float(q) / (t * t - t))
+    return n * Fraction(1, pivot * d)
 
 
 def centering_projector(t: int) -> np.ndarray:

@@ -48,7 +48,6 @@ from .model import (
     bind,
     centering_projector,
     exact_q,
-    exact_units,
     exact_value,
     measure_triple,
     numerator_rows,
@@ -586,7 +585,7 @@ def _closed_form(shape: Shape) -> SolveResult:
         classes = fan_classes(shape)
         names = [c.name for c in classes]
         reps = [class_representative(shape, c.doubles) for c in classes]
-    units = exact_units(shape, Fraction(1))
+    units = (Fraction(1, shape.p),) * 2 + (Fraction(1, shape.p * shape.t),)
     x_star, y_id, tied = _envelope_min([[n * u for n, u in zip(row, units)] for row
                                         in numerator_rows(shape, label_matrix(reps)).tolist()])
     reps = [s for s, hit in zip(reps, tied) if hit]
@@ -862,25 +861,6 @@ def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
         shape, enumerate_label_matrix(shape, budget=budget)))
 
 
-def _drawn_pool(shape: Shape, count: int, draws: int, draw, seed: int,
-                head=()) -> LabelPool:
-    """The first `count` distinct canonical forms among the head rows and
-    then up to `draws` rows drawn by draw(rng, k), which gives k rows from
-    one generator call, as a pool in colex order.  Rows are drawn `count`
-    at a time, and only the forms found so far (fewer than `count`, so all
-    of them stay) go on to the next batch; the generator is local, so rows
-    drawn past the count change nothing."""
-    rng = np.random.default_rng(seed)
-    rows, made = list(head), 0
-    while True:
-        batch = min(count, draws - made)
-        pool = canonical_pool(shape, [*rows, *draw(rng, batch)], count)
-        made += batch
-        if len(pool) >= count or made == draws:
-            return pool
-        rows = list(pool.labels)
-
-
 def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
     """Constructive pool covering the closed-form support classes, in colex
     order.  For t <= p - 2 it holds the first 64 distinct balanced orbits
@@ -893,11 +873,16 @@ def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
 
 def _built_support_pool(shape: Shape, seed: int) -> LabelPool:
     if shape.t <= shape.p - 2:
-        head = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
-        bag = _balanced_bag(shape)
-        # one shuffle per row, the rows of k single permutations
-        return _drawn_pool(shape, 64, 20 * 64,
-                           lambda rng, k: rng.permuted(np.tile(bag, (k, 1)), axis=1), seed, head)
+        # up to 20 batches of 64 shuffles of the bag, one per row; only the
+        # forms found so far (fewer than 64, so all stay) go on to the next
+        rows = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
+        bag, rng = _balanced_bag(shape), np.random.default_rng(seed)
+        for _ in range(20):
+            pool = canonical_pool(shape, [*rows, *rng.permuted(np.tile(bag, (64, 1)), axis=1)], 64)
+            if len(pool) == 64:
+                break
+            rows = list(pool.labels)
+        return pool
     pairs = _corner_double_pairs(shape)
     return canonical_pool(shape, [
         _filled(shape, chosen)

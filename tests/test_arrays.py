@@ -21,7 +21,6 @@ from fielddesign.arrays import (
     canonical_pool,
     classify_labels,
     enumerate_label_matrix,
-    enumerate_orbits,
     label_dtype,
     mirror_plot_order,
     normalize_shape,
@@ -32,6 +31,7 @@ from fielddesign.arrays import (
 from fielddesign.optimality import full_pool
 
 from .conftest import SBS_ROWS_2X3, all_arrays, apply_permutation, array_of
+from .reference_model import enumerate_orbits
 
 
 def test_shape_rejects_bad_dimensions():
@@ -152,7 +152,7 @@ def test_orbit_count_smallest_grid():
 
 def test_enumeration_budget_guard():
     with pytest.raises(EnumerationBudgetError):
-        list(enumerate_orbits(Shape(3, 4, 12), budget=10))
+        enumerate_label_matrix(Shape(3, 4, 12), budget=10)
 
 
 def _restricted_growth(p: int, tmax: int):

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fielddesign import designs
 from fielddesign.arrays import (
+    DEFAULT_ORBIT_BUDGET,
     LabelPool,
     Orbit,
     Shape,
@@ -33,7 +35,6 @@ from fielddesign.designs import (
     expand_symmetric,
     measure_of_design,
     min_n_symmetric,
-    pseudo_symmetric_efficiency,
 )
 from fielddesign.model import (
     EIG_CUTOFF,
@@ -44,7 +45,6 @@ from fielddesign.model import (
     centering_projector,
     component_table,
     info_matrix_exact,
-    info_matrix_measure,
     symmetric_pinv,
     triple_table,
 )
@@ -61,15 +61,14 @@ from fielddesign.optimality import (
 )
 
 from .conftest import (
-    CLUSTERED_ROWS_232,
     LANGTON_SQUARE,
     OPTIMAL_BLOCKS_232,
     SBS_ROWS_2X3,
-    SPREAD_ROWS_232,
     STRIPE_SWAP_SQUARE,
     array_of,
     design_of,
 )
+from .reference_model import pseudo_symmetric_efficiency
 
 
 def test_design_validation():
@@ -160,18 +159,11 @@ def test_half_half_mixture_is_optimal():
     atoms = {}
     for rows in (LANGTON_SQUARE, STRIPE_SWAP_SQUARE):
         s = array_of(5, 5, 5, rows)
-        orbit = Orbit(canonical_form(s), orbit_size(s))
-        for o, w in [(orbit, Fraction(1, 2))]:
-            for m in _members(o):
-                atoms[m] = atoms.get(m, 0) + Fraction(w, o.size)
+        for m in orbit_members(s):
+            atoms[m] = atoms.get(m, 0) + Fraction(1, 2 * orbit_size(s))
     xi = Measure(shape, atoms)
     eff = pseudo_symmetric_efficiency(xi)
     assert eff == 1
-
-
-def _members(orbit):
-    from fielddesign.arrays import orbit_members
-    return orbit_members(orbit.representative)
 
 
 def test_min_n_known_mixture():
@@ -230,6 +222,22 @@ def test_expand_symmetric_gives_n_blocks_or_raises(weights, n, match):
     orbits = [o for o, _ in solve_closed_form(Shape(2, 3, 2)).orbit_weights]
     with pytest.raises(ValueError, match=match):
         expand_symmetric(list(zip(orbits, weights)), n)
+
+
+@pytest.mark.parametrize("sigma", [IDENTITY, TypeH(Fraction(3, 2))], ids=["identity", "type-h"])
+def test_expand_symmetric_refuses_n_past_the_row_bound(sigma):
+    # a crossing-regime shape's least n would be a 3.2 GB label matrix
+    pairs = solve_closed_form(Shape(2, 3, 6), sigma).orbit_weights
+    n = min_n_symmetric(pairs).n
+    assert n == 525_268_800
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n={n} .* {DEFAULT_ORBIT_BUDGET} rows"):
+            expand_symmetric(pairs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # the exact closed-form measures of a <= 3, b <= 4 whose least n is at
@@ -847,11 +855,8 @@ def test_every_public_entry_refuses_type_h_offsets_of_the_wrong_length(optimal_d
         lambda: triple_table(pool, bad),
         lambda: btilde(bad, shape.p),
         lambda: info_matrix_exact(optimal_design_232, bad),
-        lambda: info_matrix_measure(xi, bad),
         lambda: efficiencies(optimal_design_232, bad),
         lambda: efficiencies(optimal_design_232, bad, y_star=1.0),
-        lambda: pseudo_symmetric_efficiency(xi, bad),
-        lambda: pseudo_symmetric_efficiency(xi, bad, y_star=1),
         lambda: construct_exact(shape, 4, bad),
         lambda: construct_exact(shape, 16, bad),
     ]

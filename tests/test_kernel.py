@@ -37,17 +37,13 @@ from fielddesign.model import (
     _shape_kernel,
     bind,
     btilde,
-    c_coeffs_closed,
     centering_projector,
-    closed_numerators_batch,
     component_numerators,
     exact_q,
     info_matrix_exact,
-    info_matrix_measure,
     numerator_rows,
     scaled_rows,
     schur_numerators,
-    trace_numerators_batch,
     triple_table,
 )
 from fielddesign.optimality import (
@@ -59,27 +55,20 @@ from fielddesign.optimality import (
 )
 
 from .conftest import EFFICIENT_BLOCKS_428, OPTIMAL_BLOCKS_232, design_of
+from .reference_model import (
+    c_coeffs_closed,
+    closed_numerators_batch,
+    incidence_matrices,
+    info_matrix_measure,
+)
 
 REL = 1e-12
 
 
-def _neighbors(a: int, b: int) -> np.ndarray:
-    # orthogonal adjacency in colex order, plot (i, j) at index i + a j
-    m = np.zeros((a * b, a * b))
-    for j in range(b):
-        for i in range(a):
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if 0 <= i + di < a and 0 <= j + dj < b:
-                    m[i + a * j, i + di + a * (j + dj)] = 1
-    return m
-
-
 def _reference_triple(labels, a: int, b: int, t: int, sigma: np.ndarray):
     """tr(B_t X' Btilde Y) for (X, Y) in (T0, T0), (T0, F), (F, F)."""
-    p = a * b
-    t0 = np.zeros((p, t))
-    t0[np.arange(p), np.asarray(labels) - 1] = 1
-    f = _neighbors(a, b) @ t0
+    inc = incidence_matrices(BlockArray.from_colex(Shape(a, b, t), tuple(int(v) for v in labels)))
+    t0, f = inc.t0, inc.f
     inv = np.linalg.inv(sigma)
     u = inv.sum(axis=1)
     bt = inv - np.outer(u, u) / u.sum()
@@ -132,7 +121,7 @@ def test_identity_family_triples_match_explicit_algebra(case, x):
 @given(cases())
 def test_integer_numerators_equal_counting_formula(case):
     shape, lab, _ = case
-    kernel = trace_numerators_batch(lab, shape)
+    kernel = numerator_rows(shape, lab).T
     closed = closed_numerators_batch(lab, shape)
     for x, y in zip(kernel, closed):
         assert x.dtype == np.int64 and (x == y).all()
@@ -142,7 +131,7 @@ def test_integer_numerators_equal_counting_formula(case):
 def test_integer_numerators_equal_counting_formula_on_large_grids(a, b, t):
     shape = Shape(a, b, t)
     lab = np.random.default_rng(a * b * t).integers(1, t + 1, size=(3000, shape.p))
-    for x, y in zip(trace_numerators_batch(lab, shape), closed_numerators_batch(lab, shape)):
+    for x, y in zip(numerator_rows(shape, lab).T, closed_numerators_batch(lab, shape)):
         assert x.dtype == np.int64 and (x == y).all()
 
 
@@ -251,9 +240,7 @@ def test_triples_invariant_under_relabeling(case, rnd):
     shape, lab, sigma = case
     perm = np.array([0] + rnd.sample(range(1, shape.t + 1), shape.t))
     relabeled = perm[lab]
-    for x, y in zip(trace_numerators_batch(lab, shape),
-                    trace_numerators_batch(relabeled, shape)):
-        assert (x == y).all()
+    assert (numerator_rows(shape, lab) == numerator_rows(shape, relabeled)).all()
     cov = GeneralCov.from_matrix(sigma)
     assert _close(triple_table(_pool(shape, relabeled), cov),
                   triple_table(_pool(shape, lab), cov))
@@ -269,9 +256,7 @@ def test_triples_invariant_under_transposition(case):
     # plot i + a j of the transpose is plot j + a i of the original
     k = np.arange(shape.p)
     moved = (k // a) + a * (k % a)
-    for x, y in zip(trace_numerators_batch(lab[:, moved], shape),
-                    trace_numerators_batch(lab, shape)):
-        assert (x == y).all()
+    assert (numerator_rows(shape, lab[:, moved]) == numerator_rows(shape, lab)).all()
     assert (triple_table(flipped) == triple_table(pool)).all()
     cov = GeneralCov.from_matrix(sigma)
     cov_t = GeneralCov.from_matrix(sigma[np.ix_(moved, moved)])
@@ -338,14 +323,12 @@ def _reference_components(xi: Measure, sigma):
     """(C00, C01, C11) of a measure by explicit per-atom components O'K O,
     O'K F, F'K F (K = p I - J, F = M O) summed in Fractions."""
     shape, scale = xi.shape, bind(xi.shape, sigma).scale
-    a, b, t, p = shape.a, shape.b, shape.t, shape.p
-    m = _neighbors(a, b).astype(np.int64)
+    t, p = shape.t, shape.p
     k = p * np.eye(p, dtype=np.int64) - 1
     comps = np.zeros((3, t, t), dtype=object)
     for row, w in xi.items():
-        o = np.zeros((p, t), dtype=np.int64)
-        o[np.arange(p), np.asarray(row.colex) - 1] = 1
-        f = m @ o
+        inc = incidence_matrices(row)
+        o, f = inc.t0, inc.f
         comps = comps + np.array([o.T @ k @ o, o.T @ k @ f, f.T @ k @ f]).astype(object) * w
     return comps * (scale / p)
 

@@ -10,7 +10,7 @@ import pytest
 
 import fielddesign.model as model
 
-from fielddesign.arrays import BlockArray, Shape, label_dtype
+from fielddesign.arrays import BlockArray, Shape, label_dtype, label_matrix
 from fielddesign.model import (
     IDENTITY,
     GeneralCov,
@@ -18,19 +18,13 @@ from fielddesign.model import (
     TypeH,
     bind,
     btilde,
-    c11_base,
-    c_coeffs_closed,
     centering_projector,
     component_table,
     exact_value,
-    incidence_matrices,
     info_matrix_exact,
-    info_matrix_measure,
-    label_matrix,
     schur_complement,
     schur_numerators,
     sigma_from_json,
-    sigma_matrix,
     symmetric_pinv,
     triple_table,
 )
@@ -51,6 +45,7 @@ from .conftest import (
     design_of,
     numerators_agree,
 )
+from .reference_model import c11_base, c_coeffs_closed, info_matrix_measure, sigma_matrix
 
 
 def _ar_cov(p: int, rho: float = 0.3) -> GeneralCov:
@@ -282,12 +277,6 @@ def test_reference_array_coefficients():
     assert c.astuple() == (Fraction(14, 3), Fraction(-1), Fraction(101, 15))
 
 
-def test_coefficient_paths_agree_exhaustively_small():
-    for shape in (Shape(2, 2, 2), Shape(2, 2, 3), Shape(2, 3, 2)):
-        for s in all_arrays(shape):
-            assert numerators_agree(s), s
-
-
 def test_coefficient_paths_agree_random():
     rng = np.random.default_rng(17)
     for shape in (Shape(2, 3, 5), Shape(3, 3, 4), Shape(3, 4, 7)):
@@ -304,16 +293,6 @@ def test_triple_table_matches_per_array():
     for k, s in enumerate(pool):
         c = c_coeffs_closed(s)
         assert np.allclose(table[k], [float(v) for v in c.astuple()])
-
-
-def test_incidence_shapes_and_row_sums():
-    s = array_of(2, 3, 5, SBS_ROWS_2X3)
-    inc = incidence_matrices(s)
-    assert inc.t0.shape == (6, 5)
-    assert inc.t0.sum() == 6  # one treatment per plot
-    # neighbor totals: interior plots of a 2x3 grid have 3 neighbors,
-    # corners 2
-    assert sorted(inc.f.sum(axis=1)) == [2, 2, 2, 2, 3, 3]
 
 
 def test_info_matrix_zero_row_sums():

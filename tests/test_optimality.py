@@ -24,7 +24,6 @@ from fielddesign.arrays import (
     canonical_form,
     classify_labels,
     enumerate_label_matrix,
-    enumerate_orbits,
     label_matrix,
     orbit_members,
     orbit_size,
@@ -33,10 +32,7 @@ from fielddesign.model import (
     IDENTITY,
     GeneralCov,
     TypeH,
-    c_coeffs_closed,
-    closed_numerators_batch,
     component_numerators,
-    info_matrix_measure,
     schur_numerators,
     triple_table,
 )
@@ -67,6 +63,7 @@ from .conftest import (
     SPREAD_ROWS_232,
     array_of,
 )
+from .reference_model import c11_base, c_coeffs_closed, closed_numerators_batch, info_matrix_measure
 
 X_KINK_2B = (2 - math.sqrt(3)) / 2       # root of 4x^2 - 8x + 1
 X_KINK_33 = (13 - math.sqrt(145)) / 12   # root of 6x^2 - 13x + 1
@@ -208,7 +205,7 @@ def test_closed_form_rejects_general_covariance():
 def _fan_triple(shape, doubles):
     # the corner-double classes' triples by hand: a base and a per-double step
     a, b, p = shape.a, shape.b, shape.p
-    eta = model.c11_base(shape)
+    eta = c11_base(shape)
     base = (
         Fraction(p - 1),
         -Fraction(4 * p - 2 * a - 2 * b, p),
@@ -229,7 +226,7 @@ def test_fan_triples_match_counting_path():
     for shape in WIDE_SWEEP_SHAPES:
         if shape.t < shape.p - 1:
             continue
-        units = model.exact_units(shape, Fraction(1))
+        units = (Fraction(1, shape.p),) * 2 + (Fraction(1, shape.p * shape.t),)
         for cls in fan_classes(shape):
             rep = class_representative(shape, cls.doubles)
             rows = model.numerator_rows(shape, label_matrix([rep]))[0].tolist()
@@ -682,13 +679,6 @@ def test_proportions_single_orbit_at_its_vertex():
     assert weights == [Fraction(1)] and residual == 0
 
 
-def _orbit_of(s):
-    for o in enumerate_orbits(s.shape, budget=10 ** 6):
-        if o.representative == canonical_form(s):
-            return o
-    raise AssertionError("orbit not found")
-
-
 def test_proportions_infeasible_when_slopes_agree():
     s = canonical_form(array_of(2, 3, 5, SBS_ROWS_2X3))
     orbit = _orbit_of(s)
@@ -753,14 +743,14 @@ def test_measures_read_numpy_integer_weights_exactly():
         assert all(type(n) is int for n in (*m.weights, m.denominator))
 
 
-def _orbit_of_sized(s):
+def _orbit_of(s):
     return Orbit(canonical_form(s), orbit_size(s))
 
 
 def test_verify_rejects_unbalanced_measure():
     shape = Shape(5, 5, 5)
     square = array_of(5, 5, 5, LANGTON_SQUARE)
-    xi = Measure.from_orbit_weights(shape, [(_orbit_of_sized(square), Fraction(1))])
+    xi = Measure.from_orbit_weights(shape, [(_orbit_of(square), Fraction(1))])
     res = solve_closed_form(shape)
     report = verify_measure(xi, IDENTITY, res.x_star, res.y_star)
     assert not report.optimal and report.verdict == "not optimal"
@@ -806,7 +796,7 @@ def test_equivalence_gap_zero_at_optimum():
 def test_equivalence_gap_positive_off_optimum():
     square = array_of(5, 5, 5, LANGTON_SQUARE)
     xi = Measure.from_orbit_weights(
-        square.shape, [(_orbit_of_sized(square), Fraction(1))])
+        square.shape, [(_orbit_of(square), Fraction(1))])
     gap = equivalence_gap(xi, support_pool(square.shape))
     assert float(gap) > 1.0
 

@@ -183,6 +183,21 @@ def test_only_bind_dispatches_on_a_covariance_spec():
     assert _covariance_dispatch() == {("model", "bind")}
 
 
+# helpers no production path calls: deleted, or moved to tests/reference_model.py
+OUT_OF_PACKAGE = {"IncidenceSet", "trace_numerators_batch", "exact_units", "enumerate_orbits",
+                  "pseudo_symmetric_efficiency", "_information", "_drawn_pool",
+                  "closed_numerators_batch", "c11_base", "c_coeffs_closed", "incidence_matrices",
+                  "sigma_matrix", "info_matrix_measure"}
+
+
+def test_package_defines_no_reference_or_retired_helper():
+    # a def, a class, an import or an assignment of the name, in any module
+    names = {getattr(node, "name", None) or getattr(node, "id", None)
+             for path in (SRC / "fielddesign").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))}
+    assert not names & OUT_OF_PACKAGE
+
+
 def test_cli_import_builds_no_dataclass():
     # every dataclass compiles its methods at import, about 1 ms each, and
     # every CLI call is a fresh process; numpy does not import dataclasses
