@@ -45,7 +45,13 @@ from .conftest import (
     design_of,
     numerators_agree,
 )
-from .reference_model import c11_base, c_coeffs_closed, info_matrix_measure, sigma_matrix
+from .reference_model import (
+    c11_base,
+    c_coeffs_closed,
+    incidence_matrices,
+    info_matrix_measure,
+    sigma_matrix,
+)
 
 
 def _ar_cov(p: int, rho: float = 0.3) -> GeneralCov:
@@ -293,6 +299,16 @@ def test_triple_table_matches_per_array():
     for k, s in enumerate(pool):
         c = c_coeffs_closed(s)
         assert np.allclose(table[k], [float(v) for v in c.astuple()])
+
+
+def test_incidence_shapes_and_row_sums():
+    s = array_of(2, 3, 5, SBS_ROWS_2X3)
+    inc = incidence_matrices(s)
+    assert inc.t0.shape == (6, 5)
+    assert inc.t0.sum() == 6  # one treatment per plot
+    # neighbor totals: interior plots of a 2x3 grid have 3 neighbors,
+    # corners 2
+    assert sorted(inc.f.sum(axis=1)) == [2, 2, 2, 2, 3, 3]
 
 
 def test_info_matrix_zero_row_sums():
