@@ -353,18 +353,10 @@ class LabelPool(Sequence[BlockArray]):
                 for rows in self.labels.reshape(-1, b, a).transpose(0, 2, 1).tolist()]
 
 
-def _neighbor_shifts(x: np.ndarray, shape: Shape) -> list[np.ndarray]:
-    """A plot-indexed (p, k) matrix read at the neighbor in the row above,
-    the row below, the left and the right column (zero off the grid)."""
-    a, b = shape.a, shape.b
-    pad = np.pad(x.reshape(b, a, -1), ((1, 1), (1, 1), (0, 0)))
-    return [pad[1 + dj:1 + dj + b, 1 + di:1 + di + a].reshape(x.shape)
-            for dj, di in ((0, -1), (0, 1), (-1, 0), (1, 0))]
-
-
 def neighbor_matrix(shape: Shape) -> np.ndarray:
     """p x p 0/1 matrix marking orthogonally adjacent plots (colex order)."""
-    return sum(_neighbor_shifts(np.eye(shape.p, dtype=np.int64), shape))
+    j, i = np.divmod(np.arange(shape.p), shape.a)
+    return (abs(i[:, None] - i) + abs(j[:, None] - j) == 1).astype(np.int64)
 
 
 class LabelClasses(NamedTuple):
