@@ -800,12 +800,12 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
 class _PoolTriples:
     """A pool and, built when first asked, its distinct exact triple rows
     (model.numerator_rows) in order of first occurrence, the first pool row
-    of each, and only for table() the int32 row of each pool row; read-only."""
+    of each, the int32 row of each pool row and the float tables (table); read-only."""
 
-    __slots__ = ("pool", "_triples", "_index")
+    __slots__ = ("pool", "_triples", "_index", "tables")
 
     def __init__(self, pool: LabelPool):
-        self.pool, self._triples, self._index = pool, None, None
+        self.pool, self._triples, self._index, self.tables = pool, None, None, {}
 
     def triples(self, index: bool = False) -> tuple[np.ndarray, np.ndarray]:
         if self._triples is None or (index and self._index is None):
@@ -817,18 +817,25 @@ class _PoolTriples:
                 arr.flags.writeable = False
         return self._triples
 
-    def table(self) -> np.ndarray:
-        """triple_table(pool) under identity, the same bits."""
-        return scaled_rows(self.triples(index=True)[0], self.pool.shape)[self._index]
+    def table(self, unit: np.ndarray | None = None) -> np.ndarray:
+        """triple_table(pool, BoundCov(1.0, unit)), the same bits, kept per unit."""
+        key = None if unit is None else unit.tobytes()
+        if (table := self.tables.pop(key, None)) is None:
+            table = (scaled_rows(self.triples(index=True)[0], self.pool.shape)[self._index]
+                     if unit is None else triple_table(self.pool, BoundCov(1.0, unit)))
+            table.flags.writeable = False
+        self.tables[key] = table  # the most recently used last
+        return table
 
 
 # Full pools (keyed by shape) and support pools (keyed by (shape, seed)) kept
-# per process, least recently used dropped first, while they hold more than
-# _FULL_POOL_ROWS rows in all; a larger pool is built on every call.  A shape
-# of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at least
-# 2^(p-1) orbits, and p = 17 is no grid), so a kept full-pool row costs at
-# most p = 16 bytes of int8 labels and 32 of triple and first index: 4.8 MB at
-# worst.  The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
+# per process with their tables, least recently used dropped first (a pool's
+# tables before it), while they hold more than _FULL_POOL_ROWS rows in all; a
+# larger pool is built on every call.  A shape of at most _FULL_POOL_ROWS
+# orbits has p <= 16 (t >= 2 gives at least 2^(p-1) orbits, and p = 17 is no
+# grid), so a kept pool row costs at most 52 bytes (16 of int8 labels, 32 of
+# triple and first index, 4 of row index) and a table row 24: 5.2 MB at worst.
+# The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
 # A support pool holds at most 64 balanced rows or its shape's few
 # corner-double placements (80 at most for the shapes up to p = 40 tried), so
 # it weighs little; it is scored like any other pool, as r_eval and
@@ -845,8 +852,12 @@ def _kept_pool(key, build) -> LabelPool:
         if len(kept.pool) > _FULL_POOL_ROWS:
             return kept.pool
     _full_pools[key] = kept  # the most recently used last
-    while sum(len(k.pool) for k in _full_pools.values()) > _FULL_POOL_ROWS:
-        del _full_pools[next(iter(_full_pools))]
+    while sum(len(k.pool) + sum(map(len, k.tables.values()))
+              for k in _full_pools.values()) > _FULL_POOL_ROWS:
+        if tables := _full_pools[oldest := next(iter(_full_pools))].tables:
+            del tables[next(iter(tables))]  # a pool's tables go before it
+        else:
+            del _full_pools[oldest]
     return kept.pool
 
 
@@ -1027,13 +1038,17 @@ def solve_exchange(
     the support lists the pool rows within tol |y*| of y* at x*.  The solve
     runs on the unit-scale table of the bound covariance (model.bind), all
     its tests relative, and y* and gap take the scale at the end
-    (_at_scale).  To certify a measure already at hand, use equivalence_gap.
+    (_at_scale); a kept full pool keeps that table (_PoolTriples.table).  To
+    certify a measure already at hand, use equivalence_gap.
     """
     cov = bind(shape, sigma)
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
     kept = _full_pools.get(pool.shape)
-    table = (kept.table() if kept is not None and kept.pool is pool and cov.unit is None
-             else triple_table(pool, BoundCov(1.0, cov.unit)))
+    if kept is not None and kept.pool is pool:
+        table = kept.table(cov.unit)
+        _kept_pool(pool.shape, None)  # the new table counts against the row bound
+    else:
+        table = triple_table(pool, BoundCov(1.0, cov.unit))
     x, iterations = _envelope_argmin(table, max_iter)
     w = _basic_mixture(table, x)
     if w is None:  # bisection cut short by max_iter: best single row

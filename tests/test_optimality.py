@@ -855,6 +855,76 @@ def _random_spd(p: int, seed: int) -> GeneralCov:
     return GeneralCov.from_matrix((s + s.T) / 2)
 
 
+KEPT_TABLE_SIGMAS = {
+    "identity": lambda p: IDENTITY, "type-h": lambda p: TypeH(Fraction(3, 2)),
+    "ar": lambda p: _ar_kernel(p, 0.5), "random-spd": lambda p: _random_spd(p, 7)}
+
+
+@pytest.mark.parametrize("kind", KEPT_TABLE_SIGMAS)
+@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 4)])
+def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
+    # the first solve over the kept pool builds and keeps its unit-scale
+    # table, the second reads it, and a copy of the pool (never kept) is scored
+    shape = Shape(*abt)
+    sigma = KEPT_TABLE_SIGMAS[kind](shape.p)
+    model._dense_kernel.cache_clear()
+    cold, warm = solve_exchange(shape, sigma), solve_exchange(shape, sigma)
+    pool = full_pool(shape)
+    copy = solve_exchange(shape, sigma, pool=LabelPool(shape, pool.labels.copy()))
+    for res in (warm, copy):
+        assert (res.x_star, res.y_star, res.gap, res.iterations, res.converged) == \
+            (cold.x_star, cold.y_star, cold.gap, cold.iterations, cold.converged)
+        assert res.measure.to_json() == cold.measure.to_json()
+        assert res.q_support.arrays.labels.tobytes() == cold.q_support.arrays.labels.tobytes()
+    unit = model.bind(shape, sigma).unit
+    kept = optimality._full_pools[shape]
+    assert list(kept.tables) == [None if unit is None else unit.tobytes()]
+    table = kept.table(unit)
+    assert table.tobytes() == triple_table(pool, model.BoundCov(1.0, unit)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] += 1
+
+
+def test_dense_solves_score_the_kept_pool_once(fresh_full_pools, monkeypatch):
+    model._dense_kernel.cache_clear()
+    shape, sigma = Shape(2, 4, 3), _ar_kernel(8, 0.5)
+    calls, real = [], model._PairKernel.triples
+    monkeypatch.setattr(model._PairKernel, "triples",
+                        lambda kern, labels: calls.append(len(labels)) or real(kern, labels))
+    first, second = solve_exchange(shape, sigma), solve_exchange(shape, sigma)
+    assert calls == [len(full_pool(shape))]
+    assert second.measure.to_json() == first.measure.to_json()
+
+
+def test_kept_tables_stay_within_the_row_bound(fresh_full_pools, monkeypatch):
+    shape = Shape(2, 3, 3)
+    n = len(full_pool(shape))  # 122 rows
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 3 * n)  # the pool and two tables
+    rhos = [float(r) for r in np.linspace(0.05, 0.95, 20)]
+    kept = optimality._full_pools[shape]
+
+    def key(rho):
+        return model.bind(shape, _ar_kernel(shape.p, rho)).unit.tobytes()
+
+    for rho in rhos:
+        solve_exchange(shape, _ar_kernel(shape.p, rho))
+        assert optimality._full_pools[shape] is kept
+        assert len(kept.pool) + sum(map(len, kept.tables.values())) <= 3 * n
+    assert list(kept.tables) == [key(rhos[-2]), key(rhos[-1])]
+    # the least recently used table goes first
+    for rho in (rhos[-2], 0.33):
+        solve_exchange(shape, _ar_kernel(shape.p, rho))
+    assert list(kept.tables) == [key(rhos[-2]), key(0.33)]
+    # a pool that fills the bound keeps no table, and one past it is not kept
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", n)
+    solve_exchange(shape, _ar_kernel(shape.p, 0.4))
+    assert optimality._full_pools[shape] is kept and not kept.tables
+    big = Shape(2, 4, 3)  # 1,094 rows
+    solve_exchange(big, _ar_kernel(big.p, 0.4))
+    solve_exchange(big)
+    assert list(optimality._full_pools) == [shape] and not kept.tables
+
+
 def test_exchange_from_every_point_measure():
     # the 2x2 stripe arrays are flat (c01 = c11 = 0): their point measures
     # have no vertex of their own and are read at x = 0
