@@ -242,28 +242,27 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     and the bound scale exact (identity or exact type-H), every distinct integer
     row of the pool, standing for its earliest pool entry, is scored
     exactly (model.exact_q) and the first maximum wins.  A pool that
-    full_pool keeps has its distinct rows built once; r_eval only reads a
-    kept pool, never builds one.
+    full_pool keeps has its distinct rows built once, and they are scored
+    at a float x too under identity or type-H, through triple_table's
+    float route (model.scaled_rows); r_eval only reads a kept pool, never
+    builds one.
     """
     pool = LabelPool.of(pool)
     xf, cov = exact_value(x), bind(pool.shape, sigma)
+    if (kept := _full_pools.get(pool.shape)) is not None and kept.pool is not pool:
+        kept = None
     if isinstance(cov.scale, Fraction) and xf is not None:
-        kept = _full_pools.get(pool.shape)
-        if kept is None or kept.pool is not pool:
-            kept = _PoolTriples(pool)  # for this call only
-        rows, first = kept.triples()
+        rows, first = (kept or _PoolTriples(pool)).triples()  # a pool not kept: for this call only
         q, den = exact_q(rows, pool.shape, *xf.as_integer_ratio())
         (a, b), k = cov.scale.as_integer_ratio(), int(np.argmax(q))
         return Fraction(int(q[k]) * a, den * b), pool[first[k]]
-    q = q_eval(triple_table(pool, cov).T, float(x))
+    if kept is not None and cov.unit is None:
+        rows, first = kept.triples()
+        q = q_eval(scaled_rows(rows, pool.shape, cov.scale).T, float(x))
+    else:
+        q, first = q_eval(triple_table(pool, cov).T, float(x)), range(len(pool))
     k = int(np.argmax(q))
-    return float(q[k]), pool[k]
-
-
-def _touching(table: np.ndarray, x_star, y_star, tol: float) -> np.ndarray:
-    """Mask of the table rows whose quadratic meets y* at x* within tol |y*|."""
-    yf = float(y_star)
-    return np.abs(q_eval(table.T, float(x_star)) - yf) <= tol * abs(yf)
+    return float(q[k]), pool[first[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +729,7 @@ def verify_measure(
         balance, slope, info_res = (float(np.max(np.abs(mat))) for mat in (
             bt @ (c00 + x * c01) @ bt - target, bt @ (c01.T + x * c11) @ bt,
             schur_complement(*comps) - target))
-    off = ~_touching(_float_rows(xi, cov), x, y, tol)
+    off = ~(np.abs(q_eval(_float_rows(xi, cov).T, x) - y) <= tol * abs(y))
     # left to right in row order, not np.sum's pairwise order
     support_mass = sum((w for w, o in zip(xi.float_weights().tolist(), off) if o), 0.0)
     ok = max(balance, slope, info_res) <= tol * abs(y) and support_mass <= tol
@@ -797,6 +796,14 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
     return val - qs
 
 
+def _first_order(rows: np.ndarray, index: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The first row holding each distinct row (group_rows), in order of first
+    occurrence, and if asked the int32 place there of each row's distinct row."""
+    _, first, group = group_rows(rows)
+    order = np.argsort(first)
+    return first[order], np.argsort(order).astype(np.int32)[group] if index else None
+
+
 class _PoolTriples:
     """A pool and, built when first asked, its distinct exact triple rows
     (model.numerator_rows) in order of first occurrence, the first pool row
@@ -809,37 +816,47 @@ class _PoolTriples:
 
     def triples(self, index: bool = False) -> tuple[np.ndarray, np.ndarray]:
         if self._triples is None or (index and self._index is None):
-            distinct, first, group = group_rows(numerator_rows(self.pool.shape, self.pool.labels))
-            order = np.argsort(first)
-            self._triples = self._triples or (distinct[order], first[order])
-            self._index = np.argsort(order).astype(np.int32)[group] if index else None
+            nums = numerator_rows(self.pool.shape, self.pool.labels)
+            first, self._index = _first_order(nums, index)
+            self._triples = self._triples or (nums[first], first)
             for arr in (*self._triples, self._index)[:2 + index]:
                 arr.flags.writeable = False
         return self._triples
 
-    def table(self, unit: np.ndarray | None = None) -> np.ndarray:
-        """triple_table(pool, BoundCov(1.0, unit)), the same bits, kept per unit."""
+    def table(self, unit: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """triple_table(pool, BoundCov(1.0, unit)) as (rows, first, index), kept
+        per unit: its distinct rows, bytes compared, in order of first
+        occurrence, the first pool row of each and the int32 row of each pool
+        row, so rows[index] has the table's bytes; read-only."""
         key = None if unit is None else unit.tobytes()
         if (table := self.tables.pop(key, None)) is None:
-            table = (scaled_rows(self.triples(index=True)[0], self.pool.shape)[self._index]
-                     if unit is None else triple_table(self.pool, BoundCov(1.0, unit)))
-            table.flags.writeable = False
+            if unit is None:  # scaled_rows, triple_table's route, on the distinct triples
+                nums, first = self.triples(index=True)
+                table = scaled_rows(nums, self.pool.shape), first, self._index
+            else:
+                full = triple_table(self.pool, BoundCov(1.0, unit))
+                first, index = _first_order(full.view(np.int64))
+                table = full[first], first, index
+            for arr in table:
+                arr.flags.writeable = False
         self.tables[key] = table  # the most recently used last
         return table
 
 
 # Full pools (keyed by shape) and support pools (keyed by (shape, seed)) kept
 # per process with their tables, least recently used dropped first (a pool's
-# tables before it), while they hold more than _FULL_POOL_ROWS rows in all; a
-# larger pool is built on every call.  A shape of at most _FULL_POOL_ROWS
-# orbits has p <= 16 (t >= 2 gives at least 2^(p-1) orbits, and p = 17 is no
-# grid), so a kept pool row costs at most 52 bytes (16 of int8 labels, 32 of
-# triple and first index, 4 of row index) and a table row 24: 5.2 MB at worst.
-# The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
-# A support pool holds at most 64 balanced rows or its shape's few
+# tables before it), while they hold more than _FULL_POOL_ROWS rows in all, a
+# table counting the pool rows it maps; a larger pool is built on every call.
+# A shape of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at
+# least 2^(p-1) orbits, and p = 17 is no grid), so a kept pool row costs at
+# most 52 bytes (16 of int8 labels, 32 of triple and first index, 4 of row
+# index) and a table row 36 (24 D/N of distinct rows and 8 D/N of first
+# index, D of the N rows distinct, and 4 of a dense table's row index): 5.2 MB
+# at worst.  The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of
+# labels.  A support pool holds at most 64 balanced rows or its shape's few
 # corner-double placements (80 at most for the shapes up to p = 40 tried), so
 # it weighs little; it is scored like any other pool, as r_eval and
-# triple_table look up full pools only.
+# solve_exchange look up full pools only.
 _FULL_POOL_ROWS = 100_000
 _full_pools: dict[Shape | tuple[Shape, int], _PoolTriples] = {}
 
@@ -852,8 +869,7 @@ def _kept_pool(key, build) -> LabelPool:
         if len(kept.pool) > _FULL_POOL_ROWS:
             return kept.pool
     _full_pools[key] = kept  # the most recently used last
-    while sum(len(k.pool) + sum(map(len, k.tables.values()))
-              for k in _full_pools.values()) > _FULL_POOL_ROWS:
+    while sum(len(k.pool) * (1 + len(k.tables)) for k in _full_pools.values()) > _FULL_POOL_ROWS:
         if tables := _full_pools[oldest := next(iter(_full_pools))].tables:
             del tables[next(iter(tables))]  # a pool's tables go before it
         else:
@@ -866,8 +882,10 @@ def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
     read-only label matrix; raises EnumerationBudgetError, before
     allocating, when the shape has more than `budget` orbits.  A pool of
     at most _FULL_POOL_ROWS rows is built once per process and the same
-    object is returned on every call; the budget is checked on each one."""
-    _check_budget(shape, budget)
+    object is returned on every call; the budget is checked on each one,
+    against the kept pool's rows, one per orbit, when there is one."""
+    if (kept := _full_pools.get(shape)) is None or len(kept.pool) > budget:
+        _check_budget(shape, budget)
     return _kept_pool(shape, lambda: LabelPool(
         shape, enumerate_label_matrix(shape, budget=budget)))
 
@@ -1038,31 +1056,37 @@ def solve_exchange(
     the support lists the pool rows within tol |y*| of y* at x*.  The solve
     runs on the unit-scale table of the bound covariance (model.bind), all
     its tests relative, and y* and gap take the scale at the end
-    (_at_scale); a kept full pool keeps that table (_PoolTriples.table).  To
-    certify a measure already at hand, use equivalence_gap.
+    (_at_scale).  A kept full pool keeps that table as its distinct rows in
+    order of first occurrence (_PoolTriples.table), and every step above
+    reads those alone: the same maxima, tie bands, slopes and earliest
+    rows.  To certify a measure already at hand, use equivalence_gap.
     """
     cov = bind(shape, sigma)
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
     kept = _full_pools.get(pool.shape)
     if kept is not None and kept.pool is pool:
-        table = kept.table(cov.unit)
+        table, first, index = kept.table(cov.unit)
         _kept_pool(pool.shape, None)  # the new table counts against the row bound
     else:
         table = triple_table(pool, BoundCov(1.0, cov.unit))
+        first = index = np.arange(len(pool))
     x, iterations = _envelope_argmin(table, max_iter)
     w = _basic_mixture(table, x)
     if w is None:  # bisection cut short by max_iter: best single row
-        w = np.zeros(len(pool))
+        w = np.zeros(len(table))
         w[_active_slopes(table, x)[0][0]] = 1.0
-    # a flat mixture peaks everywhere, so it is read at x
-    qs, xt = (float(v) for v in _vertex(*(w @ table), x))
-    gap = float(q_eval(table.T, xt).max()) - qs
+    atoms = np.flatnonzero(w)  # in pool order, as first rises
+    # BLAS sums in an order set by where the atoms sit, so the mixture is
+    # summed over the pool's rows, zero but at the atoms; a flat mixture
+    # peaks everywhere, so it is read at x
+    wp, tp = np.zeros(len(index)), np.zeros((len(index), 3))
+    wp[first[atoms]], tp[first[atoms]] = w[atoms], table[atoms]
+    qs, xt = (float(v) for v in _vertex(*(wp @ tp), x))
+    q = q_eval(table.T, xt)
+    gap = float(q.max()) - qs
 
-    keep = w > 1e-15
-    w = np.where(keep, w, 0.0)
-    w /= w.sum()
-    keep = np.flatnonzero(keep)
-    measure = Measure.from_labels(shape, pool.labels[keep], w[keep])
+    keep = atoms[w[atoms] > 1e-15]
+    measure = Measure.from_labels(shape, pool.labels[first[keep]], w[keep] / w[keep].sum())
     orbit_pairs = tuple(
         (Orbit(s, orbit_size(s)), wt) for s, wt in sorted(
             measure.items(), key=lambda kv: kv[0].colex)
@@ -1073,7 +1097,7 @@ def solve_exchange(
         y_star=qs,
         regime="computational",
         q_support=QSupport.explicit(
-            LabelPool(shape, pool.labels[_touching(table, xt, qs, tol)])),
+            LabelPool(shape, pool.labels[(np.abs(q - qs) <= tol * abs(qs))[index]])),
         measure=measure,
         orbit_weights=orbit_pairs,
         gap=max(gap, 0.0),

@@ -584,6 +584,27 @@ def test_kept_full_pool_scores_like_a_fresh_copy(fresh_full_pools, abt, sigma):
     assert optimality._full_pools[shape].pool is pool
 
 
+@pytest.mark.parametrize("sigma", [IDENTITY, TypeH(1.5), TypeH(Fraction(3, 2))],
+                         ids=["identity", "type-h-float", "type-h-exact"])
+@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 5)])
+def test_float_r_eval_scores_the_kept_distinct_rows(fresh_full_pools, monkeypatch, abt, sigma):
+    # at a float x the kept pool's distinct rows are scored, the copy's every
+    # row: the same value, and the same earliest witness
+    shape = Shape(*abt)
+    pool = full_pool(shape)
+    copy = LabelPool(shape, pool.labels.copy())
+    rows, _ = optimality._full_pools[shape].triples()
+    scored, real = [], optimality.scaled_rows
+    monkeypatch.setattr(optimality, "scaled_rows",
+                        lambda nums, *args: scored.append(len(nums)) or real(nums, *args))
+    xs = (0.0, 0.3125, -0.2, 1.7)
+    for x in xs:
+        (kept, at), (fresh, fresh_at) = r_eval(x, pool, sigma), r_eval(x, copy, sigma)
+        assert type(kept) is float and kept.hex() == fresh.hex(), x
+        assert at.colex == fresh_at.colex, x
+    assert scored == [len(rows)] * len(xs) and len(rows) < len(pool)
+
+
 def test_full_pool_is_kept_once_read_only_and_scored_lazily(fresh_full_pools):
     shape = Shape(2, 4, 3)
     pool = full_pool(shape)
@@ -605,13 +626,31 @@ BENCHMARK_SHAPES = [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5), (2, 5
                     (2, 3, 3), (3, 3, 4)]
 
 
+def _check_kept_table(pool, unit, record):
+    """record is (rows, first, index) of the pool's unit-scale triple_table:
+    rows[index] has its bytes, first[k] is the least pool row equal to
+    rows[k], bytes compared, the rows are distinct, and all three arrays
+    refuse writes."""
+    rows, first, index = record
+    full = triple_table(pool, model.BoundCov(1.0, unit))
+    assert index.dtype == np.int32 and len(index) == len(pool)
+    assert rows[index].tobytes() == full.tobytes()
+    least = {}
+    for k, row in enumerate(full):
+        least.setdefault(row.tobytes(), k)
+    assert first.tolist() == [least[row.tobytes()] for row in rows] == sorted(least.values())
+    for arr in record:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+
+
 @pytest.mark.parametrize("abt", BENCHMARK_SHAPES)
 def test_kept_numerator_table_is_the_triple_table(fresh_full_pools, abt):
     shape = Shape(*abt)
     pool = full_pool(shape)
     kept = optimality._full_pools[shape]
-    assert kept.table().tobytes() == triple_table(pool, IDENTITY).tobytes()
-    assert kept._index.dtype == np.int32 and len(kept._index) == len(pool)
+    _check_kept_table(pool, None, kept.table())
+    assert kept.table()[2] is kept._index
 
 
 def test_certify_leaves_the_row_index_unbuilt(fresh_full_pools):
@@ -646,6 +685,29 @@ def test_kept_full_pool_still_checks_the_budget(fresh_full_pools):
     full_pool(shape)
     with pytest.raises(EnumerationBudgetError):
         full_pool(shape, budget=100)
+
+
+def test_kept_full_pool_checks_the_budget_against_its_rows(fresh_full_pools, monkeypatch):
+    # a full pool holds one row per orbit, so a warm call counts no orbits,
+    # and one over the budget raises as a cold call does, enumerating nothing
+    shape = Shape(3, 3, 5)  # 18,002 orbits
+    calls, real = [], arrays.orbit_count
+    monkeypatch.setattr(arrays, "orbit_count", lambda s: calls.append(s) or real(s))
+    growth = arrays._growth_strings
+    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
+    with pytest.raises(EnumerationBudgetError) as cold:
+        full_pool(shape, budget=18_001)
+    monkeypatch.setattr(arrays, "_growth_strings", growth)
+    pool = full_pool(shape)
+    counted = len(calls)
+    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
+    assert full_pool(shape) is pool and full_pool(shape, budget=18_002) is pool
+    assert len(calls) == counted
+    with pytest.raises(EnumerationBudgetError) as warm:
+        full_pool(shape, budget=18_001)
+    assert str(warm.value) == str(cold.value)
+    assert (warm.value.shape, warm.value.orbit_count, warm.value.budget) == (shape, 18_002, 18_001)
+    assert optimality._full_pools[shape].pool is pool
 
 
 @pytest.mark.parametrize("abt", [(4, 4, 3), (5, 5, 5)])
@@ -857,14 +919,18 @@ def _random_spd(p: int, seed: int) -> GeneralCov:
 
 KEPT_TABLE_SIGMAS = {
     "identity": lambda p: IDENTITY, "type-h": lambda p: TypeH(Fraction(3, 2)),
-    "ar": lambda p: _ar_kernel(p, 0.5), "random-spd": lambda p: _random_spd(p, 7)}
+    "ar": lambda p: _ar_kernel(p, 0.5), "random-spd": lambda p: _random_spd(p, 7),
+    "dense-eye": lambda p: GeneralCov.from_matrix(np.eye(p))}
 
 
 @pytest.mark.parametrize("kind", KEPT_TABLE_SIGMAS)
-@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 4)])
+@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (2, 3, 2)])
 def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     # the first solve over the kept pool builds and keeps its unit-scale
-    # table, the second reads it, and a copy of the pool (never kept) is scored
+    # table as distinct rows, the second reads it, and a copy of the pool
+    # (never kept) is scored row by row; (3,3,5) and (3,3,3) hold the most
+    # repeated rows, and on (2,3,2) BLAS sums the dense-eye mixture in an
+    # order set by where its two atoms sit among the rows
     shape = Shape(*abt)
     sigma = KEPT_TABLE_SIGMAS[kind](shape.p)
     model._dense_kernel.cache_clear()
@@ -879,10 +945,7 @@ def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     unit = model.bind(shape, sigma).unit
     kept = optimality._full_pools[shape]
     assert list(kept.tables) == [None if unit is None else unit.tobytes()]
-    table = kept.table(unit)
-    assert table.tobytes() == triple_table(pool, model.BoundCov(1.0, unit)).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] += 1
+    _check_kept_table(pool, unit, kept.table(unit))
 
 
 def test_dense_solves_score_the_kept_pool_once(fresh_full_pools, monkeypatch):
@@ -909,12 +972,16 @@ def test_kept_tables_stay_within_the_row_bound(fresh_full_pools, monkeypatch):
     for rho in rhos:
         solve_exchange(shape, _ar_kernel(shape.p, rho))
         assert optimality._full_pools[shape] is kept
-        assert len(kept.pool) + sum(map(len, kept.tables.values())) <= 3 * n
+        assert len(kept.pool) + sum(len(index) for *_, index in kept.tables.values()) <= 3 * n
     assert list(kept.tables) == [key(rhos[-2]), key(rhos[-1])]
     # the least recently used table goes first
     for rho in (rhos[-2], 0.33):
         solve_exchange(shape, _ar_kernel(shape.p, rho))
     assert list(kept.tables) == [key(rhos[-2]), key(0.33)]
+    # a table counts the pool rows it maps, not its distinct rows (102 at 0.33)
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 3 * n - 1)
+    solve_exchange(shape, _ar_kernel(shape.p, 0.33))
+    assert list(kept.tables) == [key(0.33)]
     # a pool that fills the bound keeps no table, and one past it is not kept
     monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", n)
     solve_exchange(shape, _ar_kernel(shape.p, 0.4))
