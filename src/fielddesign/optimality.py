@@ -242,27 +242,22 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
     and the bound scale exact (identity or exact type-H), every distinct integer
     row of the pool, standing for its earliest pool entry, is scored
     exactly (model.exact_q) and the first maximum wins.  A pool that
-    full_pool keeps has its distinct rows built once, and they are scored
-    at a float x too under identity or type-H, through triple_table's
-    float route (model.scaled_rows); r_eval only reads a kept pool, never
-    builds one.
+    full_pool keeps has its distinct rows built once; r_eval only reads a
+    kept pool, never builds one.
     """
     pool = LabelPool.of(pool)
     xf, cov = exact_value(x), bind(pool.shape, sigma)
-    if (kept := _full_pools.get(pool.shape)) is not None and kept.pool is not pool:
-        kept = None
     if isinstance(cov.scale, Fraction) and xf is not None:
-        rows, first = (kept or _PoolTriples(pool)).triples()  # a pool not kept: for this call only
+        kept = _full_pools.get(pool.shape)
+        if kept is None or kept.pool is not pool:
+            kept = _PoolTriples(pool)  # for this call only
+        rows, first = kept.triples()
         q, den = exact_q(rows, pool.shape, *xf.as_integer_ratio())
         (a, b), k = cov.scale.as_integer_ratio(), int(np.argmax(q))
         return Fraction(int(q[k]) * a, den * b), pool[first[k]]
-    if kept is not None and cov.unit is None:
-        rows, first = kept.triples()
-        q = q_eval(scaled_rows(rows, pool.shape, cov.scale).T, float(x))
-    else:
-        q, first = q_eval(triple_table(pool, cov).T, float(x)), range(len(pool))
+    q = q_eval(triple_table(pool, cov).T, float(x))
     k = int(np.argmax(q))
-    return float(q[k]), pool[first[k]]
+    return float(q[k]), pool[k]
 
 
 # ---------------------------------------------------------------------------

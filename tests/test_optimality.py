@@ -584,27 +584,6 @@ def test_kept_full_pool_scores_like_a_fresh_copy(fresh_full_pools, abt, sigma):
     assert optimality._full_pools[shape].pool is pool
 
 
-@pytest.mark.parametrize("sigma", [IDENTITY, TypeH(1.5), TypeH(Fraction(3, 2))],
-                         ids=["identity", "type-h-float", "type-h-exact"])
-@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 5)])
-def test_float_r_eval_scores_the_kept_distinct_rows(fresh_full_pools, monkeypatch, abt, sigma):
-    # at a float x the kept pool's distinct rows are scored, the copy's every
-    # row: the same value, and the same earliest witness
-    shape = Shape(*abt)
-    pool = full_pool(shape)
-    copy = LabelPool(shape, pool.labels.copy())
-    rows, _ = optimality._full_pools[shape].triples()
-    scored, real = [], optimality.scaled_rows
-    monkeypatch.setattr(optimality, "scaled_rows",
-                        lambda nums, *args: scored.append(len(nums)) or real(nums, *args))
-    xs = (0.0, 0.3125, -0.2, 1.7)
-    for x in xs:
-        (kept, at), (fresh, fresh_at) = r_eval(x, pool, sigma), r_eval(x, copy, sigma)
-        assert type(kept) is float and kept.hex() == fresh.hex(), x
-        assert at.colex == fresh_at.colex, x
-    assert scored == [len(rows)] * len(xs) and len(rows) < len(pool)
-
-
 def test_full_pool_is_kept_once_read_only_and_scored_lazily(fresh_full_pools):
     shape = Shape(2, 4, 3)
     pool = full_pool(shape)
