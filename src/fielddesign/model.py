@@ -446,12 +446,12 @@ def component_table(
     return np.concatenate([c for _, c in kern.components(pool.labels)]) * count[0]
 
 
-def symmetric_pinv(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:
+def symmetric_pinv(mat: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of each symmetric matrix of a (..., t, t) stack via
-    eigendecomposition, zeroing eigenvalues below cutoff * its max|eigenvalue|."""
+    eigendecomposition, zeroing eigenvalues below EIG_CUTOFF * its max|eigenvalue|."""
     w, v = np.linalg.eigh(np.asarray(mat, dtype=float))
     top = np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
-    keep = np.abs(w) > cutoff * np.maximum(top, 1e-300)
+    keep = np.abs(w) > EIG_CUTOFF * np.maximum(top, 1e-300)
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
     return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)

@@ -27,7 +27,6 @@ from .arrays import (
     LabelPool,
     Orbit,
     Shape,
-    _check_budget,
     canonical_form,
     canonical_labels,
     canonical_pool,
@@ -117,10 +116,9 @@ class Measure:
             raise ValueError("a measure needs at least one atom of positive weight")
         weights = [weights[k] for k in keep]
         rows = labels[keep]
-        _, first, group = group_rows(rows)  # kept in order of first appearance
-        slot = np.argsort(np.argsort(first))[group].tolist()
+        first, slot = _first_order(rows)  # kept in order of first appearance
         self.shape, self.orbit_sizes, self._shares, self._rows = shape, None, None, None
-        self.labels = rows[np.sort(first)]
+        self.labels = rows[first]
         self.labels.flags.writeable = False
         vec = np.zeros(len(first), dtype=object if exact else float)
         if exact:
@@ -251,7 +249,7 @@ def r_eval(x, pool: Sequence[BlockArray], sigma: CovarianceSpec = IDENTITY):
         kept = _full_pools.get(pool.shape)
         if kept is None or kept.pool is not pool:
             kept = _PoolTriples(pool)  # for this call only
-        rows, first = kept.triples()
+        rows, first, _ = kept.triples()
         q, den = exact_q(rows, pool.shape, *xf.as_integer_ratio())
         (a, b), k = cov.scale.as_integer_ratio(), int(np.argmax(q))
         return Fraction(int(q[k]) * a, den * b), pool[first[k]]
@@ -791,30 +789,30 @@ def equivalence_gap(xi: Measure, pool: Sequence[BlockArray],
     return val - qs
 
 
-def _first_order(rows: np.ndarray, index: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _first_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row holding each distinct row (group_rows), in order of first
-    occurrence, and if asked the int32 place there of each row's distinct row."""
+    occurrence, and the int32 place there of each row's distinct row."""
     _, first, group = group_rows(rows)
     order = np.argsort(first)
-    return first[order], np.argsort(order).astype(np.int32)[group] if index else None
+    return first[order], np.argsort(order).astype(np.int32)[group]
 
 
 class _PoolTriples:
-    """A pool and, built when first asked, its distinct exact triple rows
-    (model.numerator_rows) in order of first occurrence, the first pool row
-    of each, the int32 row of each pool row and the float tables (table); read-only."""
+    """A pool and, built together on the first triples() call, its distinct
+    exact triple rows (model.numerator_rows) in order of first occurrence, the
+    first pool row of each and the int32 row of each pool row; read-only."""
 
-    __slots__ = ("pool", "_triples", "_index", "tables")
+    __slots__ = ("pool", "_triples", "tables")
 
     def __init__(self, pool: LabelPool):
-        self.pool, self._triples, self._index, self.tables = pool, None, None, {}
+        self.pool, self._triples, self.tables = pool, None, {}
 
-    def triples(self, index: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        if self._triples is None or (index and self._index is None):
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._triples is None:
             nums = numerator_rows(self.pool.shape, self.pool.labels)
-            first, self._index = _first_order(nums, index)
-            self._triples = self._triples or (nums[first], first)
-            for arr in (*self._triples, self._index)[:2 + index]:
+            first, index = _first_order(nums)
+            self._triples = nums[first], first, index
+            for arr in self._triples:
                 arr.flags.writeable = False
         return self._triples
 
@@ -826,8 +824,8 @@ class _PoolTriples:
         key = None if unit is None else unit.tobytes()
         if (table := self.tables.pop(key, None)) is None:
             if unit is None:  # scaled_rows, triple_table's route, on the distinct triples
-                nums, first = self.triples(index=True)
-                table = scaled_rows(nums, self.pool.shape), first, self._index
+                nums, first, index = self.triples()
+                table = scaled_rows(nums, self.pool.shape), first, index
             else:
                 full = triple_table(self.pool, BoundCov(1.0, unit))
                 first, index = _first_order(full.view(np.int64))
@@ -835,72 +833,66 @@ class _PoolTriples:
             for arr in table:
                 arr.flags.writeable = False
         self.tables[key] = table  # the most recently used last
+        _trim_full_pools()  # a kept pool's tables count against the row bound
         return table
 
 
-# Full pools (keyed by shape) and support pools (keyed by (shape, seed)) kept
-# per process with their tables, least recently used dropped first (a pool's
-# tables before it), while they hold more than _FULL_POOL_ROWS rows in all, a
-# table counting the pool rows it maps; a larger pool is built on every call.
-# A shape of at most _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at
-# least 2^(p-1) orbits, and p = 17 is no grid), so a kept pool row costs at
-# most 52 bytes (16 of int8 labels, 32 of triple and first index, 4 of row
-# index) and a table row 36 (24 D/N of distinct rows and 8 D/N of first
-# index, D of the N rows distinct, and 4 of a dense table's row index): 5.2 MB
-# at worst.  The certify shapes of the benchmark hold 75,212 rows, 0.7 MB of
-# labels.  A support pool holds at most 64 balanced rows or its shape's few
-# corner-double placements (80 at most for the shapes up to p = 40 tried), so
-# it weighs little; it is scored like any other pool, as r_eval and
-# solve_exchange look up full pools only.
+# Full pools, keyed by shape, kept per process with their tables, least
+# recently used dropped first (a pool's tables before it), while they hold
+# more than _FULL_POOL_ROWS rows in all, a table counting the pool rows it
+# maps; a larger pool is built on every call.  A shape of at most
+# _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at least 2^(p-1) orbits,
+# and p = 17 is no grid), so a kept pool row costs at most 52 bytes (16 of
+# int8 labels, 32 of triple and first index, 4 of row index) and a table row
+# 36 (24 D/N of distinct rows and 8 D/N of first index, D of the N rows
+# distinct, and 4 of a dense table's row index): 5.2 MB at worst.  The
+# certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
 _FULL_POOL_ROWS = 100_000
-_full_pools: dict[Shape | tuple[Shape, int], _PoolTriples] = {}
+_full_pools: dict[Shape, _PoolTriples] = {}
 
 
-def _kept_pool(key, build) -> LabelPool:
-    """The kept pool under key, else build()'s, kept when small enough."""
-    kept = _full_pools.pop(key, None)
-    if kept is None:
-        kept = _PoolTriples(build())
-        if len(kept.pool) > _FULL_POOL_ROWS:
-            return kept.pool
-    _full_pools[key] = kept  # the most recently used last
+def _trim_full_pools() -> None:
     while sum(len(k.pool) * (1 + len(k.tables)) for k in _full_pools.values()) > _FULL_POOL_ROWS:
         if tables := _full_pools[oldest := next(iter(_full_pools))].tables:
             del tables[next(iter(tables))]  # a pool's tables go before it
         else:
             del _full_pools[oldest]
+
+
+def full_pool(shape: Shape) -> LabelPool:
+    """Every orbit's canonical representative, in enumeration order, as a
+    read-only label matrix; raises EnumerationBudgetError, before
+    allocating, when the shape has more than DEFAULT_ORBIT_BUDGET orbits.
+    A pool of at most _FULL_POOL_ROWS rows is built once per process and
+    the same object is returned on every call."""
+    kept = _full_pools.pop(shape, None)
+    if kept is None:
+        kept = _PoolTriples(LabelPool(shape, enumerate_label_matrix(shape)))
+        if len(kept.pool) > _FULL_POOL_ROWS:
+            return kept.pool
+    _full_pools[shape] = kept  # the most recently used last
+    _trim_full_pools()
     return kept.pool
 
 
-def full_pool(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> LabelPool:
-    """Every orbit's canonical representative, in enumeration order, as a
-    read-only label matrix; raises EnumerationBudgetError, before
-    allocating, when the shape has more than `budget` orbits.  A pool of
-    at most _FULL_POOL_ROWS rows is built once per process and the same
-    object is returned on every call; the budget is checked on each one,
-    against the kept pool's rows, one per orbit, when there is one."""
-    if (kept := _full_pools.get(shape)) is None or len(kept.pool) > budget:
-        _check_budget(shape, budget)
-    return _kept_pool(shape, lambda: LabelPool(
-        shape, enumerate_label_matrix(shape, budget=budget)))
-
-
-def support_pool(shape: Shape, seed: int = 0) -> LabelPool:
+def support_pool(shape: Shape) -> LabelPool:
     """Constructive pool covering the closed-form support classes, in colex
     order.  For t <= p - 2 it holds the first 64 distinct balanced orbits
     among the two structured balanced arrays and 1,280 random ones;
     otherwise every placement of the feasible corner-double classes.  It
-    is kept per (shape, seed) beside the full pools, so a repeated call in
-    one process returns the same read-only pool."""
-    return _kept_pool((shape, seed), lambda: _built_support_pool(shape, seed))
+    is kept per shape, 64 shapes at most, so a repeated call in one process
+    returns the same read-only pool; r_eval and solve_exchange score it as
+    they score any pool that full_pool does not keep."""
+    return _support_pool(shape)
 
 
-def _built_support_pool(shape: Shape, seed: int) -> LabelPool:
+@functools.lru_cache(maxsize=64)
+def _support_pool(shape: Shape) -> LabelPool:
     if shape.t <= shape.p - 2:
         # up to 20 batches of 64 shuffles of the bag, one per row; only the
         # forms found so far (fewer than 64, so all stay) go on to the next
         rows = [balanced_no_adjacent(shape).colex, balanced_clustered(shape).colex]
-        bag, rng = _balanced_bag(shape), np.random.default_rng(seed)
+        bag, rng = _balanced_bag(shape), np.random.default_rng(0)
         for _ in range(20):
             pool = canonical_pool(shape, [*rows, *rng.permuted(np.tile(bag, (64, 1)), axis=1)], 64)
             if len(pool) == 64:
@@ -1061,7 +1053,6 @@ def solve_exchange(
     kept = _full_pools.get(pool.shape)
     if kept is not None and kept.pool is pool:
         table, first, index = kept.table(cov.unit)
-        _kept_pool(pool.shape, None)  # the new table counts against the row bound
     else:
         table = triple_table(pool, BoundCov(1.0, cov.unit))
         first = index = np.arange(len(pool))

@@ -592,9 +592,11 @@ def test_full_pool_is_kept_once_read_only_and_scored_lazily(fresh_full_pools):
     kept = optimality._full_pools[shape]
     assert kept.pool is pool and kept._triples is None
     r_eval(Fraction(1, 3), pool)
-    rows, first = kept.triples()
+    rows, first, index = kept.triples()
     assert len(rows) == len(first) < len(pool) and (np.diff(first) > 0).all()
-    for arr in (pool.labels, rows, first):
+    assert index.dtype == np.int32
+    assert (rows[index] == model.numerator_rows(shape, pool.labels)).all()
+    for arr in (pool.labels, rows, first, index):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
 
@@ -629,24 +631,27 @@ def test_kept_numerator_table_is_the_triple_table(fresh_full_pools, abt):
     pool = full_pool(shape)
     kept = optimality._full_pools[shape]
     _check_kept_table(pool, None, kept.table())
-    assert kept.table()[2] is kept._index
+    assert kept.table()[2] is kept.triples()[2]
 
 
-def test_certify_leaves_the_row_index_unbuilt(fresh_full_pools):
+def test_certify_then_solve_scores_the_kept_rows_once(fresh_full_pools, monkeypatch):
+    # the certificate and the solve read one (rows, first, index) record
     shape = Shape(2, 4, 3)
+    pool, scored = full_pool(shape), []
+    real = optimality.numerator_rows
+    monkeypatch.setattr(optimality, "numerator_rows",
+                        lambda s, labels: scored.append(labels is pool.labels) or real(s, labels))
     for sigma in (IDENTITY, TypeH(Fraction(3, 2))):
         res = solve_closed_form(shape, sigma)
         assert verify_measure(res.measure, sigma, res.x_star, res.y_star).optimal
         assert equivalence_gap(res.measure, full_pool(shape), sigma) == 0
         r_eval(Fraction(1, 7), full_pool(shape), sigma)
-    kept = optimality._full_pools[shape]
-    rows, first = kept.triples()
-    assert kept._index is None
-    # a solve over the kept pool builds the index once and keeps the rows
-    solve_exchange(shape, TypeH(Fraction(3, 2)))
-    index = kept._index
-    solve_exchange(shape)
-    assert kept._index is index and all(a is b for a, b in zip(kept.triples(), (rows, first)))
+    record = optimality._full_pools[shape].triples()
+    for sigma in (TypeH(Fraction(3, 2)), IDENTITY):
+        want = float(solve_closed_form(shape, sigma).y_star)
+        assert abs(solve_exchange(shape, sigma).y_star - want) <= 1e-9 * want
+    assert scored.count(True) == 1
+    assert all(a is b for a, b in zip(optimality._full_pools[shape].triples(), record))
 
 
 def test_full_pools_past_the_row_bound_are_not_kept(fresh_full_pools, monkeypatch):
@@ -659,34 +664,20 @@ def test_full_pools_past_the_row_bound_are_not_kept(fresh_full_pools, monkeypatc
     assert list(optimality._full_pools) == [Shape(2, 3, 4), Shape(2, 3, 2)]
 
 
-def test_kept_full_pool_still_checks_the_budget(fresh_full_pools):
-    shape = Shape(3, 3, 5)  # 18,002 orbits
-    full_pool(shape)
-    with pytest.raises(EnumerationBudgetError):
-        full_pool(shape, budget=100)
-
-
-def test_kept_full_pool_checks_the_budget_against_its_rows(fresh_full_pools, monkeypatch):
-    # a full pool holds one row per orbit, so a warm call counts no orbits,
-    # and one over the budget raises as a cold call does, enumerating nothing
+def test_warm_full_pool_counts_no_orbits(fresh_full_pools, monkeypatch):
+    # a kept pool is returned as it is, with no orbit count and no
+    # enumeration; a shape past the budget raises before enumerating
     shape = Shape(3, 3, 5)  # 18,002 orbits
     calls, real = [], arrays.orbit_count
     monkeypatch.setattr(arrays, "orbit_count", lambda s: calls.append(s) or real(s))
-    growth = arrays._growth_strings
-    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
-    with pytest.raises(EnumerationBudgetError) as cold:
-        full_pool(shape, budget=18_001)
-    monkeypatch.setattr(arrays, "_growth_strings", growth)
     pool = full_pool(shape)
     counted = len(calls)
     monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
-    assert full_pool(shape) is pool and full_pool(shape, budget=18_002) is pool
+    assert full_pool(shape) is pool
     assert len(calls) == counted
-    with pytest.raises(EnumerationBudgetError) as warm:
-        full_pool(shape, budget=18_001)
-    assert str(warm.value) == str(cold.value)
-    assert (warm.value.shape, warm.value.orbit_count, warm.value.budget) == (shape, 18_002, 18_001)
     assert optimality._full_pools[shape].pool is pool
+    with pytest.raises(EnumerationBudgetError):
+        full_pool(Shape(4, 4, 3))  # 7.2 M orbits
 
 
 @pytest.mark.parametrize("abt", [(4, 4, 3), (5, 5, 5)])
@@ -1206,8 +1197,8 @@ def _digest(pool) -> str:
 def test_restricted_pools_keep_contents_and_order():
     # digests of the arrays, in order, as the pools gave them before they
     # became label matrices
-    assert _digest(support_pool(Shape(3, 3, 4), seed=1)) == \
-        "9b45ca672ad7d5f0277a8e8786e8714953c5b347054325d53c9211f51c958bb5"
+    assert _digest(support_pool(Shape(3, 3, 4))) == \
+        "735447ed03e4db5c9ee9c16331123a40b55822c5e0b9f2f104b97261ef1f4542"
     # the corner-double branch for a = 2 and for a >= 3, and the balanced
     # branch on a shape whose 15 balanced orbits never fill the 64 wanted,
     # so every one of its 1,280 draws is made
@@ -1219,23 +1210,15 @@ def test_restricted_pools_keep_contents_and_order():
         "878786afc4cf3412cfb1d7541de629f787e8e12d41669fa9b07580a5142ee455"
 
 
-def test_support_pool_is_kept_per_shape_and_seed(fresh_full_pools, monkeypatch):
-    # built once per (shape, seed): the same read-only pool on every call
+def test_support_pool_is_kept_per_shape(fresh_full_pools):
+    # built once per shape: the same read-only pool on every call, kept
+    # apart from the full pools, whose row bound it leaves alone
     shape = Shape(2, 3, 3)
     pool = support_pool(shape)
     assert support_pool(shape) is pool and not pool.labels.flags.writeable
-    assert support_pool(shape, seed=0) is pool
-    assert support_pool(shape, seed=1) is not pool
-    assert support_pool(shape, seed=1) is support_pool(shape, seed=1)
-    assert list(optimality._full_pools) == [(shape, 0), (shape, 1)]
-    # under the full pools' row bound: 15 + 15 + 32 rows, the least recently
-    # used dropped first, and a pool past the bound is not kept
-    full_pool(Shape(2, 3, 2))
-    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 40)
-    full_pool(Shape(2, 3, 2))
-    assert list(optimality._full_pools) == [Shape(2, 3, 2)]
-    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", len(pool) - 1)
-    assert support_pool(shape, seed=2) is not support_pool(shape, seed=2)
+    assert support_pool(Shape(2, 4, 7)) is not pool and support_pool(shape) is pool
+    assert not optimality._full_pools
+    assert optimality._support_pool.cache_info().maxsize == 64
 
 
 TYPE_H_SHAPES = [(2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (2, 3, 5), (3, 3, 2)]
