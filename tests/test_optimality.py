@@ -664,20 +664,32 @@ def test_full_pools_past_the_row_bound_are_not_kept(fresh_full_pools, monkeypatc
     assert list(optimality._full_pools) == [Shape(2, 3, 4), Shape(2, 3, 2)]
 
 
-def test_warm_full_pool_counts_no_orbits(fresh_full_pools, monkeypatch):
-    # a kept pool is returned as it is, with no orbit count and no
-    # enumeration; a shape past the budget raises before enumerating
+def test_kept_full_pool_still_checks_the_budget(fresh_full_pools, monkeypatch):
+    # a kept pool does not let a shape past the budget through: it raises
+    # as a cold call does, before enumerating
+    full_pool(Shape(3, 3, 5))  # 18,002 orbits, kept
+    monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
+    shape = Shape(4, 4, 3)  # 7.2 M orbits
+    with pytest.raises(EnumerationBudgetError) as err:
+        full_pool(shape)
+    assert (err.value.shape, err.value.budget) == (shape, arrays.DEFAULT_ORBIT_BUDGET)
+    assert err.value.orbit_count == arrays.orbit_count(shape) > arrays.DEFAULT_ORBIT_BUDGET
+    assert list(optimality._full_pools) == [Shape(3, 3, 5)]
+
+
+def test_kept_full_pool_checks_the_budget_against_its_rows(fresh_full_pools, monkeypatch):
+    # a full pool holds one row per orbit, within the budget, so a warm call
+    # returns it as it is, with no orbit count and no enumeration
     shape = Shape(3, 3, 5)  # 18,002 orbits
     calls, real = [], arrays.orbit_count
     monkeypatch.setattr(arrays, "orbit_count", lambda s: calls.append(s) or real(s))
     pool = full_pool(shape)
+    assert len(pool) == 18_002 <= arrays.DEFAULT_ORBIT_BUDGET
     counted = len(calls)
     monkeypatch.setattr(arrays, "_growth_strings", _never_enumerate)
     assert full_pool(shape) is pool
     assert len(calls) == counted
     assert optimality._full_pools[shape].pool is pool
-    with pytest.raises(EnumerationBudgetError):
-        full_pool(Shape(4, 4, 3))  # 7.2 M orbits
 
 
 @pytest.mark.parametrize("abt", [(4, 4, 3), (5, 5, 5)])
