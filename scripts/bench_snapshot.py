@@ -57,7 +57,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def describe(root: Path) -> dict:
-    """The checkout's commit, whether its tracked files differ from it, a
+    """The checkout's commit, whether a file under src/ or perfbench/ differs
+    from it or is untracked (an edit elsewhere, to a note, does not count), a
     digest and the line count of its package sources, and the line count of
     the Python files under tests/ and demos/ (so a snapshot tells lines
     deleted from lines moved out of the package)."""
@@ -72,7 +73,8 @@ def describe(root: Path) -> dict:
     tests_lines = sum(len(path.read_bytes().splitlines())
                       for folder in ("tests", "demos") for path in (root / folder).rglob("*.py"))
     return {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=all", "--",
+                              "src", "perfbench")),
             "src_sha256": digest.hexdigest(), "src_lines": lines, "tests_lines": tests_lines}
 
 

@@ -109,28 +109,33 @@ class Measure:
         values = [exact_value(w) for w in weights]
         exact = all(v is not None for v in values)
         weights = values if exact else [float(w) for w in weights]
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):  # a NaN fails both
+            raise ValueError("weights must be finite and nonnegative")
         keep = [k for k, w in enumerate(weights) if w != 0]
         if not keep:
             raise ValueError("a measure needs at least one atom of positive weight")
         weights = [weights[k] for k in keep]
         rows = labels[keep]
         first, slot = _first_order(rows)  # kept in order of first appearance
-        self.shape, self.orbit_sizes, self._shares, self._rows = shape, None, None, None
-        self.labels = rows[first]
-        self.labels.flags.writeable = False
         vec = np.zeros(len(first), dtype=object if exact else float)
-        if exact:
-            den = math.lcm(*(w.denominator for w in weights))
-            np.add.at(vec, slot, [w.numerator * (den // w.denominator) for w in weights])
+        den = math.lcm(*(w.denominator for w in weights)) if exact else None
+        np.add.at(vec, slot, [w.numerator * (den // w.denominator) for w in weights]
+                  if exact else weights)
+        self._set(shape, rows[first], vec, den)
+
+    def _set(self, shape: Shape, labels: np.ndarray, vec: np.ndarray, den: int | None) -> None:
+        """_fill past its grouping: distinct label rows, an array of their own made read-only,
+        and their weights, integer numerators over den or (den None) float64."""
+        self.shape, self.orbit_sizes, self._shares, self._rows = shape, None, None, None
+        self.labels = labels
+        self.labels.flags.writeable = False
+        if den is not None:
             nums = vec.tolist()
             if sum(nums) != den:
                 raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
             g = math.gcd(den, *nums)  # merged rows may leave a common factor
             self.weights, self.denominator = tuple(n // g for n in nums), den // g
         else:
-            np.add.at(vec, slot, weights)
             total = math.fsum(vec.tolist())  # a running sum drifts past 1e-12 on large measures
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {total}, expected 1")
@@ -1024,10 +1029,10 @@ def solve_exchange(
 
     The pool defaults to every orbit of the shape (full_pool), so the
     optimum and its certificate cover all arrays; above DEFAULT_ORBIT_BUDGET
-    orbits that raises EnumerationBudgetError, and a restricted pool must
-    be passed explicitly.  A pool is scored as one label matrix (a
-    LabelPool; a plain sequence of arrays is converted once), and only the
-    support rows and the orbit representatives become BlockArrays.
+    orbits that raises EnumerationBudgetError, and a restricted pool of the
+    shape must be passed explicitly.  A pool is scored as one label matrix
+    (a LabelPool; a plain sequence of arrays is converted once), and only
+    the support rows and the orbit representatives become BlockArrays.
 
     By minimax duality max_xi min_x sum_s xi_s q_s(x) = min_x r(x), with
     r(x) = max_s q_s(x) convex and piecewise quadratic.  The minimiser
@@ -1044,12 +1049,17 @@ def solve_exchange(
     runs on the unit-scale table of the bound covariance (model.bind), all
     its tests relative, and y* and gap take the scale at the end
     (_at_scale).  A kept full pool keeps that table as its distinct rows in
-    order of first occurrence (_PoolTriples.table), and every step above
-    reads those alone: the same maxima, tie bands, slopes and earliest
-    rows.  To certify a measure already at hand, use equivalence_gap.
+    order of first occurrence (_PoolTriples.table).  The bisection, the
+    mixture's atoms, the gap and the support test read those rows alone,
+    with the same maxima, tie bands, slopes and earliest rows; the mixture
+    triple (an (N, 3) table, zero but at the atoms) and the support gather
+    read N rows, and the measure and orbit weights the atoms alone.  To
+    certify a measure already at hand, use equivalence_gap.
     """
     cov = bind(shape, sigma)
     pool = LabelPool.of(full_pool(shape) if pool is None else pool)
+    if pool.shape != shape:
+        raise ValueError(f"a pool of shape {pool.shape} for a solve of shape {shape}")
     kept = _full_pools.get(pool.shape)
     if kept is not None and kept.pool is pool:
         table, first, index = kept.table(cov.unit)
@@ -1071,19 +1081,20 @@ def solve_exchange(
     q = q_eval(table.T, xt)
     gap = float(q.max()) - qs
 
+    # the atoms are distinct rows, each the first of its table row: no regrouping
     keep = atoms[w[atoms] > 1e-15]
-    measure = Measure.from_labels(shape, pool.labels[first[keep]], w[keep] / w[keep].sum())
+    measure = Measure.__new__(Measure)
+    measure._set(shape, np.take(pool.labels, first[keep], axis=0), w[keep] / w[keep].sum(), None)
     orbit_pairs = tuple(
-        (Orbit(s, orbit_size(s)), wt) for s, wt in sorted(
-            measure.items(), key=lambda kv: kv[0].colex)
-    )
+        (Orbit(BlockArray.from_colex(shape, r), math.perm(shape.t, len(set(r)))), wt)
+        for r, wt in sorted(zip(measure.labels.tolist(), measure.weights.tolist())))
+    hit = np.flatnonzero(np.take(np.abs(q - qs) <= tol * abs(qs), index))
     return _at_scale(SolveResult(
         shape=shape,
         x_star=xt,
         y_star=qs,
         regime="computational",
-        q_support=QSupport.explicit(
-            LabelPool(shape, pool.labels[(np.abs(q - qs) <= tol * abs(qs))[index]])),
+        q_support=QSupport.explicit(LabelPool(shape, np.take(pool.labels, hit, axis=0))),
         measure=measure,
         orbit_weights=orbit_pairs,
         gap=max(gap, 0.0),

@@ -342,6 +342,14 @@ def test_measure_weight_validation():
     with pytest.raises(ValueError):
         Measure(s.shape, {s: 0.5})
     Measure(s.shape, {s: Fraction(1)})  # fine
+    # a NaN weight is neither below 0 nor off a sum of 1 by more than 1e-12
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Measure(s.shape, {s: bad})
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Measure.from_labels(s.shape, full_pool(s.shape).labels[:1], [bad])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Measure.from_labels(s.shape, full_pool(s.shape).labels[:2], [bad, 1.0])
 
 
 def test_measure_from_labels_merges_rows_at_first_appearance():
@@ -902,28 +910,78 @@ def _random_spd(p: int, seed: int) -> GeneralCov:
 KEPT_TABLE_SIGMAS = {
     "identity": lambda p: IDENTITY, "type-h": lambda p: TypeH(Fraction(3, 2)),
     "ar": lambda p: _ar_kernel(p, 0.5), "random-spd": lambda p: _random_spd(p, 7),
-    "dense-eye": lambda p: GeneralCov.from_matrix(np.eye(p))}
+    "dense-eye": lambda p: GeneralCov.from_matrix(np.eye(p)),
+    "ar-0.5": lambda p: _ar_kernel(p, -0.5), "ar0.8": lambda p: _ar_kernel(p, 0.8)}
+
+
+def _reference_exchange(shape, sigma, pool, max_iter=500, tol=optimality.GAP_TOL):
+    """solve_exchange with its result assembled from every pool row: the
+    measure regrouped by Measure.from_labels, each orbit sized by orbit_size
+    over measure.items(), and the support a boolean gather of the pool."""
+    cov = model.bind(shape, sigma)
+    kept = optimality._full_pools.get(shape)
+    if kept is not None and kept.pool is pool:
+        table, first, index = kept.table(cov.unit)
+    else:
+        table = triple_table(pool, model.BoundCov(1.0, cov.unit))
+        first = index = np.arange(len(pool))
+    x, iterations = optimality._envelope_argmin(table, max_iter)
+    w = optimality._basic_mixture(table, x)
+    if w is None:
+        w = np.zeros(len(table))
+        w[optimality._active_slopes(table, x)[0][0]] = 1.0
+    atoms = np.flatnonzero(w)
+    wp, tp = np.zeros(len(index)), np.zeros((len(index), 3))
+    wp[first[atoms]], tp[first[atoms]] = w[atoms], table[atoms]
+    qs, xt = (float(v) for v in model._vertex(*(wp @ tp), x))
+    q = q_eval(table.T, xt)
+    gap = float(q.max()) - qs
+    keep = atoms[w[atoms] > 1e-15]
+    measure = Measure.from_labels(shape, pool.labels[first[keep]], w[keep] / w[keep].sum())
+    pairs = tuple((Orbit(s, orbit_size(s)), wt)
+                  for s, wt in sorted(measure.items(), key=lambda kv: kv[0].colex))
+    support = optimality.QSupport.explicit(
+        LabelPool(shape, pool.labels[(np.abs(q - qs) <= tol * abs(qs))[index]]))
+    return optimality._at_scale(optimality.SolveResult(
+        shape, xt, qs, "computational", support, measure, pairs, max(gap, 0.0),
+        bool(gap <= tol * abs(qs)), iterations), cov.scale)
 
 
 @pytest.mark.parametrize("kind", KEPT_TABLE_SIGMAS)
-@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (2, 3, 2)])
+@pytest.mark.parametrize("abt", [(2, 3, 3), (2, 4, 3), (3, 3, 4), (3, 3, 5), (3, 3, 3), (2, 3, 2),
+                                 (2, 2, 5)])
 def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     # the first solve over the kept pool builds and keeps its unit-scale
     # table as distinct rows, the second reads it, and a copy of the pool
     # (never kept) is scored row by row; (3,3,5) and (3,3,3) hold the most
     # repeated rows, and on (2,3,2) BLAS sums the dense-eye mixture in an
-    # order set by where its two atoms sit among the rows
+    # order set by where its two atoms sit among the rows.  Each solve, one
+    # cut short at max_iter = 3 (the single-row fallback) and one over a pool
+    # with every row repeated included, has the bytes of the solve assembled
+    # from every pool row; on (2,2,5) no array holds all t labels
     shape = Shape(*abt)
     sigma = KEPT_TABLE_SIGMAS[kind](shape.p)
     model._dense_kernel.cache_clear()
     cold, warm = solve_exchange(shape, sigma), solve_exchange(shape, sigma)
     pool = full_pool(shape)
-    copy = solve_exchange(shape, sigma, pool=LabelPool(shape, pool.labels.copy()))
+    copy_pool = LabelPool(shape, pool.labels.copy())
+    copy = solve_exchange(shape, sigma, pool=copy_pool)
     for res in (warm, copy):
         assert (res.x_star, res.y_star, res.gap, res.iterations, res.converged) == \
             (cold.x_star, cold.y_star, cold.gap, cold.iterations, cold.converged)
         assert res.measure.to_json() == cold.measure.to_json()
         assert res.q_support.arrays.labels.tobytes() == cold.q_support.arrays.labels.tobytes()
+    solves = [(warm, (pool,)), (solve_exchange(shape, sigma, max_iter=3), (pool, 3))]
+    if len(pool) < 2000:  # not kept, so scored row by row; relabeled, so not canonical
+        repeated = LabelPool(shape, np.repeat(shape.t + 1 - pool.labels, 2, axis=0))
+        solves.append((solve_exchange(shape, sigma, pool=repeated), (repeated,)))
+    for res, args in solves:
+        ref = _reference_exchange(shape, sigma, *args)
+        assert res.to_json() == ref.to_json()
+        for got, want in ((res.measure.labels, ref.measure.labels),
+                          (res.measure.weights, ref.measure.weights)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        assert res.orbit_weights == ref.orbit_weights
     unit = model.bind(shape, sigma).unit
     kept = optimality._full_pools[shape]
     assert list(kept.tables) == [None if unit is None else unit.tobytes()]
@@ -972,6 +1030,21 @@ def test_kept_tables_stay_within_the_row_bound(fresh_full_pools, monkeypatch):
     solve_exchange(big, _ar_kernel(big.p, 0.4))
     solve_exchange(big)
     assert list(optimality._full_pools) == [shape] and not kept.tables
+
+
+def test_exchange_refuses_a_pool_of_another_shape(monkeypatch):
+    # (2,3,2) and (2,3,3) share p = 6, so the (2,3,2) pool could be scored
+    # under a (2,3,3) covariance: y* = 3 for the (2,3,3) y* of 4
+    small = full_pool(Shape(2, 3, 2))
+    monkeypatch.setattr(optimality, "triple_table", _never_score)
+    monkeypatch.setattr(optimality._PoolTriples, "table", _never_score)
+    for pool in (small, list(small)):
+        with pytest.raises(ValueError, match=r"shape \(2,3,2\) .* shape \(2,3,3\)"):
+            solve_exchange(Shape(2, 3, 3), pool=pool)
+
+
+def _never_score(*args):
+    raise AssertionError("scored a pool of another shape")
 
 
 def test_exchange_from_every_point_measure():
