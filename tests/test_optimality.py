@@ -955,10 +955,11 @@ def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     # table as distinct rows, the second reads it, and a copy of the pool
     # (never kept) is scored row by row; (3,3,5) and (3,3,3) hold the most
     # repeated rows, and on (2,3,2) BLAS sums the dense-eye mixture in an
-    # order set by where its two atoms sit among the rows.  Each solve, one
-    # cut short at max_iter = 3 (the single-row fallback) and one over a pool
-    # with every row repeated included, has the bytes of the solve assembled
-    # from every pool row; on (2,2,5) no array holds all t labels
+    # order set by where its two atoms sit among the rows.  The warm solve,
+    # one cut short at max_iter = 3 (the single-row fallback) and one over a
+    # pool with every row repeated have the bytes of _reference_exchange's;
+    # on (2,2,5) no array holds all t labels, so a relabeled row's largest
+    # label is not its count of labels
     shape = Shape(*abt)
     sigma = KEPT_TABLE_SIGMAS[kind](shape.p)
     model._dense_kernel.cache_clear()
