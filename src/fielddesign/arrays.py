@@ -263,6 +263,8 @@ def enumerate_label_matrix(shape: Shape, budget: int = DEFAULT_ORBIT_BUDGET) -> 
 
 def label_matrix(pool: Sequence[BlockArray]) -> np.ndarray:
     """(N, p) colex labels of same-shape arrays, in label_dtype(t)."""
+    if len(shapes := sorted({s.shape for s in pool})) > 1:
+        raise ValueError(f"arrays of more than one shape: {', '.join(map(str, shapes))}")
     grids = np.array([s.rows for s in pool], dtype=label_dtype(pool[0].shape.t))
     return grids.transpose(0, 2, 1).reshape(len(pool), -1)
 

@@ -38,6 +38,7 @@ from .arrays import (
     orbit_size,
 )
 from .model import (
+    CHUNK_ROWS,
     IDENTITY,
     BoundCov,
     CovarianceSpec,
@@ -58,6 +59,7 @@ from .model import (
 )
 
 GAP_TOL = 1e-9
+_ENVELOPE_CELLS = 64
 MATERIALIZE_LIMIT = 20_000
 # old name of the budget, still read by the benchmark worker (perfbench/)
 FULL_POOL_LIMIT = DEFAULT_ORBIT_BUDGET
@@ -152,6 +154,8 @@ class Measure:
         the weights on the canonical forms (from_labels: a repeated orbit
         merges at its first place of positive weight)."""
         pairs = list(pairs)
+        if pairs and (other := pairs[0][0].representative.shape) != shape:
+            raise ValueError(f"an orbit of shape {other} in a measure of shape {shape}")
         canon = canonical_labels(label_matrix([o.representative for o, _ in pairs]))
         xi = Measure.from_labels(shape, canon, [w for _, w in pairs])
         xi.orbit_sizes = tuple(math.perm(shape.t, m) for m in xi.labels.max(axis=1).tolist())
@@ -821,22 +825,25 @@ class _PoolTriples:
                 arr.flags.writeable = False
         return self._triples
 
-    def table(self, unit: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """triple_table(pool, BoundCov(1.0, unit)) as (rows, first, index), kept
-        per unit: its distinct rows, bytes compared, in order of first
-        occurrence, the first pool row of each and the int32 row of each pool
-        row, so rows[index] has the table's bytes; read-only."""
+    def table(self, unit: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """triple_table(pool, BoundCov(1.0, unit)) as (rows, first, index, envelope),
+        kept per unit: its distinct rows, bytes compared, in order of first
+        occurrence, the first pool row of each, the int32 row of each pool row,
+        so rows[index] has the table's bytes, and from the second call on (None
+        on the first) the index of its _envelope_rows; read-only."""
         key = None if unit is None else unit.tobytes()
         if (table := self.tables.pop(key, None)) is None:
             if unit is None:  # scaled_rows, triple_table's route, on the distinct triples
                 nums, first, index = self.triples()
-                table = scaled_rows(nums, self.pool.shape), first, index
+                table = scaled_rows(nums, self.pool.shape), first, index, None
             else:
                 full = triple_table(self.pool, BoundCov(1.0, unit))
                 first, index = _first_order(full.view(np.int64))
-                table = full[first], first, index
-            for arr in table:
-                arr.flags.writeable = False
+                table = full[first], first, index, None
+        elif table[3] is None:
+            table = (*table[:3], _envelope_rows(table[0]))
+        for arr in table[:3] if table[3] is None else table:
+            arr.flags.writeable = False
         self.tables[key] = table  # the most recently used last
         _trim_full_pools()  # a kept pool's tables count against the row bound
         return table
@@ -849,9 +856,9 @@ class _PoolTriples:
 # _FULL_POOL_ROWS orbits has p <= 16 (t >= 2 gives at least 2^(p-1) orbits,
 # and p = 17 is no grid), so a kept pool row costs at most 52 bytes (16 of
 # int8 labels, 32 of triple and first index, 4 of row index) and a table row
-# 36 (24 D/N of distinct rows and 8 D/N of first index, D of the N rows
-# distinct, and 4 of a dense table's row index): 5.2 MB at worst.  The
-# certify shapes of the benchmark hold 75,212 rows, 0.7 MB of labels.
+# 44 (24 D/N of distinct rows, 8 D/N of first index and at most 8 D/N of
+# envelope index, D of the N rows distinct, and 4 of a dense table's row
+# index): 5.2 MB at worst.  The benchmark's certify shapes hold 75,212 rows.
 _FULL_POOL_ROWS = 100_000
 _full_pools: dict[Shape, _PoolTriples] = {}
 
@@ -921,21 +928,25 @@ def _active_slopes(table: np.ndarray, x: float):
     return act, table[act, 1] + x * table[act, 2]
 
 
-def _live_rows(table: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The rows that can come within _active_slopes' tie band of the envelope
-    in [lo, hi], in order.  A row peaks there at an end, or at most |c11|
-    (hi - lo)^2 above one if c11 < 0.  A row on top at lo or hi bounds the
-    envelope from below by its tangent there, or by |c11| (hi - lo)^2 less.
-    The slack, 1e-9 of the largest term on [lo, hi], is far above rounding."""
+def _live_rows(table: np.ndarray, *cuts: float) -> np.ndarray:
+    """The indices, in order, of the rows that can come within _active_slopes'
+    tie band of the envelope in a cell [lo, hi] between two ascending cuts.  A
+    row peaks there at an end, or at most |c11| (hi - lo)^2 above one if c11 <
+    0.  A row on top at lo or hi bounds the envelope from below by its tangent
+    there, or by |c11| (hi - lo)^2 less.  The slack, 1e-9 of the largest term
+    in the cell, is far above rounding.  Temporaries: len(cuts) x D floats."""
     _, c01, c11 = cols = table.T
-    ends = q_eval(cols, lo), q_eval(cols, hi)
-    (r0, g0), (r1, g1) = ((q[k], 2.0 * (c01[k] + x * c11[k])) for x, q in zip((lo, hi), ends)
-                          for k in [int(np.argmax(q))])
-    cross = min(hi, max(lo, (r1 - r0 + g0 * lo - g1 * hi) / (g0 - g1))) if g0 != g1 else lo
-    floor = min(max(r0 + g0 * (x - lo), r1 + g1 * (x - hi)) for x in (lo, hi, cross))
-    reach, bend = max(abs(lo), abs(hi)), max(0.0, -c11.min()) * (hi - lo) * (hi - lo)
-    slack = 1e-9 * (np.abs(table).max(axis=0) @ (1.0, 2.0 * reach, reach * reach))
-    return table[np.maximum(*ends) >= floor - 2.0 * bend - slack]
+    x = np.array(cuts)
+    q = q_eval(cols, x[:, None])  # a row of values per cut
+    top = q.argmax(axis=1)
+    r, g = q[np.arange(len(x)), top].tolist(), (2.0 * (c01[top] + x * c11[top])).tolist()
+    largest, concave, least = np.abs(table).max(axis=0).tolist(), max(0.0, -float(c11.min())), []
+    for lo, hi, r0, r1, g0, g1 in zip(cuts, cuts[1:], r, r[1:], g, g[1:]):
+        cross = min(hi, max(lo, (r1 - r0 + g0 * lo - g1 * hi) / (g0 - g1))) if g0 != g1 else lo
+        floor = min(max(r0 + g0 * (z - lo), r1 + g1 * (z - hi)) for z in (lo, hi, cross))
+        bend, reach = concave * (hi - lo) * (hi - lo), max(abs(lo), abs(hi))
+        least.append(floor - 2.0 * bend - 1e-9 * q_eval(largest, reach))
+    return np.flatnonzero((np.maximum(q[:-1], q[1:]) >= np.array(least)[:, None]).any(axis=0))
 
 
 def _nearest_crossing(clo, chi, xt: float) -> float:
@@ -993,14 +1004,29 @@ def _side(table: np.ndarray | list, x: float) -> int:
     return 1 if g.min() > 0 else -1 if g.max() < 0 else 0
 
 
-def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
-    """Minimiser of r(x) = max_k q_k(x) and the bisection steps taken."""
-    s0 = _side(table, 0.0)
-    if s0 == 0:
-        return 0.0, 0
+def _bracket(table: np.ndarray) -> tuple[float, float, int]:
+    """The doubling search from x = 0: its last two points and the side at
+    the last, or (0, 0, 0) when 0 is a minimiser."""
+    if (s0 := _side(table, 0.0)) == 0:
+        return 0.0, 0.0, 0
     near, far = 0.0, -float(s0)
     while (side := _side(table, far)) == s0:
         near, far = far, 2.0 * far
+    return near, far, side
+
+
+def _envelope_rows(table: np.ndarray) -> np.ndarray:
+    """_live_rows from 0 to the bracket's far end, where the bisection and the
+    mixture read, in _ENVELOPE_CELLS equal cells (fewer past CHUNK_ROWS rows,
+    so its temporaries stay within a few MB), or at 0 if it is a minimiser."""
+    far = _bracket(table)[1]
+    cells = max(1, min(_ENVELOPE_CELLS, _ENVELOPE_CELLS * CHUNK_ROWS // len(table))) if far else 1
+    return _live_rows(table, *np.linspace(min(far, 0.0), max(far, 0.0), cells + 1).tolist())
+
+
+def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
+    """Minimiser of r(x) = max_k q_k(x) and the bisection steps taken."""
+    near, far, side = _bracket(table)
     if side == 0:
         return far, 0
     lo, hi = sorted((near, far))
@@ -1009,7 +1035,7 @@ def _envelope_argmin(table: np.ndarray, max_iter: int) -> tuple[float, int]:
         if not lo < mid < hi:
             return mid, steps
         if steps and steps % 4 == 0 and not isinstance(table, list):
-            table = _live_rows(table, lo, hi)
+            table = table[_live_rows(table, lo, hi)]
             table = table.tolist() if len(table) <= 16 else table
         side = _side(table, mid)
         if side == 0:
@@ -1039,21 +1065,22 @@ def solve_exchange(
     of r is bracketed from x = 0 by doubling steps and bisected on the
     sign of the subdifferential, the slopes of the pool rows tied with
     the envelope, until it contains 0 or the interval stops shrinking;
-    `iterations` counts the bisection steps, at most max_iter.  Every few
-    steps it narrows to the rows still live on the bracket (_live_rows),
-    taking the same steps.  The measure is a one- or two-atom mixture over
-    the rows active at the minimiser (_basic_mixture); ties go to the
-    earliest pool row.  `gap` is the envelope at the measure's peak less
-    the peak; the result is flagged converged when gap <= tol |y*|, and
-    the support lists the pool rows within tol |y*| of y* at x*.  The solve
-    runs on the unit-scale table of the bound covariance (model.bind), all
-    its tests relative, and y* and gap take the scale at the end
-    (_at_scale).  A kept full pool keeps that table as its distinct rows in
-    order of first occurrence (_PoolTriples.table).  The bisection, the
-    mixture's atoms, the gap and the support test read those rows alone,
-    with the same maxima, tie bands, slopes and earliest rows; the mixture
-    triple (an (N, 3) table, zero but at the atoms) and the support gather
-    read N rows, and the measure and orbit weights the atoms alone.  To
+    `iterations` counts the bisection steps, at most max_iter; every few it
+    narrows to the rows still live on the bracket (_live_rows).  The measure
+    is a one- or two-atom mixture over the rows active at the minimiser
+    (_basic_mixture); ties go to the earliest pool row.  `gap` is the
+    envelope at the measure's peak less the peak; the result is flagged
+    converged when gap <= tol |y*|, and the support lists the pool rows
+    within tol |y*| of y* at x*.  The solve runs on the unit-scale table of
+    the bound covariance (model.bind), its tests relative, and y* and gap
+    take the scale at the end (_at_scale).  A kept full pool keeps that table
+    as its distinct rows in order of first occurrence and, from its second
+    solve on, the few rows that can reach the envelope on the bracket
+    (_PoolTriples.table).  The bisection and the mixture's atoms read the
+    envelope rows (the distinct rows on a first solve), the gap and support
+    test the distinct rows, with the same maxima, tie bands, slopes and
+    earliest rows; the mixture table (N rows, zero but at the atoms) and the
+    support gather read N rows, the measure and orbit weights the atoms.  To
     certify a measure already at hand, use equivalence_gap.
     """
     cov = bind(shape, sigma)
@@ -1062,15 +1089,19 @@ def solve_exchange(
         raise ValueError(f"a pool of shape {pool.shape} for a solve of shape {shape}")
     kept = _full_pools.get(pool.shape)
     if kept is not None and kept.pool is pool:
-        table, first, index = kept.table(cov.unit)
+        table, first, index, envelope = kept.table(cov.unit)
     else:
-        table = triple_table(pool, BoundCov(1.0, cov.unit))
+        table, envelope = triple_table(pool, BoundCov(1.0, cov.unit)), None
         first = index = np.arange(len(pool))
-    x, iterations = _envelope_argmin(table, max_iter)
-    w = _basic_mixture(table, x)
+    rows = table if envelope is None else table[envelope]
+    few = envelope is not None and len(rows) <= 16  # Python floats from the start, as after a cut
+    x, iterations = _envelope_argmin(rows.tolist() if few else rows, max_iter)
+    w = _basic_mixture(rows, x)
     if w is None:  # bisection cut short by max_iter: best single row
-        w = np.zeros(len(table))
-        w[_active_slopes(table, x)[0][0]] = 1.0
+        w = np.zeros(len(rows))
+        w[_active_slopes(rows, x)[0][0]] = 1.0
+    if envelope is not None:  # the weights back on the distinct rows (distinct indices)
+        w = np.bincount(envelope, w, len(table))
     atoms = np.flatnonzero(w)  # in pool order, as first rises
     # BLAS sums in an order set by where the atoms sit, so the mixture is
     # summed over the pool's rows, zero but at the atoms; a flat mixture

@@ -616,11 +616,14 @@ BENCHMARK_SHAPES = [(2, 3, 2), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 3, 5), (2, 5
 
 
 def _check_kept_table(pool, unit, record):
-    """record is (rows, first, index) of the pool's unit-scale triple_table:
-    rows[index] has its bytes, first[k] is the least pool row equal to
-    rows[k], bytes compared, the rows are distinct, and all three arrays
-    refuse writes."""
-    rows, first, index = record
+    """record is (rows, first, index, envelope) of the pool's unit-scale
+    triple_table: rows[index] has its bytes, first[k] is the least pool row
+    equal to rows[k], bytes compared, the rows are distinct, envelope is None
+    or an ascending index of rows, and every array refuses writes."""
+    rows, first, index, envelope = record
+    if envelope is not None:
+        assert len(envelope) and (np.diff(envelope) > 0).all() and 0 <= envelope[0]
+        assert envelope[-1] < len(rows)
     full = triple_table(pool, model.BoundCov(1.0, unit))
     assert index.dtype == np.int32 and len(index) == len(pool)
     assert rows[index].tobytes() == full.tobytes()
@@ -628,7 +631,7 @@ def _check_kept_table(pool, unit, record):
     for k, row in enumerate(full):
         least.setdefault(row.tobytes(), k)
     assert first.tolist() == [least[row.tobytes()] for row in rows] == sorted(least.values())
-    for arr in record:
+    for arr in (a for a in record if a is not None):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
 
@@ -921,7 +924,7 @@ def _reference_exchange(shape, sigma, pool, max_iter=500, tol=optimality.GAP_TOL
     cov = model.bind(shape, sigma)
     kept = optimality._full_pools.get(shape)
     if kept is not None and kept.pool is pool:
-        table, first, index = kept.table(cov.unit)
+        table, first, index, _ = kept.table(cov.unit)
     else:
         table = triple_table(pool, model.BoundCov(1.0, cov.unit))
         first = index = np.arange(len(pool))
@@ -952,10 +955,11 @@ def _reference_exchange(shape, sigma, pool, max_iter=500, tol=optimality.GAP_TOL
                                  (2, 2, 5)])
 def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     # the first solve over the kept pool builds and keeps its unit-scale
-    # table as distinct rows, the second reads it, and a copy of the pool
-    # (never kept) is scored row by row; (3,3,5) and (3,3,3) hold the most
+    # table as distinct rows, the second reads it and keeps its envelope rows,
+    # the third reads those, and a copy of the pool (never kept) is scored
+    # row by row; (3,3,5) and (3,3,3) hold the most
     # repeated rows, and on (2,3,2) BLAS sums the dense-eye mixture in an
-    # order set by where its two atoms sit among the rows.  The warm solve,
+    # order set by where its two atoms sit among the rows.  The warm solves,
     # one cut short at max_iter = 3 (the single-row fallback) and one over a
     # pool with every row repeated have the bytes of _reference_exchange's;
     # on (2,2,5) no array holds all t labels, so a relabeled row's largest
@@ -963,16 +967,17 @@ def test_cold_and_warm_solves_agree(fresh_full_pools, abt, kind):
     shape = Shape(*abt)
     sigma = KEPT_TABLE_SIGMAS[kind](shape.p)
     model._dense_kernel.cache_clear()
-    cold, warm = solve_exchange(shape, sigma), solve_exchange(shape, sigma)
+    cold, warm, third = (solve_exchange(shape, sigma) for _ in range(3))
     pool = full_pool(shape)
     copy_pool = LabelPool(shape, pool.labels.copy())
     copy = solve_exchange(shape, sigma, pool=copy_pool)
-    for res in (warm, copy):
+    for res in (warm, third, copy):
         assert (res.x_star, res.y_star, res.gap, res.iterations, res.converged) == \
             (cold.x_star, cold.y_star, cold.gap, cold.iterations, cold.converged)
         assert res.measure.to_json() == cold.measure.to_json()
         assert res.q_support.arrays.labels.tobytes() == cold.q_support.arrays.labels.tobytes()
-    solves = [(warm, (pool,)), (solve_exchange(shape, sigma, max_iter=3), (pool, 3))]
+    solves = [(warm, (pool,)), (third, (pool,)),
+              (solve_exchange(shape, sigma, max_iter=3), (pool, 3))]
     if len(pool) < 2000:  # not kept, so scored row by row; relabeled, so not canonical
         repeated = LabelPool(shape, np.repeat(shape.t + 1 - pool.labels, 2, axis=0))
         solves.append((solve_exchange(shape, sigma, pool=repeated), (repeated,)))
@@ -1013,7 +1018,7 @@ def test_kept_tables_stay_within_the_row_bound(fresh_full_pools, monkeypatch):
     for rho in rhos:
         solve_exchange(shape, _ar_kernel(shape.p, rho))
         assert optimality._full_pools[shape] is kept
-        assert len(kept.pool) + sum(len(index) for *_, index in kept.tables.values()) <= 3 * n
+        assert len(kept.pool) + sum(len(index) for _, _, index, _ in kept.tables.values()) <= 3 * n
     assert list(kept.tables) == [key(rhos[-2]), key(rhos[-1])]
     # the least recently used table goes first
     for rho in (rhos[-2], 0.33):
@@ -1033,6 +1038,37 @@ def test_kept_tables_stay_within_the_row_bound(fresh_full_pools, monkeypatch):
     assert list(optimality._full_pools) == [shape] and not kept.tables
 
 
+def test_envelope_rows_come_with_the_second_solve_and_leave_with_their_table(
+        fresh_full_pools, monkeypatch):
+    # a first solve and an unkept pool build no envelope rows; the second
+    # solve over a kept table builds them once, read-only, and later solves
+    # read them; they go when the table goes, and a rebuilt table starts over
+    shape, sigma = Shape(2, 3, 3), _ar_kernel(6, 0.5)
+    built, real = [], optimality._envelope_rows
+    monkeypatch.setattr(optimality, "_envelope_rows", lambda t: built.append(len(t)) or real(t))
+    n = len(full_pool(shape))
+    kept, key = optimality._full_pools[shape], model.bind(shape, sigma).unit.tobytes()
+    first = solve_exchange(shape, sigma)
+    assert built == [] and kept.tables[key][3] is None
+    for _ in range(2):
+        solve_exchange(shape, sigma, pool=LabelPool(shape, full_pool(shape).labels.copy()))
+    assert built == [] and kept.tables[key][3] is None
+    second = solve_exchange(shape, sigma)
+    rows, _, _, envelope = kept.tables[key]
+    assert built == [len(rows)] and 0 < len(envelope) <= 16 < len(rows)
+    with pytest.raises(ValueError, match="read-only"):
+        envelope[0] = 0
+    third = solve_exchange(shape, sigma, max_iter=7)
+    assert built == [len(rows)] and kept.tables[key][3] is envelope
+    assert second.to_json() == first.to_json() and third.iterations == 7
+    # a bound of the pool and one table: a second table drops the first, envelope and all
+    monkeypatch.setattr(optimality, "_FULL_POOL_ROWS", 2 * n)
+    solve_exchange(shape, _ar_kernel(6, 0.8))
+    assert key not in kept.tables
+    solve_exchange(shape, sigma)
+    assert kept.tables[key][3] is None and built == [len(rows)]
+
+
 def test_exchange_refuses_a_pool_of_another_shape(monkeypatch):
     # (2,3,2) and (2,3,3) share p = 6, so the (2,3,2) pool could be scored
     # under a (2,3,3) covariance: y* = 3 for the (2,3,3) y* of 4
@@ -1042,6 +1078,27 @@ def test_exchange_refuses_a_pool_of_another_shape(monkeypatch):
     for pool in (small, list(small)):
         with pytest.raises(ValueError, match=r"shape \(2,3,2\) .* shape \(2,3,3\)"):
             solve_exchange(Shape(2, 3, 3), pool=pool)
+
+
+def test_arrays_of_mixed_shapes_are_refused_by_name():
+    # (2,3,2) and (2,3,3) arrays share their grid, and the first three (2,3,3)
+    # full-pool arrays hold labels 1 and 2 only, so their labels stack into
+    # one (2,3,2) matrix: a (2,3,2) solve over the mix read y* = 1.625
+    small, big = Shape(2, 3, 2), Shape(2, 3, 3)
+    mixed = [full_pool(small)[k] for k in range(3)] + [full_pool(big)[k] for k in range(3)]
+    pairs = [(Orbit(s, orbit_size(s)), Fraction(1, 6)) for s in mixed]
+    for call in (lambda: arrays.label_matrix(mixed), lambda: LabelPool.of(mixed),
+                 lambda: solve_exchange(small, pool=mixed), lambda: expand_symmetric(pairs, 36),
+                 lambda: Measure.from_orbit_weights(small, pairs)):
+        with pytest.raises(ValueError, match=r"more than one shape: \(2,3,2\), \(2,3,3\)"):
+            call()
+
+
+def test_orbit_measure_refuses_a_representative_of_another_shape():
+    # a (2,3,3) array with labels 1 and 2 passes the (2,3,2) label range
+    small, rep = Shape(2, 3, 2), full_pool(Shape(2, 3, 3))[1]
+    with pytest.raises(ValueError, match=r"shape \(2,3,3\) in a measure of shape \(2,3,2\)"):
+        Measure.from_orbit_weights(small, [(Orbit(rep, 6), 1)])
 
 
 def _never_score(*args):
@@ -1172,6 +1229,27 @@ SMALL_SHAPES = [Shape(a, b, t) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))
                 for t in range(2, a * b + 2)]
 
 
+def _check_bisections(table: np.ndarray):
+    """At max_iter 5 and 500, the bisection over the table, over its envelope
+    rows and, as solve_exchange passes at most 16 of them, over those rows as
+    Python floats takes _full_table_argmin's steps to its x, bit for bit; on
+    the envelope rows the mixture, mapped back, and the fallback's row are the
+    table's."""
+    envelope = optimality._envelope_rows(table)
+    rows = table[envelope]
+    for max_iter in (5, 500):
+        want = _full_table_argmin(table, max_iter)
+        for given in (table, rows, rows.tolist() if len(rows) <= 16 else rows):
+            got = optimality._envelope_argmin(given, max_iter)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (len(given), max_iter)
+        w, w_rows = (optimality._basic_mixture(t, want[0]) for t in (table, rows))
+        assert (w is None) == (w_rows is None)
+        if w is not None:
+            assert np.bincount(envelope, w_rows, len(table)).tobytes() == w.tobytes()
+        first = optimality._active_slopes(table, want[0])[0][0]
+        assert envelope[optimality._active_slopes(rows, want[0])[0][0]] == first
+
+
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
 def test_narrowed_bisection_takes_the_full_tables_steps(shape):
     p = shape.p
@@ -1180,11 +1258,7 @@ def test_narrowed_bisection_takes_the_full_tables_steps(shape):
     sigmas += [_random_spd(p, seed) for seed in (3, 2017)]
     sigmas += [GeneralCov.from_matrix(np.eye(p)), TypeH(Fraction(3, 2)), TypeH(0.7)]
     for sigma in sigmas:
-        table = triple_table(pool, sigma)
-        for max_iter in (5, 500):
-            got = optimality._envelope_argmin(table, max_iter)
-            want = _full_table_argmin(table, max_iter)
-            assert got[0].hex() == want[0].hex() and got[1] == want[1], (sigma, max_iter)
+        _check_bisections(triple_table(pool, sigma))
 
 
 def test_narrowed_bisection_on_hand_made_tables():
@@ -1199,12 +1273,10 @@ def test_narrowed_bisection_on_hand_made_tables():
                             1e-12 * rng.random(60)])
     flat[0] = [1.0, -1e-3, 1e-2]  # the minimiser lies right of 0
     for table in (concave, flat):
-        for max_iter in (5, 500):
-            got = optimality._envelope_argmin(table, max_iter)
-            want = _full_table_argmin(table, max_iter)
-            assert got[0].hex() == want[0].hex() and got[1] == want[1], max_iter
+        _check_bisections(table)
     assert optimality._envelope_argmin(concave, 500)[1] > 20
     assert len(optimality._live_rows(flat, -1e-3, 1.0)) == len(flat)
+    assert optimality._envelope_rows(flat).tolist() == list(range(len(flat)))
 
 
 def test_float_rows_decide_steps_like_the_table():
